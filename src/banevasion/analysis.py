@@ -21,9 +21,9 @@ from .errors import (
     MissingBanTimeError,
     ZeroVarianceError,
 )
-from .features import FeatureConfig, pair_features
+from .features import FeatureConfig, account_digest, pair_vectors
 from .matching import NEGATIVE
-from .textstats import liwc_profile, normalized_levenshtein, tokenize
+from .textstats import normalized_levenshtein
 
 _BETACF_MAX_ITER = 300
 _BETACF_TOL = 1e-12
@@ -258,26 +258,6 @@ def _median_block(values_by_axis: dict[str, list[float]]) -> dict[str, float | N
     }
 
 
-def _pair_metrics(corpus: Corpus, parent_id: str, other_id: str, config: FeatureConfig):
-    vec = pair_features(
-        corpus.account(parent_id),
-        corpus.revisions_of(parent_id),
-        corpus.account(other_id),
-        corpus.revisions_of(other_id),
-        config,
-    )
-    values = vec.as_dict()
-    return {
-        "page_jaccard": values["page_jaccard"],
-        "comment_unigram_jaccard": values["comment_unigram_jaccard"],
-        "added_unigram_jaccard": values["added_unigram_jaccard"],
-        "embedding_cosine": values["embedding_cosine"],
-        "profile_abs_diff": values["profile_abs_diff"],
-        "sentiment_abs_diff": values["sentiment_abs_diff"],
-        "inter_account_seconds": values["inter_account_seconds"],
-    }
-
-
 _OVERLAP_KEYS = (
     "page_jaccard",
     "comment_unigram_jaccard",
@@ -286,13 +266,6 @@ _OVERLAP_KEYS = (
     "profile_abs_diff",
     "sentiment_abs_diff",
 )
-
-
-def _account_profile(corpus: Corpus, account_id: str, lexicon):
-    tokens = []
-    for rev in corpus.revisions_of(account_id):
-        tokens.extend(tokenize(rev.added_text))
-    return liwc_profile(tokens, lexicon)
 
 
 def characterize(
@@ -357,12 +330,10 @@ def characterize(
     }
 
     # Overlap and similarity contrasts.
-    pair_metrics = [_pair_metrics(corpus, p.parent_id, p.child_id, config) for p in pairs]
-    control_metrics = [
-        _pair_metrics(corpus, s.parent_id, s.other_id, config)
-        for s in pair_samples
-        if s.label == NEGATIVE
-    ]
+    pair_keys = [(p.parent_id, p.child_id) for p in pairs]
+    control_keys = [(s.parent_id, s.other_id) for s in pair_samples if s.label == NEGATIVE]
+    metrics = [v.as_dict() for v in pair_vectors(corpus, pair_keys + control_keys, config)]
+    pair_metrics, control_metrics = metrics[: len(pairs)], metrics[len(pairs) :]
     overlaps = {}
     for key in _OVERLAP_KEYS:
         pair_values = [m[key] for m in pair_metrics]
@@ -375,8 +346,13 @@ def characterize(
     report["overlaps"] = overlaps
 
     # Per-category psycholinguistic change from parent to child.
-    parent_profiles = [_account_profile(corpus, p.parent_id, lexicon) for p in pairs]
-    child_profiles = [_account_profile(corpus, p.child_id, lexicon) for p in pairs]
+    def profile(account_id: str) -> dict[str, float]:
+        return account_digest(
+            corpus.account(account_id), corpus.revisions_of(account_id), config
+        ).profile
+
+    parent_profiles = [profile(p.parent_id) for p in pairs]
+    child_profiles = [profile(p.child_id) for p in pairs]
     categories = {}
     for category in lexicon.categories:
         parent_values = [prof[category] for prof in parent_profiles]

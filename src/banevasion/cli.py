@@ -16,7 +16,7 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 from . import analysis as analysis_mod
@@ -28,7 +28,7 @@ from . import pairing as pairing_mod
 from . import textstats as textstats_mod
 from .corpus import SynthConfig
 from .errors import BanEvasionError, PipelineError
-from .features import FeatureConfig, account_features, pair_features, write_feature_matrix
+from .features import FeatureConfig, account_features, pair_vectors, write_feature_matrix
 from .model import TrainConfig
 
 log = logging.getLogger("banevasion")
@@ -89,7 +89,6 @@ def _add_corpus_inputs(p: argparse.ArgumentParser) -> None:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int)
 
 
 def _add_synth_flags(p: argparse.ArgumentParser) -> None:
@@ -283,7 +282,6 @@ def _train_config(opts: Options) -> TrainConfig:
         l2_lambda=opts.get("l2", 1.0, float),
         learning_rate=opts.get("learning_rate", 0.1, float),
         max_epochs=opts.get("max_epochs", 2000, int),
-        seed=opts.get("seed", 0, int),
     )
 
 
@@ -434,38 +432,22 @@ def cmd_featurize(args) -> int:
     with _stage("featurize"):
         corpus = _load_corpus(opts)
         task = opts.get("task")
-        threads = opts.get("threads", 1, int)
-        if threads < 1:
-            raise BanEvasionError("--threads must be >= 1")
         if task == "1":
             config = _feature_config(opts)
             samples = matching_mod.read_account_samples(opts.get("samples"))
-
-            def vector(sample):
-                account = corpus.account(sample.account_id)
-                return account_features(account, corpus.revisions_of(sample.account_id), config)
-
+            vectors = [
+                account_features(
+                    corpus.account(s.account_id), corpus.revisions_of(s.account_id), config
+                )
+                for s in samples
+            ]
             ids = [f"{s.anchor_parent_id}|{s.account_id}" for s in samples]
         else:
             k_edits = opts.get("k_edits", eval_mod.DEFAULT_K_EDITS, int) if task == "2" else None
             config = _feature_config(opts, k_limit=k_edits, include_child_ban=(task == "3"))
             samples = matching_mod.read_pair_samples(opts.get("samples"))
-
-            def vector(sample):
-                return pair_features(
-                    corpus.account(sample.parent_id),
-                    corpus.revisions_of(sample.parent_id),
-                    corpus.account(sample.other_id),
-                    corpus.revisions_of(sample.other_id),
-                    config,
-                )
-
+            vectors = pair_vectors(corpus, [(s.parent_id, s.other_id) for s in samples], config)
             ids = [f"{s.parent_id}|{s.other_id}" for s in samples]
-        if threads == 1:
-            vectors = [vector(s) for s in samples]
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                vectors = list(pool.map(vector, samples))
         labels = [s.label for s in samples]
         write_feature_matrix(opts.get("out"), ids, labels, vectors)
         print(f"wrote {len(vectors)} rows -> {opts.get('out')}")
@@ -639,18 +621,7 @@ def cmd_reproduce(args) -> int:
 
     report: dict = {
         "seed": seed,
-        "synth_config": {
-            "n_groups": synth.n_groups,
-            "n_benign": synth.n_benign,
-            "n_nonevading_malicious": synth.n_nonevading_malicious,
-            "evasion_rate": synth.evasion_rate,
-            "username_mutation_rate": synth.username_mutation_rate,
-            "page_overlap": synth.page_overlap,
-            "vocab_reuse": synth.vocab_reuse,
-            "idle_gap_days": synth.idle_gap_days,
-            "activity_contrast": synth.activity_contrast,
-            "malicious_text_rate": synth.malicious_text_rate,
-        },
+        "synth_config": {k: v for k, v in asdict(synth).items() if k != "seed"},
         "corpus": {
             "accounts": len(corpus.accounts),
             "revisions": len(corpus.revisions),

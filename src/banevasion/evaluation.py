@@ -21,7 +21,8 @@ on every run.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import islice
 from pathlib import Path
 from typing import Sequence
 
@@ -31,7 +32,7 @@ from ._metrics import FragmentedAuc, fragmented_auc, mrr, recall_at_k, roc_auc
 from .analysis import classify_success
 from .corpus import Corpus, DAY_SECONDS, WEEK_SECONDS
 from .errors import EmptyInputError
-from .features import FeatureConfig, FeatureVector, account_features, pair_features
+from .features import FeatureConfig, FeatureVector, account_features, pair_vectors
 from .matching import (
     CandidateSet,
     DEFAULT_MAX_CANDIDATES,
@@ -144,34 +145,25 @@ def _sample_order_key(sample, corpus: Corpus):
 
 def _account_matrix(samples, corpus: Corpus, config: FeatureConfig):
     ordered = sorted(samples, key=lambda s: _sample_order_key(s, corpus))
-    vectors = []
-    for s in ordered:
-        acct = corpus.account(s.account_id)
-        vectors.append(account_features(acct, corpus.revisions_of(s.account_id), config))
+    vectors = [
+        account_features(corpus.account(s.account_id), corpus.revisions_of(s.account_id), config)
+        for s in ordered
+    ]
     return _stack(ordered, vectors)
 
 
 def _pair_matrix(samples, corpus: Corpus, config: FeatureConfig):
     ordered = sorted(samples, key=lambda s: _sample_order_key(s, corpus))
-    vectors = []
-    for s in ordered:
-        parent = corpus.account(s.parent_id)
-        other = corpus.account(s.other_id)
-        vectors.append(
-            pair_features(
-                parent,
-                corpus.revisions_of(s.parent_id),
-                other,
-                corpus.revisions_of(s.other_id),
-                config,
-            )
-        )
+    vectors = pair_vectors(corpus, [(s.parent_id, s.other_id) for s in ordered], config)
     return _stack(ordered, vectors)
 
 
+def _vector_matrix(vectors: list[FeatureVector]):
+    return vectors[0].names, np.vstack([v.values for v in vectors])
+
+
 def _stack(ordered, vectors: list[FeatureVector]):
-    names = vectors[0].names
-    X = np.vstack([v.values for v in vectors])
+    names, X = _vector_matrix(vectors)
     y = np.array([s.label for s in ordered], dtype=int)
     return ordered, names, X, y
 
@@ -234,6 +226,8 @@ def _evaluate_samples(
     success_flags_for=None,
 ) -> tuple[TaskResult, LogisticModel]:
     train_s, test_s = temporal_split(samples, corpus, split)
+    if not train_s or not test_s:
+        raise EmptyInputError(f"{task} split left an empty side")
     train_s, test_s = dedupe_negatives(train_s, test_s)
     _assert_no_leakage(train_s, test_s)
 
@@ -297,13 +291,10 @@ def run_task2(
     use_rfe: bool = False,
 ):
     """Early detection with only the other account's first k edits."""
-    base = feature_config or FeatureConfig()
-    feature_config = FeatureConfig(
+    feature_config = replace(
+        feature_config or FeatureConfig(),
         k_limit=k_edits,
         include_child_ban_features=False,
-        lexicon=base.lexicon,
-        sentiment_lexicon=base.sentiment_lexicon,
-        provider=base.provider,
     )
     samples = match_task2(
         pairs, prepare_benign_pool(corpus), corpus, window_seconds, cap, seed
@@ -325,13 +316,8 @@ def run_task3(
     use_rfe: bool = False,
 ):
     """Ban-time detection with the fragmented (success-split) evaluation."""
-    base = feature_config or FeatureConfig()
-    feature_config = FeatureConfig(
-        k_limit=base.k_limit,
-        include_child_ban_features=True,
-        lexicon=base.lexicon,
-        sentiment_lexicon=base.sentiment_lexicon,
-        provider=base.provider,
+    feature_config = replace(
+        feature_config or FeatureConfig(), include_child_ban_features=True
     )
     pool = prepare_malicious_pool(corpus, groups)
     samples = match_task3(pairs, pool, corpus, window_seconds)
@@ -369,21 +355,21 @@ def rank_candidates(
     feature_config: FeatureConfig,
 ) -> RankedList:
     """Score every (candidate, child) pair and rank by descending score."""
-    child = corpus.account(candidate_set.child_id)
-    child_revisions = corpus.revisions_of(candidate_set.child_id)
-    scored = []
-    for candidate_id in candidate_set.candidate_parent_ids:
-        candidate = corpus.account(candidate_id)
-        vec = pair_features(
-            candidate,
-            corpus.revisions_of(candidate_id),
-            child,
-            child_revisions,
-            feature_config,
-        )
-        score = float(model.predict_proba_matrix(vec.values, vec.names)[0])
-        scored.append((score, candidate_id))
-    scored.sort(key=lambda item: (-item[0], item[1]))
+    names, X = _vector_matrix(
+        pair_vectors(corpus, _candidate_keys([candidate_set]), feature_config)
+    )
+    return _ranked(candidate_set, model.predict_proba_matrix(X, names).tolist())
+
+
+def _candidate_keys(candidate_sets: Sequence[CandidateSet]) -> list[tuple[str, str]]:
+    return [(c, cs.child_id) for cs in candidate_sets for c in cs.candidate_parent_ids]
+
+
+def _ranked(candidate_set: CandidateSet, scores: Sequence[float]) -> RankedList:
+    scored = sorted(
+        zip(scores, candidate_set.candidate_parent_ids),
+        key=lambda item: (-item[0], item[1]),
+    )
     ranked_ids = tuple(candidate_id for _, candidate_id in scored)
     rank = ranked_ids.index(candidate_set.true_parent_id) + 1
     return RankedList(candidate_set.child_id, ranked_ids, rank)
@@ -437,30 +423,19 @@ def run_ranking(
     train_sets = build_candidate_sets(children_train, parents, ordered_pairs, max_candidates)
     test_sets = build_candidate_sets(children_test, parents, ordered_pairs, max_candidates)
 
-    vectors = []
-    labels = []
-    for cand_set in train_sets:
-        child = corpus.account(cand_set.child_id)
-        child_revisions = corpus.revisions_of(cand_set.child_id)
-        for candidate_id in cand_set.candidate_parent_ids:
-            candidate = corpus.account(candidate_id)
-            vectors.append(
-                pair_features(
-                    candidate,
-                    corpus.revisions_of(candidate_id),
-                    child,
-                    child_revisions,
-                    feature_config,
-                )
-            )
-            labels.append(1 if candidate_id == cand_set.true_parent_id else 0)
-    names = vectors[0].names
-    X = np.vstack([v.values for v in vectors])
-    y = np.array(labels, dtype=int)
-    model = train(X, y, train_config, names)
+    train_keys = _candidate_keys(train_sets)
+    true_parent = {cs.child_id: cs.true_parent_id for cs in train_sets}
+    y = np.array([int(true_parent[child] == c) for c, child in train_keys])
+    names, X = _vector_matrix(
+        pair_vectors(corpus, train_keys + _candidate_keys(test_sets), feature_config)
+    )
+    model = train(X[: len(train_keys)], y, train_config, names)
 
-    rankings = [rank_candidates(model, cs, corpus, feature_config) for cs in test_sets]
-    ranks = [r.rank_of_true_parent for r in rankings]
+    scores = iter(model.predict_proba_matrix(X[len(train_keys) :], names).tolist())
+    ranks = [
+        _ranked(cs, list(islice(scores, len(cs.candidate_parent_ids)))).rank_of_true_parent
+        for cs in test_sets
+    ]
     all_sets = train_sets + test_sets
     result = RankingResult(
         mrr=mrr(ranks),

@@ -21,17 +21,23 @@ account's ban does not exist yet. Calendar fields use -1 as the sentinel
 for absent bans, paired with the is_banned indicator. When ``k_limit`` is
 set, only the other account's first k revisions contribute to the pair
 vector; the parent side is never truncated.
+
+Every pair vector combines two ``AccountDigest``s, each holding the pages,
+token sets, mean embedding, lexicon profile and sentiment of one side.
+``pair_vectors`` memoizes digests by (account id, truncated by k_limit) for
+the duration of one call only; nothing is cached across calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from datetime import datetime, timezone
-from typing import Sequence
+from functools import cached_property
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Account, Revision
+from .corpus import Account, Corpus, Revision
 from .errors import MissingParentBanError, UnsortedRevisionsError
 from .textstats import (
     EmbeddingProvider,
@@ -98,11 +104,44 @@ def _pooled_tokens(revisions: Sequence[Revision]) -> list[str]:
     return tokens
 
 
-def _embedding(revisions: Sequence[Revision], provider: EmbeddingProvider):
-    texts = [r.added_text for r in revisions if r.added_text]
-    if not texts:
-        return np.zeros(provider.dimension)
-    return embed(texts, provider).values
+@dataclass(frozen=True)
+class AccountDigest:
+    """Everything a feature vector reads from one account's revisions.
+
+    The mean embedding is computed on first read; account vectors never
+    read it."""
+
+    account: Account
+    pages: frozenset[str]
+    comment_tokens: frozenset[str]
+    added_tokens: frozenset[str]
+    profile: dict[str, float]
+    sentiment: float
+    texts: tuple[str, ...]
+    provider: EmbeddingProvider
+
+    @cached_property
+    def embedding(self) -> np.ndarray:
+        if not self.texts:
+            return np.zeros(self.provider.dimension)
+        return embed(self.texts, self.provider).values
+
+
+def account_digest(
+    account: Account, revisions: Sequence[Revision], config: FeatureConfig
+) -> AccountDigest:
+    """Tokenize and profile ``revisions`` once; embedding waits for a read."""
+    tokens = _pooled_tokens(revisions)
+    return AccountDigest(
+        account=account,
+        pages=frozenset(r.page_id for r in revisions),
+        comment_tokens=frozenset(t for r in revisions for t in tokenize(r.comment)),
+        added_tokens=frozenset(tokens),
+        profile=liwc_profile(tokens, config.lexicon),
+        sentiment=sentiment(tokens, config.sentiment_lexicon),
+        texts=tuple(r.added_text for r in revisions if r.added_text),
+        provider=config.provider,
+    )
 
 
 def account_features(
@@ -120,7 +159,6 @@ def account_features(
         is_banned = 0.0
         duration = -1.0
 
-    pages = {r.page_id for r in revisions}
     n = len(revisions)
     if n >= 2:
         gaps = [b.timestamp - a.timestamp for a, b in zip(revisions, revisions[1:])]
@@ -132,8 +170,7 @@ def account_features(
     else:
         mean_size = 0.0
 
-    tokens = _pooled_tokens(revisions)
-    profile = liwc_profile(tokens, config.lexicon)
+    digest = account_digest(account, revisions, config)
     names = [
         "created_dow", "created_month", "created_day",
         "banned_dow", "banned_month", "banned_day", "is_banned",
@@ -143,14 +180,68 @@ def account_features(
     ]
     values = [
         *created, *banned, is_banned, duration,
-        float(len(pages)), float(n), mean_gap, mean_size,
+        float(len(digest.pages)), float(n), mean_gap, mean_size,
     ]
     for category in config.lexicon.categories:
         names.append(f"liwc_{category}")
-        values.append(profile[category])
+        values.append(digest.profile[category])
     names.append("sentiment_mean")
-    values.append(sentiment(tokens, config.sentiment_lexicon))
+    values.append(digest.sentiment)
     return FeatureVector(tuple(names), np.array(values, dtype=float))
+
+
+_PAIR_HEAD = (
+    "parent_created_dow", "parent_created_month", "parent_created_day",
+    "parent_banned_dow", "parent_banned_month", "parent_banned_day",
+    "parent_duration_seconds",
+    "child_created_dow", "child_created_month", "child_created_day",
+)
+_PAIR_CHILD_BAN = (
+    "child_banned_dow", "child_banned_month", "child_banned_day",
+    "child_is_banned", "child_duration_seconds",
+)
+_PAIR_TAIL = (
+    "inter_account_seconds",
+    "page_jaccard", "comment_unigram_jaccard", "added_unigram_jaccard",
+    "embedding_cosine", "profile_abs_diff", "sentiment_abs_diff",
+)
+
+
+def _side_digest(
+    account: Account, revisions: Sequence[Revision], config: FeatureConfig, truncate: bool
+) -> AccountDigest:
+    _check_sorted(revisions)
+    if truncate and config.k_limit is not None:
+        revisions = revisions[: config.k_limit]
+    return account_digest(account, revisions, config)
+
+
+def _combine(parent: AccountDigest, other: AccountDigest, config: FeatureConfig) -> FeatureVector:
+    p, o = parent.account, other.account
+    if p.ban_time is None:
+        raise MissingParentBanError(p.account_id)
+    values = [
+        *_calendar(p.creation_time), *_calendar(p.ban_time),
+        float(p.ban_time - p.creation_time),
+        *_calendar(o.creation_time),
+    ]
+    names = _PAIR_HEAD
+    if config.include_child_ban_features:
+        names += _PAIR_CHILD_BAN
+        if o.ban_time is not None:
+            values += [*_calendar(o.ban_time), 1.0, float(o.ban_time - o.creation_time)]
+        else:
+            values += [-1.0, -1.0, -1.0, 0.0, -1.0]
+    values += [
+        float(o.creation_time - p.ban_time),
+        jaccard(parent.pages, other.pages),
+        jaccard(parent.comment_tokens, other.comment_tokens),
+        jaccard(parent.added_tokens, other.added_tokens),
+        cosine(parent.embedding, other.embedding),
+        profile_abs_diff(parent.profile, other.profile),
+        abs(parent.sentiment - other.sentiment),
+    ]
+    return FeatureVector(names + _PAIR_TAIL, np.array(values, dtype=float))
 
 
 def pair_features(
@@ -161,82 +252,29 @@ def pair_features(
     config: FeatureConfig,
 ) -> FeatureVector:
     """Similarity vector for a (banned parent, candidate successor) pair."""
-    if parent.ban_time is None:
-        raise MissingParentBanError(parent.account_id)
-    _check_sorted(parent_revisions)
-    _check_sorted(other_revisions)
-    if config.k_limit is not None:
-        other_revisions = other_revisions[: config.k_limit]
-
-    names: list[str] = []
-    values: list[float] = []
-
-    p_created = _calendar(parent.creation_time)
-    p_banned = _calendar(parent.ban_time)
-    names += [
-        "parent_created_dow", "parent_created_month", "parent_created_day",
-        "parent_banned_dow", "parent_banned_month", "parent_banned_day",
-        "parent_duration_seconds",
-    ]
-    values += [*p_created, *p_banned, float(parent.ban_time - parent.creation_time)]
-
-    names += ["child_created_dow", "child_created_month", "child_created_day"]
-    values += [*_calendar(other.creation_time)]
-
-    if config.include_child_ban_features:
-        if other.ban_time is not None:
-            names += ["child_banned_dow", "child_banned_month", "child_banned_day"]
-            values += [*_calendar(other.ban_time)]
-            names += ["child_is_banned", "child_duration_seconds"]
-            values += [1.0, float(other.ban_time - other.creation_time)]
-        else:
-            names += ["child_banned_dow", "child_banned_month", "child_banned_day"]
-            values += [-1.0, -1.0, -1.0]
-            names += ["child_is_banned", "child_duration_seconds"]
-            values += [0.0, -1.0]
-
-    names.append("inter_account_seconds")
-    values.append(float(other.creation_time - parent.ban_time))
-
-    p_pages = {r.page_id for r in parent_revisions}
-    o_pages = {r.page_id for r in other_revisions}
-    names.append("page_jaccard")
-    values.append(jaccard(p_pages, o_pages))
-
-    p_comment = set(t for r in parent_revisions for t in tokenize(r.comment))
-    o_comment = set(t for r in other_revisions for t in tokenize(r.comment))
-    names.append("comment_unigram_jaccard")
-    values.append(jaccard(p_comment, o_comment))
-
-    p_tokens = _pooled_tokens(parent_revisions)
-    o_tokens = _pooled_tokens(other_revisions)
-    names.append("added_unigram_jaccard")
-    values.append(jaccard(set(p_tokens), set(o_tokens)))
-
-    names.append("embedding_cosine")
-    values.append(
-        cosine(
-            _embedding(parent_revisions, config.provider),
-            _embedding(other_revisions, config.provider),
-        )
+    return _combine(
+        _side_digest(parent, parent_revisions, config, truncate=False),
+        _side_digest(other, other_revisions, config, truncate=True),
+        config,
     )
 
-    names.append("profile_abs_diff")
-    values.append(
-        profile_abs_diff(
-            liwc_profile(p_tokens, config.lexicon),
-            liwc_profile(o_tokens, config.lexicon),
-        )
-    )
 
-    names.append("sentiment_abs_diff")
-    values.append(
-        abs(
-            sentiment(p_tokens, config.sentiment_lexicon)
-            - sentiment(o_tokens, config.sentiment_lexicon)
-        )
-    )
-    return FeatureVector(tuple(names), np.array(values, dtype=float))
+def pair_vectors(
+    corpus: Corpus, id_pairs: Iterable[tuple[str, str]], config: FeatureConfig
+) -> list[FeatureVector]:
+    """``pair_features`` for each (parent_id, other_id), digesting each
+    account side once within this call."""
+    memo: dict[tuple[str, bool], AccountDigest] = {}
+
+    def digest(account_id: str, truncate: bool) -> AccountDigest:
+        revisions = corpus.revisions_of(account_id)
+        truncated = truncate and config.k_limit is not None and len(revisions) > config.k_limit
+        key = (account_id, truncated)
+        if key not in memo:
+            memo[key] = _side_digest(corpus.account(account_id), revisions, config, truncate)
+        return memo[key]
+
+    return [_combine(digest(p, False), digest(o, True), config) for p, o in id_pairs]
 
 
 # ---------------------------------------------------------------------------

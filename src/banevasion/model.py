@@ -48,7 +48,6 @@ class TrainConfig:
     max_epochs: int = 2000
     tolerance: float = 1e-8
     class_weighting: str = "inverse-frequency"  # or "none"
-    seed: int = 0
 
     def __post_init__(self):
         if self.l2_lambda < 0:
@@ -243,7 +242,8 @@ def rfe(
 # serialization
 
 
-def save_model(model: LogisticModel, path: str | Path) -> None:
+def model_bytes(model: LogisticModel) -> bytes:
+    """Canonical serialized form: the exact bytes ``save_model`` writes."""
     doc = {
         "format": "banevasion-logistic/1",
         "feature_names": list(model.feature_names),
@@ -253,9 +253,11 @@ def save_model(model: LogisticModel, path: str | Path) -> None:
         "stds": model.stats.stds.tolist(),
         "config": asdict(model.config),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+def save_model(model: LogisticModel, path: str | Path) -> None:
+    Path(path).write_bytes(model_bytes(model))
 
 
 def load_model(path: str | Path) -> LogisticModel:
@@ -263,6 +265,8 @@ def load_model(path: str | Path) -> LogisticModel:
         doc = json.load(fh)
     if doc.get("format") != "banevasion-logistic/1":
         raise ValueError(f"unrecognized model format in {path}")
+    # files written before TrainConfig dropped its unused seed still carry it
+    doc["config"].pop("seed", None)
     return LogisticModel(
         tuple(doc["feature_names"]),
         np.array(doc["weights"], dtype=float),
@@ -272,16 +276,3 @@ def load_model(path: str | Path) -> LogisticModel:
         ),
         TrainConfig(**doc["config"]),
     )
-
-
-def model_bytes(model: LogisticModel) -> bytes:
-    """Canonical serialized form, for determinism checks."""
-    doc = {
-        "feature_names": list(model.feature_names),
-        "weights": model.weights.tolist(),
-        "bias": model.bias,
-        "means": model.stats.means.tolist(),
-        "stds": model.stats.stds.tolist(),
-        "config": asdict(model.config),
-    }
-    return json.dumps(doc, sort_keys=True).encode("utf-8")

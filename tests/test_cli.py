@@ -121,20 +121,6 @@ class TestStageChaining:
         assert doc["format"] == "banevasion-logistic/1"
         assert len(doc["weights"]) == len(doc["feature_names"])
 
-    def test_featurize_threads_match_sequential(self, corpus_dir, tmp_path):
-        flags = self.corpus_flags(corpus_dir)
-        pairs_dir = tmp_path / "pairs"
-        main(["extract-pairs", *flags, "--out-dir", str(pairs_dir)])
-        samples = tmp_path / "t2.tsv"
-        main(["match", *flags, "--task", "2", "--pairs",
-              str(pairs_dir / "evasion_pairs.jsonl"), "--out", str(samples)])
-        seq = tmp_path / "seq.tsv"
-        par = tmp_path / "par.tsv"
-        main(["featurize", *flags, "--task", "2", "--samples", str(samples), "--out", str(seq)])
-        main(["featurize", *flags, "--task", "2", "--samples", str(samples),
-              "--out", str(par), "--threads", "4"])
-        assert seq.read_bytes() == par.read_bytes()
-
     def test_evaluate_and_rank(self, corpus_dir, tmp_path):
         flags = self.corpus_flags(corpus_dir)
         out = tmp_path / "eval"

@@ -346,3 +346,20 @@ class TestHarnesses:
         assert result.selected_features is not None
         assert set(model.feature_names) == set(result.selected_features)
         assert result.auc > 0.8
+
+
+@pytest.mark.parametrize("task", ["task1", "task2", "task3"])
+def test_single_pair_split_error_names_task(task):
+    result = generate_synthetic(
+        SynthConfig(n_groups=6, n_benign=60, n_nonevading_malicious=30, seed=5)
+    )
+    corpus = result.corpus
+    groups = merge_groups(corpus.sockpuppet_records, corpus)
+    pairs = first_pair_per_group(extract_evasion_pairs(groups, corpus), corpus)[:1]
+    runners = {
+        "task1": lambda: run_task1(corpus, groups, pairs),
+        "task2": lambda: run_task2(corpus, pairs),
+        "task3": lambda: run_task3(corpus, groups, pairs),
+    }
+    with pytest.raises(EmptyInputError, match=f"^{task}_"):
+        runners[task]()

@@ -12,11 +12,12 @@ from banevasion.features import (
     FeatureVector,
     account_features,
     pair_features,
+    pair_vectors,
     read_feature_matrix,
     write_feature_matrix,
 )
 
-from conftest import account, revision
+from conftest import account, corpus_of, revision
 
 
 @pytest.fixture(scope="module")
@@ -205,6 +206,49 @@ class TestPairFeatures:
                 corpus.account(child_id), corpus.revisions_of(child_id), config,
             ).as_dict()
             assert vec["page_jaccard"] == pytest.approx(expected)
+
+
+class TestPairVectors:
+    """The batch path memoizes each side's digest; rows must still equal
+    pair_features computed one pair at a time."""
+
+    def corpus(self):
+        accounts = [
+            account("x", 0, ban=1000),
+            account("y", 2000, ban=4000),
+            account("z", -3000, ban=-100),
+            account("w", 2500),
+        ]
+        revisions = [
+            revision("x", f"page-{i}", 10 + i, added=f"word{i} damn talk", comment=f"c{i}")
+            for i in range(6)
+        ] + [
+            revision("y", "page-0", 2100, added="word0 calm", comment="c0"),
+            revision("y", "page-5", 2200, added="word5 ago", comment="c9"),
+            revision("z", "page-4", -2000, added="word4 good", comment="c4"),
+            revision("w", "page-1", 2600, added="word1", comment="c1"),
+        ]
+        return corpus_of(accounts, revisions)
+
+    @pytest.mark.parametrize("child_ban", [True, False])
+    def test_rows_equal_pair_features(self, child_ban):
+        corpus = self.corpus()
+        config = FeatureConfig(k_limit=3, include_child_ban_features=child_ban)
+        # x is an untruncated parent, then a truncated other side; y and w
+        # have at most k revisions, so their other side is untruncated.
+        keys = [("x", "y"), ("z", "x"), ("x", "w"), ("y", "x"), ("x", "y"), ("z", "y")]
+        rows = pair_vectors(corpus, keys, config)
+        assert len(rows) == len(keys)
+        for (parent_id, other_id), row in zip(keys, rows):
+            expected = pair_features(
+                corpus.account(parent_id), corpus.revisions_of(parent_id),
+                corpus.account(other_id), corpus.revisions_of(other_id), config,
+            )
+            assert row.names == expected.names
+            assert np.array_equal(row.values, expected.values)
+        # the truncated x must differ from the full x
+        full = pair_vectors(corpus, [("z", "x")], FeatureConfig(include_child_ban_features=child_ban))
+        assert not np.array_equal(full[0].values, rows[1].values)
 
 
 class TestMatrixSerialization:

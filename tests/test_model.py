@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -256,3 +258,24 @@ class TestSerialization:
         assert reloaded.bias == model.bias
         assert np.array_equal(reloaded.stats.means, model.stats.means)
         assert model_bytes(reloaded) == model_bytes(model)
+
+    def test_loads_file_with_legacy_seed_config(self, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({
+            "format": "banevasion-logistic/1",
+            "feature_names": ["a", "b"],
+            "weights": [0.5, -0.25],
+            "bias": 0.125,
+            "means": [1.0, 2.0],
+            "stds": [1.0, 0.0],
+            "config": {
+                "class_weighting": "inverse-frequency", "l2_lambda": 1.0,
+                "learning_rate": 0.1, "max_epochs": 2000, "seed": 7,
+                "tolerance": 1e-08,
+            },
+        }))
+        model = load_model(path)
+        assert model.config == TrainConfig()
+        assert model.feature_names == ("a", "b")
+        assert model.weights.tolist() == [0.5, -0.25]
+        assert "seed" not in json.loads(model_bytes(model))["config"]
