@@ -11,17 +11,14 @@ from .errors import EmptyInputError, SingleClassInputError
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing their average rank."""
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(values.size, dtype=float)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks with ties sharing their average rank.
+
+    A run of ``count`` tied values ending at 1-based sorted position ``end``
+    holds ranks ``end - count + 1 .. end``, whose mean is
+    ``end - (count - 1) / 2``.
+    """
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def roc_auc(scores: Sequence[float], labels: Sequence[int]) -> float:

@@ -278,17 +278,18 @@ def characterize(
 ) -> dict:
     """Descriptive report contrasting evasion pairs with matched controls.
 
-    ``account_samples`` supply the non-evading malicious control accounts
-    (negatives) for the activity contrasts; ``pair_samples`` supply matched
-    control pairs (negatives) for the overlap contrasts. Degenerate
-    contrasts yield None statistics rather than raising.
+    ``account_samples`` (task-1 samples) supply the non-evading malicious
+    control accounts, the ``other_id`` of each negative, for the activity
+    contrasts; ``pair_samples`` supply matched control pairs (negatives) for
+    the overlap contrasts. Degenerate contrasts yield None statistics rather
+    than raising.
     """
     config = feature_config or FeatureConfig(include_child_ban_features=False)
     lexicon = config.lexicon
 
     parent_ids = [p.parent_id for p in pairs]
     control_ids = sorted(
-        {s.account_id for s in account_samples if s.label == NEGATIVE}
+        {s.other_id for s in account_samples if s.label == NEGATIVE}
     )
     parent_activity = _activity_stats(corpus, parent_ids)
     control_activity = _activity_stats(corpus, control_ids)

@@ -12,11 +12,12 @@ given identical inputs and seeds; nothing embeds wall-clock time.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import analysis as analysis_mod
@@ -27,8 +28,8 @@ from . import model as model_mod
 from . import pairing as pairing_mod
 from . import textstats as textstats_mod
 from .corpus import SynthConfig
-from .errors import BanEvasionError, PipelineError
-from .features import FeatureConfig, account_features, pair_vectors, write_feature_matrix
+from .errors import BanEvasionError, PipelineError, RecordParseError
+from .features import FeatureConfig, write_feature_matrix
 from .model import TrainConfig
 
 log = logging.getLogger("banevasion")
@@ -226,18 +227,19 @@ def build_parser() -> argparse.ArgumentParser:
 # stage helpers
 
 
+@contextlib.contextmanager
 def _stage(name: str):
-    class _StageContext:
-        def __enter__(self):
-            log.info("stage %s", name)
-            return self
+    """Re-raise an error inside the stage as a ``PipelineError`` naming it.
 
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and not isinstance(exc, PipelineError):
-                raise PipelineError(name, exc) from exc
-            return False
-
-    return _StageContext()
+    Only ``Exception`` is wrapped, so an interrupt or exit passes unchanged.
+    """
+    log.info("stage %s", name)
+    try:
+        yield
+    except PipelineError:
+        raise
+    except Exception as exc:
+        raise PipelineError(name, exc) from exc
 
 
 def _synth_config(opts: Options) -> SynthConfig:
@@ -256,13 +258,11 @@ def _synth_config(opts: Options) -> SynthConfig:
     )
 
 
-def _feature_config(opts: Options, k_limit=None, include_child_ban=True) -> FeatureConfig:
+def _feature_config(opts: Options) -> FeatureConfig:
     lexicon_path = opts.get("lexicon")
     sentiment_path = opts.get("sentiment_lexicon")
     provider_spec = opts.get("embedding_provider", "trigram")
     return FeatureConfig(
-        k_limit=k_limit,
-        include_child_ban_features=include_child_ban,
         lexicon=(
             textstats_mod.load_lexicon(lexicon_path)
             if lexicon_path
@@ -283,6 +283,15 @@ def _train_config(opts: Options) -> TrainConfig:
         learning_rate=opts.get("learning_rate", 0.1, float),
         max_epochs=opts.get("max_epochs", 2000, int),
     )
+
+
+def _window_seconds(opts: Options, task: matching_mod.Task) -> int:
+    days = opts.get("window_days", None, float)
+    return task.window_seconds if days is None else int(days * corpus_mod.DAY_SECONDS)
+
+
+def _split(opts: Options, task: matching_mod.Task) -> eval_mod.SplitSpec:
+    return eval_mod.SplitSpec(opts.get("train_fraction", task.train_fraction, float))
 
 
 def _load_corpus(opts: Options):
@@ -324,19 +333,30 @@ def _pairs_from_file_or_corpus(opts: Options, corpus):
 # subcommands
 
 
+def _save_corpus(corpus, out_dir: Path) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    corpus_mod.save_corpus(
+        corpus,
+        out_dir / "accounts.jsonl",
+        out_dir / "revisions.jsonl",
+        out_dir / "records.jsonl",
+    )
+
+
+def _generate(opts: Options, out_dir: Path):
+    """Generate the synthetic corpus; write it and its planted pairs to out_dir."""
+    synth = _synth_config(opts)
+    result = corpus_mod.generate_synthetic(synth)
+    _save_corpus(result.corpus, out_dir)
+    corpus_mod.save_pairs(result.true_pairs, out_dir / "truth_pairs.jsonl")
+    return synth, result
+
+
 def cmd_generate(args) -> int:
     opts = Options(args)
     with _stage("generate"):
-        result = corpus_mod.generate_synthetic(_synth_config(opts))
         out_dir = Path(opts.get("out_dir"))
-        out_dir.mkdir(parents=True, exist_ok=True)
-        corpus_mod.save_corpus(
-            result.corpus,
-            out_dir / "accounts.jsonl",
-            out_dir / "revisions.jsonl",
-            out_dir / "records.jsonl",
-        )
-        corpus_mod.save_pairs(result.true_pairs, out_dir / "truth_pairs.jsonl")
+        _, result = _generate(opts, out_dir)
         print(
             f"generated {len(result.corpus.accounts)} accounts, "
             f"{len(result.corpus.revisions)} revisions, "
@@ -352,14 +372,7 @@ def cmd_ingest(args) -> int:
         corpus = _load_corpus(opts)
         out_dir = opts.get("out_dir")
         if out_dir:
-            out = Path(out_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            corpus_mod.save_corpus(
-                corpus,
-                out / "accounts.jsonl",
-                out / "revisions.jsonl",
-                out / "records.jsonl",
-            )
+            _save_corpus(corpus, Path(out_dir))
         print(
             f"accounts={len(corpus.accounts)} revisions={len(corpus.revisions)} "
             f"records={len(corpus.sockpuppet_records)}"
@@ -398,31 +411,17 @@ def cmd_match(args) -> int:
     with _stage("match"):
         corpus = _load_corpus(opts)
         groups, pairs = _pairs_from_file_or_corpus(opts, corpus)
-        task = opts.get("task")
-        seed = opts.get("seed", 0, int)
+        task = matching_mod.TASKS[opts.get("task")]
+        samples = task.match(
+            corpus,
+            groups,
+            pairs,
+            _window_seconds(opts, task),
+            opts.get("cap", matching_mod.DEFAULT_TASK2_CAP, int),
+            opts.get("seed", 0, int),
+        )
         out = opts.get("out")
-        if task == "1":
-            window = int(opts.get("window_days", 7.0, float) * corpus_mod.DAY_SECONDS)
-            parents = [corpus.account(p.parent_id) for p in pairs]
-            pool = matching_mod.prepare_malicious_pool(corpus, groups)
-            samples = matching_mod.match_task1(parents, pool, window)
-            matching_mod.write_account_samples(samples, out)
-        elif task == "2":
-            window = int(opts.get("window_days", 1.0, float) * corpus_mod.DAY_SECONDS)
-            samples = matching_mod.match_task2(
-                pairs,
-                matching_mod.prepare_benign_pool(corpus),
-                corpus,
-                window,
-                opts.get("cap", matching_mod.DEFAULT_TASK2_CAP, int),
-                seed,
-            )
-            matching_mod.write_pair_samples(samples, out)
-        else:
-            window = int(opts.get("window_days", 7.0, float) * corpus_mod.DAY_SECONDS)
-            pool = matching_mod.prepare_malicious_pool(corpus, groups)
-            samples = matching_mod.match_task3(pairs, pool, corpus, window)
-            matching_mod.write_pair_samples(samples, out)
+        matching_mod.write_samples(samples, out)
         print(f"wrote {len(samples)} samples -> {out}")
     return 0
 
@@ -431,23 +430,18 @@ def cmd_featurize(args) -> int:
     opts = Options(args)
     with _stage("featurize"):
         corpus = _load_corpus(opts)
-        task = opts.get("task")
-        if task == "1":
-            config = _feature_config(opts)
-            samples = matching_mod.read_account_samples(opts.get("samples"))
-            vectors = [
-                account_features(
-                    corpus.account(s.account_id), corpus.revisions_of(s.account_id), config
-                )
-                for s in samples
-            ]
-            ids = [f"{s.anchor_parent_id}|{s.account_id}" for s in samples]
-        else:
-            k_edits = opts.get("k_edits", eval_mod.DEFAULT_K_EDITS, int) if task == "2" else None
-            config = _feature_config(opts, k_limit=k_edits, include_child_ban=(task == "3"))
-            samples = matching_mod.read_pair_samples(opts.get("samples"))
-            vectors = pair_vectors(corpus, [(s.parent_id, s.other_id) for s in samples], config)
-            ids = [f"{s.parent_id}|{s.other_id}" for s in samples]
+        task = matching_mod.TASKS[opts.get("task")]
+        path = opts.get("samples")
+        samples = matching_mod.read_samples(path)
+        for lineno, s in enumerate(samples, start=1):
+            if s.task != task.name:
+                reason = f"task {s.task!r} does not match --task {task.number} ({task.name})"
+                raise RecordParseError(path, lineno, reason)
+        config = task.feature_config(
+            _feature_config(opts), opts.get("k_edits", matching_mod.DEFAULT_K_EDITS, int)
+        )
+        vectors = task.vectors(samples, corpus, config)
+        ids = [f"{s.parent_id}|{s.other_id}" for s in samples]
         labels = [s.label for s in samples]
         write_feature_matrix(opts.get("out"), ids, labels, vectors)
         print(f"wrote {len(vectors)} rows -> {opts.get('out')}")
@@ -471,37 +465,36 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _harness_kwargs(opts: Options, default_fraction: float):
-    kwargs = dict(
+def _run_task(corpus, groups, pairs, task: matching_mod.Task, opts: Options):
+    window = _window_seconds(opts, task)
+    harness = dict(
         feature_config=_feature_config(opts),
         train_config=_train_config(opts),
-        split=eval_mod.SplitSpec(opts.get("train_fraction", default_fraction, float)),
+        split=_split(opts, task),
         use_rfe=opts.get("rfe", False, _as_bool),
     )
-    return kwargs
-
-
-def _run_task(corpus, groups, pairs, task: str, opts: Options):
-    seed = opts.get("seed", 0, int)
-    if task == "1":
-        window = int(opts.get("window_days", 7.0, float) * corpus_mod.DAY_SECONDS)
-        return eval_mod.run_task1(
-            corpus, groups, pairs, window, **_harness_kwargs(opts, 0.8)
-        )
-    if task == "2":
-        window = int(opts.get("window_days", 1.0, float) * corpus_mod.DAY_SECONDS)
+    if task.number == "2":
         return eval_mod.run_task2(
             corpus,
             pairs,
             window,
-            cap=opts.get("cap", matching_mod.DEFAULT_TASK2_CAP, int),
-            seed=seed,
-            k_edits=opts.get("k_edits", eval_mod.DEFAULT_K_EDITS, int),
-            **_harness_kwargs(opts, 0.9),
+            opts.get("cap", matching_mod.DEFAULT_TASK2_CAP, int),
+            opts.get("seed", 0, int),
+            opts.get("k_edits", matching_mod.DEFAULT_K_EDITS, int),
+            **harness,
         )
-    window = int(opts.get("window_days", 7.0, float) * corpus_mod.DAY_SECONDS)
-    return eval_mod.run_task3(
-        corpus, groups, pairs, window, **_harness_kwargs(opts, 0.9)
+    run = eval_mod.run_task1 if task.number == "1" else eval_mod.run_task3
+    return run(corpus, groups, pairs, window, **harness)
+
+
+def _run_ranking(corpus, pairs, opts: Options):
+    return eval_mod.run_ranking(
+        corpus,
+        pairs,
+        max_candidates=opts.get("max_candidates", matching_mod.DEFAULT_MAX_CANDIDATES, int),
+        feature_config=_feature_config(opts),
+        train_config=_train_config(opts),
+        split=_split(opts, matching_mod.TASKS["3"]),
     )
 
 
@@ -510,16 +503,16 @@ def cmd_evaluate(args) -> int:
     with _stage("evaluate"):
         corpus = _load_corpus(opts)
         groups, pairs = _pairs_from_file_or_corpus(opts, corpus)
-        task = opts.get("task")
+        task = matching_mod.TASKS[opts.get("task")]
         result, fitted = _run_task(corpus, groups, pairs, task, opts)
         out_dir = Path(opts.get("out_dir"))
         out_dir.mkdir(parents=True, exist_ok=True)
-        model_mod.save_model(fitted, out_dir / f"task{task}_model.json")
-        report = result.to_dict()
+        name = f"task{task.number}"
+        model_mod.save_model(fitted, out_dir / f"{name}_model.json")
         eval_mod.write_report(
-            report, out_dir / f"task{task}_report.json", out_dir / f"task{task}_report.txt"
+            result.to_dict(), out_dir / f"{name}_report.json", out_dir / f"{name}_report.txt"
         )
-        print(f"task{task} auc={result.auc:.4f} -> {out_dir}")
+        print(f"{name} auc={result.auc:.4f} -> {out_dir}")
     return 0
 
 
@@ -528,14 +521,7 @@ def cmd_rank(args) -> int:
     with _stage("rank"):
         corpus = _load_corpus(opts)
         _, pairs = _pairs_from_file_or_corpus(opts, corpus)
-        result, fitted = eval_mod.run_ranking(
-            corpus,
-            pairs,
-            max_candidates=opts.get("max_candidates", matching_mod.DEFAULT_MAX_CANDIDATES, int),
-            feature_config=_feature_config(opts),
-            train_config=_train_config(opts),
-            split=eval_mod.SplitSpec(opts.get("train_fraction", 0.9, float)),
-        )
+        result, fitted = _run_ranking(corpus, pairs, opts)
         out_dir = Path(opts.get("out_dir"))
         out_dir.mkdir(parents=True, exist_ok=True)
         model_mod.save_model(fitted, out_dir / "ranking_model.json")
@@ -560,17 +546,13 @@ def cmd_analyze(args) -> int:
 
 
 def _analyze(corpus, groups, pairs, opts: Options) -> dict:
-    window1 = int(opts.get("window_days", 7.0, float) * corpus_mod.DAY_SECONDS)
-    pool = matching_mod.prepare_malicious_pool(corpus, groups)
-    parents = [corpus.account(p.parent_id) for p in pairs]
-    account_samples = matching_mod.match_task1(parents, pool, window1)
-    pair_samples = matching_mod.match_task3(pairs, pool, corpus, window1)
+    prediction, bantime = matching_mod.TASKS["1"], matching_mod.TASKS["3"]
     return analysis_mod.characterize(
         corpus,
         pairs,
-        account_samples,
-        pair_samples,
-        feature_config=_feature_config(opts, include_child_ban=False),
+        prediction.match(corpus, groups, pairs, _window_seconds(opts, prediction)),
+        bantime.match(corpus, groups, pairs, _window_seconds(opts, bantime)),
+        feature_config=replace(_feature_config(opts), include_child_ban_features=False),
         outlier_days=opts.get("outlier_days", analysis_mod.DEFAULT_OUTLIER_DAYS, float),
     )
 
@@ -599,18 +581,8 @@ def cmd_reproduce(args) -> int:
     seed = opts.get("seed", 0, int)
 
     with _stage("generate"):
-        synth = _synth_config(opts)
-        result = corpus_mod.generate_synthetic(synth)
+        synth, result = _generate(opts, out_dir / "corpus")
         corpus = result.corpus
-        corpus_dir = out_dir / "corpus"
-        corpus_dir.mkdir(parents=True, exist_ok=True)
-        corpus_mod.save_corpus(
-            corpus,
-            corpus_dir / "accounts.jsonl",
-            corpus_dir / "revisions.jsonl",
-            corpus_dir / "records.jsonl",
-        )
-        corpus_mod.save_pairs(result.true_pairs, corpus_dir / "truth_pairs.jsonl")
 
     with _stage("extract-pairs"):
         groups, all_pairs, pairs = _extract(corpus)
@@ -636,21 +608,15 @@ def cmd_reproduce(args) -> int:
 
     models_dir = out_dir / "models"
     models_dir.mkdir(parents=True, exist_ok=True)
-    for task in ("1", "2", "3"):
-        with _stage(f"evaluate-task{task}"):
+    for task in matching_mod.TASKS.values():
+        name = f"task{task.number}"
+        with _stage(f"evaluate-{name}"):
             result_t, fitted = _run_task(corpus, groups, pairs, task, opts)
-            model_mod.save_model(fitted, models_dir / f"task{task}_model.json")
-            report[f"task{task}"] = result_t.to_dict()
+            model_mod.save_model(fitted, models_dir / f"{name}_model.json")
+            report[name] = result_t.to_dict()
 
     with _stage("rank"):
-        ranking, rank_model = eval_mod.run_ranking(
-            corpus,
-            pairs,
-            max_candidates=opts.get("max_candidates", matching_mod.DEFAULT_MAX_CANDIDATES, int),
-            feature_config=_feature_config(opts),
-            train_config=_train_config(opts),
-            split=eval_mod.SplitSpec(opts.get("train_fraction", 0.9, float)),
-        )
+        ranking, rank_model = _run_ranking(corpus, pairs, opts)
         model_mod.save_model(rank_model, models_dir / "ranking_model.json")
         report["ranking"] = ranking.to_dict()
 
@@ -680,9 +646,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PipelineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except BanEvasionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

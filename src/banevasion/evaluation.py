@@ -3,14 +3,17 @@
 Tasks:
 
 1. prediction: will a banned account later evade? Account-level features,
-   matched non-evading malicious negatives, 80/20 temporal split.
-2. early_detection: is a freshly created account (first k=3 edits) the
+   matched non-evading malicious negatives.
+2. early_detection: is a freshly created account (first k edits) the
    successor of a banned parent? Pairwise features without child-ban
-   fields, matched benign negatives, 90/10 temporal split.
+   fields, matched benign negatives.
 3. bantime_detection: is a reported malicious account an evader, and which
    banned parent does it continue? Full pairwise features, matched
-   malicious negatives, 90/10 temporal split, plus candidate ranking
-   (MRR / Recall@K) and a fragmented AUC split by evasion success.
+   malicious negatives, plus candidate ranking (MRR / Recall@K) and a
+   fragmented AUC split by evasion success.
+
+``matching.TASKS`` holds what differs between the tasks, including each
+one's default matching window and train fraction; ranking uses task 3's.
 
 Splits order positive anchors by parent creation time; each negative
 follows its anchor. Negatives appearing on both sides of the split are
@@ -21,7 +24,7 @@ on every run.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 from typing import Sequence
@@ -30,22 +33,19 @@ import numpy as np
 
 from ._metrics import FragmentedAuc, fragmented_auc, mrr, recall_at_k, roc_auc
 from .analysis import classify_success
-from .corpus import Corpus, DAY_SECONDS, WEEK_SECONDS
+from .corpus import Corpus
 from .errors import EmptyInputError
-from .features import FeatureConfig, FeatureVector, account_features, pair_vectors
+from .features import FeatureConfig, FeatureVector, pair_vectors
 from .matching import (
     CandidateSet,
+    DEFAULT_K_EDITS,
     DEFAULT_MAX_CANDIDATES,
     DEFAULT_TASK2_CAP,
-    LabeledAccountSample,
     NEGATIVE,
     POSITIVE,
+    TASKS,
+    Task,
     build_candidate_sets,
-    match_task1,
-    match_task2,
-    match_task3,
-    prepare_benign_pool,
-    prepare_malicious_pool,
 )
 from .model import LogisticModel, TrainConfig, rfe, train
 from .pairing import EvasionPair, SockpuppetGroup
@@ -71,31 +71,13 @@ __all__ = [
     "render_report_text",
 ]
 
-DEFAULT_K_EDITS = 3
-
-
 @dataclass(frozen=True)
 class SplitSpec:
-    train_fraction: float = 0.8
-    order_key: str = "parent_creation_time"
+    train_fraction: float
 
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")
-        if self.order_key != "parent_creation_time":
-            raise ValueError(f"unknown order key {self.order_key!r}")
-
-
-def _anchor_id(sample) -> str:
-    if isinstance(sample, LabeledAccountSample):
-        return sample.anchor_parent_id
-    return sample.parent_id
-
-
-def _member_id(sample) -> str:
-    if isinstance(sample, LabeledAccountSample):
-        return sample.account_id
-    return sample.other_id
 
 
 def temporal_split(samples: Sequence, corpus: Corpus, spec: SplitSpec):
@@ -103,69 +85,50 @@ def temporal_split(samples: Sequence, corpus: Corpus, spec: SplitSpec):
     if not samples:
         raise EmptyInputError("temporal_split needs samples")
     anchors = sorted(
-        {_anchor_id(s) for s in samples if s.label == POSITIVE},
+        {s.parent_id for s in samples if s.label == POSITIVE},
         key=lambda a: (corpus.account(a).creation_time, a),
     )
     if not anchors:
         raise EmptyInputError("temporal_split needs at least one positive")
     n_train = int(len(anchors) * spec.train_fraction)
     train_anchors = set(anchors[:n_train])
-    train = [s for s in samples if _anchor_id(s) in train_anchors]
-    test = [s for s in samples if _anchor_id(s) not in train_anchors]
+    train = [s for s in samples if s.parent_id in train_anchors]
+    test = [s for s in samples if s.parent_id not in train_anchors]
     return train, test
 
 
 def dedupe_negatives(train: Sequence, test: Sequence):
     """Drop negatives from train whose member id also appears in test
     negatives; test is returned unchanged."""
-    test_neg = {_member_id(s) for s in test if s.label == NEGATIVE}
+    test_neg = {s.other_id for s in test if s.label == NEGATIVE}
     deduped = [
-        s for s in train if s.label == POSITIVE or _member_id(s) not in test_neg
+        s for s in train if s.label == POSITIVE or s.other_id not in test_neg
     ]
     return deduped, list(test)
 
 
 def _assert_no_leakage(train: Sequence, test: Sequence) -> None:
-    train_neg = {_member_id(s) for s in train if s.label == NEGATIVE}
-    test_neg = {_member_id(s) for s in test if s.label == NEGATIVE}
+    train_neg = {s.other_id for s in train if s.label == NEGATIVE}
+    test_neg = {s.other_id for s in test if s.label == NEGATIVE}
     overlap = train_neg & test_neg
     if overlap:
         raise RuntimeError(f"negative leakage across split: {sorted(overlap)[:5]}")
 
 
-def _sample_order_key(sample, corpus: Corpus):
-    anchor = _anchor_id(sample)
-    return (
-        corpus.account(anchor).creation_time,
-        anchor,
-        -sample.label,
-        _member_id(sample),
+def _sample_matrix(task: Task, samples, corpus: Corpus, config: FeatureConfig):
+    ordered = sorted(
+        samples,
+        key=lambda s: (
+            corpus.account(s.parent_id).creation_time, s.parent_id, -s.label, s.other_id
+        ),
     )
-
-
-def _account_matrix(samples, corpus: Corpus, config: FeatureConfig):
-    ordered = sorted(samples, key=lambda s: _sample_order_key(s, corpus))
-    vectors = [
-        account_features(corpus.account(s.account_id), corpus.revisions_of(s.account_id), config)
-        for s in ordered
-    ]
-    return _stack(ordered, vectors)
-
-
-def _pair_matrix(samples, corpus: Corpus, config: FeatureConfig):
-    ordered = sorted(samples, key=lambda s: _sample_order_key(s, corpus))
-    vectors = pair_vectors(corpus, [(s.parent_id, s.other_id) for s in ordered], config)
-    return _stack(ordered, vectors)
+    names, X = _vector_matrix(task.vectors(ordered, corpus, config))
+    y = np.array([s.label for s in ordered], dtype=int)
+    return ordered, names, X, y
 
 
 def _vector_matrix(vectors: list[FeatureVector]):
     return vectors[0].names, np.vstack([v.values for v in vectors])
-
-
-def _stack(ordered, vectors: list[FeatureVector]):
-    names, X = _vector_matrix(vectors)
-    y = np.array([s.label for s in ordered], dtype=int)
-    return ordered, names, X, y
 
 
 @dataclass(frozen=True)
@@ -210,29 +173,31 @@ def _fit(X, y, names, train_config: TrainConfig, use_rfe: bool):
 
 
 def _split_boundary(train_samples, corpus: Corpus) -> int:
-    anchors = {_anchor_id(s) for s in train_samples}
+    anchors = {s.parent_id for s in train_samples}
     return max(corpus.account(a).creation_time for a in anchors) if anchors else -1
 
 
 def _evaluate_samples(
-    task: str,
+    task: Task,
     samples,
     corpus: Corpus,
-    matrix_builder,
     feature_config: FeatureConfig,
     train_config: TrainConfig,
     split: SplitSpec,
     use_rfe: bool,
     success_flags_for=None,
 ) -> tuple[TaskResult, LogisticModel]:
+    label = f"task{task.number}_{task.name}"
     train_s, test_s = temporal_split(samples, corpus, split)
     if not train_s or not test_s:
-        raise EmptyInputError(f"{task} split left an empty side")
+        raise EmptyInputError(f"{label} split left an empty side")
     train_s, test_s = dedupe_negatives(train_s, test_s)
     _assert_no_leakage(train_s, test_s)
 
-    train_ordered, names, X_train, y_train = matrix_builder(train_s, corpus, feature_config)
-    test_ordered, _, X_test, y_test = matrix_builder(test_s, corpus, feature_config)
+    train_ordered, names, X_train, y_train = _sample_matrix(
+        task, train_s, corpus, feature_config
+    )
+    test_ordered, _, X_test, y_test = _sample_matrix(task, test_s, corpus, feature_config)
 
     model, selected, keep = _fit(X_train, y_train, names, train_config, use_rfe)
     scores = model.predict_proba_matrix(X_test[:, keep], model.feature_names)
@@ -244,7 +209,7 @@ def _evaluate_samples(
         fragmented = fragmented_auc(scores, y_test, flags)
 
     result = TaskResult(
-        task=task,
+        task=label,
         auc=auc,
         n_train=len(train_ordered),
         n_test=len(test_ordered),
@@ -261,47 +226,38 @@ def run_task1(
     corpus: Corpus,
     groups: Sequence[SockpuppetGroup],
     pairs: Sequence[EvasionPair],
-    window_seconds: int = WEEK_SECONDS,
+    window_seconds: int = TASKS["1"].window_seconds,
     feature_config: FeatureConfig | None = None,
     train_config: TrainConfig = TrainConfig(),
-    split: SplitSpec = SplitSpec(0.8),
+    split: SplitSpec = SplitSpec(TASKS["1"].train_fraction),
     use_rfe: bool = False,
 ):
     """Evasion prediction: parents vs. matched non-evading malicious."""
-    feature_config = feature_config or FeatureConfig()
-    parents = [corpus.account(p.parent_id) for p in pairs]
-    pool = prepare_malicious_pool(corpus, groups)
-    samples = match_task1(parents, pool, window_seconds)
+    task = TASKS["1"]
     return _evaluate_samples(
-        "task1_prediction", samples, corpus, _account_matrix,
-        feature_config, train_config, split, use_rfe,
+        task, task.match(corpus, groups, pairs, window_seconds), corpus,
+        task.feature_config(feature_config or FeatureConfig()), train_config, split, use_rfe,
     )
 
 
 def run_task2(
     corpus: Corpus,
     pairs: Sequence[EvasionPair],
-    window_seconds: int = DAY_SECONDS,
+    window_seconds: int = TASKS["2"].window_seconds,
     cap: int = DEFAULT_TASK2_CAP,
     seed: int = 0,
     k_edits: int = DEFAULT_K_EDITS,
     feature_config: FeatureConfig | None = None,
     train_config: TrainConfig = TrainConfig(),
-    split: SplitSpec = SplitSpec(0.9),
+    split: SplitSpec = SplitSpec(TASKS["2"].train_fraction),
     use_rfe: bool = False,
 ):
     """Early detection with only the other account's first k edits."""
-    feature_config = replace(
-        feature_config or FeatureConfig(),
-        k_limit=k_edits,
-        include_child_ban_features=False,
-    )
-    samples = match_task2(
-        pairs, prepare_benign_pool(corpus), corpus, window_seconds, cap, seed
-    )
+    task = TASKS["2"]
     return _evaluate_samples(
-        "task2_early_detection", samples, corpus, _pair_matrix,
-        feature_config, train_config, split, use_rfe,
+        task, task.match(corpus, (), pairs, window_seconds, cap, seed), corpus,
+        task.feature_config(feature_config or FeatureConfig(), k_edits),
+        train_config, split, use_rfe,
     )
 
 
@@ -309,18 +265,14 @@ def run_task3(
     corpus: Corpus,
     groups: Sequence[SockpuppetGroup],
     pairs: Sequence[EvasionPair],
-    window_seconds: int = WEEK_SECONDS,
+    window_seconds: int = TASKS["3"].window_seconds,
     feature_config: FeatureConfig | None = None,
     train_config: TrainConfig = TrainConfig(),
-    split: SplitSpec = SplitSpec(0.9),
+    split: SplitSpec = SplitSpec(TASKS["3"].train_fraction),
     use_rfe: bool = False,
 ):
     """Ban-time detection with the fragmented (success-split) evaluation."""
-    feature_config = replace(
-        feature_config or FeatureConfig(), include_child_ban_features=True
-    )
-    pool = prepare_malicious_pool(corpus, groups)
-    samples = match_task3(pairs, pool, corpus, window_seconds)
+    task = TASKS["3"]
     pair_by_key = {(p.parent_id, p.child_id): p for p in pairs}
 
     def success_flags(test_positives):
@@ -331,8 +283,8 @@ def run_task3(
         ]
 
     return _evaluate_samples(
-        "task3_bantime_detection", samples, corpus, _pair_matrix,
-        feature_config, train_config, split, use_rfe,
+        task, task.match(corpus, groups, pairs, window_seconds), corpus,
+        task.feature_config(feature_config or FeatureConfig()), train_config, split, use_rfe,
         success_flags_for=success_flags,
     )
 
@@ -399,7 +351,7 @@ def run_ranking(
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
     feature_config: FeatureConfig | None = None,
     train_config: TrainConfig = TrainConfig(),
-    split: SplitSpec = SplitSpec(0.9),
+    split: SplitSpec = SplitSpec(TASKS["3"].train_fraction),
     recall_ks: Sequence[int] = (1, 3, 5),
 ) -> tuple[RankingResult, LogisticModel]:
     """Parent attribution: rank candidate parents for each test child."""

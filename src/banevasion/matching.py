@@ -1,20 +1,39 @@
 """Matched negative-sample construction for the three lifecycle tasks.
 
+Every task yields one sample type, ``LabeledSample(parent_id, other_id,
+label, task)``. In the pair tasks (2 and 3) ``other_id`` is the child or a
+matched control paired with ``parent_id``. In a task-1 (prediction) sample
+``parent_id`` is the anchoring parent and ``other_id`` the account being
+classified: the parent itself for the positive, a matched non-evading
+malicious account for each negative.
+
+``TASKS`` holds everything else that differs between the tasks: the pool
+and ``match_task*`` that build the samples, the feature variant, whether a
+row describes an account or a pair, and the default window and train
+fraction.
+
 Temporal windows are inclusive at both ends. The only strict inequality is
 the task-2 requirement that a matched benign account is created strictly
 after the parent's ban. Samples serialize one per line as
-``task<TAB>parent_id<TAB>other_id<TAB>label``.
+``task<TAB>parent_id<TAB>other_id<TAB>label`` with the label spelled exactly
+``positive`` or ``negative``.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .corpus import Account, Corpus, DAY_SECONDS, WEEK_SECONDS
-from .errors import InvalidCapError, MissingBanTimeError, TrueParentMissingError
+from .errors import (
+    InvalidCapError,
+    MissingBanTimeError,
+    RecordParseError,
+    TrueParentMissingError,
+)
+from .features import FeatureConfig, FeatureVector, account_features, pair_vectors
 from .pairing import EvasionPair, SockpuppetGroup
 
 POSITIVE = 1
@@ -25,18 +44,12 @@ TASK2 = "early_detection"
 TASK3 = "bantime_detection"
 
 DEFAULT_TASK2_CAP = 100
+DEFAULT_K_EDITS = 3
 DEFAULT_MAX_CANDIDATES = 50
 
 
 @dataclass(frozen=True)
-class LabeledAccountSample:
-    account_id: str
-    label: int
-    anchor_parent_id: str
-
-
-@dataclass(frozen=True)
-class LabeledPairSample:
+class LabeledSample:
     parent_id: str
     other_id: str
     label: int
@@ -48,6 +61,75 @@ class CandidateSet:
     child_id: str
     candidate_parent_ids: tuple[str, ...]
     true_parent_id: str
+
+
+@dataclass(frozen=True)
+class Task:
+    """What differs between the three lifecycle tasks.
+
+    ``number`` is the CLI's ``--task`` value, ``name`` the task column of a
+    samples file; ``window_seconds`` and ``train_fraction`` are the defaults
+    of the matching window and of the share of positive anchors trained on.
+    """
+
+    number: str
+    name: str
+    window_seconds: int
+    train_fraction: float
+
+    def match(
+        self,
+        corpus: Corpus,
+        groups: Sequence[SockpuppetGroup],
+        pairs: Sequence[EvasionPair],
+        window_seconds: int,
+        cap: int = DEFAULT_TASK2_CAP,
+        seed: int = 0,
+    ) -> list[LabeledSample]:
+        """Positives from ``pairs`` and matched negatives from this task's pool:
+        non-evading malicious accounts for tasks 1 and 3, benign for task 2."""
+        if self.name == TASK1:
+            parents = [corpus.account(p.parent_id) for p in pairs]
+            return match_task1(parents, prepare_malicious_pool(corpus, groups), window_seconds)
+        if self.name == TASK2:
+            return match_task2(
+                pairs, prepare_benign_pool(corpus), corpus, window_seconds, cap, seed
+            )
+        return match_task3(pairs, prepare_malicious_pool(corpus, groups), corpus, window_seconds)
+
+    def feature_config(
+        self, base: FeatureConfig, k_edits: int = DEFAULT_K_EDITS
+    ) -> FeatureConfig:
+        """Task 2 sees only the other account's first ``k_edits`` edits and no
+        child-ban fields; task 3 sees the child-ban fields."""
+        if self.name == TASK2:
+            return replace(base, k_limit=k_edits, include_child_ban_features=False)
+        if self.name == TASK3:
+            return replace(base, include_child_ban_features=True)
+        return base
+
+    def vectors(
+        self, samples: Sequence[LabeledSample], corpus: Corpus, config: FeatureConfig
+    ) -> list[FeatureVector]:
+        """Task 1 describes the other account alone, tasks 2 and 3 the pair."""
+        if self.name == TASK1:
+            return [
+                account_features(
+                    corpus.account(s.other_id), corpus.revisions_of(s.other_id), config
+                )
+                for s in samples
+            ]
+        return pair_vectors(corpus, [(s.parent_id, s.other_id) for s in samples], config)
+
+
+TASKS = {
+    t.number: t
+    for t in (
+        Task("1", TASK1, WEEK_SECONDS, 0.8),
+        Task("2", TASK2, DAY_SECONDS, 0.9),
+        Task("3", TASK3, WEEK_SECONDS, 0.9),
+    )
+}
 
 
 def prepare_malicious_pool(corpus: Corpus, groups: Iterable[SockpuppetGroup]) -> list[Account]:
@@ -77,8 +159,8 @@ def prepare_benign_pool(corpus: Corpus) -> list[Account]:
 def match_task1(
     parents: Sequence[Account],
     malicious_pool: Sequence[Account],
-    window_seconds: int = WEEK_SECONDS,
-) -> list[LabeledAccountSample]:
+    window_seconds: int = TASKS["1"].window_seconds,
+) -> list[LabeledSample]:
     """One positive per parent plus pool accounts banned within the window."""
     malicious_pool = sorted(malicious_pool, key=lambda a: a.account_id)
     for account in malicious_pool:
@@ -88,13 +170,15 @@ def match_task1(
     for parent in sorted(parents, key=lambda a: a.account_id):
         if parent.ban_time is None:
             raise MissingBanTimeError(parent.account_id)
-        samples.append(LabeledAccountSample(parent.account_id, POSITIVE, parent.account_id))
+        samples.append(
+            LabeledSample(parent.account_id, parent.account_id, POSITIVE, TASK1)
+        )
         for account in malicious_pool:
             if account.account_id == parent.account_id:
                 continue
             if abs(account.ban_time - parent.ban_time) <= window_seconds:
                 samples.append(
-                    LabeledAccountSample(account.account_id, NEGATIVE, parent.account_id)
+                    LabeledSample(parent.account_id, account.account_id, NEGATIVE, TASK1)
                 )
     return samples
 
@@ -103,10 +187,10 @@ def match_task2(
     pairs: Sequence[EvasionPair],
     benign_pool: Sequence[Account],
     corpus: Corpus,
-    window_seconds: int = DAY_SECONDS,
+    window_seconds: int = TASKS["2"].window_seconds,
     cap: int = DEFAULT_TASK2_CAP,
     seed: int = 0,
-) -> list[LabeledPairSample]:
+) -> list[LabeledSample]:
     """True pairs vs. (parent, matched benign) pairs for early detection."""
     if cap < 1:
         raise InvalidCapError(f"cap must be >= 1, got {cap}")
@@ -123,7 +207,7 @@ def match_task2(
         child = corpus.account(pair.child_id)
         if parent.ban_time is None:
             raise MissingBanTimeError(parent.account_id)
-        samples.append(LabeledPairSample(pair.parent_id, pair.child_id, POSITIVE, TASK2))
+        samples.append(LabeledSample(pair.parent_id, pair.child_id, POSITIVE, TASK2))
         matched = [
             b
             for b in benign_pool
@@ -136,7 +220,7 @@ def match_task2(
             matched.sort(key=lambda a: a.account_id)
         for account in matched:
             samples.append(
-                LabeledPairSample(pair.parent_id, account.account_id, NEGATIVE, TASK2)
+                LabeledSample(pair.parent_id, account.account_id, NEGATIVE, TASK2)
             )
     return samples
 
@@ -145,8 +229,8 @@ def match_task3(
     pairs: Sequence[EvasionPair],
     malicious_pool: Sequence[Account],
     corpus: Corpus,
-    window_seconds: int = WEEK_SECONDS,
-) -> list[LabeledPairSample]:
+    window_seconds: int = TASKS["3"].window_seconds,
+) -> list[LabeledSample]:
     """True pairs vs. (parent, matched non-evading malicious) pairs."""
     malicious_pool = sorted(malicious_pool, key=lambda a: a.account_id)
     for account in malicious_pool:
@@ -158,7 +242,7 @@ def match_task3(
         child = corpus.account(pair.child_id)
         if parent.ban_time is None:
             raise MissingBanTimeError(parent.account_id)
-        samples.append(LabeledPairSample(pair.parent_id, pair.child_id, POSITIVE, TASK3))
+        samples.append(LabeledSample(pair.parent_id, pair.child_id, POSITIVE, TASK3))
         for account in malicious_pool:
             if account.account_id == pair.child_id:
                 continue
@@ -167,7 +251,7 @@ def match_task3(
                 and abs(account.creation_time - child.creation_time) <= window_seconds
             ):
                 samples.append(
-                    LabeledPairSample(pair.parent_id, account.account_id, NEGATIVE, TASK3)
+                    LabeledSample(pair.parent_id, account.account_id, NEGATIVE, TASK3)
                 )
     return samples
 
@@ -219,47 +303,35 @@ def build_candidate_sets(
 # label file serialization
 
 
-def write_account_samples(samples: Sequence[LabeledAccountSample], path: str | Path) -> None:
+_LABEL_NAMES = {POSITIVE: "positive", NEGATIVE: "negative"}
+_LABELS = {name: label for label, name in _LABEL_NAMES.items()}
+
+
+def write_samples(samples: Sequence[LabeledSample], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for s in samples:
-            label = "positive" if s.label == POSITIVE else "negative"
-            fh.write(f"{TASK1}\t{s.anchor_parent_id}\t{s.account_id}\t{label}\n")
+            fh.write(f"{s.task}\t{s.parent_id}\t{s.other_id}\t{_LABEL_NAMES[s.label]}\n")
 
 
-def read_account_samples(path: str | Path) -> list[LabeledAccountSample]:
+def read_samples(path: str | Path) -> list[LabeledSample]:
+    """Read a samples file; sample ``i`` comes from line ``i + 1``.
+
+    Raises ``RecordParseError`` for a line without exactly four tab-separated
+    fields (a blank line included) or with a label other than ``positive`` or
+    ``negative``.
+    """
     samples = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            task, anchor, account_id, label = line.split("\t")
-            samples.append(
-                LabeledAccountSample(
-                    account_id, POSITIVE if label == "positive" else NEGATIVE, anchor
+        for lineno, line in enumerate(fh, start=1):
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) != 4:
+                raise RecordParseError(
+                    str(path), lineno, f"expected 4 tab-separated fields, got {len(fields)}"
                 )
-            )
-    return samples
-
-
-def write_pair_samples(samples: Sequence[LabeledPairSample], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for s in samples:
-            label = "positive" if s.label == POSITIVE else "negative"
-            fh.write(f"{s.task}\t{s.parent_id}\t{s.other_id}\t{label}\n")
-
-
-def read_pair_samples(path: str | Path) -> list[LabeledPairSample]:
-    samples = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            task, parent_id, other_id, label = line.split("\t")
-            samples.append(
-                LabeledPairSample(
-                    parent_id, other_id, POSITIVE if label == "positive" else NEGATIVE, task
+            task, parent_id, other_id, label = fields
+            if label not in _LABELS:
+                raise RecordParseError(
+                    str(path), lineno, f"label must be 'positive' or 'negative', got {label!r}"
                 )
-            )
+            samples.append(LabeledSample(parent_id, other_id, _LABELS[label], task))
     return samples

@@ -234,13 +234,13 @@ def test_leakage_removed():
     samples = match_task1(parents, pool)
     train, test = temporal_split(samples, corpus, SplitSpec(0.8))
 
-    before_train = {s.account_id for s in train if s.label == NEGATIVE}
-    before_test = {s.account_id for s in test if s.label == NEGATIVE}
+    before_train = {s.other_id for s in train if s.label == NEGATIVE}
+    before_test = {s.other_id for s in test if s.label == NEGATIVE}
     assert before_train & before_test, "stress construction produced no overlap"
 
     train2, test2 = dedupe_negatives(train, test)
-    after_train = {s.account_id for s in train2 if s.label == NEGATIVE}
-    after_test = {s.account_id for s in test2 if s.label == NEGATIVE}
+    after_train = {s.other_id for s in train2 if s.label == NEGATIVE}
+    after_test = {s.other_id for s in test2 if s.label == NEGATIVE}
     assert after_train & after_test == set()
     assert after_test == before_test  # test side untouched
     _assert_no_leakage(train2, test2)

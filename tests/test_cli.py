@@ -6,7 +6,18 @@ from pathlib import Path
 
 import pytest
 
+from banevasion import corpus as corpus_mod
 from banevasion.cli import main
+from banevasion.corpus import DAY_SECONDS, WEEK_SECONDS, load_corpus
+from banevasion.matching import (
+    match_task1,
+    match_task2,
+    match_task3,
+    prepare_benign_pool,
+    prepare_malicious_pool,
+    write_samples,
+)
+from banevasion.pairing import extract_evasion_pairs, first_pair_per_group, merge_groups
 
 
 def tree_digest(root: Path) -> dict[str, str]:
@@ -69,6 +80,14 @@ class TestUsageErrors:
         assert code == 1
         assert "ingest" in capsys.readouterr().err
 
+    def test_interrupt_in_stage_propagates(self, tmp_path, monkeypatch):
+        def interrupted(config):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(corpus_mod, "generate_synthetic", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["generate", "--out-dir", str(tmp_path), *GEN_FLAGS])
+
 
 class TestStageChaining:
     @pytest.fixture()
@@ -120,6 +139,52 @@ class TestStageChaining:
         doc = json.loads(model_path.read_text())
         assert doc["format"] == "banevasion-logistic/1"
         assert len(doc["weights"]) == len(doc["feature_names"])
+
+    @pytest.mark.parametrize(
+        "task, window, child_ban_columns",
+        [("1", WEEK_SECONDS, False), ("2", DAY_SECONDS, False), ("3", WEEK_SECONDS, True)],
+        ids=["task1", "task2", "task3"],
+    )
+    def test_match_and_featurize_follow_task_defaults(
+        self, corpus_dir, tmp_path, task, window, child_ban_columns
+    ):
+        flags = self.corpus_flags(corpus_dir)
+        samples = tmp_path / "samples.tsv"
+        assert main(["match", *flags, "--task", task, "--out", str(samples)]) == 0
+
+        corpus = load_corpus(
+            *(corpus_dir / f"{name}.jsonl" for name in ("accounts", "revisions", "records"))
+        )
+        groups = merge_groups(corpus.sockpuppet_records, corpus)
+        pairs = first_pair_per_group(extract_evasion_pairs(groups, corpus), corpus)
+        if task == "1":
+            parents = [corpus.account(p.parent_id) for p in pairs]
+            expected = match_task1(parents, prepare_malicious_pool(corpus, groups), window)
+        elif task == "2":
+            expected = match_task2(pairs, prepare_benign_pool(corpus), corpus, window)
+        else:
+            expected = match_task3(pairs, prepare_malicious_pool(corpus, groups), corpus, window)
+        write_samples(expected, tmp_path / "expected.tsv")
+        assert samples.read_bytes() == (tmp_path / "expected.tsv").read_bytes()
+
+        features = tmp_path / "features.tsv"
+        assert main([
+            "featurize", *flags, "--task", task, "--samples", str(samples), "--out", str(features),
+        ]) == 0
+        header = features.read_text().split("\n", 1)[0].split("\t")
+        assert any(n.startswith("child_banned_") for n in header) == child_ban_columns
+
+    def test_featurize_rejects_samples_of_another_task(self, corpus_dir, tmp_path, capsys):
+        samples = tmp_path / "samples.tsv"
+        samples.write_text(
+            "early_detection\ta\tb\tpositive\nbantime_detection\ta\tc\tnegative\n"
+        )
+        code = main([
+            "featurize", *self.corpus_flags(corpus_dir), "--task", "2",
+            "--samples", str(samples), "--out", str(tmp_path / "features.tsv"),
+        ])
+        assert code == 1
+        assert f"{samples}:2: task 'bantime_detection'" in capsys.readouterr().err
 
     def test_evaluate_and_rank(self, corpus_dir, tmp_path):
         flags = self.corpus_flags(corpus_dir)

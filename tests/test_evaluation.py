@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from banevasion._metrics import _average_ranks
 from banevasion.corpus import SynthConfig, generate_synthetic
 from banevasion.errors import EmptyInputError, SingleClassInputError
 from banevasion.evaluation import (
@@ -26,10 +27,10 @@ from banevasion.evaluation import (
 from banevasion.features import FeatureConfig
 from banevasion.matching import (
     CandidateSet,
-    LabeledAccountSample,
-    LabeledPairSample,
+    LabeledSample,
     NEGATIVE,
     POSITIVE,
+    TASK1,
 )
 from banevasion.model import LogisticModel, StandardizationStats, TrainConfig
 from banevasion.pairing import extract_evasion_pairs, first_pair_per_group, merge_groups
@@ -45,6 +46,30 @@ def auc_brute_force(scores, labels):
         for n in negatives:
             total += 1.0 if p > n else (0.5 if p == n else 0.0)
     return total / (len(positives) * len(negatives))
+
+
+def average_ranks_loop(values):
+    """Reference: walk the stable sort and give each tie run its mean rank."""
+    order = np.argsort(values, kind="mergesort")
+    ranks = np.empty(values.size, dtype=float)
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+class TestAverageRanks:
+    def test_equals_loop_on_tie_heavy_inputs(self):
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            n = int(rng.integers(1, 40))
+            levels = int(rng.integers(1, 8))
+            values = rng.integers(0, levels, size=n) / levels - 0.5
+            assert np.array_equal(_average_ranks(values), average_ranks_loop(values))
 
 
 class TestRocAuc:
@@ -156,11 +181,11 @@ def split_fixture(n_parents, negatives_per=1):
     for i in range(n_parents):
         pid = f"p{i:02d}"
         accounts.append(account(pid, creation=1000 + i, ban=5000 + i))
-        samples.append(LabeledAccountSample(pid, POSITIVE, pid))
+        samples.append(LabeledSample(pid, pid, POSITIVE, TASK1))
         for j in range(negatives_per):
             nid = f"n{i:02d}_{j}"
             accounts.append(account(nid, creation=10, ban=5100))
-            samples.append(LabeledAccountSample(nid, NEGATIVE, pid))
+            samples.append(LabeledSample(pid, nid, NEGATIVE, TASK1))
     return corpus_of(accounts), samples
 
 
@@ -170,7 +195,7 @@ class TestTemporalSplit:
         train, test = temporal_split(samples, corpus, SplitSpec(0.8))
         train_pos = [s for s in train if s.label == POSITIVE]
         assert len(train_pos) == 8
-        assert {s.anchor_parent_id for s in train_pos} == {f"p{i:02d}" for i in range(8)}
+        assert {s.parent_id for s in train_pos} == {f"p{i:02d}" for i in range(8)}
 
     def test_ninety_ten(self):
         corpus, samples = split_fixture(10)
@@ -182,20 +207,20 @@ class TestTemporalSplit:
         corpus, samples = split_fixture(5, negatives_per=3)
         train, test = temporal_split(samples, corpus, SplitSpec(0.8))
         for subset in (train, test):
-            anchors = {s.anchor_parent_id for s in subset if s.label == POSITIVE}
+            anchors = {s.parent_id for s in subset if s.label == POSITIVE}
             for s in subset:
-                assert s.anchor_parent_id in anchors
+                assert s.parent_id in anchors
 
     def test_equal_creation_tie_breaks_by_id(self):
         accounts = [account("pb", 100, ban=200), account("pa", 100, ban=200)]
         samples = [
-            LabeledAccountSample("pb", POSITIVE, "pb"),
-            LabeledAccountSample("pa", POSITIVE, "pa"),
+            LabeledSample("pb", "pb", POSITIVE, TASK1),
+            LabeledSample("pa", "pa", POSITIVE, TASK1),
         ]
         corpus = corpus_of(accounts)
         train, test = temporal_split(samples, corpus, SplitSpec(0.5))
-        assert [s.account_id for s in train if s.label == POSITIVE] == ["pa"]
-        assert [s.account_id for s in test] == ["pb"]
+        assert [s.other_id for s in train if s.label == POSITIVE] == ["pa"]
+        assert [s.other_id for s in test] == ["pb"]
 
     def test_empty_rejected(self):
         corpus = corpus_of([])
@@ -206,48 +231,48 @@ class TestTemporalSplit:
 class TestDedupeNegatives:
     def test_overlap_removed_from_train_only(self):
         train = [
-            LabeledAccountSample("p1", POSITIVE, "p1"),
-            LabeledAccountSample("dup", NEGATIVE, "p1"),
-            LabeledAccountSample("keep", NEGATIVE, "p1"),
+            LabeledSample("p1", "p1", POSITIVE, TASK1),
+            LabeledSample("p1", "dup", NEGATIVE, TASK1),
+            LabeledSample("p1", "keep", NEGATIVE, TASK1),
         ]
         test = [
-            LabeledAccountSample("p2", POSITIVE, "p2"),
-            LabeledAccountSample("dup", NEGATIVE, "p2"),
+            LabeledSample("p2", "p2", POSITIVE, TASK1),
+            LabeledSample("p2", "dup", NEGATIVE, TASK1),
         ]
         train2, test2 = dedupe_negatives(train, test)
-        assert [s.account_id for s in train2] == ["p1", "keep"]
+        assert [s.other_id for s in train2] == ["p1", "keep"]
         assert test2 == test
 
     def test_no_overlap_is_identity(self):
-        train = [LabeledAccountSample("a", NEGATIVE, "p1")]
-        test = [LabeledAccountSample("b", NEGATIVE, "p2")]
+        train = [LabeledSample("p1", "a", NEGATIVE, TASK1)]
+        test = [LabeledSample("p2", "b", NEGATIVE, TASK1)]
         train2, test2 = dedupe_negatives(train, test)
         assert train2 == train
         assert test2 == test
 
     def test_pair_samples_use_other_id(self):
         train = [
-            LabeledPairSample("p1", "c1", POSITIVE, "t"),
-            LabeledPairSample("p1", "dup", NEGATIVE, "t"),
+            LabeledSample("p1", "c1", POSITIVE, "t"),
+            LabeledSample("p1", "dup", NEGATIVE, "t"),
         ]
-        test = [LabeledPairSample("p2", "dup", NEGATIVE, "t")]
+        test = [LabeledSample("p2", "dup", NEGATIVE, "t")]
         train2, _ = dedupe_negatives(train, test)
         assert [s.other_id for s in train2] == ["c1"]
 
     def test_positives_untouched(self):
-        train = [LabeledPairSample("p1", "x", POSITIVE, "t")]
-        test = [LabeledPairSample("p2", "x", NEGATIVE, "t")]
+        train = [LabeledSample("p1", "x", POSITIVE, "t")]
+        test = [LabeledSample("p2", "x", NEGATIVE, "t")]
         train2, test2 = dedupe_negatives(train, test)
         assert train2 == train
 
     def test_exhaustive_disjointness_on_stress_set(self):
         rng = random.Random(17)
         ids = [f"m{i}" for i in range(30)]
-        train = [LabeledAccountSample(rng.choice(ids), NEGATIVE, "p1") for _ in range(60)]
-        test = [LabeledAccountSample(rng.choice(ids), NEGATIVE, "p2") for _ in range(60)]
+        train = [LabeledSample("p1", rng.choice(ids), NEGATIVE, TASK1) for _ in range(60)]
+        test = [LabeledSample("p2", rng.choice(ids), NEGATIVE, TASK1) for _ in range(60)]
         train2, test2 = dedupe_negatives(train, test)
-        train_ids = {s.account_id for s in train2 if s.label == NEGATIVE}
-        test_ids = {s.account_id for s in test2 if s.label == NEGATIVE}
+        train_ids = {s.other_id for s in train2 if s.label == NEGATIVE}
+        test_ids = {s.other_id for s in test2 if s.label == NEGATIVE}
         assert train_ids & test_ids == set()
         assert test2 == test
 

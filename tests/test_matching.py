@@ -3,7 +3,12 @@ from __future__ import annotations
 import pytest
 
 from banevasion.corpus import DAY_SECONDS, WEEK_SECONDS
-from banevasion.errors import InvalidCapError, MissingBanTimeError, TrueParentMissingError
+from banevasion.errors import (
+    InvalidCapError,
+    MissingBanTimeError,
+    RecordParseError,
+    TrueParentMissingError,
+)
 from banevasion.matching import (
     build_candidate_sets,
     match_task1,
@@ -11,10 +16,8 @@ from banevasion.matching import (
     match_task3,
     prepare_benign_pool,
     prepare_malicious_pool,
-    read_account_samples,
-    read_pair_samples,
-    write_account_samples,
-    write_pair_samples,
+    read_samples,
+    write_samples,
     NEGATIVE,
     POSITIVE,
 )
@@ -31,13 +34,13 @@ class TestMatchTask1:
         inside = account("m1", 0, ban=BAN + WEEK_SECONDS)
         outside = account("m2", 0, ban=BAN + WEEK_SECONDS + 1)
         samples = match_task1([parent], [inside, outside])
-        negatives = [s.account_id for s in samples if s.label == NEGATIVE]
+        negatives = [s.other_id for s in samples if s.label == NEGATIVE]
         assert negatives == ["m1"]
 
     def test_positive_emitted_per_parent(self):
         parent = account("p", 0, ban=BAN)
         samples = match_task1([parent], [])
-        assert [(s.account_id, s.label, s.anchor_parent_id) for s in samples] == [
+        assert [(s.other_id, s.label, s.parent_id) for s in samples] == [
             ("p", POSITIVE, "p")
         ]
 
@@ -49,13 +52,13 @@ class TestMatchTask1:
         parents = [account("p1", 0, ban=BAN), account("p2", 0, ban=BAN + 100)]
         pool = [account("m", 0, ban=BAN + 50)]
         samples = match_task1(parents, pool)
-        negatives = [(s.anchor_parent_id, s.account_id) for s in samples if s.label == NEGATIVE]
+        negatives = [(s.parent_id, s.other_id) for s in samples if s.label == NEGATIVE]
         assert negatives == [("p1", "m"), ("p2", "m")]
 
     def test_parent_in_pool_never_becomes_its_own_negative(self):
         parent = account("p", 0, ban=BAN)
         samples = match_task1([parent], [parent, account("m", 0, ban=BAN + 5)])
-        rows = [(s.account_id, s.label) for s in samples]
+        rows = [(s.other_id, s.label) for s in samples]
         assert rows == [("p", POSITIVE), ("m", NEGATIVE)]
 
     def test_emitted_negatives_satisfy_window_predicate(self):
@@ -69,8 +72,8 @@ class TestMatchTask1:
         ]
         for s in match_task1(parents, pool):
             if s.label == NEGATIVE:
-                anchor = next(p for p in parents if p.account_id == s.anchor_parent_id)
-                member = next(m for m in pool if m.account_id == s.account_id)
+                anchor = next(p for p in parents if p.account_id == s.parent_id)
+                member = next(m for m in pool if m.account_id == s.other_id)
                 assert abs(member.ban_time - anchor.ban_time) <= WEEK_SECONDS
 
 
@@ -247,19 +250,47 @@ class TestPools:
         assert [a.account_id for a in prepare_benign_pool(corpus)] == ["b1"]
 
 
-class TestSampleSerialization:
-    def test_account_samples_round_trip(self, tmp_path):
-        samples = match_task1(
-            [account("p", 0, ban=BAN)], [account("m", 0, ban=BAN + 10)]
-        )
-        path = tmp_path / "s.tsv"
-        write_account_samples(samples, path)
-        assert read_account_samples(path) == samples
+def task1_samples():
+    return match_task1([account("p", 0, ban=BAN)], [account("m", 0, ban=BAN + 10)])
 
-    def test_pair_samples_round_trip(self, tmp_path):
-        corpus, pair = pair_fixture(n_malicious=3)
-        pool = [a for a in corpus.accounts if a.account_id.startswith("m")]
-        samples = match_task3([pair], pool, corpus)
+
+def task3_samples():
+    corpus, pair = pair_fixture(n_malicious=3)
+    pool = [a for a in corpus.accounts if a.account_id.startswith("m")]
+    return match_task3([pair], pool, corpus)
+
+
+class TestSampleSerialization:
+    @pytest.mark.parametrize(
+        "make_samples", [task1_samples, task3_samples], ids=["task1", "task3"]
+    )
+    def test_round_trip(self, tmp_path, make_samples):
+        samples = make_samples()
         path = tmp_path / "s.tsv"
-        write_pair_samples(samples, path)
-        assert read_pair_samples(path) == samples
+        write_samples(samples, path)
+        assert read_samples(path) == samples
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "prediction\tp\tm\n",
+            "prediction\tp\tm\tnegative\textra\n",
+            "\n",
+        ],
+        ids=["three_fields", "five_fields", "blank"],
+    )
+    def test_wrong_field_count_names_line(self, tmp_path, row):
+        path = tmp_path / "s.tsv"
+        path.write_text("prediction\tp\tp\tpositive\n" + row)
+        with pytest.raises(RecordParseError) as exc:
+            read_samples(path)
+        assert (exc.value.path, exc.value.line_number) == (str(path), 2)
+
+    @pytest.mark.parametrize("label", ["Positive", "negativ", "1"])
+    def test_unknown_label_names_line(self, tmp_path, label):
+        path = tmp_path / "s.tsv"
+        path.write_text(f"prediction\tp\tp\t{label}\n")
+        with pytest.raises(RecordParseError) as exc:
+            read_samples(path)
+        assert (exc.value.path, exc.value.line_number) == (str(path), 1)
+        assert repr(label) in str(exc.value)
