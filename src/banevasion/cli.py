@@ -28,8 +28,8 @@ from . import model as model_mod
 from . import pairing as pairing_mod
 from . import textstats as textstats_mod
 from .corpus import SynthConfig
-from .errors import BanEvasionError, PipelineError, RecordParseError
-from .features import FeatureConfig, write_feature_matrix
+from .errors import BanEvasionError, InvalidConfigError, PipelineError, RecordParseError
+from .features import FeatureConfig, read_feature_matrix, write_feature_matrix
 from .model import TrainConfig
 
 log = logging.getLogger("banevasion")
@@ -56,7 +56,7 @@ def _load_config_file(path: str | None) -> dict[str, str]:
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value")
+                raise RecordParseError(path, lineno, "expected key = value")
             key, _, value = line.partition("=")
             values[key.strip().replace("-", "_")] = value.strip()
     return values
@@ -119,6 +119,14 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
                    help="select features by recursive elimination before the final fit")
 
 
+def _add_command(sub, name: str, summary: str, func, *adders) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, help=summary)
+    for add in (_add_common, *adders):
+        add(p)
+    p.set_defaults(func=func)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="banevasion",
@@ -126,58 +134,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="write a seeded synthetic corpus")
-    _add_common(p)
-    _add_synth_flags(p)
+    p = _add_command(sub, "generate", "write a seeded synthetic corpus", cmd_generate,
+                     _add_synth_flags)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("ingest", help="validate corpus files and report counts")
-    _add_common(p)
-    _add_corpus_inputs(p)
+    p = _add_command(sub, "ingest", "validate corpus files and report counts", cmd_ingest,
+                     _add_corpus_inputs)
     p.add_argument("--out-dir", help="optionally write canonicalized copies here")
-    p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("extract-pairs", help="merge groups and extract evasion pairs")
-    _add_common(p)
-    _add_corpus_inputs(p)
+    p = _add_command(sub, "extract-pairs", "merge groups and extract evasion pairs",
+                     cmd_extract_pairs, _add_corpus_inputs)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--all-rounds", action="store_true", default=None,
                    help="keep later evasion rounds instead of first pairs only")
-    p.set_defaults(func=cmd_extract_pairs)
 
-    p = sub.add_parser("match", help="build matched negative samples for one task")
-    _add_common(p)
-    _add_corpus_inputs(p)
+    p = _add_command(sub, "match", "build matched negative samples for one task", cmd_match,
+                     _add_corpus_inputs)
     p.add_argument("--task", required=True, choices=["1", "2", "3"])
     p.add_argument("--pairs", help="extracted pairs file")
     p.add_argument("--out", required=True)
     p.add_argument("--window-days", type=float)
     p.add_argument("--cap", type=int)
-    p.set_defaults(func=cmd_match)
 
-    p = sub.add_parser("featurize", help="turn samples into a feature matrix")
-    _add_common(p)
-    _add_corpus_inputs(p)
-    _add_lexicon_flags(p)
+    p = _add_command(sub, "featurize", "turn samples into a feature matrix", cmd_featurize,
+                     _add_corpus_inputs, _add_lexicon_flags)
     p.add_argument("--task", required=True, choices=["1", "2", "3"])
     p.add_argument("--samples", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--k-edits", type=int)
-    p.set_defaults(func=cmd_featurize)
 
-    p = sub.add_parser("train", help="fit the classifier on a feature matrix")
-    _add_common(p)
-    _add_model_flags(p)
+    p = _add_command(sub, "train", "fit the classifier on a feature matrix", cmd_train,
+                     _add_model_flags)
     p.add_argument("--features", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="run one task harness end to end")
-    _add_common(p)
-    _add_corpus_inputs(p)
-    _add_lexicon_flags(p)
-    _add_model_flags(p)
+    p = _add_command(sub, "evaluate", "run one task harness end to end", cmd_evaluate,
+                     _add_corpus_inputs, _add_lexicon_flags, _add_model_flags)
     p.add_argument("--task", required=True, choices=["1", "2", "3"])
     p.add_argument("--pairs")
     p.add_argument("--out-dir", required=True)
@@ -185,40 +177,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window-days", type=float)
     p.add_argument("--cap", type=int)
     p.add_argument("--k-edits", type=int)
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("rank", help="parent attribution ranking harness")
-    _add_common(p)
-    _add_corpus_inputs(p)
-    _add_lexicon_flags(p)
-    _add_model_flags(p)
+    p = _add_command(sub, "rank", "parent attribution ranking harness", cmd_rank,
+                     _add_corpus_inputs, _add_lexicon_flags, _add_model_flags)
     p.add_argument("--pairs")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--train-fraction", type=float)
     p.add_argument("--max-candidates", type=int)
-    p.set_defaults(func=cmd_rank)
 
-    p = sub.add_parser("analyze", help="descriptive characterization report")
-    _add_common(p)
-    _add_corpus_inputs(p)
-    _add_lexicon_flags(p)
+    p = _add_command(sub, "analyze", "descriptive characterization report", cmd_analyze,
+                     _add_corpus_inputs, _add_lexicon_flags)
     p.add_argument("--pairs")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--window-days", type=float)
     p.add_argument("--outlier-days", type=float)
-    p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("reproduce", help="full pipeline on a synthetic corpus")
-    _add_common(p)
-    _add_synth_flags(p)
-    _add_lexicon_flags(p)
-    _add_model_flags(p)
+    p = _add_command(sub, "reproduce", "full pipeline on a synthetic corpus", cmd_reproduce,
+                     _add_synth_flags, _add_lexicon_flags, _add_model_flags)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--train-fraction", type=float)
     p.add_argument("--max-candidates", type=int)
     p.add_argument("--k-edits", type=int)
     p.add_argument("--cap", type=int)
-    p.set_defaults(func=cmd_reproduce)
 
     return parser
 
@@ -303,30 +283,32 @@ def _load_corpus(opts: Options):
     return corpus_mod.load_corpus(accounts, revisions, records)
 
 
-def _extract(corpus, all_rounds: bool = False):
+def _task(opts: Options) -> matching_mod.Task:
+    """The ``--task`` entry; ``--cap``/``--k-edits`` on the command line need task 2."""
+    task = matching_mod.TASKS[opts.get("task")]
+    for name in ("cap", "k_edits"):
+        if task.name != matching_mod.TASK2 and getattr(opts.args, name, None) is not None:
+            raise InvalidConfigError(name, f"applies only to --task 2, not --task {task.number}")
+    return task
+
+
+def _extract(corpus):
     groups = pairing_mod.merge_groups(corpus.sockpuppet_records, corpus)
     all_pairs = pairing_mod.extract_evasion_pairs(groups, corpus)
-    pairs = all_pairs if all_rounds else pairing_mod.first_pair_per_group(all_pairs, corpus)
-    return groups, all_pairs, pairs
+    return groups, all_pairs, pairing_mod.first_pair_per_group(all_pairs, corpus)
 
 
 def _pairs_from_file_or_corpus(opts: Options, corpus):
+    """The merged groups, and the ``--pairs`` file as given (group id -1 where
+    it has none) or else the first extracted pair per group."""
     pairs_path = opts.get("pairs")
-    groups, all_pairs, first_pairs = _extract(corpus)
-    if pairs_path:
-        loaded = corpus_mod.load_pairs(pairs_path)
-        by_key = {(p.parent_id, p.child_id): p for p in all_pairs}
-        pairs = []
-        for parent_id, child_id, group_id in loaded:
-            known = by_key.get((parent_id, child_id))
-            if known is not None:
-                pairs.append(known)
-            else:
-                pairs.append(
-                    pairing_mod.EvasionPair(parent_id, child_id, group_id if group_id is not None else -1)
-                )
-        return groups, pairs
-    return groups, first_pairs
+    if not pairs_path:
+        groups, _, first_pairs = _extract(corpus)
+        return groups, first_pairs
+    return pairing_mod.merge_groups(corpus.sockpuppet_records, corpus), [
+        pairing_mod.EvasionPair(parent_id, child_id, -1 if group_id is None else group_id)
+        for parent_id, child_id, group_id in corpus_mod.load_pairs(pairs_path)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -352,116 +334,102 @@ def _generate(opts: Options, out_dir: Path):
     return synth, result
 
 
-def cmd_generate(args) -> int:
-    opts = Options(args)
-    with _stage("generate"):
-        out_dir = Path(opts.get("out_dir"))
-        _, result = _generate(opts, out_dir)
-        print(
-            f"generated {len(result.corpus.accounts)} accounts, "
-            f"{len(result.corpus.revisions)} revisions, "
-            f"{len(result.corpus.sockpuppet_records)} records, "
-            f"{len(result.true_pairs)} true pairs -> {out_dir}"
-        )
+def cmd_generate(opts: Options) -> int:
+    out_dir = Path(opts.get("out_dir"))
+    _, result = _generate(opts, out_dir)
+    print(
+        f"generated {len(result.corpus.accounts)} accounts, "
+        f"{len(result.corpus.revisions)} revisions, "
+        f"{len(result.corpus.sockpuppet_records)} records, "
+        f"{len(result.true_pairs)} true pairs -> {out_dir}"
+    )
     return 0
 
 
-def cmd_ingest(args) -> int:
-    opts = Options(args)
-    with _stage("ingest"):
-        corpus = _load_corpus(opts)
-        out_dir = opts.get("out_dir")
-        if out_dir:
-            _save_corpus(corpus, Path(out_dir))
-        print(
-            f"accounts={len(corpus.accounts)} revisions={len(corpus.revisions)} "
-            f"records={len(corpus.sockpuppet_records)}"
-        )
+def cmd_ingest(opts: Options) -> int:
+    corpus = _load_corpus(opts)
+    out_dir = opts.get("out_dir")
+    if out_dir:
+        _save_corpus(corpus, Path(out_dir))
+    print(
+        f"accounts={len(corpus.accounts)} revisions={len(corpus.revisions)} "
+        f"records={len(corpus.sockpuppet_records)}"
+    )
     return 0
 
 
-def cmd_extract_pairs(args) -> int:
-    opts = Options(args)
-    with _stage("extract-pairs"):
-        corpus = _load_corpus(opts)
-        groups, all_pairs, first_pairs = _extract(corpus)
-        out_dir = Path(opts.get("out_dir"))
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "groups.jsonl", "w", encoding="utf-8") as fh:
-            for g in groups:
-                fh.write(json.dumps(
-                    {
-                        "group_id": g.group_id,
-                        "master_id": g.master_id,
-                        "member_ids": sorted(g.member_ids),
-                    },
-                    sort_keys=True, separators=(",", ":"),
-                ) + "\n")
-        corpus_mod.save_pairs(all_pairs, out_dir / "all_pairs.jsonl")
-        keep = all_pairs if opts.get("all_rounds", False, _as_bool) else first_pairs
-        corpus_mod.save_pairs(keep, out_dir / "evasion_pairs.jsonl")
-        print(
-            f"groups={len(groups)} pairs={len(all_pairs)} first_pairs={len(first_pairs)}"
-        )
+def cmd_extract_pairs(opts: Options) -> int:
+    corpus = _load_corpus(opts)
+    groups, all_pairs, first_pairs = _extract(corpus)
+    out_dir = Path(opts.get("out_dir"))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with open(out_dir / "groups.jsonl", "w", encoding="utf-8") as fh:
+        for g in groups:
+            fh.write(json.dumps(
+                {
+                    "group_id": g.group_id,
+                    "master_id": g.master_id,
+                    "member_ids": sorted(g.member_ids),
+                },
+                sort_keys=True, separators=(",", ":"),
+            ) + "\n")
+    corpus_mod.save_pairs(all_pairs, out_dir / "all_pairs.jsonl")
+    keep = all_pairs if opts.get("all_rounds", False, _as_bool) else first_pairs
+    corpus_mod.save_pairs(keep, out_dir / "evasion_pairs.jsonl")
+    print(
+        f"groups={len(groups)} pairs={len(all_pairs)} first_pairs={len(first_pairs)}"
+    )
     return 0
 
 
-def cmd_match(args) -> int:
-    opts = Options(args)
-    with _stage("match"):
-        corpus = _load_corpus(opts)
-        groups, pairs = _pairs_from_file_or_corpus(opts, corpus)
-        task = matching_mod.TASKS[opts.get("task")]
-        samples = task.match(
-            corpus,
-            groups,
-            pairs,
-            _window_seconds(opts, task),
-            opts.get("cap", matching_mod.DEFAULT_TASK2_CAP, int),
-            opts.get("seed", 0, int),
-        )
-        out = opts.get("out")
-        matching_mod.write_samples(samples, out)
-        print(f"wrote {len(samples)} samples -> {out}")
+def cmd_match(opts: Options) -> int:
+    task = _task(opts)
+    corpus = _load_corpus(opts)
+    groups, pairs = _pairs_from_file_or_corpus(opts, corpus)
+    samples = task.match(
+        corpus,
+        groups,
+        pairs,
+        _window_seconds(opts, task),
+        opts.get("cap", matching_mod.DEFAULT_TASK2_CAP, int),
+        opts.get("seed", 0, int),
+    )
+    out = opts.get("out")
+    matching_mod.write_samples(samples, out)
+    print(f"wrote {len(samples)} samples -> {out}")
     return 0
 
 
-def cmd_featurize(args) -> int:
-    opts = Options(args)
-    with _stage("featurize"):
-        corpus = _load_corpus(opts)
-        task = matching_mod.TASKS[opts.get("task")]
-        path = opts.get("samples")
-        samples = matching_mod.read_samples(path)
-        for lineno, s in enumerate(samples, start=1):
-            if s.task != task.name:
-                reason = f"task {s.task!r} does not match --task {task.number} ({task.name})"
-                raise RecordParseError(path, lineno, reason)
-        config = task.feature_config(
-            _feature_config(opts), opts.get("k_edits", matching_mod.DEFAULT_K_EDITS, int)
-        )
-        vectors = task.vectors(samples, corpus, config)
-        ids = [f"{s.parent_id}|{s.other_id}" for s in samples]
-        labels = [s.label for s in samples]
-        write_feature_matrix(opts.get("out"), ids, labels, vectors)
-        print(f"wrote {len(vectors)} rows -> {opts.get('out')}")
+def cmd_featurize(opts: Options) -> int:
+    task = _task(opts)
+    corpus = _load_corpus(opts)
+    path = opts.get("samples")
+    samples = matching_mod.read_samples(path)
+    for lineno, s in enumerate(samples, start=1):
+        if s.task != task.name:
+            reason = f"task {s.task!r} does not match --task {task.number} ({task.name})"
+            raise RecordParseError(path, lineno, reason)
+    config = task.feature_config(
+        _feature_config(opts), opts.get("k_edits", matching_mod.DEFAULT_K_EDITS, int)
+    )
+    vectors = task.vectors(samples, corpus, config)
+    ids = [f"{s.parent_id}|{s.other_id}" for s in samples]
+    labels = [s.label for s in samples]
+    write_feature_matrix(opts.get("out"), ids, labels, vectors)
+    print(f"wrote {len(vectors)} rows -> {opts.get('out')}")
     return 0
 
 
-def cmd_train(args) -> int:
-    opts = Options(args)
-    with _stage("train"):
-        from .features import read_feature_matrix
-
-        _, labels, names, X = read_feature_matrix(opts.get("features"))
-        config = _train_config(opts)
-        if opts.get("rfe", False, _as_bool):
-            selected, fitted, _ = model_mod.rfe(X, labels, config, feature_names=names)
-            log.info("rfe selected %d/%d features", len(selected), len(names))
-        else:
-            fitted = model_mod.train(X, labels, config, names)
-        model_mod.save_model(fitted, opts.get("out"))
-        print(f"wrote model ({len(fitted.feature_names)} features) -> {opts.get('out')}")
+def cmd_train(opts: Options) -> int:
+    _, labels, names, X = read_feature_matrix(opts.get("features"))
+    config = _train_config(opts)
+    if opts.get("rfe", False, _as_bool):
+        selected, fitted, _ = model_mod.rfe(X, labels, config, feature_names=names)
+        log.info("rfe selected %d/%d features", len(selected), len(names))
+    else:
+        fitted = model_mod.train(X, labels, config, names)
+    model_mod.save_model(fitted, opts.get("out"))
+    print(f"wrote model ({len(fitted.feature_names)} features) -> {opts.get('out')}")
     return 0
 
 
@@ -498,50 +466,44 @@ def _run_ranking(corpus, pairs, opts: Options):
     )
 
 
-def cmd_evaluate(args) -> int:
-    opts = Options(args)
-    with _stage("evaluate"):
-        corpus = _load_corpus(opts)
-        groups, pairs = _pairs_from_file_or_corpus(opts, corpus)
-        task = matching_mod.TASKS[opts.get("task")]
-        result, fitted = _run_task(corpus, groups, pairs, task, opts)
-        out_dir = Path(opts.get("out_dir"))
-        out_dir.mkdir(parents=True, exist_ok=True)
-        name = f"task{task.number}"
-        model_mod.save_model(fitted, out_dir / f"{name}_model.json")
-        eval_mod.write_report(
-            result.to_dict(), out_dir / f"{name}_report.json", out_dir / f"{name}_report.txt"
-        )
-        print(f"{name} auc={result.auc:.4f} -> {out_dir}")
+def cmd_evaluate(opts: Options) -> int:
+    task = _task(opts)
+    corpus = _load_corpus(opts)
+    groups, pairs = _pairs_from_file_or_corpus(opts, corpus)
+    result, fitted = _run_task(corpus, groups, pairs, task, opts)
+    out_dir = Path(opts.get("out_dir"))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    name = f"task{task.number}"
+    model_mod.save_model(fitted, out_dir / f"{name}_model.json")
+    eval_mod.write_report(
+        result.to_dict(), out_dir / f"{name}_report.json", out_dir / f"{name}_report.txt"
+    )
+    print(f"{name} auc={result.auc:.4f} -> {out_dir}")
     return 0
 
 
-def cmd_rank(args) -> int:
-    opts = Options(args)
-    with _stage("rank"):
-        corpus = _load_corpus(opts)
-        _, pairs = _pairs_from_file_or_corpus(opts, corpus)
-        result, fitted = _run_ranking(corpus, pairs, opts)
-        out_dir = Path(opts.get("out_dir"))
-        out_dir.mkdir(parents=True, exist_ok=True)
-        model_mod.save_model(fitted, out_dir / "ranking_model.json")
-        eval_mod.write_report(
-            result.to_dict(), out_dir / "ranking_report.json", out_dir / "ranking_report.txt"
-        )
-        print(f"ranking mrr={result.mrr:.4f} -> {out_dir}")
+def cmd_rank(opts: Options) -> int:
+    corpus = _load_corpus(opts)
+    _, pairs = _pairs_from_file_or_corpus(opts, corpus)
+    result, fitted = _run_ranking(corpus, pairs, opts)
+    out_dir = Path(opts.get("out_dir"))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    model_mod.save_model(fitted, out_dir / "ranking_model.json")
+    eval_mod.write_report(
+        result.to_dict(), out_dir / "ranking_report.json", out_dir / "ranking_report.txt"
+    )
+    print(f"ranking mrr={result.mrr:.4f} -> {out_dir}")
     return 0
 
 
-def cmd_analyze(args) -> int:
-    opts = Options(args)
-    with _stage("analyze"):
-        corpus = _load_corpus(opts)
-        groups, pairs = _pairs_from_file_or_corpus(opts, corpus)
-        report = _analyze(corpus, groups, pairs, opts)
-        out_dir = Path(opts.get("out_dir"))
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_analysis(report, out_dir)
-        print(f"analysis -> {out_dir}")
+def cmd_analyze(opts: Options) -> int:
+    corpus = _load_corpus(opts)
+    groups, pairs = _pairs_from_file_or_corpus(opts, corpus)
+    report = _analyze(corpus, groups, pairs, opts)
+    out_dir = Path(opts.get("out_dir"))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_analysis(report, out_dir)
+    print(f"analysis -> {out_dir}")
     return 0
 
 
@@ -575,8 +537,7 @@ def _write_analysis(report: dict, out_dir: Path) -> None:
     analysis_mod.write_tables(report, out_dir / "tables")
 
 
-def cmd_reproduce(args) -> int:
-    opts = Options(args)
+def cmd_reproduce(opts: Options) -> int:
     out_dir = Path(opts.get("out_dir"))
     seed = opts.get("seed", 0, int)
 
@@ -645,7 +606,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _stage(args.command):
+            return args.func(Options(args))
     except BanEvasionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

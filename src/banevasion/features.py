@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import Account, Corpus, Revision
-from .errors import MissingParentBanError, UnsortedRevisionsError
+from .errors import MissingParentBanError, RecordParseError, UnsortedRevisionsError
 from .textstats import (
     EmbeddingProvider,
     HashedTrigramProvider,
@@ -303,17 +303,32 @@ def write_feature_matrix(
 
 
 def read_feature_matrix(path):
-    """Returns (sample_ids, labels array, names, value matrix)."""
+    """Returns (sample_ids, labels array, names, value matrix); raises
+    ``RecordParseError`` for a header not starting ``sample_id<TAB>label``, a row
+    whose field count differs from the header's, a label other than ``0``/``1``,
+    or a value that is not a float."""
+    path = str(path)
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
+        if header[:2] != ["sample_id", "label"]:
+            raise RecordParseError(path, 1, "header must start with sample_id<TAB>label")
         names = tuple(header[2:])
         sample_ids: list[str] = []
         labels: list[int] = []
         rows: list[list[float]] = []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             parts = line.rstrip("\n").split("\t")
+            if len(parts) != len(header):
+                raise RecordParseError(
+                    path, lineno, f"expected {len(header)} tab-separated fields, got {len(parts)}"
+                )
+            if parts[1] not in ("0", "1"):
+                raise RecordParseError(path, lineno, f"label must be 0 or 1, got {parts[1]!r}")
+            try:
+                rows.append([float(x) for x in parts[2:]])
+            except ValueError as exc:
+                raise RecordParseError(path, lineno, str(exc)) from exc
             sample_ids.append(parts[0])
             labels.append(int(parts[1]))
-            rows.append([float(x) for x in parts[2:]])
     matrix = np.array(rows, dtype=float) if rows else np.zeros((0, len(names)))
     return sample_ids, np.array(labels, dtype=int), names, matrix

@@ -12,9 +12,11 @@ and ``match_task*`` that build the samples, the feature variant, whether a
 row describes an account or a pair, and the default window and train
 fraction.
 
-Temporal windows are inclusive at both ends. The only strict inequality is
-the task-2 requirement that a matched benign account is created strictly
-after the parent's ban. Samples serialize one per line as
+Tasks 2 and 3 share one pair rule and differ only in the pool: for each
+(parent, child) pair the negatives are the pool accounts, other than the
+child, created strictly after the parent's ban and within the window of the
+child's creation; task 2 keeps at most ``cap`` of them. Windows are
+inclusive at both ends. Samples serialize one per line as
 ``task<TAB>parent_id<TAB>other_id<TAB>label`` with the label spelled exactly
 ``positive`` or ``negative``.
 """
@@ -156,30 +158,66 @@ def prepare_benign_pool(corpus: Corpus) -> list[Account]:
     ]
 
 
+def _by_id_with_ban(accounts: Iterable[Account]) -> list[Account]:
+    """``accounts`` sorted by id; raises ``MissingBanTimeError`` for one never banned."""
+    accounts = sorted(accounts, key=lambda a: a.account_id)
+    for account in accounts:
+        if account.ban_time is None:
+            raise MissingBanTimeError(account.account_id)
+    return accounts
+
+
 def match_task1(
     parents: Sequence[Account],
     malicious_pool: Sequence[Account],
     window_seconds: int = TASKS["1"].window_seconds,
 ) -> list[LabeledSample]:
     """One positive per parent plus pool accounts banned within the window."""
-    malicious_pool = sorted(malicious_pool, key=lambda a: a.account_id)
-    for account in malicious_pool:
-        if account.ban_time is None:
-            raise MissingBanTimeError(account.account_id)
+    malicious_pool = _by_id_with_ban(malicious_pool)
     samples = []
-    for parent in sorted(parents, key=lambda a: a.account_id):
-        if parent.ban_time is None:
-            raise MissingBanTimeError(parent.account_id)
-        samples.append(
-            LabeledSample(parent.account_id, parent.account_id, POSITIVE, TASK1)
-        )
-        for account in malicious_pool:
-            if account.account_id == parent.account_id:
-                continue
-            if abs(account.ban_time - parent.ban_time) <= window_seconds:
-                samples.append(
-                    LabeledSample(parent.account_id, account.account_id, NEGATIVE, TASK1)
-                )
+    for parent in _by_id_with_ban(parents):
+        parent_id, ban = parent.account_id, parent.ban_time
+        samples.append(LabeledSample(parent_id, parent_id, POSITIVE, TASK1))
+        samples += [
+            LabeledSample(parent_id, a.account_id, NEGATIVE, TASK1)
+            for a in malicious_pool
+            if abs(a.ban_time - ban) <= window_seconds and a.account_id != parent_id
+        ]
+    return samples
+
+
+def _match_pairs(
+    pairs: Sequence[EvasionPair],
+    pool: Sequence[Account],
+    corpus: Corpus,
+    window_seconds: int,
+    task: str,
+    cap: int | None = None,
+    seed: int = 0,
+) -> list[LabeledSample]:
+    """The task-2/3 pair rule of the module docstring over ``pool`` (sorted by
+    id); with a ``cap``, more than ``cap`` matches are sampled down to ``cap``."""
+    samples = []
+    for pair in sorted(pairs, key=lambda p: (p.parent_id, p.child_id)):
+        parent_id, child_id = pair.parent_id, pair.child_id
+        ban = corpus.account(parent_id).ban_time
+        child_creation = corpus.account(child_id).creation_time
+        if ban is None:
+            raise MissingBanTimeError(parent_id)
+        samples.append(LabeledSample(parent_id, child_id, POSITIVE, task))
+        low, high = child_creation - window_seconds, child_creation + window_seconds
+        matched = [
+            a
+            for a in pool
+            if low <= a.creation_time <= high
+            and a.creation_time > ban
+            and a.account_id != child_id
+        ]
+        if cap is not None and len(matched) > cap:
+            rng = random.Random(f"task2:{seed}:{child_id}")
+            matched = rng.sample(matched, cap)
+            matched.sort(key=lambda a: a.account_id)
+        samples += [LabeledSample(parent_id, a.account_id, NEGATIVE, task) for a in matched]
     return samples
 
 
@@ -200,29 +238,7 @@ def match_task2(
             raise ValueError(f"benign pool contains banned account {account.account_id!r}")
         if not corpus.revisions_of(account.account_id):
             raise ValueError(f"benign pool account {account.account_id!r} has no revisions")
-
-    samples = []
-    for pair in sorted(pairs, key=lambda p: (p.parent_id, p.child_id)):
-        parent = corpus.account(pair.parent_id)
-        child = corpus.account(pair.child_id)
-        if parent.ban_time is None:
-            raise MissingBanTimeError(parent.account_id)
-        samples.append(LabeledSample(pair.parent_id, pair.child_id, POSITIVE, TASK2))
-        matched = [
-            b
-            for b in benign_pool
-            if abs(b.creation_time - child.creation_time) <= window_seconds
-            and b.creation_time > parent.ban_time
-        ]
-        if len(matched) > cap:
-            rng = random.Random(f"task2:{seed}:{pair.child_id}")
-            matched = rng.sample(matched, cap)
-            matched.sort(key=lambda a: a.account_id)
-        for account in matched:
-            samples.append(
-                LabeledSample(pair.parent_id, account.account_id, NEGATIVE, TASK2)
-            )
-    return samples
+    return _match_pairs(pairs, benign_pool, corpus, window_seconds, TASK2, cap, seed)
 
 
 def match_task3(
@@ -232,28 +248,9 @@ def match_task3(
     window_seconds: int = TASKS["3"].window_seconds,
 ) -> list[LabeledSample]:
     """True pairs vs. (parent, matched non-evading malicious) pairs."""
-    malicious_pool = sorted(malicious_pool, key=lambda a: a.account_id)
-    for account in malicious_pool:
-        if account.ban_time is None:
-            raise MissingBanTimeError(account.account_id)
-    samples = []
-    for pair in sorted(pairs, key=lambda p: (p.parent_id, p.child_id)):
-        parent = corpus.account(pair.parent_id)
-        child = corpus.account(pair.child_id)
-        if parent.ban_time is None:
-            raise MissingBanTimeError(parent.account_id)
-        samples.append(LabeledSample(pair.parent_id, pair.child_id, POSITIVE, TASK3))
-        for account in malicious_pool:
-            if account.account_id == pair.child_id:
-                continue
-            if (
-                account.creation_time > parent.ban_time
-                and abs(account.creation_time - child.creation_time) <= window_seconds
-            ):
-                samples.append(
-                    LabeledSample(pair.parent_id, account.account_id, NEGATIVE, TASK3)
-                )
-    return samples
+    return _match_pairs(
+        pairs, _by_id_with_ban(malicious_pool), corpus, window_seconds, TASK3
+    )
 
 
 def build_candidate_sets(

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from banevasion import corpus as corpus_mod
+from banevasion import pairing as pairing_mod
 from banevasion.cli import main
 from banevasion.corpus import DAY_SECONDS, WEEK_SECONDS, load_corpus
 from banevasion.matching import (
@@ -79,6 +80,29 @@ class TestUsageErrors:
         ])
         assert code == 1
         assert "ingest" in capsys.readouterr().err
+
+    def test_config_line_without_equals_names_file_and_line(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("seed = 1\ngroups 8\n")
+        code = main(["generate", "--out-dir", str(tmp_path / "out"), "--config", str(config)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: stage 'generate' failed: {config}:2: expected key = value" in err
+
+    def test_missing_config_file_is_stage_error(self, tmp_path, capsys):
+        config = tmp_path / "absent.cfg"
+        code = main(["generate", "--out-dir", str(tmp_path / "out"), "--config", str(config)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: stage 'generate' failed:" in err
+        assert str(config) in err
+
+    def test_train_on_corrupt_matrix_names_file_and_line(self, tmp_path, capsys):
+        features = tmp_path / "features.tsv"
+        features.write_text("sample_id\tlabel\tf1\ns1\t1\t0.5\ns2\t0\n")
+        code = main(["train", "--features", str(features), "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        assert f"error: stage 'train' failed: {features}:3: " in capsys.readouterr().err
 
     def test_interrupt_in_stage_propagates(self, tmp_path, monkeypatch):
         def interrupted(config):
@@ -185,6 +209,56 @@ class TestStageChaining:
         ])
         assert code == 1
         assert f"{samples}:2: task 'bantime_detection'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, task, flag",
+        [
+            ("match", "1", "--cap"),
+            ("match", "3", "--cap"),
+            ("featurize", "1", "--k-edits"),
+            ("featurize", "3", "--k-edits"),
+        ],
+    )
+    def test_task2_flag_rejected_for_other_tasks(
+        self, corpus_dir, tmp_path, capsys, command, task, flag
+    ):
+        flags = [*self.corpus_flags(corpus_dir), "--task", task]
+        if command == "featurize":
+            samples = tmp_path / "samples.tsv"
+            assert main(["match", *flags, "--out", str(samples)]) == 0
+            flags += ["--samples", str(samples)]
+        code = main([command, *flags, "--out", str(tmp_path / "out.tsv"), flag, "5"])
+        assert code == 1
+        name = flag[2:].replace("-", "_")
+        assert f"'{name}': applies only to --task 2, not --task {task}" in capsys.readouterr().err
+        assert not (tmp_path / "out.tsv").exists()
+
+    def test_task2_flag_from_environment_accepted_for_other_tasks(
+        self, corpus_dir, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("BANEVASION_CAP", "5")
+        assert main([
+            "match", *self.corpus_flags(corpus_dir), "--task", "1",
+            "--out", str(tmp_path / "out.tsv"),
+        ]) == 0
+
+    def test_pairs_file_taken_as_given(self, corpus_dir, tmp_path, monkeypatch):
+        flags = self.corpus_flags(corpus_dir)
+        assert main(["extract-pairs", *flags, "--out-dir", str(tmp_path / "pairs")]) == 0
+        pairs = tmp_path / "pairs" / "evasion_pairs.jsonl"
+        expected = tmp_path / "expected.tsv"
+        assert main(["match", *flags, "--task", "3", "--out", str(expected)]) == 0
+
+        def extraction(*args):
+            raise AssertionError("pair extraction ran although --pairs was given")
+
+        monkeypatch.setattr(pairing_mod, "extract_evasion_pairs", extraction)
+        monkeypatch.setattr(pairing_mod, "first_pair_per_group", extraction)
+        samples = tmp_path / "samples.tsv"
+        assert main([
+            "match", *flags, "--task", "3", "--pairs", str(pairs), "--out", str(samples),
+        ]) == 0
+        assert samples.read_bytes() == expected.read_bytes()
 
     def test_evaluate_and_rank(self, corpus_dir, tmp_path):
         flags = self.corpus_flags(corpus_dir)

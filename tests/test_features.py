@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from banevasion.corpus import SynthConfig, generate_synthetic
-from banevasion.errors import MissingParentBanError, UnsortedRevisionsError
+from banevasion.errors import MissingParentBanError, RecordParseError, UnsortedRevisionsError
 from banevasion.features import (
     FeatureConfig,
     FeatureVector,
@@ -266,6 +266,41 @@ class TestMatrixSerialization:
 
         write_feature_matrix(tmp_path / "again.tsv", ["s1", "s2"], [1, 0], [vec, vec])
         assert (tmp_path / "features.tsv").read_bytes() == (tmp_path / "again.tsv").read_bytes()
+
+    def test_read_then_write_is_identity(self, tmp_path, config):
+        acct = account("a", 1_600_000_000, ban=1_600_100_000)
+        vec = account_features(acct, [revision("a", "p", 1_600_000_500, added="hi")], config)
+        path = tmp_path / "features.tsv"
+        write_feature_matrix(path, ["s1", "s2"], [0, 1], [vec, vec])
+        ids, labels, names, X = read_feature_matrix(path)
+        rows = [FeatureVector(names, row) for row in X]
+        write_feature_matrix(tmp_path / "again.tsv", ids, labels.tolist(), rows)
+        assert (tmp_path / "again.tsv").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "text, line, fragment",
+        [
+            ("id\tlabel\tf1\ns1\t1\t0.5\n", 1, "header"),
+            ("", 1, "header"),
+            ("sample_id\tlabel\tf1\tf2\ns1\t1\t0.5\t0.5\ns2\t0\t0.5\n", 3, "got 3"),
+            ("sample_id\tlabel\tf1\ns1\t1\t0.5\t0.5\n", 2, "got 4"),
+            ("sample_id\tlabel\tf1\ns1\t1\t0.5\n\n", 3, "got 1"),
+            ("sample_id\tlabel\tf1\ns1\t2\t0.5\n", 2, "label must be 0 or 1"),
+            ("sample_id\tlabel\tf1\ns1\t1.0\t0.5\n", 2, "label must be 0 or 1"),
+            ("sample_id\tlabel\tf1\ns1\t1\t0.5\ns2\t0\tabc\n", 3, "abc"),
+        ],
+        ids=[
+            "bad_header", "empty_file", "short_row", "long_row", "blank_line",
+            "label_2", "label_float", "non_float_value",
+        ],
+    )
+    def test_corrupt_matrix_names_line(self, tmp_path, text, line, fragment):
+        path = tmp_path / "features.tsv"
+        path.write_text(text)
+        with pytest.raises(RecordParseError) as exc:
+            read_feature_matrix(path)
+        assert (exc.value.path, exc.value.line_number) == (str(path), line)
+        assert fragment in exc.value.reason
 
     def test_feature_vector_validation(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from banevasion.corpus import DAY_SECONDS, WEEK_SECONDS
@@ -10,6 +12,7 @@ from banevasion.errors import (
     TrueParentMissingError,
 )
 from banevasion.matching import (
+    TASKS,
     build_candidate_sets,
     match_task1,
     match_task2,
@@ -21,7 +24,12 @@ from banevasion.matching import (
     NEGATIVE,
     POSITIVE,
 )
-from banevasion.pairing import EvasionPair, merge_groups
+from banevasion.pairing import (
+    EvasionPair,
+    extract_evasion_pairs,
+    first_pair_per_group,
+    merge_groups,
+)
 
 from conftest import account, corpus_of, record, revision
 
@@ -143,6 +151,19 @@ class TestMatchTask2:
         with pytest.raises(ValueError):
             match_task2([pair], [banned], corpus)
 
+    def test_never_banned_child_is_not_its_own_negative(self):
+        # the child is never banned and has an edit, so it is in the benign pool
+        accounts = [account("p", 0, ban=BAN), account("c", BAN + 10)]
+        revisions = [revision("c", "pg", BAN + 20, added="x")]
+        corpus = corpus_of(accounts, revisions, [record("p", "c")])
+        groups = merge_groups(corpus.sockpuppet_records, corpus)
+        pairs = first_pair_per_group(extract_evasion_pairs(groups, corpus), corpus)
+        assert [(p.parent_id, p.child_id) for p in pairs] == [("p", "c")]
+        samples = TASKS["2"].match(corpus, groups, pairs, DAY_SECONDS)
+        assert [(s.parent_id, s.other_id, s.label) for s in samples] == [
+            ("p", "c", POSITIVE)
+        ]
+
 
 class TestMatchTask3:
     def test_created_before_parent_ban_excluded(self):
@@ -187,6 +208,126 @@ class TestMatchTask3:
                 m = corpus.account(s.other_id)
                 assert m.creation_time > parent.ban_time
                 assert abs(m.creation_time - child.creation_time) <= WEEK_SECONDS
+
+
+# The scan loops ``match_task1/2/3`` were first written as, kept as the
+# reference. Task 2 also skips the child, as task 3 always did.
+
+
+def reference_task1(parents, malicious_pool, window_seconds):
+    malicious_pool = sorted(malicious_pool, key=lambda a: a.account_id)
+    samples = []
+    for parent in sorted(parents, key=lambda a: a.account_id):
+        samples.append((parent.account_id, parent.account_id, POSITIVE))
+        for m in malicious_pool:
+            if m.account_id == parent.account_id:
+                continue
+            if abs(m.ban_time - parent.ban_time) <= window_seconds:
+                samples.append((parent.account_id, m.account_id, NEGATIVE))
+    return samples
+
+
+def reference_task2(pairs, benign_pool, corpus, window_seconds, cap, seed):
+    benign_pool = sorted(benign_pool, key=lambda a: a.account_id)
+    samples = []
+    for pair in sorted(pairs, key=lambda p: (p.parent_id, p.child_id)):
+        parent = corpus.account(pair.parent_id)
+        child = corpus.account(pair.child_id)
+        samples.append((pair.parent_id, pair.child_id, POSITIVE))
+        matched = [
+            b
+            for b in benign_pool
+            if abs(b.creation_time - child.creation_time) <= window_seconds
+            and b.creation_time > parent.ban_time
+            and b.account_id != pair.child_id
+        ]
+        if len(matched) > cap:
+            rng = random.Random(f"task2:{seed}:{pair.child_id}")
+            matched = rng.sample(matched, cap)
+            matched.sort(key=lambda a: a.account_id)
+        samples.extend((pair.parent_id, b.account_id, NEGATIVE) for b in matched)
+    return samples
+
+
+def reference_task3(pairs, malicious_pool, corpus, window_seconds):
+    malicious_pool = sorted(malicious_pool, key=lambda a: a.account_id)
+    samples = []
+    for pair in sorted(pairs, key=lambda p: (p.parent_id, p.child_id)):
+        parent = corpus.account(pair.parent_id)
+        child = corpus.account(pair.child_id)
+        samples.append((pair.parent_id, pair.child_id, POSITIVE))
+        for m in malicious_pool:
+            if m.account_id == pair.child_id:
+                continue
+            if (
+                m.creation_time > parent.ban_time
+                and abs(m.creation_time - child.creation_time) <= window_seconds
+            ):
+                samples.append((pair.parent_id, m.account_id, NEGATIVE))
+    return samples
+
+
+def random_matching_case(rng: random.Random):
+    """A corpus, pairs and pools with timestamps in 0..20, so ties, window
+    edges and ``creation == parent ban`` are frequent; children and parents
+    may sit in the pools."""
+    accounts, revisions = [], []
+    for i in range(rng.randint(3, 20)):
+        creation = rng.randint(0, 20)
+        ban = creation + rng.randint(1, 8) if rng.random() < 0.5 else None
+        accounts.append(account(f"a{i:02d}", creation, ban=ban))
+        if ban is None and rng.random() < 0.8:
+            revisions.append(revision(f"a{i:02d}", "pg", creation + 1, added="x"))
+    corpus = corpus_of(accounts, revisions)
+    banned = [a for a in accounts if a.ban_time is not None]
+    benign = prepare_benign_pool(corpus)
+    pairs = []
+    if banned:
+        for _ in range(rng.randint(1, 3)):
+            parent = rng.choice(banned)
+            later = [a for a in accounts if a.creation_time > parent.ban_time]
+            others = later if later and rng.random() < 0.7 else accounts
+            child = rng.choice([a for a in others if a is not parent])
+            pairs.append(EvasionPair(parent.account_id, child.account_id, 0))
+    malicious_pool = [a for a in banned if rng.random() < 0.7]
+    benign_pool = [a for a in benign if rng.random() < 0.8]
+    parents = [a for a in banned if rng.random() < 0.5]
+    window = rng.choice([0, 1, 2, 3, 5, 8, 13])
+    return corpus, pairs, parents, malicious_pool, benign_pool, window
+
+
+def as_tuples(samples):
+    return [(s.parent_id, s.other_id, s.label) for s in samples]
+
+
+class TestBruteForceOracle:
+    CASES = 1200
+
+    def cases(self):
+        for i in range(self.CASES):
+            yield random_matching_case(random.Random(f"matching-oracle:{i}"))
+
+    def test_task1_equals_reference(self):
+        for _, _, parents, pool, _, window in self.cases():
+            got = as_tuples(match_task1(parents, pool, window))
+            assert got == reference_task1(parents, pool, window)
+
+    def test_task2_equals_reference(self):
+        capped = 0
+        for corpus, pairs, _, _, pool, window in self.cases():
+            uncapped = reference_task2(pairs, pool, corpus, window, len(pool) + 1, 0)
+            for cap in (1, 3, len(pool) + 1):
+                for seed in (0, 1, 2):
+                    got = as_tuples(match_task2(pairs, pool, corpus, window, cap, seed))
+                    assert got == reference_task2(pairs, pool, corpus, window, cap, seed)
+                    capped += got != uncapped
+        # the cap must bind often enough for the sampling path to be compared
+        assert capped > self.CASES // 2
+
+    def test_task3_equals_reference(self):
+        for corpus, pairs, _, pool, _, window in self.cases():
+            got = as_tuples(match_task3(pairs, pool, corpus, window))
+            assert got == reference_task3(pairs, pool, corpus, window)
 
 
 class TestCandidateSets:
