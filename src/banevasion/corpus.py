@@ -9,7 +9,8 @@ File formats (UTF-8, one JSON object per line):
 * records file:   {"member_ids": [...]}  (undisclosed multi-account records)
 * pairs file:     {"parent_id", "child_id", "group_id"?}
 
-Timestamps are integer epoch seconds UTC throughout. Loaded corpora are
+Ids and texts are JSON strings and times JSON integers; the reader coerces
+nothing. Timestamps are integer epoch seconds UTC throughout. Loaded corpora are
 immutable and iterate in a canonical order (accounts by id, revisions by
 (account_id, timestamp, page_id), records by sorted member tuple), so a
 save/load round trip is byte identical.
@@ -21,6 +22,7 @@ import json
 import random
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Iterator
 
 from .errors import (
     DuplicateIdError,
@@ -148,33 +150,45 @@ class Corpus:
 # ingestion / serialization
 
 
-def _read_jsonl(path: str | Path) -> list[tuple[int, dict]]:
-    rows = []
+# One decoder and one encoder for every line; ``json.dumps`` with these
+# arguments would build a new encoder per call.
+_decode = json.JSONDecoder().decode
+_encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":")).encode
+
+_MISSING = object()
+_WRONG_KIND = {
+    str: "field {!r} must be a string",
+    int: "field {!r} must be an integer",
+    list: "{} must be an array",
+}
+
+
+def _read_jsonl(path: str | Path) -> Iterator[tuple[str, int, dict]]:
+    """Yield ``(path, line number, object)`` for each non-blank line."""
+    p = str(path)
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                obj = _decode(line)
             except json.JSONDecodeError as exc:
-                raise RecordParseError(str(path), lineno, f"bad JSON: {exc.msg}") from None
+                raise RecordParseError(p, lineno, f"bad JSON: {exc.msg}") from None
             if not isinstance(obj, dict):
-                raise RecordParseError(str(path), lineno, "expected a JSON object")
-            rows.append((lineno, obj))
-    return rows
+                raise RecordParseError(p, lineno, "expected a JSON object")
+            yield p, lineno, obj
 
 
-def _require(obj: dict, key: str, path: str, lineno: int):
-    if key not in obj:
+def _field(obj: dict, key: str, kind: type, path: str, lineno: int, default=_MISSING):
+    """``obj[key]``, which must be exactly of ``kind`` (so a bool is no
+    integer); an absent key gives ``default`` and is an error without one."""
+    value = obj.get(key, default)
+    if type(value) is kind or (value is default and default is not _MISSING):
+        return value
+    if value is _MISSING:
         raise RecordParseError(path, lineno, f"missing field {key!r}")
-    return obj[key]
-
-
-def _as_int(value, key: str, path: str, lineno: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise RecordParseError(path, lineno, f"field {key!r} must be an integer")
-    return value
+    raise RecordParseError(path, lineno, _WRONG_KIND[kind].format(key))
 
 
 def load_corpus(
@@ -182,54 +196,65 @@ def load_corpus(
     revisions_path: str | Path,
     records_path: str | Path,
 ) -> Corpus:
-    """Load and validate a corpus from the three line-delimited files."""
-    accounts = []
-    seen: set[str] = set()
-    for lineno, obj in _read_jsonl(accounts_path):
-        p = str(accounts_path)
-        account_id = str(_require(obj, "account_id", p, lineno))
-        if account_id in seen:
-            raise DuplicateIdError(account_id)
-        seen.add(account_id)
-        username = str(_require(obj, "username", p, lineno))
-        creation = _as_int(_require(obj, "creation_time", p, lineno), "creation_time", p, lineno)
-        ban = obj.get("ban_time")
-        if ban is not None:
-            ban = _as_int(ban, "ban_time", p, lineno)
-            if ban <= creation:
-                raise RecordParseError(p, lineno, "ban_time must be after creation_time")
-        accounts.append(Account(account_id, username, creation, ban))
+    """Load and validate a corpus from the three line-delimited files.
+
+    Each line is checked and turned into its record as it is read, so every
+    error names the file and line it comes from: bad JSON, a missing field,
+    an id, name or text that is not a string, a time that is not an integer,
+    a duplicate account id, a ban not after creation, a revision by an unknown
+    account or before its creation, and a record member that is unknown or
+    that leaves fewer than 2 distinct members.
+    """
+    by_id: dict[str, Account] = {}
+    for p, lineno, obj in _read_jsonl(accounts_path):
+        account_id = _field(obj, "account_id", str, p, lineno)
+        if account_id in by_id:
+            raise DuplicateIdError(account_id, p, lineno)
+        username = _field(obj, "username", str, p, lineno)
+        creation = _field(obj, "creation_time", int, p, lineno)
+        ban = _field(obj, "ban_time", int, p, lineno, None)
+        if ban is not None and ban <= creation:
+            raise RecordParseError(p, lineno, "ban_time must be after creation_time")
+        by_id[account_id] = Account(account_id, username, creation, ban)
 
     revisions = []
-    for lineno, obj in _read_jsonl(revisions_path):
-        p = str(revisions_path)
+    for p, lineno, obj in _read_jsonl(revisions_path):
+        account_id = _field(obj, "account_id", str, p, lineno)
+        page_id = _field(obj, "page_id", str, p, lineno)
+        timestamp = _field(obj, "timestamp", int, p, lineno)
+        owner = by_id.get(account_id)
+        if owner is None:
+            raise ReferentialIntegrityError(account_id, "revision owner", p, lineno)
+        if timestamp < owner.creation_time:
+            raise RecordParseError(
+                p, lineno, f"revision on {page_id!r} predates creation of {account_id!r}"
+            )
         revisions.append(
             Revision(
-                account_id=str(_require(obj, "account_id", p, lineno)),
-                page_id=str(_require(obj, "page_id", p, lineno)),
-                timestamp=_as_int(_require(obj, "timestamp", p, lineno), "timestamp", p, lineno),
-                added_text=str(obj.get("added_text", "")),
-                deleted_text=str(obj.get("deleted_text", "")),
-                comment=str(obj.get("comment", "")),
+                account_id,
+                page_id,
+                timestamp,
+                _field(obj, "added_text", str, p, lineno, ""),
+                _field(obj, "deleted_text", str, p, lineno, ""),
+                _field(obj, "comment", str, p, lineno, ""),
             )
         )
 
     records = []
-    for lineno, obj in _read_jsonl(records_path):
-        p = str(records_path)
-        member_ids = _require(obj, "member_ids", p, lineno)
-        if not isinstance(member_ids, list):
-            raise RecordParseError(p, lineno, "member_ids must be an array")
-        members = frozenset(str(m) for m in member_ids)
+    for p, lineno, obj in _read_jsonl(records_path):
+        member_ids = _field(obj, "member_ids", list, p, lineno)
+        for member in member_ids:
+            if type(member) is not str:
+                raise RecordParseError(p, lineno, f"member id {member!r} must be a string")
+        members = frozenset(member_ids)
         if len(members) < 2:
             raise RecordParseError(p, lineno, "sockpuppet record needs at least 2 members")
+        for member in sorted(members):
+            if member not in by_id:
+                raise ReferentialIntegrityError(member, "record member", p, lineno)
         records.append(SockpuppetRecord(members))
 
-    return Corpus(tuple(accounts), tuple(revisions), tuple(records))
-
-
-def _dump(obj: dict) -> str:
-    return json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+    return Corpus(tuple(by_id.values()), tuple(revisions), tuple(records))
 
 
 def save_corpus(
@@ -241,7 +266,7 @@ def save_corpus(
     """Write a corpus back out in canonical order (round-trip stable)."""
     with open(accounts_path, "w", encoding="utf-8") as fh:
         for a in corpus.accounts:
-            fh.write(_dump({
+            fh.write(_encode({
                 "account_id": a.account_id,
                 "username": a.username,
                 "creation_time": a.creation_time,
@@ -249,7 +274,7 @@ def save_corpus(
             }) + "\n")
     with open(revisions_path, "w", encoding="utf-8") as fh:
         for r in corpus.revisions:
-            fh.write(_dump({
+            fh.write(_encode({
                 "account_id": r.account_id,
                 "page_id": r.page_id,
                 "timestamp": r.timestamp,
@@ -259,7 +284,7 @@ def save_corpus(
             }) + "\n")
     with open(records_path, "w", encoding="utf-8") as fh:
         for rec in corpus.sockpuppet_records:
-            fh.write(_dump({"member_ids": sorted(rec.member_ids)}) + "\n")
+            fh.write(_encode({"member_ids": sorted(rec.member_ids)}) + "\n")
 
 
 def save_pairs(pairs, path: str | Path) -> None:
@@ -279,21 +304,19 @@ def save_pairs(pairs, path: str | Path) -> None:
                 group_id = getattr(pair, "group_id", None)
                 if group_id is not None:
                     obj["group_id"] = group_id
-            fh.write(_dump(obj) + "\n")
+            fh.write(_encode(obj) + "\n")
 
 
 def load_pairs(path: str | Path) -> list[tuple[str, str, int | None]]:
     """Read a pairs file into (parent_id, child_id, group_id|None) tuples."""
-    out = []
-    for lineno, obj in _read_jsonl(path):
-        p = str(path)
-        parent = str(_require(obj, "parent_id", p, lineno))
-        child = str(_require(obj, "child_id", p, lineno))
-        group = obj.get("group_id")
-        if group is not None:
-            group = _as_int(group, "group_id", p, lineno)
-        out.append((parent, child, group))
-    return out
+    return [
+        (
+            _field(obj, "parent_id", str, p, lineno),
+            _field(obj, "child_id", str, p, lineno),
+            _field(obj, "group_id", int, p, lineno, None),
+        )
+        for p, lineno, obj in _read_jsonl(path)
+    ]
 
 
 # ---------------------------------------------------------------------------

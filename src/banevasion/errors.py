@@ -18,19 +18,35 @@ class RecordParseError(BanEvasionError):
         super().__init__(f"{path}:{line_number}: {reason}")
 
 
+def _located(msg: str, path: str | None, line_number: int | None) -> str:
+    return msg if path is None else f"{path}:{line_number}: {msg}"
+
+
 class ReferentialIntegrityError(BanEvasionError):
-    def __init__(self, offending_id: str, context: str = ""):
+    """An unknown account id; ``path``/``line_number`` locate it when it was read."""
+
+    def __init__(
+        self,
+        offending_id: str,
+        context: str = "",
+        path: str | None = None,
+        line_number: int | None = None,
+    ):
         self.offending_id = offending_id
+        self.path = path
+        self.line_number = line_number
         msg = f"unknown account id {offending_id!r}"
         if context:
             msg += f" ({context})"
-        super().__init__(msg)
+        super().__init__(_located(msg, path, line_number))
 
 
 class DuplicateIdError(BanEvasionError):
-    def __init__(self, account_id: str):
+    def __init__(self, account_id: str, path: str | None = None, line_number: int | None = None):
         self.account_id = account_id
-        super().__init__(f"duplicate account id {account_id!r}")
+        self.path = path
+        self.line_number = line_number
+        super().__init__(_located(f"duplicate account id {account_id!r}", path, line_number))
 
 
 class InvalidConfigError(BanEvasionError):

@@ -30,6 +30,7 @@ the duration of one call only; nothing is cached across calls.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 from datetime import datetime, timezone
 from functools import cached_property
@@ -306,7 +307,7 @@ def read_feature_matrix(path):
     """Returns (sample_ids, labels array, names, value matrix); raises
     ``RecordParseError`` for a header not starting ``sample_id<TAB>label``, a row
     whose field count differs from the header's, a label other than ``0``/``1``,
-    or a value that is not a float."""
+    or a value that is not a finite float."""
     path = str(path)
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
@@ -325,9 +326,13 @@ def read_feature_matrix(path):
             if parts[1] not in ("0", "1"):
                 raise RecordParseError(path, lineno, f"label must be 0 or 1, got {parts[1]!r}")
             try:
-                rows.append([float(x) for x in parts[2:]])
+                row = [float(x) for x in parts[2:]]
             except ValueError as exc:
                 raise RecordParseError(path, lineno, str(exc)) from exc
+            for name, text, value in zip(names, parts[2:], row):
+                if not math.isfinite(value):
+                    raise RecordParseError(path, lineno, f"{name} is not finite: {text!r}")
+            rows.append(row)
             sample_ids.append(parts[0])
             labels.append(int(parts[1]))
     matrix = np.array(rows, dtype=float) if rows else np.zeros((0, len(names)))

@@ -16,21 +16,27 @@ Tasks 2 and 3 share one pair rule and differ only in the pool: for each
 (parent, child) pair the negatives are the pool accounts, other than the
 child, created strictly after the parent's ban and within the window of the
 child's creation; task 2 keeps at most ``cap`` of them. Windows are
-inclusive at both ends. Samples serialize one per line as
-``task<TAB>parent_id<TAB>other_id<TAB>label`` with the label spelled exactly
-``positive`` or ``negative``.
+inclusive at both ends. Each matcher sorts its pool once by the time its
+window is on and bisects that order per parent or pair, so its work grows
+with the samples it emits, not with pairs x pool.
+
+Samples serialize one per line as ``task<TAB>parent_id<TAB>other_id<TAB>label``
+with the label spelled exactly ``positive`` or ``negative``.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
+from itertools import islice
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .corpus import Account, Corpus, DAY_SECONDS, WEEK_SECONDS
 from .errors import (
     InvalidCapError,
+    InvalidConfigError,
     MissingBanTimeError,
     RecordParseError,
     TrueParentMissingError,
@@ -167,6 +173,25 @@ def _by_id_with_ban(accounts: Iterable[Account]) -> list[Account]:
     return accounts
 
 
+class _TimeIndex:
+    """``pool`` sorted once by one integer time, so a time range is found by
+    bisection instead of a scan of the whole pool."""
+
+    def __init__(self, pool: Sequence[Account], time: Callable[[Account], int]):
+        self.pool = pool
+        self.order = sorted(range(len(pool)), key=lambda i: time(pool[i]))
+        self.times = [time(pool[i]) for i in self.order]
+
+    def within(self, low, high, after=None) -> list[Account]:
+        """The accounts, in pool order, whose time is in ``[low, high]`` and,
+        given ``after``, above it. Bounds computed in floats may be rounded
+        outwards, so callers still apply their exact predicate."""
+        start = bisect_left(self.times, low)
+        if after is not None:
+            start = max(start, bisect_right(self.times, after))
+        return [self.pool[i] for i in sorted(self.order[start:bisect_right(self.times, high)])]
+
+
 def match_task1(
     parents: Sequence[Account],
     malicious_pool: Sequence[Account],
@@ -174,13 +199,14 @@ def match_task1(
 ) -> list[LabeledSample]:
     """One positive per parent plus pool accounts banned within the window."""
     malicious_pool = _by_id_with_ban(malicious_pool)
+    index = _TimeIndex(malicious_pool, lambda a: a.ban_time)
     samples = []
     for parent in _by_id_with_ban(parents):
         parent_id, ban = parent.account_id, parent.ban_time
         samples.append(LabeledSample(parent_id, parent_id, POSITIVE, TASK1))
         samples += [
             LabeledSample(parent_id, a.account_id, NEGATIVE, TASK1)
-            for a in malicious_pool
+            for a in index.within(ban - window_seconds, ban + window_seconds)
             if abs(a.ban_time - ban) <= window_seconds and a.account_id != parent_id
         ]
     return samples
@@ -197,6 +223,7 @@ def _match_pairs(
 ) -> list[LabeledSample]:
     """The task-2/3 pair rule of the module docstring over ``pool`` (sorted by
     id); with a ``cap``, more than ``cap`` matches are sampled down to ``cap``."""
+    index = _TimeIndex(pool, lambda a: a.creation_time)
     samples = []
     for pair in sorted(pairs, key=lambda p: (p.parent_id, p.child_id)):
         parent_id, child_id = pair.parent_id, pair.child_id
@@ -205,11 +232,12 @@ def _match_pairs(
         if ban is None:
             raise MissingBanTimeError(parent_id)
         samples.append(LabeledSample(parent_id, child_id, POSITIVE, task))
-        low, high = child_creation - window_seconds, child_creation + window_seconds
         matched = [
             a
-            for a in pool
-            if low <= a.creation_time <= high
+            for a in index.within(
+                child_creation - window_seconds, child_creation + window_seconds, after=ban
+            )
+            if abs(a.creation_time - child_creation) <= window_seconds
             and a.creation_time > ban
             and a.account_id != child_id
         ]
@@ -264,8 +292,15 @@ def build_candidate_sets(
     Candidates are restricted to parents banned strictly before the child's
     creation and ordered by (ban recency, id) for determinism.
     """
+    if max_candidates < 0:
+        raise InvalidConfigError("max_candidates", "must be >= 0")
     true_parent_of = {p.child_id: p.parent_id for p in truth}
     by_id = {a.account_id: a for a in banned_parents}
+    recent = sorted(
+        (a for a in banned_parents if a.ban_time is not None),
+        key=lambda a: (-a.ban_time, a.account_id),
+    )
+    negated_bans = [-a.ban_time for a in recent]
     sets = []
     for child in sorted(children, key=lambda a: a.account_id):
         true_parent_id = true_parent_of.get(child.account_id)
@@ -274,17 +309,15 @@ def build_candidate_sets(
         true_parent = by_id[true_parent_id]
         if true_parent.ban_time is None or true_parent.ban_time >= child.creation_time:
             raise TrueParentMissingError(child.account_id)
-        distractors = [
-            a
-            for a in banned_parents
-            if a.account_id != true_parent_id
-            and a.ban_time is not None
-            and a.ban_time < child.creation_time
-        ]
-        distractors.sort(key=lambda a: (-a.ban_time, a.account_id))
-        chosen = distractors[:max_candidates]
+        # ``recent`` from here on was banned strictly before the child's creation
+        first = bisect_right(negated_bans, -child.creation_time)
+        distractors = (
+            recent[i] for i in range(first, len(recent))
+            if recent[i].account_id != true_parent_id
+        )
         candidates = sorted(
-            chosen + [true_parent], key=lambda a: (-a.ban_time, a.account_id)
+            [*islice(distractors, max_candidates), true_parent],
+            key=lambda a: (-a.ban_time, a.account_id),
         )
         sets.append(
             CandidateSet(

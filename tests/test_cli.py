@@ -104,6 +104,15 @@ class TestUsageErrors:
         assert code == 1
         assert f"error: stage 'train' failed: {features}:3: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_train_on_non_finite_matrix_names_file_and_line(self, tmp_path, capsys, value):
+        features = tmp_path / "features.tsv"
+        features.write_text(f"sample_id\tlabel\tf1\ns1\t1\t0.5\ns2\t0\t{value}\n")
+        code = main(["train", "--features", str(features), "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: stage 'train' failed: {features}:3: f1 is not finite" in err
+
     def test_interrupt_in_stage_propagates(self, tmp_path, monkeypatch):
         def interrupted(config):
             raise KeyboardInterrupt

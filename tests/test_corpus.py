@@ -3,8 +3,14 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from banevasion.corpus import (
+    Account,
+    Corpus,
+    Revision,
+    SockpuppetRecord,
     SynthConfig,
     config_from_mapping,
     generate_synthetic,
@@ -125,7 +131,160 @@ class TestLoadCorpus:
             load_corpus(*paths)
 
 
+GOOD_ACCOUNTS = [
+    {"account_id": "1", "username": "u1", "creation_time": 0, "ban_time": None},
+    {"account_id": "2", "username": "u2", "creation_time": 5, "ban_time": 9},
+]
+NEW_ACCOUNT = {"account_id": "3", "username": "u3", "creation_time": 5, "ban_time": 9}
+GOOD_REVISION = {"account_id": "2", "page_id": "p", "timestamp": 6,
+                 "added_text": "x", "deleted_text": "", "comment": ""}
+GOOD_RECORD = {"member_ids": ["1", "2"]}
+
+
+def with_changes(obj, **changes):
+    """``obj`` with ``changes`` applied; a value of ``...`` deletes the key."""
+    out = {**obj, **changes}
+    return {k: v for k, v in out.items() if v is not ...}
+
+
+# (file, line appended after one good line, error type, message fragment)
+CORRUPTIONS = {
+    "account_bad_json": ("a", "{nope", RecordParseError, "bad JSON"),
+    "account_not_object": ("a", [1, 2], RecordParseError, "expected a JSON object"),
+    "account_missing_username": ("a", with_changes(NEW_ACCOUNT, username=...),
+                                 RecordParseError, "missing field 'username'"),
+    "account_id_null": ("a", with_changes(NEW_ACCOUNT, account_id=None),
+                        RecordParseError, "field 'account_id' must be a string"),
+    "account_id_int": ("a", with_changes(NEW_ACCOUNT, account_id=3),
+                       RecordParseError, "field 'account_id' must be a string"),
+    "username_null": ("a", with_changes(NEW_ACCOUNT, username=None),
+                      RecordParseError, "field 'username' must be a string"),
+    "username_list": ("a", with_changes(NEW_ACCOUNT, username=["u"]),
+                      RecordParseError, "field 'username' must be a string"),
+    "creation_string": ("a", with_changes(NEW_ACCOUNT, creation_time="5"),
+                        RecordParseError, "field 'creation_time' must be an integer"),
+    "creation_bool": ("a", with_changes(NEW_ACCOUNT, creation_time=True),
+                      RecordParseError, "field 'creation_time' must be an integer"),
+    "ban_float": ("a", with_changes(NEW_ACCOUNT, ban_time=9.0),
+                  RecordParseError, "field 'ban_time' must be an integer"),
+    "ban_at_creation": ("a", with_changes(NEW_ACCOUNT, ban_time=5),
+                        RecordParseError, "ban_time must be after creation_time"),
+    "duplicate_id": ("a", with_changes(NEW_ACCOUNT, account_id="1"),
+                     DuplicateIdError, "duplicate account id '1'"),
+    "revision_owner_null": ("r", with_changes(GOOD_REVISION, account_id=None),
+                            RecordParseError, "field 'account_id' must be a string"),
+    "revision_missing_page": ("r", with_changes(GOOD_REVISION, page_id=...),
+                              RecordParseError, "missing field 'page_id'"),
+    "page_id_int": ("r", with_changes(GOOD_REVISION, page_id=3),
+                    RecordParseError, "field 'page_id' must be a string"),
+    "timestamp_string": ("r", with_changes(GOOD_REVISION, timestamp="6"),
+                         RecordParseError, "field 'timestamp' must be an integer"),
+    "added_text_null": ("r", with_changes(GOOD_REVISION, added_text=None),
+                        RecordParseError, "field 'added_text' must be a string"),
+    "deleted_text_int": ("r", with_changes(GOOD_REVISION, deleted_text=1),
+                         RecordParseError, "field 'deleted_text' must be a string"),
+    "comment_bool": ("r", with_changes(GOOD_REVISION, comment=False),
+                     RecordParseError, "field 'comment' must be a string"),
+    "revision_owner_unknown": ("r", with_changes(GOOD_REVISION, account_id="X"),
+                               ReferentialIntegrityError, "unknown account id 'X' (revision owner)"),
+    "revision_before_creation": ("r", with_changes(GOOD_REVISION, timestamp=4),
+                                 RecordParseError, "predates creation of '2'"),
+    "record_missing_members": ("s", {"members": ["1", "2"]},
+                               RecordParseError, "missing field 'member_ids'"),
+    "members_not_array": ("s", {"member_ids": "12"}, RecordParseError, "member_ids must be an array"),
+    "member_int": ("s", {"member_ids": ["1", 2]}, RecordParseError, "member id 2 must be a string"),
+    "member_null": ("s", {"member_ids": ["1", None]},
+                    RecordParseError, "member id None must be a string"),
+    "member_unknown": ("s", {"member_ids": ["1", "nope"]},
+                       ReferentialIntegrityError, "unknown account id 'nope' (record member)"),
+    "record_one_member": ("s", {"member_ids": ["1", "1"]},
+                          RecordParseError, "sockpuppet record needs at least 2 members"),
+}
+
+
+class TestCorruption:
+    @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+    def test_rejected_at_file_and_line(self, tmp_path, name):
+        which, bad, error, fragment = CORRUPTIONS[name]
+        a, r, s = corpus_paths(tmp_path, GOOD_ACCOUNTS, [GOOD_REVISION], [GOOD_RECORD])
+        path = {"a": a, "r": r, "s": s}[which]
+        bad_line = bad if isinstance(bad, str) else json.dumps(bad)
+        # a blank line before the bad one: line numbers count every line
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("\n" + bad_line + "\n")
+        line = len(path.read_text(encoding="utf-8").splitlines())
+        with pytest.raises(error) as err:
+            load_corpus(a, r, s)
+        assert (err.value.path, err.value.line_number) == (str(path), line)
+        assert str(err.value).startswith(f"{path}:{line}: ")
+        assert fragment in str(err.value)
+
+    @pytest.mark.parametrize("key", ["parent_id", "child_id"])
+    def test_pairs_reject_non_string_ids(self, tmp_path, key):
+        path = tmp_path / "pairs.jsonl"
+        write_lines(path, [{"parent_id": "p", "child_id": "c"}, {"parent_id": "p", "child_id": "c", key: 1}])
+        with pytest.raises(RecordParseError) as err:
+            load_pairs(path)
+        assert (err.value.line_number, err.value.reason) == (2, f"field {key!r} must be a string")
+
+
+# Text that JSON must escape or that a careless reader would split on.
+AWKWARD_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from('"\\\t\n\r \x00\x85\u2028\u2029{}[]:,\ufeff'),
+        st.characters(codec="utf-8"),
+    ),
+    max_size=10,
+)
+
+
+@st.composite
+def corpora(draw):
+    ids = draw(st.lists(AWKWARD_TEXT, max_size=6, unique=True))
+    accounts = []
+    for account_id in ids:
+        creation = draw(st.integers(-(10**12), 10**12))
+        ban = draw(st.none() | st.integers(creation + 1, creation + 10**6))
+        accounts.append(Account(account_id, draw(AWKWARD_TEXT), creation, ban))
+    revisions, records = [], []
+    if accounts:
+        for _ in range(draw(st.integers(0, 8))):
+            owner = draw(st.sampled_from(accounts))
+            revisions.append(Revision(
+                owner.account_id,
+                draw(AWKWARD_TEXT),
+                draw(st.integers(owner.creation_time, owner.creation_time + 100)),
+                draw(AWKWARD_TEXT),
+                draw(AWKWARD_TEXT),
+                draw(AWKWARD_TEXT),
+            ))
+    if len(ids) >= 2:
+        for _ in range(draw(st.integers(0, 3))):
+            records.append(SockpuppetRecord(frozenset(draw(st.lists(
+                st.sampled_from(ids), min_size=2, max_size=4, unique=True
+            )))))
+    return Corpus(tuple(accounts), tuple(revisions), tuple(records))
+
+
+@pytest.fixture(scope="module")
+def round_trip_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("round_trip")
+
+
 class TestRoundTrip:
+    @settings(max_examples=100, deadline=None)
+    @given(corpus=corpora())
+    def test_save_load_save_is_identity(self, round_trip_dir, corpus):
+        out = round_trip_dir
+        first = [out / n for n in ("a.jsonl", "r.jsonl", "s.jsonl")]
+        second = [out / n for n in ("a2.jsonl", "r2.jsonl", "s2.jsonl")]
+        save_corpus(corpus, *first)
+        reloaded = load_corpus(*first)
+        assert reloaded == corpus
+        save_corpus(reloaded, *second)
+        for one, two in zip(first, second):
+            assert one.read_bytes() == two.read_bytes()
+
     def test_save_load_identity(self, tmp_path):
         corpus = corpus_of(
             [account("b", 5, 50), account("a", 0), account("c", 7, 70)],

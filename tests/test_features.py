@@ -302,6 +302,15 @@ class TestMatrixSerialization:
         assert (exc.value.path, exc.value.line_number) == (str(path), line)
         assert fragment in exc.value.reason
 
+    @pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "Infinity", "1e999"])
+    def test_non_finite_value_names_line(self, tmp_path, value):
+        path = tmp_path / "features.tsv"
+        path.write_text(f"sample_id\tlabel\tf1\tf2\ns1\t1\t0.5\t0.5\ns2\t0\t0.5\t{value}\n")
+        with pytest.raises(RecordParseError) as exc:
+            read_feature_matrix(path)
+        assert (exc.value.path, exc.value.line_number) == (str(path), 3)
+        assert f"f2 is not finite: {value!r}" in exc.value.reason
+
     def test_feature_vector_validation(self):
         with pytest.raises(ValueError):
             FeatureVector(("a", "a"), np.array([1.0, 2.0]))

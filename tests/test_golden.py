@@ -1,0 +1,65 @@
+"""Byte pins for the corpus writer and reader, the three matchers and the
+candidate sets.
+
+A 200-group seed-7 corpus goes through generate -> save_corpus -> load_corpus
+-> match 1/2/3 (task 2 also with a binding cap) -> build_candidate_sets, and
+the SHA-256 of every file written must equal the constants below. They were
+recorded from the scan-based matchers and the list-building reader that the
+sorted indexes and the streaming reader replaced, so any changed output byte
+fails here.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+from banevasion.corpus import SynthConfig, generate_synthetic, load_corpus, save_corpus, save_pairs
+from banevasion.matching import TASKS, build_candidate_sets, write_samples
+from banevasion.pairing import extract_evasion_pairs, first_pair_per_group, merge_groups
+
+GOLDEN_SHA256 = {
+    "accounts.jsonl": "4eb76dfd997974c38a86a6df2b2a87397898b055935d07dabc1e953abda1e48e",
+    "candidates.tsv": "53fd82c8b2d5a017068a85f4de567b4f714e3a52d9fde77084074207b496ded2",
+    "pairs.jsonl": "6e536a738a466abdcdd389a09d9750c31e26d11b1c65d07ad9b6d6fba36c7def",
+    "records.jsonl": "a29f6df8429888ab54fc441093ec59b3aa8e124aadcdacc57928e7bf8e03e399",
+    "revisions.jsonl": "ec1f34413aaa25f81c27112b3f20acb93d7b6ba70856d3c46355253a4a6b79e3",
+    "task1.tsv": "add02d376949d27d674068585509a5466d1fc031c098d0274d281420e5bf8863",
+    "task2.tsv": "5278c1245d3775d42e731e8870724db98ae30e21e0aa82d545d212dc3e87997b",
+    "task2_cap3.tsv": "9dc3076a88e2267f6598eceed722ed77dbef2c36e4b5758b847fd2008a19fa34",
+    "task3.tsv": "a7898a29cf745586ebc098725a8a435df629e96079e1b4d1300a75cb8f773b9c",
+}
+
+
+def write_stage_outputs(out):
+    synth = generate_synthetic(
+        SynthConfig(n_groups=200, n_benign=2000, n_nonevading_malicious=1000, seed=7)
+    )
+    paths = [out / name for name in ("accounts.jsonl", "revisions.jsonl", "records.jsonl")]
+    save_corpus(synth.corpus, *paths)
+    corpus = load_corpus(*paths)
+    assert corpus == synth.corpus
+
+    groups = merge_groups(corpus.sockpuppet_records, corpus)
+    pairs = first_pair_per_group(extract_evasion_pairs(groups, corpus), corpus)
+    save_pairs(pairs, out / "pairs.jsonl")
+    for number, task in TASKS.items():
+        samples = task.match(corpus, groups, pairs, task.window_seconds, seed=7)
+        write_samples(samples, out / f"task{number}.tsv")
+    task2 = TASKS["2"]
+    capped = task2.match(corpus, groups, pairs, 3 * task2.window_seconds, cap=3, seed=7)
+    write_samples(capped, out / "task2_cap3.tsv")
+
+    children = [corpus.account(p.child_id) for p in pairs]
+    parents = [corpus.account(p.parent_id) for p in pairs]
+    with open(out / "candidates.tsv", "w", encoding="utf-8") as fh:
+        for cs in build_candidate_sets(children, parents, pairs, max_candidates=10):
+            fh.write("\t".join((cs.child_id, cs.true_parent_id, *cs.candidate_parent_ids)) + "\n")
+
+
+def digests(out):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+
+def test_stage_outputs_match_recorded_bytes(tmp_path):
+    write_stage_outputs(tmp_path)
+    assert digests(tmp_path) == GOLDEN_SHA256

@@ -7,6 +7,7 @@ import pytest
 from banevasion.corpus import DAY_SECONDS, WEEK_SECONDS
 from banevasion.errors import (
     InvalidCapError,
+    InvalidConfigError,
     MissingBanTimeError,
     RecordParseError,
     TrueParentMissingError,
@@ -267,14 +268,16 @@ def reference_task3(pairs, malicious_pool, corpus, window_seconds):
     return samples
 
 
-def random_matching_case(rng: random.Random):
-    """A corpus, pairs and pools with timestamps in 0..20, so ties, window
-    edges and ``creation == parent ban`` are frequent; children and parents
-    may sit in the pools."""
+def random_matching_case(
+    rng: random.Random, base=0, max_time=20, max_life=8, windows=(0, 1, 2, 3, 5, 8, 13)
+):
+    """A corpus, pairs and pools with creation times in base..base+max_time
+    and bans 1..max_life later, so ties, window edges and ``creation ==
+    parent ban`` are frequent; children and parents may sit in the pools."""
     accounts, revisions = [], []
     for i in range(rng.randint(3, 20)):
-        creation = rng.randint(0, 20)
-        ban = creation + rng.randint(1, 8) if rng.random() < 0.5 else None
+        creation = base + rng.randint(0, max_time)
+        ban = creation + rng.randint(1, max_life) if rng.random() < 0.5 else None
         accounts.append(account(f"a{i:02d}", creation, ban=ban))
         if ban is None and rng.random() < 0.8:
             revisions.append(revision(f"a{i:02d}", "pg", creation + 1, added="x"))
@@ -292,7 +295,7 @@ def random_matching_case(rng: random.Random):
     malicious_pool = [a for a in banned if rng.random() < 0.7]
     benign_pool = [a for a in benign if rng.random() < 0.8]
     parents = [a for a in banned if rng.random() < 0.5]
-    window = rng.choice([0, 1, 2, 3, 5, 8, 13])
+    window = rng.choice(windows)
     return corpus, pairs, parents, malicious_pool, benign_pool, window
 
 
@@ -302,6 +305,7 @@ def as_tuples(samples):
 
 class TestBruteForceOracle:
     CASES = 1200
+    MIN_CAPPED = CASES // 2
 
     def cases(self):
         for i in range(self.CASES):
@@ -322,12 +326,112 @@ class TestBruteForceOracle:
                     assert got == reference_task2(pairs, pool, corpus, window, cap, seed)
                     capped += got != uncapped
         # the cap must bind often enough for the sampling path to be compared
-        assert capped > self.CASES // 2
+        assert capped > self.MIN_CAPPED, capped
 
     def test_task3_equals_reference(self):
         for corpus, pairs, _, pool, _, window in self.cases():
             got = as_tuples(match_task3(pairs, pool, corpus, window))
             assert got == reference_task3(pairs, pool, corpus, window)
+
+
+class TestBruteForceOracleFloatWindows(TestBruteForceOracle):
+    """The same comparisons with float windows, whose bounds round, at epoch
+    times, over pools where most creation and ban times tie. Exact ties leave
+    fewer matches for the task-2 cap to bind on, hence more cases."""
+
+    CASES = 2000
+    MIN_CAPPED = CASES // 4
+
+    def cases(self):
+        for i in range(self.CASES):
+            yield random_matching_case(
+                random.Random(f"matching-oracle-float:{i}"),
+                base=1_600_000_000,
+                max_time=5,
+                max_life=1,
+                windows=(0.5, 2.5, 1e-9, 1 - 1e-10),
+            )
+
+
+# The loop ``build_candidate_sets`` was first written as, kept as the reference.
+
+
+def reference_candidate_sets(children, banned_parents, truth, max_candidates):
+    true_parent_of = {p.child_id: p.parent_id for p in truth}
+    by_id = {a.account_id: a for a in banned_parents}
+    sets = []
+    for child in sorted(children, key=lambda a: a.account_id):
+        true_parent_id = true_parent_of.get(child.account_id)
+        if true_parent_id is None or true_parent_id not in by_id:
+            raise TrueParentMissingError(child.account_id)
+        true_parent = by_id[true_parent_id]
+        if true_parent.ban_time is None or true_parent.ban_time >= child.creation_time:
+            raise TrueParentMissingError(child.account_id)
+        distractors = [
+            a
+            for a in banned_parents
+            if a.account_id != true_parent_id
+            and a.ban_time is not None
+            and a.ban_time < child.creation_time
+        ]
+        distractors.sort(key=lambda a: (-a.ban_time, a.account_id))
+        chosen = distractors[:max_candidates]
+        candidates = sorted(chosen + [true_parent], key=lambda a: (-a.ban_time, a.account_id))
+        sets.append((child.account_id, tuple(a.account_id for a in candidates), true_parent_id))
+    return sets
+
+
+def random_candidate_case(rng: random.Random):
+    """Parents (some never banned, some listed twice) and children with times
+    in 0..12, so tied bans and ``ban == child creation`` are frequent; most
+    children get a true parent banned before their creation."""
+    parents = []
+    for i in range(rng.randint(1, 15)):
+        ban = rng.randint(1, 10) if rng.random() < 0.9 else None
+        parents.append(account(f"p{i:02d}", 0, ban=ban))
+    parents += [p for p in parents if rng.random() < 0.1]
+    rng.shuffle(parents)
+    children, truth = [], []
+    for i in range(rng.randint(1, 4)):
+        child = account(f"c{i:02d}", rng.randint(1, 12))
+        children.append(child)
+        earlier = [p for p in parents if p.ban_time is not None and p.ban_time < child.creation_time]
+        if earlier and rng.random() < 0.97:
+            truth.append(EvasionPair(rng.choice(earlier).account_id, child.account_id, 0))
+        elif rng.random() < 0.5:
+            truth.append(EvasionPair(rng.choice(parents).account_id, child.account_id, 0))
+    return children, parents, truth
+
+
+class TestCandidateSetsOracle:
+    CASES = 1500
+
+    def test_equals_reference(self):
+        compared = raised = 0
+        for i in range(self.CASES):
+            children, parents, truth = random_candidate_case(random.Random(f"candidates:{i}"))
+            distinct = len({p.account_id for p in parents})
+            for max_candidates in (0, 1, 3, distinct + 1):
+                try:
+                    want = reference_candidate_sets(children, parents, truth, max_candidates)
+                except TrueParentMissingError as exc:
+                    with pytest.raises(TrueParentMissingError) as got:
+                        build_candidate_sets(children, parents, truth, max_candidates)
+                    assert got.value.child_id == exc.child_id
+                    raised += 1
+                    continue
+                got = build_candidate_sets(children, parents, truth, max_candidates)
+                assert [
+                    (cs.child_id, cs.candidate_parent_ids, cs.true_parent_id) for cs in got
+                ] == want
+                compared += 1
+        # both paths must be exercised often
+        assert compared > 2 * self.CASES and raised > self.CASES // 10, (compared, raised)
+
+    def test_negative_max_candidates_rejected(self):
+        child = account("c", 10)
+        with pytest.raises(InvalidConfigError):
+            build_candidate_sets([child], [account("p", 0, ban=5)], [EvasionPair("p", "c", 0)], -1)
 
 
 class TestCandidateSets:
