@@ -10,19 +10,26 @@ File formats (UTF-8, one JSON object per line):
 * pairs file:     {"parent_id", "child_id", "group_id"?}
 
 Ids and texts are JSON strings and times JSON integers; the reader coerces
-nothing. Timestamps are integer epoch seconds UTC throughout. Loaded corpora are
-immutable and iterate in a canonical order (accounts by id, revisions by
-(account_id, timestamp, page_id), records by sorted member tuple), so a
-save/load round trip is byte identical.
+nothing. ``load_corpus`` only parses, so a malformed line fails at its
+``file:line``; ``Corpus`` alone checks the six corpus rules (unique ids, ban after
+creation, known revision owner, no revision before creation, at least 2 distinct
+record members, known members), once each, in input order, naming the record's
+``file:line`` when it was read. Timestamps are integer epoch seconds UTC
+throughout. Loaded corpora are immutable and iterate in a canonical order
+(accounts by id, revisions by (account_id, timestamp, page_id), records by
+sorted member tuple), so a save/load round trip is byte identical.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, fields
+from array import array
+from dataclasses import InitVar, dataclass, field, fields
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import (
     DuplicateIdError,
@@ -84,56 +91,60 @@ class Corpus:
     revisions_by_account: dict[str, tuple[Revision, ...]] = field(
         init=False, repr=False, compare=False
     )
+    # Where the accounts, revisions and records were read: one (path, line
+    # numbers) pair each, so an error names its file and line.
+    _origin: InitVar[tuple[tuple[str, Sequence[int]], ...] | None] = None
 
-    def __post_init__(self):
-        accounts = tuple(sorted(self.accounts, key=lambda a: a.account_id))
+    def __post_init__(self, _origin):
+        def at(part: int, index: int) -> tuple[str | None, int | None]:
+            if _origin is None:
+                return None, None
+            path, lines = _origin[part]
+            return path, lines[index]
+
+        # Each rule is checked here only, in input order.
+        by_id: dict[str, Account] = {}
+        for i, acct in enumerate(self.accounts):
+            if acct.account_id in by_id:
+                raise DuplicateIdError(acct.account_id, *at(0, i))
+            if acct.ban_time is not None and acct.ban_time <= acct.creation_time:
+                raise RecordParseError(
+                    *at(0, i),
+                    f"account {acct.account_id!r}: ban_time must be after creation_time",
+                )
+            by_id[acct.account_id] = acct
+
+        for i, rev in enumerate(self.revisions):
+            owner = by_id.get(rev.account_id)
+            if owner is None:
+                raise ReferentialIntegrityError(rev.account_id, "revision owner", *at(1, i))
+            if rev.timestamp < owner.creation_time:
+                raise RecordParseError(
+                    *at(1, i),
+                    f"revision on {rev.page_id!r} predates creation of {rev.account_id!r}",
+                )
+
+        for i, rec in enumerate(self.sockpuppet_records):
+            if len(rec.member_ids) < 2:
+                raise RecordParseError(*at(2, i), "sockpuppet record needs at least 2 members")
+            for member in sorted(rec.member_ids):
+                if member not in by_id:
+                    raise ReferentialIntegrityError(member, "record member", *at(2, i))
+
+        by_id = dict(sorted(by_id.items()))
         revisions = tuple(
             sorted(self.revisions, key=lambda r: (r.account_id, r.timestamp, r.page_id))
         )
         records = tuple(
             sorted(self.sockpuppet_records, key=lambda r: tuple(sorted(r.member_ids)))
         )
-        object.__setattr__(self, "accounts", accounts)
+        by_owner = groupby(revisions, attrgetter("account_id"))
+        object.__setattr__(self, "accounts", tuple(by_id.values()))
         object.__setattr__(self, "revisions", revisions)
         object.__setattr__(self, "sockpuppet_records", records)
-
-        by_id: dict[str, Account] = {}
-        for acct in accounts:
-            if acct.account_id in by_id:
-                raise DuplicateIdError(acct.account_id)
-            if acct.ban_time is not None and acct.ban_time <= acct.creation_time:
-                raise RecordParseError(
-                    "<corpus>", 0,
-                    f"account {acct.account_id!r}: ban_time must be after creation_time",
-                )
-            by_id[acct.account_id] = acct
-
-        revs_by_acct: dict[str, list[Revision]] = {}
-        for rev in revisions:
-            owner = by_id.get(rev.account_id)
-            if owner is None:
-                raise ReferentialIntegrityError(rev.account_id, "revision owner")
-            if rev.timestamp < owner.creation_time:
-                raise RecordParseError(
-                    "<corpus>", 0,
-                    f"revision on {rev.page_id!r} predates creation of {rev.account_id!r}",
-                )
-            revs_by_acct.setdefault(rev.account_id, []).append(rev)
-
-        for rec in records:
-            if len(rec.member_ids) < 2:
-                raise RecordParseError(
-                    "<corpus>", 0, "sockpuppet record needs at least 2 members"
-                )
-            for member in rec.member_ids:
-                if member not in by_id:
-                    raise ReferentialIntegrityError(member, "record member")
-
         object.__setattr__(self, "accounts_by_id", by_id)
         object.__setattr__(
-            self,
-            "revisions_by_account",
-            {k: tuple(v) for k, v in revs_by_acct.items()},
+            self, "revisions_by_account", {k: tuple(v) for k, v in by_owner}
         )
 
     def account(self, account_id: str) -> Account:
@@ -196,65 +207,50 @@ def load_corpus(
     revisions_path: str | Path,
     records_path: str | Path,
 ) -> Corpus:
-    """Load and validate a corpus from the three line-delimited files.
+    """Load a corpus from the three line-delimited files.
 
-    Each line is checked and turned into its record as it is read, so every
-    error names the file and line it comes from: bad JSON, a missing field,
-    an id, name or text that is not a string, a time that is not an integer,
-    a duplicate account id, a ban not after creation, a revision by an unknown
-    account or before its creation, and a record member that is unknown or
-    that leaves fewer than 2 distinct members.
+    Each line is parsed into its record as it is read, so a parse error names
+    the file and line it comes from: bad JSON, a missing field, an id, name,
+    text or member id that is not a string, a time that is not an integer.
+    ``Corpus`` then checks the corpus rules, given the line of each record.
     """
-    by_id: dict[str, Account] = {}
+    accounts, account_lines = [], array("I")
     for p, lineno, obj in _read_jsonl(accounts_path):
-        account_id = _field(obj, "account_id", str, p, lineno)
-        if account_id in by_id:
-            raise DuplicateIdError(account_id, p, lineno)
-        username = _field(obj, "username", str, p, lineno)
-        creation = _field(obj, "creation_time", int, p, lineno)
-        ban = _field(obj, "ban_time", int, p, lineno, None)
-        if ban is not None and ban <= creation:
-            raise RecordParseError(p, lineno, "ban_time must be after creation_time")
-        by_id[account_id] = Account(account_id, username, creation, ban)
+        accounts.append(Account(
+            _field(obj, "account_id", str, p, lineno),
+            _field(obj, "username", str, p, lineno),
+            _field(obj, "creation_time", int, p, lineno),
+            _field(obj, "ban_time", int, p, lineno, None),
+        ))
+        account_lines.append(lineno)
 
-    revisions = []
+    revisions, revision_lines = [], array("I")
     for p, lineno, obj in _read_jsonl(revisions_path):
-        account_id = _field(obj, "account_id", str, p, lineno)
-        page_id = _field(obj, "page_id", str, p, lineno)
-        timestamp = _field(obj, "timestamp", int, p, lineno)
-        owner = by_id.get(account_id)
-        if owner is None:
-            raise ReferentialIntegrityError(account_id, "revision owner", p, lineno)
-        if timestamp < owner.creation_time:
-            raise RecordParseError(
-                p, lineno, f"revision on {page_id!r} predates creation of {account_id!r}"
-            )
-        revisions.append(
-            Revision(
-                account_id,
-                page_id,
-                timestamp,
-                _field(obj, "added_text", str, p, lineno, ""),
-                _field(obj, "deleted_text", str, p, lineno, ""),
-                _field(obj, "comment", str, p, lineno, ""),
-            )
-        )
+        revisions.append(Revision(
+            _field(obj, "account_id", str, p, lineno),
+            _field(obj, "page_id", str, p, lineno),
+            _field(obj, "timestamp", int, p, lineno),
+            _field(obj, "added_text", str, p, lineno, ""),
+            _field(obj, "deleted_text", str, p, lineno, ""),
+            _field(obj, "comment", str, p, lineno, ""),
+        ))
+        revision_lines.append(lineno)
 
-    records = []
+    records, record_lines = [], array("I")
     for p, lineno, obj in _read_jsonl(records_path):
         member_ids = _field(obj, "member_ids", list, p, lineno)
         for member in member_ids:
             if type(member) is not str:
                 raise RecordParseError(p, lineno, f"member id {member!r} must be a string")
-        members = frozenset(member_ids)
-        if len(members) < 2:
-            raise RecordParseError(p, lineno, "sockpuppet record needs at least 2 members")
-        for member in sorted(members):
-            if member not in by_id:
-                raise ReferentialIntegrityError(member, "record member", p, lineno)
-        records.append(SockpuppetRecord(members))
+        records.append(SockpuppetRecord(frozenset(member_ids)))
+        record_lines.append(lineno)
 
-    return Corpus(tuple(by_id.values()), tuple(revisions), tuple(records))
+    origin = (
+        (str(accounts_path), account_lines),
+        (str(revisions_path), revision_lines),
+        (str(records_path), record_lines),
+    )
+    return Corpus(tuple(accounts), tuple(revisions), tuple(records), origin)
 
 
 def save_corpus(

@@ -11,11 +11,13 @@ class BanEvasionError(Exception):
 
 
 class RecordParseError(BanEvasionError):
-    def __init__(self, path: str, line_number: int, reason: str):
+    """A malformed record; ``path``/``line_number`` locate it when it was read."""
+
+    def __init__(self, path: str | None, line_number: int | None, reason: str):
         self.path = path
         self.line_number = line_number
         self.reason = reason
-        super().__init__(f"{path}:{line_number}: {reason}")
+        super().__init__(_located(reason, path, line_number))
 
 
 def _located(msg: str, path: str | None, line_number: int | None) -> str:
@@ -103,12 +105,14 @@ class DimensionMismatchError(BanEvasionError):
     pass
 
 
-class LexiconParseError(BanEvasionError):
-    def __init__(self, path: str, line_number: int, reason: str):
-        self.path = path
-        self.line_number = line_number
-        self.reason = reason
-        super().__init__(f"{path}:{line_number}: {reason}")
+class LexiconParseError(RecordParseError):
+    """A malformed lexicon, sentiment or vectors line, or lexicon entry."""
+
+
+class MissingVectorError(BanEvasionError, KeyError):
+    """A text with no precomputed vector; a lookup miss, so a ``KeyError`` too."""
+
+    __str__ = Exception.__str__  # KeyError's would quote the message
 
 
 # features -------------------------------------------------------------

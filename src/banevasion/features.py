@@ -125,7 +125,7 @@ class AccountDigest:
     def embedding(self) -> np.ndarray:
         if not self.texts:
             return np.zeros(self.provider.dimension)
-        return embed(self.texts, self.provider).values
+        return embed(self.texts, self.provider)
 
 
 def account_digest(

@@ -26,6 +26,7 @@ from .errors import (
     DimensionMismatchError,
     EmptyInputError,
     LexiconParseError,
+    MissingVectorError,
 )
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -80,14 +81,7 @@ class Lexicon:
         prefixes: list[tuple[str, str]] = []
         for category, entries in self.categories.items():
             for entry in entries:
-                if entry != entry.lower():
-                    raise LexiconParseError(
-                        "<lexicon>", 0, f"entry {entry!r} must be lowercase"
-                    )
-                if "*" in entry[:-1] or entry == "*":
-                    raise LexiconParseError(
-                        "<lexicon>", 0, f"wildcard only allowed in final position: {entry!r}"
-                    )
+                _check_entry(entry, None, None)
                 if entry.endswith("*"):
                     prefixes.append((entry[:-1], category))
                 else:
@@ -103,6 +97,16 @@ class Lexicon:
             if token.startswith(prefix):
                 cats.add(category)
         return cats
+
+
+def _check_entry(entry: str, path: str | None, lineno: int | None) -> None:
+    """The lexicon entry rules, for ``Lexicon`` and for the file parser."""
+    if entry != entry.lower():
+        raise LexiconParseError(path, lineno, f"entry {entry!r} must be lowercase")
+    if "*" in entry[:-1] or entry == "*":
+        raise LexiconParseError(
+            path, lineno, f"wildcard only allowed in final position: {entry!r}"
+        )
 
 
 def liwc_profile(tokens: Sequence[str], lexicon: Lexicon) -> dict[str, float]:
@@ -130,14 +134,7 @@ def profile_abs_diff(p: dict[str, float], q: dict[str, float]) -> float:
 # embeddings
 
 
-@dataclass(frozen=True)
-class EmbeddingVector:
-    values: np.ndarray
-    provider_id: str
-
-
 class EmbeddingProvider(Protocol):
-    provider_id: str
     dimension: int
 
     def embed_text(self, text: str) -> np.ndarray: ...
@@ -155,7 +152,6 @@ class HashedTrigramProvider:
     """Deterministic bag of hashed character trigrams, fixed dimension."""
 
     def __init__(self, dimension: int = 256):
-        self.provider_id = f"hashed-trigram-{dimension}"
         self.dimension = dimension
 
     def embed_text(self, text: str) -> np.ndarray:
@@ -175,7 +171,7 @@ class ExternalVectorProvider:
     """Looks up precomputed vectors by text hash from a tab-separated file."""
 
     def __init__(self, path: str | Path):
-        self.provider_id = f"external:{Path(path).name}"
+        self._path = str(path)
         self._vectors: dict[str, np.ndarray] = {}
         dimension = None
         with open(path, encoding="utf-8") as fh:
@@ -204,24 +200,24 @@ class ExternalVectorProvider:
     def embed_text(self, text: str) -> np.ndarray:
         key = text_hash(text)
         if key not in self._vectors:
-            raise KeyError(f"no precomputed vector for text hash {key}")
+            raise MissingVectorError(f"{self._path}: no precomputed vector for text hash {key}")
         return self._vectors[key]
 
 
-def embed(texts: Sequence[str], provider: EmbeddingProvider) -> EmbeddingVector:
+def embed(texts: Sequence[str], provider: EmbeddingProvider) -> np.ndarray:
     """Mean of per-text vectors from the provider."""
     if not texts:
         raise EmptyInputError("embed() needs at least one text")
     total = np.zeros(provider.dimension)
     for text in texts:
         total += provider.embed_text(text)
-    return EmbeddingVector(total / len(texts), provider.provider_id)
+    return total / len(texts)
 
 
 def cosine(u, v) -> float:
     """Cosine similarity; 0 when either vector has zero norm."""
-    u = np.asarray(u.values if isinstance(u, EmbeddingVector) else u, dtype=float)
-    v = np.asarray(v.values if isinstance(v, EmbeddingVector) else v, dtype=float)
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
     if u.shape != v.shape:
         raise DimensionMismatchError(f"{u.shape} vs {v.shape}")
     nu = math.sqrt(float(u @ u))
@@ -241,10 +237,13 @@ class SentimentLexicon:
 
     def __post_init__(self):
         for token, valence in self.valences.items():
-            if not math.isfinite(valence) or not -1.0 <= valence <= 1.0:
-                raise LexiconParseError(
-                    "<sentiment>", 0, f"valence for {token!r} outside [-1, 1]"
-                )
+            _check_valence(token, valence, None, None)
+
+
+def _check_valence(token: str, valence: float, path: str | None, lineno: int | None) -> None:
+    """The valence rule, for ``SentimentLexicon`` and for the file parser."""
+    if not math.isfinite(valence) or not -1.0 <= valence <= 1.0:
+        raise LexiconParseError(path, lineno, f"valence for {token!r} outside [-1, 1]")
 
 
 def sentiment(tokens: Sequence[str], lex: SentimentLexicon) -> float:
@@ -260,9 +259,7 @@ def sentiment(tokens: Sequence[str], lex: SentimentLexicon) -> float:
 
 
 def load_lexicon(path: str | Path) -> Lexicon:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    return _parse_lexicon(lines, str(path))
+    return _parse_lexicon(Path(path).read_text(encoding="utf-8").splitlines(), str(path))
 
 
 def _parse_lexicon(lines: list[str], path: str) -> Lexicon:
@@ -299,6 +296,7 @@ def _parse_lexicon(lines: list[str], path: str) -> Lexicon:
             if len(parts) < 2:
                 raise LexiconParseError(path, lineno, "entry line must be token<TAB>ids")
             token = parts[0]
+            _check_entry(token, path, lineno)
             for cat_id in " ".join(parts[1:]).split():
                 if cat_id not in id_to_name:
                     raise LexiconParseError(path, lineno, f"unknown category id {cat_id!r}")
@@ -325,19 +323,24 @@ def save_lexicon(lexicon: Lexicon, path: str | Path) -> None:
 
 
 def load_sentiment_lexicon(path: str | Path) -> SentimentLexicon:
+    return _parse_sentiment(Path(path).read_text(encoding="utf-8").splitlines(), str(path))
+
+
+def _parse_sentiment(lines: list[str], path: str) -> SentimentLexicon:
     valences: dict[str, float] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise LexiconParseError(str(path), lineno, "expected token<TAB>valence")
-            try:
-                valences[parts[0]] = float(parts[1])
-            except ValueError:
-                raise LexiconParseError(str(path), lineno, "bad valence") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise LexiconParseError(path, lineno, "expected token<TAB>valence")
+        try:
+            valence = float(parts[1])
+        except ValueError:
+            raise LexiconParseError(path, lineno, "bad valence") from None
+        _check_valence(parts[0], valence, path, lineno)
+        valences[parts[0]] = valence
     return SentimentLexicon(valences)
 
 
@@ -348,14 +351,9 @@ def builtin_lexicon() -> Lexicon:
 
 
 def builtin_sentiment_lexicon() -> SentimentLexicon:
-    valences: dict[str, float] = {}
+    """The demonstration sentiment lexicon shipped with the package."""
     text = resources.files("banevasion.data").joinpath("demo_sentiment.txt").read_text("utf-8")
-    for line in text.splitlines():
-        line = line.strip()
-        if line:
-            token, valence = line.split("\t")
-            valences[token] = float(valence)
-    return SentimentLexicon(valences)
+    return _parse_sentiment(text.splitlines(), "<builtin demo_sentiment.txt>")
 
 
 def get_provider(spec: str) -> EmbeddingProvider:

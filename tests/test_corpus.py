@@ -228,6 +228,44 @@ class TestCorruption:
         assert (err.value.line_number, err.value.reason) == (2, f"field {key!r} must be a string")
 
 
+# The corruptions that parse but break a corpus rule.
+RULE_CORRUPTIONS = [
+    "ban_at_creation", "duplicate_id", "revision_owner_unknown",
+    "revision_before_creation", "member_unknown", "record_one_member",
+]
+AS_OBJECT = {
+    "a": lambda obj: Account(**obj),
+    "r": lambda obj: Revision(**obj),
+    "s": lambda obj: SockpuppetRecord(frozenset(obj["member_ids"])),
+}
+
+
+class TestCorpusRules:
+    @pytest.mark.parametrize("name", RULE_CORRUPTIONS)
+    def test_rejected_in_memory_without_location(self, name):
+        which, bad, error, fragment = CORRUPTIONS[name]
+        parts = {
+            "a": [AS_OBJECT["a"](obj) for obj in GOOD_ACCOUNTS],
+            "r": [AS_OBJECT["r"](GOOD_REVISION)],
+            "s": [AS_OBJECT["s"](GOOD_RECORD)],
+        }
+        parts[which].append(AS_OBJECT[which](bad))
+        with pytest.raises(error) as err:
+            Corpus(*(tuple(parts[k]) for k in "ars"))
+        assert (err.value.path, err.value.line_number) == (None, None)
+        assert fragment in str(err.value)
+        assert "<corpus>" not in str(err.value)
+
+    def test_two_unknown_members_report_the_smaller_id(self):
+        # frozenset order follows the hash seed; the smaller id must win anyway
+        accounts = tuple(AS_OBJECT["a"](obj) for obj in GOOD_ACCOUNTS)
+        for i in range(16):
+            rec = SockpuppetRecord(frozenset({f"x{i}", f"w{i}", "1"}))
+            with pytest.raises(ReferentialIntegrityError) as err:
+                Corpus(accounts, (), (rec,))
+            assert err.value.offending_id == f"w{i}"
+
+
 # Text that JSON must escape or that a careless reader would split on.
 AWKWARD_TEXT = st.text(
     alphabet=st.one_of(

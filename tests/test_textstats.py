@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from banevasion.errors import (
+    BanEvasionError,
     CategoryMismatchError,
     DimensionMismatchError,
     EmptyInputError,
@@ -194,20 +195,20 @@ class TestEmbedding:
         provider = HashedTrigramProvider()
         a = embed(["some shared text", "another"], provider)
         b = embed(["some shared text", "another"], provider)
-        assert np.array_equal(a.values, b.values)
-        assert a.provider_id == provider.provider_id
+        assert np.array_equal(a, b)
+        assert a.shape == (provider.dimension,)
 
     def test_no_shared_trigram_is_orthogonal(self):
         provider = HashedTrigramProvider()
         u = embed(["aaaa"], provider)
         v = embed(["bbbb"], provider)
-        assert not np.array_equal(u.values, v.values)
+        assert not np.array_equal(u, v)
         assert cosine(u, v) == 0.0
 
     def test_single_text_is_own_vector(self):
         provider = HashedTrigramProvider()
         assert np.array_equal(
-            embed(["hello world"], provider).values, provider.embed_text("hello world")
+            embed(["hello world"], provider), provider.embed_text("hello world")
         )
 
     def test_empty_input(self):
@@ -223,7 +224,7 @@ class TestEmbedding:
         provider = HashedTrigramProvider()
         a = embed(["first text", "second text"], provider)
         b = embed(["second text", "first text"], provider)
-        assert np.allclose(a.values, b.values)
+        assert np.allclose(a, b)
 
     def test_external_provider_round_trip(self, tmp_path):
         path = tmp_path / "vectors.tsv"
@@ -236,6 +237,16 @@ class TestEmbedding:
         assert np.allclose(provider.embed_text("alpha"), [1.0, 2.0])
         with pytest.raises(KeyError):
             provider.embed_text("missing")
+
+    def test_external_provider_miss_names_file_and_hash(self, tmp_path):
+        path = tmp_path / "vectors.tsv"
+        path.write_text(f"{text_hash('alpha')}\t1.0,2.0\n", encoding="utf-8")
+        with pytest.raises(KeyError) as err:
+            ExternalVectorProvider(path).embed_text("missing")
+        assert isinstance(err.value, BanEvasionError)
+        assert str(err.value) == (
+            f"{path}: no precomputed vector for text hash {text_hash('missing')}"
+        )
 
 
 class TestCosine:
@@ -319,3 +330,32 @@ class TestLexiconFiles:
         path.write_text("%\n1\tswear\n%\ndamn\t9\n", encoding="utf-8")
         with pytest.raises(LexiconParseError):
             load_lexicon(path)
+
+
+LEXICON_HEAD = "%\n1\tswear\n%\ndamn\t1\n\n"  # a blank line 5: the next is line 6
+SENTIMENT_HEAD = "good\t0.5\n\n"  # the next is line 3
+# (loader, file text, line of the fault, message fragment)
+LEXICON_RULE_BREAKS = {
+    "uppercase": (load_lexicon, LEXICON_HEAD + "Hell\t1\n", 6, "entry 'Hell' must be lowercase"),
+    "inner_wildcard": (load_lexicon, LEXICON_HEAD + "ta*lk\t1\n", 6,
+                       "wildcard only allowed in final position: 'ta*lk'"),
+    "lone_wildcard": (load_lexicon, LEXICON_HEAD + "*\t1\n", 6,
+                      "wildcard only allowed in final position: '*'"),
+    "valence_above": (load_sentiment_lexicon, SENTIMENT_HEAD + "bad\t2.0\n", 3,
+                      "valence for 'bad' outside [-1, 1]"),
+    "valence_below": (load_sentiment_lexicon, SENTIMENT_HEAD + "bad\t-1.5\n", 3,
+                      "valence for 'bad' outside [-1, 1]"),
+    "valence_nan": (load_sentiment_lexicon, SENTIMENT_HEAD + "bad\tnan\n", 3,
+                    "valence for 'bad' outside [-1, 1]"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEXICON_RULE_BREAKS))
+def test_lexicon_rule_error_names_file_and_line(tmp_path, name):
+    load, text, line, fragment = LEXICON_RULE_BREAKS[name]
+    path = tmp_path / "lexicon.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(LexiconParseError) as err:
+        load(path)
+    assert (err.value.path, err.value.line_number) == (str(path), line)
+    assert str(err.value) == f"{path}:{line}: {fragment}"
