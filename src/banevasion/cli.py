@@ -5,7 +5,7 @@ train | evaluate | rank | analyze | reproduce.
 
 Option values resolve with precedence: explicit flag > environment
 variable (``BANEVASION_<FLAG>``) > config file (flat ``key = value``
-lines via --config) > built-in default. All outputs are deterministic
+lines via --config; a key no command reads is rejected) > built-in default. All outputs are deterministic
 given identical inputs and seeds; nothing embeds wall-clock time.
 """
 
@@ -46,7 +46,8 @@ def _as_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _load_config_file(path: str | None) -> dict[str, str]:
+def _load_config_file(path: str | None, keys: frozenset[str]) -> dict[str, str]:
+    """The ``key = value`` lines of ``path``; each key must be in ``keys``."""
     if not path:
         return {}
     values: dict[str, str] = {}
@@ -58,7 +59,10 @@ def _load_config_file(path: str | None) -> dict[str, str]:
             if "=" not in line:
                 raise RecordParseError(path, lineno, "expected key = value")
             key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key not in keys:
+                raise RecordParseError(path, lineno, f"no command reads key {key!r}")
+            values[key] = value.strip()
     return values
 
 
@@ -67,7 +71,7 @@ class Options:
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
-        self.file_values = _load_config_file(getattr(args, "config", None))
+        self.file_values = _load_config_file(getattr(args, "config", None), args.config_keys)
 
     def get(self, name: str, default=None, cast=str):
         flag_value = getattr(self.args, name, None)
@@ -113,7 +117,6 @@ def _add_lexicon_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--l2", type=float, help="L2 penalty weight")
-    p.add_argument("--learning-rate", type=float)
     p.add_argument("--max-epochs", type=int)
     p.add_argument("--rfe", action="store_true", default=None,
                    help="select features by recursive elimination before the final fit")
@@ -200,6 +203,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-edits", type=int)
     p.add_argument("--cap", type=int)
 
+    # A --config file may set any option some command reads, even one the
+    # running command ignores, so one file can serve every stage.
+    parser.set_defaults(config_keys=frozenset(
+        action.dest for command in sub.choices.values() for action in command._actions
+    ) - {"help", "config"})
     return parser
 
 
@@ -260,7 +268,6 @@ def _feature_config(opts: Options) -> FeatureConfig:
 def _train_config(opts: Options) -> TrainConfig:
     return TrainConfig(
         l2_lambda=opts.get("l2", 1.0, float),
-        learning_rate=opts.get("learning_rate", 0.1, float),
         max_epochs=opts.get("max_epochs", 2000, int),
     )
 
@@ -300,14 +307,15 @@ def _extract(corpus):
 
 def _pairs_from_file_or_corpus(opts: Options, corpus):
     """The merged groups, and the ``--pairs`` file as given (group id -1 where
-    it has none) or else the first extracted pair per group."""
+    it has none; each pair checked against the corpus) or else the first
+    extracted pair per group."""
     pairs_path = opts.get("pairs")
     if not pairs_path:
         groups, _, first_pairs = _extract(corpus)
         return groups, first_pairs
     return pairing_mod.merge_groups(corpus.sockpuppet_records, corpus), [
         pairing_mod.EvasionPair(parent_id, child_id, -1 if group_id is None else group_id)
-        for parent_id, child_id, group_id in corpus_mod.load_pairs(pairs_path)
+        for parent_id, child_id, group_id in corpus_mod.load_pairs(pairs_path, corpus)
     ]
 
 

@@ -303,16 +303,37 @@ def save_pairs(pairs, path: str | Path) -> None:
             fh.write(_encode(obj) + "\n")
 
 
-def load_pairs(path: str | Path) -> list[tuple[str, str, int | None]]:
-    """Read a pairs file into (parent_id, child_id, group_id|None) tuples."""
-    return [
-        (
-            _field(obj, "parent_id", str, p, lineno),
-            _field(obj, "child_id", str, p, lineno),
-            _field(obj, "group_id", int, p, lineno, None),
+def load_pairs(
+    path: str | Path, corpus: Corpus | None = None
+) -> list[tuple[str, str, int | None]]:
+    """Read a pairs file into (parent_id, child_id, group_id|None) tuples.
+
+    Given the corpus, a line naming an unknown account, a parent never
+    banned, or a child not created strictly after the parent's ban (the
+    criterion of ``pairing.temporal_successor``) fails at its ``file:line``.
+    """
+    pairs = []
+    for p, lineno, obj in _read_jsonl(path):
+        parent_id = _field(obj, "parent_id", str, p, lineno)
+        child_id = _field(obj, "child_id", str, p, lineno)
+        group_id = _field(obj, "group_id", int, p, lineno, None)
+        if corpus is not None:
+            _check_pair(corpus, parent_id, child_id, p, lineno)
+        pairs.append((parent_id, child_id, group_id))
+    return pairs
+
+
+def _check_pair(corpus: Corpus, parent_id: str, child_id: str, path: str, lineno: int) -> None:
+    for account_id, role in ((parent_id, "pair parent"), (child_id, "pair child")):
+        if account_id not in corpus.accounts_by_id:
+            raise ReferentialIntegrityError(account_id, role, path, lineno)
+    ban_time = corpus.accounts_by_id[parent_id].ban_time
+    if ban_time is None:
+        raise RecordParseError(path, lineno, f"parent {parent_id!r} was never banned")
+    if not corpus.accounts_by_id[child_id].creation_time > ban_time:
+        raise RecordParseError(
+            path, lineno, f"child {child_id!r} was not created after the ban of {parent_id!r}"
         )
-        for p, lineno, obj in _read_jsonl(path)
-    ]
 
 
 # ---------------------------------------------------------------------------

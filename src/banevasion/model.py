@@ -1,10 +1,20 @@
-"""L2-regularized logistic regression trained by full-batch gradient descent.
+"""L2-regularized logistic regression fitted by damped Newton's method (IRLS).
 
 Inputs are standardized with train-set statistics (zero-variance columns
-are centered only). Full-batch descent with weights initialized to zero is
-bit-for-bit deterministic: no shuffling, no stochastic minibatches. The
-learning rate halves whenever a step would increase the loss, and training
-stops once the improvement falls below the tolerance.
+are centered only). The fit minimizes the weighted mean log-loss plus
+``l2_lambda * ||w||^2 / 2`` (the bias is not penalized), starting from zero
+weights; it is bit-for-bit deterministic given (X, y, config).
+
+Each iteration solves one ``(d+1) x (d+1)`` system ``(H + mu I) step = -g``
+over the weights and bias. The Levenberg damping ``mu`` is a multiple of the
+gradient norm, so it vanishes at the optimum (convergence stays quadratic)
+and keeps the step bounded where the Hessian is singular (``l2_lambda=0`` on
+separable data). A step is kept when the loss does not rise beyond its own
+rounding error; otherwise the multiple grows tenfold and the step is
+retried. Training stops after the step taken from a gradient whose norm is
+at most ``tolerance``, after a kept step that did not lower the loss, at a
+zero gradient, or after ``max_epochs`` tried steps. With ``l2_lambda > 0``
+the returned gradient is at rounding level.
 
 Models serialize to a self-describing JSON document that round-trips
 exactly (feature names, means, stds, weights, bias, config echo).
@@ -44,7 +54,6 @@ def fit_standardization(X: np.ndarray) -> StandardizationStats:
 @dataclass(frozen=True)
 class TrainConfig:
     l2_lambda: float = 1.0
-    learning_rate: float = 0.1
     max_epochs: int = 2000
     tolerance: float = 1e-8
     class_weighting: str = "inverse-frequency"  # or "none"
@@ -52,8 +61,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.l2_lambda < 0:
             raise ValueError("l2_lambda must be >= 0")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be >= 1")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be > 0")
         if self.class_weighting not in ("none", "inverse-frequency"):
@@ -128,6 +137,32 @@ def loss_and_gradient(
     return loss, grad_w, grad_b
 
 
+def _hessian(
+    w: np.ndarray,
+    b: float,
+    X: np.ndarray,
+    l2_lambda: float,
+    sample_weights: np.ndarray,
+) -> np.ndarray:
+    """Hessian of ``loss_and_gradient``'s loss over (w, b), the bias last."""
+    p = _sigmoid(X @ w + b)
+    s = sample_weights * p * (1.0 - p) / sample_weights.sum()
+    d = X.shape[1]
+    H = np.empty((d + 1, d + 1))
+    H[:d, :d] = X.T @ (X * s[:, None])
+    H[np.diag_indices(d)] += l2_lambda
+    H[:d, d] = H[d, :d] = X.T @ s
+    H[d, d] = s.sum()
+    return H
+
+
+# Levenberg damping is this multiple of the gradient norm at least.
+_MIN_DAMPING = 1e-4
+# A step may raise the loss by this relative amount, the rounding error of
+# summing the per-sample losses; near the optimum the true change is smaller.
+_ROUNDING = 64 * np.finfo(float).eps
+
+
 def train(
     X: np.ndarray,
     y: np.ndarray,
@@ -153,24 +188,30 @@ def train(
     Xs = stats.apply(X)
     sw = _sample_weights(y, config.class_weighting)
 
-    w = np.zeros(X.shape[1])
+    d = X.shape[1]
+    w = np.zeros(d)
     b = 0.0
-    lr = config.learning_rate
     loss, grad_w, grad_b = loss_and_gradient(w, b, Xs, y, config.l2_lambda, sw)
+    damping = _MIN_DAMPING
     for _ in range(config.max_epochs):
-        while True:
-            w_new = w - lr * grad_w
-            b_new = b - lr * grad_b
-            new_loss, new_gw, new_gb = loss_and_gradient(
-                w_new, b_new, Xs, y, config.l2_lambda, sw
-            )
-            if new_loss <= loss or lr < 1e-12:
-                break
-            lr *= 0.5
-        improvement = loss - new_loss
-        w, b, grad_w, grad_b = w_new, b_new, new_gw, new_gb
-        loss = new_loss
-        if improvement < config.tolerance:
+        grad = np.append(grad_w, grad_b)
+        grad_norm = float(np.linalg.norm(grad))
+        if grad_norm == 0.0:
+            break
+        system = _hessian(w, b, Xs, config.l2_lambda, sw)
+        system[np.diag_indices(d + 1)] += damping * grad_norm
+        step = np.linalg.solve(system, -grad)
+        w_new, b_new = w + step[:d], b + float(step[d])
+        new_loss, new_gw, new_gb = loss_and_gradient(
+            w_new, b_new, Xs, y, config.l2_lambda, sw
+        )
+        if new_loss > loss * (1.0 + _ROUNDING):
+            damping *= 10.0
+            continue
+        decreased = new_loss < loss
+        w, b, loss, grad_w, grad_b = w_new, b_new, new_loss, new_gw, new_gb
+        damping = max(damping / 10.0, _MIN_DAMPING)
+        if grad_norm <= config.tolerance or not decreased:
             break
     return LogisticModel(tuple(feature_names), w, float(b), stats, config)
 
@@ -265,8 +306,10 @@ def load_model(path: str | Path) -> LogisticModel:
         doc = json.load(fh)
     if doc.get("format") != "banevasion-logistic/1":
         raise ValueError(f"unrecognized model format in {path}")
-    # files written before TrainConfig dropped its unused seed still carry it
+    # files written before TrainConfig dropped its unused seed and the
+    # descent solver's learning rate still carry them
     doc["config"].pop("seed", None)
+    doc["config"].pop("learning_rate", None)
     return LogisticModel(
         tuple(doc["feature_names"]),
         np.array(doc["weights"], dtype=float),

@@ -89,6 +89,30 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert f"error: stage 'generate' failed: {config}:2: expected key = value" in err
 
+    @pytest.mark.parametrize("key", ["l2_lamda", "learning_rate"])
+    def test_config_key_no_command_reads_names_file_and_line(self, tmp_path, capsys, key):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"seed = 1\n\n{key} = 5\n")
+        code = main(["generate", "--out-dir", str(tmp_path / "out"), "--config", str(config)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: stage 'generate' failed: {config}:3: no command reads key '{key}'" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_key_of_another_command_accepted(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("l2 = 5\nwindow-days = 3\n")
+        main(["generate", "--out-dir", str(tmp_path / "cfg"), "--config", str(config),
+              "--seed", "7", *GEN_FLAGS])
+        main(["generate", "--out-dir", str(tmp_path / "flag"), "--seed", "7", *GEN_FLAGS])
+        assert tree_digest(tmp_path / "cfg") == tree_digest(tmp_path / "flag")
+
+    def test_learning_rate_flag_removed(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--features", str(tmp_path / "f.tsv"), "--out", str(tmp_path / "m.json"),
+                  "--learning-rate", "0.1"])
+        assert exc.value.code != 0
+
     def test_missing_config_file_is_stage_error(self, tmp_path, capsys):
         config = tmp_path / "absent.cfg"
         code = main(["generate", "--out-dir", str(tmp_path / "out"), "--config", str(config)])
@@ -268,6 +292,23 @@ class TestStageChaining:
             "match", *flags, "--task", "3", "--pairs", str(pairs), "--out", str(samples),
         ]) == 0
         assert samples.read_bytes() == expected.read_bytes()
+
+    def test_reversed_pair_rejected_at_file_and_line(self, corpus_dir, tmp_path, capsys):
+        flags = self.corpus_flags(corpus_dir)
+        assert main(["extract-pairs", *flags, "--out-dir", str(tmp_path / "pairs")]) == 0
+        lines = (tmp_path / "pairs" / "evasion_pairs.jsonl").read_text().splitlines()
+        first = json.loads(lines[0])
+        reversed_pair = {"parent_id": first["child_id"], "child_id": first["parent_id"]}
+        pairs = tmp_path / "reversed.jsonl"
+        pairs.write_text("\n".join([lines[1], json.dumps(reversed_pair)]) + "\n")
+        samples = tmp_path / "samples.tsv"
+        code = main(["match", *flags, "--task", "1", "--pairs", str(pairs), "--out", str(samples)])
+        assert code == 1
+        assert (
+            f"error: stage 'match' failed: {pairs}:2: child {first['parent_id']!r} "
+            f"was not created after the ban of {first['child_id']!r}"
+        ) in capsys.readouterr().err
+        assert not samples.exists()
 
     def test_evaluate_and_rank(self, corpus_dir, tmp_path):
         flags = self.corpus_flags(corpus_dir)

@@ -227,6 +227,29 @@ class TestCorruption:
             load_pairs(path)
         assert (err.value.line_number, err.value.reason) == (2, f"field {key!r} must be a string")
 
+    @pytest.mark.parametrize(
+        "pair, error, reason",
+        [
+            (("zz", "c"), ReferentialIntegrityError, "unknown account id 'zz' (pair parent)"),
+            (("p", "zz"), ReferentialIntegrityError, "unknown account id 'zz' (pair child)"),
+            (("c", "late"), RecordParseError, "parent 'c' was never banned"),
+            (("p", "c"), RecordParseError, "child 'c' was not created after the ban of 'p'"),
+            (("late", "p"), RecordParseError, "child 'p' was not created after the ban of 'late'"),
+        ],
+        ids=["unknown_parent", "unknown_child", "never_banned", "created_at_ban", "reversed"],
+    )
+    def test_pairs_checked_against_corpus(self, tmp_path, pair, error, reason):
+        # c is created exactly at p's ban, late one second after it
+        corpus = corpus_of([account("p", 0, 100), account("c", 100), account("late", 101, 200)])
+        path = tmp_path / "pairs.jsonl"
+        good = json.dumps({"parent_id": "p", "child_id": "late", "group_id": 4})
+        path.write_text(good + "\n\n" + json.dumps(dict(zip(("parent_id", "child_id"), pair))) + "\n")
+        with pytest.raises(error) as err:
+            load_pairs(path, corpus)
+        assert str(err.value) == f"{path}:3: {reason}"
+        path.write_text(good + "\n")
+        assert load_pairs(path, corpus) == [("p", "late", 4)]
+
 
 # The corruptions that parse but break a corpus rule.
 RULE_CORRUPTIONS = [

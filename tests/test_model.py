@@ -15,6 +15,7 @@ from banevasion.model import (
     LogisticModel,
     StandardizationStats,
     TrainConfig,
+    _sample_weights,
     fit_standardization,
     load_model,
     loss_and_gradient,
@@ -38,6 +39,63 @@ def finite_difference_gradient(w, b, X, y, l2, sw, h=1e-6):
     lu, _, _ = loss_and_gradient(w, b + h, X, y, l2, sw)
     ld, _, _ = loss_and_gradient(w, b - h, X, y, l2, sw)
     return grad_w, (lu - ld) / (2 * h)
+
+
+def random_problems(count):
+    """Seeded fits: d up to 25, columns scaled 0.1-100x, l2 > 0, both weightings."""
+    rng = np.random.default_rng(2024)
+    for _ in range(count):
+        yield random_problem(rng)
+
+
+def random_problem(rng):
+    n, d = int(rng.integers(30, 300)), int(rng.integers(1, 26))
+    X = rng.normal(size=(n, d)) * rng.uniform(0.1, 100.0, size=d)
+    beta = rng.normal(size=d) * rng.uniform(0.0, 2.0)
+    y = ((X / X.std(axis=0)) @ beta + rng.logistic(size=n) > 0).astype(int)
+    y[:2] = (0, 1)
+    config = TrainConfig(
+        l2_lambda=float(10 ** rng.uniform(-3, 1)),
+        class_weighting=("none", "inverse-frequency")[int(rng.integers(2))],
+    )
+    return X, y, config
+
+
+def loss_terms(model, X, y):
+    """The penalized loss and gradient (over w, then b) at the model's weights."""
+    sw = _sample_weights(np.asarray(y, dtype=float), model.config.class_weighting)
+    loss, grad_w, grad_b = loss_and_gradient(
+        model.weights, model.bias, model.stats.apply(X), y, model.config.l2_lambda, sw
+    )
+    return loss, np.append(grad_w, grad_b)
+
+
+def descent_reference(X, y, config, learning_rate=0.1):
+    """The loss reached by full-batch gradient descent with step halving, the
+    solver ``train`` used before Newton's method, kept as written then."""
+    Xs = fit_standardization(X).apply(X)
+    y = np.asarray(y, dtype=float)
+    sw = _sample_weights(y, config.class_weighting)
+    w = np.zeros(X.shape[1])
+    b = 0.0
+    lr = learning_rate
+    loss, grad_w, grad_b = loss_and_gradient(w, b, Xs, y, config.l2_lambda, sw)
+    for _ in range(config.max_epochs):
+        while True:
+            w_new = w - lr * grad_w
+            b_new = b - lr * grad_b
+            new_loss, new_gw, new_gb = loss_and_gradient(
+                w_new, b_new, Xs, y, config.l2_lambda, sw
+            )
+            if new_loss <= loss or lr < 1e-12:
+                break
+            lr *= 0.5
+        improvement = loss - new_loss
+        w, b, grad_w, grad_b = w_new, b_new, new_gw, new_gb
+        loss = new_loss
+        if improvement < config.tolerance:
+            break
+    return loss
 
 
 def separable_toy():
@@ -96,12 +154,52 @@ class TestTrain:
         sw = np.ones(y.size)
         losses = []
         for epochs in range(1, 40):
-            model = train(X, y, TrainConfig(l2_lambda=0.0, learning_rate=0.1,
+            model = train(X, y, TrainConfig(l2_lambda=0.0,
                                             max_epochs=epochs, tolerance=1e-300,
                                             class_weighting="none"))
             loss, _, _ = loss_and_gradient(model.weights, model.bias, Xs, y, 0.0, sw)
             losses.append(loss)
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
+
+    def test_overshooting_step_retried(self):
+        # on these outlying rows the seventh Newton step overshoots: kept
+        # as solved, it would raise the loss from 0.23 to 8.4
+        X = np.array([[-5.0, -2.0], [6.0, 0.0], [-6.0, -129.0], [-244.0, 1.0], [6.0, -1.0]])
+        y = np.array([0, 1, 0, 0, 0])
+        Xs = fit_standardization(X).apply(X)
+        losses = []
+        for epochs in range(1, 12):
+            model = train(X, y, TrainConfig(l2_lambda=0.0, max_epochs=epochs,
+                                            class_weighting="none"))
+            losses.append(loss_and_gradient(model.weights, model.bias, Xs, y, 0.0,
+                                            np.ones(y.size))[0])
+        assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
+        assert losses[-1] < 0.2
+
+    def test_singular_hessian_without_penalty(self):
+        # a constant column standardizes to zeros: its Hessian row is zero
+        X, y = separable_toy()
+        X = np.column_stack([X, np.full(y.size, 3.0)])
+        model = train(X, y, TrainConfig(l2_lambda=0.0))
+        assert np.isfinite(model.weights).all() and model.weights[1] == 0.0
+        preds = (model.predict_proba_matrix(X, model.feature_names) >= 0.5).astype(int)
+        assert np.array_equal(preds, y)
+
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_max_epochs_below_one_rejected(self, epochs):
+        with pytest.raises(ValueError, match="max_epochs"):
+            TrainConfig(max_epochs=epochs)
+
+    def test_kkt_oracle(self):
+        # the penalized gradient vanishes at the returned weights
+        for X, y, config in random_problems(300):
+            _, grad = loss_terms(train(X, y, config), X, y)
+            assert np.linalg.norm(grad) <= 1e-9
+
+    def test_loss_at_most_descent_reference(self):
+        for X, y, config in random_problems(100):
+            loss, _ = loss_terms(train(X, y, config), X, y)
+            assert loss <= descent_reference(X, y, config)
 
     def test_affine_rescaling_invariance(self):
         rng = np.random.default_rng(7)
