@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .corpus import Corpus, DAY_SECONDS
@@ -21,7 +21,7 @@ from .errors import (
     MissingBanTimeError,
     ZeroVarianceError,
 )
-from .features import FeatureConfig, account_digest, pair_vectors
+from .features import Digests, pair_vectors
 from .matching import NEGATIVE
 from .textstats import normalized_levenshtein
 
@@ -229,25 +229,18 @@ def _mean_ci(values: Sequence[float]):
     return {"mean": mean, "ci_low": mean - half, "ci_high": mean + half, "n": len(values)}
 
 
-def _activity_stats(corpus: Corpus, account_ids: Iterable[str]) -> dict[str, list[float]]:
-    durations, revisions, pages, gaps = [], [], [], []
-    for account_id in account_ids:
-        account = corpus.account(account_id)
-        revs = corpus.revisions_of(account_id)
-        if account.ban_time is not None:
-            durations.append(float(account.ban_time - account.creation_time))
-        revisions.append(float(len(revs)))
-        pages.append(float(len({r.page_id for r in revs})))
-        if len(revs) >= 2:
-            gaps.append(
-                sum(b.timestamp - a.timestamp for a, b in zip(revs, revs[1:]))
-                / (len(revs) - 1)
-            )
+def _activity_stats(digests: Digests, account_ids: Iterable[str]) -> dict[str, list[float]]:
+    """Durations of the banned accounts, and mean gaps of those with >= 2 edits."""
+    rows = [digests.of(account_id) for account_id in account_ids]
     return {
-        "duration_seconds": durations,
-        "revisions": revisions,
-        "unique_pages": pages,
-        "mean_gap_seconds": gaps,
+        "duration_seconds": [
+            float(d.account.ban_time - d.account.creation_time)
+            for d in rows
+            if d.account.ban_time is not None
+        ],
+        "revisions": [float(d.revision_count) for d in rows],
+        "unique_pages": [float(len(d.pages)) for d in rows],
+        "mean_gap_seconds": [d.mean_gap_seconds for d in rows if d.revision_count >= 2],
     }
 
 
@@ -273,7 +266,7 @@ def characterize(
     pairs: Sequence,
     account_samples: Sequence = (),
     pair_samples: Sequence = (),
-    feature_config: FeatureConfig | None = None,
+    digests: Digests | None = None,
     outlier_days: float = DEFAULT_OUTLIER_DAYS,
 ) -> dict:
     """Descriptive report contrasting evasion pairs with matched controls.
@@ -282,17 +275,19 @@ def characterize(
     control accounts, the ``other_id`` of each negative, for the activity
     contrasts; ``pair_samples`` supply matched control pairs (negatives) for
     the overlap contrasts. Degenerate contrasts yield None statistics rather
-    than raising.
+    than raising. Pair vectors omit the child-ban fields. ``digests`` is a
+    store over ``corpus`` (by default a fresh one over ``FeatureConfig()``).
     """
-    config = feature_config or FeatureConfig(include_child_ban_features=False)
-    lexicon = config.lexicon
+    digests = Digests.over(corpus, digests)
+    config = replace(digests.config, include_child_ban_features=False)
 
-    parent_ids = [p.parent_id for p in pairs]
+    # a parent named by several pairs is one account
+    parent_ids = dict.fromkeys(p.parent_id for p in pairs)
     control_ids = sorted(
         {s.other_id for s in account_samples if s.label == NEGATIVE}
     )
-    parent_activity = _activity_stats(corpus, parent_ids)
-    control_activity = _activity_stats(corpus, control_ids)
+    parent_activity = _activity_stats(digests, parent_ids)
+    control_activity = _activity_stats(digests, control_ids)
 
     report: dict = {
         "counts": {
@@ -333,7 +328,7 @@ def characterize(
     # Overlap and similarity contrasts.
     pair_keys = [(p.parent_id, p.child_id) for p in pairs]
     control_keys = [(s.parent_id, s.other_id) for s in pair_samples if s.label == NEGATIVE]
-    metrics = [v.as_dict() for v in pair_vectors(corpus, pair_keys + control_keys, config)]
+    metrics = [v.as_dict() for v in pair_vectors(digests, pair_keys + control_keys, config)]
     pair_metrics, control_metrics = metrics[: len(pairs)], metrics[len(pairs) :]
     overlaps = {}
     for key in _OVERLAP_KEYS:
@@ -347,15 +342,10 @@ def characterize(
     report["overlaps"] = overlaps
 
     # Per-category psycholinguistic change from parent to child.
-    def profile(account_id: str) -> dict[str, float]:
-        return account_digest(
-            corpus.account(account_id), corpus.revisions_of(account_id), config
-        ).profile
-
-    parent_profiles = [profile(p.parent_id) for p in pairs]
-    child_profiles = [profile(p.child_id) for p in pairs]
+    parent_profiles = [digests.of(p.parent_id).profile for p in pairs]
+    child_profiles = [digests.of(p.child_id).profile for p in pairs]
     categories = {}
-    for category in lexicon.categories:
+    for category in config.lexicon.categories:
         parent_values = [prof[category] for prof in parent_profiles]
         child_values = [prof[category] for prof in child_profiles]
         categories[category] = {
@@ -371,16 +361,9 @@ def characterize(
     except MissingBanTimeError:
         verdicts = None
     if verdicts is not None and pairs:
-        successful_idx = [
-            i
-            for i, p in enumerate(pairs)
-            if verdicts[(p.parent_id, p.child_id)] == "successful"
-        ]
-        unsuccessful_idx = [
-            i
-            for i, p in enumerate(pairs)
-            if verdicts[(p.parent_id, p.child_id)] == "unsuccessful"
-        ]
+        successful = [verdicts[(p.parent_id, p.child_id)] == "successful" for p in pairs]
+        successful_idx = [i for i, ok in enumerate(successful) if ok]
+        unsuccessful_idx = [i for i, ok in enumerate(successful) if not ok]
         contrasts = {}
 
         def contrast(name: str, values: list[float]):
@@ -394,7 +377,7 @@ def characterize(
 
         contrast("username_distance", pair_distance)
         contrast("page_jaccard", [m["page_jaccard"] for m in pair_metrics])
-        for category in lexicon.categories:
+        for category in config.lexicon.categories:
             deltas = [
                 child_profiles[i][category] - parent_profiles[i][category]
                 for i in range(len(pairs))

@@ -17,7 +17,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 from . import analysis as analysis_mod
@@ -29,7 +29,7 @@ from . import pairing as pairing_mod
 from . import textstats as textstats_mod
 from .corpus import SynthConfig
 from .errors import BanEvasionError, InvalidConfigError, PipelineError, RecordParseError
-from .features import FeatureConfig, read_feature_matrix, write_feature_matrix
+from .features import Digests, FeatureConfig, read_feature_matrix, write_feature_matrix
 from .model import TrainConfig
 
 log = logging.getLogger("banevasion")
@@ -246,23 +246,19 @@ def _synth_config(opts: Options) -> SynthConfig:
     )
 
 
-def _feature_config(opts: Options) -> FeatureConfig:
-    lexicon_path = opts.get("lexicon")
-    sentiment_path = opts.get("sentiment_lexicon")
-    provider_spec = opts.get("embedding_provider", "trigram")
-    return FeatureConfig(
-        lexicon=(
-            textstats_mod.load_lexicon(lexicon_path)
-            if lexicon_path
-            else textstats_mod.builtin_lexicon()
-        ),
+def _digests(opts: Options, corpus) -> Digests:
+    """The command's one digest store, over the lexicons and provider of ``opts``."""
+    lexicon = opts.get("lexicon")
+    sentiment = opts.get("sentiment_lexicon")
+    return Digests(corpus, FeatureConfig(
+        lexicon=textstats_mod.load_lexicon(lexicon) if lexicon else textstats_mod.builtin_lexicon(),
         sentiment_lexicon=(
-            textstats_mod.load_sentiment_lexicon(sentiment_path)
-            if sentiment_path
+            textstats_mod.load_sentiment_lexicon(sentiment)
+            if sentiment
             else textstats_mod.builtin_sentiment_lexicon()
         ),
-        provider=textstats_mod.get_provider(provider_spec),
-    )
+        provider=textstats_mod.get_provider(opts.get("embedding_provider", "trigram")),
+    ))
 
 
 def _train_config(opts: Options) -> TrainConfig:
@@ -417,10 +413,11 @@ def cmd_featurize(opts: Options) -> int:
         if s.task != task.name:
             reason = f"task {s.task!r} does not match --task {task.number} ({task.name})"
             raise RecordParseError(path, lineno, reason)
+    digests = _digests(opts, corpus)
     config = task.feature_config(
-        _feature_config(opts), opts.get("k_edits", matching_mod.DEFAULT_K_EDITS, int)
+        digests.config, opts.get("k_edits", matching_mod.DEFAULT_K_EDITS, int)
     )
-    vectors = task.vectors(samples, corpus, config)
+    vectors = task.vectors(samples, digests, config)
     ids = [f"{s.parent_id}|{s.other_id}" for s in samples]
     labels = [s.label for s in samples]
     write_feature_matrix(opts.get("out"), ids, labels, vectors)
@@ -441,17 +438,17 @@ def cmd_train(opts: Options) -> int:
     return 0
 
 
-def _run_task(corpus, groups, pairs, task: matching_mod.Task, opts: Options):
+def _run_task(digests: Digests, groups, pairs, task: matching_mod.Task, opts: Options):
     window = _window_seconds(opts, task)
     harness = dict(
-        feature_config=_feature_config(opts),
+        digests=digests,
         train_config=_train_config(opts),
         split=_split(opts, task),
         use_rfe=opts.get("rfe", False, _as_bool),
     )
     if task.number == "2":
         return eval_mod.run_task2(
-            corpus,
+            digests.corpus,
             pairs,
             window,
             opts.get("cap", matching_mod.DEFAULT_TASK2_CAP, int),
@@ -460,15 +457,15 @@ def _run_task(corpus, groups, pairs, task: matching_mod.Task, opts: Options):
             **harness,
         )
     run = eval_mod.run_task1 if task.number == "1" else eval_mod.run_task3
-    return run(corpus, groups, pairs, window, **harness)
+    return run(digests.corpus, groups, pairs, window, **harness)
 
 
-def _run_ranking(corpus, pairs, opts: Options):
+def _run_ranking(digests: Digests, pairs, opts: Options):
     return eval_mod.run_ranking(
-        corpus,
+        digests.corpus,
         pairs,
         max_candidates=opts.get("max_candidates", matching_mod.DEFAULT_MAX_CANDIDATES, int),
-        feature_config=_feature_config(opts),
+        digests=digests,
         train_config=_train_config(opts),
         split=_split(opts, matching_mod.TASKS["3"]),
     )
@@ -478,7 +475,7 @@ def cmd_evaluate(opts: Options) -> int:
     task = _task(opts)
     corpus = _load_corpus(opts)
     groups, pairs = _pairs_from_file_or_corpus(opts, corpus)
-    result, fitted = _run_task(corpus, groups, pairs, task, opts)
+    result, fitted = _run_task(_digests(opts, corpus), groups, pairs, task, opts)
     out_dir = Path(opts.get("out_dir"))
     out_dir.mkdir(parents=True, exist_ok=True)
     name = f"task{task.number}"
@@ -493,7 +490,7 @@ def cmd_evaluate(opts: Options) -> int:
 def cmd_rank(opts: Options) -> int:
     corpus = _load_corpus(opts)
     _, pairs = _pairs_from_file_or_corpus(opts, corpus)
-    result, fitted = _run_ranking(corpus, pairs, opts)
+    result, fitted = _run_ranking(_digests(opts, corpus), pairs, opts)
     out_dir = Path(opts.get("out_dir"))
     out_dir.mkdir(parents=True, exist_ok=True)
     model_mod.save_model(fitted, out_dir / "ranking_model.json")
@@ -507,7 +504,7 @@ def cmd_rank(opts: Options) -> int:
 def cmd_analyze(opts: Options) -> int:
     corpus = _load_corpus(opts)
     groups, pairs = _pairs_from_file_or_corpus(opts, corpus)
-    report = _analyze(corpus, groups, pairs, opts)
+    report = _analyze(_digests(opts, corpus), groups, pairs, opts)
     out_dir = Path(opts.get("out_dir"))
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_analysis(report, out_dir)
@@ -515,14 +512,15 @@ def cmd_analyze(opts: Options) -> int:
     return 0
 
 
-def _analyze(corpus, groups, pairs, opts: Options) -> dict:
+def _analyze(digests: Digests, groups, pairs, opts: Options) -> dict:
+    corpus = digests.corpus
     prediction, bantime = matching_mod.TASKS["1"], matching_mod.TASKS["3"]
     return analysis_mod.characterize(
         corpus,
         pairs,
         prediction.match(corpus, groups, pairs, _window_seconds(opts, prediction)),
         bantime.match(corpus, groups, pairs, _window_seconds(opts, bantime)),
-        feature_config=replace(_feature_config(opts), include_child_ban_features=False),
+        digests=digests,
         outlier_days=opts.get("outlier_days", analysis_mod.DEFAULT_OUTLIER_DAYS, float),
     )
 
@@ -575,22 +573,23 @@ def cmd_reproduce(opts: Options) -> int:
         },
     }
 
+    digests = _digests(opts, corpus)
     models_dir = out_dir / "models"
     models_dir.mkdir(parents=True, exist_ok=True)
     for task in matching_mod.TASKS.values():
         name = f"task{task.number}"
         with _stage(f"evaluate-{name}"):
-            result_t, fitted = _run_task(corpus, groups, pairs, task, opts)
+            result_t, fitted = _run_task(digests, groups, pairs, task, opts)
             model_mod.save_model(fitted, models_dir / f"{name}_model.json")
             report[name] = result_t.to_dict()
 
     with _stage("rank"):
-        ranking, rank_model = _run_ranking(corpus, pairs, opts)
+        ranking, rank_model = _run_ranking(digests, pairs, opts)
         model_mod.save_model(rank_model, models_dir / "ranking_model.json")
         report["ranking"] = ranking.to_dict()
 
     with _stage("analyze"):
-        analysis_report = _analyze(corpus, groups, pairs, opts)
+        analysis_report = _analyze(digests, groups, pairs, opts)
         reports_dir = out_dir / "reports"
         reports_dir.mkdir(parents=True, exist_ok=True)
         _write_analysis(analysis_report, reports_dir)

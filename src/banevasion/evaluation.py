@@ -14,6 +14,8 @@ Tasks:
 
 ``matching.TASKS`` holds what differs between the tasks, including each
 one's default matching window and train fraction; ranking uses task 3's.
+Each harness reads its vectors from a ``features.Digests`` store over its
+corpus (a fresh one over ``FeatureConfig()`` unless one is passed).
 
 Splits order positive anchors by parent creation time; each negative
 follows its anchor. Negatives appearing on both sides of the split are
@@ -25,7 +27,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 from typing import Sequence
 
@@ -35,7 +36,7 @@ from ._metrics import FragmentedAuc, fragmented_auc, mrr, recall_at_k, roc_auc
 from .analysis import classify_success
 from .corpus import Corpus
 from .errors import EmptyInputError
-from .features import FeatureConfig, FeatureVector, pair_vectors
+from .features import Digests, FeatureConfig, FeatureVector, pair_vectors
 from .matching import (
     CandidateSet,
     DEFAULT_K_EDITS,
@@ -115,14 +116,14 @@ def _assert_no_leakage(train: Sequence, test: Sequence) -> None:
         raise RuntimeError(f"negative leakage across split: {sorted(overlap)[:5]}")
 
 
-def _sample_matrix(task: Task, samples, corpus: Corpus, config: FeatureConfig):
+def _sample_matrix(task: Task, samples, digests: Digests, config: FeatureConfig):
     ordered = sorted(
         samples,
         key=lambda s: (
-            corpus.account(s.parent_id).creation_time, s.parent_id, -s.label, s.other_id
+            digests.corpus.account(s.parent_id).creation_time, s.parent_id, -s.label, s.other_id
         ),
     )
-    names, X = _vector_matrix(task.vectors(ordered, corpus, config))
+    names, X = _vector_matrix(task.vectors(ordered, digests, config))
     y = np.array([s.label for s in ordered], dtype=int)
     return ordered, names, X, y
 
@@ -181,13 +182,16 @@ def _evaluate_samples(
     task: Task,
     samples,
     corpus: Corpus,
-    feature_config: FeatureConfig,
+    digests: Digests | None,
     train_config: TrainConfig,
     split: SplitSpec,
     use_rfe: bool,
+    k_edits: int = DEFAULT_K_EDITS,
     success_flags_for=None,
 ) -> tuple[TaskResult, LogisticModel]:
     label = f"task{task.number}_{task.name}"
+    digests = Digests.over(corpus, digests)
+    feature_config = task.feature_config(digests.config, k_edits)
     train_s, test_s = temporal_split(samples, corpus, split)
     if not train_s or not test_s:
         raise EmptyInputError(f"{label} split left an empty side")
@@ -195,9 +199,9 @@ def _evaluate_samples(
     _assert_no_leakage(train_s, test_s)
 
     train_ordered, names, X_train, y_train = _sample_matrix(
-        task, train_s, corpus, feature_config
+        task, train_s, digests, feature_config
     )
-    test_ordered, _, X_test, y_test = _sample_matrix(task, test_s, corpus, feature_config)
+    test_ordered, _, X_test, y_test = _sample_matrix(task, test_s, digests, feature_config)
 
     model, selected, keep = _fit(X_train, y_train, names, train_config, use_rfe)
     scores = model.predict_proba_matrix(X_test[:, keep], model.feature_names)
@@ -227,7 +231,7 @@ def run_task1(
     groups: Sequence[SockpuppetGroup],
     pairs: Sequence[EvasionPair],
     window_seconds: int = TASKS["1"].window_seconds,
-    feature_config: FeatureConfig | None = None,
+    digests: Digests | None = None,
     train_config: TrainConfig = TrainConfig(),
     split: SplitSpec = SplitSpec(TASKS["1"].train_fraction),
     use_rfe: bool = False,
@@ -235,8 +239,8 @@ def run_task1(
     """Evasion prediction: parents vs. matched non-evading malicious."""
     task = TASKS["1"]
     return _evaluate_samples(
-        task, task.match(corpus, groups, pairs, window_seconds), corpus,
-        task.feature_config(feature_config or FeatureConfig()), train_config, split, use_rfe,
+        task, task.match(corpus, groups, pairs, window_seconds), corpus, digests,
+        train_config, split, use_rfe,
     )
 
 
@@ -247,7 +251,7 @@ def run_task2(
     cap: int = DEFAULT_TASK2_CAP,
     seed: int = 0,
     k_edits: int = DEFAULT_K_EDITS,
-    feature_config: FeatureConfig | None = None,
+    digests: Digests | None = None,
     train_config: TrainConfig = TrainConfig(),
     split: SplitSpec = SplitSpec(TASKS["2"].train_fraction),
     use_rfe: bool = False,
@@ -255,9 +259,8 @@ def run_task2(
     """Early detection with only the other account's first k edits."""
     task = TASKS["2"]
     return _evaluate_samples(
-        task, task.match(corpus, (), pairs, window_seconds, cap, seed), corpus,
-        task.feature_config(feature_config or FeatureConfig(), k_edits),
-        train_config, split, use_rfe,
+        task, task.match(corpus, (), pairs, window_seconds, cap, seed), corpus, digests,
+        train_config, split, use_rfe, k_edits,
     )
 
 
@@ -266,7 +269,7 @@ def run_task3(
     groups: Sequence[SockpuppetGroup],
     pairs: Sequence[EvasionPair],
     window_seconds: int = TASKS["3"].window_seconds,
-    feature_config: FeatureConfig | None = None,
+    digests: Digests | None = None,
     train_config: TrainConfig = TrainConfig(),
     split: SplitSpec = SplitSpec(TASKS["3"].train_fraction),
     use_rfe: bool = False,
@@ -283,9 +286,8 @@ def run_task3(
         ]
 
     return _evaluate_samples(
-        task, task.match(corpus, groups, pairs, window_seconds), corpus,
-        task.feature_config(feature_config or FeatureConfig()), train_config, split, use_rfe,
-        success_flags_for=success_flags,
+        task, task.match(corpus, groups, pairs, window_seconds), corpus, digests,
+        train_config, split, use_rfe, success_flags_for=success_flags,
     )
 
 
@@ -301,30 +303,23 @@ class RankedList:
 
 
 def rank_candidates(
-    model: LogisticModel,
-    candidate_set: CandidateSet,
-    corpus: Corpus,
-    feature_config: FeatureConfig,
+    model: LogisticModel, candidate_set: CandidateSet, digests: Digests
 ) -> RankedList:
     """Score every (candidate, child) pair and rank by descending score."""
     names, X = _vector_matrix(
-        pair_vectors(corpus, _candidate_keys([candidate_set]), feature_config)
+        pair_vectors(digests, _candidate_keys([candidate_set]), digests.config)
     )
-    return _ranked(candidate_set, model.predict_proba_matrix(X, names).tolist())
-
-
-def _candidate_keys(candidate_sets: Sequence[CandidateSet]) -> list[tuple[str, str]]:
-    return [(c, cs.child_id) for cs in candidate_sets for c in cs.candidate_parent_ids]
-
-
-def _ranked(candidate_set: CandidateSet, scores: Sequence[float]) -> RankedList:
     scored = sorted(
-        zip(scores, candidate_set.candidate_parent_ids),
+        zip(model.predict_proba_matrix(X, names).tolist(), candidate_set.candidate_parent_ids),
         key=lambda item: (-item[0], item[1]),
     )
     ranked_ids = tuple(candidate_id for _, candidate_id in scored)
     rank = ranked_ids.index(candidate_set.true_parent_id) + 1
     return RankedList(candidate_set.child_id, ranked_ids, rank)
+
+
+def _candidate_keys(candidate_sets: Sequence[CandidateSet]) -> list[tuple[str, str]]:
+    return [(c, cs.child_id) for cs in candidate_sets for c in cs.candidate_parent_ids]
 
 
 @dataclass(frozen=True)
@@ -349,13 +344,13 @@ def run_ranking(
     corpus: Corpus,
     pairs: Sequence[EvasionPair],
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
-    feature_config: FeatureConfig | None = None,
+    digests: Digests | None = None,
     train_config: TrainConfig = TrainConfig(),
     split: SplitSpec = SplitSpec(TASKS["3"].train_fraction),
     recall_ks: Sequence[int] = (1, 3, 5),
 ) -> tuple[RankingResult, LogisticModel]:
     """Parent attribution: rank candidate parents for each test child."""
-    feature_config = feature_config or FeatureConfig()
+    digests = Digests.over(corpus, digests)
     if not pairs:
         raise EmptyInputError("run_ranking needs pairs")
 
@@ -368,26 +363,21 @@ def run_ranking(
     if not train_pairs or not test_pairs:
         raise EmptyInputError("ranking split left an empty side")
 
-    parents = [corpus.account(p.parent_id) for p in ordered_pairs]
+    # a parent named by several pairs is one candidate
+    parent_ids = dict.fromkeys(p.parent_id for p in ordered_pairs)
+    parents = [corpus.account(parent_id) for parent_id in parent_ids]
     children_train = [corpus.account(p.child_id) for p in train_pairs]
     children_test = [corpus.account(p.child_id) for p in test_pairs]
 
     train_sets = build_candidate_sets(children_train, parents, ordered_pairs, max_candidates)
     test_sets = build_candidate_sets(children_test, parents, ordered_pairs, max_candidates)
 
-    train_keys = _candidate_keys(train_sets)
-    true_parent = {cs.child_id: cs.true_parent_id for cs in train_sets}
-    y = np.array([int(true_parent[child] == c) for c, child in train_keys])
-    names, X = _vector_matrix(
-        pair_vectors(corpus, train_keys + _candidate_keys(test_sets), feature_config)
+    y = np.array(
+        [int(c == cs.true_parent_id) for cs in train_sets for c in cs.candidate_parent_ids]
     )
-    model = train(X[: len(train_keys)], y, train_config, names)
-
-    scores = iter(model.predict_proba_matrix(X[len(train_keys) :], names).tolist())
-    ranks = [
-        _ranked(cs, list(islice(scores, len(cs.candidate_parent_ids)))).rank_of_true_parent
-        for cs in test_sets
-    ]
+    names, X = _vector_matrix(pair_vectors(digests, _candidate_keys(train_sets), digests.config))
+    model = train(X, y, train_config, names)
+    ranks = [rank_candidates(model, cs, digests).rank_of_true_parent for cs in test_sets]
     all_sets = train_sets + test_sets
     result = RankingResult(
         mrr=mrr(ranks),

@@ -22,15 +22,17 @@ for absent bans, paired with the is_banned indicator. When ``k_limit`` is
 set, only the other account's first k revisions contribute to the pair
 vector; the parent side is never truncated.
 
-Every pair vector combines two ``AccountDigest``s, each holding the pages,
-token sets, mean embedding, lexicon profile and sentiment of one side.
-``pair_vectors`` memoizes digests by (account id, truncated by k_limit) for
-the duration of one call only; nothing is cached across calls.
+Every vector reads ``AccountDigest``s, one per account and number of
+revisions used. A run builds one ``Digests`` store, which builds each digest
+on first use and keeps it, so the three tasks, the ranking and the analysis
+share them; ``account_features`` and ``pair_features`` digest the revisions
+they are given.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field as dataclass_field
 from datetime import datetime, timezone
 from functools import cached_property
@@ -98,11 +100,9 @@ def _check_sorted(revisions: Sequence[Revision]) -> None:
             raise UnsortedRevisionsError("revisions must be time-sorted")
 
 
-def _pooled_tokens(revisions: Sequence[Revision]) -> list[str]:
-    tokens: list[str] = []
-    for rev in revisions:
-        tokens.extend(tokenize(rev.added_text))
-    return tokens
+def _token_set(tokens: Iterable[str]) -> frozenset[str]:
+    """Distinct tokens, interned so that digests share one copy of each."""
+    return frozenset(map(sys.intern, set(tokens)))
 
 
 @dataclass(frozen=True)
@@ -113,6 +113,9 @@ class AccountDigest:
     read it."""
 
     account: Account
+    revision_count: int
+    mean_gap_seconds: float
+    mean_contribution_size: float
     pages: frozenset[str]
     comment_tokens: frozenset[str]
     added_tokens: frozenset[str]
@@ -131,13 +134,23 @@ class AccountDigest:
 def account_digest(
     account: Account, revisions: Sequence[Revision], config: FeatureConfig
 ) -> AccountDigest:
-    """Tokenize and profile ``revisions`` once; embedding waits for a read."""
-    tokens = _pooled_tokens(revisions)
+    """Tokenize and profile time-sorted ``revisions`` once; embedding waits
+    for a read."""
+    n = len(revisions)
+    tokens = [t for r in revisions for t in tokenize(r.added_text)]
     return AccountDigest(
         account=account,
+        revision_count=n,
+        # consecutive gaps telescope to last minus first
+        mean_gap_seconds=(
+            (revisions[-1].timestamp - revisions[0].timestamp) / (n - 1) if n >= 2 else 0.0
+        ),
+        mean_contribution_size=(
+            sum(len(r.added_text) + len(r.deleted_text) for r in revisions) / n if n else 0.0
+        ),
         pages=frozenset(r.page_id for r in revisions),
-        comment_tokens=frozenset(t for r in revisions for t in tokenize(r.comment)),
-        added_tokens=frozenset(tokens),
+        comment_tokens=_token_set(t for r in revisions for t in tokenize(r.comment)),
+        added_tokens=_token_set(tokens),
         profile=liwc_profile(tokens, config.lexicon),
         sentiment=sentiment(tokens, config.sentiment_lexicon),
         texts=tuple(r.added_text for r in revisions if r.added_text),
@@ -145,50 +158,79 @@ def account_digest(
     )
 
 
+class Digests:
+    """One run's ``AccountDigest``s over one corpus and one config's lexicon,
+    sentiment lexicon and embedding provider, keyed by (account id, number of
+    revisions used) and each built on first use."""
+
+    def __init__(self, corpus: Corpus, config: FeatureConfig | None = None):
+        self.corpus = corpus
+        self.config = config or FeatureConfig()
+        self._built: dict[tuple[str, int], AccountDigest] = {}
+
+    @classmethod
+    def over(cls, corpus: Corpus, digests: Digests | None) -> Digests:
+        """``digests``, or a new store over ``corpus`` and ``FeatureConfig()``;
+        raises ``ValueError`` when ``digests`` was built over another corpus."""
+        if digests is None:
+            return cls(corpus)
+        if digests.corpus is not corpus:
+            raise ValueError("digests were built over another corpus")
+        return digests
+
+    def of(self, account_id: str, k_limit: int | None = None) -> AccountDigest:
+        """The digest of ``account_id``'s first ``k_limit`` (default all) revisions."""
+        revisions = self.corpus.revisions_of(account_id)
+        n = len(revisions) if k_limit is None else min(k_limit, len(revisions))
+        key = (account_id, n)
+        digest = self._built.get(key)
+        if digest is None:
+            digest = self._built[key] = account_digest(
+                self.corpus.account(account_id), revisions[:n], self.config
+            )
+        return digest
+
+
+_ACCOUNT_HEAD = (
+    "created_dow", "created_month", "created_day",
+    "banned_dow", "banned_month", "banned_day", "is_banned",
+    "duration_seconds",
+    "unique_pages", "total_contributions", "mean_gap_seconds",
+    "mean_contribution_size",
+)
+
+
+def _ban_fields(account: Account) -> list[float]:
+    """banned_{dow,month,day}, is_banned, duration_seconds; -1 when never banned."""
+    if account.ban_time is None:
+        return [-1.0, -1.0, -1.0, 0.0, -1.0]
+    return [*_calendar(account.ban_time), 1.0, float(account.ban_time - account.creation_time)]
+
+
+def _account_row(digest: AccountDigest) -> FeatureVector:
+    names = (
+        *_ACCOUNT_HEAD, *(f"liwc_{category}" for category in digest.profile), "sentiment_mean"
+    )
+    values = [
+        *_calendar(digest.account.creation_time), *_ban_fields(digest.account),
+        float(len(digest.pages)), float(digest.revision_count),
+        digest.mean_gap_seconds, digest.mean_contribution_size,
+        *digest.profile.values(), digest.sentiment,
+    ]
+    return FeatureVector(names, np.array(values, dtype=float))
+
+
 def account_features(
     account: Account, revisions: Sequence[Revision], config: FeatureConfig
 ) -> FeatureVector:
     """Behavioral vector for one account from its own metadata and edits."""
     _check_sorted(revisions)
-    created = _calendar(account.creation_time)
-    if account.ban_time is not None:
-        banned = _calendar(account.ban_time)
-        is_banned = 1.0
-        duration = float(account.ban_time - account.creation_time)
-    else:
-        banned = (-1, -1, -1)
-        is_banned = 0.0
-        duration = -1.0
+    return _account_row(account_digest(account, revisions, config))
 
-    n = len(revisions)
-    if n >= 2:
-        gaps = [b.timestamp - a.timestamp for a, b in zip(revisions, revisions[1:])]
-        mean_gap = sum(gaps) / len(gaps)
-    else:
-        mean_gap = 0.0
-    if n:
-        mean_size = sum(len(r.added_text) + len(r.deleted_text) for r in revisions) / n
-    else:
-        mean_size = 0.0
 
-    digest = account_digest(account, revisions, config)
-    names = [
-        "created_dow", "created_month", "created_day",
-        "banned_dow", "banned_month", "banned_day", "is_banned",
-        "duration_seconds",
-        "unique_pages", "total_contributions", "mean_gap_seconds",
-        "mean_contribution_size",
-    ]
-    values = [
-        *created, *banned, is_banned, duration,
-        float(len(digest.pages)), float(n), mean_gap, mean_size,
-    ]
-    for category in config.lexicon.categories:
-        names.append(f"liwc_{category}")
-        values.append(digest.profile[category])
-    names.append("sentiment_mean")
-    values.append(digest.sentiment)
-    return FeatureVector(tuple(names), np.array(values, dtype=float))
+def account_vectors(digests: Digests, account_ids: Iterable[str]) -> list[FeatureVector]:
+    """``account_features`` for each account id, read from ``digests``."""
+    return [_account_row(digests.of(account_id)) for account_id in account_ids]
 
 
 _PAIR_HEAD = (
@@ -208,15 +250,6 @@ _PAIR_TAIL = (
 )
 
 
-def _side_digest(
-    account: Account, revisions: Sequence[Revision], config: FeatureConfig, truncate: bool
-) -> AccountDigest:
-    _check_sorted(revisions)
-    if truncate and config.k_limit is not None:
-        revisions = revisions[: config.k_limit]
-    return account_digest(account, revisions, config)
-
-
 def _combine(parent: AccountDigest, other: AccountDigest, config: FeatureConfig) -> FeatureVector:
     p, o = parent.account, other.account
     if p.ban_time is None:
@@ -229,10 +262,7 @@ def _combine(parent: AccountDigest, other: AccountDigest, config: FeatureConfig)
     names = _PAIR_HEAD
     if config.include_child_ban_features:
         names += _PAIR_CHILD_BAN
-        if o.ban_time is not None:
-            values += [*_calendar(o.ban_time), 1.0, float(o.ban_time - o.creation_time)]
-        else:
-            values += [-1.0, -1.0, -1.0, 0.0, -1.0]
+        values += _ban_fields(o)
     values += [
         float(o.creation_time - p.ban_time),
         jaccard(parent.pages, other.pages),
@@ -253,29 +283,28 @@ def pair_features(
     config: FeatureConfig,
 ) -> FeatureVector:
     """Similarity vector for a (banned parent, candidate successor) pair."""
+    _check_sorted(parent_revisions)
+    _check_sorted(other_revisions)
     return _combine(
-        _side_digest(parent, parent_revisions, config, truncate=False),
-        _side_digest(other, other_revisions, config, truncate=True),
+        account_digest(parent, parent_revisions, config),
+        account_digest(other, other_revisions[: config.k_limit], config),
         config,
     )
 
 
 def pair_vectors(
-    corpus: Corpus, id_pairs: Iterable[tuple[str, str]], config: FeatureConfig
+    digests: Digests, id_pairs: Iterable[tuple[str, str]], config: FeatureConfig
 ) -> list[FeatureVector]:
-    """``pair_features`` for each (parent_id, other_id), digesting each
-    account side once within this call."""
-    memo: dict[tuple[str, bool], AccountDigest] = {}
-
-    def digest(account_id: str, truncate: bool) -> AccountDigest:
-        revisions = corpus.revisions_of(account_id)
-        truncated = truncate and config.k_limit is not None and len(revisions) > config.k_limit
-        key = (account_id, truncated)
-        if key not in memo:
-            memo[key] = _side_digest(corpus.account(account_id), revisions, config, truncate)
-        return memo[key]
-
-    return [_combine(digest(p, False), digest(o, True), config) for p, o in id_pairs]
+    """``pair_features`` for each (parent_id, other_id), read from ``digests``;
+    raises ``ValueError`` unless ``config`` has the store's text resources."""
+    mine = digests.config
+    if (config.lexicon, config.sentiment_lexicon, config.provider) != (
+        mine.lexicon, mine.sentiment_lexicon, mine.provider
+    ):
+        raise ValueError("config's lexicon, sentiment lexicon or provider differ from the store's")
+    return [
+        _combine(digests.of(p), digests.of(o, config.k_limit), config) for p, o in id_pairs
+    ]
 
 
 # ---------------------------------------------------------------------------

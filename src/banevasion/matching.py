@@ -41,7 +41,7 @@ from .errors import (
     RecordParseError,
     TrueParentMissingError,
 )
-from .features import FeatureConfig, FeatureVector, account_features, pair_vectors
+from .features import Digests, FeatureConfig, FeatureVector, account_vectors, pair_vectors
 from .pairing import EvasionPair, SockpuppetGroup
 
 POSITIVE = 1
@@ -97,7 +97,9 @@ class Task:
         """Positives from ``pairs`` and matched negatives from this task's pool:
         non-evading malicious accounts for tasks 1 and 3, benign for task 2."""
         if self.name == TASK1:
-            parents = [corpus.account(p.parent_id) for p in pairs]
+            # a parent named by several pairs anchors one positive
+            parent_ids = dict.fromkeys(p.parent_id for p in pairs)
+            parents = [corpus.account(parent_id) for parent_id in parent_ids]
             return match_task1(parents, prepare_malicious_pool(corpus, groups), window_seconds)
         if self.name == TASK2:
             return match_task2(
@@ -117,17 +119,12 @@ class Task:
         return base
 
     def vectors(
-        self, samples: Sequence[LabeledSample], corpus: Corpus, config: FeatureConfig
+        self, samples: Sequence[LabeledSample], digests: Digests, config: FeatureConfig
     ) -> list[FeatureVector]:
         """Task 1 describes the other account alone, tasks 2 and 3 the pair."""
         if self.name == TASK1:
-            return [
-                account_features(
-                    corpus.account(s.other_id), corpus.revisions_of(s.other_id), config
-                )
-                for s in samples
-            ]
-        return pair_vectors(corpus, [(s.parent_id, s.other_id) for s in samples], config)
+            return account_vectors(digests, [s.other_id for s in samples])
+        return pair_vectors(digests, [(s.parent_id, s.other_id) for s in samples], config)
 
 
 TASKS = {

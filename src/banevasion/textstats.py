@@ -148,11 +148,12 @@ def _fnv1a64(data: bytes) -> int:
     return h
 
 
+@dataclass(frozen=True)
 class HashedTrigramProvider:
-    """Deterministic bag of hashed character trigrams, fixed dimension."""
+    """Deterministic bag of hashed character trigrams, fixed dimension; two
+    providers of one dimension are equal."""
 
-    def __init__(self, dimension: int = 256):
-        self.dimension = dimension
+    dimension: int = 256
 
     def embed_text(self, text: str) -> np.ndarray:
         vec = np.zeros(self.dimension)

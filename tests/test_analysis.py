@@ -22,7 +22,7 @@ from banevasion.errors import (
     MissingBanTimeError,
     ZeroVarianceError,
 )
-from banevasion.matching import match_task3, prepare_malicious_pool
+from banevasion.matching import NEGATIVE, TASK1, LabeledSample, match_task3, prepare_malicious_pool
 from banevasion.pairing import EvasionPair, extract_evasion_pairs, first_pair_per_group, merge_groups
 
 from conftest import account, corpus_of, record, revision
@@ -245,6 +245,51 @@ class TestCharacterize:
         assert overlaps["comment_unigram_jaccard"]["pairs"]["mean"] == 1.0
         assert overlaps["embedding_cosine"]["pairs"]["mean"] == pytest.approx(1.0)
         assert overlaps["profile_abs_diff"]["pairs"]["mean"] == 0.0
+
+    def test_repeated_parent_counted_once_in_activity(self):
+        accounts = [
+            account("p", 0, ban=1000), account("c1", 2000, ban=3000),
+            account("c2", 2500, ban=4500),
+        ]
+        revisions = [
+            revision("p", "pg-1", 100, added="old words"),
+            revision("p", "pg-2", 300, added="more words"),
+            revision("c1", "pg-1", 2100, added="new words"),
+            revision("c2", "pg-3", 2600, added="other words"),
+        ]
+        corpus = corpus_of(accounts, revisions, [record("p", "c1", "c2")])
+        pairs = [EvasionPair("p", "c1", 0), EvasionPair("p", "c2", 0)]
+        report = characterize(corpus, pairs)
+        assert report["counts"]["pairs"] == 2
+        assert report["tables"]["account_durations"]["rows"] == [["parent", 1000.0]]
+        assert report["activity"]["parent_medians"] == {
+            "duration_seconds": 1000.0,
+            "revisions": 2.0,
+            "unique_pages": 2.0,
+            "mean_gap_seconds": 200.0,
+        }
+        assert report["overlaps"]["page_jaccard"]["pairs"]["n"] == 2
+
+    def test_activity_medians_read_digests(self):
+        accounts = [
+            account("p", 0, ban=1000), account("c", 2000, ban=3000),
+            account("m1", 0, ban=900), account("m2", 0, ban=950),
+        ]
+        revisions = [
+            revision("p", "pg-1", 100), revision("c", "pg-1", 2100),
+            revision("m1", "pg-2", 10),
+            revision("m2", "pg-2", 10), revision("m2", "pg-3", 40), revision("m2", "pg-3", 100),
+        ]
+        corpus = corpus_of(accounts, revisions, [record("p", "c")])
+        controls = [LabeledSample("p", m, NEGATIVE, TASK1) for m in ("m1", "m2")]
+        report = characterize(corpus, [EvasionPair("p", "c", 0)], controls)
+        assert report["activity"]["control_medians"] == {
+            "duration_seconds": 925.0,
+            "revisions": 2.0,
+            "unique_pages": 1.5,
+            "mean_gap_seconds": 45.0,
+        }
+        assert report["activity"]["parent_medians"]["mean_gap_seconds"] is None
 
     def test_vocab_reuse_monotonicity(self):
         def unigram_mean(reuse):

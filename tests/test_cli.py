@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from banevasion import corpus as corpus_mod
+from banevasion import features as features_mod
 from banevasion import pairing as pairing_mod
 from banevasion.cli import main
 from banevasion.corpus import DAY_SECONDS, WEEK_SECONDS, load_corpus
@@ -56,6 +58,37 @@ class TestGenerate:
         main(["generate", "--out-dir", str(tmp_path / "cfg"), "--config", str(config), "--seed", "7"])
         main(["generate", "--out-dir", str(tmp_path / "flag"), "--seed", "7", *GEN_FLAGS])
         assert tree_digest(tmp_path / "cfg") == tree_digest(tmp_path / "flag")
+
+
+class TestRepeatedParent:
+    def test_match_task1_counts_a_parent_named_twice_once(self, tmp_path):
+        corpus_dir, pairs_dir = tmp_path / "corpus", tmp_path / "pairs"
+        assert main(["generate", "--out-dir", str(corpus_dir), "--seed", "7"]) == 0
+        names = ("accounts", "revisions", "records")
+        flags = [f for n in names for f in (f"--{n}", str(corpus_dir / f"{n}.jsonl"))]
+        assert main(["extract-pairs", *flags, "--out-dir", str(pairs_dir)]) == 0
+
+        # a second pair for the first parent, to an account no pair names
+        extracted = pairs_dir / "evasion_pairs.jsonl"
+        lines = extracted.read_text().splitlines()
+        parent_id = json.loads(lines[0])["parent_id"]
+        named = {v for line in lines for k, v in json.loads(line).items() if k != "group_id"}
+        corpus = load_corpus(*(corpus_dir / f"{n}.jsonl" for n in names))
+        ban = corpus.account(parent_id).ban_time
+        child_id = next(
+            a.account_id for a in corpus.accounts
+            if a.creation_time > ban and a.account_id not in named
+        )
+        repeated = tmp_path / "repeated.jsonl"
+        extra = json.dumps({"parent_id": parent_id, "child_id": child_id})
+        repeated.write_text("\n".join([*lines, extra]) + "\n")
+
+        for name, path in (("once", extracted), ("repeated", repeated)):
+            out = tmp_path / f"{name}.tsv"
+            assert main(["match", "--task", "1", *flags, "--pairs", str(path), "--out", str(out)]) == 0
+        once = (tmp_path / "once.tsv").read_bytes()
+        assert once.count(f"\t{parent_id}\t{parent_id}\tpositive\n".encode()) == 1
+        assert (tmp_path / "repeated.tsv").read_bytes() == once
 
 
 class TestUsageErrors:
@@ -338,3 +371,16 @@ class TestReproduce:
         tables_dir = tmp_path / "r1" / "reports" / "tables"
         assert (tables_dir / "account_durations.csv").exists()
         assert (tmp_path / "r1" / "report.txt").read_text().startswith("evaluation report")
+
+    def test_reproduce_builds_each_digest_once(self, tmp_path, monkeypatch):
+        built = Counter()
+        real = features_mod.account_digest
+
+        def counting(account, revisions, config):
+            built[(account.account_id, len(revisions))] += 1
+            return real(account, revisions, config)
+
+        monkeypatch.setattr(features_mod, "account_digest", counting)
+        args = ["--seed", "7", "--groups", "12", "--benign", "120", "--malicious", "60"]
+        assert main(["reproduce", "--out-dir", str(tmp_path), *args]) == 0
+        assert built and set(built.values()) == {1}

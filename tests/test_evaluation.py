@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import json
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from banevasion import evaluation as evaluation_mod
+from banevasion import features as features_mod
 from banevasion._metrics import _average_ranks
+from banevasion.analysis import characterize
 from banevasion.corpus import SynthConfig, generate_synthetic
 from banevasion.errors import EmptyInputError, SingleClassInputError
 from banevasion.evaluation import (
@@ -24,16 +29,22 @@ from banevasion.evaluation import (
     run_task3,
     temporal_split,
 )
-from banevasion.features import FeatureConfig
+from banevasion.features import Digests, FeatureConfig
 from banevasion.matching import (
     CandidateSet,
     LabeledSample,
     NEGATIVE,
     POSITIVE,
     TASK1,
+    TASKS,
 )
 from banevasion.model import LogisticModel, StandardizationStats, TrainConfig
-from banevasion.pairing import extract_evasion_pairs, first_pair_per_group, merge_groups
+from banevasion.pairing import (
+    EvasionPair,
+    extract_evasion_pairs,
+    first_pair_per_group,
+    merge_groups,
+)
 
 from conftest import account, corpus_of
 
@@ -299,7 +310,7 @@ class TestRankCandidates:
         corpus = self.make_corpus()
         cand = CandidateSet("child", ("true",), "true")
         config = FeatureConfig()
-        ranked = rank_candidates(zero_model(_pair_names(corpus, config)), cand, corpus, config)
+        ranked = rank_candidates(zero_model(_pair_names(corpus, config)), cand, Digests(corpus, config))
         assert ranked.rank_of_true_parent == 1
 
     def test_identical_vectors_tie_break_by_id(self):
@@ -307,7 +318,7 @@ class TestRankCandidates:
         config = FeatureConfig()
         names = _pair_names(corpus, config)
         cand = CandidateSet("child", ("true", "d1", "d2"), "true")
-        ranked = rank_candidates(zero_model(names), cand, corpus, config)
+        ranked = rank_candidates(zero_model(names), cand, Digests(corpus, config))
         # all scores are 0.5 -> candidates sorted by id: d1, d2, true
         assert ranked.ranked_candidate_ids == ("d1", "d2", "true")
         assert ranked.rank_of_true_parent == 3
@@ -371,6 +382,121 @@ class TestHarnesses:
         assert result.selected_features is not None
         assert set(model.feature_names) == set(result.selected_features)
         assert result.auc > 0.8
+
+
+def run_all_consumers(corpus, groups, pairs, digests=None) -> list[str]:
+    """The three task harnesses, the ranking and the characterization, each
+    result as sorted JSON."""
+    prediction, bantime = TASKS["1"], TASKS["3"]
+    results = [
+        run_task1(corpus, groups, pairs, digests=digests)[0].to_dict(),
+        run_task2(corpus, pairs, digests=digests)[0].to_dict(),
+        run_task3(corpus, groups, pairs, digests=digests)[0].to_dict(),
+        run_ranking(corpus, pairs, digests=digests)[0].to_dict(),
+        characterize(
+            corpus,
+            pairs,
+            prediction.match(corpus, groups, pairs, prediction.window_seconds),
+            bantime.match(corpus, groups, pairs, bantime.window_seconds),
+            digests=digests,
+        ),
+    ]
+    return [json.dumps(r, sort_keys=True) for r in results]
+
+
+class TestDigestStore:
+    def test_one_build_per_key_across_consumers(self, planted, monkeypatch):
+        corpus, groups, pairs = planted
+        separate = run_all_consumers(corpus, groups, pairs)
+        built = Counter()
+        real = features_mod.account_digest
+
+        def counting(account, revisions, config):
+            built[(account.account_id, len(revisions))] += 1
+            return real(account, revisions, config)
+
+        monkeypatch.setattr(features_mod, "account_digest", counting)
+        digests = Digests(corpus)
+        assert run_all_consumers(corpus, groups, pairs, digests) == separate
+        assert built and set(built.values()) == {1}
+        # the task-2 other sides are truncated to their first k edits
+        assert any(
+            n < len(corpus.revisions_of(account_id)) for account_id, n in built
+        )
+        calls = sum(built.values())
+        run_all_consumers(corpus, groups, pairs, digests)
+        assert sum(built.values()) == calls
+
+    @pytest.mark.parametrize("consumer", [0, 1, 2, 3, 4], ids=[
+        "task1", "task2", "task3", "ranking", "characterize",
+    ])
+    def test_store_over_another_corpus_rejected(self, planted, consumer):
+        corpus, groups, pairs = planted
+        other = Digests(corpus_of([account("a", 0)]))
+        runs = [
+            lambda: run_task1(corpus, groups, pairs, digests=other),
+            lambda: run_task2(corpus, pairs, digests=other),
+            lambda: run_task3(corpus, groups, pairs, digests=other),
+            lambda: run_ranking(corpus, pairs, digests=other),
+            lambda: characterize(corpus, pairs, digests=other),
+        ]
+        with pytest.raises(ValueError, match="another corpus"):
+            runs[consumer]()
+
+    def test_ranking_scores_each_test_child_through_rank_candidates(
+        self, planted, monkeypatch
+    ):
+        corpus, _, pairs = planted
+        scored = []
+        real = evaluation_mod.rank_candidates
+
+        def recording(model, candidate_set, digests):
+            scored.append(candidate_set.child_id)
+            return real(model, candidate_set, digests)
+
+        monkeypatch.setattr(evaluation_mod, "rank_candidates", recording)
+        result, _ = run_ranking(corpus, pairs)
+        assert len(scored) == len(set(scored)) == result.n_test_children
+
+
+def with_repeated_parent(corpus, pairs):
+    """``pairs`` plus a second pair for the first parent, whose child is an
+    account created after that parent's ban and named by no pair."""
+    parent_id = pairs[0].parent_id
+    named = {i for p in pairs for i in (p.parent_id, p.child_id)}
+    ban = corpus.account(parent_id).ban_time
+    child_id = next(
+        a.account_id for a in corpus.accounts
+        if a.creation_time > ban and a.account_id not in named
+    )
+    return [*pairs, EvasionPair(parent_id, child_id, pairs[0].group_id)]
+
+
+class TestRepeatedParent:
+    def test_task1_anchors_it_once(self, planted):
+        corpus, groups, pairs = planted
+        task = TASKS["1"]
+        assert task.match(
+            corpus, groups, with_repeated_parent(corpus, pairs), task.window_seconds
+        ) == task.match(corpus, groups, pairs, task.window_seconds)
+
+    def test_ranking_lists_it_once(self, planted, monkeypatch):
+        corpus, _, pairs = planted
+        parent_lists, candidate_sets = [], []
+        real = evaluation_mod.build_candidate_sets
+
+        def recording(children, banned_parents, truth, max_candidates):
+            parent_lists.append([a.account_id for a in banned_parents])
+            sets = real(children, banned_parents, truth, max_candidates)
+            candidate_sets.extend(sets)
+            return sets
+
+        monkeypatch.setattr(evaluation_mod, "build_candidate_sets", recording)
+        run_ranking(corpus, with_repeated_parent(corpus, pairs))
+        assert len(parent_lists) == 2
+        assert all(len(ids) == len(set(ids)) == len(pairs) for ids in parent_lists)
+        for cs in candidate_sets:
+            assert len(cs.candidate_parent_ids) == len(set(cs.candidate_parent_ids))
 
 
 @pytest.mark.parametrize("task", ["task1", "task2", "task3"])

@@ -8,14 +8,19 @@ import pytest
 from banevasion.corpus import SynthConfig, generate_synthetic
 from banevasion.errors import MissingParentBanError, RecordParseError, UnsortedRevisionsError
 from banevasion.features import (
+    Digests,
     FeatureConfig,
     FeatureVector,
     account_features,
+    account_vectors,
     pair_features,
     pair_vectors,
     read_feature_matrix,
     write_feature_matrix,
 )
+from banevasion.matching import TASKS
+from banevasion.pairing import extract_evasion_pairs, first_pair_per_group, merge_groups
+from banevasion.textstats import HashedTrigramProvider, Lexicon, SentimentLexicon
 
 from conftest import account, corpus_of, revision
 
@@ -237,7 +242,7 @@ class TestPairVectors:
         # x is an untruncated parent, then a truncated other side; y and w
         # have at most k revisions, so their other side is untruncated.
         keys = [("x", "y"), ("z", "x"), ("x", "w"), ("y", "x"), ("x", "y"), ("z", "y")]
-        rows = pair_vectors(corpus, keys, config)
+        rows = pair_vectors(Digests(corpus, config), keys, config)
         assert len(rows) == len(keys)
         for (parent_id, other_id), row in zip(keys, rows):
             expected = pair_features(
@@ -247,8 +252,79 @@ class TestPairVectors:
             assert row.names == expected.names
             assert np.array_equal(row.values, expected.values)
         # the truncated x must differ from the full x
-        full = pair_vectors(corpus, [("z", "x")], FeatureConfig(include_child_ban_features=child_ban))
+        full = pair_vectors(Digests(corpus), [("z", "x")], FeatureConfig(include_child_ban_features=child_ban))
         assert not np.array_equal(full[0].values, rows[1].values)
+
+
+class TestDigests:
+    """The store builds each digest once; what it returns must equal the
+    per-item references built from the same revisions."""
+
+    @pytest.fixture(scope="class")
+    def synthetic(self):
+        corpus = generate_synthetic(
+            SynthConfig(n_groups=12, n_benign=60, n_nonevading_malicious=40, seed=21)
+        ).corpus
+        groups = merge_groups(corpus.sockpuppet_records, corpus)
+        pairs = first_pair_per_group(extract_evasion_pairs(groups, corpus), corpus)
+        return corpus, groups, pairs
+
+    def test_task1_rows_equal_account_features(self, synthetic, config):
+        corpus, groups, pairs = synthetic
+        task = TASKS["1"]
+        samples = task.match(corpus, groups, pairs, task.window_seconds)
+        assert len({s.other_id for s in samples}) < len(samples)  # negatives recur
+        digests = Digests(corpus, config)
+        rows = task.vectors(samples, digests, task.feature_config(config))
+        assert len(rows) == len(samples)
+        for sample, row in zip(samples, rows):
+            expected = account_features(
+                corpus.account(sample.other_id), corpus.revisions_of(sample.other_id), config
+            )
+            assert row.names == expected.names
+            assert np.array_equal(row.values, expected.values)
+
+    def test_every_account_row_equals_account_features(self, synthetic, config):
+        corpus, _, _ = synthetic
+        ids = [a.account_id for a in corpus.accounts]
+        for account_id, row in zip(ids, account_vectors(Digests(corpus, config), ids)):
+            expected = account_features(
+                corpus.account(account_id), corpus.revisions_of(account_id), config
+            )
+            assert row.names == expected.names
+            assert np.array_equal(row.values, expected.values)
+
+    def test_key_is_revisions_used(self):
+        corpus = TestPairVectors().corpus()  # x has 6 revisions, y has 2
+        digests = Digests(corpus)
+        assert digests.of("y", 3) is digests.of("y") is digests.of("y", 2)
+        assert digests.of("x", 3) is not digests.of("x")
+        assert digests.of("x", 3) is digests.of("x", 3)
+        assert (digests.of("x", 3).revision_count, digests.of("x").revision_count) == (3, 6)
+
+    def test_config_variant_with_same_text_resources_accepted(self):
+        corpus = TestPairVectors().corpus()
+        digests = Digests(corpus)
+        variant = FeatureConfig(k_limit=2, include_child_ban_features=False)
+        (row,) = pair_vectors(digests, [("x", "y")], variant)
+        expected = pair_features(
+            corpus.account("x"), corpus.revisions_of("x"),
+            corpus.account("y"), corpus.revisions_of("y"), variant,
+        )
+        assert np.array_equal(row.values, expected.values)
+
+    @pytest.mark.parametrize(
+        "field, other",
+        [
+            ("lexicon", Lexicon({"swear": ("damn",)})),
+            ("sentiment_lexicon", SentimentLexicon({"calm": 0.5})),
+            ("provider", HashedTrigramProvider(dimension=64)),
+        ],
+    )
+    def test_config_with_other_text_resources_rejected(self, field, other):
+        digests = Digests(TestPairVectors().corpus())
+        with pytest.raises(ValueError, match="differ from the store's"):
+            pair_vectors(digests, [("x", "y")], FeatureConfig(**{field: other}))
 
 
 class TestMatrixSerialization:

@@ -86,6 +86,23 @@ class TestMatchTask1:
                 assert abs(member.ban_time - anchor.ban_time) <= WEEK_SECONDS
 
 
+    def test_task_match_anchors_a_repeated_parent_once(self):
+        accounts = [
+            account("p", 0, ban=BAN), account("q", 0, ban=BAN + 10),
+            account("c1", BAN + 100), account("c2", BAN + 200), account("c3", BAN + 300),
+            account("m", 0, ban=BAN + 5),
+        ]
+        corpus = corpus_of(accounts)
+        once = [EvasionPair("p", "c1", 0), EvasionPair("q", "c3", 1)]
+        repeated = [EvasionPair("p", "c1", 0), EvasionPair("p", "c2", 0), EvasionPair("q", "c3", 1)]
+        samples = TASKS["1"].match(corpus, (), repeated, WEEK_SECONDS)
+        assert samples == TASKS["1"].match(corpus, (), once, WEEK_SECONDS)
+        assert [(s.parent_id, s.other_id, s.label) for s in samples] == [
+            ("p", "p", POSITIVE), ("p", "m", NEGATIVE), ("p", "q", NEGATIVE),
+            ("q", "q", POSITIVE), ("q", "m", NEGATIVE), ("q", "p", NEGATIVE),
+        ]
+
+
 def pair_fixture(n_benign=0, benign_offset=0, n_malicious=0, malicious_creation=None):
     parent = account("p", 0, ban=BAN)
     child = account("c", BAN + 5 * DAY_SECONDS, ban=BAN + 9 * DAY_SECONDS)
