@@ -162,10 +162,8 @@ def classify_success(pairs: Iterable, corpus: Corpus) -> dict[tuple[str, str], s
             raise MissingBanTimeError(parent.account_id)
         if child.ban_time is None:
             raise MissingBanTimeError(child.account_id)
-        child_duration = child.ban_time - child.creation_time
-        parent_duration = parent.ban_time - parent.creation_time
         verdicts[(pair.parent_id, pair.child_id)] = (
-            "successful" if child_duration > parent_duration else "unsuccessful"
+            "successful" if child.duration_seconds > parent.duration_seconds else "unsuccessful"
         )
     return verdicts
 
@@ -177,21 +175,25 @@ def inter_account_durations(
 ) -> list[float]:
     """Child-creation minus parent-ban gaps, outliers dropped, min-max
     normalized to [0, 1] (all zero when the kept values are equal)."""
+    gaps = [
+        float(corpus.account(p.child_id).creation_time - corpus.account(p.parent_id).ban_time)
+        for p in pairs
+    ]
+    return _normalized_gaps(gaps, outlier_days)[1]
+
+
+def _normalized_gaps(gaps: Sequence[float], outlier_days: float):
+    """The indices of the gaps of at most ``outlier_days``, and those gaps
+    min-max normalized to [0, 1] (all zero when they are equal)."""
     threshold = outlier_days * DAY_SECONDS
-    kept = []
-    for pair in pairs:
-        gap = (
-            corpus.account(pair.child_id).creation_time
-            - corpus.account(pair.parent_id).ban_time
-        )
-        if gap <= threshold:
-            kept.append(float(gap))
+    kept_idx = [i for i, gap in enumerate(gaps) if gap <= threshold]
+    kept = [gaps[i] for i in kept_idx]
     if not kept:
-        return []
+        return kept_idx, []
     lo, hi = min(kept), max(kept)
     if hi == lo:
-        return [0.0 for _ in kept]
-    return [(v - lo) / (hi - lo) for v in kept]
+        return kept_idx, [0.0 for _ in kept]
+    return kept_idx, [(v - lo) / (hi - lo) for v in kept]
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +236,7 @@ def _activity_stats(digests: Digests, account_ids: Iterable[str]) -> dict[str, l
     rows = [digests.of(account_id) for account_id in account_ids]
     return {
         "duration_seconds": [
-            float(d.account.ban_time - d.account.creation_time)
+            float(d.account.duration_seconds)
             for d in rows
             if d.account.ban_time is not None
         ],
@@ -262,11 +264,10 @@ _OVERLAP_KEYS = (
 
 
 def characterize(
-    corpus: Corpus,
+    digests: Digests,
     pairs: Sequence,
     account_samples: Sequence = (),
     pair_samples: Sequence = (),
-    digests: Digests | None = None,
     outlier_days: float = DEFAULT_OUTLIER_DAYS,
 ) -> dict:
     """Descriptive report contrasting evasion pairs with matched controls.
@@ -275,10 +276,10 @@ def characterize(
     control accounts, the ``other_id`` of each negative, for the activity
     contrasts; ``pair_samples`` supply matched control pairs (negatives) for
     the overlap contrasts. Degenerate contrasts yield None statistics rather
-    than raising. Pair vectors omit the child-ban fields. ``digests`` is a
-    store over ``corpus`` (by default a fresh one over ``FeatureConfig()``).
+    than raising. Pair vectors omit the child-ban fields. The corpus and
+    every account's digest come from ``digests``.
     """
-    digests = Digests.over(corpus, digests)
+    corpus = digests.corpus
     config = replace(digests.config, include_child_ban_features=False)
 
     # a parent named by several pairs is one account
@@ -394,10 +395,8 @@ def characterize(
 
     # Inter-account durations and their correlates.
     raw_gaps = [m["inter_account_seconds"] for m in pair_metrics]
-    threshold = outlier_days * DAY_SECONDS
-    kept_idx = [i for i, v in enumerate(raw_gaps) if v <= threshold]
+    kept_idx, normalized = _normalized_gaps(raw_gaps, outlier_days)
     kept = [raw_gaps[i] for i in kept_idx]
-    normalized = inter_account_durations(pairs, corpus, outlier_days)
     report["inter_account"] = {
         "median_seconds": statistics.median(raw_gaps) if raw_gaps else None,
         "std_seconds": statistics.stdev(raw_gaps) if len(raw_gaps) >= 2 else None,

@@ -268,11 +268,6 @@ def _train_config(opts: Options) -> TrainConfig:
     )
 
 
-def _window_seconds(opts: Options, task: matching_mod.Task) -> int:
-    days = opts.get("window_days", None, float)
-    return task.window_seconds if days is None else int(days * corpus_mod.DAY_SECONDS)
-
-
 def _split(opts: Options, task: matching_mod.Task) -> eval_mod.SplitSpec:
     return eval_mod.SplitSpec(opts.get("train_fraction", task.train_fraction, float))
 
@@ -293,6 +288,19 @@ def _task(opts: Options) -> matching_mod.Task:
         if task.name != matching_mod.TASK2 and getattr(opts.args, name, None) is not None:
             raise InvalidConfigError(name, f"applies only to --task 2, not --task {task.number}")
     return task
+
+
+def _match(opts: Options, task: matching_mod.Task, corpus, groups, pairs):
+    """``task.match`` with the window, cap and seed of ``opts``."""
+    days = opts.get("window_days", None, float)
+    return task.match(
+        corpus,
+        groups,
+        pairs,
+        task.window_seconds if days is None else int(days * corpus_mod.DAY_SECONDS),
+        opts.get("cap", matching_mod.DEFAULT_TASK2_CAP, int),
+        opts.get("seed", 0, int),
+    )
 
 
 def _extract(corpus):
@@ -389,15 +397,7 @@ def cmd_extract_pairs(opts: Options) -> int:
 def cmd_match(opts: Options) -> int:
     task = _task(opts)
     corpus = _load_corpus(opts)
-    groups, pairs = _pairs_from_file_or_corpus(opts, corpus)
-    samples = task.match(
-        corpus,
-        groups,
-        pairs,
-        _window_seconds(opts, task),
-        opts.get("cap", matching_mod.DEFAULT_TASK2_CAP, int),
-        opts.get("seed", 0, int),
-    )
+    samples = _match(opts, task, corpus, *_pairs_from_file_or_corpus(opts, corpus))
     out = opts.get("out")
     matching_mod.write_samples(samples, out)
     print(f"wrote {len(samples)} samples -> {out}")
@@ -438,34 +438,23 @@ def cmd_train(opts: Options) -> int:
     return 0
 
 
-def _run_task(digests: Digests, groups, pairs, task: matching_mod.Task, opts: Options):
-    window = _window_seconds(opts, task)
-    harness = dict(
-        digests=digests,
+def _run_task(digests: Digests, task: matching_mod.Task, samples, opts: Options):
+    return eval_mod.run_task(
+        task,
+        samples,
+        digests,
         train_config=_train_config(opts),
         split=_split(opts, task),
         use_rfe=opts.get("rfe", False, _as_bool),
+        k_edits=opts.get("k_edits", matching_mod.DEFAULT_K_EDITS, int),
     )
-    if task.number == "2":
-        return eval_mod.run_task2(
-            digests.corpus,
-            pairs,
-            window,
-            opts.get("cap", matching_mod.DEFAULT_TASK2_CAP, int),
-            opts.get("seed", 0, int),
-            opts.get("k_edits", matching_mod.DEFAULT_K_EDITS, int),
-            **harness,
-        )
-    run = eval_mod.run_task1 if task.number == "1" else eval_mod.run_task3
-    return run(digests.corpus, groups, pairs, window, **harness)
 
 
 def _run_ranking(digests: Digests, pairs, opts: Options):
     return eval_mod.run_ranking(
-        digests.corpus,
+        digests,
         pairs,
         max_candidates=opts.get("max_candidates", matching_mod.DEFAULT_MAX_CANDIDATES, int),
-        digests=digests,
         train_config=_train_config(opts),
         split=_split(opts, matching_mod.TASKS["3"]),
     )
@@ -474,8 +463,8 @@ def _run_ranking(digests: Digests, pairs, opts: Options):
 def cmd_evaluate(opts: Options) -> int:
     task = _task(opts)
     corpus = _load_corpus(opts)
-    groups, pairs = _pairs_from_file_or_corpus(opts, corpus)
-    result, fitted = _run_task(_digests(opts, corpus), groups, pairs, task, opts)
+    samples = _match(opts, task, corpus, *_pairs_from_file_or_corpus(opts, corpus))
+    result, fitted = _run_task(_digests(opts, corpus), task, samples, opts)
     out_dir = Path(opts.get("out_dir"))
     out_dir.mkdir(parents=True, exist_ok=True)
     name = f"task{task.number}"
@@ -504,7 +493,8 @@ def cmd_rank(opts: Options) -> int:
 def cmd_analyze(opts: Options) -> int:
     corpus = _load_corpus(opts)
     groups, pairs = _pairs_from_file_or_corpus(opts, corpus)
-    report = _analyze(_digests(opts, corpus), groups, pairs, opts)
+    samples = {n: _match(opts, matching_mod.TASKS[n], corpus, groups, pairs) for n in ("1", "3")}
+    report = _analyze(_digests(opts, corpus), pairs, samples, opts)
     out_dir = Path(opts.get("out_dir"))
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_analysis(report, out_dir)
@@ -512,15 +502,13 @@ def cmd_analyze(opts: Options) -> int:
     return 0
 
 
-def _analyze(digests: Digests, groups, pairs, opts: Options) -> dict:
-    corpus = digests.corpus
-    prediction, bantime = matching_mod.TASKS["1"], matching_mod.TASKS["3"]
+def _analyze(digests: Digests, pairs, samples: dict, opts: Options) -> dict:
+    """The characterization over the task-1 and task-3 ``samples``, keyed by task number."""
     return analysis_mod.characterize(
-        corpus,
+        digests,
         pairs,
-        prediction.match(corpus, groups, pairs, _window_seconds(opts, prediction)),
-        bantime.match(corpus, groups, pairs, _window_seconds(opts, bantime)),
-        digests=digests,
+        samples["1"],
+        samples["3"],
         outlier_days=opts.get("outlier_days", analysis_mod.DEFAULT_OUTLIER_DAYS, float),
     )
 
@@ -576,10 +564,13 @@ def cmd_reproduce(opts: Options) -> int:
     digests = _digests(opts, corpus)
     models_dir = out_dir / "models"
     models_dir.mkdir(parents=True, exist_ok=True)
+    # each task is matched once; analyze reuses the task-1 and task-3 samples
+    samples = {}
     for task in matching_mod.TASKS.values():
         name = f"task{task.number}"
         with _stage(f"evaluate-{name}"):
-            result_t, fitted = _run_task(digests, groups, pairs, task, opts)
+            samples[task.number] = _match(opts, task, corpus, groups, pairs)
+            result_t, fitted = _run_task(digests, task, samples[task.number], opts)
             model_mod.save_model(fitted, models_dir / f"{name}_model.json")
             report[name] = result_t.to_dict()
 
@@ -589,7 +580,7 @@ def cmd_reproduce(opts: Options) -> int:
         report["ranking"] = ranking.to_dict()
 
     with _stage("analyze"):
-        analysis_report = _analyze(digests, groups, pairs, opts)
+        analysis_report = _analyze(digests, pairs, samples, opts)
         reports_dir = out_dir / "reports"
         reports_dir.mkdir(parents=True, exist_ok=True)
         _write_analysis(analysis_report, reports_dir)

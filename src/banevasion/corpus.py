@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import random
 from array import array
-from dataclasses import InitVar, dataclass, field, fields
+from dataclasses import InitVar, dataclass, field
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
@@ -52,10 +52,6 @@ class Account:
     username: str
     creation_time: int
     ban_time: int | None = None
-
-    @property
-    def is_banned(self) -> bool:
-        return self.ban_time is not None
 
     @property
     def duration_seconds(self) -> int | None:
@@ -652,14 +648,3 @@ class _Generator:
 def generate_synthetic(config: SynthConfig) -> SyntheticCorpus:
     """Generate a deterministic synthetic corpus with ground-truth pairs."""
     return _Generator(config).build()
-
-
-def config_from_mapping(mapping: dict) -> SynthConfig:
-    """Build a SynthConfig from a string-keyed mapping, validating names."""
-    known = {f.name for f in fields(SynthConfig)}
-    unknown = set(mapping) - known
-    if unknown:
-        raise InvalidConfigError(sorted(unknown)[0], "unknown field")
-    cfg = SynthConfig(**mapping)
-    cfg.validate()
-    return cfg

@@ -14,8 +14,9 @@ Tasks:
 
 ``matching.TASKS`` holds what differs between the tasks, including each
 one's default matching window and train fraction; ranking uses task 3's.
-Each harness reads its vectors from a ``features.Digests`` store over its
-corpus (a fresh one over ``FeatureConfig()`` unless one is passed).
+One harness, ``run_task``, runs any task on samples its ``Task.match``
+built. It and ``run_ranking`` read the corpus and every vector from the
+run's ``features.Digests`` store.
 
 Splits order positive anchors by parent creation time; each negative
 follows its anchor. Negatives appearing on both sides of the split are
@@ -41,7 +42,7 @@ from .matching import (
     CandidateSet,
     DEFAULT_K_EDITS,
     DEFAULT_MAX_CANDIDATES,
-    DEFAULT_TASK2_CAP,
+    LabeledSample,
     NEGATIVE,
     POSITIVE,
     TASKS,
@@ -49,7 +50,7 @@ from .matching import (
     build_candidate_sets,
 )
 from .model import LogisticModel, TrainConfig, rfe, train
-from .pairing import EvasionPair, SockpuppetGroup
+from .pairing import EvasionPair
 
 __all__ = [
     "SplitSpec",
@@ -64,9 +65,7 @@ __all__ = [
     "fragmented_auc",
     "FragmentedAuc",
     "rank_candidates",
-    "run_task1",
-    "run_task2",
-    "run_task3",
+    "run_task",
     "run_ranking",
     "write_report",
     "render_report_text",
@@ -178,21 +177,22 @@ def _split_boundary(train_samples, corpus: Corpus) -> int:
     return max(corpus.account(a).creation_time for a in anchors) if anchors else -1
 
 
-def _evaluate_samples(
+def run_task(
     task: Task,
-    samples,
-    corpus: Corpus,
-    digests: Digests | None,
-    train_config: TrainConfig,
-    split: SplitSpec,
-    use_rfe: bool,
+    samples: Sequence[LabeledSample],
+    digests: Digests,
+    train_config: TrainConfig = TrainConfig(),
+    split: SplitSpec | None = None,
+    use_rfe: bool = False,
     k_edits: int = DEFAULT_K_EDITS,
-    success_flags_for=None,
 ) -> tuple[TaskResult, LogisticModel]:
+    """Train and test ``task`` on its matched ``samples``, split by time
+    (``split`` defaults to the task's train fraction); a fragmented task
+    also scores its test positives by evasion success."""
     label = f"task{task.number}_{task.name}"
-    digests = Digests.over(corpus, digests)
+    corpus = digests.corpus
     feature_config = task.feature_config(digests.config, k_edits)
-    train_s, test_s = temporal_split(samples, corpus, split)
+    train_s, test_s = temporal_split(samples, corpus, split or SplitSpec(task.train_fraction))
     if not train_s or not test_s:
         raise EmptyInputError(f"{label} split left an empty side")
     train_s, test_s = dedupe_negatives(train_s, test_s)
@@ -208,8 +208,12 @@ def _evaluate_samples(
     auc = roc_auc(scores, y_test)
 
     fragmented = None
-    if success_flags_for is not None:
-        flags = success_flags_for([s for s in test_ordered if s.label == POSITIVE])
+    if task.fragmented:
+        test_pairs = [
+            EvasionPair(s.parent_id, s.other_id, -1) for s in test_ordered if s.label == POSITIVE
+        ]
+        verdicts = classify_success(test_pairs, corpus)
+        flags = [verdicts[(p.parent_id, p.child_id)] == "successful" for p in test_pairs]
         fragmented = fragmented_auc(scores, y_test, flags)
 
     result = TaskResult(
@@ -224,71 +228,6 @@ def _evaluate_samples(
         fragmented=fragmented,
     )
     return result, model
-
-
-def run_task1(
-    corpus: Corpus,
-    groups: Sequence[SockpuppetGroup],
-    pairs: Sequence[EvasionPair],
-    window_seconds: int = TASKS["1"].window_seconds,
-    digests: Digests | None = None,
-    train_config: TrainConfig = TrainConfig(),
-    split: SplitSpec = SplitSpec(TASKS["1"].train_fraction),
-    use_rfe: bool = False,
-):
-    """Evasion prediction: parents vs. matched non-evading malicious."""
-    task = TASKS["1"]
-    return _evaluate_samples(
-        task, task.match(corpus, groups, pairs, window_seconds), corpus, digests,
-        train_config, split, use_rfe,
-    )
-
-
-def run_task2(
-    corpus: Corpus,
-    pairs: Sequence[EvasionPair],
-    window_seconds: int = TASKS["2"].window_seconds,
-    cap: int = DEFAULT_TASK2_CAP,
-    seed: int = 0,
-    k_edits: int = DEFAULT_K_EDITS,
-    digests: Digests | None = None,
-    train_config: TrainConfig = TrainConfig(),
-    split: SplitSpec = SplitSpec(TASKS["2"].train_fraction),
-    use_rfe: bool = False,
-):
-    """Early detection with only the other account's first k edits."""
-    task = TASKS["2"]
-    return _evaluate_samples(
-        task, task.match(corpus, (), pairs, window_seconds, cap, seed), corpus, digests,
-        train_config, split, use_rfe, k_edits,
-    )
-
-
-def run_task3(
-    corpus: Corpus,
-    groups: Sequence[SockpuppetGroup],
-    pairs: Sequence[EvasionPair],
-    window_seconds: int = TASKS["3"].window_seconds,
-    digests: Digests | None = None,
-    train_config: TrainConfig = TrainConfig(),
-    split: SplitSpec = SplitSpec(TASKS["3"].train_fraction),
-    use_rfe: bool = False,
-):
-    """Ban-time detection with the fragmented (success-split) evaluation."""
-    task = TASKS["3"]
-    pair_by_key = {(p.parent_id, p.child_id): p for p in pairs}
-
-    def success_flags(test_positives):
-        test_pairs = [pair_by_key[(s.parent_id, s.other_id)] for s in test_positives]
-        verdicts = classify_success(test_pairs, corpus)
-        return [
-            verdicts[(p.parent_id, p.child_id)] == "successful" for p in test_pairs
-        ]
-
-    return _evaluate_samples(
-        task, task.match(corpus, groups, pairs, window_seconds), corpus, digests,
-        train_config, split, use_rfe, success_flags_for=success_flags,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -341,16 +280,15 @@ class RankingResult:
 
 
 def run_ranking(
-    corpus: Corpus,
+    digests: Digests,
     pairs: Sequence[EvasionPair],
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
-    digests: Digests | None = None,
     train_config: TrainConfig = TrainConfig(),
     split: SplitSpec = SplitSpec(TASKS["3"].train_fraction),
     recall_ks: Sequence[int] = (1, 3, 5),
 ) -> tuple[RankingResult, LogisticModel]:
     """Parent attribution: rank candidate parents for each test child."""
-    digests = Digests.over(corpus, digests)
+    corpus = digests.corpus
     if not pairs:
         raise EmptyInputError("run_ranking needs pairs")
 

@@ -168,16 +168,6 @@ class Digests:
         self.config = config or FeatureConfig()
         self._built: dict[tuple[str, int], AccountDigest] = {}
 
-    @classmethod
-    def over(cls, corpus: Corpus, digests: Digests | None) -> Digests:
-        """``digests``, or a new store over ``corpus`` and ``FeatureConfig()``;
-        raises ``ValueError`` when ``digests`` was built over another corpus."""
-        if digests is None:
-            return cls(corpus)
-        if digests.corpus is not corpus:
-            raise ValueError("digests were built over another corpus")
-        return digests
-
     def of(self, account_id: str, k_limit: int | None = None) -> AccountDigest:
         """The digest of ``account_id``'s first ``k_limit`` (default all) revisions."""
         revisions = self.corpus.revisions_of(account_id)
@@ -204,7 +194,7 @@ def _ban_fields(account: Account) -> list[float]:
     """banned_{dow,month,day}, is_banned, duration_seconds; -1 when never banned."""
     if account.ban_time is None:
         return [-1.0, -1.0, -1.0, 0.0, -1.0]
-    return [*_calendar(account.ban_time), 1.0, float(account.ban_time - account.creation_time)]
+    return [*_calendar(account.ban_time), 1.0, float(account.duration_seconds)]
 
 
 def _account_row(digest: AccountDigest) -> FeatureVector:

@@ -9,8 +9,8 @@ malicious account for each negative.
 
 ``TASKS`` holds everything else that differs between the tasks: the pool
 and ``match_task*`` that build the samples, the feature variant, whether a
-row describes an account or a pair, and the default window and train
-fraction.
+row describes an account or a pair, the default window and train fraction,
+and whether the test AUC is also split by evasion success.
 
 Tasks 2 and 3 share one pair rule and differ only in the pool: for each
 (parent, child) pair the negatives are the pool accounts, other than the
@@ -78,12 +78,15 @@ class Task:
     ``number`` is the CLI's ``--task`` value, ``name`` the task column of a
     samples file; ``window_seconds`` and ``train_fraction`` are the defaults
     of the matching window and of the share of positive anchors trained on.
+    A ``fragmented`` task also reports its test AUC split by whether each
+    positive child outlived its parent.
     """
 
     number: str
     name: str
     window_seconds: int
     train_fraction: float
+    fragmented: bool = False
 
     def match(
         self,
@@ -132,7 +135,7 @@ TASKS = {
     for t in (
         Task("1", TASK1, WEEK_SECONDS, 0.8),
         Task("2", TASK2, DAY_SECONDS, 0.9),
-        Task("3", TASK3, WEEK_SECONDS, 0.9),
+        Task("3", TASK3, WEEK_SECONDS, 0.9, fragmented=True),
     )
 }
 

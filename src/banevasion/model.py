@@ -87,11 +87,6 @@ class LogisticModel:
             )
         return _sigmoid(self.decision_values(np.atleast_2d(X)))
 
-    def negated(self) -> "LogisticModel":
-        return LogisticModel(
-            self.feature_names, -self.weights, -self.bias, self.stats, self.config
-        )
-
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z, dtype=float)

@@ -25,13 +25,12 @@ from banevasion.evaluation import (
     recall_at_k,
     roc_auc,
     run_ranking,
-    run_task1,
-    run_task2,
-    run_task3,
+    run_task,
     temporal_split,
 )
 from banevasion.evaluation import _assert_no_leakage  # exercised by criterion 8
-from banevasion.matching import NEGATIVE, match_task1, prepare_malicious_pool
+from banevasion.features import Digests
+from banevasion.matching import NEGATIVE, TASKS, match_task1, prepare_malicious_pool
 from banevasion.model import loss_and_gradient
 from banevasion.pairing import (
     UnionFind,
@@ -166,9 +165,14 @@ def seed_averaged_aucs(config_for_seed, n_seeds=5, split1=0.8, split23=0.9):
         result = generate_synthetic(config_for_seed(seed))
         corpus = result.corpus
         groups, pairs = pipeline(corpus)
-        r1, _ = run_task1(corpus, groups, pairs, split=SplitSpec(split1))
-        r2, _ = run_task2(corpus, pairs, split=SplitSpec(split23))
-        r3, _ = run_task3(corpus, groups, pairs, split=SplitSpec(split23))
+        digests = Digests(corpus)
+
+        def run(number, fraction):
+            task = TASKS[number]
+            samples = task.match(corpus, groups, pairs, task.window_seconds)
+            return run_task(task, samples, digests, split=SplitSpec(fraction))[0]
+
+        r1, r2, r3 = run("1", split1), run("2", split23), run("3", split23)
         aucs[1].append(r1.auc)
         aucs[2].append(r2.auc)
         aucs[3].append(r3.auc)
@@ -216,7 +220,7 @@ def test_copycat_attribution():
     )
     corpus = result.corpus
     _, pairs = pipeline(corpus)
-    ranking, _ = run_ranking(corpus, pairs, max_candidates=50, split=SplitSpec(0.8))
+    ranking, _ = run_ranking(Digests(corpus), pairs, max_candidates=50, split=SplitSpec(0.8))
     assert ranking.mrr >= 0.95
     assert ranking.recall_at[5] == 1.0
     assert ranking.mean_candidates <= 51  # true parent plus <= 50 distractors

@@ -22,6 +22,7 @@ from banevasion.errors import (
     MissingBanTimeError,
     ZeroVarianceError,
 )
+from banevasion.features import Digests
 from banevasion.matching import NEGATIVE, TASK1, LabeledSample, match_task3, prepare_malicious_pool
 from banevasion.pairing import EvasionPair, extract_evasion_pairs, first_pair_per_group, merge_groups
 
@@ -227,6 +228,15 @@ class TestInterAccountDurations:
         corpus, pairs = self.make_pairs([2000, 3000])
         assert inter_account_durations(pairs, corpus, outlier_days=1000) == []
 
+    def test_characterize_applies_the_same_rule(self):
+        # a gap of exactly outlier_days is kept
+        corpus, pairs = self.make_pairs([1, 1000, 2000])
+        report = characterize(Digests(corpus), pairs, outlier_days=1000)
+        rows = report["tables"]["inter_account_durations"]["rows"]
+        assert rows == [[float(DAY_SECONDS), 0.0], [1000.0 * DAY_SECONDS, 1.0]]
+        assert [n for _, n in rows] == inter_account_durations(pairs, corpus, outlier_days=1000)
+        assert report["inter_account"]["kept_after_outlier_filter"] == 2
+
 
 class TestCharacterize:
     def test_self_pair_identity(self):
@@ -237,7 +247,7 @@ class TestCharacterize:
             revision("c", "pg-1", 2100, added="the damn report was here", comment="fix it"),
         ]
         corpus = corpus_of([parent, child], revisions, [record("p", "c")])
-        report = characterize(corpus, [EvasionPair("p", "c", 0)])
+        report = characterize(Digests(corpus), [EvasionPair("p", "c", 0)])
         assert report["username_distance"]["pairs"]["mean"] == 0.0
         overlaps = report["overlaps"]
         assert overlaps["page_jaccard"]["pairs"]["mean"] == 1.0
@@ -259,7 +269,7 @@ class TestCharacterize:
         ]
         corpus = corpus_of(accounts, revisions, [record("p", "c1", "c2")])
         pairs = [EvasionPair("p", "c1", 0), EvasionPair("p", "c2", 0)]
-        report = characterize(corpus, pairs)
+        report = characterize(Digests(corpus), pairs)
         assert report["counts"]["pairs"] == 2
         assert report["tables"]["account_durations"]["rows"] == [["parent", 1000.0]]
         assert report["activity"]["parent_medians"] == {
@@ -282,7 +292,7 @@ class TestCharacterize:
         ]
         corpus = corpus_of(accounts, revisions, [record("p", "c")])
         controls = [LabeledSample("p", m, NEGATIVE, TASK1) for m in ("m1", "m2")]
-        report = characterize(corpus, [EvasionPair("p", "c", 0)], controls)
+        report = characterize(Digests(corpus), [EvasionPair("p", "c", 0)], controls)
         assert report["activity"]["control_medians"] == {
             "duration_seconds": 925.0,
             "revisions": 2.0,
@@ -302,7 +312,7 @@ class TestCharacterize:
             corpus = result.corpus
             groups = merge_groups(corpus.sockpuppet_records, corpus)
             pairs = first_pair_per_group(extract_evasion_pairs(groups, corpus), corpus)
-            report = characterize(corpus, pairs)
+            report = characterize(Digests(corpus), pairs)
             return report["overlaps"]["added_unigram_jaccard"]["pairs"]["mean"]
 
         assert unigram_mean(1.0) > unigram_mean(0.0)
@@ -321,7 +331,7 @@ class TestCharacterize:
             [corpus.account(p.parent_id) for p in pairs], pool
         )
         pair_samples = match_task3(pairs, pool, corpus)
-        report = characterize(corpus, pairs, account_samples, pair_samples)
+        report = characterize(Digests(corpus), pairs, account_samples, pair_samples)
         assert report["counts"]["pairs"] == len(pairs)
         assert report["counts"]["control_pairs"] > 0
         assert report["activity"]["parent_medians"]["duration_seconds"] is not None

@@ -9,6 +9,7 @@ import pytest
 
 from banevasion import corpus as corpus_mod
 from banevasion import features as features_mod
+from banevasion import matching as matching_mod
 from banevasion import pairing as pairing_mod
 from banevasion.cli import main
 from banevasion.corpus import DAY_SECONDS, WEEK_SECONDS, load_corpus
@@ -384,3 +385,35 @@ class TestReproduce:
         args = ["--seed", "7", "--groups", "12", "--benign", "120", "--malicious", "60"]
         assert main(["reproduce", "--out-dir", str(tmp_path), *args]) == 0
         assert built and set(built.values()) == {1}
+
+    def test_reproduce_matches_each_task_once(self, tmp_path, monkeypatch):
+        matched = Counter()
+        real = matching_mod.Task.match
+
+        def counting(task, *args, **kwargs):
+            matched[task.number] += 1
+            return real(task, *args, **kwargs)
+
+        monkeypatch.setattr(matching_mod.Task, "match", counting)
+        args = ["--seed", "7", "--groups", "12", "--benign", "120", "--malicious", "60"]
+        assert main(["reproduce", "--out-dir", str(tmp_path), *args]) == 0
+        assert matched == {"1": 1, "2": 1, "3": 1}
+
+    def test_reproduce_equals_its_stage_commands(self, tmp_path):
+        run, stages = tmp_path / "run", tmp_path / "stages"
+        args = ["--seed", "7", "--groups", "12", "--benign", "120", "--malicious", "60"]
+        assert main(["reproduce", "--out-dir", str(run), *args]) == 0
+        names = ("accounts", "revisions", "records")
+        flags = [f for n in names for f in (f"--{n}", str(run / "corpus" / f"{n}.jsonl"))]
+        flags += ["--seed", "7"]
+        for task in ("1", "2", "3"):
+            assert main(["evaluate", *flags, "--task", task, "--out-dir", str(stages)]) == 0
+        assert main(["rank", *flags, "--out-dir", str(stages)]) == 0
+        assert main(["analyze", *flags, "--out-dir", str(stages / "reports")]) == 0
+
+        report = json.loads((run / "report.json").read_text())
+        for name in ("task1", "task2", "task3", "ranking"):
+            model = f"{name}_model.json"
+            assert (run / "models" / model).read_bytes() == (stages / model).read_bytes()
+            assert report[name] == json.loads((stages / f"{name}_report.json").read_text())
+        assert tree_digest(run / "reports") == tree_digest(stages / "reports")

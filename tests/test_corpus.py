@@ -12,7 +12,6 @@ from banevasion.corpus import (
     Revision,
     SockpuppetRecord,
     SynthConfig,
-    config_from_mapping,
     generate_synthetic,
     load_corpus,
     load_pairs,
@@ -437,7 +436,3 @@ class TestSynthetic:
         with pytest.raises(InvalidConfigError) as err:
             SynthConfig(**{field: value}).validate()
         assert err.value.field == field
-
-    def test_config_from_mapping_rejects_unknown(self):
-        with pytest.raises(InvalidConfigError):
-            config_from_mapping({"bogus": 1})

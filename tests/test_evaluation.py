@@ -24,9 +24,7 @@ from banevasion.evaluation import (
     recall_at_k,
     roc_auc,
     run_ranking,
-    run_task1,
-    run_task2,
-    run_task3,
+    run_task,
     temporal_split,
 )
 from banevasion.features import Digests, FeatureConfig
@@ -349,20 +347,26 @@ def planted():
 class TestHarnesses:
     def test_task1_detects_planted_signal(self, planted):
         corpus, groups, pairs = planted
-        result, model = run_task1(corpus, groups, pairs)
+        task = TASKS["1"]
+        samples = task.match(corpus, groups, pairs, task.window_seconds)
+        result, model = run_task(task, samples, Digests(corpus))
         assert result.auc > 0.9
         assert result.n_test_pos > 0
         assert result.task == "task1_prediction"
 
     def test_task2_detects_planted_signal(self, planted):
         corpus, _, pairs = planted
-        result, model = run_task2(corpus, pairs)
+        task = TASKS["2"]
+        samples = task.match(corpus, (), pairs, task.window_seconds)
+        result, model = run_task(task, samples, Digests(corpus))
         assert result.auc > 0.9
         assert "child_duration_seconds" not in model.feature_names
 
     def test_task3_with_fragments(self, planted):
         corpus, groups, pairs = planted
-        result, model = run_task3(corpus, groups, pairs)
+        task = TASKS["3"]
+        samples = task.match(corpus, groups, pairs, task.window_seconds)
+        result, model = run_task(task, samples, Digests(corpus))
         assert result.auc > 0.9
         assert "child_duration_seconds" in model.feature_names
         assert result.fragmented is not None
@@ -371,14 +375,16 @@ class TestHarnesses:
 
     def test_ranking_attribution(self, planted):
         corpus, _, pairs = planted
-        result, _ = run_ranking(corpus, pairs)
+        result, _ = run_ranking(Digests(corpus), pairs)
         assert result.mrr > 0.9
         assert result.recall_at[5] == 1.0
         assert result.n_test_children >= 1
 
     def test_rfe_path_runs(self, planted):
         corpus, groups, pairs = planted
-        result, model = run_task1(corpus, groups, pairs, use_rfe=True)
+        task = TASKS["1"]
+        samples = task.match(corpus, groups, pairs, task.window_seconds)
+        result, model = run_task(task, samples, Digests(corpus), use_rfe=True)
         assert result.selected_features is not None
         assert set(model.feature_names) == set(result.selected_features)
         assert result.auc > 0.8
@@ -387,19 +393,16 @@ class TestHarnesses:
 def run_all_consumers(corpus, groups, pairs, digests=None) -> list[str]:
     """The three task harnesses, the ranking and the characterization, each
     result as sorted JSON."""
-    prediction, bantime = TASKS["1"], TASKS["3"]
+    def store():
+        return Digests(corpus) if digests is None else digests
+
+    samples = {n: t.match(corpus, groups, pairs, t.window_seconds) for n, t in TASKS.items()}
     results = [
-        run_task1(corpus, groups, pairs, digests=digests)[0].to_dict(),
-        run_task2(corpus, pairs, digests=digests)[0].to_dict(),
-        run_task3(corpus, groups, pairs, digests=digests)[0].to_dict(),
-        run_ranking(corpus, pairs, digests=digests)[0].to_dict(),
-        characterize(
-            corpus,
-            pairs,
-            prediction.match(corpus, groups, pairs, prediction.window_seconds),
-            bantime.match(corpus, groups, pairs, bantime.window_seconds),
-            digests=digests,
-        ),
+        run_task(TASKS["1"], samples["1"], store())[0].to_dict(),
+        run_task(TASKS["2"], samples["2"], store())[0].to_dict(),
+        run_task(TASKS["3"], samples["3"], store())[0].to_dict(),
+        run_ranking(store(), pairs)[0].to_dict(),
+        characterize(store(), pairs, samples["1"], samples["3"]),
     ]
     return [json.dumps(r, sort_keys=True) for r in results]
 
@@ -427,22 +430,6 @@ class TestDigestStore:
         run_all_consumers(corpus, groups, pairs, digests)
         assert sum(built.values()) == calls
 
-    @pytest.mark.parametrize("consumer", [0, 1, 2, 3, 4], ids=[
-        "task1", "task2", "task3", "ranking", "characterize",
-    ])
-    def test_store_over_another_corpus_rejected(self, planted, consumer):
-        corpus, groups, pairs = planted
-        other = Digests(corpus_of([account("a", 0)]))
-        runs = [
-            lambda: run_task1(corpus, groups, pairs, digests=other),
-            lambda: run_task2(corpus, pairs, digests=other),
-            lambda: run_task3(corpus, groups, pairs, digests=other),
-            lambda: run_ranking(corpus, pairs, digests=other),
-            lambda: characterize(corpus, pairs, digests=other),
-        ]
-        with pytest.raises(ValueError, match="another corpus"):
-            runs[consumer]()
-
     def test_ranking_scores_each_test_child_through_rank_candidates(
         self, planted, monkeypatch
     ):
@@ -455,7 +442,7 @@ class TestDigestStore:
             return real(model, candidate_set, digests)
 
         monkeypatch.setattr(evaluation_mod, "rank_candidates", recording)
-        result, _ = run_ranking(corpus, pairs)
+        result, _ = run_ranking(Digests(corpus), pairs)
         assert len(scored) == len(set(scored)) == result.n_test_children
 
 
@@ -492,7 +479,7 @@ class TestRepeatedParent:
             return sets
 
         monkeypatch.setattr(evaluation_mod, "build_candidate_sets", recording)
-        run_ranking(corpus, with_repeated_parent(corpus, pairs))
+        run_ranking(Digests(corpus), with_repeated_parent(corpus, pairs))
         assert len(parent_lists) == 2
         assert all(len(ids) == len(set(ids)) == len(pairs) for ids in parent_lists)
         for cs in candidate_sets:
@@ -507,10 +494,7 @@ def test_single_pair_split_error_names_task(task):
     corpus = result.corpus
     groups = merge_groups(corpus.sockpuppet_records, corpus)
     pairs = first_pair_per_group(extract_evasion_pairs(groups, corpus), corpus)[:1]
-    runners = {
-        "task1": lambda: run_task1(corpus, groups, pairs),
-        "task2": lambda: run_task2(corpus, pairs),
-        "task3": lambda: run_task3(corpus, groups, pairs),
-    }
+    t = TASKS[task[-1]]
+    samples = t.match(corpus, groups, pairs, t.window_seconds)
     with pytest.raises(EmptyInputError, match=f"^{task}_"):
-        runners[task]()
+        run_task(t, samples, Digests(corpus))

@@ -270,16 +270,6 @@ class TestPredict:
         with pytest.raises(FeatureNameMismatchError):
             predict_proba(model, FeatureVector(("wrong",), np.array([1.0])))
 
-    def test_negated_model_complements(self):
-        rng = np.random.default_rng(5)
-        X = rng.normal(size=(30, 3))
-        y = (X[:, 0] > 0).astype(int)
-        model = train(X, y, TrainConfig())
-        flipped = model.negated()
-        p = model.predict_proba_matrix(X, model.feature_names)
-        q = flipped.predict_proba_matrix(X, model.feature_names)
-        assert np.max(np.abs(p + q - 1.0)) < 1e-12
-
 
 class TestRfe:
     def planted_data(self, seed, n=400):
