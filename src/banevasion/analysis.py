@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .corpus import Corpus, DAY_SECONDS
@@ -280,7 +280,7 @@ def characterize(
     every account's digest come from ``digests``.
     """
     corpus = digests.corpus
-    config = replace(digests.config, include_child_ban_features=False)
+    lexicon = digests.config.lexicon
 
     # a parent named by several pairs is one account
     parent_ids = dict.fromkeys(p.parent_id for p in pairs)
@@ -329,12 +329,13 @@ def characterize(
     # Overlap and similarity contrasts.
     pair_keys = [(p.parent_id, p.child_id) for p in pairs]
     control_keys = [(s.parent_id, s.other_id) for s in pair_samples if s.label == NEGATIVE]
-    metrics = [v.as_dict() for v in pair_vectors(digests, pair_keys + control_keys, config)]
-    pair_metrics, control_metrics = metrics[: len(pairs)], metrics[len(pairs) :]
+    names, X = pair_vectors(digests, pair_keys + control_keys, child_ban=False)
+    columns = dict(zip(names, X.T.tolist()))
+    page_jaccard = columns["page_jaccard"][: len(pairs)]
     overlaps = {}
     for key in _OVERLAP_KEYS:
-        pair_values = [m[key] for m in pair_metrics]
-        control_values = [m[key] for m in control_metrics]
+        pair_values = columns[key][: len(pairs)]
+        control_values = columns[key][len(pairs) :]
         overlaps[key] = {
             "pairs": _mean_ci(pair_values),
             "controls": _mean_ci(control_values),
@@ -346,7 +347,7 @@ def characterize(
     parent_profiles = [digests.of(p.parent_id).profile for p in pairs]
     child_profiles = [digests.of(p.child_id).profile for p in pairs]
     categories = {}
-    for category in config.lexicon.categories:
+    for category in lexicon.categories:
         parent_values = [prof[category] for prof in parent_profiles]
         child_values = [prof[category] for prof in child_profiles]
         categories[category] = {
@@ -377,8 +378,8 @@ def characterize(
             }
 
         contrast("username_distance", pair_distance)
-        contrast("page_jaccard", [m["page_jaccard"] for m in pair_metrics])
-        for category in config.lexicon.categories:
+        contrast("page_jaccard", page_jaccard)
+        for category in lexicon.categories:
             deltas = [
                 child_profiles[i][category] - parent_profiles[i][category]
                 for i in range(len(pairs))
@@ -394,7 +395,7 @@ def characterize(
         report["success"] = None
 
     # Inter-account durations and their correlates.
-    raw_gaps = [m["inter_account_seconds"] for m in pair_metrics]
+    raw_gaps = columns["inter_account_seconds"][: len(pairs)]
     kept_idx, normalized = _normalized_gaps(raw_gaps, outlier_days)
     kept = [raw_gaps[i] for i in kept_idx]
     report["inter_account"] = {
@@ -405,7 +406,7 @@ def characterize(
             kept, [pair_distance[i] for i in kept_idx]
         ),
         "corr_vs_page_jaccard": _safe_pearson(
-            kept, [pair_metrics[i]["page_jaccard"] for i in kept_idx]
+            kept, [page_jaccard[i] for i in kept_idx]
         ),
     }
 
@@ -431,7 +432,7 @@ def characterize(
         "page_overlap_vs_gap": {
             "columns": ["normalized_gap", "page_jaccard"],
             "rows": [
-                [normalized[j], pair_metrics[i]["page_jaccard"]]
+                [normalized[j], page_jaccard[i]]
                 for j, i in enumerate(kept_idx)
             ],
         },

@@ -413,15 +413,13 @@ def cmd_featurize(opts: Options) -> int:
         if s.task != task.name:
             reason = f"task {s.task!r} does not match --task {task.number} ({task.name})"
             raise RecordParseError(path, lineno, reason)
-    digests = _digests(opts, corpus)
-    config = task.feature_config(
-        digests.config, opts.get("k_edits", matching_mod.DEFAULT_K_EDITS, int)
+    names, X = task.vectors(
+        samples, _digests(opts, corpus), opts.get("k_edits", matching_mod.DEFAULT_K_EDITS, int)
     )
-    vectors = task.vectors(samples, digests, config)
     ids = [f"{s.parent_id}|{s.other_id}" for s in samples]
     labels = [s.label for s in samples]
-    write_feature_matrix(opts.get("out"), ids, labels, vectors)
-    print(f"wrote {len(vectors)} rows -> {opts.get('out')}")
+    write_feature_matrix(opts.get("out"), ids, labels, names, X)
+    print(f"wrote {len(X)} rows -> {opts.get('out')}")
     return 0
 
 

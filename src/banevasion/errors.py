@@ -118,10 +118,6 @@ class MissingVectorError(BanEvasionError, KeyError):
 # features -------------------------------------------------------------
 
 
-class UnsortedRevisionsError(BanEvasionError):
-    pass
-
-
 class MissingParentBanError(BanEvasionError):
     pass
 

@@ -37,7 +37,7 @@ from ._metrics import FragmentedAuc, fragmented_auc, mrr, recall_at_k, roc_auc
 from .analysis import classify_success
 from .corpus import Corpus
 from .errors import EmptyInputError
-from .features import Digests, FeatureConfig, FeatureVector, pair_vectors
+from .features import Digests, pair_vectors
 from .matching import (
     CandidateSet,
     DEFAULT_K_EDITS,
@@ -115,20 +115,16 @@ def _assert_no_leakage(train: Sequence, test: Sequence) -> None:
         raise RuntimeError(f"negative leakage across split: {sorted(overlap)[:5]}")
 
 
-def _sample_matrix(task: Task, samples, digests: Digests, config: FeatureConfig):
+def _sample_matrix(task: Task, samples, digests: Digests, k_edits: int):
     ordered = sorted(
         samples,
         key=lambda s: (
             digests.corpus.account(s.parent_id).creation_time, s.parent_id, -s.label, s.other_id
         ),
     )
-    names, X = _vector_matrix(task.vectors(ordered, digests, config))
+    names, X = task.vectors(ordered, digests, k_edits)
     y = np.array([s.label for s in ordered], dtype=int)
     return ordered, names, X, y
-
-
-def _vector_matrix(vectors: list[FeatureVector]):
-    return vectors[0].names, np.vstack([v.values for v in vectors])
 
 
 @dataclass(frozen=True)
@@ -191,17 +187,14 @@ def run_task(
     also scores its test positives by evasion success."""
     label = f"task{task.number}_{task.name}"
     corpus = digests.corpus
-    feature_config = task.feature_config(digests.config, k_edits)
     train_s, test_s = temporal_split(samples, corpus, split or SplitSpec(task.train_fraction))
     if not train_s or not test_s:
         raise EmptyInputError(f"{label} split left an empty side")
     train_s, test_s = dedupe_negatives(train_s, test_s)
     _assert_no_leakage(train_s, test_s)
 
-    train_ordered, names, X_train, y_train = _sample_matrix(
-        task, train_s, digests, feature_config
-    )
-    test_ordered, _, X_test, y_test = _sample_matrix(task, test_s, digests, feature_config)
+    train_ordered, names, X_train, y_train = _sample_matrix(task, train_s, digests, k_edits)
+    test_ordered, _, X_test, y_test = _sample_matrix(task, test_s, digests, k_edits)
 
     model, selected, keep = _fit(X_train, y_train, names, train_config, use_rfe)
     scores = model.predict_proba_matrix(X_test[:, keep], model.feature_names)
@@ -245,9 +238,7 @@ def rank_candidates(
     model: LogisticModel, candidate_set: CandidateSet, digests: Digests
 ) -> RankedList:
     """Score every (candidate, child) pair and rank by descending score."""
-    names, X = _vector_matrix(
-        pair_vectors(digests, _candidate_keys([candidate_set]), digests.config)
-    )
+    names, X = pair_vectors(digests, _candidate_keys([candidate_set]))
     scored = sorted(
         zip(model.predict_proba_matrix(X, names).tolist(), candidate_set.candidate_parent_ids),
         key=lambda item: (-item[0], item[1]),
@@ -259,6 +250,9 @@ def rank_candidates(
 
 def _candidate_keys(candidate_sets: Sequence[CandidateSet]) -> list[tuple[str, str]]:
     return [(c, cs.child_id) for cs in candidate_sets for c in cs.candidate_parent_ids]
+
+
+RECALL_KS = (1, 3, 5)
 
 
 @dataclass(frozen=True)
@@ -285,7 +279,6 @@ def run_ranking(
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
     train_config: TrainConfig = TrainConfig(),
     split: SplitSpec = SplitSpec(TASKS["3"].train_fraction),
-    recall_ks: Sequence[int] = (1, 3, 5),
 ) -> tuple[RankingResult, LogisticModel]:
     """Parent attribution: rank candidate parents for each test child."""
     corpus = digests.corpus
@@ -313,13 +306,13 @@ def run_ranking(
     y = np.array(
         [int(c == cs.true_parent_id) for cs in train_sets for c in cs.candidate_parent_ids]
     )
-    names, X = _vector_matrix(pair_vectors(digests, _candidate_keys(train_sets), digests.config))
+    names, X = pair_vectors(digests, _candidate_keys(train_sets))
     model = train(X, y, train_config, names)
     ranks = [rank_candidates(model, cs, digests).rank_of_true_parent for cs in test_sets]
     all_sets = train_sets + test_sets
     result = RankingResult(
         mrr=mrr(ranks),
-        recall_at={k: recall_at_k(ranks, k) for k in recall_ks},
+        recall_at={k: recall_at_k(ranks, k) for k in RECALL_KS},
         n_train_children=len(train_sets),
         n_test_children=len(test_sets),
         mean_candidates=sum(len(s.candidate_parent_ids) for s in all_sets) / len(all_sets),

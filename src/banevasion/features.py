@@ -1,12 +1,12 @@
 """Feature engineering for account-level and pairwise classification.
 
-Account vectors (fixed name order):
+Account rows (fixed name order):
   created_dow, created_month, created_day,
   banned_dow, banned_month, banned_day, is_banned, duration_seconds,
   unique_pages, total_contributions, mean_gap_seconds, mean_contribution_size,
   liwc_<category>... (lexicon order), sentiment_mean
 
-Pair vectors (fixed name order):
+Pair rows (fixed name order):
   parent_created_{dow,month,day}, parent_banned_{dow,month,day},
   parent_duration_seconds,
   child_created_{dow,month,day},
@@ -15,24 +15,25 @@ Pair vectors (fixed name order):
   page_jaccard, comment_unigram_jaccard, added_unigram_jaccard,
   embedding_cosine, profile_abs_diff, sentiment_abs_diff
 
-The bracketed child-ban block is emitted only when
-``include_child_ban_features`` is set: at early-detection time the other
-account's ban does not exist yet. Calendar fields use -1 as the sentinel
-for absent bans, paired with the is_banned indicator. When ``k_limit`` is
-set, only the other account's first k revisions contribute to the pair
-vector; the parent side is never truncated.
+The bracketed child-ban block is emitted only when ``child_ban`` is set: at
+early-detection time the other account's ban does not exist yet. Calendar
+fields use -1 as the sentinel for absent bans, paired with the is_banned
+indicator. When ``k_limit`` is given, only the other account's first k
+revisions contribute to the pair row; the parent side is never truncated.
 
-Every vector reads ``AccountDigest``s, one per account and number of
-revisions used. A run builds one ``Digests`` store, which builds each digest
-on first use and keeps it, so the three tasks, the ranking and the analysis
-share them; ``account_features`` and ``pair_features`` digest the revisions
-they are given.
+Rows are computed here only, from a run's ``Digests`` store, which builds
+each account's ``AccountDigest`` (one per account and number of revisions
+used) on first use and keeps it, so the three tasks, the ranking and the
+analysis share them. ``account_vectors`` and ``pair_vectors`` return
+``(names, X)``: the column names once, and a float matrix with one row per
+input, which has its columns even when there are no rows.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 from datetime import datetime, timezone
 from functools import cached_property
@@ -41,7 +42,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import Account, Corpus, Revision
-from .errors import MissingParentBanError, RecordParseError, UnsortedRevisionsError
+from .errors import InvalidConfigError, MissingParentBanError, RecordParseError
 from .textstats import (
     EmbeddingProvider,
     HashedTrigramProvider,
@@ -60,44 +61,19 @@ from .textstats import (
 
 
 @dataclass(frozen=True)
-class FeatureVector:
-    names: tuple[str, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        if len(self.names) != len(self.values):
-            raise ValueError("names and values must align")
-        if len(set(self.names)) != len(self.names):
-            raise ValueError("feature names must be unique")
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(zip(self.names, self.values.tolist()))
-
-
-@dataclass(frozen=True)
 class FeatureConfig:
-    k_limit: int | None = None
-    include_child_ban_features: bool = True
+    """The text resources every digest of a run is built with."""
+
     lexicon: Lexicon = dataclass_field(default_factory=builtin_lexicon)
     sentiment_lexicon: SentimentLexicon = dataclass_field(
         default_factory=builtin_sentiment_lexicon
     )
     provider: EmbeddingProvider = dataclass_field(default_factory=HashedTrigramProvider)
 
-    def __post_init__(self):
-        if self.k_limit is not None and self.k_limit < 1:
-            raise ValueError("k_limit must be >= 1 when present")
-
 
 def _calendar(ts: int) -> tuple[int, int, int]:
     dt = datetime.fromtimestamp(ts, tz=timezone.utc)
     return dt.weekday(), dt.month, dt.day
-
-
-def _check_sorted(revisions: Sequence[Revision]) -> None:
-    for earlier, later in zip(revisions, revisions[1:]):
-        if later.timestamp < earlier.timestamp:
-            raise UnsortedRevisionsError("revisions must be time-sorted")
 
 
 def _token_set(tokens: Iterable[str]) -> frozenset[str]:
@@ -197,30 +173,29 @@ def _ban_fields(account: Account) -> list[float]:
     return [*_calendar(account.ban_time), 1.0, float(account.duration_seconds)]
 
 
-def _account_row(digest: AccountDigest) -> FeatureVector:
-    names = (
-        *_ACCOUNT_HEAD, *(f"liwc_{category}" for category in digest.profile), "sentiment_mean"
-    )
-    values = [
+def _matrix(names: tuple[str, ...], rows: list[list[float]]) -> tuple[tuple[str, ...], np.ndarray]:
+    return names, np.array(rows, dtype=float).reshape(len(rows), len(names))
+
+
+def _account_row(digest: AccountDigest) -> list[float]:
+    return [
         *_calendar(digest.account.creation_time), *_ban_fields(digest.account),
         float(len(digest.pages)), float(digest.revision_count),
         digest.mean_gap_seconds, digest.mean_contribution_size,
         *digest.profile.values(), digest.sentiment,
     ]
-    return FeatureVector(names, np.array(values, dtype=float))
 
 
-def account_features(
-    account: Account, revisions: Sequence[Revision], config: FeatureConfig
-) -> FeatureVector:
-    """Behavioral vector for one account from its own metadata and edits."""
-    _check_sorted(revisions)
-    return _account_row(account_digest(account, revisions, config))
-
-
-def account_vectors(digests: Digests, account_ids: Iterable[str]) -> list[FeatureVector]:
-    """``account_features`` for each account id, read from ``digests``."""
-    return [_account_row(digests.of(account_id)) for account_id in account_ids]
+def account_vectors(
+    digests: Digests, account_ids: Iterable[str]
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """The account row of each account id, from its own metadata and edits."""
+    names = (
+        *_ACCOUNT_HEAD,
+        *(f"liwc_{category}" for category in digests.config.lexicon.categories),
+        "sentiment_mean",
+    )
+    return _matrix(names, [_account_row(digests.of(account_id)) for account_id in account_ids])
 
 
 _PAIR_HEAD = (
@@ -240,7 +215,7 @@ _PAIR_TAIL = (
 )
 
 
-def _combine(parent: AccountDigest, other: AccountDigest, config: FeatureConfig) -> FeatureVector:
+def _combine(parent: AccountDigest, other: AccountDigest, child_ban: bool) -> list[float]:
     p, o = parent.account, other.account
     if p.ban_time is None:
         raise MissingParentBanError(p.account_id)
@@ -249,11 +224,9 @@ def _combine(parent: AccountDigest, other: AccountDigest, config: FeatureConfig)
         float(p.ban_time - p.creation_time),
         *_calendar(o.creation_time),
     ]
-    names = _PAIR_HEAD
-    if config.include_child_ban_features:
-        names += _PAIR_CHILD_BAN
+    if child_ban:
         values += _ban_fields(o)
-    values += [
+    return values + [
         float(o.creation_time - p.ban_time),
         jaccard(parent.pages, other.pages),
         jaccard(parent.comment_tokens, other.comment_tokens),
@@ -262,39 +235,24 @@ def _combine(parent: AccountDigest, other: AccountDigest, config: FeatureConfig)
         profile_abs_diff(parent.profile, other.profile),
         abs(parent.sentiment - other.sentiment),
     ]
-    return FeatureVector(names + _PAIR_TAIL, np.array(values, dtype=float))
-
-
-def pair_features(
-    parent: Account,
-    parent_revisions: Sequence[Revision],
-    other: Account,
-    other_revisions: Sequence[Revision],
-    config: FeatureConfig,
-) -> FeatureVector:
-    """Similarity vector for a (banned parent, candidate successor) pair."""
-    _check_sorted(parent_revisions)
-    _check_sorted(other_revisions)
-    return _combine(
-        account_digest(parent, parent_revisions, config),
-        account_digest(other, other_revisions[: config.k_limit], config),
-        config,
-    )
 
 
 def pair_vectors(
-    digests: Digests, id_pairs: Iterable[tuple[str, str]], config: FeatureConfig
-) -> list[FeatureVector]:
-    """``pair_features`` for each (parent_id, other_id), read from ``digests``;
-    raises ``ValueError`` unless ``config`` has the store's text resources."""
-    mine = digests.config
-    if (config.lexicon, config.sentiment_lexicon, config.provider) != (
-        mine.lexicon, mine.sentiment_lexicon, mine.provider
-    ):
-        raise ValueError("config's lexicon, sentiment lexicon or provider differ from the store's")
-    return [
-        _combine(digests.of(p), digests.of(o, config.k_limit), config) for p, o in id_pairs
-    ]
+    digests: Digests,
+    id_pairs: Iterable[tuple[str, str]],
+    k_limit: int | None = None,
+    child_ban: bool = True,
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """The similarity row of each (banned parent, candidate successor) id pair,
+    over the other account's first ``k_limit`` (default all) revisions;
+    raises ``InvalidConfigError`` naming ``k_edits``, the option ``k_limit``
+    comes from, when it is below 1."""
+    if k_limit is not None and k_limit < 1:
+        raise InvalidConfigError("k_edits", "must be >= 1")
+    names = _PAIR_HEAD + (_PAIR_CHILD_BAN if child_ban else ()) + _PAIR_TAIL
+    return _matrix(
+        names, [_combine(digests.of(p), digests.of(o, k_limit), child_ban) for p, o in id_pairs]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -305,34 +263,33 @@ def write_feature_matrix(
     path,
     sample_ids: Sequence[str],
     labels: Sequence[int],
-    vectors: Sequence[FeatureVector],
+    names: tuple[str, ...],
+    X: np.ndarray,
 ) -> None:
-    if not (len(sample_ids) == len(labels) == len(vectors)):
-        raise ValueError("sample_ids, labels, and vectors must align")
+    """Write what ``read_feature_matrix`` returns; raises ``ValueError`` unless
+    ``X`` has one row per sample id and label and one column per name."""
+    if len(labels) != len(sample_ids) or X.shape != (len(sample_ids), len(names)):
+        raise ValueError("X must have one row per sample id and label, one column per name")
     with open(path, "w", encoding="utf-8") as fh:
-        if vectors:
-            names = vectors[0].names
-            fh.write("sample_id\tlabel\t" + "\t".join(names) + "\n")
-            for sid, label, vec in zip(sample_ids, labels, vectors):
-                if vec.names != names:
-                    raise ValueError("inconsistent feature names in matrix")
-                row = "\t".join(repr(float(v)) for v in vec.values)
-                fh.write(f"{sid}\t{label}\t{row}\n")
-        else:
-            fh.write("sample_id\tlabel\n")
+        fh.write("\t".join(("sample_id", "label", *names)) + "\n")
+        for sid, label, row in zip(sample_ids, labels, X.tolist()):
+            fh.write(f"{sid}\t{label}\t" + "\t".join(map(repr, row)) + "\n")
 
 
 def read_feature_matrix(path):
     """Returns (sample_ids, labels array, names, value matrix); raises
-    ``RecordParseError`` for a header not starting ``sample_id<TAB>label``, a row
-    whose field count differs from the header's, a label other than ``0``/``1``,
-    or a value that is not a finite float."""
+    ``RecordParseError`` for a header not starting ``sample_id<TAB>label`` or
+    naming a feature twice, a row whose field count differs from the header's,
+    a label other than ``0``/``1``, or a value that is not a finite float."""
     path = str(path)
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if header[:2] != ["sample_id", "label"]:
             raise RecordParseError(path, 1, "header must start with sample_id<TAB>label")
         names = tuple(header[2:])
+        repeated = sorted(name for name, count in Counter(names).items() if count > 1)
+        if repeated:
+            raise RecordParseError(path, 1, f"duplicate feature names {repeated}")
         sample_ids: list[str] = []
         labels: list[int] = []
         rows: list[list[float]] = []

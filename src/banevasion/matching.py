@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -41,7 +41,7 @@ from .errors import (
     RecordParseError,
     TrueParentMissingError,
 )
-from .features import Digests, FeatureConfig, FeatureVector, account_vectors, pair_vectors
+from .features import Digests, account_vectors, pair_vectors
 from .pairing import EvasionPair, SockpuppetGroup
 
 POSITIVE = 1
@@ -110,24 +110,16 @@ class Task:
             )
         return match_task3(pairs, prepare_malicious_pool(corpus, groups), corpus, window_seconds)
 
-    def feature_config(
-        self, base: FeatureConfig, k_edits: int = DEFAULT_K_EDITS
-    ) -> FeatureConfig:
-        """Task 2 sees only the other account's first ``k_edits`` edits and no
-        child-ban fields; task 3 sees the child-ban fields."""
-        if self.name == TASK2:
-            return replace(base, k_limit=k_edits, include_child_ban_features=False)
-        if self.name == TASK3:
-            return replace(base, include_child_ban_features=True)
-        return base
-
-    def vectors(
-        self, samples: Sequence[LabeledSample], digests: Digests, config: FeatureConfig
-    ) -> list[FeatureVector]:
-        """Task 1 describes the other account alone, tasks 2 and 3 the pair."""
+    def vectors(self, samples: Sequence[LabeledSample], digests: Digests, k_edits: int):
+        """``(names, X)``, one row per sample: task 1 describes the other account
+        alone; task 2 the pair, over the other account's first ``k_edits`` edits
+        and without child-ban fields; task 3 the full pair."""
         if self.name == TASK1:
             return account_vectors(digests, [s.other_id for s in samples])
-        return pair_vectors(digests, [(s.parent_id, s.other_id) for s in samples], config)
+        keys = [(s.parent_id, s.other_id) for s in samples]
+        if self.name == TASK2:
+            return pair_vectors(digests, keys, k_limit=k_edits, child_ban=False)
+        return pair_vectors(digests, keys)
 
 
 TASKS = {

@@ -34,7 +34,6 @@ from .errors import (
     SingleClassInputError,
 )
 from ._metrics import roc_auc
-from .features import FeatureVector
 
 
 @dataclass(frozen=True)
@@ -209,11 +208,6 @@ def train(
         if grad_norm <= config.tolerance or not decreased:
             break
     return LogisticModel(tuple(feature_names), w, float(b), stats, config)
-
-
-def predict_proba(model: LogisticModel, x: FeatureVector) -> float:
-    """Positive-class probability for a single named feature vector."""
-    return float(model.predict_proba_matrix(x.values, x.names)[0])
 
 
 def rfe(

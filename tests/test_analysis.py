@@ -25,6 +25,7 @@ from banevasion.errors import (
 from banevasion.features import Digests
 from banevasion.matching import NEGATIVE, TASK1, LabeledSample, match_task3, prepare_malicious_pool
 from banevasion.pairing import EvasionPair, extract_evasion_pairs, first_pair_per_group, merge_groups
+from banevasion.textstats import builtin_lexicon
 
 from conftest import account, corpus_of, record, revision
 
@@ -339,6 +340,10 @@ class TestCharacterize:
         for key in ("page_jaccard", "added_unigram_jaccard", "embedding_cosine"):
             block = report["overlaps"][key]
             assert block["pairs"]["ci_low"] <= block["pairs"]["mean"] <= block["pairs"]["ci_high"]
+        categories = list(builtin_lexicon().categories)
+        assert list(report["psycholinguistic_change"]) == categories
+        deltas = [k for k in report["success"]["contrasts"] if k.startswith("delta_")]
+        assert deltas == [f"delta_{c}" for c in categories]
         tables = report["tables"]
         assert set(tables) == {
             "account_durations",

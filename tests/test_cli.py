@@ -23,6 +23,8 @@ from banevasion.matching import (
 )
 from banevasion.pairing import extract_evasion_pairs, first_pair_per_group, merge_groups
 
+from conftest import account, corpus_of, record
+
 
 def tree_digest(root: Path) -> dict[str, str]:
     digests = {}
@@ -344,6 +346,21 @@ class TestStageChaining:
         ) in capsys.readouterr().err
         assert not samples.exists()
 
+    @pytest.mark.parametrize("k_edits", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["featurize", "evaluate"])
+    def test_k_edits_below_one_rejected(self, corpus_dir, tmp_path, capsys, command, k_edits):
+        flags = [*self.corpus_flags(corpus_dir), "--task", "2"]
+        out = tmp_path / "out"
+        if command == "featurize":
+            samples = tmp_path / "samples.tsv"
+            assert main(["match", *flags, "--out", str(samples)]) == 0
+            flags += ["--samples", str(samples), "--out", str(out)]
+        else:
+            flags += ["--out-dir", str(out)]
+        assert main([command, *flags, "--k-edits", k_edits]) == 1
+        assert "invalid config field 'k_edits': must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_evaluate_and_rank(self, corpus_dir, tmp_path):
         flags = self.corpus_flags(corpus_dir)
         out = tmp_path / "eval"
@@ -353,6 +370,40 @@ class TestStageChaining:
         assert main(["rank", *flags, "--out-dir", str(out)]) == 0
         ranking = json.loads((out / "ranking_report.json").read_text())
         assert 0.0 < ranking["mrr"] <= 1.0
+
+
+class TestExtractPairs:
+    """One group of three accounts that evade in sequence: b is created after
+    a's ban and banned, c is created after b's ban."""
+
+    @pytest.fixture()
+    def flags(self, tmp_path):
+        corpus = corpus_of(
+            [account("a", 0, ban=100), account("b", 200, ban=300), account("c", 400)],
+            records=[record("a", "b", "c")],
+        )
+        names = ("accounts", "revisions", "records")
+        corpus_mod.save_corpus(corpus, *(tmp_path / f"{n}.jsonl" for n in names))
+        return [f for n in names for f in (f"--{n}", str(tmp_path / f"{n}.jsonl"))]
+
+    @pytest.mark.parametrize("source", ["flag", "environment"])
+    def test_all_rounds_keeps_every_pair(self, tmp_path, monkeypatch, flags, source):
+        if source == "flag":
+            flags = [*flags, "--all-rounds"]
+        else:
+            monkeypatch.setenv("BANEVASION_ALL_ROUNDS", "1")
+        out = tmp_path / "pairs"
+        assert main(["extract-pairs", *flags, "--out-dir", str(out)]) == 0
+        kept = (out / "evasion_pairs.jsonl").read_bytes()
+        assert kept == (out / "all_pairs.jsonl").read_bytes()
+        assert kept.count(b"\n") == 2
+
+    def test_first_pair_only_by_default(self, tmp_path, flags):
+        out = tmp_path / "pairs"
+        assert main(["extract-pairs", *flags, "--out-dir", str(out)]) == 0
+        kept = [json.loads(line) for line in (out / "evasion_pairs.jsonl").read_text().splitlines()]
+        assert [(o["parent_id"], o["child_id"]) for o in kept] == [("a", "b")]
+        assert (out / "all_pairs.jsonl").read_text().count("\n") == 2
 
 
 class TestReproduce:

@@ -27,7 +27,7 @@ from banevasion.evaluation import (
     run_task,
     temporal_split,
 )
-from banevasion.features import Digests, FeatureConfig
+from banevasion.features import Digests, pair_vectors
 from banevasion.matching import (
     CandidateSet,
     LabeledSample,
@@ -307,27 +307,22 @@ class TestRankCandidates:
     def test_single_candidate(self):
         corpus = self.make_corpus()
         cand = CandidateSet("child", ("true",), "true")
-        config = FeatureConfig()
-        ranked = rank_candidates(zero_model(_pair_names(corpus, config)), cand, Digests(corpus, config))
+        ranked = rank_candidates(zero_model(_pair_names(corpus)), cand, Digests(corpus))
         assert ranked.rank_of_true_parent == 1
 
     def test_identical_vectors_tie_break_by_id(self):
         corpus = self.make_corpus()
-        config = FeatureConfig()
-        names = _pair_names(corpus, config)
+        names = _pair_names(corpus)
         cand = CandidateSet("child", ("true", "d1", "d2"), "true")
-        ranked = rank_candidates(zero_model(names), cand, Digests(corpus, config))
+        ranked = rank_candidates(zero_model(names), cand, Digests(corpus))
         # all scores are 0.5 -> candidates sorted by id: d1, d2, true
         assert ranked.ranked_candidate_ids == ("d1", "d2", "true")
         assert ranked.rank_of_true_parent == 3
 
 
-def _pair_names(corpus, config):
-    from banevasion.features import pair_features
-
-    parent = corpus.account("true")
-    child = corpus.account("child")
-    return pair_features(parent, (), child, (), config).names
+def _pair_names(corpus):
+    names, _ = pair_vectors(Digests(corpus), [("true", "child")])
+    return names
 
 
 @pytest.fixture(scope="module")

@@ -6,21 +6,17 @@ import numpy as np
 import pytest
 
 from banevasion.corpus import SynthConfig, generate_synthetic
-from banevasion.errors import MissingParentBanError, RecordParseError, UnsortedRevisionsError
+from banevasion.errors import MissingParentBanError, RecordParseError
 from banevasion.features import (
     Digests,
     FeatureConfig,
-    FeatureVector,
-    account_features,
     account_vectors,
-    pair_features,
     pair_vectors,
     read_feature_matrix,
     write_feature_matrix,
 )
 from banevasion.matching import TASKS
 from banevasion.pairing import extract_evasion_pairs, first_pair_per_group, merge_groups
-from banevasion.textstats import HashedTrigramProvider, Lexicon, SentimentLexicon
 
 from conftest import account, corpus_of, revision
 
@@ -30,10 +26,15 @@ def config():
     return FeatureConfig()
 
 
+def account_row(acct, revs=()):
+    """The account row of ``acct`` over ``revs``, keyed by column name."""
+    names, X = account_vectors(Digests(corpus_of([acct], revs)), [acct.account_id])
+    return dict(zip(names, X[0].tolist()))
+
+
 class TestAccountFeatures:
-    def test_zero_revision_account(self, config):
-        vec = account_features(account("a", 1_600_000_000), [], config)
-        values = vec.as_dict()
+    def test_zero_revision_account(self):
+        values = account_row(account("a", 1_600_000_000))
         assert values["unique_pages"] == 0
         assert values["total_contributions"] == 0
         assert values["mean_gap_seconds"] == 0
@@ -41,65 +42,70 @@ class TestAccountFeatures:
         assert values["is_banned"] == 0
         assert values["duration_seconds"] == -1
         assert values["banned_dow"] == -1
-        assert all(values[n] == 0 for n in vec.names if n.startswith("liwc_"))
+        assert all(values[n] == 0 for n in values if n.startswith("liwc_"))
 
-    def test_mean_gap(self, config):
+    def test_mean_gap(self):
         acct = account("a", 1000, ban=5000)
         revs = [revision("a", "p", 2000), revision("a", "p", 2100)]
-        assert account_features(acct, revs, config).as_dict()["mean_gap_seconds"] == 100
+        assert account_row(acct, revs)["mean_gap_seconds"] == 100
 
-    def test_calendar_fields(self, config):
+    def test_calendar_fields(self):
         # 2020-09-13 is a Sunday
-        vec = account_features(account("a", 1_600_000_000), [], config).as_dict()
+        vec = account_row(account("a", 1_600_000_000))
         assert vec["created_dow"] == 6
         assert vec["created_month"] == 9
         assert vec["created_day"] == 13
 
-    def test_duration(self, config):
-        vec = account_features(account("a", 100, ban=500), [], config).as_dict()
+    def test_duration(self):
+        vec = account_row(account("a", 100, ban=500))
         assert vec["duration_seconds"] == 400
         assert vec["is_banned"] == 1
 
-    def test_mean_contribution_size(self, config):
+    def test_mean_contribution_size(self):
         acct = account("a", 0)
         revs = [
             revision("a", "p", 10, added="abcd", deleted="xy"),
             revision("a", "q", 20, added="", deleted=""),
         ]
-        vec = account_features(acct, revs, config).as_dict()
+        vec = account_row(acct, revs)
         assert vec["mean_contribution_size"] == 3.0
 
-    def test_unsorted_revisions_rejected(self, config):
+    def test_out_of_order_revisions_give_the_in_order_row(self):
+        # the corpus sorts each account's revisions by time
         acct = account("a", 0)
-        revs = [revision("a", "p", 20), revision("a", "p", 10)]
-        with pytest.raises(UnsortedRevisionsError):
-            account_features(acct, revs, config)
+        revs = [revision("a", "p", 20, added="damn"), revision("a", "q", 10, added="calm")]
+        assert account_row(acct, revs) == account_row(acct, revs[::-1])
+        assert account_row(acct, revs)["mean_gap_seconds"] == 10
 
-    def test_unique_pages_matches_naive_recount(self, config):
+    def test_unique_pages_matches_naive_recount(self):
         result = generate_synthetic(
             SynthConfig(n_groups=4, n_benign=0, n_nonevading_malicious=0, seed=5)
         )
-        for parent_id, _ in result.true_pairs:
-            acct = result.corpus.account(parent_id)
+        parent_ids = [parent_id for parent_id, _ in result.true_pairs]
+        names, X = account_vectors(Digests(result.corpus), parent_ids)
+        for parent_id, row in zip(parent_ids, X.tolist()):
             revs = result.corpus.revisions_of(parent_id)
-            vec = account_features(acct, revs, config).as_dict()
+            vec = dict(zip(names, row))
             naive = set()
             for rev in revs:
                 naive.add(rev.page_id)
             assert vec["unique_pages"] == len(naive)
             assert vec["total_contributions"] == len(revs)
 
-    def test_deterministic_order_and_values(self, config):
-        acct = account("a", 123456, ban=999999)
-        revs = [revision("a", "p", 200000, added="the damn thing")]
-        a = account_features(acct, revs, config)
-        b = account_features(acct, revs, config)
-        assert a.names == b.names
-        assert np.array_equal(a.values, b.values)
+    def test_deterministic_order_and_values(self):
+        corpus = corpus_of(
+            [account("a", 123456, ban=999999)],
+            [revision("a", "p", 200000, added="the damn thing")],
+        )
+        a_names, a = account_vectors(Digests(corpus), ["a"])
+        b_names, b = account_vectors(Digests(corpus), ["a"])
+        assert a_names == b_names
+        assert np.array_equal(a, b)
 
 
 class TestPairFeatures:
-    def pair(self, config, **overrides):
+    def pair(self, k_limit=None, child_ban=True, **overrides):
+        """The row of the pair (p, c), keyed by column name."""
         parent = overrides.get("parent", account("p", 0, ban=1000))
         parent_revs = overrides.get(
             "parent_revs",
@@ -115,10 +121,12 @@ class TestPairFeatures:
                 revision("c", r.page_id, r.timestamp + 2000, added=r.added_text, comment=r.comment)
                 for r in parent_revs
             ]
-        return pair_features(parent, parent_revs, other, other_revs, config)
+        digests = Digests(corpus_of([parent, other], [*parent_revs, *other_revs]))
+        names, X = pair_vectors(digests, [("p", "c")], k_limit, child_ban)
+        return dict(zip(names, X[0].tolist()))
 
-    def test_self_pair_identity(self, config):
-        vec = self.pair(config).as_dict()
+    def test_self_pair_identity(self):
+        vec = self.pair()
         assert vec["page_jaccard"] == 1.0
         assert vec["comment_unigram_jaccard"] == 1.0
         assert vec["added_unigram_jaccard"] == 1.0
@@ -126,96 +134,101 @@ class TestPairFeatures:
         assert vec["profile_abs_diff"] == 0.0
         assert vec["sentiment_abs_diff"] == 0.0
 
-    def test_disjoint_pair(self, config):
+    def test_disjoint_pair(self):
         other_revs = [revision("c", "zz", 3000, added="qqq www", comment="zzz qqq")]
-        vec = self.pair(config, other_revs=other_revs).as_dict()
+        vec = self.pair(other_revs=other_revs)
         assert vec["page_jaccard"] == 0.0
         assert vec["added_unigram_jaccard"] == 0.0
 
-    def test_inter_account_duration_sign(self, config):
-        vec = self.pair(config).as_dict()
+    def test_inter_account_duration_sign(self):
+        vec = self.pair()
         assert vec["inter_account_seconds"] == 1000.0
         earlier = account("c", 500, ban=4000)
-        vec = self.pair(config, other=earlier, other_revs=[]).as_dict()
+        vec = self.pair(other=earlier, other_revs=[])
         assert vec["inter_account_seconds"] == -500.0
 
-    def test_parent_must_be_banned(self, config):
+    def test_parent_must_be_banned(self):
+        digests = Digests(corpus_of([account("p", 0), account("c", 10)]))
         with pytest.raises(MissingParentBanError):
-            pair_features(account("p", 0), [], account("c", 10), [], config)
+            pair_vectors(digests, [("p", "c")])
 
     def test_k_limit_uses_first_edits_only(self):
-        config = FeatureConfig(k_limit=1)
         parent_revs = [revision("p", "page-a", 10, added="alpha beta")]
         other_revs = [
             revision("c", "page-a", 2000, added="alpha beta"),
             revision("c", "page-zz", 2100, added="totally different"),
         ]
-        vec = pair_features(
-            account("p", 0, ban=1000), parent_revs, account("c", 2000, ban=4000),
-            other_revs, config,
-        ).as_dict()
+        vec = self.pair(k_limit=1, parent_revs=parent_revs, other_revs=other_revs)
         assert vec["page_jaccard"] == 1.0
         assert vec["added_unigram_jaccard"] == 1.0
 
     def test_large_k_limit_equals_unlimited(self):
-        unlimited = FeatureConfig(k_limit=None)
-        huge = FeatureConfig(k_limit=10_000)
-        a = self.pair(unlimited)
-        b = self.pair(huge)
-        assert a.names == b.names
-        assert np.array_equal(a.values, b.values)
+        a = self.pair(k_limit=None)
+        b = self.pair(k_limit=10_000)
+        assert list(a) == list(b)
+        assert list(a.values()) == list(b.values())
 
     def test_child_ban_features_toggle(self):
-        with_ban = self.pair(FeatureConfig(include_child_ban_features=True))
-        without = self.pair(FeatureConfig(include_child_ban_features=False))
-        assert "child_duration_seconds" in with_ban.names
-        assert "child_duration_seconds" not in without.names
-        assert "child_banned_dow" not in without.names
+        with_ban = self.pair(child_ban=True)
+        without = self.pair(child_ban=False)
+        assert "child_duration_seconds" in with_ban
+        assert "child_duration_seconds" not in without
+        assert "child_banned_dow" not in without
 
-    def test_unbanned_other_gets_sentinels(self, config):
-        vec = self.pair(config, other=account("c", 2000), other_revs=[]).as_dict()
+    def test_unbanned_other_gets_sentinels(self):
+        vec = self.pair(other=account("c", 2000), other_revs=[])
         assert vec["child_is_banned"] == 0.0
         assert vec["child_duration_seconds"] == -1.0
         assert vec["child_banned_dow"] == -1.0
 
-    def test_similarity_ranges(self, config):
+    def test_similarity_ranges(self):
         rng = random.Random(3)
         result = generate_synthetic(
             SynthConfig(n_groups=6, n_benign=0, n_nonevading_malicious=6, seed=9)
         )
         corpus = result.corpus
-        accounts = [a for a in corpus.accounts if a.ban_time is not None]
-        for _ in range(30):
-            parent, other = rng.sample(accounts, 2)
-            vec = pair_features(
-                parent, corpus.revisions_of(parent.account_id),
-                other, corpus.revisions_of(other.account_id), config,
-            ).as_dict()
+        accounts = [a.account_id for a in corpus.accounts if a.ban_time is not None]
+        keys = [tuple(rng.sample(accounts, 2)) for _ in range(30)]
+        names, X = pair_vectors(Digests(corpus), keys)
+        for row in X.tolist():
+            vec = dict(zip(names, row))
             for key in ("page_jaccard", "comment_unigram_jaccard", "added_unigram_jaccard"):
                 assert 0.0 <= vec[key] <= 1.0
             assert -1.0 <= vec["embedding_cosine"] <= 1.0
 
-    def test_planted_page_overlap_matches_naive_jaccard(self, config):
+    def test_planted_page_overlap_matches_naive_jaccard(self):
         result = generate_synthetic(
             SynthConfig(n_groups=5, n_benign=0, n_nonevading_malicious=0,
                         page_overlap=0.5, seed=21)
         )
         corpus = result.corpus
-        for parent_id, child_id in result.true_pairs:
+        names, X = pair_vectors(Digests(corpus), result.true_pairs)
+        page_jaccard = dict(zip(names, X.T.tolist()))["page_jaccard"]
+        for (parent_id, child_id), value in zip(result.true_pairs, page_jaccard):
             parent_pages = {r.page_id for r in corpus.revisions_of(parent_id)}
             child_pages = {r.page_id for r in corpus.revisions_of(child_id)}
             union = parent_pages | child_pages
             expected = len(parent_pages & child_pages) / len(union) if union else 0.0
-            vec = pair_features(
-                corpus.account(parent_id), corpus.revisions_of(parent_id),
-                corpus.account(child_id), corpus.revisions_of(child_id), config,
-            ).as_dict()
-            assert vec["page_jaccard"] == pytest.approx(expected)
+            assert value == pytest.approx(expected)
+
+    def test_empty_input_keeps_its_columns(self):
+        digests = Digests(corpus_of([account("p", 0, ban=1000)]))
+        names, X = pair_vectors(digests, [], child_ban=False)
+        assert X.shape == (0, len(names)) and "child_is_banned" not in names
+        names, X = account_vectors(digests, [])
+        assert X.shape == (0, len(names)) and names[-1] == "sentiment_mean"
+
+
+def truncated_corpus(corpus, account_id, k):
+    """``corpus`` with only ``account_id``'s first ``k`` revisions."""
+    kept = corpus.revisions_of(account_id)[:k]
+    revisions = [r for r in corpus.revisions if r.account_id != account_id]
+    return corpus_of(corpus.accounts, [*revisions, *kept], corpus.sockpuppet_records)
 
 
 class TestPairVectors:
-    """The batch path memoizes each side's digest; rows must still equal
-    pair_features computed one pair at a time."""
+    """The batch path shares each side's digest; rows must still equal the
+    rows of a fresh store over a corpus cut to the revisions each row uses."""
 
     def corpus(self):
         accounts = [
@@ -238,27 +251,26 @@ class TestPairVectors:
     @pytest.mark.parametrize("child_ban", [True, False])
     def test_rows_equal_pair_features(self, child_ban):
         corpus = self.corpus()
-        config = FeatureConfig(k_limit=3, include_child_ban_features=child_ban)
         # x is an untruncated parent, then a truncated other side; y and w
         # have at most k revisions, so their other side is untruncated.
         keys = [("x", "y"), ("z", "x"), ("x", "w"), ("y", "x"), ("x", "y"), ("z", "y")]
-        rows = pair_vectors(Digests(corpus, config), keys, config)
-        assert len(rows) == len(keys)
+        names, rows = pair_vectors(Digests(corpus), keys, 3, child_ban)
+        assert rows.shape == (len(keys), len(names))
         for (parent_id, other_id), row in zip(keys, rows):
-            expected = pair_features(
-                corpus.account(parent_id), corpus.revisions_of(parent_id),
-                corpus.account(other_id), corpus.revisions_of(other_id), config,
+            oracle = Digests(truncated_corpus(corpus, other_id, 3))
+            expected_names, expected = pair_vectors(
+                oracle, [(parent_id, other_id)], None, child_ban
             )
-            assert row.names == expected.names
-            assert np.array_equal(row.values, expected.values)
+            assert names == expected_names
+            assert np.array_equal(row, expected[0])
         # the truncated x must differ from the full x
-        full = pair_vectors(Digests(corpus), [("z", "x")], FeatureConfig(include_child_ban_features=child_ban))
-        assert not np.array_equal(full[0].values, rows[1].values)
+        _, full = pair_vectors(Digests(corpus), [("z", "x")], None, child_ban)
+        assert not np.array_equal(full[0], rows[1])
 
 
 class TestDigests:
     """The store builds each digest once; what it returns must equal the
-    per-item references built from the same revisions."""
+    rows of a fresh store per account."""
 
     @pytest.fixture(scope="class")
     def synthetic(self):
@@ -274,25 +286,21 @@ class TestDigests:
         task = TASKS["1"]
         samples = task.match(corpus, groups, pairs, task.window_seconds)
         assert len({s.other_id for s in samples}) < len(samples)  # negatives recur
-        digests = Digests(corpus, config)
-        rows = task.vectors(samples, digests, task.feature_config(config))
-        assert len(rows) == len(samples)
+        names, rows = task.vectors(samples, Digests(corpus, config), 3)
+        assert rows.shape == (len(samples), len(names))
         for sample, row in zip(samples, rows):
-            expected = account_features(
-                corpus.account(sample.other_id), corpus.revisions_of(sample.other_id), config
-            )
-            assert row.names == expected.names
-            assert np.array_equal(row.values, expected.values)
+            expected_names, expected = account_vectors(Digests(corpus, config), [sample.other_id])
+            assert names == expected_names
+            assert np.array_equal(row, expected[0])
 
     def test_every_account_row_equals_account_features(self, synthetic, config):
         corpus, _, _ = synthetic
         ids = [a.account_id for a in corpus.accounts]
-        for account_id, row in zip(ids, account_vectors(Digests(corpus, config), ids)):
-            expected = account_features(
-                corpus.account(account_id), corpus.revisions_of(account_id), config
-            )
-            assert row.names == expected.names
-            assert np.array_equal(row.values, expected.values)
+        names, rows = account_vectors(Digests(corpus, config), ids)
+        for account_id, row in zip(ids, rows):
+            expected_names, expected = account_vectors(Digests(corpus, config), [account_id])
+            assert names == expected_names
+            assert np.array_equal(row, expected[0])
 
     def test_key_is_revisions_used(self):
         corpus = TestPairVectors().corpus()  # x has 6 revisions, y has 2
@@ -304,54 +312,54 @@ class TestDigests:
 
     def test_config_variant_with_same_text_resources_accepted(self):
         corpus = TestPairVectors().corpus()
-        digests = Digests(corpus)
-        variant = FeatureConfig(k_limit=2, include_child_ban_features=False)
-        (row,) = pair_vectors(digests, [("x", "y")], variant)
-        expected = pair_features(
-            corpus.account("x"), corpus.revisions_of("x"),
-            corpus.account("y"), corpus.revisions_of("y"), variant,
+        names, (row,) = pair_vectors(Digests(corpus), [("x", "y")], k_limit=2, child_ban=False)
+        expected_names, expected = pair_vectors(
+            Digests(truncated_corpus(corpus, "y", 2)), [("x", "y")], child_ban=False
         )
-        assert np.array_equal(row.values, expected.values)
+        assert names == expected_names
+        assert np.array_equal(row, expected[0])
 
-    @pytest.mark.parametrize(
-        "field, other",
-        [
-            ("lexicon", Lexicon({"swear": ("damn",)})),
-            ("sentiment_lexicon", SentimentLexicon({"calm": 0.5})),
-            ("provider", HashedTrigramProvider(dimension=64)),
-        ],
+
+def twice_the_row(added):
+    """``(names, X)`` holding one account's row twice."""
+    corpus = corpus_of(
+        [account("a", 1_600_000_000, ban=1_600_100_000)],
+        [revision("a", "p", 1_600_000_500, added=added)],
     )
-    def test_config_with_other_text_resources_rejected(self, field, other):
-        digests = Digests(TestPairVectors().corpus())
-        with pytest.raises(ValueError, match="differ from the store's"):
-            pair_vectors(digests, [("x", "y")], FeatureConfig(**{field: other}))
+    return account_vectors(Digests(corpus), ["a", "a"])
 
 
 class TestMatrixSerialization:
-    def test_round_trip(self, tmp_path, config):
-        acct = account("a", 1_600_000_000, ban=1_600_100_000)
-        revs = [revision("a", "p", 1_600_000_500, added="damn it all")]
-        vec = account_features(acct, revs, config)
+    def test_round_trip(self, tmp_path):
+        vec_names, vec = twice_the_row("damn it all")
         path = tmp_path / "features.tsv"
-        write_feature_matrix(path, ["s1", "s2"], [1, 0], [vec, vec])
+        write_feature_matrix(path, ["s1", "s2"], [1, 0], vec_names, vec)
         ids, labels, names, X = read_feature_matrix(path)
         assert ids == ["s1", "s2"]
         assert labels.tolist() == [1, 0]
-        assert names == vec.names
-        assert np.array_equal(X[0], vec.values)
+        assert names == vec_names
+        assert np.array_equal(X[0], vec[0])
 
-        write_feature_matrix(tmp_path / "again.tsv", ["s1", "s2"], [1, 0], [vec, vec])
+        write_feature_matrix(tmp_path / "again.tsv", ["s1", "s2"], [1, 0], vec_names, vec)
         assert (tmp_path / "features.tsv").read_bytes() == (tmp_path / "again.tsv").read_bytes()
 
-    def test_read_then_write_is_identity(self, tmp_path, config):
-        acct = account("a", 1_600_000_000, ban=1_600_100_000)
-        vec = account_features(acct, [revision("a", "p", 1_600_000_500, added="hi")], config)
+    def test_read_then_write_is_identity(self, tmp_path):
         path = tmp_path / "features.tsv"
-        write_feature_matrix(path, ["s1", "s2"], [0, 1], [vec, vec])
+        write_feature_matrix(path, ["s1", "s2"], [0, 1], *twice_the_row("hi"))
         ids, labels, names, X = read_feature_matrix(path)
-        rows = [FeatureVector(names, row) for row in X]
-        write_feature_matrix(tmp_path / "again.tsv", ids, labels.tolist(), rows)
+        write_feature_matrix(tmp_path / "again.tsv", ids, labels.tolist(), names, X)
         assert (tmp_path / "again.tsv").read_bytes() == path.read_bytes()
+
+    def test_shapes_must_agree(self, tmp_path):
+        names, X = twice_the_row("hi")
+        for ids, labels, cut_names, cut_X in [
+            (["s1"], [0, 1], names, X),
+            (["s1", "s2"], [0], names, X),
+            (["s1", "s2"], [0, 1], names[:-1], X),
+            (["s1", "s2"], [0, 1], names, X[:1]),
+        ]:
+            with pytest.raises(ValueError):
+                write_feature_matrix(tmp_path / "f.tsv", ids, labels, cut_names, cut_X)
 
     @pytest.mark.parametrize(
         "text, line, fragment",
@@ -364,10 +372,11 @@ class TestMatrixSerialization:
             ("sample_id\tlabel\tf1\ns1\t2\t0.5\n", 2, "label must be 0 or 1"),
             ("sample_id\tlabel\tf1\ns1\t1.0\t0.5\n", 2, "label must be 0 or 1"),
             ("sample_id\tlabel\tf1\ns1\t1\t0.5\ns2\t0\tabc\n", 3, "abc"),
+            ("sample_id\tlabel\tf1\tf1\ns1\t1\t0.5\t0.5\n", 1, "duplicate feature names ['f1']"),
         ],
         ids=[
             "bad_header", "empty_file", "short_row", "long_row", "blank_line",
-            "label_2", "label_float", "non_float_value",
+            "label_2", "label_float", "non_float_value", "duplicate_names",
         ],
     )
     def test_corrupt_matrix_names_line(self, tmp_path, text, line, fragment):
@@ -386,9 +395,3 @@ class TestMatrixSerialization:
             read_feature_matrix(path)
         assert (exc.value.path, exc.value.line_number) == (str(path), 3)
         assert f"f2 is not finite: {value!r}" in exc.value.reason
-
-    def test_feature_vector_validation(self):
-        with pytest.raises(ValueError):
-            FeatureVector(("a", "a"), np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            FeatureVector(("a",), np.array([1.0, 2.0]))

@@ -10,7 +10,6 @@ from banevasion.errors import (
     NonFiniteFeatureError,
     SingleClassInputError,
 )
-from banevasion.features import FeatureVector
 from banevasion.model import (
     LogisticModel,
     StandardizationStats,
@@ -20,7 +19,6 @@ from banevasion.model import (
     load_model,
     loss_and_gradient,
     model_bytes,
-    predict_proba,
     rfe,
     save_model,
     train,
@@ -249,26 +247,26 @@ class TestPredict:
 
     def test_zero_model_gives_half(self):
         model = self.make_model([0.0], 0.0)
-        assert predict_proba(model, FeatureVector(("f0",), np.array([3.0]))) == 0.5
+        assert model.predict_proba_matrix(np.array([[3.0]]), ("f0",)).tolist() == [0.5]
 
     def test_bias_monotone_to_one(self):
         previous = 0.5
         for bias in (1.0, 5.0, 20.0, 80.0):
             model = self.make_model([0.0], bias)
-            p = predict_proba(model, FeatureVector(("f0",), np.array([0.0])))
+            (p,) = model.predict_proba_matrix(np.array([[0.0]]), ("f0",))
             assert p > previous or p == 1.0
             previous = p
         assert previous == pytest.approx(1.0)
 
     def test_sigmoid_of_two(self):
         model = self.make_model([1.0], 0.0)
-        p = predict_proba(model, FeatureVector(("f0",), np.array([2.0])))
+        (p,) = model.predict_proba_matrix(np.array([[2.0]]), ("f0",))
         assert p == pytest.approx(0.8807970779778823, abs=1e-12)
 
     def test_name_mismatch(self):
         model = self.make_model([1.0], 0.0)
         with pytest.raises(FeatureNameMismatchError):
-            predict_proba(model, FeatureVector(("wrong",), np.array([1.0])))
+            model.predict_proba_matrix(np.array([[1.0]]), ("wrong",))
 
 
 class TestRfe:
