@@ -5,8 +5,10 @@ train | evaluate | rank | analyze | reproduce.
 
 Option values resolve with precedence: explicit flag > environment
 variable (``BANEVASION_<FLAG>``) > config file (flat ``key = value``
-lines via --config; a key no command reads is rejected) > built-in default. All outputs are deterministic
-given identical inputs and seeds; nothing embeds wall-clock time.
+lines via --config; a key no command reads is rejected) > built-in default. All outputs are
+byte-identical given identical inputs, seeds and BLAS thread count (OpenBLAS
+orders the model layer's sums by thread count at some shapes); nothing embeds
+wall-clock time.
 """
 
 from __future__ import annotations

@@ -83,12 +83,16 @@ def _token_set(tokens: Iterable[str]) -> frozenset[str]:
 
 @dataclass(frozen=True)
 class AccountDigest:
-    """Everything a feature vector reads from one account's revisions.
+    """Everything a feature vector reads from one account: the calendar
+    (weekday, month, day) of its creation and of its ban (``None`` when never
+    banned), and what its revisions give.
 
     The mean embedding is computed on first read; account vectors never
     read it."""
 
     account: Account
+    created_calendar: tuple[int, int, int]
+    ban_calendar: tuple[int, int, int] | None
     revision_count: int
     mean_gap_seconds: float
     mean_contribution_size: float
@@ -116,6 +120,8 @@ def account_digest(
     tokens = [t for r in revisions for t in tokenize(r.added_text)]
     return AccountDigest(
         account=account,
+        created_calendar=_calendar(account.creation_time),
+        ban_calendar=None if account.ban_time is None else _calendar(account.ban_time),
         revision_count=n,
         # consecutive gaps telescope to last minus first
         mean_gap_seconds=(
@@ -166,11 +172,11 @@ _ACCOUNT_HEAD = (
 )
 
 
-def _ban_fields(account: Account) -> list[float]:
+def _ban_fields(digest: AccountDigest) -> list[float]:
     """banned_{dow,month,day}, is_banned, duration_seconds; -1 when never banned."""
-    if account.ban_time is None:
+    if digest.ban_calendar is None:
         return [-1.0, -1.0, -1.0, 0.0, -1.0]
-    return [*_calendar(account.ban_time), 1.0, float(account.duration_seconds)]
+    return [*digest.ban_calendar, 1.0, float(digest.account.duration_seconds)]
 
 
 def _matrix(names: tuple[str, ...], rows: list[list[float]]) -> tuple[tuple[str, ...], np.ndarray]:
@@ -179,7 +185,7 @@ def _matrix(names: tuple[str, ...], rows: list[list[float]]) -> tuple[tuple[str,
 
 def _account_row(digest: AccountDigest) -> list[float]:
     return [
-        *_calendar(digest.account.creation_time), *_ban_fields(digest.account),
+        *digest.created_calendar, *_ban_fields(digest),
         float(len(digest.pages)), float(digest.revision_count),
         digest.mean_gap_seconds, digest.mean_contribution_size,
         *digest.profile.values(), digest.sentiment,
@@ -220,12 +226,12 @@ def _combine(parent: AccountDigest, other: AccountDigest, child_ban: bool) -> li
     if p.ban_time is None:
         raise MissingParentBanError(p.account_id)
     values = [
-        *_calendar(p.creation_time), *_calendar(p.ban_time),
+        *parent.created_calendar, *parent.ban_calendar,
         float(p.ban_time - p.creation_time),
-        *_calendar(o.creation_time),
+        *other.created_calendar,
     ]
     if child_ban:
-        values += _ban_fields(o)
+        values += _ban_fields(other)
     return values + [
         float(o.creation_time - p.ban_time),
         jaccard(parent.pages, other.pages),

@@ -6,7 +6,8 @@ numeric category ids to names (``id<TAB>name``), followed by entry lines
 ``token<TAB>id [id ...]``. A trailing ``*`` on a token matches any token
 with that prefix. Sentiment lexicon files are ``token<TAB>valence`` lines
 with valences in [-1, 1]. External embedding files are
-``sha256(text)<TAB>comma-separated floats`` lines.
+``sha256(text)<TAB>comma-separated floats`` lines, each hash on one line
+only and every float finite.
 """
 
 from __future__ import annotations
@@ -75,6 +76,10 @@ class Lexicon:
     _prefixes: tuple[tuple[str, str], ...] = field(
         init=False, repr=False, compare=False
     )
+    # token -> categories_of(token), filled on first lookup
+    _memo: dict[str, frozenset[str]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self):
         literals: dict[str, list[str]] = {}
@@ -91,11 +96,15 @@ class Lexicon:
         )
         object.__setattr__(self, "_prefixes", tuple(prefixes))
 
-    def categories_of(self, token: str) -> set[str]:
-        cats = set(self._literals.get(token, ()))
-        for prefix, category in self._prefixes:
-            if token.startswith(prefix):
-                cats.add(category)
+    def categories_of(self, token: str) -> frozenset[str]:
+        """The categories with ``token`` as a literal entry or a prefix entry
+        of it; each distinct token is looked up once per lexicon."""
+        cats = self._memo.get(token)
+        if cats is None:
+            cats = self._memo[token] = frozenset(
+                (*self._literals.get(token, ()),
+                 *(category for prefix, category in self._prefixes if token.startswith(prefix)))
+            )
         return cats
 
 
@@ -139,6 +148,10 @@ class EmbeddingProvider(Protocol):
 
     def embed_text(self, text: str) -> np.ndarray: ...
 
+    def mean_vector(self, texts: Sequence[str]) -> np.ndarray:
+        """The mean of ``embed_text`` over one or more texts."""
+        ...
+
 
 def _fnv1a64(data: bytes) -> int:
     h = 0xCBF29CE484222325
@@ -148,20 +161,46 @@ def _fnv1a64(data: bytes) -> int:
     return h
 
 
+class _TrigramBuckets(dict):
+    """One dimension's trigram -> bucket memo: a trigram, as the tuple of its
+    three characters, maps to the FNV-1a 64 hash of its UTF-8 bytes modulo
+    the dimension, hashed on first lookup."""
+
+    def __init__(self, dimension: int):
+        super().__init__()
+        self.dimension = dimension
+
+    def __missing__(self, trigram: tuple[str, str, str]) -> int:
+        bucket = self[trigram] = _fnv1a64("".join(trigram).encode("utf-8")) % self.dimension
+        return bucket
+
+
 @dataclass(frozen=True)
 class HashedTrigramProvider:
     """Deterministic bag of hashed character trigrams, fixed dimension; two
-    providers of one dimension are equal."""
+    providers of one dimension are equal. Each provider hashes a distinct
+    trigram once."""
 
     dimension: int = 256
+    _buckets: _TrigramBuckets = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_buckets", _TrigramBuckets(self.dimension))
+
+    def _counts(self, texts: Sequence[str]) -> np.ndarray:
+        """Integer trigram count per bucket, over all of ``texts``."""
+        buckets: list[int] = []
+        for lowered in map(str.lower, texts):
+            buckets.extend(map(self._buckets.__getitem__, zip(lowered, lowered[1:], lowered[2:])))
+        return np.bincount(np.array(buckets, dtype=np.intp), minlength=self.dimension)
 
     def embed_text(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.dimension)
-        lowered = text.lower()
-        for i in range(len(lowered) - 2):
-            bucket = _fnv1a64(lowered[i : i + 3].encode("utf-8")) % self.dimension
-            vec[bucket] += 1.0
-        return vec
+        return self._counts((text,)).astype(float)
+
+    def mean_vector(self, texts: Sequence[str]) -> np.ndarray:
+        # integer counts sum exactly, so one count over all texts divided by
+        # their number is the mean of the per-text vectors to the bit
+        return self._counts(texts) / len(texts)
 
 
 def text_hash(text: str) -> str:
@@ -187,12 +226,16 @@ class ExternalVectorProvider:
                     vec = np.array([float(x) for x in parts[1].split(",")])
                 except ValueError:
                     raise LexiconParseError(str(path), lineno, "bad float") from None
+                if not np.isfinite(vec).all():
+                    raise LexiconParseError(str(path), lineno, "non-finite component")
                 if dimension is None:
                     dimension = vec.size
                 elif vec.size != dimension:
                     raise LexiconParseError(
                         str(path), lineno, f"dimension {vec.size} != {dimension}"
                     )
+                if parts[0] in self._vectors:
+                    raise LexiconParseError(str(path), lineno, "repeated text hash")
                 self._vectors[parts[0]] = vec
         if dimension is None:
             raise EmptyInputError("external embedding file is empty")
@@ -204,15 +247,18 @@ class ExternalVectorProvider:
             raise MissingVectorError(f"{self._path}: no precomputed vector for text hash {key}")
         return self._vectors[key]
 
+    def mean_vector(self, texts: Sequence[str]) -> np.ndarray:
+        total = np.zeros(self.dimension)
+        for text in texts:
+            total += self.embed_text(text)
+        return total / len(texts)
+
 
 def embed(texts: Sequence[str], provider: EmbeddingProvider) -> np.ndarray:
     """Mean of per-text vectors from the provider."""
     if not texts:
         raise EmptyInputError("embed() needs at least one text")
-    total = np.zeros(provider.dimension)
-    for text in texts:
-        total += provider.embed_text(text)
-    return total / len(texts)
+    return provider.mean_vector(texts)
 
 
 def cosine(u, v) -> float:

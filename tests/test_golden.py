@@ -1,12 +1,15 @@
-"""Byte pins for the corpus writer and reader, the three matchers and the
-candidate sets.
+"""Byte pins for the corpus writer and reader, the three matchers, the
+candidate sets and the three tasks' feature matrices.
 
 A 200-group seed-7 corpus goes through generate -> save_corpus -> load_corpus
 -> match 1/2/3 (task 2 also with a binding cap) -> build_candidate_sets, and
-the SHA-256 of every file written must equal the constants below. They were
+each task's samples are featurized (task 2 over the first 3 edits, without
+child-ban fields) and written by ``write_feature_matrix``. The SHA-256 of
+every file written must equal the constants below. The stage pins were
 recorded from the scan-based matchers and the list-building reader that the
-sorted indexes and the streaming reader replaced, so any changed output byte
-fails here.
+sorted indexes and the streaming reader replaced, the feature pins from the
+per-trigram hashing loop and the unmemoized lexicon scan that the memoized
+text layer replaced, so any changed output byte fails here.
 """
 
 from __future__ import annotations
@@ -14,12 +17,16 @@ from __future__ import annotations
 import hashlib
 
 from banevasion.corpus import SynthConfig, generate_synthetic, load_corpus, save_corpus, save_pairs
+from banevasion.features import Digests, write_feature_matrix
 from banevasion.matching import TASKS, build_candidate_sets, write_samples
 from banevasion.pairing import extract_evasion_pairs, first_pair_per_group, merge_groups
 
 GOLDEN_SHA256 = {
     "accounts.jsonl": "4eb76dfd997974c38a86a6df2b2a87397898b055935d07dabc1e953abda1e48e",
     "candidates.tsv": "53fd82c8b2d5a017068a85f4de567b4f714e3a52d9fde77084074207b496ded2",
+    "features1.tsv": "8924adac5194fb00d4645ae6ad6f45ad60f6ce5714cbae5b27eba187f329438d",
+    "features2.tsv": "f4d4403e54af3b6daf84b5ce636d0323c2930a9eb31131b4d16626bb776491ea",
+    "features3.tsv": "498d7580740aeced7616fe61ba5325d8f8f17759dd7a42bddcb828afebde03b0",
     "pairs.jsonl": "6e536a738a466abdcdd389a09d9750c31e26d11b1c65d07ad9b6d6fba36c7def",
     "records.jsonl": "a29f6df8429888ab54fc441093ec59b3aa8e124aadcdacc57928e7bf8e03e399",
     "revisions.jsonl": "ec1f34413aaa25f81c27112b3f20acb93d7b6ba70856d3c46355253a4a6b79e3",
@@ -42,9 +49,14 @@ def write_stage_outputs(out):
     groups = merge_groups(corpus.sockpuppet_records, corpus)
     pairs = first_pair_per_group(extract_evasion_pairs(groups, corpus), corpus)
     save_pairs(pairs, out / "pairs.jsonl")
+    digests = Digests(corpus)
     for number, task in TASKS.items():
         samples = task.match(corpus, groups, pairs, task.window_seconds, seed=7)
         write_samples(samples, out / f"task{number}.tsv")
+        names, X = task.vectors(samples, digests, k_edits=3)
+        ids = [f"{s.parent_id}|{s.other_id}" for s in samples]
+        labels = [s.label for s in samples]
+        write_feature_matrix(out / f"features{number}.tsv", ids, labels, names, X)
     task2 = TASKS["2"]
     capped = task2.match(corpus, groups, pairs, 3 * task2.window_seconds, cap=3, seed=7)
     write_samples(capped, out / "task2_cap3.tsv")
@@ -56,10 +68,10 @@ def write_stage_outputs(out):
             fh.write("\t".join((cs.child_id, cs.true_parent_id, *cs.candidate_parent_ids)) + "\n")
 
 
-def digests(out):
+def sha256s(out):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
 
 
 def test_stage_outputs_match_recorded_bytes(tmp_path):
     write_stage_outputs(tmp_path)
-    assert digests(tmp_path) == GOLDEN_SHA256
+    assert sha256s(tmp_path) == GOLDEN_SHA256

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from banevasion.errors import (
@@ -16,6 +16,7 @@ from banevasion.errors import (
 )
 from banevasion.textstats import (
     ExternalVectorProvider,
+    _fnv1a64,
     HashedTrigramProvider,
     Lexicon,
     SentimentLexicon,
@@ -34,6 +35,33 @@ from banevasion.textstats import (
     text_hash,
     tokenize,
 )
+
+
+def fnv1a64_oracle(data: bytes) -> int:
+    h = 0xCBF29CE484222325
+    for byte in data:
+        h = ((h ^ byte) * 0x100000001B3) % 2**64
+    return h
+
+
+def trigram_vector_oracle(text: str, dimension: int) -> np.ndarray:
+    vec = np.zeros(dimension)
+    lowered = text.lower()
+    for i in range(len(lowered) - 2):
+        vec[fnv1a64_oracle(lowered[i : i + 3].encode("utf-8")) % dimension] += 1.0
+    return vec
+
+
+TRIGRAM_PROVIDERS = tuple(HashedTrigramProvider(dimension) for dimension in (1, 7, 256))
+
+
+def categories_oracle(lexicon: Lexicon, token: str) -> set[str]:
+    return {
+        category
+        for category, entries in lexicon.categories.items()
+        for entry in entries
+        if token == entry or (entry.endswith("*") and token.startswith(entry[:-1]))
+    }
 
 
 def edit_distance_oracle(a: str, b: str) -> int:
@@ -137,6 +165,28 @@ class TestLiwcProfile:
         lex = Lexicon({"focuspast": ("talk*", "ago")})
         assert liwc_profile(["talked", "ago"], lex) == {"focuspast": 1.0}
 
+    def test_categories_match_oracle_for_two_live_lexicons(self):
+        # both lexicons share tokens but map them differently, and both
+        # memoize in the same process
+        first = Lexicon({"swear": ("damn", "hell*"), "social": ("friend*", "talk")})
+        second = Lexicon({"swear": ("friend", "talk*"), "home": ("damn*", "hello")})
+        tokens = ["damn", "damned", "hell", "hello", "friend", "friends", "talk",
+                  "talked", "zzz", ""]
+        for _ in range(2):  # the second pass reads the memos
+            for lexicon in (first, second):
+                for token in tokens:
+                    assert lexicon.categories_of(token) == categories_oracle(lexicon, token)
+        assert first.categories_of("hello") == {"swear"}
+        assert second.categories_of("hello") == {"home"}
+
+    def test_categories_cannot_be_mutated(self):
+        lex = Lexicon({"swear": ("damn",)})
+        cats = lex.categories_of("damn")
+        assert isinstance(cats, frozenset)
+        with pytest.raises(AttributeError):
+            cats.add("social")
+        assert lex.categories_of("damn") == {"swear"}
+
     def test_wildcard_must_be_final(self):
         with pytest.raises(LexiconParseError):
             Lexicon({"bad": ("ta*lk",)})
@@ -225,6 +275,32 @@ class TestEmbedding:
         a = embed(["first text", "second text"], provider)
         b = embed(["second text", "first text"], provider)
         assert np.allclose(a, b)
+
+    @pytest.mark.parametrize(
+        "data, expected",
+        [(b"", 0xCBF29CE484222325), (b"a", 0xAF63DC4C8601EC8C), (b"foobar", 0x85944171F73967E8)],
+    )
+    def test_fnv1a64_known_answers(self, data, expected):
+        assert _fnv1a64(data) == expected == fnv1a64_oracle(data)
+
+    @given(st.text(max_size=40))
+    @example("ab")
+    @example("Ünï€𝄞 côdé")
+    def test_trigram_vector_matches_oracle(self, text):
+        # three dimensions live in one process, and their memos fill across
+        # examples: a bucket memoized for one dimension must not serve another
+        for provider in TRIGRAM_PROVIDERS:
+            assert np.array_equal(
+                provider.embed_text(text), trigram_vector_oracle(text, provider.dimension)
+            )
+
+    @given(st.lists(st.text(max_size=30), min_size=1, max_size=6))
+    def test_account_mean_equals_mean_of_text_vectors(self, texts):
+        provider = HashedTrigramProvider(7)
+        total = np.zeros(provider.dimension)
+        for text in texts:
+            total += provider.embed_text(text)
+        assert np.array_equal(embed(texts, provider), total / len(texts))
 
     def test_external_provider_round_trip(self, tmp_path):
         path = tmp_path / "vectors.tsv"
@@ -334,6 +410,7 @@ class TestLexiconFiles:
 
 LEXICON_HEAD = "%\n1\tswear\n%\ndamn\t1\n\n"  # a blank line 5: the next is line 6
 SENTIMENT_HEAD = "good\t0.5\n\n"  # the next is line 3
+VECTORS_HEAD = f"{text_hash('a')}\t0.5,1.0\n\n"  # the next is line 3
 # (loader, file text, line of the fault, message fragment)
 LEXICON_RULE_BREAKS = {
     "uppercase": (load_lexicon, LEXICON_HEAD + "Hell\t1\n", 6, "entry 'Hell' must be lowercase"),
@@ -347,6 +424,12 @@ LEXICON_RULE_BREAKS = {
                       "valence for 'bad' outside [-1, 1]"),
     "valence_nan": (load_sentiment_lexicon, SENTIMENT_HEAD + "bad\tnan\n", 3,
                     "valence for 'bad' outside [-1, 1]"),
+    "vector_nan": (ExternalVectorProvider, VECTORS_HEAD + f"{text_hash('b')}\tnan,1.0\n", 3,
+                   "non-finite component"),
+    "vector_inf": (ExternalVectorProvider, VECTORS_HEAD + f"{text_hash('b')}\t2.0,inf\n", 3,
+                   "non-finite component"),
+    "vector_repeated_hash": (ExternalVectorProvider, VECTORS_HEAD + f"{text_hash('a')}\t2.0,3.0\n",
+                             3, "repeated text hash"),
 }
 
 
