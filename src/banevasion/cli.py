@@ -8,7 +8,9 @@ variable (``BANEVASION_<FLAG>``) > config file (flat ``key = value``
 lines via --config; a key no command reads is rejected) > built-in default. All outputs are
 byte-identical given identical inputs, seeds and BLAS thread count (OpenBLAS
 orders the model layer's sums by thread count at some shapes); nothing embeds
-wall-clock time.
+wall-clock time. The feature, text, model, evaluation and analysis layers are
+imported inside the commands that use them, so generate, ingest,
+extract-pairs and match load no numpy.
 """
 
 from __future__ import annotations
@@ -21,18 +23,24 @@ import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import analysis as analysis_mod
 from . import corpus as corpus_mod
-from . import evaluation as eval_mod
 from . import matching as matching_mod
-from . import model as model_mod
 from . import pairing as pairing_mod
-from . import textstats as textstats_mod
 from .corpus import SynthConfig
-from .errors import BanEvasionError, InvalidConfigError, PipelineError, RecordParseError
-from .features import Digests, FeatureConfig, read_feature_matrix, write_feature_matrix
-from .model import TrainConfig
+from .errors import (
+    BanEvasionError,
+    InvalidConfigError,
+    PipelineError,
+    RecordParseError,
+    ReferentialIntegrityError,
+)
+
+if TYPE_CHECKING:
+    from .evaluation import SplitSpec
+    from .features import Digests
+    from .model import TrainConfig
 
 log = logging.getLogger("banevasion")
 
@@ -250,6 +258,9 @@ def _synth_config(opts: Options) -> SynthConfig:
 
 def _digests(opts: Options, corpus) -> Digests:
     """The command's one digest store, over the lexicons and provider of ``opts``."""
+    from . import textstats as textstats_mod
+    from .features import Digests, FeatureConfig
+
     lexicon = opts.get("lexicon")
     sentiment = opts.get("sentiment_lexicon")
     return Digests(corpus, FeatureConfig(
@@ -264,14 +275,18 @@ def _digests(opts: Options, corpus) -> Digests:
 
 
 def _train_config(opts: Options) -> TrainConfig:
+    from .model import TrainConfig
+
     return TrainConfig(
         l2_lambda=opts.get("l2", 1.0, float),
         max_epochs=opts.get("max_epochs", 2000, int),
     )
 
 
-def _split(opts: Options, task: matching_mod.Task) -> eval_mod.SplitSpec:
-    return eval_mod.SplitSpec(opts.get("train_fraction", task.train_fraction, float))
+def _split(opts: Options, task: matching_mod.Task) -> SplitSpec:
+    from .evaluation import SplitSpec
+
+    return SplitSpec(opts.get("train_fraction", task.train_fraction, float))
 
 
 def _load_corpus(opts: Options):
@@ -407,6 +422,8 @@ def cmd_match(opts: Options) -> int:
 
 
 def cmd_featurize(opts: Options) -> int:
+    from .features import write_feature_matrix
+
     task = _task(opts)
     corpus = _load_corpus(opts)
     path = opts.get("samples")
@@ -415,6 +432,11 @@ def cmd_featurize(opts: Options) -> int:
         if s.task != task.name:
             reason = f"task {s.task!r} does not match --task {task.number} ({task.name})"
             raise RecordParseError(path, lineno, reason)
+    # a file of another task is named as such before any of its ids
+    for lineno, s in enumerate(samples, start=1):
+        for account_id, role in ((s.parent_id, "sample parent"), (s.other_id, "sample other")):
+            if account_id not in corpus.accounts_by_id:
+                raise ReferentialIntegrityError(account_id, role, path, lineno)
     names, X = task.vectors(
         samples, _digests(opts, corpus), opts.get("k_edits", matching_mod.DEFAULT_K_EDITS, int)
     )
@@ -426,20 +448,25 @@ def cmd_featurize(opts: Options) -> int:
 
 
 def cmd_train(opts: Options) -> int:
+    from .features import read_feature_matrix
+    from .model import rfe, save_model, train
+
     _, labels, names, X = read_feature_matrix(opts.get("features"))
     config = _train_config(opts)
     if opts.get("rfe", False, _as_bool):
-        selected, fitted, _ = model_mod.rfe(X, labels, config, feature_names=names)
+        selected, fitted, _ = rfe(X, labels, config, feature_names=names)
         log.info("rfe selected %d/%d features", len(selected), len(names))
     else:
-        fitted = model_mod.train(X, labels, config, names)
-    model_mod.save_model(fitted, opts.get("out"))
+        fitted = train(X, labels, config, names)
+    save_model(fitted, opts.get("out"))
     print(f"wrote model ({len(fitted.feature_names)} features) -> {opts.get('out')}")
     return 0
 
 
 def _run_task(digests: Digests, task: matching_mod.Task, samples, opts: Options):
-    return eval_mod.run_task(
+    from .evaluation import run_task
+
+    return run_task(
         task,
         samples,
         digests,
@@ -451,7 +478,9 @@ def _run_task(digests: Digests, task: matching_mod.Task, samples, opts: Options)
 
 
 def _run_ranking(digests: Digests, pairs, opts: Options):
-    return eval_mod.run_ranking(
+    from .evaluation import run_ranking
+
+    return run_ranking(
         digests,
         pairs,
         max_candidates=opts.get("max_candidates", matching_mod.DEFAULT_MAX_CANDIDATES, int),
@@ -461,6 +490,9 @@ def _run_ranking(digests: Digests, pairs, opts: Options):
 
 
 def cmd_evaluate(opts: Options) -> int:
+    from .evaluation import write_report
+    from .model import save_model
+
     task = _task(opts)
     corpus = _load_corpus(opts)
     samples = _match(opts, task, corpus, *_pairs_from_file_or_corpus(opts, corpus))
@@ -468,8 +500,8 @@ def cmd_evaluate(opts: Options) -> int:
     out_dir = Path(opts.get("out_dir"))
     out_dir.mkdir(parents=True, exist_ok=True)
     name = f"task{task.number}"
-    model_mod.save_model(fitted, out_dir / f"{name}_model.json")
-    eval_mod.write_report(
+    save_model(fitted, out_dir / f"{name}_model.json")
+    write_report(
         result.to_dict(), out_dir / f"{name}_report.json", out_dir / f"{name}_report.txt"
     )
     print(f"{name} auc={result.auc:.4f} -> {out_dir}")
@@ -477,13 +509,16 @@ def cmd_evaluate(opts: Options) -> int:
 
 
 def cmd_rank(opts: Options) -> int:
+    from .evaluation import write_report
+    from .model import save_model
+
     corpus = _load_corpus(opts)
     _, pairs = _pairs_from_file_or_corpus(opts, corpus)
     result, fitted = _run_ranking(_digests(opts, corpus), pairs, opts)
     out_dir = Path(opts.get("out_dir"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    model_mod.save_model(fitted, out_dir / "ranking_model.json")
-    eval_mod.write_report(
+    save_model(fitted, out_dir / "ranking_model.json")
+    write_report(
         result.to_dict(), out_dir / "ranking_report.json", out_dir / "ranking_report.txt"
     )
     print(f"ranking mrr={result.mrr:.4f} -> {out_dir}")
@@ -504,6 +539,8 @@ def cmd_analyze(opts: Options) -> int:
 
 def _analyze(digests: Digests, pairs, samples: dict, opts: Options) -> dict:
     """The characterization over the task-1 and task-3 ``samples``, keyed by task number."""
+    from . import analysis as analysis_mod
+
     return analysis_mod.characterize(
         digests,
         pairs,
@@ -514,11 +551,14 @@ def _analyze(digests: Digests, pairs, samples: dict, opts: Options) -> dict:
 
 
 def _write_analysis(report: dict, out_dir: Path) -> None:
+    from .analysis import write_tables
+    from .evaluation import render_report_text
+
     with open(out_dir / "analysis.json", "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     with open(out_dir / "analysis.txt", "w", encoding="utf-8") as fh:
-        fh.write(eval_mod.render_report_text({
+        fh.write(render_report_text({
             "counts": report["counts"],
             "activity_parent_medians": report["activity"]["parent_medians"],
             "activity_control_medians": report["activity"]["control_medians"],
@@ -528,10 +568,13 @@ def _write_analysis(report: dict, out_dir: Path) -> None:
                 k: v for k, v in (report["success"] or {}).items() if k != "contrasts"
             },
         }))
-    analysis_mod.write_tables(report, out_dir / "tables")
+    write_tables(report, out_dir / "tables")
 
 
 def cmd_reproduce(opts: Options) -> int:
+    from .evaluation import write_report
+    from .model import save_model
+
     out_dir = Path(opts.get("out_dir"))
     seed = opts.get("seed", 0, int)
 
@@ -571,12 +614,12 @@ def cmd_reproduce(opts: Options) -> int:
         with _stage(f"evaluate-{name}"):
             samples[task.number] = _match(opts, task, corpus, groups, pairs)
             result_t, fitted = _run_task(digests, task, samples[task.number], opts)
-            model_mod.save_model(fitted, models_dir / f"{name}_model.json")
+            save_model(fitted, models_dir / f"{name}_model.json")
             report[name] = result_t.to_dict()
 
     with _stage("rank"):
         ranking, rank_model = _run_ranking(digests, pairs, opts)
-        model_mod.save_model(rank_model, models_dir / "ranking_model.json")
+        save_model(rank_model, models_dir / "ranking_model.json")
         report["ranking"] = ranking.to_dict()
 
     with _stage("analyze"):
@@ -586,7 +629,7 @@ def cmd_reproduce(opts: Options) -> int:
         _write_analysis(analysis_report, reports_dir)
 
     with _stage("report"):
-        eval_mod.write_report(
+        write_report(
             report, out_dir / "report.json", out_dir / "report.txt"
         )
     print(

@@ -17,19 +17,22 @@ record members, known members), once each, in input order, naming the record's
 ``file:line`` when it was read. Timestamps are integer epoch seconds UTC
 throughout. Loaded corpora are immutable and iterate in a canonical order
 (accounts by id, revisions by (account_id, timestamp, page_id), records by
-sorted member tuple), so a save/load round trip is byte identical.
+sorted member tuple), so a save/load round trip is byte identical. Accounts
+and revisions are named tuples; ``load_corpus`` interns account and page ids,
+so a revision shares its owner's id string and its page's.
 """
 
 from __future__ import annotations
 
 import json
 import random
+import sys
 from array import array
 from dataclasses import InitVar, dataclass, field
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (
     DuplicateIdError,
@@ -46,8 +49,7 @@ _SYNTH_BASE_TIME = 1_600_000_000
 _SYNTH_HORIZON_DAYS = 365
 
 
-@dataclass(frozen=True)
-class Account:
+class Account(NamedTuple):
     account_id: str
     username: str
     creation_time: int
@@ -61,8 +63,7 @@ class Account:
         return self.ban_time - self.creation_time
 
 
-@dataclass(frozen=True)
-class Revision:
+class Revision(NamedTuple):
     account_id: str
     page_id: str
     timestamp: int
@@ -210,10 +211,11 @@ def load_corpus(
     text or member id that is not a string, a time that is not an integer.
     ``Corpus`` then checks the corpus rules, given the line of each record.
     """
+    intern = sys.intern
     accounts, account_lines = [], array("I")
     for p, lineno, obj in _read_jsonl(accounts_path):
         accounts.append(Account(
-            _field(obj, "account_id", str, p, lineno),
+            intern(_field(obj, "account_id", str, p, lineno)),
             _field(obj, "username", str, p, lineno),
             _field(obj, "creation_time", int, p, lineno),
             _field(obj, "ban_time", int, p, lineno, None),
@@ -223,8 +225,8 @@ def load_corpus(
     revisions, revision_lines = [], array("I")
     for p, lineno, obj in _read_jsonl(revisions_path):
         revisions.append(Revision(
-            _field(obj, "account_id", str, p, lineno),
-            _field(obj, "page_id", str, p, lineno),
+            intern(_field(obj, "account_id", str, p, lineno)),
+            intern(_field(obj, "page_id", str, p, lineno)),
             _field(obj, "timestamp", int, p, lineno),
             _field(obj, "added_text", str, p, lineno, ""),
             _field(obj, "deleted_text", str, p, lineno, ""),

@@ -50,7 +50,6 @@ from .textstats import (
     SentimentLexicon,
     builtin_lexicon,
     builtin_sentiment_lexicon,
-    cosine,
     embed,
     jaccard,
     liwc_profile,
@@ -87,8 +86,8 @@ class AccountDigest:
     (weekday, month, day) of its creation and of its ban (``None`` when never
     banned), and what its revisions give.
 
-    The mean embedding is computed on first read; account vectors never
-    read it."""
+    The mean embedding and its norm are computed on first read; account
+    vectors never read them."""
 
     account: Account
     created_calendar: tuple[int, int, int]
@@ -104,11 +103,20 @@ class AccountDigest:
     texts: tuple[str, ...]
     provider: EmbeddingProvider
 
+    # One cached attribute, not two: on CPython 3.11 a second one gives each
+    # digest a dict of its own, about 0.6 KB more per digest.
     @cached_property
+    def _embedded(self) -> tuple[np.ndarray, float]:
+        """The mean embedding and its norm."""
+        if self.texts:
+            vector = embed(self.texts, self.provider)
+        else:
+            vector = np.zeros(self.provider.dimension)
+        return vector, math.sqrt(float(vector @ vector))
+
+    @property
     def embedding(self) -> np.ndarray:
-        if not self.texts:
-            return np.zeros(self.provider.dimension)
-        return embed(self.texts, self.provider)
+        return self._embedded[0]
 
 
 def account_digest(
@@ -221,6 +229,14 @@ _PAIR_TAIL = (
 )
 
 
+def _cosine(parent: AccountDigest, other: AccountDigest) -> float:
+    """``textstats.cosine`` of the two embeddings, over their cached norms."""
+    (u, nu), (v, nv) = parent._embedded, other._embedded
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
+    return float(u @ v) / (nu * nv)
+
+
 def _combine(parent: AccountDigest, other: AccountDigest, child_ban: bool) -> list[float]:
     p, o = parent.account, other.account
     if p.ban_time is None:
@@ -237,7 +253,7 @@ def _combine(parent: AccountDigest, other: AccountDigest, child_ban: bool) -> li
         jaccard(parent.pages, other.pages),
         jaccard(parent.comment_tokens, other.comment_tokens),
         jaccard(parent.added_tokens, other.added_tokens),
-        cosine(parent.embedding, other.embedding),
+        _cosine(parent, other),
         profile_abs_diff(parent.profile, other.profile),
         abs(parent.sentiment - other.sentiment),
     ]

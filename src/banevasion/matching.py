@@ -31,7 +31,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from .corpus import Account, Corpus, DAY_SECONDS, WEEK_SECONDS
 from .errors import (
@@ -41,8 +41,10 @@ from .errors import (
     RecordParseError,
     TrueParentMissingError,
 )
-from .features import Digests, account_vectors, pair_vectors
 from .pairing import EvasionPair, SockpuppetGroup
+
+if TYPE_CHECKING:
+    from .features import Digests
 
 POSITIVE = 1
 NEGATIVE = 0
@@ -56,8 +58,7 @@ DEFAULT_K_EDITS = 3
 DEFAULT_MAX_CANDIDATES = 50
 
 
-@dataclass(frozen=True)
-class LabeledSample:
+class LabeledSample(NamedTuple):
     parent_id: str
     other_id: str
     label: int
@@ -114,6 +115,8 @@ class Task:
         """``(names, X)``, one row per sample: task 1 describes the other account
         alone; task 2 the pair, over the other account's first ``k_edits`` edits
         and without child-ban fields; task 3 the full pair."""
+        from .features import account_vectors, pair_vectors  # numpy loads only here
+
         if self.name == TASK1:
             return account_vectors(digests, [s.other_id for s in samples])
         keys = [(s.parent_id, s.other_id) for s in samples]

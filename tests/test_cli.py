@@ -2,11 +2,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import banevasion
 from banevasion import corpus as corpus_mod
 from banevasion import features as features_mod
 from banevasion import matching as matching_mod
@@ -279,6 +284,27 @@ class TestStageChaining:
         assert code == 1
         assert f"{samples}:2: task 'bantime_detection'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column", ["parent", "other"])
+    def test_featurize_rejects_unknown_account_at_line(
+        self, corpus_dir, tmp_path, capsys, column
+    ):
+        flags = [*self.corpus_flags(corpus_dir), "--task", "3"]
+        samples = tmp_path / "samples.tsv"
+        assert main(["match", *flags, "--out", str(samples)]) == 0
+        lines = samples.read_text().splitlines(keepends=True)
+        task, parent_id, other_id, label = lines[1].rstrip("\n").split("\t")
+        ids = ["nobody", other_id] if column == "parent" else [parent_id, "nobody"]
+        lines[1] = "\t".join([task, *ids, label]) + "\n"
+        samples.write_text("".join(lines))
+        features = tmp_path / "features.tsv"
+        code = main(["featurize", *flags, "--samples", str(samples), "--out", str(features)])
+        assert code == 1
+        assert (
+            f"error: stage 'featurize' failed: {samples}:2: "
+            f"unknown account id 'nobody' (sample {column})"
+        ) in capsys.readouterr().err
+        assert not features.exists()
+
     @pytest.mark.parametrize(
         "command, task, flag",
         [
@@ -370,6 +396,44 @@ class TestStageChaining:
         assert main(["rank", *flags, "--out-dir", str(out)]) == 0
         ranking = json.loads((out / "ranking_report.json").read_text())
         assert 0.0 < ranking["mrr"] <= 1.0
+
+
+def test_stage_commands_load_no_numpy(tmp_path):
+    """Importing the CLI and running every stage up to ``match`` leaves numpy unloaded."""
+    script = textwrap.dedent("""
+        import sys
+        from pathlib import Path
+
+        import banevasion.cli
+
+        assert "numpy" not in sys.modules, "import banevasion.cli loaded numpy"
+        out = Path(sys.argv[1])
+        corpus = [f"--{name}={out / 'corpus' / name}.jsonl"
+                  for name in ("accounts", "revisions", "records")]
+        pairs = out / "pairs"
+        commands = [
+            ["generate", "--out-dir", str(out / "corpus"), "--groups", "6",
+             "--benign", "30", "--malicious", "15"],
+            ["ingest", *corpus],
+            ["extract-pairs", *corpus, "--out-dir", str(pairs)],
+        ] + [
+            ["match", "--task", task, *corpus, "--pairs", str(pairs / "evasion_pairs.jsonl"),
+             "--out", str(out / f"task{task}.tsv")]
+            for task in "123"
+        ]
+        for argv in commands:
+            assert banevasion.cli.main(argv) == 0, argv
+            assert "numpy" not in sys.modules, f"{argv[0]} loaded numpy"
+    """)
+    src = str(Path(banevasion.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    for task in "123":
+        assert (tmp_path / f"task{task}.tsv").stat().st_size > 0
 
 
 class TestExtractPairs:

@@ -370,6 +370,48 @@ class TestRoundTrip:
         assert load_pairs(path) == [("p", "c", None), ("p2", "c2", 3)]
 
 
+class TestRecordTypes:
+    def test_fields_and_defaults_pinned(self):
+        assert Account._fields == ("account_id", "username", "creation_time", "ban_time")
+        assert Account._field_defaults == {"ban_time": None}
+        assert Revision._fields == (
+            "account_id", "page_id", "timestamp", "added_text", "deleted_text", "comment"
+        )
+        assert Revision._field_defaults == {"added_text": "", "deleted_text": "", "comment": ""}
+
+    def test_duration_seconds(self):
+        assert Account("a", "u", 10, 25).duration_seconds == 15
+        assert Account("a", "u", 10).duration_seconds is None
+
+    def test_equal_to_plain_tuple(self):
+        assert Account("a", "u", 10) == ("a", "u", 10, None)
+        assert Revision("a", "p", 3) == ("a", "p", 3, "", "", "")
+
+    @pytest.mark.parametrize(
+        "record, name",
+        [
+            (Account("a", "u", 10), "ban_time"),
+            (Account("a", "u", 10), "extra"),
+            (Revision("a", "p", 3), "page_id"),
+            (Revision("a", "p", 3), "extra"),
+        ],
+    )
+    def test_attribute_assignment_rejected(self, record, name):
+        with pytest.raises(AttributeError):
+            setattr(record, name, "x")
+
+    def test_loaded_revisions_share_id_strings(self, tmp_path):
+        synth = generate_synthetic(SynthConfig(n_groups=4, n_benign=20, n_nonevading_malicious=10))
+        paths = (tmp_path / "a.jsonl", tmp_path / "r.jsonl", tmp_path / "s.jsonl")
+        save_corpus(synth.corpus, *paths)
+        corpus = load_corpus(*paths)
+        page_ids = {}
+        for rev in corpus.revisions:
+            assert rev.account_id is corpus.account(rev.account_id).account_id
+            assert page_ids.setdefault(rev.page_id, rev.page_id) is rev.page_id
+        assert len(page_ids) < len(corpus.revisions)  # some page is revised twice
+
+
 class TestSynthetic:
     def test_determinism_byte_identical(self, tmp_path):
         cfg = SynthConfig(n_groups=6, n_benign=15, n_nonevading_malicious=9, seed=7)

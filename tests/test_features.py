@@ -17,6 +17,7 @@ from banevasion.features import (
 )
 from banevasion.matching import TASKS
 from banevasion.pairing import extract_evasion_pairs, first_pair_per_group, merge_groups
+from banevasion.textstats import cosine
 
 from conftest import account, corpus_of, revision
 
@@ -195,6 +196,20 @@ class TestPairFeatures:
             for key in ("page_jaccard", "comment_unigram_jaccard", "added_unigram_jaccard"):
                 assert 0.0 <= vec[key] <= 1.0
             assert -1.0 <= vec["embedding_cosine"] <= 1.0
+
+    def test_embedding_cosine_equals_textstats_cosine(self):
+        corpus = generate_synthetic(
+            SynthConfig(n_groups=4, n_benign=4, n_nonevading_malicious=4, seed=9)
+        ).corpus
+        silent = account("silent", 1_600_000_000)  # no revisions: a zero embedding
+        corpus = corpus_of([*corpus.accounts, silent], corpus.revisions)
+        digests = Digests(corpus)
+        banned = [a.account_id for a in corpus.accounts if a.ban_time is not None]
+        keys = [(p, o) for p in banned[:4] for o in [*banned[4:10], "silent"]]
+        names, X = pair_vectors(digests, keys)
+        expected = [cosine(digests.of(p).embedding, digests.of(o).embedding) for p, o in keys]
+        assert X[:, names.index("embedding_cosine")].tolist() == expected
+        assert expected[-1] == 0.0
 
     def test_planted_page_overlap_matches_naive_jaccard(self):
         result = generate_synthetic(

@@ -14,6 +14,7 @@ from banevasion.errors import (
 )
 from banevasion.matching import (
     TASKS,
+    LabeledSample,
     build_candidate_sets,
     match_task1,
     match_task2,
@@ -520,6 +521,18 @@ def task3_samples():
     corpus, pair = pair_fixture(n_malicious=3)
     pool = [a for a in corpus.accounts if a.account_id.startswith("m")]
     return match_task3([pair], pool, corpus)
+
+
+class TestLabeledSample:
+    def test_fields_pinned(self):
+        assert LabeledSample._fields == ("parent_id", "other_id", "label", "task")
+        assert LabeledSample._field_defaults == {}
+        assert LabeledSample("p", "o", POSITIVE, TASKS["1"].name) == ("p", "o", 1, "prediction")
+
+    @pytest.mark.parametrize("name", ["label", "extra"])
+    def test_attribute_assignment_rejected(self, name):
+        with pytest.raises(AttributeError):
+            setattr(LabeledSample("p", "o", NEGATIVE, "prediction"), name, POSITIVE)
 
 
 class TestSampleSerialization:
