@@ -20,14 +20,22 @@ throughout. Loaded corpora are immutable and iterate in a canonical order
 sorted member tuple), so a save/load round trip is byte identical. Accounts
 and revisions are named tuples; ``load_corpus`` interns account and page ids,
 so a revision shares its owner's id string and its page's.
+
+Output contract of the synthetic generator: its corpus bytes depend only on
+the seed, the ``SynthConfig`` knobs and CPython's Mersenne Twister draws,
+where each index is ``getrandbits(n.bit_length())`` redrawn until below n (the
+rejection draw behind ``Random.choice``, ``randint`` and ``randrange``, which
+the revision loops inline). ``tests/test_golden.py`` pins those bytes.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 import sys
 from array import array
+from contextlib import contextmanager
 from dataclasses import InitVar, dataclass, field
 from itertools import groupby
 from operator import attrgetter
@@ -158,10 +166,32 @@ class Corpus:
 # ingestion / serialization
 
 
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector over a bulk build of records.
+
+    The records hold no reference cycles, so the collections their allocations
+    trigger find nothing. The collector is re-enabled only if it was on.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 # One decoder and one encoder for every line; ``json.dumps`` with these
-# arguments would build a new encoder per call.
-_decode = json.JSONDecoder().decode
+# arguments would build a new encoder per call. ``_scan`` is the decoder's
+# scanner, called directly on a line; ``_decode`` parses only the lines it
+# rejects, so their errors are the decoder's own. ``_quote`` is the string
+# escaping ``_encode`` applies with ``ensure_ascii=False``.
+_DECODER = json.JSONDecoder()
+_decode = _DECODER.decode
+_scan = json.scanner.make_scanner(_DECODER)
 _encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":")).encode
+_quote = json.encoder.encode_basestring
 
 _MISSING = object()
 _WRONG_KIND = {
@@ -180,9 +210,14 @@ def _read_jsonl(path: str | Path) -> Iterator[tuple[str, int, dict]]:
             if not line:
                 continue
             try:
-                obj = _decode(line)
-            except json.JSONDecodeError as exc:
-                raise RecordParseError(p, lineno, f"bad JSON: {exc.msg}") from None
+                obj, end = _scan(line, 0)
+            except (StopIteration, ValueError):
+                end = -1
+            if end != len(line):
+                try:
+                    obj = _decode(line)
+                except json.JSONDecodeError as exc:
+                    raise RecordParseError(p, lineno, f"bad JSON: {exc.msg}") from None
             if not isinstance(obj, dict):
                 raise RecordParseError(p, lineno, "expected a JSON object")
             yield p, lineno, obj
@@ -199,6 +234,7 @@ def _field(obj: dict, key: str, kind: type, path: str, lineno: int, default=_MIS
     raise RecordParseError(path, lineno, _WRONG_KIND[kind].format(key))
 
 
+@_gc_paused()
 def load_corpus(
     accounts_path: str | Path,
     revisions_path: str | Path,
@@ -210,28 +246,53 @@ def load_corpus(
     the file and line it comes from: bad JSON, a missing field, an id, name,
     text or member id that is not a string, a time that is not an integer.
     ``Corpus`` then checks the corpus rules, given the line of each record.
+    A record's fields are read and type-checked at once; only a record that
+    fails goes through ``_field``, in field order, to name its first bad field.
     """
     intern = sys.intern
     accounts, account_lines = [], array("I")
     for p, lineno, obj in _read_jsonl(accounts_path):
-        accounts.append(Account(
-            intern(_field(obj, "account_id", str, p, lineno)),
-            _field(obj, "username", str, p, lineno),
-            _field(obj, "creation_time", int, p, lineno),
-            _field(obj, "ban_time", int, p, lineno, None),
-        ))
+        get = obj.get
+        account_id, username, creation, ban = (
+            get("account_id"), get("username"), get("creation_time"), get("ban_time")
+        )
+        if not (
+            type(account_id) is type(username) is str
+            and type(creation) is int
+            and (ban is None or type(ban) is int)
+        ):
+            account_id, username, creation, ban = (
+                _field(obj, "account_id", str, p, lineno),
+                _field(obj, "username", str, p, lineno),
+                _field(obj, "creation_time", int, p, lineno),
+                _field(obj, "ban_time", int, p, lineno, None),
+            )
+        accounts.append(Account(intern(account_id), username, creation, ban))
         account_lines.append(lineno)
 
     revisions, revision_lines = [], array("I")
     for p, lineno, obj in _read_jsonl(revisions_path):
-        revisions.append(Revision(
-            intern(_field(obj, "account_id", str, p, lineno)),
-            intern(_field(obj, "page_id", str, p, lineno)),
-            _field(obj, "timestamp", int, p, lineno),
-            _field(obj, "added_text", str, p, lineno, ""),
-            _field(obj, "deleted_text", str, p, lineno, ""),
-            _field(obj, "comment", str, p, lineno, ""),
-        ))
+        get = obj.get
+        account_id, page_id, timestamp, added, deleted, comment = (
+            get("account_id"), get("page_id"), get("timestamp"),
+            get("added_text", ""), get("deleted_text", ""), get("comment", ""),
+        )
+        if not (
+            type(account_id) is type(page_id) is type(added) is type(deleted)
+            is type(comment) is str
+            and type(timestamp) is int
+        ):
+            account_id, page_id, timestamp, added, deleted, comment = (
+                _field(obj, "account_id", str, p, lineno),
+                _field(obj, "page_id", str, p, lineno),
+                _field(obj, "timestamp", int, p, lineno),
+                _field(obj, "added_text", str, p, lineno, ""),
+                _field(obj, "deleted_text", str, p, lineno, ""),
+                _field(obj, "comment", str, p, lineno, ""),
+            )
+        revisions.append(
+            Revision(intern(account_id), intern(page_id), timestamp, added, deleted, comment)
+        )
         revision_lines.append(lineno)
 
     records, record_lines = [], array("I")
@@ -257,7 +318,13 @@ def save_corpus(
     revisions_path: str | Path,
     records_path: str | Path,
 ) -> None:
-    """Write a corpus back out in canonical order (round-trip stable)."""
+    """Write a corpus back out in canonical order (round-trip stable).
+
+    Each revision line is formatted directly, with sorted keys and strings
+    escaped by ``_quote``, which is the line ``_encode`` gives. A revision with
+    a field that is not exactly a ``str`` (an ``int`` timestamp), which a
+    corpus built in memory can hold, goes through ``_encode`` itself.
+    """
     with open(accounts_path, "w", encoding="utf-8") as fh:
         for a in corpus.accounts:
             fh.write(_encode({
@@ -268,14 +335,19 @@ def save_corpus(
             }) + "\n")
     with open(revisions_path, "w", encoding="utf-8") as fh:
         for r in corpus.revisions:
-            fh.write(_encode({
-                "account_id": r.account_id,
-                "page_id": r.page_id,
-                "timestamp": r.timestamp,
-                "added_text": r.added_text,
-                "deleted_text": r.deleted_text,
-                "comment": r.comment,
-            }) + "\n")
+            account_id, page_id, timestamp, added, deleted, comment = r
+            if (
+                type(account_id) is type(page_id) is type(added) is type(deleted)
+                is type(comment) is str
+                and type(timestamp) is int
+            ):
+                fh.write(
+                    f'{{"account_id":{_quote(account_id)},"added_text":{_quote(added)},'
+                    f'"comment":{_quote(comment)},"deleted_text":{_quote(deleted)},'
+                    f'"page_id":{_quote(page_id)},"timestamp":{timestamp}}}\n'
+                )
+            else:
+                fh.write(_encode(r._asdict()) + "\n")
     with open(records_path, "w", encoding="utf-8") as fh:
         for rec in corpus.sockpuppet_records:
             fh.write(_encode({"member_ids": sorted(rec.member_ids)}) + "\n")
@@ -403,6 +475,17 @@ _MALICIOUS_WORDS = (
 _SYLLABLES = [c + v for c in "bdfgklmnprstvz" for v in "aeiou"]
 
 
+def _draw_table(words: Sequence[str]) -> tuple[Sequence[str], int, int]:
+    """``words`` with its length and the bit length of one draw from it."""
+    if not words:
+        raise IndexError("Cannot choose from an empty sequence")
+    return words, len(words), len(words).bit_length()
+
+
+_FUNCTION_DRAW = _draw_table(_FUNCTION_WORDS)
+_MALICIOUS_DRAW = _draw_table(_MALICIOUS_WORDS)
+
+
 def _make_words(rng: random.Random, count: int, lo: int = 2, hi: int = 4) -> list[str]:
     words: list[str] = []
     seen: set[str] = set()
@@ -523,41 +606,72 @@ class _Generator:
             reused_c + child_persona["comment_words"][len(reused_c):]
         )
 
-    def _text(self, persona: dict, malicious: bool, lo: int = 6, hi: int = 14) -> str:
+    # The per-token draws below inline CPython's
+    # ``Random._randbelow_with_getrandbits``, since a call per draw was most of
+    # the build's time: for a bound n, ``r = getrandbits(n.bit_length())``
+    # until ``r < n``. So ``seq[r]`` is ``choice(seq)``, ``a + r`` with
+    # n = b - a + 1 is ``randint(a, b)`` and ``r`` is ``randrange(n)``, draw for
+    # draw; ``test_corpus`` checks them against those calls.
+
+    def _text(self, vocab: tuple, malicious: bool, lo: int = 6, hi: int = 14) -> str:
+        """``lo..hi`` tokens of function, malicious and ``vocab`` words;
+        ``vocab`` is a ``_draw_table``."""
+        getrandbits, random = self.rng.getrandbits, self.rng.random
+        rate = self.config.malicious_text_rate
+        n = hi - lo + 1
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
         tokens = []
-        for _ in range(self.rng.randint(lo, hi)):
-            roll = self.rng.random()
-            if roll < 0.4:
-                tokens.append(self.rng.choice(_FUNCTION_WORDS))
-            elif malicious and self.rng.random() < self.config.malicious_text_rate:
-                tokens.append(self.rng.choice(_MALICIOUS_WORDS))
+        for _ in range(lo + r):
+            if random() < 0.4:
+                words, n, k = _FUNCTION_DRAW
+            elif malicious and random() < rate:
+                words, n, k = _MALICIOUS_DRAW
             else:
-                tokens.append(self.rng.choice(persona["vocab"]))
+                words, n, k = vocab
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            tokens.append(words[r])
         return " ".join(tokens)
 
     def _emit_revisions(
         self, account: Account, persona: dict, malicious: bool, active_until: int
     ) -> None:
+        getrandbits, random = self.rng.getrandbits, self.rng.random
         start = account.creation_time
         span = max(1, active_until - start)
-        times = sorted(self.rng.randrange(span) for _ in range(persona["n_revisions"]))
+        k = span.bit_length()
+        times = []
+        for _ in range(persona["n_revisions"]):
+            r = getrandbits(k)
+            while r >= span:
+                r = getrandbits(k)
+            times.append(r)
+        times.sort()
+        vocab = _draw_table(persona["vocab"])
+        pages, n_pages, k_pages = _draw_table(persona["home_pages"])
+        words, n_words, k_words = _draw_table(persona["comment_words"])
+        text, append = self._text, self.revisions.append
         for t in times:
-            deleted = ""
-            if self.rng.random() < 0.3:
-                deleted = self._text(persona, malicious, lo=2, hi=5)
-            self.revisions.append(
-                Revision(
-                    account_id=account.account_id,
-                    page_id=self.rng.choice(persona["home_pages"]),
-                    timestamp=start + t,
-                    added_text=self._text(persona, malicious),
-                    deleted_text=deleted,
-                    comment=" ".join(
-                        self.rng.choice(persona["comment_words"])
-                        for _ in range(self.rng.randint(2, 4))
-                    ),
-                )
-            )
+            deleted = text(vocab, malicious, 2, 5) if random() < 0.3 else ""
+            r = getrandbits(k_pages)
+            while r >= n_pages:
+                r = getrandbits(k_pages)
+            page = pages[r]
+            added = text(vocab, malicious)
+            r = getrandbits(2)  # randint(2, 4)
+            while r >= 3:
+                r = getrandbits(2)
+            comment = []
+            for _ in range(2 + r):
+                r = getrandbits(k_words)
+                while r >= n_words:
+                    r = getrandbits(k_words)
+                comment.append(words[r])
+            append(Revision(account.account_id, page, start + t, added, deleted, " ".join(comment)))
 
     def _banned_account(
         self, username: str, creation: int, persona: dict, malicious: bool = True
@@ -647,6 +761,7 @@ class _Generator:
         return SyntheticCorpus(corpus, tuple(self.true_pairs))
 
 
+@_gc_paused()
 def generate_synthetic(config: SynthConfig) -> SyntheticCorpus:
     """Generate a deterministic synthetic corpus with ground-truth pairs."""
     return _Generator(config).build()

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import gc
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from banevasion import corpus as corpus_module
 from banevasion.corpus import (
     Account,
     Corpus,
@@ -103,6 +106,26 @@ class TestLoadCorpus:
             load_corpus(a, r, s)
         assert err.value.line_number == 2
 
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("bad", [False, True])
+    def test_gc_state_restored(self, tmp_path, enabled, bad):
+        a, r, s = corpus_paths(tmp_path, GOOD_ACCOUNTS, [GOOD_REVISION], [GOOD_RECORD])
+        if bad:
+            with open(r, "a", encoding="utf-8") as fh:
+                fh.write("{nope\n")
+        was_enabled = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            if bad:
+                with pytest.raises(RecordParseError):
+                    load_corpus(a, r, s)
+            else:
+                load_corpus(a, r, s)
+            generate_synthetic(SynthConfig(n_groups=1, n_benign=1, n_nonevading_malicious=1))
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was_enabled else gc.disable()
+
     def test_ban_before_creation_rejected(self, tmp_path):
         paths = corpus_paths(
             tmp_path,
@@ -150,6 +173,12 @@ def with_changes(obj, **changes):
 CORRUPTIONS = {
     "account_bad_json": ("a", "{nope", RecordParseError, "bad JSON"),
     "account_not_object": ("a", [1, 2], RecordParseError, "expected a JSON object"),
+    "account_two_objects": ("a", json.dumps(NEW_ACCOUNT) + json.dumps(NEW_ACCOUNT),
+                            RecordParseError, "bad JSON: Extra data"),
+    "account_trailing_data": ("a", json.dumps(NEW_ACCOUNT) + " x",
+                              RecordParseError, "bad JSON: Extra data"),
+    "account_scalar": ("a", "3", RecordParseError, "expected a JSON object"),
+    "account_bad_escape": ("a", r'{"account_id":"\q"}', RecordParseError, r"bad JSON: Invalid \escape"),
     "account_missing_username": ("a", with_changes(NEW_ACCOUNT, username=...),
                                  RecordParseError, "missing field 'username'"),
     "account_id_null": ("a", with_changes(NEW_ACCOUNT, account_id=None),
@@ -166,6 +195,8 @@ CORRUPTIONS = {
                       RecordParseError, "field 'creation_time' must be an integer"),
     "ban_float": ("a", with_changes(NEW_ACCOUNT, ban_time=9.0),
                   RecordParseError, "field 'ban_time' must be an integer"),
+    "ban_bool": ("a", with_changes(NEW_ACCOUNT, ban_time=True),
+                 RecordParseError, "field 'ban_time' must be an integer"),
     "ban_at_creation": ("a", with_changes(NEW_ACCOUNT, ban_time=5),
                         RecordParseError, "ban_time must be after creation_time"),
     "duplicate_id": ("a", with_changes(NEW_ACCOUNT, account_id="1"),
@@ -178,6 +209,8 @@ CORRUPTIONS = {
                     RecordParseError, "field 'page_id' must be a string"),
     "timestamp_string": ("r", with_changes(GOOD_REVISION, timestamp="6"),
                          RecordParseError, "field 'timestamp' must be an integer"),
+    "page_id_int_and_timestamp_string": ("r", with_changes(GOOD_REVISION, page_id=3, timestamp="6"),
+                                         RecordParseError, "field 'page_id' must be a string"),
     "added_text_null": ("r", with_changes(GOOD_REVISION, added_text=None),
                         RecordParseError, "field 'added_text' must be a string"),
     "deleted_text_int": ("r", with_changes(GOOD_REVISION, deleted_text=1),
@@ -369,6 +402,30 @@ class TestRoundTrip:
         save_pairs([("p", "c"), ("p2", "c2", 3)], path)
         assert load_pairs(path) == [("p", "c", None), ("p2", "c2", 3)]
 
+    def test_lines_are_json_encoder_output(self, tmp_path):
+        # escapes, a line separator, a non-BMP character, and timestamps that
+        # are not exactly int (an in-memory corpus can hold them)
+        odd = 'q"uo\\te \x00 \u2028 \U0001f600 é'
+        corpus = corpus_of(
+            [account("a", 0), account(odd, 0, 9, username=odd)],
+            [
+                revision("a", odd, 3, added=odd, deleted="\t\n", comment="\x7f\ud7ff"),
+                revision(odd, "p", True, comment=odd),
+                revision("a", "p", 5.0),
+            ],
+            [record("a", odd)],
+        )
+        paths = (tmp_path / "a.jsonl", tmp_path / "r.jsonl", tmp_path / "s.jsonl")
+        save_corpus(corpus, *paths)
+        encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":")).encode
+        expected = (
+            [encode(a._asdict()) for a in corpus.accounts],
+            [encode(r._asdict()) for r in corpus.revisions],
+            [encode({"member_ids": sorted(rec.member_ids)}) for rec in corpus.sockpuppet_records],
+        )
+        for path, lines in zip(paths, expected):
+            assert path.read_bytes() == "".join(line + "\n" for line in lines).encode("utf-8")
+
 
 class TestRecordTypes:
     def test_fields_and_defaults_pinned(self):
@@ -412,7 +469,57 @@ class TestRecordTypes:
         assert len(page_ids) < len(corpus.revisions)  # some page is revised twice
 
 
+def stdlib_revisions(rng, config, account, persona, malicious, active_until):
+    """The generator's revision draws written with ``random.Random.choice``,
+    ``randint`` and ``randrange``."""
+    def text(lo=6, hi=14):
+        tokens = []
+        for _ in range(rng.randint(lo, hi)):
+            if rng.random() < 0.4:
+                tokens.append(rng.choice(corpus_module._FUNCTION_WORDS))
+            elif malicious and rng.random() < config.malicious_text_rate:
+                tokens.append(rng.choice(corpus_module._MALICIOUS_WORDS))
+            else:
+                tokens.append(rng.choice(persona["vocab"]))
+        return " ".join(tokens)
+
+    start = account.creation_time
+    span = max(1, active_until - start)
+    revisions = []
+    for t in sorted(rng.randrange(span) for _ in range(persona["n_revisions"])):
+        deleted = text(2, 5) if rng.random() < 0.3 else ""
+        page = rng.choice(persona["home_pages"])
+        added = text()
+        comment = " ".join(
+            rng.choice(persona["comment_words"]) for _ in range(rng.randint(2, 4))
+        )
+        revisions.append(Revision(account.account_id, page, start + t, added, deleted, comment))
+    return revisions
+
+
 class TestSynthetic:
+    def test_inline_draws_match_stdlib(self):
+        # every bound from 1 to 1100, so every power of two and its rejection
+        # edge, as list length, time span and token-count range
+        gen = corpus_module._Generator(SynthConfig(n_groups=0, n_benign=0, n_nonevading_malicious=0))
+        acct = account("a", 1000)
+        for n in range(1, 1101):
+            words = [f"w{i}" for i in range(n)]
+            persona = {"n_revisions": 3, "vocab": words, "home_pages": words, "comment_words": words}
+            gen.rng, reference = random.Random(n), random.Random(n)
+            gen.revisions = []
+            gen._emit_revisions(acct, persona, n % 2 == 0, 1000 + n)
+            expected = stdlib_revisions(reference, gen.config, acct, persona, n % 2 == 0, 1000 + n)
+            assert gen.revisions == expected
+            vocab = corpus_module._draw_table(words)
+            lo = n % 7
+            assert gen._text(vocab, False, lo, lo + n - 1) == " ".join(
+                reference.choice(words) if reference.random() >= 0.4
+                else reference.choice(corpus_module._FUNCTION_WORDS)
+                for _ in range(reference.randint(lo, lo + n - 1))
+            )
+            assert gen.rng.getstate() == reference.getstate()
+
     def test_determinism_byte_identical(self, tmp_path):
         cfg = SynthConfig(n_groups=6, n_benign=15, n_nonevading_malicious=9, seed=7)
         for run in ("one", "two"):

@@ -10,11 +10,19 @@ recorded from the scan-based matchers and the list-building reader that the
 sorted indexes and the streaming reader replaced, the feature pins from the
 per-trigram hashing loop and the unmemoized lexicon scan that the memoized
 text layer replaced, so any changed output byte fails here.
+
+The generator is also pinned away from its default knobs: at the low-signal
+knobs of the benchmark's ``lowsignal-2x-rfe`` workload, and with an
+``evasion_rate`` below 1, so the concurrent-group branch draws too. Those pins
+were recorded from the generator that drew through ``random.Random.choice``,
+``randint`` and ``randrange``, before its draws were inlined.
 """
 
 from __future__ import annotations
 
 import hashlib
+
+import pytest
 
 from banevasion.corpus import SynthConfig, generate_synthetic, load_corpus, save_corpus, save_pairs
 from banevasion.features import Digests, write_feature_matrix
@@ -34,6 +42,33 @@ GOLDEN_SHA256 = {
     "task2.tsv": "5278c1245d3775d42e731e8870724db98ae30e21e0aa82d545d212dc3e87997b",
     "task2_cap3.tsv": "9dc3076a88e2267f6598eceed722ed77dbef2c36e4b5758b847fd2008a19fa34",
     "task3.tsv": "a7898a29cf745586ebc098725a8a435df629e96079e1b4d1300a75cb8f773b9c",
+}
+
+
+GENERATOR_SHA256 = {
+    "lowsignal": {
+        "accounts.jsonl": "52220b5465669c33ba719e22add534eb831731d55e22dd88af82fb8dacc5334a",
+        "pairs.jsonl": "1895146ad78c9db7799d2b9dea6ef6f1fa057bdae54a9398909acbd290cea251",
+        "records.jsonl": "47c096b3781c331bf462e90d18ba5bd381e67427c63aebeba56305145bc72bf2",
+        "revisions.jsonl": "6b85351d48ab9e6b4038f63899046c708e5f800ed3bbaf904db00658285340c3",
+    },
+    "partial_evasion": {
+        "accounts.jsonl": "76101b2a9d81fc90409e2bf8b7d83f597ef5be5652df137c420d8fe328ab9b37",
+        "pairs.jsonl": "1268c017424958d0ca9c5119e8887e263ad2bdb41c65a64307d9b6c886971399",
+        "records.jsonl": "e6312f6a8160dc87e3adce8b3f1c7958b0e7a4f01c63df525d108d6b43988015",
+        "revisions.jsonl": "84d5429e107aaea2a0ddeb28433ed88d0c24b6b80e29ffe04e74265086cdc88c",
+    },
+}
+
+GENERATOR_CONFIGS = {
+    "lowsignal": SynthConfig(
+        n_groups=120, n_benign=1200, n_nonevading_malicious=600, page_overlap=0.1,
+        vocab_reuse=0.1, activity_contrast=0.2, username_mutation_rate=0.0,
+        malicious_text_rate=0.05, seed=8,
+    ),
+    "partial_evasion": SynthConfig(
+        n_groups=120, n_benign=300, n_nonevading_malicious=150, evasion_rate=0.5, seed=3
+    ),
 }
 
 
@@ -75,3 +110,12 @@ def sha256s(out):
 def test_stage_outputs_match_recorded_bytes(tmp_path):
     write_stage_outputs(tmp_path)
     assert sha256s(tmp_path) == GOLDEN_SHA256
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_CONFIGS))
+def test_generator_matches_recorded_bytes(tmp_path, name):
+    synth = generate_synthetic(GENERATOR_CONFIGS[name])
+    files = ("accounts.jsonl", "revisions.jsonl", "records.jsonl")
+    save_corpus(synth.corpus, *(tmp_path / f for f in files))
+    save_pairs(synth.true_pairs, tmp_path / "pairs.jsonl")
+    assert sha256s(tmp_path) == GENERATOR_SHA256[name]
