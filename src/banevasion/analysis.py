@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 from .corpus import Corpus, DAY_SECONDS
 from .errors import (
     InsufficientSamplesError,
+    InvalidConfigError,
     LengthMismatchError,
     MissingBanTimeError,
     ZeroVarianceError,
@@ -279,6 +280,8 @@ def characterize(
     than raising. Pair vectors omit the child-ban fields. The corpus and
     every account's digest come from ``digests``.
     """
+    if not 0 < outlier_days < math.inf:
+        raise InvalidConfigError("outlier_days", "must be finite and > 0")
     corpus = digests.corpus
     lexicon = digests.config.lexicon
 

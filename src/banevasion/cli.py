@@ -3,9 +3,12 @@
 Subcommands: generate | ingest | extract-pairs | match | featurize |
 train | evaluate | rank | analyze | reproduce.
 
-Option values resolve with precedence: explicit flag > environment
-variable (``BANEVASION_<FLAG>``) > config file (flat ``key = value``
-lines via --config; a key no command reads is rejected) > built-in default. All outputs are
+``resolve`` fills each option the running command declares once, before
+the command runs: explicit flag > environment variable (``BANEVASION_<NAME>``)
+> config file (flat ``key = value`` lines via --config; a key no command
+reads is rejected), cast by the flag's own type. A bad value names its
+variable or ``file:line``. An option nothing sets stays ``None`` and is not
+passed on, so the library's own default holds. All outputs are
 byte-identical given identical inputs, seeds and BLAS thread count (OpenBLAS
 orders the model layer's sums by thread count at some shapes); nothing embeds
 wall-clock time. The feature, text, model, evaluation and analysis layers are
@@ -19,9 +22,10 @@ import argparse
 import contextlib
 import json
 import logging
+import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -38,7 +42,6 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
-    from .evaluation import SplitSpec
     from .features import Digests
     from .model import TrainConfig
 
@@ -56,11 +59,12 @@ def _as_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _load_config_file(path: str | None, keys: frozenset[str]) -> dict[str, str]:
-    """The ``key = value`` lines of ``path``; each key must be in ``keys``."""
+def _load_config_file(path: str | None, keys: frozenset[str]) -> dict[str, tuple[int, str]]:
+    """The ``key = value`` lines of ``path`` as ``{key: (line, value)}``; each
+    key must be in ``keys``."""
     if not path:
         return {}
-    values: dict[str, str] = {}
+    values: dict[str, tuple[int, str]] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -72,27 +76,46 @@ def _load_config_file(path: str | None, keys: frozenset[str]) -> dict[str, str]:
             key = key.strip().replace("-", "_")
             if key not in keys:
                 raise RecordParseError(path, lineno, f"no command reads key {key!r}")
-            values[key] = value.strip()
+            values[key] = (lineno, value.strip())
     return values
 
 
-class Options:
-    """Flag > environment > config file > default resolution."""
+def _cast(cast, text: str, source: str):
+    try:
+        return cast(text)
+    except ValueError as exc:
+        raise BanEvasionError(f"{source}: {exc}") from exc
 
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.file_values = _load_config_file(getattr(args, "config", None), args.config_keys)
 
-    def get(self, name: str, default=None, cast=str):
-        flag_value = getattr(self.args, name, None)
-        if flag_value is not None:
-            return flag_value
-        env_value = os.environ.get(ENV_PREFIX + name.upper())
-        if env_value is not None:
-            return cast(env_value)
-        if name in self.file_values:
-            return cast(self.file_values[name])
-        return default
+def resolve(args: argparse.Namespace) -> argparse.Namespace:
+    """The options the running command declares, each one the command line
+    left unset taken from ``BANEVASION_<NAME>``, else from the --config file,
+    else ``None``. ``--cap``/``--k-edits`` on the command line need task 2."""
+    task = getattr(args, "task", None)
+    for name in ("cap", "k_edits"):
+        if task not in (None, "2") and getattr(args, name, None) is not None:
+            raise InvalidConfigError(name, f"applies only to --task 2, not --task {task}")
+    file_values = _load_config_file(args.config, args.config_keys)
+    spec = {}
+    for name, cast in args.options.items():
+        value, env_name = getattr(args, name), ENV_PREFIX + name.upper()
+        if value is None and env_name in os.environ:
+            value = _cast(cast, os.environ[env_name], env_name)
+        elif value is None and name in file_values:
+            lineno, text = file_values[name]
+            value = _cast(cast, text, f"{args.config}:{lineno}")
+        spec[name] = value
+    return argparse.Namespace(**spec)
+
+
+def _given(opts: argparse.Namespace, **params: str) -> dict:
+    """``{parameter: value}`` of each option ``params`` names that is set; the
+    library's own default holds for the rest."""
+    return {
+        param: getattr(opts, name)
+        for param, name in params.items()
+        if getattr(opts, name, None) is not None
+    }
 
 
 def _add_corpus_inputs(p: argparse.ArgumentParser) -> None:
@@ -128,6 +151,9 @@ def _add_lexicon_flags(p: argparse.ArgumentParser) -> None:
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--l2", type=float, help="L2 penalty weight")
     p.add_argument("--max-epochs", type=int)
+
+
+def _add_rfe_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rfe", action="store_true", default=None,
                    help="select features by recursive elimination before the final fit")
 
@@ -177,12 +203,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-edits", type=int)
 
     p = _add_command(sub, "train", "fit the classifier on a feature matrix", cmd_train,
-                     _add_model_flags)
+                     _add_model_flags, _add_rfe_flag)
     p.add_argument("--features", required=True)
     p.add_argument("--out", required=True)
 
     p = _add_command(sub, "evaluate", "run one task harness end to end", cmd_evaluate,
-                     _add_corpus_inputs, _add_lexicon_flags, _add_model_flags)
+                     _add_corpus_inputs, _add_lexicon_flags, _add_model_flags, _add_rfe_flag)
     p.add_argument("--task", required=True, choices=["1", "2", "3"])
     p.add_argument("--pairs")
     p.add_argument("--out-dir", required=True)
@@ -206,18 +232,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outlier-days", type=float)
 
     p = _add_command(sub, "reproduce", "full pipeline on a synthetic corpus", cmd_reproduce,
-                     _add_synth_flags, _add_lexicon_flags, _add_model_flags)
+                     _add_synth_flags, _add_lexicon_flags, _add_model_flags, _add_rfe_flag)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--train-fraction", type=float)
     p.add_argument("--max-candidates", type=int)
     p.add_argument("--k-edits", type=int)
     p.add_argument("--cap", type=int)
+    p.add_argument("--window-days", type=float)
+    p.add_argument("--outlier-days", type=float)
 
-    # A --config file may set any option some command reads, even one the
+    # Each command resolves the options it declares, cast as its flags are. A
+    # --config file may set any option some command reads, even one the
     # running command ignores, so one file can serve every stage.
-    parser.set_defaults(config_keys=frozenset(
-        action.dest for command in sub.choices.values() for action in command._actions
-    ) - {"help", "config"})
+    for command in sub.choices.values():
+        command.set_defaults(options={
+            action.dest: _as_bool if action.nargs == 0 else action.type or str
+            for action in command._actions if action.dest not in ("help", "config")
+        })
+    parser.set_defaults(config_keys=frozenset().union(
+        *(command.get_default("options") for command in sub.choices.values())
+    ))
     return parser
 
 
@@ -240,84 +274,59 @@ def _stage(name: str):
         raise PipelineError(name, exc) from exc
 
 
-def _synth_config(opts: Options) -> SynthConfig:
-    return SynthConfig(
-        n_groups=opts.get("groups", 60, int),
-        n_benign=opts.get("benign", 600, int),
-        n_nonevading_malicious=opts.get("malicious", 300, int),
-        evasion_rate=opts.get("evasion_rate", 1.0, float),
-        username_mutation_rate=opts.get("username_mutation_rate", 0.3, float),
-        page_overlap=opts.get("page_overlap", 0.5, float),
-        vocab_reuse=opts.get("vocab_reuse", 0.5, float),
-        idle_gap_days=opts.get("idle_gap_days", 10.0, float),
-        activity_contrast=opts.get("activity_contrast", 1.0, float),
-        malicious_text_rate=opts.get("malicious_text_rate", 0.25, float),
-        seed=opts.get("seed", 0, int),
-    )
+_SYNTH_OPTIONS = {"n_groups": "groups", "n_benign": "benign", "n_nonevading_malicious": "malicious"}
 
 
-def _digests(opts: Options, corpus) -> Digests:
+def _synth_config(opts) -> SynthConfig:
+    return SynthConfig(**_given(
+        opts, **{f.name: _SYNTH_OPTIONS.get(f.name, f.name) for f in fields(SynthConfig)}
+    ))
+
+
+def _digests(opts, corpus) -> Digests:
     """The command's one digest store, over the lexicons and provider of ``opts``."""
     from . import textstats as textstats_mod
     from .features import Digests, FeatureConfig
 
-    lexicon = opts.get("lexicon")
-    sentiment = opts.get("sentiment_lexicon")
-    return Digests(corpus, FeatureConfig(
-        lexicon=textstats_mod.load_lexicon(lexicon) if lexicon else textstats_mod.builtin_lexicon(),
-        sentiment_lexicon=(
-            textstats_mod.load_sentiment_lexicon(sentiment)
-            if sentiment
-            else textstats_mod.builtin_sentiment_lexicon()
-        ),
-        provider=textstats_mod.get_provider(opts.get("embedding_provider", "trigram")),
-    ))
+    loaders = {
+        "lexicon": textstats_mod.load_lexicon,
+        "sentiment_lexicon": textstats_mod.load_sentiment_lexicon,
+        "provider": textstats_mod.get_provider,
+    }
+    given = _given(opts, lexicon="lexicon", sentiment_lexicon="sentiment_lexicon",
+                   provider="embedding_provider")
+    return Digests(corpus, FeatureConfig(**{k: loaders[k](v) for k, v in given.items()}))
 
 
-def _train_config(opts: Options) -> TrainConfig:
+def _train_config(opts) -> TrainConfig:
     from .model import TrainConfig
 
-    return TrainConfig(
-        l2_lambda=opts.get("l2", 1.0, float),
-        max_epochs=opts.get("max_epochs", 2000, int),
-    )
+    return TrainConfig(**_given(opts, l2_lambda="l2", max_epochs="max_epochs"))
 
 
-def _split(opts: Options, task: matching_mod.Task) -> SplitSpec:
+def _harness_options(opts) -> dict:
+    """The ``train_config`` and, where set, the ``split`` of a task or ranking run."""
     from .evaluation import SplitSpec
 
-    return SplitSpec(opts.get("train_fraction", task.train_fraction, float))
+    given = {"train_config": _train_config(opts)}
+    if opts.train_fraction is not None:
+        given["split"] = SplitSpec(opts.train_fraction)
+    return given
 
 
-def _load_corpus(opts: Options):
-    accounts = opts.get("accounts")
-    revisions = opts.get("revisions")
-    records = opts.get("records")
-    if not (accounts and revisions and records):
+def _load_corpus(opts):
+    if not (opts.accounts and opts.revisions and opts.records):
         raise BanEvasionError("--accounts, --revisions, and --records are required")
-    return corpus_mod.load_corpus(accounts, revisions, records)
+    return corpus_mod.load_corpus(opts.accounts, opts.revisions, opts.records)
 
 
-def _task(opts: Options) -> matching_mod.Task:
-    """The ``--task`` entry; ``--cap``/``--k-edits`` on the command line need task 2."""
-    task = matching_mod.TASKS[opts.get("task")]
-    for name in ("cap", "k_edits"):
-        if task.name != matching_mod.TASK2 and getattr(opts.args, name, None) is not None:
-            raise InvalidConfigError(name, f"applies only to --task 2, not --task {task.number}")
-    return task
-
-
-def _match(opts: Options, task: matching_mod.Task, corpus, groups, pairs):
-    """``task.match`` with the window, cap and seed of ``opts``."""
-    days = opts.get("window_days", None, float)
-    return task.match(
-        corpus,
-        groups,
-        pairs,
-        task.window_seconds if days is None else int(days * corpus_mod.DAY_SECONDS),
-        opts.get("cap", matching_mod.DEFAULT_TASK2_CAP, int),
-        opts.get("seed", 0, int),
-    )
+def _match(opts, task: matching_mod.Task, corpus, groups, pairs):
+    """``task.match`` with the window, cap and seed that ``opts`` sets."""
+    days = opts.window_days
+    if days is not None and not 0 <= days < math.inf:
+        raise InvalidConfigError("window_days", "must be finite and >= 0")
+    window = None if days is None else int(days * corpus_mod.DAY_SECONDS)
+    return task.match(corpus, groups, pairs, window, **_given(opts, cap="cap", seed="seed"))
 
 
 def _extract(corpus):
@@ -326,17 +335,16 @@ def _extract(corpus):
     return groups, all_pairs, pairing_mod.first_pair_per_group(all_pairs, corpus)
 
 
-def _pairs_from_file_or_corpus(opts: Options, corpus):
+def _pairs_from_file_or_corpus(opts, corpus):
     """The merged groups, and the ``--pairs`` file as given (group id -1 where
     it has none; each pair checked against the corpus) or else the first
     extracted pair per group."""
-    pairs_path = opts.get("pairs")
-    if not pairs_path:
+    if not opts.pairs:
         groups, _, first_pairs = _extract(corpus)
         return groups, first_pairs
     return pairing_mod.merge_groups(corpus.sockpuppet_records, corpus), [
         pairing_mod.EvasionPair(parent_id, child_id, -1 if group_id is None else group_id)
-        for parent_id, child_id, group_id in corpus_mod.load_pairs(pairs_path, corpus)
+        for parent_id, child_id, group_id in corpus_mod.load_pairs(opts.pairs, corpus)
     ]
 
 
@@ -354,7 +362,7 @@ def _save_corpus(corpus, out_dir: Path) -> None:
     )
 
 
-def _generate(opts: Options, out_dir: Path):
+def _generate(opts, out_dir: Path):
     """Generate the synthetic corpus; write it and its planted pairs to out_dir."""
     synth = _synth_config(opts)
     result = corpus_mod.generate_synthetic(synth)
@@ -363,8 +371,8 @@ def _generate(opts: Options, out_dir: Path):
     return synth, result
 
 
-def cmd_generate(opts: Options) -> int:
-    out_dir = Path(opts.get("out_dir"))
+def cmd_generate(opts) -> int:
+    out_dir = Path(opts.out_dir)
     _, result = _generate(opts, out_dir)
     print(
         f"generated {len(result.corpus.accounts)} accounts, "
@@ -375,11 +383,10 @@ def cmd_generate(opts: Options) -> int:
     return 0
 
 
-def cmd_ingest(opts: Options) -> int:
+def cmd_ingest(opts) -> int:
     corpus = _load_corpus(opts)
-    out_dir = opts.get("out_dir")
-    if out_dir:
-        _save_corpus(corpus, Path(out_dir))
+    if opts.out_dir:
+        _save_corpus(corpus, Path(opts.out_dir))
     print(
         f"accounts={len(corpus.accounts)} revisions={len(corpus.revisions)} "
         f"records={len(corpus.sockpuppet_records)}"
@@ -387,10 +394,10 @@ def cmd_ingest(opts: Options) -> int:
     return 0
 
 
-def cmd_extract_pairs(opts: Options) -> int:
+def cmd_extract_pairs(opts) -> int:
     corpus = _load_corpus(opts)
     groups, all_pairs, first_pairs = _extract(corpus)
-    out_dir = Path(opts.get("out_dir"))
+    out_dir = Path(opts.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "groups.jsonl", "w", encoding="utf-8") as fh:
         for g in groups:
@@ -403,7 +410,7 @@ def cmd_extract_pairs(opts: Options) -> int:
                 sort_keys=True, separators=(",", ":"),
             ) + "\n")
     corpus_mod.save_pairs(all_pairs, out_dir / "all_pairs.jsonl")
-    keep = all_pairs if opts.get("all_rounds", False, _as_bool) else first_pairs
+    keep = all_pairs if opts.all_rounds else first_pairs
     corpus_mod.save_pairs(keep, out_dir / "evasion_pairs.jsonl")
     print(
         f"groups={len(groups)} pairs={len(all_pairs)} first_pairs={len(first_pairs)}"
@@ -411,22 +418,21 @@ def cmd_extract_pairs(opts: Options) -> int:
     return 0
 
 
-def cmd_match(opts: Options) -> int:
-    task = _task(opts)
+def cmd_match(opts) -> int:
+    task = matching_mod.TASKS[opts.task]
     corpus = _load_corpus(opts)
     samples = _match(opts, task, corpus, *_pairs_from_file_or_corpus(opts, corpus))
-    out = opts.get("out")
-    matching_mod.write_samples(samples, out)
-    print(f"wrote {len(samples)} samples -> {out}")
+    matching_mod.write_samples(samples, opts.out)
+    print(f"wrote {len(samples)} samples -> {opts.out}")
     return 0
 
 
-def cmd_featurize(opts: Options) -> int:
+def cmd_featurize(opts) -> int:
     from .features import write_feature_matrix
 
-    task = _task(opts)
+    task = matching_mod.TASKS[opts.task]
     corpus = _load_corpus(opts)
-    path = opts.get("samples")
+    path = opts.samples
     samples = matching_mod.read_samples(path)
     for lineno, s in enumerate(samples, start=1):
         if s.task != task.name:
@@ -437,67 +443,53 @@ def cmd_featurize(opts: Options) -> int:
         for account_id, role in ((s.parent_id, "sample parent"), (s.other_id, "sample other")):
             if account_id not in corpus.accounts_by_id:
                 raise ReferentialIntegrityError(account_id, role, path, lineno)
-    names, X = task.vectors(
-        samples, _digests(opts, corpus), opts.get("k_edits", matching_mod.DEFAULT_K_EDITS, int)
-    )
+    names, X = task.vectors(samples, _digests(opts, corpus), **_given(opts, k_edits="k_edits"))
     ids = [f"{s.parent_id}|{s.other_id}" for s in samples]
     labels = [s.label for s in samples]
-    write_feature_matrix(opts.get("out"), ids, labels, names, X)
-    print(f"wrote {len(X)} rows -> {opts.get('out')}")
+    write_feature_matrix(opts.out, ids, labels, names, X)
+    print(f"wrote {len(X)} rows -> {opts.out}")
     return 0
 
 
-def cmd_train(opts: Options) -> int:
+def cmd_train(opts) -> int:
     from .features import read_feature_matrix
     from .model import rfe, save_model, train
 
-    _, labels, names, X = read_feature_matrix(opts.get("features"))
+    _, labels, names, X = read_feature_matrix(opts.features)
     config = _train_config(opts)
-    if opts.get("rfe", False, _as_bool):
+    if opts.rfe:
         selected, fitted, _ = rfe(X, labels, config, feature_names=names)
         log.info("rfe selected %d/%d features", len(selected), len(names))
     else:
         fitted = train(X, labels, config, names)
-    save_model(fitted, opts.get("out"))
-    print(f"wrote model ({len(fitted.feature_names)} features) -> {opts.get('out')}")
+    save_model(fitted, opts.out)
+    print(f"wrote model ({len(fitted.feature_names)} features) -> {opts.out}")
     return 0
 
 
-def _run_task(digests: Digests, task: matching_mod.Task, samples, opts: Options):
+def _run_task(digests: Digests, task: matching_mod.Task, samples, opts):
     from .evaluation import run_task
 
-    return run_task(
-        task,
-        samples,
-        digests,
-        train_config=_train_config(opts),
-        split=_split(opts, task),
-        use_rfe=opts.get("rfe", False, _as_bool),
-        k_edits=opts.get("k_edits", matching_mod.DEFAULT_K_EDITS, int),
-    )
+    return run_task(task, samples, digests, **_harness_options(opts),
+                    **_given(opts, use_rfe="rfe", k_edits="k_edits"))
 
 
-def _run_ranking(digests: Digests, pairs, opts: Options):
+def _run_ranking(digests: Digests, pairs, opts):
     from .evaluation import run_ranking
 
-    return run_ranking(
-        digests,
-        pairs,
-        max_candidates=opts.get("max_candidates", matching_mod.DEFAULT_MAX_CANDIDATES, int),
-        train_config=_train_config(opts),
-        split=_split(opts, matching_mod.TASKS["3"]),
-    )
+    return run_ranking(digests, pairs, **_harness_options(opts),
+                       **_given(opts, max_candidates="max_candidates"))
 
 
-def cmd_evaluate(opts: Options) -> int:
+def cmd_evaluate(opts) -> int:
     from .evaluation import write_report
     from .model import save_model
 
-    task = _task(opts)
+    task = matching_mod.TASKS[opts.task]
     corpus = _load_corpus(opts)
     samples = _match(opts, task, corpus, *_pairs_from_file_or_corpus(opts, corpus))
     result, fitted = _run_task(_digests(opts, corpus), task, samples, opts)
-    out_dir = Path(opts.get("out_dir"))
+    out_dir = Path(opts.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     name = f"task{task.number}"
     save_model(fitted, out_dir / f"{name}_model.json")
@@ -508,14 +500,14 @@ def cmd_evaluate(opts: Options) -> int:
     return 0
 
 
-def cmd_rank(opts: Options) -> int:
+def cmd_rank(opts) -> int:
     from .evaluation import write_report
     from .model import save_model
 
     corpus = _load_corpus(opts)
     _, pairs = _pairs_from_file_or_corpus(opts, corpus)
     result, fitted = _run_ranking(_digests(opts, corpus), pairs, opts)
-    out_dir = Path(opts.get("out_dir"))
+    out_dir = Path(opts.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_model(fitted, out_dir / "ranking_model.json")
     write_report(
@@ -525,28 +517,24 @@ def cmd_rank(opts: Options) -> int:
     return 0
 
 
-def cmd_analyze(opts: Options) -> int:
+def cmd_analyze(opts) -> int:
     corpus = _load_corpus(opts)
     groups, pairs = _pairs_from_file_or_corpus(opts, corpus)
     samples = {n: _match(opts, matching_mod.TASKS[n], corpus, groups, pairs) for n in ("1", "3")}
     report = _analyze(_digests(opts, corpus), pairs, samples, opts)
-    out_dir = Path(opts.get("out_dir"))
+    out_dir = Path(opts.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_analysis(report, out_dir)
     print(f"analysis -> {out_dir}")
     return 0
 
 
-def _analyze(digests: Digests, pairs, samples: dict, opts: Options) -> dict:
+def _analyze(digests: Digests, pairs, samples: dict, opts) -> dict:
     """The characterization over the task-1 and task-3 ``samples``, keyed by task number."""
-    from . import analysis as analysis_mod
+    from .analysis import characterize
 
-    return analysis_mod.characterize(
-        digests,
-        pairs,
-        samples["1"],
-        samples["3"],
-        outlier_days=opts.get("outlier_days", analysis_mod.DEFAULT_OUTLIER_DAYS, float),
+    return characterize(
+        digests, pairs, samples["1"], samples["3"], **_given(opts, outlier_days="outlier_days")
     )
 
 
@@ -571,12 +559,11 @@ def _write_analysis(report: dict, out_dir: Path) -> None:
     write_tables(report, out_dir / "tables")
 
 
-def cmd_reproduce(opts: Options) -> int:
+def cmd_reproduce(opts) -> int:
     from .evaluation import write_report
     from .model import save_model
 
-    out_dir = Path(opts.get("out_dir"))
-    seed = opts.get("seed", 0, int)
+    out_dir = Path(opts.out_dir)
 
     with _stage("generate"):
         synth, result = _generate(opts, out_dir / "corpus")
@@ -590,7 +577,7 @@ def cmd_reproduce(opts: Options) -> int:
         corpus_mod.save_pairs(pairs, pairs_dir / "evasion_pairs.jsonl")
 
     report: dict = {
-        "seed": seed,
+        "seed": synth.seed,
         "synth_config": {k: v for k, v in asdict(synth).items() if k != "seed"},
         "corpus": {
             "accounts": len(corpus.accounts),
@@ -648,7 +635,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         with _stage(args.command):
-            return args.func(Options(args))
+            return args.func(resolve(args))
     except BanEvasionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

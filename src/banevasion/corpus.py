@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 import random
 import sys
 from array import array
@@ -426,9 +427,9 @@ class SynthConfig:
     from their matched controls.
     """
 
-    n_groups: int = 50
-    n_benign: int = 500
-    n_nonevading_malicious: int = 250
+    n_groups: int = 60
+    n_benign: int = 600
+    n_nonevading_malicious: int = 300
     evasion_rate: float = 1.0
     username_mutation_rate: float = 0.3
     page_overlap: float = 0.5
@@ -453,8 +454,8 @@ class SynthConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise InvalidConfigError(name, "must be in [0, 1]")
-        if not self.idle_gap_days > 0:
-            raise InvalidConfigError("idle_gap_days", "must be positive")
+        if not 0 < self.idle_gap_days < math.inf:
+            raise InvalidConfigError("idle_gap_days", "must be finite and > 0")
 
 
 @dataclass(frozen=True)

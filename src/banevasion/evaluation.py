@@ -36,7 +36,7 @@ import numpy as np
 from ._metrics import FragmentedAuc, fragmented_auc, mrr, recall_at_k, roc_auc
 from .analysis import classify_success
 from .corpus import Corpus
-from .errors import EmptyInputError
+from .errors import EmptyInputError, InvalidConfigError
 from .features import Digests, pair_vectors
 from .matching import (
     CandidateSet,
@@ -282,6 +282,8 @@ def run_ranking(
 ) -> tuple[RankingResult, LogisticModel]:
     """Parent attribution: rank candidate parents for each test child."""
     corpus = digests.corpus
+    if max_candidates < 1:
+        raise InvalidConfigError("max_candidates", "must be >= 1")
     if not pairs:
         raise EmptyInputError("run_ranking needs pairs")
 

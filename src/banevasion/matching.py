@@ -94,12 +94,15 @@ class Task:
         corpus: Corpus,
         groups: Sequence[SockpuppetGroup],
         pairs: Sequence[EvasionPair],
-        window_seconds: int,
+        window_seconds: int | None = None,
         cap: int = DEFAULT_TASK2_CAP,
         seed: int = 0,
     ) -> list[LabeledSample]:
         """Positives from ``pairs`` and matched negatives from this task's pool:
-        non-evading malicious accounts for tasks 1 and 3, benign for task 2."""
+        non-evading malicious accounts for tasks 1 and 3, benign for task 2;
+        ``window_seconds`` defaults to this task's window."""
+        if window_seconds is None:
+            window_seconds = self.window_seconds
         if self.name == TASK1:
             # a parent named by several pairs anchors one positive
             parent_ids = dict.fromkeys(p.parent_id for p in pairs)
@@ -111,7 +114,8 @@ class Task:
             )
         return match_task3(pairs, prepare_malicious_pool(corpus, groups), corpus, window_seconds)
 
-    def vectors(self, samples: Sequence[LabeledSample], digests: Digests, k_edits: int):
+    def vectors(self, samples: Sequence[LabeledSample], digests: Digests,
+                k_edits: int = DEFAULT_K_EDITS):
         """``(names, X)``, one row per sample: task 1 describes the other account
         alone; task 2 the pair, over the other account's first ``k_edits`` edits
         and without child-ban fields; task 3 the full pair."""

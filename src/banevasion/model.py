@@ -23,6 +23,7 @@ exactly (feature names, means, stds, weights, bias, config echo).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -58,12 +59,12 @@ class TrainConfig:
     class_weighting: str = "inverse-frequency"  # or "none"
 
     def __post_init__(self):
-        if self.l2_lambda < 0:
-            raise ValueError("l2_lambda must be >= 0")
+        if not 0 <= self.l2_lambda < math.inf:
+            raise ValueError("l2_lambda must be finite and >= 0")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be > 0")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be finite and > 0")
         if self.class_weighting not in ("none", "inverse-frequency"):
             raise ValueError(f"unknown class_weighting {self.class_weighting!r}")
 

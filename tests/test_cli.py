@@ -17,7 +17,7 @@ from banevasion import features as features_mod
 from banevasion import matching as matching_mod
 from banevasion import pairing as pairing_mod
 from banevasion.cli import main
-from banevasion.corpus import DAY_SECONDS, WEEK_SECONDS, load_corpus
+from banevasion.corpus import DAY_SECONDS, WEEK_SECONDS, SynthConfig, load_corpus
 from banevasion.matching import (
     match_task1,
     match_task2,
@@ -66,6 +66,17 @@ class TestGenerate:
         main(["generate", "--out-dir", str(tmp_path / "cfg"), "--config", str(config), "--seed", "7"])
         main(["generate", "--out-dir", str(tmp_path / "flag"), "--seed", "7", *GEN_FLAGS])
         assert tree_digest(tmp_path / "cfg") == tree_digest(tmp_path / "flag")
+
+    def test_defaults_are_synth_config_defaults(self, tmp_path):
+        assert main(["generate", "--out-dir", str(tmp_path / "cli")]) == 0
+        result = corpus_mod.generate_synthetic(SynthConfig())
+        library = tmp_path / "library"
+        library.mkdir()
+        corpus_mod.save_corpus(
+            result.corpus, *(library / f"{n}.jsonl" for n in ("accounts", "revisions", "records"))
+        )
+        corpus_mod.save_pairs(result.true_pairs, library / "truth_pairs.jsonl")
+        assert tree_digest(tmp_path / "cli") == tree_digest(library)
 
 
 class TestRepeatedParent:
@@ -147,6 +158,31 @@ class TestUsageErrors:
               "--seed", "7", *GEN_FLAGS])
         main(["generate", "--out-dir", str(tmp_path / "flag"), "--seed", "7", *GEN_FLAGS])
         assert tree_digest(tmp_path / "cfg") == tree_digest(tmp_path / "flag")
+
+    def test_bad_environment_value_names_variable(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("BANEVASION_SEED", "abc")
+        assert main(["generate", "--out-dir", str(tmp_path / "out"), *GEN_FLAGS]) == 1
+        err = capsys.readouterr().err
+        assert "error: stage 'generate' failed: BANEVASION_SEED: invalid literal for int()" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, line", [("generate", "seed = x"), ("train", "rfe = maybe")], ids=["seed", "rfe"]
+    )
+    def test_bad_config_value_names_file_and_line(self, tmp_path, capsys, command, line):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{line}\n")
+        args = {
+            "generate": ["--out-dir", str(tmp_path / "out")],
+            "train": ["--features", str(tmp_path / "f.tsv"), "--out", str(tmp_path / "m.json")],
+        }[command]
+        assert main([command, *args, "--config", str(config)]) == 1
+        assert f"error: stage '{command}' failed: {config}:1: " in capsys.readouterr().err
+
+    def test_rank_rfe_flag_removed(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["rank", "--out-dir", str(tmp_path), "--rfe"])
+        assert exc.value.code == 2
 
     def test_learning_rate_flag_removed(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -387,6 +423,33 @@ class TestStageChaining:
         assert "invalid config field 'k_edits': must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, flags, field",
+        [
+            ("match", ["--task", "1", "--window-days", "nan"], "window_days"),
+            ("match", ["--task", "1", "--window-days", "-1"], "window_days"),
+            ("analyze", ["--outlier-days", "nan"], "outlier_days"),
+            ("analyze", ["--outlier-days", "-5"], "outlier_days"),
+            ("rank", ["--max-candidates", "0"], "max_candidates"),
+        ],
+        ids=["window_days-nan", "window_days-negative", "outlier_days-nan",
+             "outlier_days-negative", "max_candidates-0"],
+    )
+    def test_out_of_range_option_named(self, corpus_dir, tmp_path, capsys, command, flags, field):
+        out = tmp_path / "out"
+        out_flag = "--out" if command == "match" else "--out-dir"
+        assert main([command, *self.corpus_flags(corpus_dir), *flags, out_flag, str(out)]) == 1
+        assert f"invalid config field '{field}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_evaluate_rejects_nan_l2(self, corpus_dir, tmp_path, capsys):
+        out = tmp_path / "eval"
+        code = main(["evaluate", *self.corpus_flags(corpus_dir), "--task", "1",
+                     "--out-dir", str(out), "--l2", "nan"])
+        assert code == 1
+        assert "l2_lambda" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_evaluate_and_rank(self, corpus_dir, tmp_path):
         flags = self.corpus_flags(corpus_dir)
         out = tmp_path / "eval"
@@ -487,6 +550,24 @@ class TestReproduce:
         tables_dir = tmp_path / "r1" / "reports" / "tables"
         assert (tables_dir / "account_durations.csv").exists()
         assert (tmp_path / "r1" / "report.txt").read_text().startswith("evaluation report")
+
+    @pytest.mark.parametrize("option, value", [("window_days", "2"), ("outlier_days", "8")])
+    def test_option_from_flag_environment_or_config_file(
+        self, tmp_path, monkeypatch, option, value
+    ):
+        args = ["--seed", "7", "--groups", "12", "--benign", "120", "--malicious", "60"]
+        flag = "--" + option.replace("_", "-")
+        assert main(["reproduce", "--out-dir", str(tmp_path / "default"), *args]) == 0
+        assert main(["reproduce", "--out-dir", str(tmp_path / "flag"), *args, flag, value]) == 0
+        monkeypatch.setenv(f"BANEVASION_{option.upper()}", value)
+        assert main(["reproduce", "--out-dir", str(tmp_path / "env"), *args]) == 0
+        monkeypatch.delenv(f"BANEVASION_{option.upper()}")
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{option} = {value}\n")
+        assert main(["reproduce", "--out-dir", str(tmp_path / "cfg"), "--config", str(config),
+                     *args]) == 0
+        trees = {name: tree_digest(tmp_path / name) for name in ("default", "flag", "env", "cfg")}
+        assert trees["flag"] == trees["env"] == trees["cfg"] != trees["default"]
 
     def test_reproduce_builds_each_digest_once(self, tmp_path, monkeypatch):
         built = Counter()

@@ -578,6 +578,8 @@ class TestSynthetic:
             ("evasion_rate", 1.5),
             ("page_overlap", -0.1),
             ("idle_gap_days", 0.0),
+            ("idle_gap_days", float("inf")),
+            ("idle_gap_days", float("nan")),
             ("malicious_text_rate", 2.0),
         ],
     )

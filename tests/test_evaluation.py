@@ -14,7 +14,7 @@ from banevasion import features as features_mod
 from banevasion._metrics import _average_ranks
 from banevasion.analysis import characterize
 from banevasion.corpus import SynthConfig, generate_synthetic
-from banevasion.errors import EmptyInputError, SingleClassInputError
+from banevasion.errors import EmptyInputError, InvalidConfigError, SingleClassInputError
 from banevasion.evaluation import (
     SplitSpec,
     dedupe_negatives,
@@ -479,6 +479,18 @@ class TestRepeatedParent:
         assert all(len(ids) == len(set(ids)) == len(pairs) for ids in parent_lists)
         for cs in candidate_sets:
             assert len(cs.candidate_parent_ids) == len(set(cs.candidate_parent_ids))
+
+
+def test_ranking_rejects_no_candidates_before_building_sets(planted, monkeypatch):
+    corpus, _, pairs = planted
+
+    def building(*args):
+        raise AssertionError("candidate sets built for max_candidates=0")
+
+    monkeypatch.setattr(evaluation_mod, "build_candidate_sets", building)
+    with pytest.raises(InvalidConfigError) as err:
+        run_ranking(Digests(corpus), pairs, max_candidates=0)
+    assert err.value.field == "max_candidates"
 
 
 @pytest.mark.parametrize("task", ["task1", "task2", "task3"])

@@ -183,10 +183,22 @@ class TestTrain:
         preds = (model.predict_proba_matrix(X, model.feature_names) >= 0.5).astype(int)
         assert np.array_equal(preds, y)
 
-    @pytest.mark.parametrize("epochs", [0, -1])
-    def test_max_epochs_below_one_rejected(self, epochs):
-        with pytest.raises(ValueError, match="max_epochs"):
-            TrainConfig(max_epochs=epochs)
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_epochs", 0),
+            ("max_epochs", -1),
+            ("l2_lambda", -1.0),
+            ("l2_lambda", float("nan")),
+            ("l2_lambda", float("inf")),
+            ("tolerance", 0.0),
+            ("tolerance", float("nan")),
+            ("tolerance", float("inf")),
+        ],
+    )
+    def test_invalid_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
 
     def test_kkt_oracle(self):
         # the penalized gradient vanishes at the returned weights
