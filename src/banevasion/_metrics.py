@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyInputError, SingleClassInputError
+from .errors import EmptyInputError, InvalidConfigError, MismatchError, SingleClassInputError
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -26,7 +26,7 @@ def roc_auc(scores: Sequence[float], labels: Sequence[int]) -> float:
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=int)
     if scores.shape != labels.shape:
-        raise ValueError("scores and labels must align")
+        raise MismatchError("scores and labels must align")
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
@@ -46,7 +46,7 @@ def mrr(ranks_of_true: Sequence[int]) -> float:
 def recall_at_k(ranks_of_true: Sequence[int], k: int) -> float:
     """Fraction of rankings whose true item sits within the top k."""
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InvalidConfigError("k", "must be >= 1")
     if not len(ranks_of_true):
         raise EmptyInputError("recall_at_k needs at least one ranking")
     return sum(1 for r in ranks_of_true if r <= k) / len(ranks_of_true)
@@ -75,7 +75,7 @@ def fragmented_auc(
     flags = list(success_flags)
     n_pos = int((labels == 1).sum())
     if len(flags) != n_pos:
-        raise ValueError(f"expected {n_pos} success flags, got {len(flags)}")
+        raise MismatchError(f"expected {n_pos} success flags, got {len(flags)}")
 
     neg_scores = scores[labels == 0]
     pos_scores = scores[labels == 1]

@@ -18,7 +18,7 @@ from .corpus import Corpus, DAY_SECONDS
 from .errors import (
     InsufficientSamplesError,
     InvalidConfigError,
-    LengthMismatchError,
+    MismatchError,
     MissingBanTimeError,
     ZeroVarianceError,
 )
@@ -31,6 +31,12 @@ _BETACF_TOL = 1e-12
 _FPMIN = 1e-300
 
 DEFAULT_OUTLIER_DAYS = 1000.0
+
+
+def check_outlier_days(outlier_days: float) -> None:
+    """Raise ``InvalidConfigError`` unless ``outlier_days`` is finite and > 0."""
+    if not 0 < outlier_days < math.inf:
+        raise InvalidConfigError("outlier_days", "must be finite and > 0")
 
 
 def _betacf(a: float, b: float, x: float) -> float:
@@ -134,7 +140,7 @@ def welch_test(a: Sequence[float], b: Sequence[float]) -> TwoSampleResult:
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Sample Pearson correlation coefficient."""
     if len(x) != len(y):
-        raise LengthMismatchError(f"{len(x)} vs {len(y)}")
+        raise MismatchError(f"lengths differ: {len(x)} vs {len(y)}")
     n = len(x)
     if n < 2:
         raise InsufficientSamplesError("pearson needs at least 2 points")
@@ -217,7 +223,7 @@ def _safe_welch(a: Sequence[float], b: Sequence[float]):
 def _safe_pearson(x: Sequence[float], y: Sequence[float]):
     try:
         return pearson(x, y)
-    except (InsufficientSamplesError, ZeroVarianceError, LengthMismatchError):
+    except (InsufficientSamplesError, ZeroVarianceError, MismatchError):
         return None
 
 
@@ -280,8 +286,7 @@ def characterize(
     than raising. Pair vectors omit the child-ban fields. The corpus and
     every account's digest come from ``digests``.
     """
-    if not 0 < outlier_days < math.inf:
-        raise InvalidConfigError("outlier_days", "must be finite and > 0")
+    check_outlier_days(outlier_days)
     corpus = digests.corpus
     lexicon = digests.config.lexicon
 

@@ -42,7 +42,7 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
-    from .features import Digests
+    from .features import Digests, FeatureConfig
     from .model import TrainConfig
 
 log = logging.getLogger("banevasion")
@@ -124,9 +124,8 @@ def _add_corpus_inputs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--records", help="sockpuppet records file (JSON lines)")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--seed", type=int)
+def _add_seed_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, help="seed of the generator and of task-2 cap sampling")
 
 
 def _add_synth_flags(p: argparse.ArgumentParser) -> None:
@@ -160,7 +159,8 @@ def _add_rfe_flag(p: argparse.ArgumentParser) -> None:
 
 def _add_command(sub, name: str, summary: str, func, *adders) -> argparse.ArgumentParser:
     p = sub.add_parser(name, help=summary)
-    for add in (_add_common, *adders):
+    p.add_argument("--config", help="flat key = value config file")
+    for add in adders:
         add(p)
     p.set_defaults(func=func)
     return p
@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = _add_command(sub, "generate", "write a seeded synthetic corpus", cmd_generate,
-                     _add_synth_flags)
+                     _add_seed_flag, _add_synth_flags)
     p.add_argument("--out-dir", required=True)
 
     p = _add_command(sub, "ingest", "validate corpus files and report counts", cmd_ingest,
@@ -188,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="keep later evasion rounds instead of first pairs only")
 
     p = _add_command(sub, "match", "build matched negative samples for one task", cmd_match,
-                     _add_corpus_inputs)
+                     _add_seed_flag, _add_corpus_inputs)
     p.add_argument("--task", required=True, choices=["1", "2", "3"])
     p.add_argument("--pairs", help="extracted pairs file")
     p.add_argument("--out", required=True)
@@ -208,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = _add_command(sub, "evaluate", "run one task harness end to end", cmd_evaluate,
-                     _add_corpus_inputs, _add_lexicon_flags, _add_model_flags, _add_rfe_flag)
+                     _add_seed_flag, _add_corpus_inputs, _add_lexicon_flags, _add_model_flags,
+                     _add_rfe_flag)
     p.add_argument("--task", required=True, choices=["1", "2", "3"])
     p.add_argument("--pairs")
     p.add_argument("--out-dir", required=True)
@@ -232,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outlier-days", type=float)
 
     p = _add_command(sub, "reproduce", "full pipeline on a synthetic corpus", cmd_reproduce,
-                     _add_synth_flags, _add_lexicon_flags, _add_model_flags, _add_rfe_flag)
+                     _add_seed_flag, _add_synth_flags, _add_lexicon_flags, _add_model_flags,
+                     _add_rfe_flag)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--train-fraction", type=float)
     p.add_argument("--max-candidates", type=int)
@@ -283,10 +285,10 @@ def _synth_config(opts) -> SynthConfig:
     ))
 
 
-def _digests(opts, corpus) -> Digests:
-    """The command's one digest store, over the lexicons and provider of ``opts``."""
+def _feature_config(opts) -> FeatureConfig:
+    """The lexicons and embedding provider that ``opts`` names, loaded."""
     from . import textstats as textstats_mod
-    from .features import Digests, FeatureConfig
+    from .features import FeatureConfig
 
     loaders = {
         "lexicon": textstats_mod.load_lexicon,
@@ -295,7 +297,14 @@ def _digests(opts, corpus) -> Digests:
     }
     given = _given(opts, lexicon="lexicon", sentiment_lexicon="sentiment_lexicon",
                    provider="embedding_provider")
-    return Digests(corpus, FeatureConfig(**{k: loaders[k](v) for k, v in given.items()}))
+    return FeatureConfig(**{k: loaders[k](v) for k, v in given.items()})
+
+
+def _digests(opts, corpus) -> Digests:
+    """The command's one digest store, over the lexicons and provider of ``opts``."""
+    from .features import Digests
+
+    return Digests(corpus, _feature_config(opts))
 
 
 def _train_config(opts) -> TrainConfig:
@@ -304,11 +313,12 @@ def _train_config(opts) -> TrainConfig:
     return TrainConfig(**_given(opts, l2_lambda="l2", max_epochs="max_epochs"))
 
 
-def _harness_options(opts) -> dict:
-    """The ``train_config`` and, where set, the ``split`` of a task or ranking run."""
+def _harness_options(opts, **params: str) -> dict:
+    """The ``train_config``, and where set the ``split`` and the options
+    ``params`` names, of a task or ranking run."""
     from .evaluation import SplitSpec
 
-    given = {"train_config": _train_config(opts)}
+    given = {"train_config": _train_config(opts), **_given(opts, **params)}
     if opts.train_fraction is not None:
         given["split"] = SplitSpec(opts.train_fraction)
     return given
@@ -320,13 +330,15 @@ def _load_corpus(opts):
     return corpus_mod.load_corpus(opts.accounts, opts.revisions, opts.records)
 
 
-def _match(opts, task: matching_mod.Task, corpus, groups, pairs):
-    """``task.match`` with the window, cap and seed that ``opts`` sets."""
+def _match_options(opts) -> dict:
+    """``Task.match``'s window, cap and seed, where ``opts`` sets them."""
+    given = _given(opts, cap="cap", seed="seed")
     days = opts.window_days
-    if days is not None and not 0 <= days < math.inf:
-        raise InvalidConfigError("window_days", "must be finite and >= 0")
-    window = None if days is None else int(days * corpus_mod.DAY_SECONDS)
-    return task.match(corpus, groups, pairs, window, **_given(opts, cap="cap", seed="seed"))
+    if days is not None:
+        if not 0 <= days < math.inf:
+            raise InvalidConfigError("window_days", "must be finite and >= 0")
+        given["window_seconds"] = int(days * corpus_mod.DAY_SECONDS)
+    return given
 
 
 def _extract(corpus):
@@ -362,18 +374,17 @@ def _save_corpus(corpus, out_dir: Path) -> None:
     )
 
 
-def _generate(opts, out_dir: Path):
+def _generate(synth: SynthConfig, out_dir: Path):
     """Generate the synthetic corpus; write it and its planted pairs to out_dir."""
-    synth = _synth_config(opts)
     result = corpus_mod.generate_synthetic(synth)
     _save_corpus(result.corpus, out_dir)
     corpus_mod.save_pairs(result.true_pairs, out_dir / "truth_pairs.jsonl")
-    return synth, result
+    return result
 
 
 def cmd_generate(opts) -> int:
     out_dir = Path(opts.out_dir)
-    _, result = _generate(opts, out_dir)
+    result = _generate(_synth_config(opts), out_dir)
     print(
         f"generated {len(result.corpus.accounts)} accounts, "
         f"{len(result.corpus.revisions)} revisions, "
@@ -421,7 +432,7 @@ def cmd_extract_pairs(opts) -> int:
 def cmd_match(opts) -> int:
     task = matching_mod.TASKS[opts.task]
     corpus = _load_corpus(opts)
-    samples = _match(opts, task, corpus, *_pairs_from_file_or_corpus(opts, corpus))
+    samples = task.match(corpus, *_pairs_from_file_or_corpus(opts, corpus), **_match_options(opts))
     matching_mod.write_samples(samples, opts.out)
     print(f"wrote {len(samples)} samples -> {opts.out}")
     return 0
@@ -467,28 +478,15 @@ def cmd_train(opts) -> int:
     return 0
 
 
-def _run_task(digests: Digests, task: matching_mod.Task, samples, opts):
-    from .evaluation import run_task
-
-    return run_task(task, samples, digests, **_harness_options(opts),
-                    **_given(opts, use_rfe="rfe", k_edits="k_edits"))
-
-
-def _run_ranking(digests: Digests, pairs, opts):
-    from .evaluation import run_ranking
-
-    return run_ranking(digests, pairs, **_harness_options(opts),
-                       **_given(opts, max_candidates="max_candidates"))
-
-
 def cmd_evaluate(opts) -> int:
-    from .evaluation import write_report
+    from .evaluation import run_task, write_report
     from .model import save_model
 
     task = matching_mod.TASKS[opts.task]
     corpus = _load_corpus(opts)
-    samples = _match(opts, task, corpus, *_pairs_from_file_or_corpus(opts, corpus))
-    result, fitted = _run_task(_digests(opts, corpus), task, samples, opts)
+    samples = task.match(corpus, *_pairs_from_file_or_corpus(opts, corpus), **_match_options(opts))
+    result, fitted = run_task(task, samples, _digests(opts, corpus),
+                              **_harness_options(opts, use_rfe="rfe", k_edits="k_edits"))
     out_dir = Path(opts.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     name = f"task{task.number}"
@@ -501,12 +499,13 @@ def cmd_evaluate(opts) -> int:
 
 
 def cmd_rank(opts) -> int:
-    from .evaluation import write_report
+    from .evaluation import run_ranking, write_report
     from .model import save_model
 
     corpus = _load_corpus(opts)
     _, pairs = _pairs_from_file_or_corpus(opts, corpus)
-    result, fitted = _run_ranking(_digests(opts, corpus), pairs, opts)
+    result, fitted = run_ranking(_digests(opts, corpus), pairs,
+                                 **_harness_options(opts, max_candidates="max_candidates"))
     out_dir = Path(opts.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_model(fitted, out_dir / "ranking_model.json")
@@ -520,7 +519,8 @@ def cmd_rank(opts) -> int:
 def cmd_analyze(opts) -> int:
     corpus = _load_corpus(opts)
     groups, pairs = _pairs_from_file_or_corpus(opts, corpus)
-    samples = {n: _match(opts, matching_mod.TASKS[n], corpus, groups, pairs) for n in ("1", "3")}
+    options = _match_options(opts)
+    samples = {n: matching_mod.TASKS[n].match(corpus, groups, pairs, **options) for n in "13"}
     report = _analyze(_digests(opts, corpus), pairs, samples, opts)
     out_dir = Path(opts.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -560,14 +560,25 @@ def _write_analysis(report: dict, out_dir: Path) -> None:
 
 
 def cmd_reproduce(opts) -> int:
-    from .evaluation import write_report
+    from .analysis import check_outlier_days
+    from .evaluation import run_ranking, run_task, write_report
+    from .features import Digests
     from .model import save_model
 
     out_dir = Path(opts.out_dir)
+    # every library input is built and every option checked before anything is written
+    synth = _synth_config(opts)
+    features = _feature_config(opts)
+    match_options = _match_options(opts)
+    task_options = _harness_options(opts, use_rfe="rfe", k_edits="k_edits")
+    ranking_options = _harness_options(opts, max_candidates="max_candidates")
+    matching_mod.check_counts(**_given(opts, cap="cap", k_edits="k_edits",
+                                       max_candidates="max_candidates"))
+    if opts.outlier_days is not None:
+        check_outlier_days(opts.outlier_days)
 
     with _stage("generate"):
-        synth, result = _generate(opts, out_dir / "corpus")
-        corpus = result.corpus
+        corpus = _generate(synth, out_dir / "corpus").corpus
 
     with _stage("extract-pairs"):
         groups, all_pairs, pairs = _extract(corpus)
@@ -591,7 +602,7 @@ def cmd_reproduce(opts) -> int:
         },
     }
 
-    digests = _digests(opts, corpus)
+    digests = Digests(corpus, features)
     models_dir = out_dir / "models"
     models_dir.mkdir(parents=True, exist_ok=True)
     # each task is matched once; analyze reuses the task-1 and task-3 samples
@@ -599,13 +610,13 @@ def cmd_reproduce(opts) -> int:
     for task in matching_mod.TASKS.values():
         name = f"task{task.number}"
         with _stage(f"evaluate-{name}"):
-            samples[task.number] = _match(opts, task, corpus, groups, pairs)
-            result_t, fitted = _run_task(digests, task, samples[task.number], opts)
+            samples[task.number] = task.match(corpus, groups, pairs, **match_options)
+            result_t, fitted = run_task(task, samples[task.number], digests, **task_options)
             save_model(fitted, models_dir / f"{name}_model.json")
             report[name] = result_t.to_dict()
 
     with _stage("rank"):
-        ranking, rank_model = _run_ranking(digests, pairs, opts)
+        ranking, rank_model = run_ranking(digests, pairs, **ranking_options)
         save_model(rank_model, models_dir / "ranking_model.json")
         report["ranking"] = ranking.to_dict()
 

@@ -43,12 +43,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import (
-    DuplicateIdError,
-    InvalidConfigError,
-    RecordParseError,
-    ReferentialIntegrityError,
-)
+from .errors import InvalidConfigError, RecordParseError, ReferentialIntegrityError
 
 DAY_SECONDS = 86_400
 WEEK_SECONDS = 604_800
@@ -112,7 +107,7 @@ class Corpus:
         by_id: dict[str, Account] = {}
         for i, acct in enumerate(self.accounts):
             if acct.account_id in by_id:
-                raise DuplicateIdError(acct.account_id, *at(0, i))
+                raise RecordParseError(*at(0, i), f"duplicate account id {acct.account_id!r}")
             if acct.ban_time is not None and acct.ban_time <= acct.creation_time:
                 raise RecordParseError(
                     *at(0, i),

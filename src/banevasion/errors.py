@@ -1,4 +1,9 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit.
+
+One class per kind of failure: every site that detects a kind raises its
+class, so a caller catches one class per kind and a message names the same
+thing wherever the fault was found (``file:line``, account id, or option).
+"""
 
 from __future__ import annotations
 
@@ -7,11 +12,12 @@ class BanEvasionError(Exception):
     """Base class for all toolkit errors."""
 
 
-# corpus ---------------------------------------------------------------
+# input records --------------------------------------------------------
 
 
 class RecordParseError(BanEvasionError):
-    """A malformed record; ``path``/``line_number`` locate it when it was read."""
+    """A malformed or duplicated record, lexicon entry or vectors line;
+    ``path``/``line_number`` locate it when it was read."""
 
     def __init__(self, path: str | None, line_number: int | None, reason: str):
         self.path = path
@@ -43,15 +49,10 @@ class ReferentialIntegrityError(BanEvasionError):
         super().__init__(_located(msg, path, line_number))
 
 
-class DuplicateIdError(BanEvasionError):
-    def __init__(self, account_id: str, path: str | None = None, line_number: int | None = None):
-        self.account_id = account_id
-        self.path = path
-        self.line_number = line_number
-        super().__init__(_located(f"duplicate account id {account_id!r}", path, line_number))
+class InvalidConfigError(BanEvasionError, ValueError):
+    """An option outside its range, named by ``field``; a bad value, so a
+    ``ValueError`` too."""
 
-
-class InvalidConfigError(BanEvasionError):
     def __init__(self, field: str, reason: str = ""):
         self.field = field
         msg = f"invalid config field {field!r}"
@@ -60,28 +61,24 @@ class InvalidConfigError(BanEvasionError):
         super().__init__(msg)
 
 
-# pairing --------------------------------------------------------------
+class MismatchError(BanEvasionError, ValueError):
+    """Two inputs that must line up (lengths, shapes, categories, feature
+    names) do not."""
+
+
+# accounts and pairs ---------------------------------------------------
 
 
 class AccountNotInGroupError(BanEvasionError):
     pass
 
 
-class AccountNeverBannedError(BanEvasionError):
-    pass
-
-
-# matching -------------------------------------------------------------
-
-
 class MissingBanTimeError(BanEvasionError):
+    """An account that must have been banned never was."""
+
     def __init__(self, account_id: str):
         self.account_id = account_id
         super().__init__(f"account {account_id!r} has no ban time")
-
-
-class InvalidCapError(BanEvasionError):
-    pass
 
 
 class TrueParentMissingError(BanEvasionError):
@@ -90,39 +87,17 @@ class TrueParentMissingError(BanEvasionError):
         super().__init__(f"no eligible true parent for child {child_id!r}")
 
 
-# textstats ------------------------------------------------------------
-
-
-class CategoryMismatchError(BanEvasionError):
-    pass
-
-
-class EmptyInputError(BanEvasionError):
-    pass
-
-
-class DimensionMismatchError(BanEvasionError):
-    pass
-
-
-class LexiconParseError(RecordParseError):
-    """A malformed lexicon, sentiment or vectors line, or lexicon entry."""
-
-
 class MissingVectorError(BanEvasionError, KeyError):
     """A text with no precomputed vector; a lookup miss, so a ``KeyError`` too."""
 
     __str__ = Exception.__str__  # KeyError's would quote the message
 
 
-# features -------------------------------------------------------------
+# degenerate samples ---------------------------------------------------
 
 
-class MissingParentBanError(BanEvasionError):
+class EmptyInputError(BanEvasionError):
     pass
-
-
-# model ----------------------------------------------------------------
 
 
 class SingleClassInputError(BanEvasionError):
@@ -133,22 +108,11 @@ class NonFiniteFeatureError(BanEvasionError):
     pass
 
 
-class FeatureNameMismatchError(BanEvasionError):
-    pass
-
-
-# analysis -------------------------------------------------------------
-
-
 class InsufficientSamplesError(BanEvasionError):
     pass
 
 
 class ZeroVarianceError(BanEvasionError):
-    pass
-
-
-class LengthMismatchError(BanEvasionError):
     pass
 
 

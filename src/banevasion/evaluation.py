@@ -48,6 +48,7 @@ from .matching import (
     TASKS,
     Task,
     build_candidate_sets,
+    check_counts,
 )
 from .model import LogisticModel, TrainConfig, rfe, train
 from .pairing import EvasionPair
@@ -77,7 +78,7 @@ class SplitSpec:
 
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train_fraction must be in (0, 1)")
+            raise InvalidConfigError("train_fraction", "must be in (0, 1)")
 
 
 def temporal_split(samples: Sequence, corpus: Corpus, spec: SplitSpec):
@@ -282,8 +283,7 @@ def run_ranking(
 ) -> tuple[RankingResult, LogisticModel]:
     """Parent attribution: rank candidate parents for each test child."""
     corpus = digests.corpus
-    if max_candidates < 1:
-        raise InvalidConfigError("max_candidates", "must be >= 1")
+    check_counts(max_candidates=max_candidates)
     if not pairs:
         raise EmptyInputError("run_ranking needs pairs")
 

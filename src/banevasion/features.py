@@ -42,7 +42,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import Account, Corpus, Revision
-from .errors import InvalidConfigError, MissingParentBanError, RecordParseError
+from .errors import MismatchError, MissingBanTimeError, RecordParseError
+from .matching import check_counts
 from .textstats import (
     EmbeddingProvider,
     HashedTrigramProvider,
@@ -240,7 +241,7 @@ def _cosine(parent: AccountDigest, other: AccountDigest) -> float:
 def _combine(parent: AccountDigest, other: AccountDigest, child_ban: bool) -> list[float]:
     p, o = parent.account, other.account
     if p.ban_time is None:
-        raise MissingParentBanError(p.account_id)
+        raise MissingBanTimeError(p.account_id)
     values = [
         *parent.created_calendar, *parent.ban_calendar,
         float(p.ban_time - p.creation_time),
@@ -269,8 +270,8 @@ def pair_vectors(
     over the other account's first ``k_limit`` (default all) revisions;
     raises ``InvalidConfigError`` naming ``k_edits``, the option ``k_limit``
     comes from, when it is below 1."""
-    if k_limit is not None and k_limit < 1:
-        raise InvalidConfigError("k_edits", "must be >= 1")
+    if k_limit is not None:
+        check_counts(k_edits=k_limit)
     names = _PAIR_HEAD + (_PAIR_CHILD_BAN if child_ban else ()) + _PAIR_TAIL
     return _matrix(
         names, [_combine(digests.of(p), digests.of(o, k_limit), child_ban) for p, o in id_pairs]
@@ -288,10 +289,10 @@ def write_feature_matrix(
     names: tuple[str, ...],
     X: np.ndarray,
 ) -> None:
-    """Write what ``read_feature_matrix`` returns; raises ``ValueError`` unless
-    ``X`` has one row per sample id and label and one column per name."""
+    """Write what ``read_feature_matrix`` returns; raises ``MismatchError``
+    unless ``X`` has one row per sample id and label and one column per name."""
     if len(labels) != len(sample_ids) or X.shape != (len(sample_ids), len(names)):
-        raise ValueError("X must have one row per sample id and label, one column per name")
+        raise MismatchError("X must have one row per sample id and label, one column per name")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(("sample_id", "label", *names)) + "\n")
         for sid, label, row in zip(sample_ids, labels, X.tolist()):

@@ -35,7 +35,6 @@ from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from .corpus import Account, Corpus, DAY_SECONDS, WEEK_SECONDS
 from .errors import (
-    InvalidCapError,
     InvalidConfigError,
     MissingBanTimeError,
     RecordParseError,
@@ -56,6 +55,14 @@ TASK3 = "bantime_detection"
 DEFAULT_TASK2_CAP = 100
 DEFAULT_K_EDITS = 3
 DEFAULT_MAX_CANDIDATES = 50
+
+
+def check_counts(**counts: int) -> None:
+    """Raise ``InvalidConfigError`` naming the first of ``counts`` below 1:
+    the task-2 ``cap``, ``k_edits`` or the ranking's ``max_candidates``."""
+    for name, value in counts.items():
+        if value < 1:
+            raise InvalidConfigError(name, "must be >= 1")
 
 
 class LabeledSample(NamedTuple):
@@ -257,8 +264,7 @@ def match_task2(
     seed: int = 0,
 ) -> list[LabeledSample]:
     """True pairs vs. (parent, matched benign) pairs for early detection."""
-    if cap < 1:
-        raise InvalidCapError(f"cap must be >= 1, got {cap}")
+    check_counts(cap=cap)
     benign_pool = sorted(benign_pool, key=lambda a: a.account_id)
     for account in benign_pool:
         if account.ban_time is not None:

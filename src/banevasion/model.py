@@ -30,7 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    FeatureNameMismatchError,
+    InvalidConfigError,
+    MismatchError,
     NonFiniteFeatureError,
     SingleClassInputError,
 )
@@ -60,13 +61,13 @@ class TrainConfig:
 
     def __post_init__(self):
         if not 0 <= self.l2_lambda < math.inf:
-            raise ValueError("l2_lambda must be finite and >= 0")
+            raise InvalidConfigError("l2_lambda", "must be finite and >= 0")
         if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
+            raise InvalidConfigError("max_epochs", "must be >= 1")
         if not 0 < self.tolerance < math.inf:
-            raise ValueError("tolerance must be finite and > 0")
+            raise InvalidConfigError("tolerance", "must be finite and > 0")
         if self.class_weighting not in ("none", "inverse-frequency"):
-            raise ValueError(f"unknown class_weighting {self.class_weighting!r}")
+            raise InvalidConfigError("class_weighting", f"unknown scheme {self.class_weighting!r}")
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,7 @@ class LogisticModel:
 
     def predict_proba_matrix(self, X: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
         if tuple(names) != self.feature_names:
-            raise FeatureNameMismatchError(
+            raise MismatchError(
                 f"expected {self.feature_names}, got {tuple(names)}"
             )
         return _sigmoid(self.decision_values(np.atleast_2d(X)))
@@ -232,7 +233,7 @@ def rfe(
     if X.shape[1] < 2:
         raise ValueError("rfe needs at least 2 features")
     if not 0.0 < validation_fraction < 1.0:
-        raise ValueError("validation_fraction must be in (0, 1)")
+        raise InvalidConfigError("validation_fraction", "must be in (0, 1)")
     if feature_names is None:
         feature_names = tuple(f"f{i}" for i in range(X.shape[1]))
 

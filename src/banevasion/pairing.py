@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .corpus import Account, Corpus, SockpuppetRecord
-from .errors import AccountNeverBannedError, AccountNotInGroupError
+from .errors import AccountNotInGroupError, MissingBanTimeError
 
 
 class UnionFind:
@@ -128,7 +128,7 @@ def temporal_successor(
             f"{account.account_id!r} not in group {group.group_id}"
         )
     if account.ban_time is None:
-        raise AccountNeverBannedError(account.account_id)
+        raise MissingBanTimeError(account.account_id)
     candidates = [
         m for m in _members(group, corpus) if m.creation_time > account.ban_time
     ]

@@ -23,11 +23,11 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .errors import (
-    CategoryMismatchError,
-    DimensionMismatchError,
     EmptyInputError,
-    LexiconParseError,
+    InvalidConfigError,
+    MismatchError,
     MissingVectorError,
+    RecordParseError,
 )
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -111,9 +111,9 @@ class Lexicon:
 def _check_entry(entry: str, path: str | None, lineno: int | None) -> None:
     """The lexicon entry rules, for ``Lexicon`` and for the file parser."""
     if entry != entry.lower():
-        raise LexiconParseError(path, lineno, f"entry {entry!r} must be lowercase")
+        raise RecordParseError(path, lineno, f"entry {entry!r} must be lowercase")
     if "*" in entry[:-1] or entry == "*":
-        raise LexiconParseError(
+        raise RecordParseError(
             path, lineno, f"wildcard only allowed in final position: {entry!r}"
         )
 
@@ -133,7 +133,7 @@ def liwc_profile(tokens: Sequence[str], lexicon: Lexicon) -> dict[str, float]:
 def profile_abs_diff(p: dict[str, float], q: dict[str, float]) -> float:
     """Mean absolute per-category difference between two profiles."""
     if set(p) != set(q):
-        raise CategoryMismatchError("profiles cover different categories")
+        raise MismatchError("profiles cover different categories")
     if not p:
         return 0.0
     return sum(abs(p[c] - q[c]) for c in p) / len(p)
@@ -221,21 +221,21 @@ class ExternalVectorProvider:
                     continue
                 parts = line.split("\t")
                 if len(parts) != 2:
-                    raise LexiconParseError(str(path), lineno, "expected hash<TAB>floats")
+                    raise RecordParseError(str(path), lineno, "expected hash<TAB>floats")
                 try:
                     vec = np.array([float(x) for x in parts[1].split(",")])
                 except ValueError:
-                    raise LexiconParseError(str(path), lineno, "bad float") from None
+                    raise RecordParseError(str(path), lineno, "bad float") from None
                 if not np.isfinite(vec).all():
-                    raise LexiconParseError(str(path), lineno, "non-finite component")
+                    raise RecordParseError(str(path), lineno, "non-finite component")
                 if dimension is None:
                     dimension = vec.size
                 elif vec.size != dimension:
-                    raise LexiconParseError(
+                    raise RecordParseError(
                         str(path), lineno, f"dimension {vec.size} != {dimension}"
                     )
                 if parts[0] in self._vectors:
-                    raise LexiconParseError(str(path), lineno, "repeated text hash")
+                    raise RecordParseError(str(path), lineno, "repeated text hash")
                 self._vectors[parts[0]] = vec
         if dimension is None:
             raise EmptyInputError("external embedding file is empty")
@@ -266,7 +266,7 @@ def cosine(u, v) -> float:
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape:
-        raise DimensionMismatchError(f"{u.shape} vs {v.shape}")
+        raise MismatchError(f"vector shapes differ: {u.shape} vs {v.shape}")
     nu = math.sqrt(float(u @ u))
     nv = math.sqrt(float(v @ v))
     if nu == 0.0 or nv == 0.0:
@@ -290,7 +290,7 @@ class SentimentLexicon:
 def _check_valence(token: str, valence: float, path: str | None, lineno: int | None) -> None:
     """The valence rule, for ``SentimentLexicon`` and for the file parser."""
     if not math.isfinite(valence) or not -1.0 <= valence <= 1.0:
-        raise LexiconParseError(path, lineno, f"valence for {token!r} outside [-1, 1]")
+        raise RecordParseError(path, lineno, f"valence for {token!r} outside [-1, 1]")
 
 
 def sentiment(tokens: Sequence[str], lex: SentimentLexicon) -> float:
@@ -320,7 +320,7 @@ def _parse_lexicon(lines: list[str], path: str) -> Lexicon:
             continue
         if line == "%":
             if header_done:
-                raise LexiconParseError(path, lineno, "unexpected % after header")
+                raise RecordParseError(path, lineno, "unexpected % after header")
             if in_header:
                 in_header = False
                 header_done = True
@@ -330,26 +330,26 @@ def _parse_lexicon(lines: list[str], path: str) -> Lexicon:
         if in_header:
             parts = line.split("\t")
             if len(parts) != 2:
-                raise LexiconParseError(path, lineno, "header line must be id<TAB>name")
+                raise RecordParseError(path, lineno, "header line must be id<TAB>name")
             cat_id, name = parts
             if name in entries:
-                raise LexiconParseError(path, lineno, f"duplicate category {name!r}")
+                raise RecordParseError(path, lineno, f"duplicate category {name!r}")
             id_to_name[cat_id] = name
             entries[name] = []
         else:
             if not header_done:
-                raise LexiconParseError(path, lineno, "entries before header block")
+                raise RecordParseError(path, lineno, "entries before header block")
             parts = line.split("\t")
             if len(parts) < 2:
-                raise LexiconParseError(path, lineno, "entry line must be token<TAB>ids")
+                raise RecordParseError(path, lineno, "entry line must be token<TAB>ids")
             token = parts[0]
             _check_entry(token, path, lineno)
             for cat_id in " ".join(parts[1:]).split():
                 if cat_id not in id_to_name:
-                    raise LexiconParseError(path, lineno, f"unknown category id {cat_id!r}")
+                    raise RecordParseError(path, lineno, f"unknown category id {cat_id!r}")
                 entries[id_to_name[cat_id]].append(token)
     if in_header:
-        raise LexiconParseError(path, len(lines), "unterminated header block")
+        raise RecordParseError(path, len(lines), "unterminated header block")
     return Lexicon({k: tuple(v) for k, v in entries.items()})
 
 
@@ -381,11 +381,11 @@ def _parse_sentiment(lines: list[str], path: str) -> SentimentLexicon:
             continue
         parts = line.split("\t")
         if len(parts) != 2:
-            raise LexiconParseError(path, lineno, "expected token<TAB>valence")
+            raise RecordParseError(path, lineno, "expected token<TAB>valence")
         try:
             valence = float(parts[1])
         except ValueError:
-            raise LexiconParseError(path, lineno, "bad valence") from None
+            raise RecordParseError(path, lineno, "bad valence") from None
         _check_valence(parts[0], valence, path, lineno)
         valences[parts[0]] = valence
     return SentimentLexicon(valences)
@@ -409,4 +409,4 @@ def get_provider(spec: str) -> EmbeddingProvider:
         return HashedTrigramProvider()
     if spec.startswith("file:"):
         return ExternalVectorProvider(spec[len("file:"):])
-    raise ValueError(f"unknown embedding provider {spec!r}")
+    raise InvalidConfigError("embedding_provider", f"unknown provider {spec!r}")

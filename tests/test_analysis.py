@@ -18,7 +18,7 @@ from banevasion.analysis import (
 from banevasion.corpus import DAY_SECONDS, SynthConfig, generate_synthetic
 from banevasion.errors import (
     InsufficientSamplesError,
-    LengthMismatchError,
+    MismatchError,
     MissingBanTimeError,
     ZeroVarianceError,
 )
@@ -160,7 +160,7 @@ class TestPearson:
         assert pearson([-v for v in x], y) == pytest.approx(-base)
 
     def test_errors(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(MismatchError, match="lengths differ: 2 vs 1"):
             pearson([1.0, 2.0], [1.0])
         with pytest.raises(ZeroVarianceError):
             pearson([1.0, 1.0], [1.0, 2.0])

@@ -179,6 +179,20 @@ class TestUsageErrors:
         assert main([command, *args, "--config", str(config)]) == 1
         assert f"error: stage '{command}' failed: {config}:1: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, required", [
+        ("ingest", []),
+        ("extract-pairs", ["--out-dir", "out"]),
+        ("featurize", ["--task", "1", "--samples", "s.tsv", "--out", "f.tsv"]),
+        ("train", ["--features", "f.tsv", "--out", "m.json"]),
+        ("rank", ["--out-dir", "out"]),
+        ("analyze", ["--out-dir", "out"]),
+    ])
+    def test_seed_refused_where_nothing_reads_it(self, capsys, command, required):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *required, "--seed", "7"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+
     def test_rank_rfe_flag_removed(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["rank", "--out-dir", str(tmp_path), "--rfe"])
@@ -569,6 +583,30 @@ class TestReproduce:
         trees = {name: tree_digest(tmp_path / name) for name in ("default", "flag", "env", "cfg")}
         assert trees["flag"] == trees["env"] == trees["cfg"] != trees["default"]
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--outlier-days", "-5"], "invalid config field 'outlier_days'"),
+            (["--window-days", "-1"], "invalid config field 'window_days'"),
+            (["--max-candidates", "0"], "invalid config field 'max_candidates'"),
+            (["--cap", "0"], "invalid config field 'cap'"),
+            (["--k-edits", "0"], "invalid config field 'k_edits'"),
+            (["--train-fraction", "1"], "invalid config field 'train_fraction'"),
+            (["--l2", "nan"], "invalid config field 'l2_lambda'"),
+            (["--embedding-provider", "bogus"], "invalid config field 'embedding_provider'"),
+            (["--lexicon", "{missing}"], "{missing}"),
+        ],
+        ids=["outlier_days", "window_days", "max_candidates", "cap", "k_edits",
+             "train_fraction", "l2", "embedding_provider", "lexicon"],
+    )
+    def test_bad_option_rejected_before_any_output(self, tmp_path, capsys, flags, named):
+        missing = str(tmp_path / "missing.txt")
+        out = tmp_path / "out"
+        flags = [f.format(missing=missing) for f in flags]
+        assert main(["reproduce", "--groups", "12", *flags, "--out-dir", str(out)]) == 1
+        assert named.format(missing=missing) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_reproduce_builds_each_digest_once(self, tmp_path, monkeypatch):
         built = Counter()
         real = features_mod.account_digest
@@ -601,9 +639,9 @@ class TestReproduce:
         assert main(["reproduce", "--out-dir", str(run), *args]) == 0
         names = ("accounts", "revisions", "records")
         flags = [f for n in names for f in (f"--{n}", str(run / "corpus" / f"{n}.jsonl"))]
-        flags += ["--seed", "7"]
         for task in ("1", "2", "3"):
-            assert main(["evaluate", *flags, "--task", task, "--out-dir", str(stages)]) == 0
+            assert main(["evaluate", *flags, "--task", task, "--out-dir", str(stages),
+                         "--seed", "7"]) == 0
         assert main(["rank", *flags, "--out-dir", str(stages)]) == 0
         assert main(["analyze", *flags, "--out-dir", str(stages / "reports")]) == 0
 

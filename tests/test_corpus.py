@@ -21,12 +21,7 @@ from banevasion.corpus import (
     save_corpus,
     save_pairs,
 )
-from banevasion.errors import (
-    DuplicateIdError,
-    InvalidConfigError,
-    RecordParseError,
-    ReferentialIntegrityError,
-)
+from banevasion.errors import InvalidConfigError, RecordParseError, ReferentialIntegrityError
 from banevasion.pairing import extract_evasion_pairs, first_pair_per_group, merge_groups
 
 from conftest import account, corpus_of, record, revision
@@ -96,7 +91,7 @@ class TestLoadCorpus:
                 {"account_id": "1", "username": "v", "creation_time": 1},
             ],
         )
-        with pytest.raises(DuplicateIdError):
+        with pytest.raises(RecordParseError, match="duplicate account id '1'"):
             load_corpus(*paths)
 
     def test_bad_json_reports_line(self, tmp_path):
@@ -200,7 +195,7 @@ CORRUPTIONS = {
     "ban_at_creation": ("a", with_changes(NEW_ACCOUNT, ban_time=5),
                         RecordParseError, "ban_time must be after creation_time"),
     "duplicate_id": ("a", with_changes(NEW_ACCOUNT, account_id="1"),
-                     DuplicateIdError, "duplicate account id '1'"),
+                     RecordParseError, "duplicate account id '1'"),
     "revision_owner_null": ("r", with_changes(GOOD_REVISION, account_id=None),
                             RecordParseError, "field 'account_id' must be a string"),
     "revision_missing_page": ("r", with_changes(GOOD_REVISION, page_id=...),

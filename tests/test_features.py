@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from banevasion.corpus import SynthConfig, generate_synthetic
-from banevasion.errors import MissingParentBanError, RecordParseError
+from banevasion.errors import MissingBanTimeError, RecordParseError
 from banevasion.features import (
     Digests,
     FeatureConfig,
@@ -150,7 +150,7 @@ class TestPairFeatures:
 
     def test_parent_must_be_banned(self):
         digests = Digests(corpus_of([account("p", 0), account("c", 10)]))
-        with pytest.raises(MissingParentBanError):
+        with pytest.raises(MissingBanTimeError, match="account 'p' has no ban time"):
             pair_vectors(digests, [("p", "c")])
 
     def test_k_limit_uses_first_edits_only(self):

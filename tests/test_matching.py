@@ -6,7 +6,6 @@ import pytest
 
 from banevasion.corpus import DAY_SECONDS, WEEK_SECONDS
 from banevasion.errors import (
-    InvalidCapError,
     InvalidConfigError,
     MissingBanTimeError,
     RecordParseError,
@@ -156,8 +155,9 @@ class TestMatchTask2:
 
     def test_invalid_cap(self):
         corpus, pair = pair_fixture()
-        with pytest.raises(InvalidCapError):
+        with pytest.raises(InvalidConfigError, match="'cap': must be >= 1") as err:
             match_task2([pair], [], corpus, cap=0)
+        assert err.value.field == "cap"
 
     def test_window_inclusive(self):
         corpus, pair = pair_fixture(n_benign=1, benign_offset=DAY_SECONDS)

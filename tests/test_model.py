@@ -5,11 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from banevasion.errors import (
-    FeatureNameMismatchError,
-    NonFiniteFeatureError,
-    SingleClassInputError,
-)
+from banevasion.errors import MismatchError, NonFiniteFeatureError, SingleClassInputError
 from banevasion.model import (
     LogisticModel,
     StandardizationStats,
@@ -277,7 +273,7 @@ class TestPredict:
 
     def test_name_mismatch(self):
         model = self.make_model([1.0], 0.0)
-        with pytest.raises(FeatureNameMismatchError):
+        with pytest.raises(MismatchError, match="expected"):
             model.predict_proba_matrix(np.array([[1.0]]), ("wrong",))
 
 

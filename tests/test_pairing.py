@@ -5,7 +5,7 @@ from collections import defaultdict
 
 import pytest
 
-from banevasion.errors import AccountNeverBannedError, AccountNotInGroupError
+from banevasion.errors import AccountNotInGroupError, MissingBanTimeError
 from banevasion.pairing import (
     EvasionPair,
     UnionFind,
@@ -217,7 +217,7 @@ class TestTemporalNeighbors:
 
     def test_successor_requires_ban(self):
         c = self.corpus.account("C")
-        with pytest.raises(AccountNeverBannedError):
+        with pytest.raises(MissingBanTimeError, match="account 'C' has no ban time"):
             temporal_successor(c, self.group, self.corpus)
 
 

@@ -7,13 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from banevasion.errors import (
-    BanEvasionError,
-    CategoryMismatchError,
-    DimensionMismatchError,
-    EmptyInputError,
-    LexiconParseError,
-)
+from banevasion.errors import BanEvasionError, EmptyInputError, MismatchError, RecordParseError
 from banevasion.textstats import (
     ExternalVectorProvider,
     _fnv1a64,
@@ -188,11 +182,11 @@ class TestLiwcProfile:
         assert lex.categories_of("damn") == {"swear"}
 
     def test_wildcard_must_be_final(self):
-        with pytest.raises(LexiconParseError):
+        with pytest.raises(RecordParseError, match="wildcard only allowed in final position"):
             Lexicon({"bad": ("ta*lk",)})
 
     def test_entries_must_be_lowercase(self):
-        with pytest.raises(LexiconParseError):
+        with pytest.raises(RecordParseError, match="entry 'Damn' must be lowercase"):
             Lexicon({"bad": ("Damn",)})
 
     @given(
@@ -228,7 +222,7 @@ class TestProfileDiff:
         assert profile_abs_diff({"a": 0.3, "b": 0.5}, {"a": 0.1, "b": 0.5}) == pytest.approx(0.1)
 
     def test_category_mismatch(self):
-        with pytest.raises(CategoryMismatchError):
+        with pytest.raises(MismatchError, match="profiles cover different categories"):
             profile_abs_diff({"a": 0.1}, {"b": 0.1})
 
     @given(
@@ -339,7 +333,7 @@ class TestCosine:
         assert cosine([0.0, 0.0], [1.0, 1.0]) == 0.0
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(MismatchError, match="vector shapes differ"):
             cosine([1.0], [1.0, 2.0])
 
     @given(
@@ -370,7 +364,7 @@ class TestSentiment:
         assert sentiment(["good", "bad"], lex) == pytest.approx(0.2)
 
     def test_valence_range_enforced(self):
-        with pytest.raises(LexiconParseError):
+        with pytest.raises(RecordParseError, match="valence for 'off' outside"):
             SentimentLexicon({"off": 1.5})
 
 
@@ -404,7 +398,7 @@ class TestLexiconFiles:
     def test_lexicon_parse_errors(self, tmp_path):
         path = tmp_path / "broken.txt"
         path.write_text("%\n1\tswear\n%\ndamn\t9\n", encoding="utf-8")
-        with pytest.raises(LexiconParseError):
+        with pytest.raises(RecordParseError, match="unknown category id '9'"):
             load_lexicon(path)
 
 
@@ -438,7 +432,7 @@ def test_lexicon_rule_error_names_file_and_line(tmp_path, name):
     load, text, line, fragment = LEXICON_RULE_BREAKS[name]
     path = tmp_path / "lexicon.txt"
     path.write_text(text, encoding="utf-8")
-    with pytest.raises(LexiconParseError) as err:
+    with pytest.raises(RecordParseError) as err:
         load(path)
     assert (err.value.path, err.value.line_number) == (str(path), line)
     assert str(err.value) == f"{path}:{line}: {fragment}"
