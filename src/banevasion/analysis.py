@@ -1,5 +1,13 @@
-"""Characterization statistics: two-sample tests, correlations, success
-categorization, and the full descriptive report.
+"""Characterization statistics: two-sample tests, correlations, and the
+full descriptive report.
+
+The report's Welch tests come in five contrast families: activity (4 tests,
+parents vs. control accounts), username distance (1, pairs vs. matched
+pairs), overlaps (6), psycholinguistic change (one per lexicon category,
+child vs. parent) and success (2 plus one per category, successful vs.
+unsuccessful pairs, by ``pairing.classify_success``). Every family but
+activity is built by ``_contrast``. The inter-account gap is the pair
+vectors' ``inter_account_seconds`` column.
 
 Student-t p-values come from the regularized incomplete beta function,
 evaluated with a Lentz continued fraction in double precision. Two-sided
@@ -12,9 +20,9 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .corpus import Corpus, DAY_SECONDS
+from .corpus import DAY_SECONDS
 from .errors import (
     InsufficientSamplesError,
     InvalidConfigError,
@@ -24,6 +32,7 @@ from .errors import (
 )
 from .features import Digests, pair_vectors
 from .matching import NEGATIVE
+from .pairing import classify_success
 from .textstats import normalized_levenshtein
 
 _BETACF_MAX_ITER = 300
@@ -156,53 +165,6 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     return sxy / math.sqrt(sxx * syy)
 
 
-def classify_success(pairs: Iterable, corpus: Corpus) -> dict[tuple[str, str], str]:
-    """Label each pair successful iff the child outlived the parent.
-
-    Both accounts must be banned; equal durations count as unsuccessful.
-    """
-    verdicts = {}
-    for pair in pairs:
-        parent = corpus.account(pair.parent_id)
-        child = corpus.account(pair.child_id)
-        if parent.ban_time is None:
-            raise MissingBanTimeError(parent.account_id)
-        if child.ban_time is None:
-            raise MissingBanTimeError(child.account_id)
-        verdicts[(pair.parent_id, pair.child_id)] = (
-            "successful" if child.duration_seconds > parent.duration_seconds else "unsuccessful"
-        )
-    return verdicts
-
-
-def inter_account_durations(
-    pairs: Sequence,
-    corpus: Corpus,
-    outlier_days: float = DEFAULT_OUTLIER_DAYS,
-) -> list[float]:
-    """Child-creation minus parent-ban gaps, outliers dropped, min-max
-    normalized to [0, 1] (all zero when the kept values are equal)."""
-    gaps = [
-        float(corpus.account(p.child_id).creation_time - corpus.account(p.parent_id).ban_time)
-        for p in pairs
-    ]
-    return _normalized_gaps(gaps, outlier_days)[1]
-
-
-def _normalized_gaps(gaps: Sequence[float], outlier_days: float):
-    """The indices of the gaps of at most ``outlier_days``, and those gaps
-    min-max normalized to [0, 1] (all zero when they are equal)."""
-    threshold = outlier_days * DAY_SECONDS
-    kept_idx = [i for i, gap in enumerate(gaps) if gap <= threshold]
-    kept = [gaps[i] for i in kept_idx]
-    if not kept:
-        return kept_idx, []
-    lo, hi = min(kept), max(kept)
-    if hi == lo:
-        return kept_idx, [0.0 for _ in kept]
-    return kept_idx, [(v - lo) / (hi - lo) for v in kept]
-
-
 # ---------------------------------------------------------------------------
 # full characterization report
 
@@ -218,6 +180,17 @@ def _safe_welch(a: Sequence[float], b: Sequence[float]):
         "p": r.p_value,
         "cohens_d": r.cohens_d,
     }
+
+
+def _contrast(
+    a: Sequence[float], b: Sequence[float], name_a: str, name_b: str, summary: Callable
+) -> dict:
+    """``summary`` of each sample under its name, and their Welch test (a vs. b)."""
+    return {name_a: summary(a), name_b: summary(b), "test": _safe_welch(a, b)}
+
+
+def _mean(values: Sequence[float]):
+    return sum(values) / len(values) if values else None
 
 
 def _safe_pearson(x: Sequence[float], y: Sequence[float]):
@@ -297,12 +270,14 @@ def characterize(
     )
     parent_activity = _activity_stats(digests, parent_ids)
     control_activity = _activity_stats(digests, control_ids)
+    pair_keys = [(p.parent_id, p.child_id) for p in pairs]
+    control_keys = [(s.parent_id, s.other_id) for s in pair_samples if s.label == NEGATIVE]
 
     report: dict = {
         "counts": {
             "pairs": len(pairs),
             "control_accounts": len(control_ids),
-            "control_pairs": sum(1 for s in pair_samples if s.label == NEGATIVE),
+            "control_pairs": len(control_keys),
         },
         "activity": {
             "parent_medians": _median_block(parent_activity),
@@ -315,107 +290,88 @@ def characterize(
     }
 
     # Username similarity for evasion pairs vs. matched pairs.
-    pair_distance = [
-        normalized_levenshtein(
-            corpus.account(p.parent_id).username, corpus.account(p.child_id).username
-        )
-        for p in pairs
-    ]
-    control_distance = [
-        normalized_levenshtein(
-            corpus.account(s.parent_id).username, corpus.account(s.other_id).username
-        )
-        for s in pair_samples
-        if s.label == NEGATIVE
-    ]
-    report["username_distance"] = {
-        "pairs": _mean_ci(pair_distance),
-        "controls": _mean_ci(control_distance),
-        "test": _safe_welch(pair_distance, control_distance),
-    }
+    pair_distance, control_distance = (
+        [
+            normalized_levenshtein(corpus.account(a).username, corpus.account(b).username)
+            for a, b in keys
+        ]
+        for keys in (pair_keys, control_keys)
+    )
+    report["username_distance"] = _contrast(
+        pair_distance, control_distance, "pairs", "controls", _mean_ci
+    )
 
     # Overlap and similarity contrasts.
-    pair_keys = [(p.parent_id, p.child_id) for p in pairs]
-    control_keys = [(s.parent_id, s.other_id) for s in pair_samples if s.label == NEGATIVE]
     names, X = pair_vectors(digests, pair_keys + control_keys, child_ban=False)
     columns = dict(zip(names, X.T.tolist()))
     page_jaccard = columns["page_jaccard"][: len(pairs)]
-    overlaps = {}
-    for key in _OVERLAP_KEYS:
-        pair_values = columns[key][: len(pairs)]
-        control_values = columns[key][len(pairs) :]
-        overlaps[key] = {
-            "pairs": _mean_ci(pair_values),
-            "controls": _mean_ci(control_values),
-            "test": _safe_welch(pair_values, control_values),
-        }
-    report["overlaps"] = overlaps
+    report["overlaps"] = {
+        key: _contrast(
+            columns[key][: len(pairs)], columns[key][len(pairs) :], "pairs", "controls", _mean_ci
+        )
+        for key in _OVERLAP_KEYS
+    }
 
     # Per-category psycholinguistic change from parent to child.
     parent_profiles = [digests.of(p.parent_id).profile for p in pairs]
     child_profiles = [digests.of(p.child_id).profile for p in pairs]
-    categories = {}
-    for category in lexicon.categories:
-        parent_values = [prof[category] for prof in parent_profiles]
-        child_values = [prof[category] for prof in child_profiles]
-        categories[category] = {
-            "parent_mean": sum(parent_values) / len(parent_values) if parent_values else None,
-            "child_mean": sum(child_values) / len(child_values) if child_values else None,
-            "test": _safe_welch(child_values, parent_values),
-        }
-    report["psycholinguistic_change"] = categories
+    report["psycholinguistic_change"] = {
+        category: _contrast(
+            [prof[category] for prof in child_profiles],
+            [prof[category] for prof in parent_profiles],
+            "child_mean", "parent_mean", _mean,
+        )
+        for category in lexicon.categories
+    }
 
     # Success vs. unsuccessful contrasts.
     try:
-        verdicts = classify_success(pairs, corpus)
+        successful = classify_success(pairs, corpus)
     except MissingBanTimeError:
-        verdicts = None
-    if verdicts is not None and pairs:
-        successful = [verdicts[(p.parent_id, p.child_id)] == "successful" for p in pairs]
-        successful_idx = [i for i, ok in enumerate(successful) if ok]
-        unsuccessful_idx = [i for i, ok in enumerate(successful) if not ok]
-        contrasts = {}
+        successful = None
+    if successful is not None and pairs:
+        n_successful = sum(successful)
 
-        def contrast(name: str, values: list[float]):
-            succ = [values[i] for i in successful_idx]
-            unsucc = [values[i] for i in unsuccessful_idx]
-            contrasts[name] = {
-                "successful_mean": sum(succ) / len(succ) if succ else None,
-                "unsuccessful_mean": sum(unsucc) / len(unsucc) if unsucc else None,
-                "test": _safe_welch(succ, unsucc),
-            }
+        def contrast(values: list[float]) -> dict:
+            succ = [v for v, ok in zip(values, successful) if ok]
+            unsucc = [v for v, ok in zip(values, successful) if not ok]
+            return _contrast(succ, unsucc, "successful_mean", "unsuccessful_mean", _mean)
 
-        contrast("username_distance", pair_distance)
-        contrast("page_jaccard", page_jaccard)
+        contrasts = {
+            "username_distance": contrast(pair_distance),
+            "page_jaccard": contrast(page_jaccard),
+        }
         for category in lexicon.categories:
             deltas = [
-                child_profiles[i][category] - parent_profiles[i][category]
-                for i in range(len(pairs))
+                child[category] - parent[category]
+                for child, parent in zip(child_profiles, parent_profiles)
             ]
-            contrast(f"delta_{category}", deltas)
+            contrasts[f"delta_{category}"] = contrast(deltas)
         report["success"] = {
-            "successful": len(successful_idx),
-            "unsuccessful": len(unsuccessful_idx),
-            "successful_share": len(successful_idx) / len(pairs),
+            "successful": n_successful,
+            "unsuccessful": len(pairs) - n_successful,
+            "successful_share": n_successful / len(pairs),
             "contrasts": contrasts,
         }
     else:
         report["success"] = None
 
-    # Inter-account durations and their correlates.
+    # Inter-account gaps (the pair vectors' parent-ban -> child-creation
+    # column), those of at most ``outlier_days`` kept and min-max normalized
+    # to [0, 1] (all zero when they are equal), and their correlates.
     raw_gaps = columns["inter_account_seconds"][: len(pairs)]
-    kept_idx, normalized = _normalized_gaps(raw_gaps, outlier_days)
+    kept_idx = [i for i, gap in enumerate(raw_gaps) if gap <= outlier_days * DAY_SECONDS]
     kept = [raw_gaps[i] for i in kept_idx]
+    lo, hi = (min(kept), max(kept)) if kept else (0.0, 0.0)
+    normalized = [(v - lo) / (hi - lo) if hi > lo else 0.0 for v in kept]
+    kept_distance = [pair_distance[i] for i in kept_idx]
+    kept_jaccard = [page_jaccard[i] for i in kept_idx]
     report["inter_account"] = {
         "median_seconds": statistics.median(raw_gaps) if raw_gaps else None,
         "std_seconds": statistics.stdev(raw_gaps) if len(raw_gaps) >= 2 else None,
         "kept_after_outlier_filter": len(kept),
-        "corr_vs_username_distance": _safe_pearson(
-            kept, [pair_distance[i] for i in kept_idx]
-        ),
-        "corr_vs_page_jaccard": _safe_pearson(
-            kept, [page_jaccard[i] for i in kept_idx]
-        ),
+        "corr_vs_username_distance": _safe_pearson(kept, kept_distance),
+        "corr_vs_page_jaccard": _safe_pearson(kept, kept_jaccard),
     }
 
     # Plot-ready tables.
@@ -423,26 +379,18 @@ def characterize(
         ["parent", v] for v in parent_activity["duration_seconds"]
     ] + [["control", v] for v in control_activity["duration_seconds"]]
     report["tables"] = {
-        "account_durations": {
-            "columns": ["class", "duration_seconds"],
-            "rows": duration_rows,
-        },
+        "account_durations": {"columns": ["class", "duration_seconds"], "rows": duration_rows},
         "inter_account_durations": {
             "columns": ["seconds", "normalized"],
-            "rows": [[kept[i], normalized[i]] for i in range(len(kept))],
+            "rows": [list(row) for row in zip(kept, normalized)],
         },
         "username_distance_vs_gap": {
             "columns": ["normalized_gap", "username_distance"],
-            "rows": [
-                [normalized[j], pair_distance[i]] for j, i in enumerate(kept_idx)
-            ],
+            "rows": [list(row) for row in zip(normalized, kept_distance)],
         },
         "page_overlap_vs_gap": {
             "columns": ["normalized_gap", "page_jaccard"],
-            "rows": [
-                [normalized[j], page_jaccard[i]]
-                for j, i in enumerate(kept_idx)
-            ],
+            "rows": [list(row) for row in zip(normalized, kept_jaccard)],
         },
     }
     return report

@@ -8,7 +8,9 @@ the command runs: explicit flag > environment variable (``BANEVASION_<NAME>``)
 > config file (flat ``key = value`` lines via --config; a key no command
 reads is rejected), cast by the flag's own type. A bad value names its
 variable or ``file:line``. An option nothing sets stays ``None`` and is not
-passed on, so the library's own default holds. All outputs are
+passed on, so the library's own default holds. Each command builds the
+library inputs of its options, checking each value, before it opens an input
+file; an option its task ignores is checked too. All outputs are
 byte-identical given identical inputs, seeds and BLAS thread count (OpenBLAS
 orders the model layer's sums by thread count at some shapes); nothing embeds
 wall-clock time. The feature, text, model, evaluation and analysis layers are
@@ -42,7 +44,7 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
-    from .features import Digests, FeatureConfig
+    from .features import FeatureConfig
     from .model import TrainConfig
 
 log = logging.getLogger("banevasion")
@@ -300,25 +302,27 @@ def _feature_config(opts) -> FeatureConfig:
     return FeatureConfig(**{k: loaders[k](v) for k, v in given.items()})
 
 
-def _digests(opts, corpus) -> Digests:
-    """The command's one digest store, over the lexicons and provider of ``opts``."""
-    from .features import Digests
-
-    return Digests(corpus, _feature_config(opts))
-
-
 def _train_config(opts) -> TrainConfig:
     from .model import TrainConfig
 
     return TrainConfig(**_given(opts, l2_lambda="l2", max_epochs="max_epochs"))
 
 
-def _harness_options(opts, **params: str) -> dict:
-    """The ``train_config``, and where set the ``split`` and the options
-    ``params`` names, of a task or ranking run."""
+def _counts(opts, *names: str) -> dict:
+    """``{name: value}`` of each count option ``names`` lists that ``opts``
+    sets, each checked to be >= 1."""
+    given = _given(opts, **{name: name for name in names})
+    matching_mod.check_counts(**given)
+    return given
+
+
+def _harness_options(opts, *counts: str, **params: str) -> dict:
+    """The ``train_config``, and where set the ``split``, the checked
+    ``counts`` and the options ``params`` names, of a task or ranking run."""
     from .evaluation import SplitSpec
 
-    given = {"train_config": _train_config(opts), **_given(opts, **params)}
+    given = {"train_config": _train_config(opts), **_counts(opts, *counts),
+             **_given(opts, **params)}
     if opts.train_fraction is not None:
         given["split"] = SplitSpec(opts.train_fraction)
     return given
@@ -331,13 +335,23 @@ def _load_corpus(opts):
 
 
 def _match_options(opts) -> dict:
-    """``Task.match``'s window, cap and seed, where ``opts`` sets them."""
-    given = _given(opts, cap="cap", seed="seed")
+    """``Task.match``'s window, cap and seed, where ``opts`` sets them, checked."""
+    given = {**_counts(opts, "cap"), **_given(opts, seed="seed")}
     days = opts.window_days
     if days is not None:
         if not 0 <= days < math.inf:
             raise InvalidConfigError("window_days", "must be finite and >= 0")
         given["window_seconds"] = int(days * corpus_mod.DAY_SECONDS)
+    return given
+
+
+def _analysis_options(opts) -> dict:
+    """``characterize``'s ``outlier_days``, where ``opts`` sets it, checked."""
+    from .analysis import check_outlier_days
+
+    given = _given(opts, outlier_days="outlier_days")
+    if given:
+        check_outlier_days(**given)
     return given
 
 
@@ -410,16 +424,7 @@ def cmd_extract_pairs(opts) -> int:
     groups, all_pairs, first_pairs = _extract(corpus)
     out_dir = Path(opts.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "groups.jsonl", "w", encoding="utf-8") as fh:
-        for g in groups:
-            fh.write(json.dumps(
-                {
-                    "group_id": g.group_id,
-                    "master_id": g.master_id,
-                    "member_ids": sorted(g.member_ids),
-                },
-                sort_keys=True, separators=(",", ":"),
-            ) + "\n")
+    corpus_mod.save_groups(groups, out_dir / "groups.jsonl")
     corpus_mod.save_pairs(all_pairs, out_dir / "all_pairs.jsonl")
     keep = all_pairs if opts.all_rounds else first_pairs
     corpus_mod.save_pairs(keep, out_dir / "evasion_pairs.jsonl")
@@ -431,17 +436,20 @@ def cmd_extract_pairs(opts) -> int:
 
 def cmd_match(opts) -> int:
     task = matching_mod.TASKS[opts.task]
+    match_options = _match_options(opts)
     corpus = _load_corpus(opts)
-    samples = task.match(corpus, *_pairs_from_file_or_corpus(opts, corpus), **_match_options(opts))
+    samples = task.match(corpus, *_pairs_from_file_or_corpus(opts, corpus), **match_options)
     matching_mod.write_samples(samples, opts.out)
     print(f"wrote {len(samples)} samples -> {opts.out}")
     return 0
 
 
 def cmd_featurize(opts) -> int:
-    from .features import write_feature_matrix
+    from .features import Digests, write_feature_matrix
 
     task = matching_mod.TASKS[opts.task]
+    features = _feature_config(opts)
+    vector_options = _counts(opts, "k_edits")
     corpus = _load_corpus(opts)
     path = opts.samples
     samples = matching_mod.read_samples(path)
@@ -454,7 +462,7 @@ def cmd_featurize(opts) -> int:
         for account_id, role in ((s.parent_id, "sample parent"), (s.other_id, "sample other")):
             if account_id not in corpus.accounts_by_id:
                 raise ReferentialIntegrityError(account_id, role, path, lineno)
-    names, X = task.vectors(samples, _digests(opts, corpus), **_given(opts, k_edits="k_edits"))
+    names, X = task.vectors(samples, Digests(corpus, features), **vector_options)
     ids = [f"{s.parent_id}|{s.other_id}" for s in samples]
     labels = [s.label for s in samples]
     write_feature_matrix(opts.out, ids, labels, names, X)
@@ -466,8 +474,8 @@ def cmd_train(opts) -> int:
     from .features import read_feature_matrix
     from .model import rfe, save_model, train
 
-    _, labels, names, X = read_feature_matrix(opts.features)
     config = _train_config(opts)
+    _, labels, names, X = read_feature_matrix(opts.features)
     if opts.rfe:
         selected, fitted, _ = rfe(X, labels, config, feature_names=names)
         log.info("rfe selected %d/%d features", len(selected), len(names))
@@ -480,13 +488,16 @@ def cmd_train(opts) -> int:
 
 def cmd_evaluate(opts) -> int:
     from .evaluation import run_task, write_report
+    from .features import Digests
     from .model import save_model
 
     task = matching_mod.TASKS[opts.task]
+    match_options = _match_options(opts)
+    task_options = _harness_options(opts, "k_edits", use_rfe="rfe")
+    features = _feature_config(opts)
     corpus = _load_corpus(opts)
-    samples = task.match(corpus, *_pairs_from_file_or_corpus(opts, corpus), **_match_options(opts))
-    result, fitted = run_task(task, samples, _digests(opts, corpus),
-                              **_harness_options(opts, use_rfe="rfe", k_edits="k_edits"))
+    samples = task.match(corpus, *_pairs_from_file_or_corpus(opts, corpus), **match_options)
+    result, fitted = run_task(task, samples, Digests(corpus, features), **task_options)
     out_dir = Path(opts.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     name = f"task{task.number}"
@@ -500,12 +511,14 @@ def cmd_evaluate(opts) -> int:
 
 def cmd_rank(opts) -> int:
     from .evaluation import run_ranking, write_report
+    from .features import Digests
     from .model import save_model
 
+    ranking_options = _harness_options(opts, "max_candidates")
+    features = _feature_config(opts)
     corpus = _load_corpus(opts)
     _, pairs = _pairs_from_file_or_corpus(opts, corpus)
-    result, fitted = run_ranking(_digests(opts, corpus), pairs,
-                                 **_harness_options(opts, max_candidates="max_candidates"))
+    result, fitted = run_ranking(Digests(corpus, features), pairs, **ranking_options)
     out_dir = Path(opts.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_model(fitted, out_dir / "ranking_model.json")
@@ -517,25 +530,22 @@ def cmd_rank(opts) -> int:
 
 
 def cmd_analyze(opts) -> int:
+    from .analysis import characterize
+    from .features import Digests
+
+    match_options = _match_options(opts)
+    features = _feature_config(opts)
+    analysis_options = _analysis_options(opts)
     corpus = _load_corpus(opts)
     groups, pairs = _pairs_from_file_or_corpus(opts, corpus)
-    options = _match_options(opts)
-    samples = {n: matching_mod.TASKS[n].match(corpus, groups, pairs, **options) for n in "13"}
-    report = _analyze(_digests(opts, corpus), pairs, samples, opts)
+    task1, task3 = (matching_mod.TASKS[n].match(corpus, groups, pairs, **match_options)
+                    for n in "13")
+    report = characterize(Digests(corpus, features), pairs, task1, task3, **analysis_options)
     out_dir = Path(opts.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_analysis(report, out_dir)
     print(f"analysis -> {out_dir}")
     return 0
-
-
-def _analyze(digests: Digests, pairs, samples: dict, opts) -> dict:
-    """The characterization over the task-1 and task-3 ``samples``, keyed by task number."""
-    from .analysis import characterize
-
-    return characterize(
-        digests, pairs, samples["1"], samples["3"], **_given(opts, outlier_days="outlier_days")
-    )
 
 
 def _write_analysis(report: dict, out_dir: Path) -> None:
@@ -560,7 +570,7 @@ def _write_analysis(report: dict, out_dir: Path) -> None:
 
 
 def cmd_reproduce(opts) -> int:
-    from .analysis import check_outlier_days
+    from .analysis import characterize
     from .evaluation import run_ranking, run_task, write_report
     from .features import Digests
     from .model import save_model
@@ -570,12 +580,9 @@ def cmd_reproduce(opts) -> int:
     synth = _synth_config(opts)
     features = _feature_config(opts)
     match_options = _match_options(opts)
-    task_options = _harness_options(opts, use_rfe="rfe", k_edits="k_edits")
-    ranking_options = _harness_options(opts, max_candidates="max_candidates")
-    matching_mod.check_counts(**_given(opts, cap="cap", k_edits="k_edits",
-                                       max_candidates="max_candidates"))
-    if opts.outlier_days is not None:
-        check_outlier_days(opts.outlier_days)
+    task_options = _harness_options(opts, "k_edits", use_rfe="rfe")
+    ranking_options = _harness_options(opts, "max_candidates")
+    analysis_options = _analysis_options(opts)
 
     with _stage("generate"):
         corpus = _generate(synth, out_dir / "corpus").corpus
@@ -621,7 +628,8 @@ def cmd_reproduce(opts) -> int:
         report["ranking"] = ranking.to_dict()
 
     with _stage("analyze"):
-        analysis_report = _analyze(digests, pairs, samples, opts)
+        analysis_report = characterize(digests, pairs, samples["1"], samples["3"],
+                                       **analysis_options)
         reports_dir = out_dir / "reports"
         reports_dir.mkdir(parents=True, exist_ok=True)
         _write_analysis(analysis_report, reports_dir)

@@ -369,6 +369,17 @@ def save_pairs(pairs, path: str | Path) -> None:
             fh.write(_encode(obj) + "\n")
 
 
+def save_groups(groups, path: str | Path) -> None:
+    """Write each merged group's id, master and sorted member ids, one object per line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for g in groups:
+            fh.write(_encode({
+                "group_id": g.group_id,
+                "master_id": g.master_id,
+                "member_ids": sorted(g.member_ids),
+            }) + "\n")
+
+
 def load_pairs(
     path: str | Path, corpus: Corpus | None = None
 ) -> list[tuple[str, str, int | None]]:

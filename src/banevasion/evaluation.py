@@ -34,7 +34,6 @@ from typing import Sequence
 import numpy as np
 
 from ._metrics import FragmentedAuc, fragmented_auc, mrr, recall_at_k, roc_auc
-from .analysis import classify_success
 from .corpus import Corpus
 from .errors import EmptyInputError, InvalidConfigError
 from .features import Digests, pair_vectors
@@ -51,7 +50,7 @@ from .matching import (
     check_counts,
 )
 from .model import LogisticModel, TrainConfig, rfe, train
-from .pairing import EvasionPair
+from .pairing import EvasionPair, classify_success
 
 __all__ = [
     "SplitSpec",
@@ -206,9 +205,7 @@ def run_task(
         test_pairs = [
             EvasionPair(s.parent_id, s.other_id, -1) for s in test_ordered if s.label == POSITIVE
         ]
-        verdicts = classify_success(test_pairs, corpus)
-        flags = [verdicts[(p.parent_id, p.child_id)] == "successful" for p in test_pairs]
-        fragmented = fragmented_auc(scores, y_test, flags)
+        fragmented = fragmented_auc(scores, y_test, classify_success(test_pairs, corpus))
 
     result = TaskResult(
         task=label,

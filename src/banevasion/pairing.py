@@ -5,7 +5,8 @@ ban most closely precedes the account's creation; its *temporal successor*
 is the member created earliest after the account's ban. A (parent, child)
 pair is emitted only when both directions agree, which makes the mapping
 one-to-one. Timestamp ties break toward the lexicographically smaller
-account id so results are independent of input order.
+account id so results are independent of input order. A pair's evasion
+succeeded when the child outlived the parent (``classify_success``).
 """
 
 from __future__ import annotations
@@ -169,14 +170,26 @@ def first_pair_per_group(
     pairs: Iterable[EvasionPair], corpus: Corpus
 ) -> list[EvasionPair]:
     """Keep only the pair with the earliest-created parent in each group."""
-    best: dict[int, EvasionPair] = {}
+    first: dict[int, EvasionPair] = {}
+    by_parent = sorted(
+        pairs, key=lambda p: (corpus.account(p.parent_id).creation_time, p.parent_id)
+    )
+    for pair in by_parent:
+        first.setdefault(pair.group_id, pair)
+    return [first[g] for g in sorted(first)]
+
+
+def classify_success(pairs: Iterable[EvasionPair], corpus: Corpus) -> list[bool]:
+    """Per pair, whether the child outlived the parent (a tie is False).
+
+    Both accounts must be banned.
+    """
+    verdicts = []
     for pair in pairs:
-        key = (corpus.account(pair.parent_id).creation_time, pair.parent_id)
-        current = best.get(pair.group_id)
-        if current is None:
-            best[pair.group_id] = pair
-            continue
-        current_key = (corpus.account(current.parent_id).creation_time, current.parent_id)
-        if key < current_key:
-            best[pair.group_id] = pair
-    return [best[g] for g in sorted(best)]
+        parent = corpus.account(pair.parent_id)
+        child = corpus.account(pair.child_id)
+        for member in (parent, child):
+            if member.ban_time is None:
+                raise MissingBanTimeError(member.account_id)
+        verdicts.append(child.duration_seconds > parent.duration_seconds)
+    return verdicts

@@ -8,8 +8,6 @@ from scipy import integrate
 
 from banevasion.analysis import (
     characterize,
-    classify_success,
-    inter_account_durations,
     pearson,
     regularized_incomplete_beta,
     student_t_two_sided_p,
@@ -24,7 +22,13 @@ from banevasion.errors import (
 )
 from banevasion.features import Digests
 from banevasion.matching import NEGATIVE, TASK1, LabeledSample, match_task3, prepare_malicious_pool
-from banevasion.pairing import EvasionPair, extract_evasion_pairs, first_pair_per_group, merge_groups
+from banevasion.pairing import (
+    EvasionPair,
+    classify_success,
+    extract_evasion_pairs,
+    first_pair_per_group,
+    merge_groups,
+)
 from banevasion.textstats import builtin_lexicon
 
 from conftest import account, corpus_of, record, revision
@@ -177,15 +181,15 @@ class TestClassifySuccess:
 
     def test_shorter_child_unsuccessful(self):
         corpus, pair = self.make(18 * DAY_SECONDS, 10 * DAY_SECONDS)
-        assert classify_success([pair], corpus)[("p", "c")] == "unsuccessful"
+        assert classify_success([pair], corpus) == [False]
 
     def test_longer_child_successful(self):
         corpus, pair = self.make(18 * DAY_SECONDS, 20 * DAY_SECONDS)
-        assert classify_success([pair], corpus)[("p", "c")] == "successful"
+        assert classify_success([pair], corpus) == [True]
 
     def test_tie_is_unsuccessful(self):
         corpus, pair = self.make(10 * DAY_SECONDS, 10 * DAY_SECONDS)
-        assert classify_success([pair], corpus)[("p", "c")] == "unsuccessful"
+        assert classify_success([pair], corpus) == [False]
 
     def test_partition_is_complete(self):
         result = generate_synthetic(
@@ -196,7 +200,7 @@ class TestClassifySuccess:
         pairs = first_pair_per_group(extract_evasion_pairs(groups, corpus), corpus)
         verdicts = classify_success(pairs, corpus)
         assert len(verdicts) == len(pairs)
-        assert set(verdicts.values()) <= {"successful", "unsuccessful"}
+        assert all(type(v) is bool for v in verdicts)
 
     def test_missing_ban_rejected(self):
         parent = account("p", 0, ban=100)
@@ -217,17 +221,19 @@ class TestInterAccountDurations:
             pairs.append(EvasionPair(f"p{i}", f"c{i}", i))
         return corpus_of(accounts), pairs
 
+    def normalized(self, gaps_days, **options):
+        corpus, pairs = self.make_pairs(gaps_days)
+        report = characterize(Digests(corpus), pairs, **options)
+        return [n for _, n in report["tables"]["inter_account_durations"]["rows"]]
+
     def test_outlier_dropped_and_normalized(self):
-        corpus, pairs = self.make_pairs([1, 2, 2000])
-        assert inter_account_durations(pairs, corpus, outlier_days=1000) == [0.0, 1.0]
+        assert self.normalized([1, 2, 2000], outlier_days=1000) == [0.0, 1.0]
 
     def test_all_equal_normalize_to_zero(self):
-        corpus, pairs = self.make_pairs([3, 3, 3])
-        assert inter_account_durations(pairs, corpus) == [0.0, 0.0, 0.0]
+        assert self.normalized([3, 3, 3]) == [0.0, 0.0, 0.0]
 
     def test_empty_after_filter(self):
-        corpus, pairs = self.make_pairs([2000, 3000])
-        assert inter_account_durations(pairs, corpus, outlier_days=1000) == []
+        assert self.normalized([2000, 3000], outlier_days=1000) == []
 
     def test_characterize_applies_the_same_rule(self):
         # a gap of exactly outlier_days is kept
@@ -235,7 +241,6 @@ class TestInterAccountDurations:
         report = characterize(Digests(corpus), pairs, outlier_days=1000)
         rows = report["tables"]["inter_account_durations"]["rows"]
         assert rows == [[float(DAY_SECONDS), 0.0], [1000.0 * DAY_SECONDS, 1.0]]
-        assert [n for _, n in rows] == inter_account_durations(pairs, corpus, outlier_days=1000)
         assert report["inter_account"]["kept_after_outlier_filter"] == 2
 
 

@@ -124,6 +124,53 @@ class TestUsageErrors:
     def test_missing_required_inputs(self, tmp_path):
         assert main(["extract-pairs", "--out-dir", str(tmp_path)]) == 1
 
+    @staticmethod
+    def missing_corpus(tmp_path):
+        return [f for n in ("accounts", "revisions", "records")
+                for f in (f"--{n}", str(tmp_path / "missing" / f"{n}.jsonl"))]
+
+    @pytest.mark.parametrize(
+        "command, flags, name",
+        [
+            ("analyze", ["--outlier-days", "-5"], "outlier_days"),
+            ("analyze", ["--window-days", "-1"], "window_days"),
+            ("evaluate", ["--task", "1", "--train-fraction", "1"], "train_fraction"),
+            ("evaluate", ["--task", "1", "--l2", "nan"], "l2"),
+            ("evaluate", ["--task", "2", "--cap", "0"], "cap"),
+            ("rank", ["--max-candidates", "0"], "max_candidates"),
+            ("rank", ["--embedding-provider", "bogus"], "embedding_provider"),
+            ("featurize", ["--task", "2", "--k-edits", "0"], "k_edits"),
+            ("match", ["--task", "2", "--cap", "0"], "cap"),
+            ("match", ["--task", "1", "--window-days", "-1"], "window_days"),
+        ],
+        ids=["analyze-outlier_days", "analyze-window_days", "evaluate-train_fraction",
+             "evaluate-l2", "evaluate-cap", "rank-max_candidates", "rank-embedding_provider",
+             "featurize-k_edits", "match-cap", "match-window_days"],
+    )
+    def test_bad_option_rejected_before_any_input_is_read(
+        self, tmp_path, capsys, command, flags, name
+    ):
+        out = str(tmp_path / "out")
+        outputs = {
+            "match": ["--out", out],
+            "featurize": ["--samples", str(tmp_path / "missing" / "samples.tsv"), "--out", out],
+        }.get(command, ["--out-dir", out])
+        assert main([command, *self.missing_corpus(tmp_path), *flags, *outputs]) == 1
+        err = capsys.readouterr().err
+        assert f"invalid config field '{name}" in err
+        assert "No such file" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_count_from_environment_checked_where_its_task_ignores_it(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("BANEVASION_CAP", "0")
+        out = tmp_path / "out.tsv"
+        flags = [*self.missing_corpus(tmp_path), "--task", "1", "--out", str(out)]
+        assert main(["match", *flags]) == 1
+        assert "invalid config field 'cap': must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_corpus_file_is_pipeline_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("not json\n")
@@ -538,6 +585,20 @@ class TestExtractPairs:
         kept = (out / "evasion_pairs.jsonl").read_bytes()
         assert kept == (out / "all_pairs.jsonl").read_bytes()
         assert kept.count(b"\n") == 2
+
+    def test_non_ascii_ids_written_unescaped(self, tmp_path):
+        corpus = corpus_of(
+            [account("é1", 0, ban=100), account("b", 200, ban=300)], records=[record("é1", "b")]
+        )
+        names = ("accounts", "revisions", "records")
+        corpus_mod.save_corpus(corpus, *(tmp_path / f"{n}.jsonl" for n in names))
+        flags = [f for n in names for f in (f"--{n}", str(tmp_path / f"{n}.jsonl"))]
+        out = tmp_path / "pairs"
+        assert main(["extract-pairs", *flags, "--out-dir", str(out)]) == 0
+        groups = (out / "groups.jsonl").read_text(encoding="utf-8")
+        assert groups == '{"group_id":0,"master_id":"é1","member_ids":["b","é1"]}\n'
+        pairs = (out / "evasion_pairs.jsonl").read_text(encoding="utf-8")
+        assert pairs == '{"child_id":"b","group_id":0,"parent_id":"é1"}\n'
 
     def test_first_pair_only_by_default(self, tmp_path, flags):
         out = tmp_path / "pairs"

@@ -5,13 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from banevasion.analysis import characterize, classify_success
+from banevasion.analysis import characterize
 from banevasion.errors import InvalidConfigError, MismatchError, MissingBanTimeError
 from banevasion.evaluation import SplitSpec, fragmented_auc, recall_at_k, roc_auc, run_ranking
 from banevasion.features import Digests, pair_vectors
 from banevasion.matching import match_task2, match_task3
 from banevasion.model import TrainConfig, rfe
-from banevasion.pairing import EvasionPair, SockpuppetGroup, temporal_successor
+from banevasion.pairing import EvasionPair, SockpuppetGroup, classify_success, temporal_successor
 from banevasion.textstats import get_provider
 
 from conftest import account, corpus_of, record

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -505,3 +509,15 @@ def test_single_pair_split_error_names_task(task):
     samples = t.match(corpus, groups, pairs, t.window_seconds)
     with pytest.raises(EmptyInputError, match=f"^{task}_"):
         run_task(t, samples, Digests(corpus))
+
+
+def test_evaluation_does_not_load_analysis():
+    """The fragmented AUC's success verdicts come from ``pairing``, not the report layer."""
+    src = str(Path(evaluation_mod.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = "import sys, banevasion.evaluation; assert 'banevasion.analysis' not in sys.modules"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -16,6 +16,13 @@ knobs of the benchmark's ``lowsignal-2x-rfe`` workload, and with an
 ``evasion_rate`` below 1, so the concurrent-group branch draws too. Those pins
 were recorded from the generator that drew through ``random.Random.choice``,
 ``randint`` and ``randrange``, before its draws were inlined.
+
+The characterization is pinned too: ``analyze`` over a seeded corpus writes
+``analysis.json`` and one CSV per plot-ready table, and their SHA-256 must
+equal the constants below. Those pins were recorded from the report layer
+that built each contrast family's Welch tests by hand and kept the
+inter-account gap on two paths. No model output reaches these files, so they
+do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ import hashlib
 
 import pytest
 
+from banevasion.cli import main
 from banevasion.corpus import SynthConfig, generate_synthetic, load_corpus, save_corpus, save_pairs
 from banevasion.features import Digests, write_feature_matrix
 from banevasion.matching import TASKS, build_candidate_sets, write_samples
@@ -57,6 +65,23 @@ GENERATOR_SHA256 = {
         "pairs.jsonl": "1268c017424958d0ca9c5119e8887e263ad2bdb41c65a64307d9b6c886971399",
         "records.jsonl": "e6312f6a8160dc87e3adce8b3f1c7958b0e7a4f01c63df525d108d6b43988015",
         "revisions.jsonl": "84d5429e107aaea2a0ddeb28433ed88d0c24b6b80e29ffe04e74265086cdc88c",
+    },
+}
+
+CHARACTERIZATION_SHA256 = {
+    "default": {
+        "analysis.json": "de3ad96af38a3d91ef1c7316e1864a9863fc78e3d26420d1c60b32c0489636b4",
+        "tables/account_durations.csv": "0b4f58aba837e37d84d9d9511af5d083882185a9625e37fd6f740cf00700579d",
+        "tables/inter_account_durations.csv": "8104e3fcb89760b47331983179f152ab40bbe1e7e743991ab4985f902a6e67f0",
+        "tables/page_overlap_vs_gap.csv": "150f1cfa119f32ee2b53eea9a53f363b41cb6a1edfe7111913e6670683733f38",
+        "tables/username_distance_vs_gap.csv": "805aba3aede96eddc1fba9fbddbeaefffd22334d1f06ac2282f81895d969dd30",
+    },
+    "partial_evasion": {
+        "analysis.json": "d9239a2762c48fdd9378c3eb1377f273ae5870db59398a561ade2c67aeff7812",
+        "tables/account_durations.csv": "31e297ac841ffcbb4e5f55a6d79755eeb7ecec5bd3a66a28e5ea772a1a456c05",
+        "tables/inter_account_durations.csv": "8932668447b3f61a5dd2a1a54b4fe55d5f78a708a1aca77c1e486f8167ee38ef",
+        "tables/page_overlap_vs_gap.csv": "43c85d9a51e93d769504f1fc87b74a9822c5a4c51dbaf35a5513034642416e6a",
+        "tables/username_distance_vs_gap.csv": "34f0840e8ef3d047b3699de63714c13059393ebeb5fecba76a03b40b12293cd5",
     },
 }
 
@@ -119,3 +144,19 @@ def test_generator_matches_recorded_bytes(tmp_path, name):
     save_corpus(synth.corpus, *(tmp_path / f for f in files))
     save_pairs(synth.true_pairs, tmp_path / "pairs.jsonl")
     assert sha256s(tmp_path) == GENERATOR_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(CHARACTERIZATION_SHA256))
+def test_characterization_matches_recorded_bytes(tmp_path, name):
+    config = GENERATOR_CONFIGS.get(name, SynthConfig(seed=7))
+    names = ("accounts", "revisions", "records")
+    paths = [tmp_path / f"{n}.jsonl" for n in names]
+    save_corpus(generate_synthetic(config).corpus, *paths)
+    out = tmp_path / "analysis"
+    flags = [f for n, path in zip(names, paths) for f in (f"--{n}", str(path))]
+    assert main(["analyze", *flags, "--out-dir", str(out)]) == 0
+    written = {"analysis.json": (out / "analysis.json").read_bytes()}
+    written.update((f"tables/{p.name}", p.read_bytes()) for p in sorted((out / "tables").iterdir()))
+    assert {k: hashlib.sha256(v).hexdigest() for k, v in written.items()} == (
+        CHARACTERIZATION_SHA256[name]
+    )
