@@ -445,6 +445,7 @@ def cmd_match(opts) -> int:
 
 
 def cmd_featurize(opts) -> int:
+    from .evaluation import temporal_order
     from .features import Digests, write_feature_matrix
 
     task = matching_mod.TASKS[opts.task]
@@ -462,6 +463,7 @@ def cmd_featurize(opts) -> int:
         for account_id, role in ((s.parent_id, "sample parent"), (s.other_id, "sample other")):
             if account_id not in corpus.accounts_by_id:
                 raise ReferentialIntegrityError(account_id, role, path, lineno)
+    samples = temporal_order(samples, corpus)  # ``train --rfe`` holds out the trailing rows
     names, X = task.vectors(samples, Digests(corpus, features), **vector_options)
     ids = [f"{s.parent_id}|{s.other_id}" for s in samples]
     labels = [s.label for s in samples]

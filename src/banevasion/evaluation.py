@@ -18,10 +18,11 @@ One harness, ``run_task``, runs any task on samples its ``Task.match``
 built. It and ``run_ranking`` read the corpus and every vector from the
 run's ``features.Digests`` store.
 
-Splits order positive anchors by parent creation time; each negative
-follows its anchor. Negatives appearing on both sides of the split are
-removed from train and kept in test, and the disjointness is re-asserted
-on every run.
+Splits train on the earliest-created ``train_fraction`` of the positive
+anchors, each negative following its anchor; the ranking splits its pairs'
+parents by the same rule. Negatives on both sides of the split are removed
+from train and kept in test, and the disjointness is re-asserted on every
+run. ``temporal_order`` is the row order of every feature matrix.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ __all__ = [
     "TaskResult",
     "RankingResult",
     "temporal_split",
+    "temporal_order",
     "dedupe_negatives",
     "roc_auc",
     "mrr",
@@ -80,21 +82,33 @@ class SplitSpec:
             raise InvalidConfigError("train_fraction", "must be in (0, 1)")
 
 
+def _split_by_parent(items: Sequence, parent_ids, corpus: Corpus, spec: SplitSpec):
+    """Order the distinct ``parent_ids`` by (creation time, id), train on the
+    earliest ``spec.train_fraction`` of them, and send each item to its
+    ``parent_id``'s side. Returns (ordered parent ids, train, test)."""
+    ordered = sorted(set(parent_ids), key=lambda a: (corpus.account(a).creation_time, a))
+    train_parents = set(ordered[: int(len(ordered) * spec.train_fraction)])
+    train = [x for x in items if x.parent_id in train_parents]
+    return ordered, train, [x for x in items if x.parent_id not in train_parents]
+
+
 def temporal_split(samples: Sequence, corpus: Corpus, spec: SplitSpec):
     """Assign the earliest-created anchors (and their negatives) to train."""
     if not samples:
         raise EmptyInputError("temporal_split needs samples")
-    anchors = sorted(
-        {s.parent_id for s in samples if s.label == POSITIVE},
-        key=lambda a: (corpus.account(a).creation_time, a),
+    anchors, train, test = _split_by_parent(
+        samples, (s.parent_id for s in samples if s.label == POSITIVE), corpus, spec
     )
     if not anchors:
         raise EmptyInputError("temporal_split needs at least one positive")
-    n_train = int(len(anchors) * spec.train_fraction)
-    train_anchors = set(anchors[:n_train])
-    train = [s for s in samples if s.parent_id in train_anchors]
-    test = [s for s in samples if s.parent_id not in train_anchors]
     return train, test
+
+
+def temporal_order(samples: Sequence, corpus: Corpus) -> list:
+    """``samples`` by anchor creation time and id, positive first, then by other id."""
+    def key(s):
+        return corpus.account(s.parent_id).creation_time, s.parent_id, -s.label, s.other_id
+    return sorted(samples, key=key)
 
 
 def dedupe_negatives(train: Sequence, test: Sequence):
@@ -116,12 +130,7 @@ def _assert_no_leakage(train: Sequence, test: Sequence) -> None:
 
 
 def _sample_matrix(task: Task, samples, digests: Digests, k_edits: int):
-    ordered = sorted(
-        samples,
-        key=lambda s: (
-            digests.corpus.account(s.parent_id).creation_time, s.parent_id, -s.label, s.other_id
-        ),
-    )
+    ordered = temporal_order(samples, digests.corpus)
     names, X = task.vectors(ordered, digests, k_edits)
     y = np.array([s.label for s in ordered], dtype=int)
     return ordered, names, X, y
@@ -160,19 +169,6 @@ class TaskResult:
         return doc
 
 
-def _fit(X, y, names, train_config: TrainConfig, use_rfe: bool):
-    if use_rfe:
-        selected, model, _ = rfe(X, y, train_config, feature_names=names)
-        keep = [i for i, n in enumerate(names) if n in selected]
-        return model, selected, keep
-    return train(X, y, train_config, names), None, list(range(len(names)))
-
-
-def _split_boundary(train_samples, corpus: Corpus) -> int:
-    anchors = {s.parent_id for s in train_samples}
-    return max(corpus.account(a).creation_time for a in anchors) if anchors else -1
-
-
 def run_task(
     task: Task,
     samples: Sequence[LabeledSample],
@@ -196,7 +192,11 @@ def run_task(
     train_ordered, names, X_train, y_train = _sample_matrix(task, train_s, digests, k_edits)
     test_ordered, _, X_test, y_test = _sample_matrix(task, test_s, digests, k_edits)
 
-    model, selected, keep = _fit(X_train, y_train, names, train_config, use_rfe)
+    if use_rfe:
+        selected, model, _ = rfe(X_train, y_train, train_config, feature_names=names)
+    else:
+        selected, model = None, train(X_train, y_train, train_config, names)
+    keep = [names.index(name) for name in model.feature_names]
     scores = model.predict_proba_matrix(X_test[:, keep], model.feature_names)
     auc = roc_auc(scores, y_test)
 
@@ -214,7 +214,8 @@ def run_task(
         n_test=len(test_ordered),
         n_train_pos=int(y_train.sum()),
         n_test_pos=int(y_test.sum()),
-        split_boundary=_split_boundary(train_ordered, corpus),
+        # the rows are in temporal order, so the last one's anchor is the latest
+        split_boundary=corpus.account(train_ordered[-1].parent_id).creation_time,
         selected_features=selected,
         fragmented=fragmented,
     )
@@ -278,29 +279,25 @@ def run_ranking(
     train_config: TrainConfig = TrainConfig(),
     split: SplitSpec = SplitSpec(TASKS["3"].train_fraction),
 ) -> tuple[RankingResult, LogisticModel]:
-    """Parent attribution: rank candidate parents for each test child."""
+    """Parent attribution: rank candidate parents for each test child,
+    split by the creation time of the pairs' parents."""
     corpus = digests.corpus
     check_counts(max_candidates=max_candidates)
     if not pairs:
         raise EmptyInputError("run_ranking needs pairs")
 
-    ordered_pairs = sorted(
-        pairs,
-        key=lambda p: (corpus.account(p.parent_id).creation_time, p.parent_id),
+    parent_ids, train_pairs, test_pairs = _split_by_parent(
+        pairs, (p.parent_id for p in pairs), corpus, split
     )
-    n_train = int(len(ordered_pairs) * split.train_fraction)
-    train_pairs, test_pairs = ordered_pairs[:n_train], ordered_pairs[n_train:]
     if not train_pairs or not test_pairs:
         raise EmptyInputError("ranking split left an empty side")
 
-    # a parent named by several pairs is one candidate
-    parent_ids = dict.fromkeys(p.parent_id for p in ordered_pairs)
     parents = [corpus.account(parent_id) for parent_id in parent_ids]
     children_train = [corpus.account(p.child_id) for p in train_pairs]
     children_test = [corpus.account(p.child_id) for p in test_pairs]
 
-    train_sets = build_candidate_sets(children_train, parents, ordered_pairs, max_candidates)
-    test_sets = build_candidate_sets(children_test, parents, ordered_pairs, max_candidates)
+    train_sets = build_candidate_sets(children_train, parents, pairs, max_candidates)
+    test_sets = build_candidate_sets(children_test, parents, pairs, max_candidates)
 
     y = np.array(
         [int(c == cs.true_parent_id) for cs in train_sets for c in cs.candidate_parent_ids]

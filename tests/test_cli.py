@@ -18,6 +18,7 @@ from banevasion import matching as matching_mod
 from banevasion import pairing as pairing_mod
 from banevasion.cli import main
 from banevasion.corpus import DAY_SECONDS, WEEK_SECONDS, SynthConfig, load_corpus
+from banevasion.evaluation import temporal_order
 from banevasion.matching import (
     match_task1,
     match_task2,
@@ -368,6 +369,24 @@ class TestStageChaining:
         ]) == 0
         header = features.read_text().split("\n", 1)[0].split("\t")
         assert any(n.startswith("child_banned_") for n in header) == child_ban_columns
+
+    @pytest.mark.parametrize("task", ["1", "2", "3"])
+    def test_featurize_rows_follow_temporal_order(self, corpus_dir, tmp_path, task):
+        flags = self.corpus_flags(corpus_dir)
+        samples, features = tmp_path / "samples.tsv", tmp_path / "features.tsv"
+        assert main(["match", *flags, "--task", task, "--out", str(samples)]) == 0
+        assert main([
+            "featurize", *flags, "--task", task, "--samples", str(samples), "--out", str(features),
+        ]) == 0
+        corpus = load_corpus(
+            *(corpus_dir / f"{name}.jsonl" for name in ("accounts", "revisions", "records"))
+        )
+        in_file = matching_mod.read_samples(samples)
+        ordered = temporal_order(in_file, corpus)
+        assert ordered != in_file
+        ids, labels, _, _ = features_mod.read_feature_matrix(features)
+        assert list(ids) == [f"{s.parent_id}|{s.other_id}" for s in ordered]
+        assert list(labels) == [s.label for s in ordered]
 
     def test_featurize_rejects_samples_of_another_task(self, corpus_dir, tmp_path, capsys):
         samples = tmp_path / "samples.tsv"

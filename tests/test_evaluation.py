@@ -445,17 +445,31 @@ class TestDigestStore:
         assert len(scored) == len(set(scored)) == result.n_test_children
 
 
-def with_repeated_parent(corpus, pairs):
-    """``pairs`` plus a second pair for the first parent, whose child is an
-    account created after that parent's ban and named by no pair."""
-    parent_id = pairs[0].parent_id
+def with_repeated_parent(corpus, pairs, index=0):
+    """``pairs`` plus a second pair for the parent of ``pairs[index]``, whose
+    child is an account created after that parent's ban and named by no pair."""
+    parent_id, group_id = pairs[index].parent_id, pairs[index].group_id
     named = {i for p in pairs for i in (p.parent_id, p.child_id)}
     ban = corpus.account(parent_id).ban_time
     child_id = next(
         a.account_id for a in corpus.accounts
         if a.creation_time > ban and a.account_id not in named
     )
-    return [*pairs, EvasionPair(parent_id, child_id, pairs[0].group_id)]
+    return [*pairs, EvasionPair(parent_id, child_id, group_id)]
+
+
+def record_candidate_sets(monkeypatch):
+    """Each ``build_candidate_sets`` call of the ranking, as (parent ids, sets)."""
+    calls = []
+    real = evaluation_mod.build_candidate_sets
+
+    def recording(children, banned_parents, truth, max_candidates):
+        sets = real(children, banned_parents, truth, max_candidates)
+        calls.append(([a.account_id for a in banned_parents], sets))
+        return sets
+
+    monkeypatch.setattr(evaluation_mod, "build_candidate_sets", recording)
+    return calls
 
 
 class TestRepeatedParent:
@@ -468,21 +482,30 @@ class TestRepeatedParent:
 
     def test_ranking_lists_it_once(self, planted, monkeypatch):
         corpus, _, pairs = planted
-        parent_lists, candidate_sets = [], []
-        real = evaluation_mod.build_candidate_sets
-
-        def recording(children, banned_parents, truth, max_candidates):
-            parent_lists.append([a.account_id for a in banned_parents])
-            sets = real(children, banned_parents, truth, max_candidates)
-            candidate_sets.extend(sets)
-            return sets
-
-        monkeypatch.setattr(evaluation_mod, "build_candidate_sets", recording)
+        calls = record_candidate_sets(monkeypatch)
         run_ranking(Digests(corpus), with_repeated_parent(corpus, pairs))
-        assert len(parent_lists) == 2
-        assert all(len(ids) == len(set(ids)) == len(pairs) for ids in parent_lists)
-        for cs in candidate_sets:
-            assert len(cs.candidate_parent_ids) == len(set(cs.candidate_parent_ids))
+        assert len(calls) == 2
+        for parent_ids, sets in calls:
+            assert len(parent_ids) == len(set(parent_ids)) == len(pairs)
+            for cs in sets:
+                assert len(cs.candidate_parent_ids) == len(set(cs.candidate_parent_ids))
+
+    def test_ranking_keeps_its_children_on_one_side(self, planted, monkeypatch):
+        corpus, _, pairs = planted
+        by_creation = sorted(
+            range(len(pairs)),
+            key=lambda i: (corpus.account(pairs[i].parent_id).creation_time, pairs[i].parent_id),
+        )
+        # the latest train parent: its second child lands at the train/test cut
+        last_train = by_creation[int(len(pairs) * TASKS["3"].train_fraction) - 1]
+        repeated = with_repeated_parent(corpus, pairs, last_train)
+        children = {p.child_id for p in repeated if p.parent_id == pairs[last_train].parent_id}
+        calls = record_candidate_sets(monkeypatch)
+        result, _ = run_ranking(Digests(corpus), repeated)
+        sides = [children & {cs.child_id for cs in sets} for _, sets in calls]
+        assert len(children) == 2
+        assert [len(side) for side in sides] == [2, 0]
+        assert result.n_train_children == int(len(pairs) * TASKS["3"].train_fraction) + 1
 
 
 def test_ranking_rejects_no_candidates_before_building_sets(planted, monkeypatch):

@@ -23,11 +23,18 @@ equal the constants below. Those pins were recorded from the report layer
 that built each contrast family's Welch tests by hand and kept the
 inter-account gap on two paths. No model output reaches these files, so they
 do not depend on the BLAS thread count.
+
+The temporal split is pinned by value: the split keys of ``reproduce``'s
+task and ranking reports at seed 7, with default knobs and on the 2x corpus
+at the low-signal knobs. They were recorded from the harnesses that cut the
+ranking's pair list and ordered each task's rows on their own. The pin holds
+no AUC, MRR or model weight, so it does not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
@@ -97,6 +104,36 @@ GENERATOR_CONFIGS = {
 }
 
 
+SPLIT_KEYS = {
+    "task": ("n_train", "n_test", "n_train_pos", "n_test_pos", "split_boundary"),
+    "ranking": ("n_train_children", "n_test_children", "mean_candidates"),
+}
+
+SPLIT_PINS = {
+    "default": {
+        "task1": (511, 108, 48, 12, 1626578134),
+        "task2": (210, 27, 54, 6, 1628898166),
+        "task3": (560, 56, 54, 6, 1628898166),
+        "ranking": (54, 6, 31.166666666666668),
+    },
+    "lowsignal_2x": {
+        "task1": (2162, 485, 96, 24, 1623832794),
+        "task2": (775, 62, 108, 12, 1627730400),
+        "task3": (2378, 286, 108, 12, 1627730400),
+        "ranking": (108, 12, 41.925),
+    },
+}
+
+SPLIT_FLAGS = {
+    "default": (),
+    "lowsignal_2x": (
+        "--groups", "120", "--benign", "1200", "--malicious", "600", "--page-overlap", "0.1",
+        "--vocab-reuse", "0.1", "--activity-contrast", "0.2", "--username-mutation-rate", "0",
+        "--malicious-text-rate", "0.05",
+    ),
+}
+
+
 def write_stage_outputs(out):
     synth = generate_synthetic(
         SynthConfig(n_groups=200, n_benign=2000, n_nonevading_malicious=1000, seed=7)
@@ -160,3 +197,14 @@ def test_characterization_matches_recorded_bytes(tmp_path, name):
     assert {k: hashlib.sha256(v).hexdigest() for k, v in written.items()} == (
         CHARACTERIZATION_SHA256[name]
     )
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_PINS))
+def test_split_counts_match_recorded_values(tmp_path, name):
+    assert main(["reproduce", "--seed", "7", *SPLIT_FLAGS[name], "--out-dir", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    split = {
+        part: tuple(report[part][k] for k in SPLIT_KEYS["ranking" if part == "ranking" else "task"])
+        for part in SPLIT_PINS[name]
+    }
+    assert split == SPLIT_PINS[name]
