@@ -6,6 +6,7 @@ attribution classifiers on desk-scale corpora."""
 from .corpus import (
     Account,
     Corpus,
+    EvasionPair,
     Revision,
     SockpuppetRecord,
     SynthConfig,
@@ -15,7 +16,6 @@ from .corpus import (
     save_corpus,
 )
 from .pairing import (
-    EvasionPair,
     SockpuppetGroup,
     extract_evasion_pairs,
     first_pair_per_group,
@@ -29,6 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Account",
     "Corpus",
+    "EvasionPair",
     "Revision",
     "SockpuppetRecord",
     "SynthConfig",
@@ -36,7 +37,6 @@ __all__ = [
     "generate_synthetic",
     "load_corpus",
     "save_corpus",
-    "EvasionPair",
     "SockpuppetGroup",
     "extract_evasion_pairs",
     "first_pair_per_group",

@@ -362,16 +362,13 @@ def _extract(corpus):
 
 
 def _pairs_from_file_or_corpus(opts, corpus):
-    """The merged groups, and the ``--pairs`` file as given (group id -1 where
-    it has none; each pair checked against the corpus) or else the first
-    extracted pair per group."""
+    """The merged groups, and the ``--pairs`` file as given (each pair checked
+    against the corpus) or else the first extracted pair per group."""
     if not opts.pairs:
         groups, _, first_pairs = _extract(corpus)
         return groups, first_pairs
-    return pairing_mod.merge_groups(corpus.sockpuppet_records, corpus), [
-        pairing_mod.EvasionPair(parent_id, child_id, -1 if group_id is None else group_id)
-        for parent_id, child_id, group_id in corpus_mod.load_pairs(opts.pairs, corpus)
-    ]
+    groups = pairing_mod.merge_groups(corpus.sockpuppet_records, corpus)
+    return groups, corpus_mod.load_pairs(opts.pairs, corpus)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ File formats (UTF-8, one JSON object per line):
   "deleted_text", "comment"}
 * records file:   {"member_ids": [...]}  (undisclosed multi-account records)
 * pairs file:     {"parent_id", "child_id", "group_id"?}
+  with no two lines naming one child
 
 Ids and texts are JSON strings and times JSON integers; the reader coerces
 nothing. ``load_corpus`` only parses, so a malformed line fails at its
@@ -17,9 +18,10 @@ record members, known members), once each, in input order, naming the record's
 ``file:line`` when it was read. Timestamps are integer epoch seconds UTC
 throughout. Loaded corpora are immutable and iterate in a canonical order
 (accounts by id, revisions by (account_id, timestamp, page_id), records by
-sorted member tuple), so a save/load round trip is byte identical. Accounts
-and revisions are named tuples; ``load_corpus`` interns account and page ids,
-so a revision shares its owner's id string and its page's.
+sorted member tuple), so a save/load round trip is byte identical. Accounts,
+revisions and evasion pairs are named tuples; ``load_corpus`` interns account
+and page ids, so a revision shares its owner's id string and its page's. An
+``EvasionPair`` without a group id holds ``None``, as its line has no key.
 
 Output contract of the synthetic generator: its corpus bytes depend only on
 the seed, the ``SynthConfig`` knobs and CPython's Mersenne Twister draws,
@@ -41,7 +43,7 @@ from dataclasses import InitVar, dataclass, field
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidConfigError, RecordParseError, ReferentialIntegrityError
 
@@ -74,6 +76,12 @@ class Revision(NamedTuple):
     added_text: str = ""
     deleted_text: str = ""
     comment: str = ""
+
+
+class EvasionPair(NamedTuple):
+    parent_id: str
+    child_id: str
+    group_id: int | None = None
 
 
 @dataclass(frozen=True)
@@ -219,6 +227,13 @@ def _read_jsonl(path: str | Path) -> Iterator[tuple[str, int, dict]]:
             yield p, lineno, obj
 
 
+def _write_jsonl(path: str | Path, objects: Iterable[dict]) -> None:
+    """Write each object as one ``_encode`` line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for obj in objects:
+            fh.write(_encode(obj) + "\n")
+
+
 def _field(obj: dict, key: str, kind: type, path: str, lineno: int, default=_MISSING):
     """``obj[key]``, which must be exactly of ``kind`` (so a bool is no
     integer); an absent key gives ``default`` and is an error without one."""
@@ -321,14 +336,7 @@ def save_corpus(
     a field that is not exactly a ``str`` (an ``int`` timestamp), which a
     corpus built in memory can hold, goes through ``_encode`` itself.
     """
-    with open(accounts_path, "w", encoding="utf-8") as fh:
-        for a in corpus.accounts:
-            fh.write(_encode({
-                "account_id": a.account_id,
-                "username": a.username,
-                "creation_time": a.creation_time,
-                "ban_time": a.ban_time,
-            }) + "\n")
+    _write_jsonl(accounts_path, (a._asdict() for a in corpus.accounts))
     with open(revisions_path, "w", encoding="utf-8") as fh:
         for r in corpus.revisions:
             account_id, page_id, timestamp, added, deleted, comment = r
@@ -344,59 +352,45 @@ def save_corpus(
                 )
             else:
                 fh.write(_encode(r._asdict()) + "\n")
-    with open(records_path, "w", encoding="utf-8") as fh:
-        for rec in corpus.sockpuppet_records:
-            fh.write(_encode({"member_ids": sorted(rec.member_ids)}) + "\n")
+    _write_jsonl(
+        records_path,
+        ({"member_ids": sorted(rec.member_ids)} for rec in corpus.sockpuppet_records),
+    )
 
 
-def save_pairs(pairs, path: str | Path) -> None:
-    """Write (parent_id, child_id[, group_id]) pairs, one object per line.
-
-    Accepts any iterable of objects with ``parent_id``/``child_id`` and an
-    optional ``group_id`` attribute, or plain (parent_id, child_id) tuples.
-    """
-    with open(path, "w", encoding="utf-8") as fh:
-        for pair in pairs:
-            if isinstance(pair, tuple):
-                obj = {"parent_id": pair[0], "child_id": pair[1]}
-                if len(pair) > 2:
-                    obj["group_id"] = pair[2]
-            else:
-                obj = {"parent_id": pair.parent_id, "child_id": pair.child_id}
-                group_id = getattr(pair, "group_id", None)
-                if group_id is not None:
-                    obj["group_id"] = group_id
-            fh.write(_encode(obj) + "\n")
+def save_pairs(pairs: Iterable[EvasionPair], path: str | Path) -> None:
+    """Write each pair as one object; a ``None`` group id writes no key."""
+    _write_jsonl(path, ({k: v for k, v in p._asdict().items() if v is not None} for p in pairs))
 
 
 def save_groups(groups, path: str | Path) -> None:
     """Write each merged group's id, master and sorted member ids, one object per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for g in groups:
-            fh.write(_encode({
-                "group_id": g.group_id,
-                "master_id": g.master_id,
-                "member_ids": sorted(g.member_ids),
-            }) + "\n")
+    _write_jsonl(path, (
+        {"group_id": g.group_id, "master_id": g.master_id, "member_ids": sorted(g.member_ids)}
+        for g in groups
+    ))
 
 
-def load_pairs(
-    path: str | Path, corpus: Corpus | None = None
-) -> list[tuple[str, str, int | None]]:
-    """Read a pairs file into (parent_id, child_id, group_id|None) tuples.
+def load_pairs(path: str | Path, corpus: Corpus | None = None) -> list[EvasionPair]:
+    """Read a pairs file, one ``EvasionPair`` per line.
 
     Given the corpus, a line naming an unknown account, a parent never
     banned, or a child not created strictly after the parent's ban (the
-    criterion of ``pairing.temporal_successor``) fails at its ``file:line``.
+    criterion of ``pairing.temporal_successor``) fails at its ``file:line``;
+    with or without it, so does a line naming a child an earlier line names,
+    since a child has one parent.
     """
-    pairs = []
+    pairs, children = [], set()
     for p, lineno, obj in _read_jsonl(path):
         parent_id = _field(obj, "parent_id", str, p, lineno)
         child_id = _field(obj, "child_id", str, p, lineno)
         group_id = _field(obj, "group_id", int, p, lineno, None)
         if corpus is not None:
             _check_pair(corpus, parent_id, child_id, p, lineno)
-        pairs.append((parent_id, child_id, group_id))
+        if child_id in children:
+            raise RecordParseError(p, lineno, f"child {child_id!r} is named by an earlier line")
+        children.add(child_id)
+        pairs.append(EvasionPair(parent_id, child_id, group_id))
     return pairs
 
 
@@ -469,7 +463,7 @@ class SyntheticCorpus:
     """A generated corpus plus its ground-truth evasion pairs."""
 
     corpus: Corpus
-    true_pairs: tuple[tuple[str, str], ...]
+    true_pairs: tuple[EvasionPair, ...]
 
 
 _FUNCTION_WORDS = (
@@ -554,7 +548,7 @@ class _Generator:
         self.accounts: list[Account] = []
         self.revisions: list[Revision] = []
         self.records: list[SockpuppetRecord] = []
-        self.true_pairs: list[tuple[str, str]] = []
+        self.true_pairs: list[EvasionPair] = []
 
     def _new_id(self) -> str:
         self.next_id += 1
@@ -712,7 +706,7 @@ class _Generator:
                     child_persona,
                 )
                 max_child_creation = max(max_child_creation, child.creation_time)
-                self.true_pairs.append((parent.account_id, child.account_id))
+                self.true_pairs.append(EvasionPair(parent.account_id, child.account_id))
 
                 if rng.random() < 0.3:
                     # Extra concurrent puppet inside the parent's lifetime;

@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from ._metrics import FragmentedAuc, fragmented_auc, mrr, recall_at_k, roc_auc
-from .corpus import Corpus
+from .corpus import Corpus, EvasionPair
 from .errors import EmptyInputError, InvalidConfigError
 from .features import Digests, pair_vectors
 from .matching import (
@@ -51,7 +51,7 @@ from .matching import (
     check_counts,
 )
 from .model import LogisticModel, TrainConfig, rfe, train
-from .pairing import EvasionPair, classify_success
+from .pairing import classify_success
 
 __all__ = [
     "SplitSpec",
@@ -203,7 +203,7 @@ def run_task(
     fragmented = None
     if task.fragmented:
         test_pairs = [
-            EvasionPair(s.parent_id, s.other_id, -1) for s in test_ordered if s.label == POSITIVE
+            EvasionPair(s.parent_id, s.other_id) for s in test_ordered if s.label == POSITIVE
         ]
         fragmented = fragmented_auc(scores, y_test, classify_success(test_pairs, corpus))
 

@@ -33,14 +33,14 @@ from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
-from .corpus import Account, Corpus, DAY_SECONDS, WEEK_SECONDS
+from .corpus import Account, Corpus, DAY_SECONDS, EvasionPair, WEEK_SECONDS
 from .errors import (
     InvalidConfigError,
     MissingBanTimeError,
     RecordParseError,
     TrueParentMissingError,
 )
-from .pairing import EvasionPair, SockpuppetGroup
+from .pairing import SockpuppetGroup
 
 if TYPE_CHECKING:
     from .features import Digests

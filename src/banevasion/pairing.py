@@ -1,4 +1,5 @@
-"""Merge sockpuppet records into disjoint groups and extract evasion pairs.
+"""Merge sockpuppet records into disjoint groups and extract evasion pairs
+(``corpus.EvasionPair``, each carrying its group's id).
 
 An account's *temporal predecessor* within its group is the member whose
 ban most closely precedes the account's creation; its *temporal successor*
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .corpus import Account, Corpus, SockpuppetRecord
+from .corpus import Account, Corpus, EvasionPair, SockpuppetRecord
 from .errors import AccountNotInGroupError, MissingBanTimeError
 
 
@@ -61,13 +62,6 @@ class SockpuppetGroup:
     group_id: int
     member_ids: frozenset[str]
     master_id: str
-
-
-@dataclass(frozen=True)
-class EvasionPair:
-    parent_id: str
-    child_id: str
-    group_id: int
 
 
 def merge_groups(

@@ -488,6 +488,30 @@ class TestStageChaining:
         ) in capsys.readouterr().err
         assert not samples.exists()
 
+    def test_repeated_child_rejected_at_file_and_line(self, corpus_dir, tmp_path, capsys):
+        flags = self.corpus_flags(corpus_dir)
+        assert main(["extract-pairs", *flags, "--out-dir", str(tmp_path / "pairs")]) == 0
+        lines = (tmp_path / "pairs" / "evasion_pairs.jsonl").read_text().splitlines()
+        first = json.loads(lines[0])
+        parent_id, child_id = first["parent_id"], first["child_id"]
+        # a second parent for the first child, banned before it was created
+        corpus = load_corpus(*flags[1::2])
+        creation = corpus.account(child_id).creation_time
+        other = next(
+            a.account_id for a in corpus.accounts
+            if a.ban_time is not None and a.ban_time < creation and a.account_id != parent_id
+        )
+        pairs = tmp_path / "repeated.jsonl"
+        extra = json.dumps({"parent_id": other, "child_id": child_id})
+        pairs.write_text("\n".join([*lines, extra]) + "\n")
+        out = tmp_path / "rank"
+        assert main(["rank", *flags, "--pairs", str(pairs), "--out-dir", str(out)]) == 1
+        assert (
+            f"error: stage 'rank' failed: {pairs}:{len(lines) + 1}: "
+            f"child {child_id!r} is named by an earlier line"
+        ) in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("k_edits", ["0", "-1"])
     @pytest.mark.parametrize("command", ["featurize", "evaluate"])
     def test_k_edits_below_one_rejected(self, corpus_dir, tmp_path, capsys, command, k_edits):

@@ -12,6 +12,7 @@ from banevasion import corpus as corpus_module
 from banevasion.corpus import (
     Account,
     Corpus,
+    EvasionPair,
     Revision,
     SockpuppetRecord,
     SynthConfig,
@@ -262,8 +263,10 @@ class TestCorruption:
             (("c", "late"), RecordParseError, "parent 'c' was never banned"),
             (("p", "c"), RecordParseError, "child 'c' was not created after the ban of 'p'"),
             (("late", "p"), RecordParseError, "child 'p' was not created after the ban of 'late'"),
+            (("p", "late"), RecordParseError, "child 'late' is named by an earlier line"),
         ],
-        ids=["unknown_parent", "unknown_child", "never_banned", "created_at_ban", "reversed"],
+        ids=["unknown_parent", "unknown_child", "never_banned", "created_at_ban", "reversed",
+             "repeated_child"],
     )
     def test_pairs_checked_against_corpus(self, tmp_path, pair, error, reason):
         # c is created exactly at p's ban, late one second after it
@@ -276,6 +279,13 @@ class TestCorruption:
         assert str(err.value) == f"{path}:3: {reason}"
         path.write_text(good + "\n")
         assert load_pairs(path, corpus) == [("p", "late", 4)]
+
+    def test_pairs_reject_repeated_child_without_corpus(self, tmp_path):
+        path = tmp_path / "pairs.jsonl"
+        write_lines(path, [{"parent_id": "p", "child_id": "c"}, {"parent_id": "q", "child_id": "c"}])
+        with pytest.raises(RecordParseError) as err:
+            load_pairs(path)
+        assert str(err.value) == f"{path}:2: child 'c' is named by an earlier line"
 
 
 # The corruptions that parse but break a corpus rule.
@@ -394,8 +404,14 @@ class TestRoundTrip:
 
     def test_pairs_round_trip(self, tmp_path):
         path = tmp_path / "pairs.jsonl"
-        save_pairs([("p", "c"), ("p2", "c2", 3)], path)
-        assert load_pairs(path) == [("p", "c", None), ("p2", "c2", 3)]
+        save_pairs([EvasionPair("p", "c"), EvasionPair("p2", "c2", 3)], path)
+        assert path.read_text() == (
+            '{"child_id":"c","parent_id":"p"}\n{"child_id":"c2","group_id":3,"parent_id":"p2"}\n'
+        )
+        loaded = load_pairs(path)
+        assert loaded == [("p", "c", None), ("p2", "c2", 3)]
+        assert [type(pair) for pair in loaded] == [EvasionPair, EvasionPair]
+        assert loaded[0].group_id is None
 
     def test_lines_are_json_encoder_output(self, tmp_path):
         # escapes, a line separator, a non-BMP character, and timestamps that
@@ -545,7 +561,10 @@ class TestSynthetic:
             extract_evasion_pairs(groups, result.corpus), result.corpus
         )
         assert len(pairs) == 5
-        assert sorted((p.parent_id, p.child_id) for p in pairs) == sorted(result.true_pairs)
+        assert all(type(p) is EvasionPair and p.group_id is None for p in result.true_pairs)
+        assert sorted((p.parent_id, p.child_id) for p in pairs) == sorted(
+            (p.parent_id, p.child_id) for p in result.true_pairs
+        )
 
     def test_no_groups_only_benign(self):
         result = generate_synthetic(SynthConfig(n_groups=0, n_benign=10, n_nonevading_malicious=0, seed=0))
@@ -555,9 +574,9 @@ class TestSynthetic:
 
     def test_parent_banned_before_child_created(self):
         result = generate_synthetic(SynthConfig(n_groups=12, n_benign=0, n_nonevading_malicious=0, seed=11))
-        for parent_id, child_id in result.true_pairs:
-            parent = result.corpus.account(parent_id)
-            child = result.corpus.account(child_id)
+        for pair in result.true_pairs:
+            parent = result.corpus.account(pair.parent_id)
+            child = result.corpus.account(pair.child_id)
             assert parent.ban_time is not None
             assert parent.ban_time < child.creation_time
 

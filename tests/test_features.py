@@ -82,7 +82,7 @@ class TestAccountFeatures:
         result = generate_synthetic(
             SynthConfig(n_groups=4, n_benign=0, n_nonevading_malicious=0, seed=5)
         )
-        parent_ids = [parent_id for parent_id, _ in result.true_pairs]
+        parent_ids = [pair.parent_id for pair in result.true_pairs]
         names, X = account_vectors(Digests(result.corpus), parent_ids)
         for parent_id, row in zip(parent_ids, X.tolist()):
             revs = result.corpus.revisions_of(parent_id)
@@ -217,9 +217,10 @@ class TestPairFeatures:
                         page_overlap=0.5, seed=21)
         )
         corpus = result.corpus
-        names, X = pair_vectors(Digests(corpus), result.true_pairs)
+        keys = [(pair.parent_id, pair.child_id) for pair in result.true_pairs]
+        names, X = pair_vectors(Digests(corpus), keys)
         page_jaccard = dict(zip(names, X.T.tolist()))["page_jaccard"]
-        for (parent_id, child_id), value in zip(result.true_pairs, page_jaccard):
+        for (parent_id, child_id), value in zip(keys, page_jaccard):
             parent_pages = {r.page_id for r in corpus.revisions_of(parent_id)}
             child_pages = {r.page_id for r in corpus.revisions_of(child_id)}
             union = parent_pages | child_pages
