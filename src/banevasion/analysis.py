@@ -88,9 +88,9 @@ def _betacf(a: float, b: float, x: float) -> float:
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     """I_x(a, b) for a, b > 0 and x in [0, 1]."""
     if a <= 0 or b <= 0:
-        raise ValueError("a and b must be positive")
+        raise InvalidConfigError("a" if a <= 0 else "b", "must be > 0")
     if not 0.0 <= x <= 1.0:
-        raise ValueError("x must be in [0, 1]")
+        raise InvalidConfigError("x", "must be in [0, 1]")
     if x == 0.0:
         return 0.0
     if x == 1.0:
@@ -111,7 +111,7 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
 def student_t_two_sided_p(t: float, df: float) -> float:
     """P(|T| >= |t|) for Student-t with df degrees of freedom."""
     if df <= 0:
-        raise ValueError("df must be positive")
+        raise InvalidConfigError("df", "must be > 0")
     if t == 0.0:
         return 1.0
     x = df / (df + t * t)

@@ -66,6 +66,12 @@ class MismatchError(BanEvasionError, ValueError):
     names) do not."""
 
 
+class InvalidInputError(BanEvasionError, ValueError):
+    """An input of the wrong form for its function: a pool account of the
+    wrong kind, a training matrix or labels of the wrong shape or values, a
+    model file of another format; a bad value, so a ``ValueError`` too."""
+
+
 # accounts and pairs ---------------------------------------------------
 
 
@@ -106,6 +112,11 @@ class SingleClassInputError(BanEvasionError):
 
 class NonFiniteFeatureError(BanEvasionError):
     pass
+
+
+class LeakageError(BanEvasionError, RuntimeError):
+    """A negative account on both sides of a train/test split; a broken
+    invariant of the split, so a ``RuntimeError`` too."""
 
 
 class InsufficientSamplesError(BanEvasionError):

@@ -36,10 +36,9 @@ import numpy as np
 
 from ._metrics import FragmentedAuc, fragmented_auc, mrr, recall_at_k, roc_auc
 from .corpus import Corpus, EvasionPair
-from .errors import EmptyInputError, InvalidConfigError
+from .errors import EmptyInputError, InvalidConfigError, LeakageError
 from .features import Digests, pair_vectors
 from .matching import (
-    CandidateSet,
     DEFAULT_K_EDITS,
     DEFAULT_MAX_CANDIDATES,
     LabeledSample,
@@ -55,7 +54,6 @@ from .pairing import classify_success
 
 __all__ = [
     "SplitSpec",
-    "RankedList",
     "TaskResult",
     "RankingResult",
     "temporal_split",
@@ -66,7 +64,6 @@ __all__ = [
     "recall_at_k",
     "fragmented_auc",
     "FragmentedAuc",
-    "rank_candidates",
     "run_task",
     "run_ranking",
     "write_report",
@@ -126,7 +123,7 @@ def _assert_no_leakage(train: Sequence, test: Sequence) -> None:
     test_neg = {s.other_id for s in test if s.label == NEGATIVE}
     overlap = train_neg & test_neg
     if overlap:
-        raise RuntimeError(f"negative leakage across split: {sorted(overlap)[:5]}")
+        raise LeakageError(f"negative leakage across split: {sorted(overlap)[:5]}")
 
 
 def _sample_matrix(task: Task, samples, digests: Digests, k_edits: int):
@@ -226,31 +223,6 @@ def run_task(
 # ranking
 
 
-@dataclass(frozen=True)
-class RankedList:
-    child_id: str
-    ranked_candidate_ids: tuple[str, ...]
-    rank_of_true_parent: int
-
-
-def rank_candidates(
-    model: LogisticModel, candidate_set: CandidateSet, digests: Digests
-) -> RankedList:
-    """Score every (candidate, child) pair and rank by descending score."""
-    names, X = pair_vectors(digests, _candidate_keys([candidate_set]))
-    scored = sorted(
-        zip(model.predict_proba_matrix(X, names).tolist(), candidate_set.candidate_parent_ids),
-        key=lambda item: (-item[0], item[1]),
-    )
-    ranked_ids = tuple(candidate_id for _, candidate_id in scored)
-    rank = ranked_ids.index(candidate_set.true_parent_id) + 1
-    return RankedList(candidate_set.child_id, ranked_ids, rank)
-
-
-def _candidate_keys(candidate_sets: Sequence[CandidateSet]) -> list[tuple[str, str]]:
-    return [(c, cs.child_id) for cs in candidate_sets for c in cs.candidate_parent_ids]
-
-
 RECALL_KS = (1, 3, 5)
 
 
@@ -279,33 +251,39 @@ def run_ranking(
     train_config: TrainConfig = TrainConfig(),
     split: SplitSpec = SplitSpec(TASKS["3"].train_fraction),
 ) -> tuple[RankingResult, LogisticModel]:
-    """Parent attribution: rank candidate parents for each test child,
-    split by the creation time of the pairs' parents."""
+    """Parent attribution: rank candidate parents for each test child by
+    descending score, ties by candidate id, split by the creation time of
+    the pairs' parents."""
     corpus = digests.corpus
     check_counts(max_candidates=max_candidates)
     if not pairs:
         raise EmptyInputError("run_ranking needs pairs")
 
-    parent_ids, train_pairs, test_pairs = _split_by_parent(
+    _, train_pairs, test_pairs = _split_by_parent(
         pairs, (p.parent_id for p in pairs), corpus, split
     )
     if not train_pairs or not test_pairs:
         raise EmptyInputError("ranking split left an empty side")
 
-    parents = [corpus.account(parent_id) for parent_id in parent_ids]
-    children_train = [corpus.account(p.child_id) for p in train_pairs]
-    children_test = [corpus.account(p.child_id) for p in test_pairs]
-
-    train_sets = build_candidate_sets(children_train, parents, pairs, max_candidates)
-    test_sets = build_candidate_sets(children_test, parents, pairs, max_candidates)
-
+    # one matrix, every train row before every test row
+    sets = build_candidate_sets(pairs, corpus, max_candidates)
+    train_children = {p.child_id for p in train_pairs}
+    train_sets = [cs for cs in sets if cs.child_id in train_children]
+    test_sets = [cs for cs in sets if cs.child_id not in train_children]
+    all_sets = train_sets + test_sets
+    names, X = pair_vectors(
+        digests, [(c, cs.child_id) for cs in all_sets for c in cs.candidate_parent_ids]
+    )
     y = np.array(
         [int(c == cs.true_parent_id) for cs in train_sets for c in cs.candidate_parent_ids]
     )
-    names, X = pair_vectors(digests, _candidate_keys(train_sets))
-    model = train(X, y, train_config, names)
-    ranks = [rank_candidates(model, cs, digests).rank_of_true_parent for cs in test_sets]
-    all_sets = train_sets + test_sets
+    model = train(X[: y.size], y, train_config, names)
+    scores = model.predict_proba_matrix(X[y.size :], names).tolist()
+    ranks, end = [], 0
+    for cs in test_sets:
+        start, end = end, end + len(cs.candidate_parent_ids)
+        ranked = sorted(zip((-score for score in scores[start:end]), cs.candidate_parent_ids))
+        ranks.append([c for _, c in ranked].index(cs.true_parent_id) + 1)
     result = RankingResult(
         mrr=mrr(ranks),
         recall_at={k: recall_at_k(ranks, k) for k in RECALL_KS},

@@ -36,6 +36,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 from .corpus import Account, Corpus, DAY_SECONDS, EvasionPair, WEEK_SECONDS
 from .errors import (
     InvalidConfigError,
+    InvalidInputError,
     MissingBanTimeError,
     RecordParseError,
     TrueParentMissingError,
@@ -63,6 +64,12 @@ def check_counts(**counts: int) -> None:
     for name, value in counts.items():
         if value < 1:
             raise InvalidConfigError(name, "must be >= 1")
+
+
+def _check_window(window_seconds: int) -> None:
+    """Raise ``InvalidConfigError`` unless the matching window is at least 0."""
+    if not window_seconds >= 0:
+        raise InvalidConfigError("window_seconds", "must be >= 0")
 
 
 class LabeledSample(NamedTuple):
@@ -204,6 +211,7 @@ def match_task1(
     window_seconds: int = TASKS["1"].window_seconds,
 ) -> list[LabeledSample]:
     """One positive per parent plus pool accounts banned within the window."""
+    _check_window(window_seconds)
     malicious_pool = _by_id_with_ban(malicious_pool)
     index = _TimeIndex(malicious_pool, lambda a: a.ban_time)
     samples = []
@@ -264,13 +272,14 @@ def match_task2(
     seed: int = 0,
 ) -> list[LabeledSample]:
     """True pairs vs. (parent, matched benign) pairs for early detection."""
+    _check_window(window_seconds)
     check_counts(cap=cap)
     benign_pool = sorted(benign_pool, key=lambda a: a.account_id)
     for account in benign_pool:
         if account.ban_time is not None:
-            raise ValueError(f"benign pool contains banned account {account.account_id!r}")
+            raise InvalidInputError(f"benign pool contains banned account {account.account_id!r}")
         if not corpus.revisions_of(account.account_id):
-            raise ValueError(f"benign pool account {account.account_id!r} has no revisions")
+            raise InvalidInputError(f"benign pool account {account.account_id!r} has no revisions")
     return _match_pairs(pairs, benign_pool, corpus, window_seconds, TASK2, cap, seed)
 
 
@@ -281,55 +290,53 @@ def match_task3(
     window_seconds: int = TASKS["3"].window_seconds,
 ) -> list[LabeledSample]:
     """True pairs vs. (parent, matched non-evading malicious) pairs."""
+    _check_window(window_seconds)
     return _match_pairs(
         pairs, _by_id_with_ban(malicious_pool), corpus, window_seconds, TASK3
     )
 
 
 def build_candidate_sets(
-    children: Sequence[Account],
-    banned_parents: Sequence[Account],
-    truth: Sequence[EvasionPair],
+    pairs: Sequence[EvasionPair],
+    corpus: Corpus,
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
 ) -> list[CandidateSet]:
-    """True parent plus up to ``max_candidates`` most-recently-banned others.
+    """One set per child of ``pairs``, by child id: its true parent plus up to
+    ``max_candidates`` most-recently-banned other parents of ``pairs``.
 
     Candidates are restricted to parents banned strictly before the child's
-    creation and ordered by (ban recency, id) for determinism.
+    creation and ordered by (ban recency, id) for determinism. A child named
+    by two pairs raises ``RecordParseError``, as it does in a pairs file.
     """
-    if max_candidates < 0:
-        raise InvalidConfigError("max_candidates", "must be >= 0")
-    true_parent_of = {p.child_id: p.parent_id for p in truth}
-    by_id = {a.account_id: a for a in banned_parents}
+    check_counts(max_candidates=max_candidates)
+    true_parent_of: dict[str, str] = {}
+    for pair in pairs:
+        if pair.child_id in true_parent_of:
+            raise RecordParseError(None, None, f"child {pair.child_id!r} is named by two pairs")
+        true_parent_of[pair.child_id] = pair.parent_id
+    parents = (corpus.account(parent_id) for parent_id in set(true_parent_of.values()))
     recent = sorted(
-        (a for a in banned_parents if a.ban_time is not None),
+        (a for a in parents if a.ban_time is not None),
         key=lambda a: (-a.ban_time, a.account_id),
     )
     negated_bans = [-a.ban_time for a in recent]
     sets = []
-    for child in sorted(children, key=lambda a: a.account_id):
-        true_parent_id = true_parent_of.get(child.account_id)
-        if true_parent_id is None or true_parent_id not in by_id:
-            raise TrueParentMissingError(child.account_id)
-        true_parent = by_id[true_parent_id]
+    for child_id in sorted(true_parent_of):
+        child = corpus.account(child_id)
+        true_parent = corpus.account(true_parent_of[child_id])
         if true_parent.ban_time is None or true_parent.ban_time >= child.creation_time:
-            raise TrueParentMissingError(child.account_id)
+            raise TrueParentMissingError(child_id)
         # ``recent`` from here on was banned strictly before the child's creation
         first = bisect_right(negated_bans, -child.creation_time)
         distractors = (
-            recent[i] for i in range(first, len(recent))
-            if recent[i].account_id != true_parent_id
+            a for a in islice(recent, first, None) if a.account_id != true_parent.account_id
         )
         candidates = sorted(
             [*islice(distractors, max_candidates), true_parent],
             key=lambda a: (-a.ban_time, a.account_id),
         )
         sets.append(
-            CandidateSet(
-                child.account_id,
-                tuple(a.account_id for a in candidates),
-                true_parent_id,
-            )
+            CandidateSet(child_id, tuple(a.account_id for a in candidates), true_parent.account_id)
         )
     return sets
 

@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import (
     InvalidConfigError,
+    InvalidInputError,
     MismatchError,
     NonFiniteFeatureError,
     SingleClassInputError,
@@ -169,14 +170,14 @@ def train(
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2:
-        raise ValueError("X must be 2-dimensional")
+        raise InvalidInputError("X must be 2-dimensional")
     if not np.isfinite(X).all():
         raise NonFiniteFeatureError("X contains non-finite values")
     classes = np.unique(y)
     if classes.size < 2:
         raise SingleClassInputError("training labels contain a single class")
     if not set(classes.tolist()) <= {0.0, 1.0}:
-        raise ValueError("labels must be 0/1")
+        raise InvalidInputError("labels must be 0/1")
     if feature_names is None:
         feature_names = tuple(f"f{i}" for i in range(X.shape[1]))
 
@@ -231,7 +232,7 @@ def rfe(
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     if X.shape[1] < 2:
-        raise ValueError("rfe needs at least 2 features")
+        raise InvalidInputError("rfe needs at least 2 features")
     if not 0.0 < validation_fraction < 1.0:
         raise InvalidConfigError("validation_fraction", "must be in (0, 1)")
     if feature_names is None:
@@ -296,7 +297,7 @@ def load_model(path: str | Path) -> LogisticModel:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("format") != "banevasion-logistic/1":
-        raise ValueError(f"unrecognized model format in {path}")
+        raise InvalidInputError(f"unrecognized model format in {path}")
     # files written before TrainConfig dropped its unused seed and the
     # descent solver's learning rate still carry them
     doc["config"].pop("seed", None)

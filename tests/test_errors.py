@@ -5,12 +5,37 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from banevasion.analysis import characterize
-from banevasion.errors import InvalidConfigError, MismatchError, MissingBanTimeError
-from banevasion.evaluation import SplitSpec, fragmented_auc, recall_at_k, roc_auc, run_ranking
+from banevasion.analysis import (
+    characterize,
+    regularized_incomplete_beta,
+    student_t_two_sided_p,
+)
+from banevasion.errors import (
+    InvalidConfigError,
+    InvalidInputError,
+    LeakageError,
+    MismatchError,
+    MissingBanTimeError,
+)
+from banevasion.evaluation import (
+    SplitSpec,
+    _assert_no_leakage,
+    fragmented_auc,
+    recall_at_k,
+    roc_auc,
+    run_ranking,
+)
 from banevasion.features import Digests, pair_vectors
-from banevasion.matching import match_task2, match_task3
-from banevasion.model import TrainConfig, rfe
+from banevasion.matching import (
+    NEGATIVE,
+    TASK1,
+    TASKS,
+    LabeledSample,
+    match_task1,
+    match_task2,
+    match_task3,
+)
+from banevasion.model import TrainConfig, load_model, rfe, train
 from banevasion.pairing import EvasionPair, SockpuppetGroup, classify_success, temporal_successor
 from banevasion.textstats import get_provider
 
@@ -57,6 +82,10 @@ def test_never_banned_account_named(call, account_id):
         ("k_edits", lambda: pair_vectors(Digests(CORPUS), [], k_limit=0)),
         ("max_candidates", lambda: run_ranking(Digests(CORPUS), [PAIR], max_candidates=0)),
         ("outlier_days", lambda: characterize(Digests(CORPUS), [PAIR], outlier_days=-5.0)),
+        ("a", lambda: regularized_incomplete_beta(0.0, 1.0, 0.5)),
+        ("b", lambda: regularized_incomplete_beta(1.0, -1.0, 0.5)),
+        ("x", lambda: regularized_incomplete_beta(1.0, 1.0, 1.5)),
+        ("df", lambda: student_t_two_sided_p(1.0, 0.0)),
     ],
 )
 def test_out_of_range_option_is_invalid_config(field, call):
@@ -79,3 +108,53 @@ def test_misaligned_inputs_are_mismatch(call):
     with pytest.raises(MismatchError) as err:
         call()
     assert isinstance(err.value, ValueError)
+
+
+DAY_BEFORE = -24 * 3600
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: match_task1([CORPUS.account("p")], [], DAY_BEFORE),
+        lambda: match_task2([PAIR], [], CORPUS, DAY_BEFORE),
+        lambda: match_task3([PAIR], [], CORPUS, DAY_BEFORE),
+        *(lambda t=t: t.match(CORPUS, [], [PAIR], DAY_BEFORE) for t in TASKS.values()),
+    ],
+    ids=["match_task1", "match_task2", "match_task3", "task1", "task2", "task3"],
+)
+def test_negative_window_is_invalid_config(call):
+    with pytest.raises(InvalidConfigError) as err:
+        call()
+    assert err.value.field == "window_seconds"
+
+
+def _write(path, text):
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda tmp: match_task2([PAIR], [account("b", 10, ban=50)], CORPUS),
+        lambda tmp: match_task2([PAIR], [CORPUS.account("u")], CORPUS),
+        lambda tmp: train(np.ones(4), np.array([0, 1, 0, 1])),
+        lambda tmp: train(np.ones((4, 1)), np.array([0, 2, 0, 2])),
+        lambda tmp: rfe(np.ones((4, 1)), np.array([0, 1, 0, 1])),
+        lambda tmp: load_model(_write(tmp / "model.json", '{"format": "other"}')),
+    ],
+    ids=["benign_pool_banned", "benign_pool_no_revisions", "train_matrix_shape",
+         "train_labels", "rfe_one_feature", "load_model_format"],
+)
+def test_malformed_input_is_invalid_input(call, tmp_path):
+    with pytest.raises(InvalidInputError) as err:
+        call(tmp_path)
+    assert isinstance(err.value, ValueError)
+
+
+def test_leakage_across_split_is_leakage_error():
+    shared = LabeledSample("p", "m", NEGATIVE, TASK1)
+    with pytest.raises(LeakageError, match="'m'") as err:
+        _assert_no_leakage([shared], [shared._replace(parent_id="q")])
+    assert isinstance(err.value, RuntimeError)

@@ -24,7 +24,6 @@ from banevasion.evaluation import (
     dedupe_negatives,
     fragmented_auc,
     mrr,
-    rank_candidates,
     recall_at_k,
     roc_auc,
     run_ranking,
@@ -33,12 +32,13 @@ from banevasion.evaluation import (
 )
 from banevasion.features import Digests, pair_vectors
 from banevasion.matching import (
-    CandidateSet,
+    DEFAULT_MAX_CANDIDATES,
     LabeledSample,
     NEGATIVE,
     POSITIVE,
     TASK1,
     TASKS,
+    build_candidate_sets,
 )
 from banevasion.model import LogisticModel, StandardizationStats, TrainConfig
 from banevasion.pairing import (
@@ -299,34 +299,36 @@ def zero_model(names):
 
 
 class TestRankCandidates:
-    def make_corpus(self):
+    """The ranking under a model that scores every candidate alike; "true" is
+    the latest-created parent, so its child "child" is the one test child."""
+
+    def rank(self, monkeypatch, pairs, split):
         accounts = [
-            account("true", 0, ban=900),
             account("d1", 0, ban=800),
-            account("d2", 0, ban=700),
-            account("child", 1000, ban=5000),
+            account("d2", 1, ban=700),
+            account("p-old", 2, ban=4000),
+            account("true", 10, ban=900),
+            account("child", 1000),
+            *(account(f"{p}-child", 5000) for p in ("d1", "d2", "p-old")),
         ]
-        return corpus_of(accounts)
+        monkeypatch.setattr(
+            evaluation_mod, "train", lambda X, y, config, names: zero_model(names)
+        )
+        result, _ = run_ranking(Digests(corpus_of(accounts)), pairs, split=split)
+        assert result.n_test_children == 1
+        return result
 
-    def test_single_candidate(self):
-        corpus = self.make_corpus()
-        cand = CandidateSet("child", ("true",), "true")
-        ranked = rank_candidates(zero_model(_pair_names(corpus)), cand, Digests(corpus))
-        assert ranked.rank_of_true_parent == 1
+    def test_single_candidate(self, monkeypatch):
+        # only "true" was banned before the child's creation
+        pairs = [EvasionPair("p-old", "p-old-child"), EvasionPair("true", "child")]
+        assert self.rank(monkeypatch, pairs, SplitSpec(0.5)).mrr == 1.0
 
-    def test_identical_vectors_tie_break_by_id(self):
-        corpus = self.make_corpus()
-        names = _pair_names(corpus)
-        cand = CandidateSet("child", ("true", "d1", "d2"), "true")
-        ranked = rank_candidates(zero_model(names), cand, Digests(corpus))
-        # all scores are 0.5 -> candidates sorted by id: d1, d2, true
-        assert ranked.ranked_candidate_ids == ("d1", "d2", "true")
-        assert ranked.rank_of_true_parent == 3
-
-
-def _pair_names(corpus):
-    names, _ = pair_vectors(Digests(corpus), [("true", "child")])
-    return names
+    def test_identical_vectors_tie_break_by_id(self, monkeypatch):
+        pairs = [EvasionPair(p, f"{p}-child") for p in ("d1", "d2", "p-old")]
+        result = self.rank(monkeypatch, [*pairs, EvasionPair("true", "child")], SplitSpec(0.75))
+        # all scores are 0.5 -> the child's candidates sorted by id: d1, d2, true
+        assert result.mrr == 1 / 3
+        assert result.recall_at == {1: 0.0, 3: 1.0, 5: 1.0}
 
 
 @pytest.fixture(scope="module")
@@ -429,20 +431,71 @@ class TestDigestStore:
         run_all_consumers(corpus, groups, pairs, digests)
         assert sum(built.values()) == calls
 
-    def test_ranking_scores_each_test_child_through_rank_candidates(
-        self, planted, monkeypatch
-    ):
+
+def ranks_rescored_child_by_child(digests, pairs, model):
+    """The rank of each test child's true parent, its candidates scored apart
+    from every other child's: the ranking's oracle."""
+    corpus = digests.corpus
+    parent_ids = sorted(
+        {p.parent_id for p in pairs}, key=lambda a: (corpus.account(a).creation_time, a)
+    )
+    test_parents = set(parent_ids[int(len(parent_ids) * TASKS["3"].train_fraction):])
+    ranks = []
+    for cs in build_candidate_sets(pairs, corpus, DEFAULT_MAX_CANDIDATES):
+        if cs.true_parent_id in test_parents:
+            names, X = pair_vectors(digests, [(c, cs.child_id) for c in cs.candidate_parent_ids])
+            scores = model.predict_proba_matrix(X, names)
+            true_score = scores[cs.candidate_parent_ids.index(cs.true_parent_id)]
+            ranks.append(1 + sum(
+                score > true_score or (score == true_score and c < cs.true_parent_id)
+                for score, c in zip(scores, cs.candidate_parent_ids)
+            ))
+    return ranks
+
+
+NULL_KNOBS = SynthConfig(
+    n_groups=60, n_benign=300, n_nonevading_malicious=200, username_mutation_rate=0.0,
+    page_overlap=0.0, vocab_reuse=0.0, idle_gap_days=16.0, activity_contrast=0.0,
+    malicious_text_rate=0.0, seed=7,
+)
+
+
+@pytest.mark.parametrize("knobs", ["planted", "null"])
+def test_ranking_equals_child_by_child_rescoring(planted, knobs):
+    if knobs == "planted":
         corpus, _, pairs = planted
-        scored = []
-        real = evaluation_mod.rank_candidates
+    else:
+        corpus = generate_synthetic(NULL_KNOBS).corpus
+        pairs = first_pair_per_group(
+            extract_evasion_pairs(merge_groups(corpus.sockpuppet_records, corpus), corpus), corpus
+        )
+    digests = Digests(corpus)
+    result, model = run_ranking(digests, pairs)
+    ranks = ranks_rescored_child_by_child(digests, pairs, model)
+    assert len(ranks) == result.n_test_children
+    assert result.mrr == mrr(ranks)
+    assert result.recall_at == {k: recall_at_k(ranks, k) for k in result.recall_at}
+    if knobs == "null":
+        # below 1, so the oracle compares ranks that are not all 1
+        assert result.mrr < 0.9
 
-        def recording(model, candidate_set, digests):
-            scored.append(candidate_set.child_id)
-            return real(model, candidate_set, digests)
 
-        monkeypatch.setattr(evaluation_mod, "rank_candidates", recording)
-        result, _ = run_ranking(Digests(corpus), pairs)
-        assert len(scored) == len(set(scored)) == result.n_test_children
+def test_ranking_builds_its_sets_and_rows_once(planted, monkeypatch):
+    corpus, _, pairs = planted
+    calls = Counter()
+
+    def counting(name):
+        real = getattr(evaluation_mod, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    for name in ("build_candidate_sets", "pair_vectors"):
+        monkeypatch.setattr(evaluation_mod, name, counting(name))
+    run_ranking(Digests(corpus), pairs)
+    assert calls == {"build_candidate_sets": 1, "pair_vectors": 1}
 
 
 def with_repeated_parent(corpus, pairs, index=0):
@@ -458,20 +511,6 @@ def with_repeated_parent(corpus, pairs, index=0):
     return [*pairs, EvasionPair(parent_id, child_id, group_id)]
 
 
-def record_candidate_sets(monkeypatch):
-    """Each ``build_candidate_sets`` call of the ranking, as (parent ids, sets)."""
-    calls = []
-    real = evaluation_mod.build_candidate_sets
-
-    def recording(children, banned_parents, truth, max_candidates):
-        sets = real(children, banned_parents, truth, max_candidates)
-        calls.append(([a.account_id for a in banned_parents], sets))
-        return sets
-
-    monkeypatch.setattr(evaluation_mod, "build_candidate_sets", recording)
-    return calls
-
-
 class TestRepeatedParent:
     def test_task1_anchors_it_once(self, planted):
         corpus, groups, pairs = planted
@@ -480,32 +519,32 @@ class TestRepeatedParent:
             corpus, groups, with_repeated_parent(corpus, pairs), task.window_seconds
         ) == task.match(corpus, groups, pairs, task.window_seconds)
 
-    def test_ranking_lists_it_once(self, planted, monkeypatch):
+    def test_ranking_lists_it_once(self, planted):
         corpus, _, pairs = planted
-        calls = record_candidate_sets(monkeypatch)
-        run_ranking(Digests(corpus), with_repeated_parent(corpus, pairs))
-        assert len(calls) == 2
-        for parent_ids, sets in calls:
-            assert len(parent_ids) == len(set(parent_ids)) == len(pairs)
-            for cs in sets:
-                assert len(cs.candidate_parent_ids) == len(set(cs.candidate_parent_ids))
+        repeated = with_repeated_parent(corpus, pairs)
+        sets = build_candidate_sets(repeated, corpus, DEFAULT_MAX_CANDIDATES)
+        assert len(sets) == len(repeated)
+        assert set().union(*(cs.candidate_parent_ids for cs in sets)) <= {
+            p.parent_id for p in pairs
+        }
+        for cs in sets:
+            assert len(cs.candidate_parent_ids) == len(set(cs.candidate_parent_ids))
+        result, _ = run_ranking(Digests(corpus), repeated)
+        sizes = [len(cs.candidate_parent_ids) for cs in sets]
+        assert result.mean_candidates == sum(sizes) / len(sizes)
 
-    def test_ranking_keeps_its_children_on_one_side(self, planted, monkeypatch):
+    def test_ranking_keeps_its_children_on_one_side(self, planted):
         corpus, _, pairs = planted
         by_creation = sorted(
             range(len(pairs)),
             key=lambda i: (corpus.account(pairs[i].parent_id).creation_time, pairs[i].parent_id),
         )
         # the latest train parent: its second child lands at the train/test cut
-        last_train = by_creation[int(len(pairs) * TASKS["3"].train_fraction) - 1]
-        repeated = with_repeated_parent(corpus, pairs, last_train)
-        children = {p.child_id for p in repeated if p.parent_id == pairs[last_train].parent_id}
-        calls = record_candidate_sets(monkeypatch)
+        n_train = int(len(pairs) * TASKS["3"].train_fraction)
+        repeated = with_repeated_parent(corpus, pairs, by_creation[n_train - 1])
         result, _ = run_ranking(Digests(corpus), repeated)
-        sides = [children & {cs.child_id for cs in sets} for _, sets in calls]
-        assert len(children) == 2
-        assert [len(side) for side in sides] == [2, 0]
-        assert result.n_train_children == int(len(pairs) * TASKS["3"].train_fraction) + 1
+        assert result.n_train_children == n_train + 1
+        assert result.n_test_children == len(pairs) - n_train
 
 
 def test_ranking_rejects_no_candidates_before_building_sets(planted, monkeypatch):

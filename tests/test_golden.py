@@ -158,10 +158,8 @@ def write_stage_outputs(out):
     capped = task2.match(corpus, groups, pairs, 3 * task2.window_seconds, cap=3, seed=7)
     write_samples(capped, out / "task2_cap3.tsv")
 
-    children = [corpus.account(p.child_id) for p in pairs]
-    parents = [corpus.account(p.parent_id) for p in pairs]
     with open(out / "candidates.tsv", "w", encoding="utf-8") as fh:
-        for cs in build_candidate_sets(children, parents, pairs, max_candidates=10):
+        for cs in build_candidate_sets(pairs, corpus, max_candidates=10):
             fh.write("\t".join((cs.child_id, cs.true_parent_id, *cs.candidate_parent_ids)) + "\n")
 
 

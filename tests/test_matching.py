@@ -400,56 +400,71 @@ def reference_candidate_sets(children, banned_parents, truth, max_candidates):
 
 
 def random_candidate_case(rng: random.Random):
-    """Parents (some never banned, some listed twice) and children with times
-    in 0..12, so tied bans and ``ban == child creation`` are frequent; most
-    children get a true parent banned before their creation."""
+    """A corpus and pairs over parents (some never banned) and children with
+    times in 0..12, so tied bans and ``ban == child creation`` are frequent;
+    most children get a true parent banned before their creation, and a few
+    are named by a second pair."""
     parents = []
     for i in range(rng.randint(1, 15)):
         ban = rng.randint(1, 10) if rng.random() < 0.9 else None
         parents.append(account(f"p{i:02d}", 0, ban=ban))
-    parents += [p for p in parents if rng.random() < 0.1]
-    rng.shuffle(parents)
-    children, truth = [], []
+    children, pairs = [], []
     for i in range(rng.randint(1, 4)):
         child = account(f"c{i:02d}", rng.randint(1, 12))
         children.append(child)
         earlier = [p for p in parents if p.ban_time is not None and p.ban_time < child.creation_time]
-        if earlier and rng.random() < 0.97:
-            truth.append(EvasionPair(rng.choice(earlier).account_id, child.account_id, 0))
-        elif rng.random() < 0.5:
-            truth.append(EvasionPair(rng.choice(parents).account_id, child.account_id, 0))
-    return children, parents, truth
+        parent = rng.choice(earlier) if earlier and rng.random() < 0.97 else rng.choice(parents)
+        pairs.append(EvasionPair(parent.account_id, child.account_id, 0))
+    pairs += [
+        EvasionPair(rng.choice(parents).account_id, p.child_id, 0)
+        for p in pairs if rng.random() < 0.02
+    ]
+    rng.shuffle(pairs)
+    return corpus_of(parents + children), pairs
 
 
 class TestCandidateSetsOracle:
     CASES = 1500
 
     def test_equals_reference(self):
-        compared = raised = 0
+        compared = repeated = 0
+        raised = {"late": 0, "never banned": 0}
         for i in range(self.CASES):
-            children, parents, truth = random_candidate_case(random.Random(f"candidates:{i}"))
-            distinct = len({p.account_id for p in parents})
-            for max_candidates in (0, 1, 3, distinct + 1):
+            corpus, pairs = random_candidate_case(random.Random(f"candidates:{i}"))
+            child_ids = [p.child_id for p in pairs]
+            if len(set(child_ids)) < len(child_ids):
+                with pytest.raises(RecordParseError, match="named by two pairs"):
+                    build_candidate_sets(pairs, corpus, 1)
+                repeated += 1
+                continue
+            children = [corpus.account(child_id) for child_id in child_ids]
+            parents = [corpus.account(i) for i in dict.fromkeys(p.parent_id for p in pairs)]
+            for max_candidates in (1, 3, len(parents) + 1):
                 try:
-                    want = reference_candidate_sets(children, parents, truth, max_candidates)
+                    want = reference_candidate_sets(children, parents, pairs, max_candidates)
                 except TrueParentMissingError as exc:
                     with pytest.raises(TrueParentMissingError) as got:
-                        build_candidate_sets(children, parents, truth, max_candidates)
+                        build_candidate_sets(pairs, corpus, max_candidates)
                     assert got.value.child_id == exc.child_id
-                    raised += 1
+                    parent_id = next(p.parent_id for p in pairs if p.child_id == exc.child_id)
+                    late = corpus.account(parent_id).ban_time is not None
+                    raised["late" if late else "never banned"] += 1
                     continue
-                got = build_candidate_sets(children, parents, truth, max_candidates)
+                got = build_candidate_sets(pairs, corpus, max_candidates)
                 assert [
                     (cs.child_id, cs.candidate_parent_ids, cs.true_parent_id) for cs in got
                 ] == want
                 compared += 1
-        # both paths must be exercised often
-        assert compared > 2 * self.CASES and raised > self.CASES // 10, (compared, raised)
+        # every path must be exercised often
+        assert compared > self.CASES and repeated > self.CASES // 50, (compared, repeated)
+        assert min(raised.values()) > self.CASES // 20, raised
 
     def test_negative_max_candidates_rejected(self):
-        child = account("c", 10)
-        with pytest.raises(InvalidConfigError):
-            build_candidate_sets([child], [account("p", 0, ban=5)], [EvasionPair("p", "c", 0)], -1)
+        corpus = corpus_of([account("p", 0, ban=5), account("c", 10)])
+        for max_candidates in (0, -1):
+            with pytest.raises(InvalidConfigError) as err:
+                build_candidate_sets([EvasionPair("p", "c", 0)], corpus, max_candidates)
+            assert err.value.field == "max_candidates"
 
 
 class TestCandidateSets:
@@ -458,12 +473,25 @@ class TestCandidateSets:
             account(f"p{i:02d}", 0, ban=child_creation - 1 - i) for i in range(n)
         ]
 
+    def pairs_for(self, parents, true_parent_id):
+        """A pair of the child ``c`` and its true parent, and one pair per other
+        parent, each with its own child created after every ban."""
+        return [EvasionPair(true_parent_id, "c", 0)] + [
+            EvasionPair(p.account_id, f"x{p.account_id}", 0)
+            for p in parents if p.account_id != true_parent_id
+        ]
+
+    def corpus_for(self, child, parents):
+        others = [account(f"x{p.account_id}", 10**9) for p in parents]
+        return corpus_of([child, *parents, *others])
+
     def test_all_eligible_included(self):
         child = account("c", 10_000)
         parents = self.make_parents(4, child.creation_time)
-        truth = [EvasionPair(parents[3].account_id, "c", 0)]
-        sets = build_candidate_sets([child], parents, truth, max_candidates=50)
-        assert len(sets) == 1
+        pairs = self.pairs_for(parents, parents[3].account_id)
+        sets = build_candidate_sets(pairs, self.corpus_for(child, parents), max_candidates=50)
+        assert len(sets) == 4
+        assert sets[0].child_id == "c"
         assert len(sets[0].candidate_parent_ids) == 4
         assert sets[0].true_parent_id == parents[3].account_id
         assert sets[0].true_parent_id in sets[0].candidate_parent_ids
@@ -471,8 +499,8 @@ class TestCandidateSets:
     def test_recency_rule_at_cap(self):
         child = account("c", 100_000)
         parents = self.make_parents(81, child.creation_time)
-        truth = [EvasionPair(parents[80].account_id, "c", 0)]
-        sets = build_candidate_sets([child], parents, truth, max_candidates=50)
+        pairs = self.pairs_for(parents, parents[80].account_id)
+        sets = build_candidate_sets(pairs, self.corpus_for(child, parents), max_candidates=50)
         ids = sets[0].candidate_parent_ids
         assert len(ids) == 51
         # distractors must be the 50 most recently banned (p00..p49)
@@ -483,14 +511,16 @@ class TestCandidateSets:
         child = account("c", 10_000)
         ok = account("p1", 0, ban=9_999)
         late = account("p2", 0, ban=10_000)
-        truth = [EvasionPair("p1", "c", 0)]
-        sets = build_candidate_sets([child], [ok, late], truth)
+        pairs = self.pairs_for([ok, late], "p1")
+        sets = build_candidate_sets(pairs, self.corpus_for(child, [ok, late]))
         assert sets[0].candidate_parent_ids == ("p1",)
 
     def test_missing_true_parent(self):
         child = account("c", 10_000)
-        with pytest.raises(TrueParentMissingError):
-            build_candidate_sets([child], self.make_parents(3, 10_000), [])
+        parents = self.make_parents(3, 10_000) + [account("late", 0, ban=10_000)]
+        with pytest.raises(TrueParentMissingError) as err:
+            build_candidate_sets(self.pairs_for(parents, "late"), self.corpus_for(child, parents))
+        assert err.value.child_id == "c"
 
 
 class TestPools:
