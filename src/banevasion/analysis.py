@@ -24,6 +24,7 @@ from typing import Callable, Iterable, Sequence
 
 from .corpus import DAY_SECONDS
 from .errors import (
+    ConvergenceError,
     InsufficientSamplesError,
     InvalidConfigError,
     MismatchError,
@@ -82,7 +83,7 @@ def _betacf(a: float, b: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _BETACF_TOL:
             return h
-    raise ArithmeticError("incomplete beta continued fraction did not converge")
+    raise ConvergenceError("incomplete beta continued fraction did not converge")
 
 
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:

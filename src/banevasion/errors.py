@@ -67,9 +67,9 @@ class MismatchError(BanEvasionError, ValueError):
 
 
 class InvalidInputError(BanEvasionError, ValueError):
-    """An input of the wrong form for its function: a pool account of the
-    wrong kind, a training matrix or labels of the wrong shape or values, a
-    model file of another format; a bad value, so a ``ValueError`` too."""
+    """An input of the wrong form for its function: a training matrix or
+    labels of the wrong shape or values, a model file of another format; a
+    bad value, so a ``ValueError`` too."""
 
 
 # accounts and pairs ---------------------------------------------------
@@ -125,6 +125,11 @@ class InsufficientSamplesError(BanEvasionError):
 
 class ZeroVarianceError(BanEvasionError):
     pass
+
+
+class ConvergenceError(BanEvasionError, ArithmeticError):
+    """An iteration that did not converge within its limit; a failed
+    computation, so an ``ArithmeticError`` too."""
 
 
 # cli ------------------------------------------------------------------

@@ -8,17 +8,25 @@ classified: the parent itself for the positive, a matched non-evading
 malicious account for each negative.
 
 ``TASKS`` holds everything else that differs between the tasks: the pool
-and ``match_task*`` that build the samples, the feature variant, whether a
-row describes an account or a pair, the default window and train fraction,
-and whether the test AUC is also split by evasion success.
+the negatives come from, the feature variant, whether a row describes an
+account or a pair, the default window and train fraction, and whether the
+test AUC is also split by evasion success.
 
-Tasks 2 and 3 share one pair rule and differ only in the pool: for each
-(parent, child) pair the negatives are the pool accounts, other than the
-child, created strictly after the parent's ban and within the window of the
-child's creation; task 2 keeps at most ``cap`` of them. Windows are
-inclusive at both ends. Each matcher sorts its pool once by the time its
-window is on and bisects that order per parent or pair, so its work grows
-with the samples it emits, not with pairs x pool.
+``Task.match`` applies one rule to every task. Each anchor is a parent, the
+other account of its positive sample, a window centre and an optional lower
+bound; its negatives are the pool accounts, other than that positive
+account, whose time is within the window of the centre and strictly above
+the lower bound. Windows are inclusive at both ends.
+
+- Task 1 anchors each distinct parent at its ban, with no lower bound; its
+  pool is the banned accounts outside every sockpuppet group, timed by ban.
+- Tasks 2 and 3 anchor each (parent, child) pair at the child's creation,
+  above the parent's ban; their pools are timed by creation. Task 2's pool
+  is the never-banned accounts with at least one revision, and it keeps at
+  most ``cap`` negatives per pair; task 3's pool is task 1's.
+
+The pool is sorted once by its time and bisected per anchor, so the work
+grows with the samples emitted, not with anchors x pool.
 
 Samples serialize one per line as ``task<TAB>parent_id<TAB>other_id<TAB>label``
 with the label spelled exactly ``positive`` or ``negative``.
@@ -30,13 +38,13 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import islice
+from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .corpus import Account, Corpus, DAY_SECONDS, EvasionPair, WEEK_SECONDS
 from .errors import (
     InvalidConfigError,
-    InvalidInputError,
     MissingBanTimeError,
     RecordParseError,
     TrueParentMissingError,
@@ -112,21 +120,50 @@ class Task:
         cap: int = DEFAULT_TASK2_CAP,
         seed: int = 0,
     ) -> list[LabeledSample]:
-        """Positives from ``pairs`` and matched negatives from this task's pool:
-        non-evading malicious accounts for tasks 1 and 3, benign for task 2;
-        ``window_seconds`` defaults to this task's window."""
+        """Positives from ``pairs`` and matched negatives from this task's
+        pool, by the rule of the module docstring; ``window_seconds`` defaults
+        to this task's window."""
         if window_seconds is None:
             window_seconds = self.window_seconds
+        _check_window(window_seconds)
+        # corpus accounts are in id order, so each pool and its matches are too
+        if self.name == TASK2:
+            check_counts(cap=cap)
+            pool = [
+                a for a in corpus.accounts
+                if a.ban_time is None and corpus.revisions_of(a.account_id)
+            ]
+        else:
+            grouped = {account_id for group in groups for account_id in group.member_ids}
+            pool = [
+                a for a in corpus.accounts
+                if a.ban_time is not None and a.account_id not in grouped
+            ]
+        index = _TimeIndex(pool, attrgetter("ban_time" if self.name == TASK1 else "creation_time"))
         if self.name == TASK1:
             # a parent named by several pairs anchors one positive
-            parent_ids = dict.fromkeys(p.parent_id for p in pairs)
-            parents = [corpus.account(parent_id) for parent_id in parent_ids]
-            return match_task1(parents, prepare_malicious_pool(corpus, groups), window_seconds)
-        if self.name == TASK2:
-            return match_task2(
-                pairs, prepare_benign_pool(corpus), corpus, window_seconds, cap, seed
-            )
-        return match_task3(pairs, prepare_malicious_pool(corpus, groups), corpus, window_seconds)
+            anchors = [(parent_id, parent_id) for parent_id in sorted({p.parent_id for p in pairs})]
+        else:
+            anchors = sorted((p.parent_id, p.child_id) for p in pairs)
+        samples = []
+        for parent_id, positive_id in anchors:
+            ban = corpus.account(parent_id).ban_time
+            creation = corpus.account(positive_id).creation_time
+            if ban is None:
+                raise MissingBanTimeError(parent_id)
+            centre, after = (ban, None) if self.name == TASK1 else (creation, ban)
+            samples.append(LabeledSample(parent_id, positive_id, POSITIVE, self.name))
+            matched = [
+                a for a in index.within(centre, window_seconds, after)
+                if a.account_id != positive_id
+            ]
+            if self.name == TASK2 and len(matched) > cap:
+                rng = random.Random(f"task2:{seed}:{positive_id}")
+                matched = sorted(rng.sample(matched, cap), key=attrgetter("account_id"))
+            samples += [
+                LabeledSample(parent_id, a.account_id, NEGATIVE, self.name) for a in matched
+            ]
+        return samples
 
     def vectors(self, samples: Sequence[LabeledSample], digests: Digests,
                 k_edits: int = DEFAULT_K_EDITS):
@@ -153,39 +190,6 @@ TASKS = {
 }
 
 
-def prepare_malicious_pool(corpus: Corpus, groups: Iterable[SockpuppetGroup]) -> list[Account]:
-    """Banned accounts outside every sockpuppet group, sorted by id.
-
-    This is the documented pool-preparation contract for the prediction
-    task: accounts flagged as puppets (or otherwise excluded upstream)
-    must not enter the non-evading pool.
-    """
-    grouped: set[str] = set()
-    for group in groups:
-        grouped.update(group.member_ids)
-    return [
-        a for a in corpus.accounts if a.ban_time is not None and a.account_id not in grouped
-    ]
-
-
-def prepare_benign_pool(corpus: Corpus) -> list[Account]:
-    """Never-banned accounts with at least one revision, sorted by id."""
-    return [
-        a
-        for a in corpus.accounts
-        if a.ban_time is None and corpus.revisions_of(a.account_id)
-    ]
-
-
-def _by_id_with_ban(accounts: Iterable[Account]) -> list[Account]:
-    """``accounts`` sorted by id; raises ``MissingBanTimeError`` for one never banned."""
-    accounts = sorted(accounts, key=lambda a: a.account_id)
-    for account in accounts:
-        if account.ban_time is None:
-            raise MissingBanTimeError(account.account_id)
-    return accounts
-
-
 class _TimeIndex:
     """``pool`` sorted once by one integer time, so a time range is found by
     bisection instead of a scan of the whole pool."""
@@ -195,105 +199,19 @@ class _TimeIndex:
         self.order = sorted(range(len(pool)), key=lambda i: time(pool[i]))
         self.times = [time(pool[i]) for i in self.order]
 
-    def within(self, low, high, after=None) -> list[Account]:
-        """The accounts, in pool order, whose time is in ``[low, high]`` and,
-        given ``after``, above it. Bounds computed in floats may be rounded
-        outwards, so callers still apply their exact predicate."""
-        start = bisect_left(self.times, low)
+    def within(self, centre, window, after=None) -> list[Account]:
+        """The accounts, in pool order, whose time is within ``window`` of
+        ``centre`` and, given ``after``, above it."""
+        start = bisect_left(self.times, centre - window)
         if after is not None:
             start = max(start, bisect_right(self.times, after))
-        return [self.pool[i] for i in sorted(self.order[start:bisect_right(self.times, high)])]
-
-
-def match_task1(
-    parents: Sequence[Account],
-    malicious_pool: Sequence[Account],
-    window_seconds: int = TASKS["1"].window_seconds,
-) -> list[LabeledSample]:
-    """One positive per parent plus pool accounts banned within the window."""
-    _check_window(window_seconds)
-    malicious_pool = _by_id_with_ban(malicious_pool)
-    index = _TimeIndex(malicious_pool, lambda a: a.ban_time)
-    samples = []
-    for parent in _by_id_with_ban(parents):
-        parent_id, ban = parent.account_id, parent.ban_time
-        samples.append(LabeledSample(parent_id, parent_id, POSITIVE, TASK1))
-        samples += [
-            LabeledSample(parent_id, a.account_id, NEGATIVE, TASK1)
-            for a in index.within(ban - window_seconds, ban + window_seconds)
-            if abs(a.ban_time - ban) <= window_seconds and a.account_id != parent_id
-        ]
-    return samples
-
-
-def _match_pairs(
-    pairs: Sequence[EvasionPair],
-    pool: Sequence[Account],
-    corpus: Corpus,
-    window_seconds: int,
-    task: str,
-    cap: int | None = None,
-    seed: int = 0,
-) -> list[LabeledSample]:
-    """The task-2/3 pair rule of the module docstring over ``pool`` (sorted by
-    id); with a ``cap``, more than ``cap`` matches are sampled down to ``cap``."""
-    index = _TimeIndex(pool, lambda a: a.creation_time)
-    samples = []
-    for pair in sorted(pairs, key=lambda p: (p.parent_id, p.child_id)):
-        parent_id, child_id = pair.parent_id, pair.child_id
-        ban = corpus.account(parent_id).ban_time
-        child_creation = corpus.account(child_id).creation_time
-        if ban is None:
-            raise MissingBanTimeError(parent_id)
-        samples.append(LabeledSample(parent_id, child_id, POSITIVE, task))
-        matched = [
-            a
-            for a in index.within(
-                child_creation - window_seconds, child_creation + window_seconds, after=ban
-            )
-            if abs(a.creation_time - child_creation) <= window_seconds
-            and a.creation_time > ban
-            and a.account_id != child_id
-        ]
-        if cap is not None and len(matched) > cap:
-            rng = random.Random(f"task2:{seed}:{child_id}")
-            matched = rng.sample(matched, cap)
-            matched.sort(key=lambda a: a.account_id)
-        samples += [LabeledSample(parent_id, a.account_id, NEGATIVE, task) for a in matched]
-    return samples
-
-
-def match_task2(
-    pairs: Sequence[EvasionPair],
-    benign_pool: Sequence[Account],
-    corpus: Corpus,
-    window_seconds: int = TASKS["2"].window_seconds,
-    cap: int = DEFAULT_TASK2_CAP,
-    seed: int = 0,
-) -> list[LabeledSample]:
-    """True pairs vs. (parent, matched benign) pairs for early detection."""
-    _check_window(window_seconds)
-    check_counts(cap=cap)
-    benign_pool = sorted(benign_pool, key=lambda a: a.account_id)
-    for account in benign_pool:
-        if account.ban_time is not None:
-            raise InvalidInputError(f"benign pool contains banned account {account.account_id!r}")
-        if not corpus.revisions_of(account.account_id):
-            raise InvalidInputError(f"benign pool account {account.account_id!r} has no revisions")
-    return _match_pairs(pairs, benign_pool, corpus, window_seconds, TASK2, cap, seed)
-
-
-def match_task3(
-    pairs: Sequence[EvasionPair],
-    malicious_pool: Sequence[Account],
-    corpus: Corpus,
-    window_seconds: int = TASKS["3"].window_seconds,
-) -> list[LabeledSample]:
-    """True pairs vs. (parent, matched non-evading malicious) pairs."""
-    _check_window(window_seconds)
-    return _match_pairs(
-        pairs, _by_id_with_ban(malicious_pool), corpus, window_seconds, TASK3
-    )
+        stop = bisect_right(self.times, centre + window)
+        # bounds computed in floats may be rounded outwards: the exact test decides
+        hits = sorted(
+            i for i, t in zip(self.order[start:stop], self.times[start:stop])
+            if abs(t - centre) <= window
+        )
+        return [self.pool[i] for i in hits]
 
 
 def build_candidate_sets(

@@ -62,7 +62,8 @@ def jaccard(a: set, b: set) -> float:
     """Intersection over union; 0 when both sets are empty."""
     if not a and not b:
         return 0.0
-    return len(a & b) / len(a | b)
+    n = len(a & b)
+    return n / (len(a) + len(b) - n)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from banevasion.evaluation import (
 )
 from banevasion.evaluation import _assert_no_leakage  # exercised by criterion 8
 from banevasion.features import Digests
-from banevasion.matching import NEGATIVE, TASKS, match_task1, prepare_malicious_pool
+from banevasion.matching import NEGATIVE, TASKS
 from banevasion.model import loss_and_gradient
 from banevasion.pairing import (
     UnionFind,
@@ -233,9 +233,7 @@ def test_leakage_removed():
     )
     corpus = result.corpus
     groups, pairs = pipeline(corpus)
-    parents = [corpus.account(p.parent_id) for p in pairs]
-    pool = prepare_malicious_pool(corpus, groups)
-    samples = match_task1(parents, pool)
+    samples = TASKS["1"].match(corpus, groups, pairs)
     train, test = temporal_split(samples, corpus, SplitSpec(0.8))
 
     before_train = {s.other_id for s in train if s.label == NEGATIVE}

@@ -6,6 +6,7 @@ import random
 import pytest
 from scipy import integrate
 
+from banevasion import analysis as analysis_mod
 from banevasion.analysis import (
     characterize,
     pearson,
@@ -15,13 +16,14 @@ from banevasion.analysis import (
 )
 from banevasion.corpus import DAY_SECONDS, SynthConfig, generate_synthetic
 from banevasion.errors import (
+    ConvergenceError,
     InsufficientSamplesError,
     MismatchError,
     MissingBanTimeError,
     ZeroVarianceError,
 )
 from banevasion.features import Digests
-from banevasion.matching import NEGATIVE, TASK1, LabeledSample, match_task3, prepare_malicious_pool
+from banevasion.matching import NEGATIVE, TASK1, TASKS, LabeledSample
 from banevasion.pairing import (
     EvasionPair,
     classify_success,
@@ -71,6 +73,12 @@ class TestIncompleteBeta:
                 assert regularized_incomplete_beta(a, b, x) == pytest.approx(
                     numerator / denominator, abs=1e-9
                 )
+
+    def test_non_convergence_is_convergence_error(self, monkeypatch):
+        monkeypatch.setattr(analysis_mod, "_BETACF_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError, match="did not converge") as err:
+            regularized_incomplete_beta(3.0, 3.0, 0.3)
+        assert isinstance(err.value, ArithmeticError)
 
 
 class TestWelch:
@@ -330,13 +338,8 @@ class TestCharacterize:
         corpus = result.corpus
         groups = merge_groups(corpus.sockpuppet_records, corpus)
         pairs = first_pair_per_group(extract_evasion_pairs(groups, corpus), corpus)
-        pool = prepare_malicious_pool(corpus, groups)
-        from banevasion.matching import match_task1
-
-        account_samples = match_task1(
-            [corpus.account(p.parent_id) for p in pairs], pool
-        )
-        pair_samples = match_task3(pairs, pool, corpus)
+        account_samples = TASKS["1"].match(corpus, groups, pairs)
+        pair_samples = TASKS["3"].match(corpus, groups, pairs)
         report = characterize(Digests(corpus), pairs, account_samples, pair_samples)
         assert report["counts"]["pairs"] == len(pairs)
         assert report["counts"]["control_pairs"] > 0

@@ -19,14 +19,7 @@ from banevasion import pairing as pairing_mod
 from banevasion.cli import main
 from banevasion.corpus import DAY_SECONDS, WEEK_SECONDS, SynthConfig, load_corpus
 from banevasion.evaluation import temporal_order
-from banevasion.matching import (
-    match_task1,
-    match_task2,
-    match_task3,
-    prepare_benign_pool,
-    prepare_malicious_pool,
-    write_samples,
-)
+from banevasion.matching import TASKS, write_samples
 from banevasion.pairing import extract_evasion_pairs, first_pair_per_group, merge_groups
 
 from conftest import account, corpus_of, record
@@ -353,14 +346,7 @@ class TestStageChaining:
         )
         groups = merge_groups(corpus.sockpuppet_records, corpus)
         pairs = first_pair_per_group(extract_evasion_pairs(groups, corpus), corpus)
-        if task == "1":
-            parents = [corpus.account(p.parent_id) for p in pairs]
-            expected = match_task1(parents, prepare_malicious_pool(corpus, groups), window)
-        elif task == "2":
-            expected = match_task2(pairs, prepare_benign_pool(corpus), corpus, window)
-        else:
-            expected = match_task3(pairs, prepare_malicious_pool(corpus, groups), corpus, window)
-        write_samples(expected, tmp_path / "expected.tsv")
+        write_samples(TASKS[task].match(corpus, groups, pairs, window), tmp_path / "expected.tsv")
         assert samples.read_bytes() == (tmp_path / "expected.tsv").read_bytes()
 
         features = tmp_path / "features.tsv"

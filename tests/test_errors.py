@@ -31,9 +31,6 @@ from banevasion.matching import (
     TASK1,
     TASKS,
     LabeledSample,
-    match_task1,
-    match_task2,
-    match_task3,
 )
 from banevasion.model import TrainConfig, load_model, rfe, train
 from banevasion.pairing import EvasionPair, SockpuppetGroup, classify_success, temporal_successor
@@ -54,10 +51,12 @@ PAIR = EvasionPair("p", "c", 0)
         (lambda: temporal_successor(
             CORPUS.account("c"), SockpuppetGroup(0, frozenset({"p", "c"}), "p"), CORPUS), "c"),
         (lambda: pair_vectors(Digests(CORPUS), [("c", "p")]), "c"),
-        (lambda: match_task3([PAIR], [CORPUS.account("u")], CORPUS), "u"),
         (lambda: classify_success([PAIR], CORPUS), "c"),
+        *((lambda t=t: t.match(CORPUS, [], [PAIR, EvasionPair("u", "c", 1)]), "u")
+          for t in TASKS.values()),
     ],
-    ids=["temporal_successor", "pair_vectors_parent", "match_task3_pool", "classify_success"],
+    ids=["temporal_successor", "pair_vectors_parent", "classify_success",
+         "task1_parent", "task2_parent", "task3_parent"],
 )
 def test_never_banned_account_named(call, account_id):
     with pytest.raises(MissingBanTimeError) as err:
@@ -69,7 +68,7 @@ def test_never_banned_account_named(call, account_id):
 @pytest.mark.parametrize(
     "field, call",
     [
-        ("cap", lambda: match_task2([PAIR], [], CORPUS, cap=0)),
+        ("cap", lambda: TASKS["2"].match(CORPUS, [], [PAIR], cap=0)),
         ("l2_lambda", lambda: TrainConfig(l2_lambda=float("nan"))),
         ("max_epochs", lambda: TrainConfig(max_epochs=0)),
         ("tolerance", lambda: TrainConfig(tolerance=0.0)),
@@ -116,9 +115,8 @@ DAY_BEFORE = -24 * 3600
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: match_task1([CORPUS.account("p")], [], DAY_BEFORE),
-        lambda: match_task2([PAIR], [], CORPUS, DAY_BEFORE),
-        lambda: match_task3([PAIR], [], CORPUS, DAY_BEFORE),
+        # with no pairs at all: the window is checked before any anchor is read
+        *(lambda t=t: t.match(CORPUS, [], [], window_seconds=DAY_BEFORE) for t in TASKS.values()),
         *(lambda t=t: t.match(CORPUS, [], [PAIR], DAY_BEFORE) for t in TASKS.values()),
     ],
     ids=["match_task1", "match_task2", "match_task3", "task1", "task2", "task3"],
@@ -137,15 +135,12 @@ def _write(path, text):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda tmp: match_task2([PAIR], [account("b", 10, ban=50)], CORPUS),
-        lambda tmp: match_task2([PAIR], [CORPUS.account("u")], CORPUS),
         lambda tmp: train(np.ones(4), np.array([0, 1, 0, 1])),
         lambda tmp: train(np.ones((4, 1)), np.array([0, 2, 0, 2])),
         lambda tmp: rfe(np.ones((4, 1)), np.array([0, 1, 0, 1])),
         lambda tmp: load_model(_write(tmp / "model.json", '{"format": "other"}')),
     ],
-    ids=["benign_pool_banned", "benign_pool_no_revisions", "train_matrix_shape",
-         "train_labels", "rfe_one_feature", "load_model_format"],
+    ids=["train_matrix_shape", "train_labels", "rfe_one_feature", "load_model_format"],
 )
 def test_malformed_input_is_invalid_input(call, tmp_path):
     with pytest.raises(InvalidInputError) as err:

@@ -7,19 +7,14 @@ import pytest
 from banevasion.corpus import DAY_SECONDS, WEEK_SECONDS
 from banevasion.errors import (
     InvalidConfigError,
-    MissingBanTimeError,
     RecordParseError,
+    ReferentialIntegrityError,
     TrueParentMissingError,
 )
 from banevasion.matching import (
     TASKS,
     LabeledSample,
     build_candidate_sets,
-    match_task1,
-    match_task2,
-    match_task3,
-    prepare_benign_pool,
-    prepare_malicious_pool,
     read_samples,
     write_samples,
     NEGATIVE,
@@ -27,6 +22,7 @@ from banevasion.matching import (
 )
 from banevasion.pairing import (
     EvasionPair,
+    SockpuppetGroup,
     extract_evasion_pairs,
     first_pair_per_group,
     merge_groups,
@@ -37,36 +33,44 @@ from conftest import account, corpus_of, record, revision
 BAN = 1_000_000
 
 
+def match_parents(parents, others, window=WEEK_SECONDS):
+    """Task-1 samples over ``parents``, ``others`` and one never-banned child
+    per parent, each parent grouped with its child by one pair."""
+    children = [account(f"c{p.account_id}", p.ban_time + 1) for p in parents]
+    records = [record(p.account_id, c.account_id) for p, c in zip(parents, children)]
+    corpus = corpus_of([*parents, *others, *children], records=records)
+    groups = merge_groups(corpus.sockpuppet_records, corpus)
+    pairs = [EvasionPair(p.account_id, c.account_id, 0) for p, c in zip(parents, children)]
+    return TASKS["1"].match(corpus, groups, pairs, window)
+
+
 class TestMatchTask1:
     def test_window_boundary_inclusive(self):
         parent = account("p", 0, ban=BAN)
         inside = account("m1", 0, ban=BAN + WEEK_SECONDS)
         outside = account("m2", 0, ban=BAN + WEEK_SECONDS + 1)
-        samples = match_task1([parent], [inside, outside])
+        samples = match_parents([parent], [inside, outside])
         negatives = [s.other_id for s in samples if s.label == NEGATIVE]
         assert negatives == ["m1"]
 
     def test_positive_emitted_per_parent(self):
         parent = account("p", 0, ban=BAN)
-        samples = match_task1([parent], [])
+        samples = match_parents([parent], [])
         assert [(s.other_id, s.label, s.parent_id) for s in samples] == [
             ("p", POSITIVE, "p")
         ]
 
-    def test_pool_account_without_ban_rejected(self):
-        with pytest.raises(MissingBanTimeError):
-            match_task1([account("p", 0, ban=BAN)], [account("m", 0)])
-
     def test_negatives_can_recur_across_parents(self):
         parents = [account("p1", 0, ban=BAN), account("p2", 0, ban=BAN + 100)]
         pool = [account("m", 0, ban=BAN + 50)]
-        samples = match_task1(parents, pool)
+        samples = match_parents(parents, pool)
         negatives = [(s.parent_id, s.other_id) for s in samples if s.label == NEGATIVE]
         assert negatives == [("p1", "m"), ("p2", "m")]
 
     def test_parent_in_pool_never_becomes_its_own_negative(self):
-        parent = account("p", 0, ban=BAN)
-        samples = match_task1([parent], [parent, account("m", 0, ban=BAN + 5)])
+        # without groups the parent is a banned account outside every group
+        corpus = corpus_of([account("p", 0, ban=BAN), account("m", 0, ban=BAN + 5)])
+        samples = TASKS["1"].match(corpus, (), [EvasionPair("p", "c", 0)])
         rows = [(s.other_id, s.label) for s in samples]
         assert rows == [("p", POSITIVE), ("m", NEGATIVE)]
 
@@ -74,12 +78,15 @@ class TestMatchTask1:
         import random as _random
 
         rng = _random.Random(6)
-        parents = [account(f"p{i}", 0, ban=BAN + rng.randint(0, 50) * DAY_SECONDS) for i in range(5)]
+        ban = 100 * DAY_SECONDS  # so every ban below comes after creation at 0
+        parents = [
+            account(f"p{i}", 0, ban=ban + rng.randint(0, 50) * DAY_SECONDS) for i in range(5)
+        ]
         pool = [
-            account(f"m{i}", 0, ban=BAN + rng.randint(-80, 120) * DAY_SECONDS)
+            account(f"m{i}", 0, ban=ban + rng.randint(-80, 120) * DAY_SECONDS)
             for i in range(40)
         ]
-        for s in match_task1(parents, pool):
+        for s in match_parents(parents, pool):
             if s.label == NEGATIVE:
                 anchor = next(p for p in parents if p.account_id == s.parent_id)
                 member = next(m for m in pool if m.account_id == s.other_id)
@@ -101,6 +108,22 @@ class TestMatchTask1:
             ("p", "p", POSITIVE), ("p", "m", NEGATIVE), ("p", "q", NEGATIVE),
             ("q", "q", POSITIVE), ("q", "m", NEGATIVE), ("q", "p", NEGATIVE),
         ]
+
+
+class TestMatchChecks:
+    CORPUS = corpus_of([account("p", 0, ban=BAN), account("u", 0), account("c", BAN + 10)])
+
+    @pytest.mark.parametrize("task", ["1", "2", "3"])
+    def test_unknown_parent_named(self, task):
+        with pytest.raises(ReferentialIntegrityError) as err:
+            TASKS[task].match(self.CORPUS, (), [EvasionPair("x", "c", 0)])
+        assert err.value.offending_id == "x"
+
+    @pytest.mark.parametrize("task", ["2", "3"])
+    def test_unknown_child_named_before_never_banned_parent(self, task):
+        with pytest.raises(ReferentialIntegrityError) as err:
+            TASKS[task].match(self.CORPUS, (), [EvasionPair("u", "x", 0)])
+        assert err.value.offending_id == "x"
 
 
 def pair_fixture(n_benign=0, benign_offset=0, n_malicious=0, malicious_creation=None):
@@ -125,6 +148,10 @@ def pair_fixture(n_benign=0, benign_offset=0, n_malicious=0, malicious_creation=
     return corpus, pair
 
 
+def groups_of(corpus):
+    return merge_groups(corpus.sockpuppet_records, corpus)
+
+
 class TestMatchTask2:
     def test_benign_at_parent_ban_excluded(self):
         parent = account("p", 0, ban=BAN)
@@ -136,39 +163,31 @@ class TestMatchTask2:
             revision("b2", "pg", BAN + 2, added="y"),
         ]
         corpus = corpus_of([parent, child, at_ban, after], revisions, [record("p", "c")])
-        samples = match_task2([EvasionPair("p", "c", 0)], [at_ban, after], corpus)
+        samples = TASKS["2"].match(corpus, groups_of(corpus), [EvasionPair("p", "c", 0)])
         negatives = [s.other_id for s in samples if s.label == NEGATIVE]
         assert negatives == ["b2"]
 
     def test_cap_and_determinism(self):
         corpus, pair = pair_fixture(n_benign=150)
-        pool = prepare_benign_pool(corpus)
-        first = match_task2([pair], pool, corpus, cap=100, seed=11)
-        second = match_task2([pair], pool, corpus, cap=100, seed=11)
+        groups = groups_of(corpus)
+        first = TASKS["2"].match(corpus, groups, [pair], cap=100, seed=11)
+        second = TASKS["2"].match(corpus, groups, [pair], cap=100, seed=11)
         negatives = [s for s in first if s.label == NEGATIVE]
         assert len(negatives) == 100
         assert first == second
-        shuffled = match_task2([pair], list(reversed(pool)), corpus, cap=100, seed=11)
-        assert shuffled == first
-        other_seed = match_task2([pair], pool, corpus, cap=100, seed=12)
+        other_seed = TASKS["2"].match(corpus, groups, [pair], cap=100, seed=12)
         assert other_seed != first
 
     def test_invalid_cap(self):
         corpus, pair = pair_fixture()
         with pytest.raises(InvalidConfigError, match="'cap': must be >= 1") as err:
-            match_task2([pair], [], corpus, cap=0)
+            TASKS["2"].match(corpus, (), [pair], cap=0)
         assert err.value.field == "cap"
 
     def test_window_inclusive(self):
         corpus, pair = pair_fixture(n_benign=1, benign_offset=DAY_SECONDS)
-        samples = match_task2([pair], prepare_benign_pool(corpus), corpus)
+        samples = TASKS["2"].match(corpus, groups_of(corpus), [pair])
         assert sum(1 for s in samples if s.label == NEGATIVE) == 1
-
-    def test_banned_account_rejected_from_pool(self):
-        corpus, pair = pair_fixture()
-        banned = account("bx", 100, ban=200)
-        with pytest.raises(ValueError):
-            match_task2([pair], [banned], corpus)
 
     def test_never_banned_child_is_not_its_own_negative(self):
         # the child is never banned and has an edit, so it is in the benign pool
@@ -187,8 +206,7 @@ class TestMatchTask2:
 class TestMatchTask3:
     def test_created_before_parent_ban_excluded(self):
         corpus, pair = pair_fixture(n_malicious=1, malicious_creation=BAN - 100)
-        pool = [a for a in corpus.accounts if a.account_id.startswith("m")]
-        samples = match_task3([pair], pool, corpus)
+        samples = TASKS["3"].match(corpus, groups_of(corpus), [pair])
         assert sum(1 for s in samples if s.label == NEGATIVE) == 0
 
     def test_boundary_exactly_seven_days_included(self):
@@ -196,58 +214,69 @@ class TestMatchTask3:
             n_malicious=1,
             malicious_creation=BAN + 5 * DAY_SECONDS + WEEK_SECONDS,
         )
-        pool = [a for a in corpus.accounts if a.account_id.startswith("m")]
-        samples = match_task3([pair], pool, corpus)
+        samples = TASKS["3"].match(corpus, groups_of(corpus), [pair])
         assert sum(1 for s in samples if s.label == NEGATIVE) == 1
 
     def test_positive_never_labeled_negative(self):
         corpus, pair = pair_fixture(n_malicious=5)
-        pool = [a for a in corpus.accounts if a.account_id.startswith("m")]
-        samples = match_task3([pair], pool, corpus)
+        samples = TASKS["3"].match(corpus, groups_of(corpus), [pair])
         for s in samples:
             if s.label == NEGATIVE:
                 assert (s.parent_id, s.other_id) != ("p", "c")
 
     def test_child_in_pool_never_becomes_negative(self):
         corpus, pair = pair_fixture(n_malicious=2)
-        # adversarial pool that includes the true child itself
-        pool = [a for a in corpus.accounts if a.account_id.startswith("m")]
-        pool.append(corpus.account("c"))
-        samples = match_task3([pair], pool, corpus)
+        # without groups the banned child is itself in the pool
+        samples = TASKS["3"].match(corpus, (), [pair])
         negatives = {s.other_id for s in samples if s.label == NEGATIVE}
-        assert "c" not in negatives
+        assert negatives == {"m000", "m001"}
 
     def test_emitted_negatives_satisfy_predicates(self):
         corpus, pair = pair_fixture(n_malicious=10)
         child = corpus.account("c")
         parent = corpus.account("p")
-        pool = [a for a in corpus.accounts if a.account_id.startswith("m")]
-        for s in match_task3([pair], pool, corpus):
+        for s in TASKS["3"].match(corpus, groups_of(corpus), [pair]):
             if s.label == NEGATIVE:
                 m = corpus.account(s.other_id)
                 assert m.creation_time > parent.ban_time
                 assert abs(m.creation_time - child.creation_time) <= WEEK_SECONDS
 
 
-# The scan loops ``match_task1/2/3`` were first written as, kept as the
-# reference. Task 2 also skips the child, as task 3 always did.
+# The scan loops the matchers were first written as, kept as the reference,
+# each with its pool built by brute force from the corpus and the groups.
+# Task 2 also skips the child, as task 3 always did.
 
 
-def reference_task1(parents, malicious_pool, window_seconds):
-    malicious_pool = sorted(malicious_pool, key=lambda a: a.account_id)
+def malicious_pool(corpus, groups):
+    return sorted(
+        (a for a in corpus.accounts
+         if a.ban_time is not None and not any(a.account_id in g.member_ids for g in groups)),
+        key=lambda a: a.account_id,
+    )
+
+
+def benign_pool(corpus):
+    return sorted(
+        (a for a in corpus.accounts
+         if a.ban_time is None and any(r.account_id == a.account_id for r in corpus.revisions)),
+        key=lambda a: a.account_id,
+    )
+
+
+def reference_task1(corpus, groups, pairs, window_seconds):
     samples = []
-    for parent in sorted(parents, key=lambda a: a.account_id):
-        samples.append((parent.account_id, parent.account_id, POSITIVE))
-        for m in malicious_pool:
-            if m.account_id == parent.account_id:
+    for parent_id in sorted({p.parent_id for p in pairs}):
+        parent = corpus.account(parent_id)
+        samples.append((parent_id, parent_id, POSITIVE))
+        for m in malicious_pool(corpus, groups):
+            if m.account_id == parent_id:
                 continue
             if abs(m.ban_time - parent.ban_time) <= window_seconds:
-                samples.append((parent.account_id, m.account_id, NEGATIVE))
+                samples.append((parent_id, m.account_id, NEGATIVE))
     return samples
 
 
-def reference_task2(pairs, benign_pool, corpus, window_seconds, cap, seed):
-    benign_pool = sorted(benign_pool, key=lambda a: a.account_id)
+def reference_task2(corpus, pairs, window_seconds, cap, seed):
     samples = []
     for pair in sorted(pairs, key=lambda p: (p.parent_id, p.child_id)):
         parent = corpus.account(pair.parent_id)
@@ -255,7 +284,7 @@ def reference_task2(pairs, benign_pool, corpus, window_seconds, cap, seed):
         samples.append((pair.parent_id, pair.child_id, POSITIVE))
         matched = [
             b
-            for b in benign_pool
+            for b in benign_pool(corpus)
             if abs(b.creation_time - child.creation_time) <= window_seconds
             and b.creation_time > parent.ban_time
             and b.account_id != pair.child_id
@@ -268,14 +297,13 @@ def reference_task2(pairs, benign_pool, corpus, window_seconds, cap, seed):
     return samples
 
 
-def reference_task3(pairs, malicious_pool, corpus, window_seconds):
-    malicious_pool = sorted(malicious_pool, key=lambda a: a.account_id)
+def reference_task3(corpus, groups, pairs, window_seconds):
     samples = []
     for pair in sorted(pairs, key=lambda p: (p.parent_id, p.child_id)):
         parent = corpus.account(pair.parent_id)
         child = corpus.account(pair.child_id)
         samples.append((pair.parent_id, pair.child_id, POSITIVE))
-        for m in malicious_pool:
+        for m in malicious_pool(corpus, groups):
             if m.account_id == pair.child_id:
                 continue
             if (
@@ -289,9 +317,10 @@ def reference_task3(pairs, malicious_pool, corpus, window_seconds):
 def random_matching_case(
     rng: random.Random, base=0, max_time=20, max_life=8, windows=(0, 1, 2, 3, 5, 8, 13)
 ):
-    """A corpus, pairs and pools with creation times in base..base+max_time
-    and bans 1..max_life later, so ties, window edges and ``creation ==
-    parent ban`` are frequent; children and parents may sit in the pools."""
+    """A corpus, pairs, groups and a window, with creation times in
+    base..base+max_time and bans 1..max_life later, so ties, window edges
+    and ``creation == parent ban`` are frequent. Groups are drawn over all
+    accounts, so pair members may sit in the pools."""
     accounts, revisions = [], []
     for i in range(rng.randint(3, 20)):
         creation = base + rng.randint(0, max_time)
@@ -301,7 +330,6 @@ def random_matching_case(
             revisions.append(revision(f"a{i:02d}", "pg", creation + 1, added="x"))
     corpus = corpus_of(accounts, revisions)
     banned = [a for a in accounts if a.ban_time is not None]
-    benign = prepare_benign_pool(corpus)
     pairs = []
     if banned:
         for _ in range(rng.randint(1, 3)):
@@ -310,11 +338,12 @@ def random_matching_case(
             others = later if later and rng.random() < 0.7 else accounts
             child = rng.choice([a for a in others if a is not parent])
             pairs.append(EvasionPair(parent.account_id, child.account_id, 0))
-    malicious_pool = [a for a in banned if rng.random() < 0.7]
-    benign_pool = [a for a in benign if rng.random() < 0.8]
-    parents = [a for a in banned if rng.random() < 0.5]
+    groups = [
+        SockpuppetGroup(g, frozenset(a.account_id for a in accounts if rng.random() < 0.3), "")
+        for g in range(rng.randint(0, 2))
+    ]
     window = rng.choice(windows)
-    return corpus, pairs, parents, malicious_pool, benign_pool, window
+    return corpus, pairs, groups, window
 
 
 def as_tuples(samples):
@@ -330,26 +359,27 @@ class TestBruteForceOracle:
             yield random_matching_case(random.Random(f"matching-oracle:{i}"))
 
     def test_task1_equals_reference(self):
-        for _, _, parents, pool, _, window in self.cases():
-            got = as_tuples(match_task1(parents, pool, window))
-            assert got == reference_task1(parents, pool, window)
+        for corpus, pairs, groups, window in self.cases():
+            got = as_tuples(TASKS["1"].match(corpus, groups, pairs, window))
+            assert got == reference_task1(corpus, groups, pairs, window)
 
     def test_task2_equals_reference(self):
         capped = 0
-        for corpus, pairs, _, _, pool, window in self.cases():
-            uncapped = reference_task2(pairs, pool, corpus, window, len(pool) + 1, 0)
-            for cap in (1, 3, len(pool) + 1):
+        for corpus, pairs, groups, window in self.cases():
+            no_cap = len(corpus.accounts) + 1
+            uncapped = reference_task2(corpus, pairs, window, no_cap, 0)
+            for cap in (1, 3, no_cap):
                 for seed in (0, 1, 2):
-                    got = as_tuples(match_task2(pairs, pool, corpus, window, cap, seed))
-                    assert got == reference_task2(pairs, pool, corpus, window, cap, seed)
+                    got = as_tuples(TASKS["2"].match(corpus, groups, pairs, window, cap, seed))
+                    assert got == reference_task2(corpus, pairs, window, cap, seed)
                     capped += got != uncapped
         # the cap must bind often enough for the sampling path to be compared
         assert capped > self.MIN_CAPPED, capped
 
     def test_task3_equals_reference(self):
-        for corpus, pairs, _, pool, _, window in self.cases():
-            got = as_tuples(match_task3(pairs, pool, corpus, window))
-            assert got == reference_task3(pairs, pool, corpus, window)
+        for corpus, pairs, groups, window in self.cases():
+            got = as_tuples(TASKS["3"].match(corpus, groups, pairs, window))
+            assert got == reference_task3(corpus, groups, pairs, window)
 
 
 class TestBruteForceOracleFloatWindows(TestBruteForceOracle):
@@ -524,6 +554,9 @@ class TestCandidateSets:
 
 
 class TestPools:
+    # a window wider than every time matches the whole pool
+    WIDE = 10**9
+
     def test_malicious_pool_excludes_group_members(self):
         accounts = [
             account("p", 0, ban=100),
@@ -533,24 +566,28 @@ class TestPools:
         ]
         corpus = corpus_of(accounts, [], [record("p", "c")])
         groups = merge_groups(corpus.sockpuppet_records, corpus)
-        pool = prepare_malicious_pool(corpus, groups)
-        assert [a.account_id for a in pool] == ["m"]
+        samples = TASKS["1"].match(corpus, groups, [EvasionPair("p", "c", 0)], self.WIDE)
+        assert [s.other_id for s in samples if s.label == NEGATIVE] == ["m"]
 
     def test_benign_pool_requires_revisions(self):
-        accounts = [account("b1", 0), account("b2", 0), account("m", 0, ban=9)]
-        revisions = [revision("b1", "pg", 5, added="x")]
-        corpus = corpus_of(accounts, revisions)
-        assert [a.account_id for a in prepare_benign_pool(corpus)] == ["b1"]
+        accounts = [
+            account("p", 0, ban=1), account("c", 5),
+            account("b1", 5), account("b2", 5), account("m", 5, ban=9),
+        ]
+        revisions = [revision("b1", "pg", 6, added="x")]
+        corpus = corpus_of(accounts, revisions, [record("p", "c")])
+        samples = TASKS["2"].match(corpus, (), [EvasionPair("p", "c", 0)], self.WIDE)
+        assert [s.other_id for s in samples if s.label == NEGATIVE] == ["b1"]
 
 
 def task1_samples():
-    return match_task1([account("p", 0, ban=BAN)], [account("m", 0, ban=BAN + 10)])
+    corpus = corpus_of([account("p", 0, ban=BAN), account("m", 0, ban=BAN + 10)])
+    return TASKS["1"].match(corpus, (), [EvasionPair("p", "c", 0)])
 
 
 def task3_samples():
     corpus, pair = pair_fixture(n_malicious=3)
-    pool = [a for a in corpus.accounts if a.account_id.startswith("m")]
-    return match_task3([pair], pool, corpus)
+    return TASKS["3"].match(corpus, groups_of(corpus), [pair])
 
 
 class TestLabeledSample:

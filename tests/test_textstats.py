@@ -139,6 +139,7 @@ class TestJaccard:
         assert j == jaccard(b, a)
         if a or b:
             assert (j == 1.0) == (a == b)
+            assert j == len(a & b) / len(a | b)
 
     @given(st.sets(st.integers(0, 20), min_size=1), st.integers(100, 120))
     def test_monotone_in_symmetric_difference(self, a, extra):
