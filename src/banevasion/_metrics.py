@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -52,24 +51,18 @@ def recall_at_k(ranks_of_true: Sequence[int], k: int) -> float:
     return sum(1 for r in ranks_of_true if r <= k) / len(ranks_of_true)
 
 
-@dataclass(frozen=True)
-class FragmentedAuc:
-    """AUC split by positive-sample success flag; None with the reason when
-    a fragment has no members."""
-
-    successful: float | None
-    unsuccessful: float | None
-    errors: dict[str, str]
-
-
 def fragmented_auc(
     scores: Sequence[float],
     labels: Sequence[int],
     success_flags: Sequence[bool],
-) -> FragmentedAuc:
+) -> dict:
     """AUC of successful positives vs. all negatives, and likewise for
     unsuccessful positives. ``success_flags`` aligns with the positives in
-    label order."""
+    label order.
+
+    Returns ``{"successful", "unsuccessful", "errors"}``: a fragment with no
+    members (or no negatives) scores None, and ``errors`` names it with the
+    reason."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=int)
     flags = list(success_flags)
@@ -79,17 +72,16 @@ def fragmented_auc(
 
     neg_scores = scores[labels == 0]
     pos_scores = scores[labels == 1]
-    results: dict[str, float | None] = {}
-    errors: dict[str, str] = {}
+    result: dict = {"errors": {}}
     for name, keep in (("successful", True), ("unsuccessful", False)):
         fragment = [s for s, f in zip(pos_scores, flags) if f == keep]
         if not fragment or neg_scores.size == 0:
-            results[name] = None
-            errors[name] = "fragment has a single class"
+            result[name] = None
+            result["errors"][name] = "fragment has a single class"
             continue
         frag_scores = np.concatenate([fragment, neg_scores])
         frag_labels = np.concatenate(
             [np.ones(len(fragment), dtype=int), np.zeros(neg_scores.size, dtype=int)]
         )
-        results[name] = roc_auc(frag_scores, frag_labels)
-    return FragmentedAuc(results["successful"], results["unsuccessful"], errors)
+        result[name] = roc_auc(frag_scores, frag_labels)
+    return result

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .corpus import DAY_SECONDS
@@ -119,16 +118,9 @@ def student_t_two_sided_p(t: float, df: float) -> float:
     return regularized_incomplete_beta(df / 2.0, 0.5, x)
 
 
-@dataclass(frozen=True)
-class TwoSampleResult:
-    t_statistic: float
-    degrees_of_freedom: float
-    p_value: float
-    cohens_d: float
-
-
-def welch_test(a: Sequence[float], b: Sequence[float]) -> TwoSampleResult:
-    """Unequal-variances two-sample t-test with pooled-SD effect size."""
+def welch_test(a: Sequence[float], b: Sequence[float]) -> dict:
+    """Unequal-variances two-sample t-test with pooled-SD effect size, as
+    the report holds it: ``{"t", "df", "p", "cohens_d"}``."""
     na, nb = len(a), len(b)
     if na < 2 or nb < 2:
         raise InsufficientSamplesError("welch_test needs at least 2 values per sample")
@@ -141,10 +133,13 @@ def welch_test(a: Sequence[float], b: Sequence[float]) -> TwoSampleResult:
     sa, sb = var_a / na, var_b / nb
     t = (mean_a - mean_b) / math.sqrt(sa + sb)
     df = (sa + sb) ** 2 / (sa * sa / (na - 1) + sb * sb / (nb - 1))
-    p = student_t_two_sided_p(t, df)
     pooled_sd = math.sqrt(((na - 1) * var_a + (nb - 1) * var_b) / (na + nb - 2))
-    d = (mean_a - mean_b) / pooled_sd
-    return TwoSampleResult(t, df, p, d)
+    return {
+        "t": t,
+        "df": df,
+        "p": student_t_two_sided_p(t, df),
+        "cohens_d": (mean_a - mean_b) / pooled_sd,
+    }
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
@@ -172,15 +167,9 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
 
 def _safe_welch(a: Sequence[float], b: Sequence[float]):
     try:
-        r = welch_test(a, b)
+        return welch_test(a, b)
     except (InsufficientSamplesError, ZeroVarianceError):
         return None
-    return {
-        "t": r.t_statistic,
-        "df": r.degrees_of_freedom,
-        "p": r.p_value,
-        "cohens_d": r.cohens_d,
-    }
 
 
 def _contrast(
@@ -197,7 +186,7 @@ def _mean(values: Sequence[float]):
 def _safe_pearson(x: Sequence[float], y: Sequence[float]):
     try:
         return pearson(x, y)
-    except (InsufficientSamplesError, ZeroVarianceError, MismatchError):
+    except (InsufficientSamplesError, ZeroVarianceError):
         return None
 
 

@@ -496,15 +496,13 @@ def cmd_evaluate(opts) -> int:
     features = _feature_config(opts)
     corpus = _load_corpus(opts)
     samples = task.match(corpus, *_pairs_from_file_or_corpus(opts, corpus), **match_options)
-    result, fitted = run_task(task, samples, Digests(corpus, features), **task_options)
+    report, fitted = run_task(task, samples, Digests(corpus, features), **task_options)
     out_dir = Path(opts.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     name = f"task{task.number}"
     save_model(fitted, out_dir / f"{name}_model.json")
-    write_report(
-        result.to_dict(), out_dir / f"{name}_report.json", out_dir / f"{name}_report.txt"
-    )
-    print(f"{name} auc={result.auc:.4f} -> {out_dir}")
+    write_report(report, out_dir / f"{name}_report.json", out_dir / f"{name}_report.txt")
+    print(f"{name} auc={report['auc']:.4f} -> {out_dir}")
     return 0
 
 
@@ -517,14 +515,12 @@ def cmd_rank(opts) -> int:
     features = _feature_config(opts)
     corpus = _load_corpus(opts)
     _, pairs = _pairs_from_file_or_corpus(opts, corpus)
-    result, fitted = run_ranking(Digests(corpus, features), pairs, **ranking_options)
+    report, fitted = run_ranking(Digests(corpus, features), pairs, **ranking_options)
     out_dir = Path(opts.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_model(fitted, out_dir / "ranking_model.json")
-    write_report(
-        result.to_dict(), out_dir / "ranking_report.json", out_dir / "ranking_report.txt"
-    )
-    print(f"ranking mrr={result.mrr:.4f} -> {out_dir}")
+    write_report(report, out_dir / "ranking_report.json", out_dir / "ranking_report.txt")
+    print(f"ranking mrr={report['mrr']:.4f} -> {out_dir}")
     return 0
 
 
@@ -617,14 +613,12 @@ def cmd_reproduce(opts) -> int:
         name = f"task{task.number}"
         with _stage(f"evaluate-{name}"):
             samples[task.number] = task.match(corpus, groups, pairs, **match_options)
-            result_t, fitted = run_task(task, samples[task.number], digests, **task_options)
+            report[name], fitted = run_task(task, samples[task.number], digests, **task_options)
             save_model(fitted, models_dir / f"{name}_model.json")
-            report[name] = result_t.to_dict()
 
     with _stage("rank"):
-        ranking, rank_model = run_ranking(digests, pairs, **ranking_options)
+        report["ranking"], rank_model = run_ranking(digests, pairs, **ranking_options)
         save_model(rank_model, models_dir / "ranking_model.json")
-        report["ranking"] = ranking.to_dict()
 
     with _stage("analyze"):
         analysis_report = characterize(digests, pairs, samples["1"], samples["3"],
@@ -634,9 +628,7 @@ def cmd_reproduce(opts) -> int:
         _write_analysis(analysis_report, reports_dir)
 
     with _stage("report"):
-        write_report(
-            report, out_dir / "report.json", out_dir / "report.txt"
-        )
+        write_report(report, out_dir / "report.json", out_dir / "report.txt")
     print(
         "reproduce done: "
         f"task1={report['task1']['auc']:.4f} "

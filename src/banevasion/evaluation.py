@@ -16,7 +16,8 @@ Tasks:
 one's default matching window and train fraction; ranking uses task 3's.
 One harness, ``run_task``, runs any task on samples its ``Task.match``
 built. It and ``run_ranking`` read the corpus and every vector from the
-run's ``features.Digests`` store.
+run's ``features.Digests`` store, and each returns its report as the dict
+that ``report.json`` holds.
 
 Splits train on the earliest-created ``train_fraction`` of the positive
 anchors, each negative following its anchor; the ranking splits its pairs'
@@ -34,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._metrics import FragmentedAuc, fragmented_auc, mrr, recall_at_k, roc_auc
+from ._metrics import fragmented_auc, mrr, recall_at_k, roc_auc
 from .corpus import Corpus, EvasionPair
 from .errors import EmptyInputError, InvalidConfigError, LeakageError
 from .features import Digests, pair_vectors
@@ -54,8 +55,6 @@ from .pairing import classify_success
 
 __all__ = [
     "SplitSpec",
-    "TaskResult",
-    "RankingResult",
     "temporal_split",
     "temporal_order",
     "dedupe_negatives",
@@ -63,7 +62,6 @@ __all__ = [
     "mrr",
     "recall_at_k",
     "fragmented_auc",
-    "FragmentedAuc",
     "run_task",
     "run_ranking",
     "write_report",
@@ -133,39 +131,6 @@ def _sample_matrix(task: Task, samples, digests: Digests, k_edits: int):
     return ordered, names, X, y
 
 
-@dataclass(frozen=True)
-class TaskResult:
-    task: str
-    auc: float
-    n_train: int
-    n_test: int
-    n_train_pos: int
-    n_test_pos: int
-    split_boundary: int
-    selected_features: tuple[str, ...] | None = None
-    fragmented: FragmentedAuc | None = None
-
-    def to_dict(self) -> dict:
-        doc = {
-            "task": self.task,
-            "auc": self.auc,
-            "n_train": self.n_train,
-            "n_test": self.n_test,
-            "n_train_pos": self.n_train_pos,
-            "n_test_pos": self.n_test_pos,
-            "split_boundary": self.split_boundary,
-        }
-        if self.selected_features is not None:
-            doc["selected_features"] = list(self.selected_features)
-        if self.fragmented is not None:
-            doc["fragmented_auc"] = {
-                "successful": self.fragmented.successful,
-                "unsuccessful": self.fragmented.unsuccessful,
-                "errors": self.fragmented.errors,
-            }
-        return doc
-
-
 def run_task(
     task: Task,
     samples: Sequence[LabeledSample],
@@ -174,10 +139,13 @@ def run_task(
     split: SplitSpec | None = None,
     use_rfe: bool = False,
     k_edits: int = DEFAULT_K_EDITS,
-) -> tuple[TaskResult, LogisticModel]:
+) -> tuple[dict, LogisticModel]:
     """Train and test ``task`` on its matched ``samples``, split by time
-    (``split`` defaults to the task's train fraction); a fragmented task
-    also scores its test positives by evasion success."""
+    (``split`` defaults to the task's train fraction).
+
+    Returns ``(report, model)``: the report holds the task's AUC and split
+    counts, plus ``selected_features`` after RFE and, for a fragmented task,
+    ``fragmented_auc`` over its test positives split by evasion success."""
     label = f"task{task.number}_{task.name}"
     corpus = digests.corpus
     train_s, test_s = temporal_split(samples, corpus, split or SplitSpec(task.train_fraction))
@@ -191,32 +159,31 @@ def run_task(
 
     if use_rfe:
         selected, model, _ = rfe(X_train, y_train, train_config, feature_names=names)
+        optional = {"selected_features": list(selected)}
     else:
-        selected, model = None, train(X_train, y_train, train_config, names)
+        model, optional = train(X_train, y_train, train_config, names), {}
     keep = [names.index(name) for name in model.feature_names]
     scores = model.predict_proba_matrix(X_test[:, keep], model.feature_names)
-    auc = roc_auc(scores, y_test)
-
-    fragmented = None
     if task.fragmented:
         test_pairs = [
             EvasionPair(s.parent_id, s.other_id) for s in test_ordered if s.label == POSITIVE
         ]
-        fragmented = fragmented_auc(scores, y_test, classify_success(test_pairs, corpus))
+        optional["fragmented_auc"] = fragmented_auc(
+            scores, y_test, classify_success(test_pairs, corpus)
+        )
 
-    result = TaskResult(
-        task=label,
-        auc=auc,
-        n_train=len(train_ordered),
-        n_test=len(test_ordered),
-        n_train_pos=int(y_train.sum()),
-        n_test_pos=int(y_test.sum()),
+    report = {
+        "task": label,
+        "auc": roc_auc(scores, y_test),
+        "n_train": len(train_ordered),
+        "n_test": len(test_ordered),
+        "n_train_pos": int(y_train.sum()),
+        "n_test_pos": int(y_test.sum()),
         # the rows are in temporal order, so the last one's anchor is the latest
-        split_boundary=corpus.account(train_ordered[-1].parent_id).creation_time,
-        selected_features=selected,
-        fragmented=fragmented,
-    )
-    return result, model
+        "split_boundary": corpus.account(train_ordered[-1].parent_id).creation_time,
+        **optional,
+    }
+    return report, model
 
 
 # ---------------------------------------------------------------------------
@@ -226,34 +193,20 @@ def run_task(
 RECALL_KS = (1, 3, 5)
 
 
-@dataclass(frozen=True)
-class RankingResult:
-    mrr: float
-    recall_at: dict[int, float]
-    n_train_children: int
-    n_test_children: int
-    mean_candidates: float
-
-    def to_dict(self) -> dict:
-        return {
-            "mrr": self.mrr,
-            "recall_at": {str(k): v for k, v in sorted(self.recall_at.items())},
-            "n_train_children": self.n_train_children,
-            "n_test_children": self.n_test_children,
-            "mean_candidates": self.mean_candidates,
-        }
-
-
 def run_ranking(
     digests: Digests,
     pairs: Sequence[EvasionPair],
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
     train_config: TrainConfig = TrainConfig(),
     split: SplitSpec = SplitSpec(TASKS["3"].train_fraction),
-) -> tuple[RankingResult, LogisticModel]:
+) -> tuple[dict, LogisticModel]:
     """Parent attribution: rank candidate parents for each test child by
     descending score, ties by candidate id, split by the creation time of
-    the pairs' parents."""
+    the pairs' parents.
+
+    Returns ``(report, model)``: the report holds the MRR, ``recall_at``
+    keyed by the string of each K in ``RECALL_KS``, the child count of each
+    side and the mean candidate-set size."""
     corpus = digests.corpus
     check_counts(max_candidates=max_candidates)
     if not pairs:
@@ -284,14 +237,14 @@ def run_ranking(
         start, end = end, end + len(cs.candidate_parent_ids)
         ranked = sorted(zip((-score for score in scores[start:end]), cs.candidate_parent_ids))
         ranks.append([c for _, c in ranked].index(cs.true_parent_id) + 1)
-    result = RankingResult(
-        mrr=mrr(ranks),
-        recall_at={k: recall_at_k(ranks, k) for k in RECALL_KS},
-        n_train_children=len(train_sets),
-        n_test_children=len(test_sets),
-        mean_candidates=sum(len(s.candidate_parent_ids) for s in all_sets) / len(all_sets),
-    )
-    return result, model
+    report = {
+        "mrr": mrr(ranks),
+        "recall_at": {str(k): recall_at_k(ranks, k) for k in RECALL_KS},
+        "n_train_children": len(train_sets),
+        "n_test_children": len(test_sets),
+        "mean_candidates": sum(len(s.candidate_parent_ids) for s in all_sets) / len(all_sets),
+    }
+    return report, model
 
 
 # ---------------------------------------------------------------------------

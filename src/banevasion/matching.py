@@ -140,11 +140,15 @@ class Task:
                 if a.ban_time is not None and a.account_id not in grouped
             ]
         index = _TimeIndex(pool, attrgetter("ban_time" if self.name == TASK1 else "creation_time"))
+        anchors = sorted((p.parent_id, p.child_id) for p in pairs)
         if self.name == TASK1:
+            # an unknown parent or child fails here, before any missing ban below
+            for parent_id, child_id in anchors:
+                corpus.account(parent_id)
+                corpus.account(child_id)
             # a parent named by several pairs anchors one positive
-            anchors = [(parent_id, parent_id) for parent_id in sorted({p.parent_id for p in pairs})]
-        else:
-            anchors = sorted((p.parent_id, p.child_id) for p in pairs)
+            parent_ids = dict.fromkeys(parent_id for parent_id, _ in anchors)
+            anchors = [(parent_id, parent_id) for parent_id in parent_ids]
         samples = []
         for parent_id, positive_id in anchors:
             ban = corpus.account(parent_id).ban_time

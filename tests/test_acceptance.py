@@ -123,9 +123,9 @@ def test_metric_oracles():
         assert recall_at_k(ranks, k) == pytest.approx(expected, abs=1e-15)
 
     result = welch_test([1, 2, 3, 4, 5], [2, 3, 4, 5, 6])
-    assert abs(result.t_statistic - (-1.0)) < 1e-9
-    assert abs(result.degrees_of_freedom - 8.0) < 1e-9
-    assert abs(result.p_value - p_value_quadrature(-1.0, 8.0)) < 1e-6
+    assert abs(result["t"] - (-1.0)) < 1e-9
+    assert abs(result["df"] - 8.0) < 1e-9
+    assert abs(result["p"] - p_value_quadrature(-1.0, 8.0)) < 1e-6
 
 
 @criterion(4, "analytic gradient matches central differences on 20 problems")
@@ -173,9 +173,9 @@ def seed_averaged_aucs(config_for_seed, n_seeds=5, split1=0.8, split23=0.9):
             return run_task(task, samples, digests, split=SplitSpec(fraction))[0]
 
         r1, r2, r3 = run("1", split1), run("2", split23), run("3", split23)
-        aucs[1].append(r1.auc)
-        aucs[2].append(r2.auc)
-        aucs[3].append(r3.auc)
+        aucs[1].append(r1["auc"])
+        aucs[2].append(r2["auc"])
+        aucs[3].append(r3["auc"])
     return {task: statistics.mean(values) for task, values in aucs.items()}
 
 
@@ -221,9 +221,9 @@ def test_copycat_attribution():
     corpus = result.corpus
     _, pairs = pipeline(corpus)
     ranking, _ = run_ranking(Digests(corpus), pairs, max_candidates=50, split=SplitSpec(0.8))
-    assert ranking.mrr >= 0.95
-    assert ranking.recall_at[5] == 1.0
-    assert ranking.mean_candidates <= 51  # true parent plus <= 50 distractors
+    assert ranking["mrr"] >= 0.95
+    assert ranking["recall_at"]["5"] == 1.0
+    assert ranking["mean_candidates"] <= 51  # true parent plus <= 50 distractors
 
 
 @criterion(8, "leakage: train/test negative ids disjoint after dedupe")

@@ -84,26 +84,26 @@ class TestIncompleteBeta:
 class TestWelch:
     def test_identical_samples(self):
         result = welch_test([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
-        assert result.t_statistic == 0.0
-        assert result.p_value == 1.0
-        assert result.cohens_d == 0.0
+        assert result["t"] == 0.0
+        assert result["p"] == 1.0
+        assert result["cohens_d"] == 0.0
 
     def test_hand_derived_example(self):
         result = welch_test([1, 2, 3, 4, 5], [2, 3, 4, 5, 6])
-        assert result.t_statistic == pytest.approx(-1.0, abs=1e-9)
-        assert result.degrees_of_freedom == pytest.approx(8.0, abs=1e-9)
-        assert result.p_value == pytest.approx(p_value_quadrature(-1.0, 8.0), abs=1e-6)
-        assert result.cohens_d == pytest.approx(-1.0 / math.sqrt(2.5), abs=1e-9)
+        assert result["t"] == pytest.approx(-1.0, abs=1e-9)
+        assert result["df"] == pytest.approx(8.0, abs=1e-9)
+        assert result["p"] == pytest.approx(p_value_quadrature(-1.0, 8.0), abs=1e-6)
+        assert result["cohens_d"] == pytest.approx(-1.0 / math.sqrt(2.5), abs=1e-9)
 
     def test_scale_invariance(self):
         a = [1.2, 3.4, 2.2, 5.0]
         b = [0.3, 4.4, 1.9]
         base = welch_test(a, b)
         scaled = welch_test([10 * x for x in a], [10 * x for x in b])
-        assert scaled.t_statistic == pytest.approx(base.t_statistic, abs=1e-12)
-        assert scaled.degrees_of_freedom == pytest.approx(base.degrees_of_freedom, abs=1e-9)
-        assert scaled.p_value == pytest.approx(base.p_value, abs=1e-12)
-        assert scaled.cohens_d == pytest.approx(base.cohens_d, abs=1e-12)
+        assert scaled["t"] == pytest.approx(base["t"], abs=1e-12)
+        assert scaled["df"] == pytest.approx(base["df"], abs=1e-9)
+        assert scaled["p"] == pytest.approx(base["p"], abs=1e-12)
+        assert scaled["cohens_d"] == pytest.approx(base["cohens_d"], abs=1e-12)
 
     def test_antisymmetry(self):
         rng = random.Random(4)
@@ -111,10 +111,10 @@ class TestWelch:
         b = [rng.gauss(0.5, 2) for _ in range(14)]
         fwd = welch_test(a, b)
         rev = welch_test(b, a)
-        assert rev.t_statistic == pytest.approx(-fwd.t_statistic)
-        assert rev.cohens_d == pytest.approx(-fwd.cohens_d)
-        assert rev.p_value == pytest.approx(fwd.p_value)
-        assert rev.degrees_of_freedom == pytest.approx(fwd.degrees_of_freedom)
+        assert rev["t"] == pytest.approx(-fwd["t"])
+        assert rev["cohens_d"] == pytest.approx(-fwd["cohens_d"])
+        assert rev["p"] == pytest.approx(fwd["p"])
+        assert rev["df"] == pytest.approx(fwd["df"])
 
     def test_p_matches_quadrature_on_random_inputs(self):
         rng = random.Random(21)
@@ -122,8 +122,8 @@ class TestWelch:
             a = [rng.gauss(0, 1) for _ in range(rng.randint(3, 20))]
             b = [rng.gauss(rng.uniform(-1, 1), 1.5) for _ in range(rng.randint(3, 20))]
             result = welch_test(a, b)
-            expected = p_value_quadrature(result.t_statistic, result.degrees_of_freedom)
-            assert result.p_value == pytest.approx(expected, abs=1e-6)
+            expected = p_value_quadrature(result["t"], result["df"])
+            assert result["p"] == pytest.approx(expected, abs=1e-6)
 
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientSamplesError):
@@ -135,8 +135,8 @@ class TestWelch:
 
     def test_one_constant_sample_allowed(self):
         result = welch_test([2.0, 2.0, 2.0], [1.0, 3.0, 5.0])
-        assert math.isfinite(result.t_statistic)
-        assert 0.0 <= result.p_value <= 1.0
+        assert math.isfinite(result["t"])
+        assert 0.0 <= result["p"] <= 1.0
 
     def test_p_monotone_in_t_for_fixed_df(self):
         for df in (1.5, 4.0, 8.0, 30.0):

@@ -29,6 +29,12 @@ task and ranking reports at seed 7, with default knobs and on the 2x corpus
 at the low-signal knobs. They were recorded from the harnesses that cut the
 ranking's pair list and ordered each task's rows on their own. The pin holds
 no AUC, MRR or model weight, so it does not depend on the BLAS thread count.
+
+The report schema is pinned by key: the sorted key paths of ``reproduce``'s
+``report.json`` at seed 7, with default knobs and with ``--rfe``. They were
+recorded from the harnesses that built each result as a dataclass and
+converted it to the written dict. The pin holds no value, so it does not
+depend on the BLAS thread count either.
 """
 
 from __future__ import annotations
@@ -133,6 +139,29 @@ SPLIT_FLAGS = {
     ),
 }
 
+_TASK_KEYS = ("auc", "n_test", "n_test_pos", "n_train", "n_train_pos", "split_boundary", "task")
+_DEFAULT_KEY_PATHS = (
+    "corpus", "corpus.accounts", "corpus.records", "corpus.revisions",
+    "pairing", "pairing.first_pairs", "pairing.groups", "pairing.pairs",
+    "ranking", "ranking.mean_candidates", "ranking.mrr", "ranking.n_test_children",
+    "ranking.n_train_children", "ranking.recall_at", "ranking.recall_at.1",
+    "ranking.recall_at.3", "ranking.recall_at.5",
+    "seed", "synth_config", "synth_config.activity_contrast", "synth_config.evasion_rate",
+    "synth_config.idle_gap_days", "synth_config.malicious_text_rate", "synth_config.n_benign",
+    "synth_config.n_groups", "synth_config.n_nonevading_malicious", "synth_config.page_overlap",
+    "synth_config.username_mutation_rate", "synth_config.vocab_reuse",
+    *(f"task{n}{key}" for n in "123" for key in ("", *(f".{k}" for k in _TASK_KEYS))),
+    "task3.fragmented_auc", "task3.fragmented_auc.errors", "task3.fragmented_auc.successful",
+    "task3.fragmented_auc.unsuccessful",
+)
+
+REPORT_KEY_PATHS = {
+    "default": sorted(_DEFAULT_KEY_PATHS),
+    "rfe": sorted((*_DEFAULT_KEY_PATHS, *(f"task{n}.selected_features" for n in "123"))),
+}
+
+REPORT_FLAGS = {"default": (), "rfe": ("--rfe",)}
+
 
 def write_stage_outputs(out):
     synth = generate_synthetic(
@@ -206,3 +235,21 @@ def test_split_counts_match_recorded_values(tmp_path, name):
         for part in SPLIT_PINS[name]
     }
     assert split == SPLIT_PINS[name]
+
+
+def key_paths(doc: dict, prefix: str = "") -> list[str]:
+    """Every key of ``doc`` at every depth, as a dotted path."""
+    paths = []
+    for key, value in doc.items():
+        paths.append(prefix + key)
+        if isinstance(value, dict):
+            paths += key_paths(value, f"{prefix}{key}.")
+    return paths
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_KEY_PATHS))
+def test_report_key_paths_match_recorded_schema(tmp_path, name):
+    args = ["reproduce", "--seed", "7", *REPORT_FLAGS[name], "--out-dir", str(tmp_path)]
+    assert main(args) == 0
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert sorted(key_paths(report)) == REPORT_KEY_PATHS[name]

@@ -69,7 +69,9 @@ class TestMatchTask1:
 
     def test_parent_in_pool_never_becomes_its_own_negative(self):
         # without groups the parent is a banned account outside every group
-        corpus = corpus_of([account("p", 0, ban=BAN), account("m", 0, ban=BAN + 5)])
+        corpus = corpus_of(
+            [account("p", 0, ban=BAN), account("m", 0, ban=BAN + 5), account("c", BAN + 10)]
+        )
         samples = TASKS["1"].match(corpus, (), [EvasionPair("p", "c", 0)])
         rows = [(s.other_id, s.label) for s in samples]
         assert rows == [("p", POSITIVE), ("m", NEGATIVE)]
@@ -119,7 +121,13 @@ class TestMatchChecks:
             TASKS[task].match(self.CORPUS, (), [EvasionPair("x", "c", 0)])
         assert err.value.offending_id == "x"
 
-    @pytest.mark.parametrize("task", ["2", "3"])
+    @pytest.mark.parametrize("task", ["1", "2", "3"])
+    def test_unknown_child_named(self, task):
+        with pytest.raises(ReferentialIntegrityError) as err:
+            TASKS[task].match(self.CORPUS, (), [EvasionPair("p", "zz", 0)])
+        assert err.value.offending_id == "zz"
+
+    @pytest.mark.parametrize("task", ["1", "2", "3"])
     def test_unknown_child_named_before_never_banned_parent(self, task):
         with pytest.raises(ReferentialIntegrityError) as err:
             TASKS[task].match(self.CORPUS, (), [EvasionPair("u", "x", 0)])
@@ -581,7 +589,9 @@ class TestPools:
 
 
 def task1_samples():
-    corpus = corpus_of([account("p", 0, ban=BAN), account("m", 0, ban=BAN + 10)])
+    corpus = corpus_of(
+        [account("p", 0, ban=BAN), account("m", 0, ban=BAN + 10), account("c", BAN + 20)]
+    )
     return TASKS["1"].match(corpus, (), [EvasionPair("p", "c", 0)])
 
 
