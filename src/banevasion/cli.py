@@ -63,7 +63,7 @@ def _as_bool(text: str) -> bool:
 
 def _load_config_file(path: str | None, keys: frozenset[str]) -> dict[str, tuple[int, str]]:
     """The ``key = value`` lines of ``path`` as ``{key: (line, value)}``; each
-    key must be in ``keys``."""
+    key must be in ``keys`` and on one line only."""
     if not path:
         return {}
     values: dict[str, tuple[int, str]] = {}
@@ -78,6 +78,9 @@ def _load_config_file(path: str | None, keys: frozenset[str]) -> dict[str, tuple
             key = key.strip().replace("-", "_")
             if key not in keys:
                 raise RecordParseError(path, lineno, f"no command reads key {key!r}")
+            if key in values:
+                reason = f"key {key!r} already set at line {values[key][0]}"
+                raise RecordParseError(path, lineno, reason)
             values[key] = (lineno, value.strip())
     return values
 
@@ -317,14 +320,14 @@ def _counts(opts, *names: str) -> dict:
 
 
 def _harness_options(opts, *counts: str, **params: str) -> dict:
-    """The ``train_config``, and where set the ``split``, the checked
+    """The ``train_config``, and where set the checked ``train_fraction`` and
     ``counts`` and the options ``params`` names, of a task or ranking run."""
-    from .evaluation import SplitSpec
+    from .evaluation import check_train_fraction
 
     given = {"train_config": _train_config(opts), **_counts(opts, *counts),
-             **_given(opts, **params)}
-    if opts.train_fraction is not None:
-        given["split"] = SplitSpec(opts.train_fraction)
+             **_given(opts, train_fraction="train_fraction", **params)}
+    if "train_fraction" in given:
+        check_train_fraction(given["train_fraction"])
     return given
 
 
@@ -442,7 +445,7 @@ def cmd_match(opts) -> int:
 
 
 def cmd_featurize(opts) -> int:
-    from .evaluation import temporal_order
+    from .evaluation import _sample_matrix
     from .features import Digests, write_feature_matrix
 
     task = matching_mod.TASKS[opts.task]
@@ -460,10 +463,11 @@ def cmd_featurize(opts) -> int:
         for account_id, role in ((s.parent_id, "sample parent"), (s.other_id, "sample other")):
             if account_id not in corpus.accounts_by_id:
                 raise ReferentialIntegrityError(account_id, role, path, lineno)
-    samples = temporal_order(samples, corpus)  # ``train --rfe`` holds out the trailing rows
-    names, X = task.vectors(samples, Digests(corpus, features), **vector_options)
-    ids = [f"{s.parent_id}|{s.other_id}" for s in samples]
-    labels = [s.label for s in samples]
+    # the rows in ``temporal_order``, as ``evaluate`` fits them: ``train --rfe`` holds out the last
+    ordered, names, X, labels = _sample_matrix(
+        task, samples, Digests(corpus, features), **vector_options
+    )
+    ids = [f"{s.parent_id}|{s.other_id}" for s in ordered]
     write_feature_matrix(opts.out, ids, labels, names, X)
     print(f"wrote {len(X)} rows -> {opts.out}")
     return 0
@@ -476,8 +480,8 @@ def cmd_train(opts) -> int:
     config = _train_config(opts)
     _, labels, names, X = read_feature_matrix(opts.features)
     if opts.rfe:
-        selected, fitted, _ = rfe(X, labels, config, feature_names=names)
-        log.info("rfe selected %d/%d features", len(selected), len(names))
+        fitted, _ = rfe(X, labels, config, feature_names=names)
+        log.info("rfe selected %d/%d features", len(fitted.feature_names), len(names))
     else:
         fitted = train(X, labels, config, names)
     save_model(fitted, opts.out)

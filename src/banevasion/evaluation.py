@@ -29,7 +29,6 @@ run. ``temporal_order`` is the row order of every feature matrix.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -54,7 +53,7 @@ from .model import LogisticModel, TrainConfig, rfe, train
 from .pairing import classify_success
 
 __all__ = [
-    "SplitSpec",
+    "check_train_fraction",
     "temporal_split",
     "temporal_order",
     "dedupe_negatives",
@@ -68,31 +67,29 @@ __all__ = [
     "render_report_text",
 ]
 
-@dataclass(frozen=True)
-class SplitSpec:
-    train_fraction: float
-
-    def __post_init__(self):
-        if not 0.0 < self.train_fraction < 1.0:
-            raise InvalidConfigError("train_fraction", "must be in (0, 1)")
+def check_train_fraction(train_fraction: float) -> None:
+    """Raise ``InvalidConfigError`` unless ``train_fraction`` is in (0, 1)."""
+    if not 0.0 < train_fraction < 1.0:
+        raise InvalidConfigError("train_fraction", "must be in (0, 1)")
 
 
-def _split_by_parent(items: Sequence, parent_ids, corpus: Corpus, spec: SplitSpec):
+def _split_by_parent(items: Sequence, parent_ids, corpus: Corpus, train_fraction: float):
     """Order the distinct ``parent_ids`` by (creation time, id), train on the
-    earliest ``spec.train_fraction`` of them, and send each item to its
+    earliest ``train_fraction`` of them, and send each item to its
     ``parent_id``'s side. Returns (ordered parent ids, train, test)."""
+    check_train_fraction(train_fraction)
     ordered = sorted(set(parent_ids), key=lambda a: (corpus.account(a).creation_time, a))
-    train_parents = set(ordered[: int(len(ordered) * spec.train_fraction)])
+    train_parents = set(ordered[: int(len(ordered) * train_fraction)])
     train = [x for x in items if x.parent_id in train_parents]
     return ordered, train, [x for x in items if x.parent_id not in train_parents]
 
 
-def temporal_split(samples: Sequence, corpus: Corpus, spec: SplitSpec):
+def temporal_split(samples: Sequence, corpus: Corpus, train_fraction: float):
     """Assign the earliest-created anchors (and their negatives) to train."""
     if not samples:
         raise EmptyInputError("temporal_split needs samples")
     anchors, train, test = _split_by_parent(
-        samples, (s.parent_id for s in samples if s.label == POSITIVE), corpus, spec
+        samples, (s.parent_id for s in samples if s.label == POSITIVE), corpus, train_fraction
     )
     if not anchors:
         raise EmptyInputError("temporal_split needs at least one positive")
@@ -106,14 +103,11 @@ def temporal_order(samples: Sequence, corpus: Corpus) -> list:
     return sorted(samples, key=key)
 
 
-def dedupe_negatives(train: Sequence, test: Sequence):
-    """Drop negatives from train whose member id also appears in test
-    negatives; test is returned unchanged."""
+def dedupe_negatives(train: Sequence, test: Sequence) -> list:
+    """``train`` without the negatives whose member id is also a negative of
+    ``test``; the test side keeps them."""
     test_neg = {s.other_id for s in test if s.label == NEGATIVE}
-    deduped = [
-        s for s in train if s.label == POSITIVE or s.other_id not in test_neg
-    ]
-    return deduped, list(test)
+    return [s for s in train if s.label == POSITIVE or s.other_id not in test_neg]
 
 
 def _assert_no_leakage(train: Sequence, test: Sequence) -> None:
@@ -124,7 +118,7 @@ def _assert_no_leakage(train: Sequence, test: Sequence) -> None:
         raise LeakageError(f"negative leakage across split: {sorted(overlap)[:5]}")
 
 
-def _sample_matrix(task: Task, samples, digests: Digests, k_edits: int):
+def _sample_matrix(task: Task, samples, digests: Digests, k_edits: int = DEFAULT_K_EDITS):
     ordered = temporal_order(samples, digests.corpus)
     names, X = task.vectors(ordered, digests, k_edits)
     y = np.array([s.label for s in ordered], dtype=int)
@@ -136,30 +130,32 @@ def run_task(
     samples: Sequence[LabeledSample],
     digests: Digests,
     train_config: TrainConfig = TrainConfig(),
-    split: SplitSpec | None = None,
+    train_fraction: float | None = None,
     use_rfe: bool = False,
     k_edits: int = DEFAULT_K_EDITS,
 ) -> tuple[dict, LogisticModel]:
     """Train and test ``task`` on its matched ``samples``, split by time
-    (``split`` defaults to the task's train fraction).
+    (``train_fraction`` defaults to the task's).
 
     Returns ``(report, model)``: the report holds the task's AUC and split
     counts, plus ``selected_features`` after RFE and, for a fragmented task,
     ``fragmented_auc`` over its test positives split by evasion success."""
     label = f"task{task.number}_{task.name}"
     corpus = digests.corpus
-    train_s, test_s = temporal_split(samples, corpus, split or SplitSpec(task.train_fraction))
+    if train_fraction is None:
+        train_fraction = task.train_fraction
+    train_s, test_s = temporal_split(samples, corpus, train_fraction)
     if not train_s or not test_s:
         raise EmptyInputError(f"{label} split left an empty side")
-    train_s, test_s = dedupe_negatives(train_s, test_s)
+    train_s = dedupe_negatives(train_s, test_s)
     _assert_no_leakage(train_s, test_s)
 
     train_ordered, names, X_train, y_train = _sample_matrix(task, train_s, digests, k_edits)
     test_ordered, _, X_test, y_test = _sample_matrix(task, test_s, digests, k_edits)
 
     if use_rfe:
-        selected, model, _ = rfe(X_train, y_train, train_config, feature_names=names)
-        optional = {"selected_features": list(selected)}
+        model, _ = rfe(X_train, y_train, train_config, feature_names=names)
+        optional = {"selected_features": list(model.feature_names)}
     else:
         model, optional = train(X_train, y_train, train_config, names), {}
     keep = [names.index(name) for name in model.feature_names]
@@ -198,7 +194,7 @@ def run_ranking(
     pairs: Sequence[EvasionPair],
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
     train_config: TrainConfig = TrainConfig(),
-    split: SplitSpec = SplitSpec(TASKS["3"].train_fraction),
+    train_fraction: float = TASKS["3"].train_fraction,
 ) -> tuple[dict, LogisticModel]:
     """Parent attribution: rank candidate parents for each test child by
     descending score, ties by candidate id, split by the creation time of
@@ -213,7 +209,7 @@ def run_ranking(
         raise EmptyInputError("run_ranking needs pairs")
 
     _, train_pairs, test_pairs = _split_by_parent(
-        pairs, (p.parent_id for p in pairs), corpus, split
+        pairs, (p.parent_id for p in pairs), corpus, train_fraction
     )
     if not train_pairs or not test_pairs:
         raise EmptyInputError("ranking split left an empty side")

@@ -2,10 +2,11 @@
 profiling, embeddings, and sentiment.
 
 Lexicon file format: a header block delimited by two ``%`` lines mapping
-numeric category ids to names (``id<TAB>name``), followed by entry lines
-``token<TAB>id [id ...]``. A trailing ``*`` on a token matches any token
-with that prefix. Sentiment lexicon files are ``token<TAB>valence`` lines
-with valences in [-1, 1]. External embedding files are
+numeric category ids to names (``id<TAB>name``, each id and name once),
+followed by entry lines ``token<TAB>id [id ...]``. A trailing ``*`` on a
+token matches any token with that prefix. Sentiment lexicon files are
+``token<TAB>valence`` lines, each token once and as ``tokenize`` returns
+it, with valences in [-1, 1]. External embedding files are
 ``sha256(text)<TAB>comma-separated floats`` lines, each hash on one line
 only and every float finite.
 """
@@ -285,11 +286,17 @@ class SentimentLexicon:
 
     def __post_init__(self):
         for token, valence in self.valences.items():
-            _check_valence(token, valence, None, None)
+            _check_sentiment_entry(token, valence, None, None)
 
 
-def _check_valence(token: str, valence: float, path: str | None, lineno: int | None) -> None:
-    """The valence rule, for ``SentimentLexicon`` and for the file parser."""
+def _check_sentiment_entry(
+    token: str, valence: float, path: str | None, lineno: int | None
+) -> None:
+    """The entry rules, for ``SentimentLexicon`` and for the file parser: a
+    token ``tokenize`` returns as itself, so it can match, and a valence in
+    [-1, 1]."""
+    if tokenize(token) != [token]:
+        raise RecordParseError(path, lineno, f"token {token!r} is not one lowercase token")
     if not math.isfinite(valence) or not -1.0 <= valence <= 1.0:
         raise RecordParseError(path, lineno, f"valence for {token!r} outside [-1, 1]")
 
@@ -335,6 +342,8 @@ def _parse_lexicon(lines: list[str], path: str) -> Lexicon:
             cat_id, name = parts
             if name in entries:
                 raise RecordParseError(path, lineno, f"duplicate category {name!r}")
+            if cat_id in id_to_name:
+                raise RecordParseError(path, lineno, f"duplicate category id {cat_id!r}")
             id_to_name[cat_id] = name
             entries[name] = []
         else:
@@ -376,6 +385,7 @@ def load_sentiment_lexicon(path: str | Path) -> SentimentLexicon:
 
 def _parse_sentiment(lines: list[str], path: str) -> SentimentLexicon:
     valences: dict[str, float] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
@@ -387,8 +397,12 @@ def _parse_sentiment(lines: list[str], path: str) -> SentimentLexicon:
             valence = float(parts[1])
         except ValueError:
             raise RecordParseError(path, lineno, "bad valence") from None
-        _check_valence(parts[0], valence, path, lineno)
-        valences[parts[0]] = valence
+        token = parts[0]
+        _check_sentiment_entry(token, valence, path, lineno)
+        if token in valences:
+            reason = f"token {token!r} already given at line {first_line[token]}"
+            raise RecordParseError(path, lineno, reason)
+        valences[token], first_line[token] = valence, lineno
     return SentimentLexicon(valences)
 
 

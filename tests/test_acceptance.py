@@ -19,7 +19,6 @@ import pytest
 from banevasion.analysis import welch_test
 from banevasion.corpus import SynthConfig, generate_synthetic
 from banevasion.evaluation import (
-    SplitSpec,
     dedupe_negatives,
     mrr,
     recall_at_k,
@@ -170,7 +169,7 @@ def seed_averaged_aucs(config_for_seed, n_seeds=5, split1=0.8, split23=0.9):
         def run(number, fraction):
             task = TASKS[number]
             samples = task.match(corpus, groups, pairs, task.window_seconds)
-            return run_task(task, samples, digests, split=SplitSpec(fraction))[0]
+            return run_task(task, samples, digests, train_fraction=fraction)[0]
 
         r1, r2, r3 = run("1", split1), run("2", split23), run("3", split23)
         aucs[1].append(r1["auc"])
@@ -220,7 +219,7 @@ def test_copycat_attribution():
     )
     corpus = result.corpus
     _, pairs = pipeline(corpus)
-    ranking, _ = run_ranking(Digests(corpus), pairs, max_candidates=50, split=SplitSpec(0.8))
+    ranking, _ = run_ranking(Digests(corpus), pairs, max_candidates=50, train_fraction=0.8)
     assert ranking["mrr"] >= 0.95
     assert ranking["recall_at"]["5"] == 1.0
     assert ranking["mean_candidates"] <= 51  # true parent plus <= 50 distractors
@@ -234,18 +233,17 @@ def test_leakage_removed():
     corpus = result.corpus
     groups, pairs = pipeline(corpus)
     samples = TASKS["1"].match(corpus, groups, pairs)
-    train, test = temporal_split(samples, corpus, SplitSpec(0.8))
+    train, test = temporal_split(samples, corpus, 0.8)
 
     before_train = {s.other_id for s in train if s.label == NEGATIVE}
     before_test = {s.other_id for s in test if s.label == NEGATIVE}
     assert before_train & before_test, "stress construction produced no overlap"
 
-    train2, test2 = dedupe_negatives(train, test)
+    train2 = dedupe_negatives(train, test)
     after_train = {s.other_id for s in train2 if s.label == NEGATIVE}
-    after_test = {s.other_id for s in test2 if s.label == NEGATIVE}
-    assert after_train & after_test == set()
-    assert after_test == before_test  # test side untouched
-    _assert_no_leakage(train2, test2)
+    assert after_train & before_test == set()
+    assert after_train == before_train - before_test  # only the shared ids leave train
+    _assert_no_leakage(train2, test)
     with pytest.raises(RuntimeError):
         _assert_no_leakage(train, test)
 

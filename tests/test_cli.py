@@ -20,6 +20,7 @@ from banevasion.cli import main
 from banevasion.corpus import DAY_SECONDS, WEEK_SECONDS, SynthConfig, load_corpus
 from banevasion.evaluation import temporal_order
 from banevasion.matching import TASKS, write_samples
+from banevasion.model import load_model, model_bytes
 from banevasion.pairing import extract_evasion_pairs, first_pair_per_group, merge_groups
 
 from conftest import account, corpus_of, record
@@ -192,6 +193,16 @@ class TestUsageErrors:
         assert f"error: stage 'generate' failed: {config}:3: no command reads key '{key}'" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("second", ["seed = 2", "seed=1"])
+    def test_config_key_set_twice_names_both_lines(self, tmp_path, capsys, second):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"seed = 1\n\n{second}\n")
+        code = main(["generate", "--out-dir", str(tmp_path / "out"), "--config", str(config)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"failed: {config}:3: key 'seed' already set at line 1" in err
+        assert not (tmp_path / "out").exists()
+
     def test_config_key_of_another_command_accepted(self, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("l2 = 5\nwindow-days = 3\n")
@@ -328,6 +339,21 @@ class TestStageChaining:
         doc = json.loads(model_path.read_text())
         assert doc["format"] == "banevasion-logistic/1"
         assert len(doc["weights"]) == len(doc["feature_names"])
+
+    def test_train_rfe_keeps_an_ordered_subset_of_the_header(self, corpus_dir, tmp_path):
+        flags = self.corpus_flags(corpus_dir)
+        samples, features, model_path = (tmp_path / n for n in ("s.tsv", "f.tsv", "m.json"))
+        assert main(["match", *flags, "--task", "3", "--out", str(samples)]) == 0
+        assert main([
+            "featurize", *flags, "--task", "3", "--samples", str(samples), "--out", str(features),
+        ]) == 0
+        assert main(["train", "--rfe", "--features", str(features), "--out", str(model_path)]) == 0
+        _, _, header, _ = features_mod.read_feature_matrix(features)
+        model = load_model(model_path)
+        in_header = iter(header)
+        assert all(name in in_header for name in model.feature_names)  # in header order
+        assert 0 < len(model.feature_names) < len(header)
+        assert model_bytes(model) == model_path.read_bytes()
 
     @pytest.mark.parametrize(
         "task, window, child_ban_columns",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,8 @@ from banevasion.errors import (
     MissingBanTimeError,
 )
 from banevasion.evaluation import (
-    SplitSpec,
     _assert_no_leakage,
+    check_train_fraction,
     fragmented_auc,
     recall_at_k,
     roc_auc,
@@ -71,12 +73,8 @@ def test_never_banned_account_named(call, account_id):
         ("cap", lambda: TASKS["2"].match(CORPUS, [], [PAIR], cap=0)),
         ("l2_lambda", lambda: TrainConfig(l2_lambda=float("nan"))),
         ("max_epochs", lambda: TrainConfig(max_epochs=0)),
-        ("tolerance", lambda: TrainConfig(tolerance=0.0)),
-        ("class_weighting", lambda: TrainConfig(class_weighting="balanced")),
-        ("train_fraction", lambda: SplitSpec(1.0)),
+        ("train_fraction", lambda: check_train_fraction(1.0)),
         ("embedding_provider", lambda: get_provider("bogus")),
-        ("validation_fraction",
-         lambda: rfe(np.ones((4, 2)), np.array([0, 1, 0, 1]), validation_fraction=1.0)),
         ("k", lambda: recall_at_k([1], 0)),
         ("k_edits", lambda: pair_vectors(Digests(CORPUS), [], k_limit=0)),
         ("max_candidates", lambda: run_ranking(Digests(CORPUS), [PAIR], max_candidates=0)),
@@ -153,3 +151,45 @@ def test_leakage_across_split_is_leakage_error():
     with pytest.raises(LeakageError, match="'m'") as err:
         _assert_no_leakage([shared], [shared._replace(parent_id="q")])
     assert isinstance(err.value, RuntimeError)
+
+
+GOOD_MODEL = {
+    "format": "banevasion-logistic/1", "feature_names": ["a", "b"], "weights": [0.5, -0.25],
+    "bias": 0.125, "means": [1.0, 2.0], "stds": [1.0, 0.0],
+    "config": {"class_weighting": "inverse-frequency", "l2_lambda": 1.0, "max_epochs": 2000,
+               "tolerance": 1e-08},
+}
+
+
+def _model_text(config=(), **fields):
+    return json.dumps({**GOOD_MODEL, **fields, "config": {**GOOD_MODEL["config"], **dict(config)}})
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ('{"format": "banevasion-logistic/1",', "not JSON"),
+        (_model_text(feature_names=["a", "a"]), "key 'feature_names'"),
+        (_model_text(feature_names=["a", 2]), "key 'feature_names'"),
+        (_model_text(weights=["0.5", -0.25]), "key 'weights'"),
+        (_model_text(weights=[float("nan"), -0.25]), "key 'weights'"),
+        (_model_text(stds=[True, 0.0]), "key 'stds'"),
+        (_model_text(means=[1.0]), "key 'means'"),
+        (_model_text(bias="0.125"), "key 'bias'"),
+        (_model_text(config={"momentum": 0.9}), "key 'config.momentum'"),
+        (json.dumps({**GOOD_MODEL, "config": {"l2_lambda": 1.0}}), "key 'config.max_epochs'"),
+        (_model_text(config={"max_epochs": 0}), "invalid config field 'max_epochs'"),
+        (_model_text(config={"tolerance": "1e-08"}), "key 'config.tolerance'"),
+        (_model_text(config={"class_weighting": "none"}), "key 'config.class_weighting'"),
+    ],
+    ids=["json", "names_repeated", "names_not_strings", "weights_string", "weights_nan",
+         "stds_bool", "means_short", "bias_string", "config_unknown", "config_missing",
+         "config_range", "config_tolerance",
+         "config_class_weighting"],
+)
+def test_malformed_model_file_names_path_and_key(tmp_path, text, named):
+    path = _write(tmp_path / "model.json", text)
+    with pytest.raises(InvalidInputError) as err:
+        load_model(path)
+    assert str(err.value).startswith(f"{path}: {named}")
+

@@ -20,7 +20,6 @@ from banevasion.analysis import characterize
 from banevasion.corpus import SynthConfig, generate_synthetic
 from banevasion.errors import EmptyInputError, InvalidConfigError, SingleClassInputError
 from banevasion.evaluation import (
-    SplitSpec,
     dedupe_negatives,
     fragmented_auc,
     mrr,
@@ -40,7 +39,7 @@ from banevasion.matching import (
     TASKS,
     build_candidate_sets,
 )
-from banevasion.model import LogisticModel, StandardizationStats, TrainConfig
+from banevasion.model import LogisticModel, TrainConfig
 from banevasion.pairing import (
     EvasionPair,
     extract_evasion_pairs,
@@ -205,20 +204,20 @@ def split_fixture(n_parents, negatives_per=1):
 class TestTemporalSplit:
     def test_eighty_twenty(self):
         corpus, samples = split_fixture(10)
-        train, test = temporal_split(samples, corpus, SplitSpec(0.8))
+        train, test = temporal_split(samples, corpus, 0.8)
         train_pos = [s for s in train if s.label == POSITIVE]
         assert len(train_pos) == 8
         assert {s.parent_id for s in train_pos} == {f"p{i:02d}" for i in range(8)}
 
     def test_ninety_ten(self):
         corpus, samples = split_fixture(10)
-        train, test = temporal_split(samples, corpus, SplitSpec(0.9))
+        train, test = temporal_split(samples, corpus, 0.9)
         assert sum(1 for s in train if s.label == POSITIVE) == 9
         assert sum(1 for s in test if s.label == POSITIVE) == 1
 
     def test_negatives_follow_anchor(self):
         corpus, samples = split_fixture(5, negatives_per=3)
-        train, test = temporal_split(samples, corpus, SplitSpec(0.8))
+        train, test = temporal_split(samples, corpus, 0.8)
         for subset in (train, test):
             anchors = {s.parent_id for s in subset if s.label == POSITIVE}
             for s in subset:
@@ -231,14 +230,14 @@ class TestTemporalSplit:
             LabeledSample("pa", "pa", POSITIVE, TASK1),
         ]
         corpus = corpus_of(accounts)
-        train, test = temporal_split(samples, corpus, SplitSpec(0.5))
+        train, test = temporal_split(samples, corpus, 0.5)
         assert [s.other_id for s in train if s.label == POSITIVE] == ["pa"]
         assert [s.other_id for s in test] == ["pb"]
 
     def test_empty_rejected(self):
         corpus = corpus_of([])
         with pytest.raises(EmptyInputError):
-            temporal_split([], corpus, SplitSpec(0.8))
+            temporal_split([], corpus, 0.8)
 
 
 class TestDedupeNegatives:
@@ -252,16 +251,12 @@ class TestDedupeNegatives:
             LabeledSample("p2", "p2", POSITIVE, TASK1),
             LabeledSample("p2", "dup", NEGATIVE, TASK1),
         ]
-        train2, test2 = dedupe_negatives(train, test)
-        assert [s.other_id for s in train2] == ["p1", "keep"]
-        assert test2 == test
+        assert [s.other_id for s in dedupe_negatives(train, test)] == ["p1", "keep"]
 
     def test_no_overlap_is_identity(self):
         train = [LabeledSample("p1", "a", NEGATIVE, TASK1)]
         test = [LabeledSample("p2", "b", NEGATIVE, TASK1)]
-        train2, test2 = dedupe_negatives(train, test)
-        assert train2 == train
-        assert test2 == test
+        assert dedupe_negatives(train, test) == train
 
     def test_pair_samples_use_other_id(self):
         train = [
@@ -269,40 +264,33 @@ class TestDedupeNegatives:
             LabeledSample("p1", "dup", NEGATIVE, "t"),
         ]
         test = [LabeledSample("p2", "dup", NEGATIVE, "t")]
-        train2, _ = dedupe_negatives(train, test)
-        assert [s.other_id for s in train2] == ["c1"]
+        assert [s.other_id for s in dedupe_negatives(train, test)] == ["c1"]
 
     def test_positives_untouched(self):
         train = [LabeledSample("p1", "x", POSITIVE, "t")]
         test = [LabeledSample("p2", "x", NEGATIVE, "t")]
-        train2, test2 = dedupe_negatives(train, test)
-        assert train2 == train
+        assert dedupe_negatives(train, test) == train
 
     def test_exhaustive_disjointness_on_stress_set(self):
         rng = random.Random(17)
         ids = [f"m{i}" for i in range(30)]
         train = [LabeledSample("p1", rng.choice(ids), NEGATIVE, TASK1) for _ in range(60)]
         test = [LabeledSample("p2", rng.choice(ids), NEGATIVE, TASK1) for _ in range(60)]
-        train2, test2 = dedupe_negatives(train, test)
-        train_ids = {s.other_id for s in train2 if s.label == NEGATIVE}
-        test_ids = {s.other_id for s in test2 if s.label == NEGATIVE}
+        train_ids = {s.other_id for s in dedupe_negatives(train, test) if s.label == NEGATIVE}
+        test_ids = {s.other_id for s in test if s.label == NEGATIVE}
         assert train_ids & test_ids == set()
-        assert test2 == test
 
 
 def zero_model(names):
     d = len(names)
-    return LogisticModel(
-        tuple(names), np.zeros(d), 0.0,
-        StandardizationStats(np.zeros(d), np.ones(d)), TrainConfig(),
-    )
+    return LogisticModel(tuple(names), np.zeros(d), 0.0, np.zeros(d), np.ones(d), TrainConfig())
 
 
 class TestRankCandidates:
     """The ranking under a model that scores every candidate alike; "true" is
     the latest-created parent, so its child "child" is the one test child."""
 
-    def rank(self, monkeypatch, pairs, split):
+    def rank(self, monkeypatch, pairs, train_fraction):
         accounts = [
             account("d1", 0, ban=800),
             account("d2", 1, ban=700),
@@ -314,18 +302,18 @@ class TestRankCandidates:
         monkeypatch.setattr(
             evaluation_mod, "train", lambda X, y, config, names: zero_model(names)
         )
-        result, _ = run_ranking(Digests(corpus_of(accounts)), pairs, split=split)
+        result, _ = run_ranking(Digests(corpus_of(accounts)), pairs, train_fraction=train_fraction)
         assert result["n_test_children"] == 1
         return result
 
     def test_single_candidate(self, monkeypatch):
         # only "true" was banned before the child's creation
         pairs = [EvasionPair("p-old", "p-old-child"), EvasionPair("true", "child")]
-        assert self.rank(monkeypatch, pairs, SplitSpec(0.5))["mrr"] == 1.0
+        assert self.rank(monkeypatch, pairs, 0.5)["mrr"] == 1.0
 
     def test_identical_vectors_tie_break_by_id(self, monkeypatch):
         pairs = [EvasionPair(p, f"{p}-child") for p in ("d1", "d2", "p-old")]
-        result = self.rank(monkeypatch, [*pairs, EvasionPair("true", "child")], SplitSpec(0.75))
+        result = self.rank(monkeypatch, [*pairs, EvasionPair("true", "child")], 0.75)
         # all scores are 0.5 -> the child's candidates sorted by id: d1, d2, true
         assert result["mrr"] == 1 / 3
         assert result["recall_at"] == {"1": 0.0, "3": 1.0, "5": 1.0}

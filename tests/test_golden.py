@@ -35,6 +35,12 @@ The report schema is pinned by key: the sorted key paths of ``reproduce``'s
 recorded from the harnesses that built each result as a dataclass and
 converted it to the written dict. The pin holds no value, so it does not
 depend on the BLAS thread count either.
+
+The model file is pinned by bytes: ``model_bytes`` of ``train`` and of
+``rfe`` on a seeded 80 x 6 matrix. They were recorded from the fit layer
+whose ``TrainConfig`` carried the tolerance and the class weighting and
+whose model kept its standardization in a separate record. At this shape
+the bytes are the same under ``OPENBLAS_NUM_THREADS`` 1, 2 and 4 and unset.
 """
 
 from __future__ import annotations
@@ -42,12 +48,14 @@ from __future__ import annotations
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from banevasion.cli import main
 from banevasion.corpus import SynthConfig, generate_synthetic, load_corpus, save_corpus, save_pairs
 from banevasion.features import Digests, write_feature_matrix
 from banevasion.matching import TASKS, build_candidate_sets, write_samples
+from banevasion.model import model_bytes, rfe, train
 from banevasion.pairing import extract_evasion_pairs, first_pair_per_group, merge_groups
 
 GOLDEN_SHA256 = {
@@ -162,6 +170,11 @@ REPORT_KEY_PATHS = {
 
 REPORT_FLAGS = {"default": (), "rfe": ("--rfe",)}
 
+MODEL_SHA256 = {
+    "train": "9e128f6689449169f7a04ae70e8aea2cc64c2dfc139b34bcabe01560047d0d85",
+    "rfe": "838c659121177f96075b261140bf0b8cfc4564ea0094814ff0f69aee21bce7ef",
+}
+
 
 def write_stage_outputs(out):
     synth = generate_synthetic(
@@ -253,3 +266,13 @@ def test_report_key_paths_match_recorded_schema(tmp_path, name):
     assert main(args) == 0
     report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
     assert sorted(key_paths(report)) == REPORT_KEY_PATHS[name]
+
+
+def test_model_bytes_match_recorded_pins():
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(80, 6))
+    y = (X[:, 0] - X[:, 1] + rng.normal(size=80) > 0).astype(int)
+    models = {"train": train(X, y), "rfe": rfe(X, y)[0]}
+    assert {k: hashlib.sha256(model_bytes(m)).hexdigest() for k, m in models.items()} == (
+        MODEL_SHA256
+    )

@@ -5,13 +5,14 @@ import json
 import numpy as np
 import pytest
 
+from banevasion import model as model_mod
 from banevasion.errors import MismatchError, NonFiniteFeatureError, SingleClassInputError
 from banevasion.model import (
     LogisticModel,
-    StandardizationStats,
     TrainConfig,
+    _TOLERANCE,
     _sample_weights,
-    fit_standardization,
+    _standardize,
     load_model,
     loss_and_gradient,
     model_bytes,
@@ -36,7 +37,7 @@ def finite_difference_gradient(w, b, X, y, l2, sw, h=1e-6):
 
 
 def random_problems(count):
-    """Seeded fits: d up to 25, columns scaled 0.1-100x, l2 > 0, both weightings."""
+    """Seeded fits: d up to 25, columns scaled 0.1-100x, l2 > 0."""
     rng = np.random.default_rng(2024)
     for _ in range(count):
         yield random_problem(rng)
@@ -48,28 +49,29 @@ def random_problem(rng):
     beta = rng.normal(size=d) * rng.uniform(0.0, 2.0)
     y = ((X / X.std(axis=0)) @ beta + rng.logistic(size=n) > 0).astype(int)
     y[:2] = (0, 1)
-    config = TrainConfig(
-        l2_lambda=float(10 ** rng.uniform(-3, 1)),
-        class_weighting=("none", "inverse-frequency")[int(rng.integers(2))],
-    )
-    return X, y, config
+    return X, y, TrainConfig(l2_lambda=float(10 ** rng.uniform(-3, 1)))
 
 
 def loss_terms(model, X, y):
     """The penalized loss and gradient (over w, then b) at the model's weights."""
-    sw = _sample_weights(np.asarray(y, dtype=float), model.config.class_weighting)
+    sw = _sample_weights(np.asarray(y, dtype=float))
     loss, grad_w, grad_b = loss_and_gradient(
-        model.weights, model.bias, model.stats.apply(X), y, model.config.l2_lambda, sw
+        model.weights, model.bias, standardized(X), y, model.config.l2_lambda, sw
     )
     return loss, np.append(grad_w, grad_b)
+
+
+def standardized(X):
+    """``X`` standardized by its own statistics, as ``train`` does."""
+    return _standardize(X, X.mean(axis=0), X.std(axis=0))
 
 
 def descent_reference(X, y, config, learning_rate=0.1):
     """The loss reached by full-batch gradient descent with step halving, the
     solver ``train`` used before Newton's method, kept as written then."""
-    Xs = fit_standardization(X).apply(X)
+    Xs = standardized(X)
     y = np.asarray(y, dtype=float)
-    sw = _sample_weights(y, config.class_weighting)
+    sw = _sample_weights(y)
     w = np.zeros(X.shape[1])
     b = 0.0
     lr = learning_rate
@@ -87,7 +89,7 @@ def descent_reference(X, y, config, learning_rate=0.1):
         improvement = loss - new_loss
         w, b, grad_w, grad_b = w_new, b_new, new_gw, new_gb
         loss = new_loss
-        if improvement < config.tolerance:
+        if improvement < _TOLERANCE:
             break
     return loss
 
@@ -101,8 +103,7 @@ def separable_toy():
 class TestStandardization:
     def test_zero_variance_column_centered_only(self):
         X = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
-        stats = fit_standardization(X)
-        out = stats.apply(X)
+        out = standardized(X)
         assert np.allclose(out[:, 1], 0.0)
         assert np.allclose(out[:, 0].mean(), 0.0)
         assert np.allclose(out[:, 0].std(), 1.0)
@@ -118,7 +119,7 @@ class TestTrain:
 
     def test_huge_regularization_shrinks_to_prior(self):
         X, y = separable_toy()
-        model = train(X, y, TrainConfig(l2_lambda=1e6, class_weighting="none"))
+        model = train(X, y, TrainConfig(l2_lambda=1e6))
         assert abs(model.weights[0]) < 1e-3
         probs = model.predict_proba_matrix(X, model.feature_names)
         assert np.allclose(probs, 0.5, atol=1e-3)
@@ -141,32 +142,40 @@ class TestTrain:
         b = train(X, y, TrainConfig())
         assert model_bytes(a) == model_bytes(b)
 
-    def test_loss_non_increasing_on_toy(self):
+    def test_loss_non_increasing_on_toy(self, monkeypatch):
+        monkeypatch.setattr(model_mod, "_TOLERANCE", 1e-300)
         X, y = separable_toy()
-        stats = fit_standardization(X)
-        Xs = stats.apply(X)
-        sw = np.ones(y.size)
+        Xs = standardized(X)
+        sw = _sample_weights(y)
         losses = []
         for epochs in range(1, 40):
-            model = train(X, y, TrainConfig(l2_lambda=0.0,
-                                            max_epochs=epochs, tolerance=1e-300,
-                                            class_weighting="none"))
+            model = train(X, y, TrainConfig(l2_lambda=0.0, max_epochs=epochs))
             loss, _, _ = loss_and_gradient(model.weights, model.bias, Xs, y, 0.0, sw)
             losses.append(loss)
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
-    def test_overshooting_step_retried(self):
-        # on these outlying rows the seventh Newton step overshoots: kept
-        # as solved, it would raise the loss from 0.23 to 8.4
+    def test_overshooting_step_retried(self, monkeypatch):
+        # on these outlying rows the sixth Newton step overshoots: kept as
+        # solved, it would raise the loss from 0.32 to 13.4
         X = np.array([[-5.0, -2.0], [6.0, 0.0], [-6.0, -129.0], [-244.0, 1.0], [6.0, -1.0]])
         y = np.array([0, 1, 0, 0, 0])
-        Xs = fit_standardization(X).apply(X)
+        Xs, sw = standardized(X), _sample_weights(y)
+        # each tried step solves at the current point, so a retried step
+        # solves twice at the same point
+        points = []
+        hessian = model_mod._hessian
+
+        def recording(w, b, *args):
+            points.append((w.tolist(), b))
+            return hessian(w, b, *args)
+
+        monkeypatch.setattr(model_mod, "_hessian", recording)
         losses = []
         for epochs in range(1, 12):
-            model = train(X, y, TrainConfig(l2_lambda=0.0, max_epochs=epochs,
-                                            class_weighting="none"))
-            losses.append(loss_and_gradient(model.weights, model.bias, Xs, y, 0.0,
-                                            np.ones(y.size))[0])
+            points.clear()
+            model = train(X, y, TrainConfig(l2_lambda=0.0, max_epochs=epochs))
+            losses.append(loss_and_gradient(model.weights, model.bias, Xs, y, 0.0, sw)[0])
+        assert any(a == b for a, b in zip(points, points[1:]))
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
         assert losses[-1] < 0.2
 
@@ -187,9 +196,6 @@ class TestTrain:
             ("l2_lambda", -1.0),
             ("l2_lambda", float("nan")),
             ("l2_lambda", float("inf")),
-            ("tolerance", 0.0),
-            ("tolerance", float("nan")),
-            ("tolerance", float("inf")),
         ],
     )
     def test_invalid_field_rejected(self, field, value):
@@ -247,10 +253,9 @@ class TestGradient:
 class TestPredict:
     def make_model(self, weights, bias):
         d = len(weights)
-        stats = StandardizationStats(np.zeros(d), np.ones(d))
         return LogisticModel(
             tuple(f"f{i}" for i in range(d)), np.array(weights, dtype=float),
-            bias, stats, TrainConfig(),
+            bias, np.zeros(d), np.ones(d), TrainConfig(),
         )
 
     def test_zero_model_gives_half(self):
@@ -289,12 +294,10 @@ class TestRfe:
     def test_noise_feature_eliminated_first(self):
         for seed in range(5):
             X, y = self.planted_data(seed)
-            selected, model, history = rfe(
-                X, y, TrainConfig(), feature_names=("signal", "noise")
-            )
+            model, history = rfe(X, y, TrainConfig(), feature_names=("signal", "noise"))
             # first elimination happens after the full fit: round 2 must be signal-only
             assert history[1][0] == ("signal",)
-            assert "signal" in selected
+            assert "signal" in model.feature_names
 
     def test_both_informative_beats_singletons(self):
         rng = np.random.default_rng(11)
@@ -303,21 +306,19 @@ class TestRfe:
         b = rng.normal(size=n)
         y = ((a + b) > 0).astype(int)
         X = np.column_stack([a, b])
-        selected, _, history = rfe(X, y, TrainConfig(), feature_names=("a", "b"))
+        model, history = rfe(X, y, TrainConfig(), feature_names=("a", "b"))
         aucs = {names: auc for names, auc in history}
         best = max(aucs.values())
-        assert aucs[selected] == best
+        assert aucs[model.feature_names] == best
         assert best >= max(auc for names, auc in history if len(names) == 1) - 1e-12
 
     def test_all_noise_selects_near_chance(self):
+        # 6000 rows, so the trailing 10% holdout has 600
         rng = np.random.default_rng(42)
-        n = 2000
+        n = 6000
         X = rng.normal(size=(n, 6))
         y = (rng.random(n) < 0.5).astype(int)
-        selected, _, history = rfe(
-            X, y, TrainConfig(), validation_fraction=0.3,
-            feature_names=tuple(f"n{i}" for i in range(6)),
-        )
+        _, history = rfe(X, y, TrainConfig(), feature_names=tuple(f"n{i}" for i in range(6)))
         best_auc = max(auc for _, auc in history)
         assert 0.4 <= best_auc <= 0.6
 
@@ -328,8 +329,8 @@ class TestRfe:
         informative = rng.normal(size=200)
         y = (informative > 0).astype(int)
         X = np.column_stack([informative, np.ones(200), np.ones(200)])
-        selected, _, history = rfe(X, y, TrainConfig(), feature_names=("s", "c1", "c2"))
-        assert selected == ("s",)
+        model, history = rfe(X, y, TrainConfig(), feature_names=("s", "c1", "c2"))
+        assert model.feature_names == ("s",)
         # tie among |w|=0 columns drops the later name first
         assert history[1][0] == ("s", "c1")
 
@@ -350,7 +351,8 @@ class TestSerialization:
         assert reloaded.feature_names == model.feature_names
         assert np.array_equal(reloaded.weights, model.weights)
         assert reloaded.bias == model.bias
-        assert np.array_equal(reloaded.stats.means, model.stats.means)
+        assert np.array_equal(reloaded.means, model.means)
+        assert np.array_equal(reloaded.stds, model.stds)
         assert model_bytes(reloaded) == model_bytes(model)
 
     def test_loads_file_with_legacy_seed_config(self, tmp_path):

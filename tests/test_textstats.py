@@ -368,6 +368,14 @@ class TestSentiment:
         with pytest.raises(RecordParseError, match="valence for 'off' outside"):
             SentimentLexicon({"off": 1.5})
 
+    @pytest.mark.parametrize("token", ["Nice", "two words", "a-b", ""])
+    def test_token_must_tokenize_as_itself(self, token):
+        # ``tokenize`` lowercases and splits, so such an entry could never match
+        with pytest.raises(RecordParseError) as err:
+            SentimentLexicon({token: 0.3})
+        assert str(err.value) == f"token {token!r} is not one lowercase token"
+        assert err.value.path is None
+
 
 class TestLexiconFiles:
     def test_builtin_lexicon_loads(self):
@@ -413,6 +421,12 @@ LEXICON_RULE_BREAKS = {
                        "wildcard only allowed in final position: 'ta*lk'"),
     "lone_wildcard": (load_lexicon, LEXICON_HEAD + "*\t1\n", 6,
                       "wildcard only allowed in final position: '*'"),
+    "repeated_category_id": (load_lexicon, "%\n1\tposemo\n1\tnegemo\n%\n", 3,
+                             "duplicate category id '1'"),
+    "sentiment_repeated_token": (load_sentiment_lexicon, SENTIMENT_HEAD + "good\t-0.9\n", 3,
+                                 "token 'good' already given at line 1"),
+    "sentiment_uppercase_token": (load_sentiment_lexicon, SENTIMENT_HEAD + "Nice\t0.3\n", 3,
+                                  "token 'Nice' is not one lowercase token"),
     "valence_above": (load_sentiment_lexicon, SENTIMENT_HEAD + "bad\t2.0\n", 3,
                       "valence for 'bad' outside [-1, 1]"),
     "valence_below": (load_sentiment_lexicon, SENTIMENT_HEAD + "bad\t-1.5\n", 3,
