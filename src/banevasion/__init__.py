@@ -20,8 +20,6 @@ from .pairing import (
     extract_evasion_pairs,
     first_pair_per_group,
     merge_groups,
-    temporal_predecessor,
-    temporal_successor,
 )
 
 __version__ = "0.1.0"
@@ -41,7 +39,5 @@ __all__ = [
     "extract_evasion_pairs",
     "first_pair_per_group",
     "merge_groups",
-    "temporal_predecessor",
-    "temporal_successor",
     "__version__",
 ]

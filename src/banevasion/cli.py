@@ -189,8 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = _add_command(sub, "extract-pairs", "merge groups and extract evasion pairs",
                      cmd_extract_pairs, _add_corpus_inputs)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--all-rounds", action="store_true", default=None,
-                   help="keep later evasion rounds instead of first pairs only")
 
     p = _add_command(sub, "match", "build matched negative samples for one task", cmd_match,
                      _add_seed_flag, _add_corpus_inputs)
@@ -359,19 +357,17 @@ def _analysis_options(opts) -> dict:
 
 
 def _extract(corpus):
-    groups = pairing_mod.merge_groups(corpus.sockpuppet_records, corpus)
+    groups = pairing_mod.merge_groups(corpus)
     all_pairs = pairing_mod.extract_evasion_pairs(groups, corpus)
     return groups, all_pairs, pairing_mod.first_pair_per_group(all_pairs, corpus)
 
 
 def _pairs_from_file_or_corpus(opts, corpus):
-    """The merged groups, and the ``--pairs`` file as given (each pair checked
-    against the corpus) or else the first extracted pair per group."""
-    if not opts.pairs:
-        groups, _, first_pairs = _extract(corpus)
-        return groups, first_pairs
-    groups = pairing_mod.merge_groups(corpus.sockpuppet_records, corpus)
-    return groups, corpus_mod.load_pairs(opts.pairs, corpus)
+    """The ``--pairs`` file as given (each pair checked against the corpus),
+    or else the first extracted pair per group."""
+    if opts.pairs:
+        return corpus_mod.load_pairs(opts.pairs, corpus)
+    return _extract(corpus)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +422,7 @@ def cmd_extract_pairs(opts) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     corpus_mod.save_groups(groups, out_dir / "groups.jsonl")
     corpus_mod.save_pairs(all_pairs, out_dir / "all_pairs.jsonl")
-    keep = all_pairs if opts.all_rounds else first_pairs
-    corpus_mod.save_pairs(keep, out_dir / "evasion_pairs.jsonl")
+    corpus_mod.save_pairs(first_pairs, out_dir / "evasion_pairs.jsonl")
     print(
         f"groups={len(groups)} pairs={len(all_pairs)} first_pairs={len(first_pairs)}"
     )
@@ -438,7 +433,7 @@ def cmd_match(opts) -> int:
     task = matching_mod.TASKS[opts.task]
     match_options = _match_options(opts)
     corpus = _load_corpus(opts)
-    samples = task.match(corpus, *_pairs_from_file_or_corpus(opts, corpus), **match_options)
+    samples = task.match(corpus, _pairs_from_file_or_corpus(opts, corpus), **match_options)
     matching_mod.write_samples(samples, opts.out)
     print(f"wrote {len(samples)} samples -> {opts.out}")
     return 0
@@ -499,7 +494,7 @@ def cmd_evaluate(opts) -> int:
     task_options = _harness_options(opts, "k_edits", use_rfe="rfe")
     features = _feature_config(opts)
     corpus = _load_corpus(opts)
-    samples = task.match(corpus, *_pairs_from_file_or_corpus(opts, corpus), **match_options)
+    samples = task.match(corpus, _pairs_from_file_or_corpus(opts, corpus), **match_options)
     report, fitted = run_task(task, samples, Digests(corpus, features), **task_options)
     out_dir = Path(opts.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -518,7 +513,7 @@ def cmd_rank(opts) -> int:
     ranking_options = _harness_options(opts, "max_candidates")
     features = _feature_config(opts)
     corpus = _load_corpus(opts)
-    _, pairs = _pairs_from_file_or_corpus(opts, corpus)
+    pairs = _pairs_from_file_or_corpus(opts, corpus)
     report, fitted = run_ranking(Digests(corpus, features), pairs, **ranking_options)
     out_dir = Path(opts.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -536,8 +531,8 @@ def cmd_analyze(opts) -> int:
     features = _feature_config(opts)
     analysis_options = _analysis_options(opts)
     corpus = _load_corpus(opts)
-    groups, pairs = _pairs_from_file_or_corpus(opts, corpus)
-    task1, task3 = (matching_mod.TASKS[n].match(corpus, groups, pairs, **match_options)
+    pairs = _pairs_from_file_or_corpus(opts, corpus)
+    task1, task3 = (matching_mod.TASKS[n].match(corpus, pairs, **match_options)
                     for n in "13")
     report = characterize(Digests(corpus, features), pairs, task1, task3, **analysis_options)
     out_dir = Path(opts.out_dir)
@@ -616,7 +611,7 @@ def cmd_reproduce(opts) -> int:
     for task in matching_mod.TASKS.values():
         name = f"task{task.number}"
         with _stage(f"evaluate-{name}"):
-            samples[task.number] = task.match(corpus, groups, pairs, **match_options)
+            samples[task.number] = task.match(corpus, pairs, **match_options)
             report[name], fitted = run_task(task, samples[task.number], digests, **task_options)
             save_model(fitted, models_dir / f"{name}_model.json")
 

@@ -12,8 +12,9 @@ File formats (UTF-8, one JSON object per line):
 
 Ids and texts are JSON strings and times JSON integers; the reader coerces
 nothing. ``load_corpus`` only parses, so a malformed line fails at its
-``file:line``; ``Corpus`` alone checks the six corpus rules (unique ids, ban after
-creation, known revision owner, no revision before creation, at least 2 distinct
+``file:line``; ``Corpus`` alone checks the seven corpus rules (unique ids, no
+tab or line break in an id, ban after creation, known revision owner, no
+revision before creation, at least 2 distinct
 record members, known members), once each, in input order, naming the record's
 ``file:line`` when it was read. Timestamps are integer epoch seconds UTC
 throughout. Loaded corpora are immutable and iterate in a canonical order
@@ -53,6 +54,8 @@ WEEK_SECONDS = 604_800
 # Simulation epoch for synthetic corpora: 2020-09-13T12:26:40Z.
 _SYNTH_BASE_TIME = 1_600_000_000
 _SYNTH_HORIZON_DAYS = 365
+
+_ID_BREAKS = frozenset("\t\r\n")
 
 
 class Account(NamedTuple):
@@ -116,6 +119,11 @@ class Corpus:
         for i, acct in enumerate(self.accounts):
             if acct.account_id in by_id:
                 raise RecordParseError(*at(0, i), f"duplicate account id {acct.account_id!r}")
+            # a samples file holds ids in tab-separated lines
+            if not _ID_BREAKS.isdisjoint(acct.account_id):
+                raise RecordParseError(
+                    *at(0, i), f"account id {acct.account_id!r} holds a tab or line break"
+                )
             if acct.ban_time is not None and acct.ban_time <= acct.creation_time:
                 raise RecordParseError(
                     *at(0, i),
@@ -375,8 +383,8 @@ def load_pairs(path: str | Path, corpus: Corpus | None = None) -> list[EvasionPa
     """Read a pairs file, one ``EvasionPair`` per line.
 
     Given the corpus, a line naming an unknown account, a parent never
-    banned, or a child not created strictly after the parent's ban (the
-    criterion of ``pairing.temporal_successor``) fails at its ``file:line``;
+    banned, or a child not created strictly after the parent's ban (as
+    every extracted child is) fails at its ``file:line``;
     with or without it, so does a line naming a child an earlier line names,
     since a child has one parent.
     """

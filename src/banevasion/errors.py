@@ -75,10 +75,6 @@ class InvalidInputError(BanEvasionError, ValueError):
 # accounts and pairs ---------------------------------------------------
 
 
-class AccountNotInGroupError(BanEvasionError):
-    pass
-
-
 class MissingBanTimeError(BanEvasionError):
     """An account that must have been banned never was."""
 

@@ -19,7 +19,7 @@ account, whose time is within the window of the centre and strictly above
 the lower bound. Windows are inclusive at both ends.
 
 - Task 1 anchors each distinct parent at its ban, with no lower bound; its
-  pool is the banned accounts outside every sockpuppet group, timed by ban.
+  pool is the banned accounts that no sockpuppet record names, timed by ban.
 - Tasks 2 and 3 anchor each (parent, child) pair at the child's creation,
   above the parent's ban; their pools are timed by creation. Task 2's pool
   is the never-banned accounts with at least one revision, and it keeps at
@@ -49,8 +49,6 @@ from .errors import (
     RecordParseError,
     TrueParentMissingError,
 )
-from .pairing import SockpuppetGroup
-
 if TYPE_CHECKING:
     from .features import Digests
 
@@ -114,7 +112,6 @@ class Task:
     def match(
         self,
         corpus: Corpus,
-        groups: Sequence[SockpuppetGroup],
         pairs: Sequence[EvasionPair],
         window_seconds: int | None = None,
         cap: int = DEFAULT_TASK2_CAP,
@@ -134,10 +131,10 @@ class Task:
                 if a.ban_time is None and corpus.revisions_of(a.account_id)
             ]
         else:
-            grouped = {account_id for group in groups for account_id in group.member_ids}
+            named = {m for record in corpus.sockpuppet_records for m in record.member_ids}
             pool = [
                 a for a in corpus.accounts
-                if a.ban_time is not None and a.account_id not in grouped
+                if a.ban_time is not None and a.account_id not in named
             ]
         index = _TimeIndex(pool, attrgetter("ban_time" if self.name == TASK1 else "creation_time"))
         anchors = sorted((p.parent_id, p.child_id) for p in pairs)

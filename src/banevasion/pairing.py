@@ -13,10 +13,11 @@ succeeded when the child outlived the parent (``classify_success``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable
 
-from .corpus import Account, Corpus, EvasionPair, SockpuppetRecord
-from .errors import AccountNotInGroupError, MissingBanTimeError
+from .corpus import Corpus, EvasionPair
+from .errors import MissingBanTimeError
 
 
 class UnionFind:
@@ -64,16 +65,15 @@ class SockpuppetGroup:
     master_id: str
 
 
-def merge_groups(
-    records: Iterable[SockpuppetRecord], corpus: Corpus
-) -> list[SockpuppetGroup]:
-    """Connected components of the co-membership graph, one group each.
+def merge_groups(corpus: Corpus) -> list[SockpuppetGroup]:
+    """Connected components of the co-membership graph of
+    ``corpus.sockpuppet_records``, one group each.
 
     Group ids are assigned in order of each component's minimum member id;
     the master is the earliest-created member (id tie-break).
     """
     uf = UnionFind()
-    for record in records:
+    for record in corpus.sockpuppet_records:
         members = sorted(record.member_ids)
         for member in members:
             uf.add(member)
@@ -91,65 +91,29 @@ def merge_groups(
     return groups
 
 
-def _members(group: SockpuppetGroup, corpus: Corpus) -> list[Account]:
-    return [corpus.account(m) for m in sorted(group.member_ids)]
-
-
-def temporal_predecessor(
-    account: Account, group: SockpuppetGroup, corpus: Corpus
-) -> str | None:
-    """Group member whose ban most closely precedes the account's creation."""
-    if account.account_id not in group.member_ids:
-        raise AccountNotInGroupError(
-            f"{account.account_id!r} not in group {group.group_id}"
-        )
-    candidates = [
-        m
-        for m in _members(group, corpus)
-        if m.ban_time is not None and m.ban_time < account.creation_time
-    ]
-    if not candidates:
-        return None
-    latest_ban = max(m.ban_time for m in candidates)
-    return min(m.account_id for m in candidates if m.ban_time == latest_ban)
-
-
-def temporal_successor(
-    account: Account, group: SockpuppetGroup, corpus: Corpus
-) -> str | None:
-    """Group member created earliest after the account's ban."""
-    if account.account_id not in group.member_ids:
-        raise AccountNotInGroupError(
-            f"{account.account_id!r} not in group {group.group_id}"
-        )
-    if account.ban_time is None:
-        raise MissingBanTimeError(account.account_id)
-    candidates = [
-        m for m in _members(group, corpus) if m.creation_time > account.ban_time
-    ]
-    if not candidates:
-        return None
-    best = min(candidates, key=lambda m: (m.creation_time, m.account_id))
-    return best.account_id
-
-
 def extract_evasion_pairs(
     groups: Iterable[SockpuppetGroup], corpus: Corpus
 ) -> list[EvasionPair]:
     """All (u, v) with u = predecessor(v) and v = successor(u), per group."""
     pairs = []
     for group in groups:
-        for member in _members(group, corpus):
-            if member.ban_time is None:
+        # in id order, so ``min`` and ``max`` keep the smaller id of a tie
+        members = [corpus.account(m) for m in sorted(group.member_ids)]
+        for parent in members:
+            if parent.ban_time is None:
                 continue
-            successor_id = temporal_successor(member, group, corpus)
-            if successor_id is None:
+            later = [m for m in members if m.creation_time > parent.ban_time]
+            if not later:
                 continue
-            successor = corpus.account(successor_id)
-            if temporal_predecessor(successor, group, corpus) == member.account_id:
-                pairs.append(
-                    EvasionPair(member.account_id, successor_id, group.group_id)
-                )
+            child = min(later, key=attrgetter("creation_time"))
+            # ``parent`` itself was banned before the child's creation
+            predecessor = max(
+                (m for m in members
+                 if m.ban_time is not None and m.ban_time < child.creation_time),
+                key=attrgetter("ban_time"),
+            )
+            if predecessor.account_id == parent.account_id:
+                pairs.append(EvasionPair(parent.account_id, child.account_id, group.group_id))
     pairs.sort(
         key=lambda p: (
             p.group_id,

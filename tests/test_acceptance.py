@@ -69,9 +69,7 @@ def criterion(number: int, description: str):
 
 
 def pipeline(corpus):
-    groups = merge_groups(corpus.sockpuppet_records, corpus)
-    pairs = first_pair_per_group(extract_evasion_pairs(groups, corpus), corpus)
-    return groups, pairs
+    return first_pair_per_group(extract_evasion_pairs(merge_groups(corpus), corpus), corpus)
 
 
 @criterion(1, "pair extraction equals brute-force enumeration on 1,000 groups")
@@ -82,7 +80,7 @@ def test_pairing_oracle_equivalence():
         members = random_group_accounts(rng, rng.randint(2, 10))
         ids = [m.account_id for m in members]
         corpus = corpus_of(members, records=[record(*ids)])
-        groups = merge_groups(corpus.sockpuppet_records, corpus)
+        groups = merge_groups(corpus)
         got = {(p.parent_id, p.child_id) for p in extract_evasion_pairs(groups, corpus)}
         assert got == brute_force_pairs(members)
     assert time.monotonic() - started < 10.0
@@ -163,12 +161,12 @@ def seed_averaged_aucs(config_for_seed, n_seeds=5, split1=0.8, split23=0.9):
     for seed in range(n_seeds):
         result = generate_synthetic(config_for_seed(seed))
         corpus = result.corpus
-        groups, pairs = pipeline(corpus)
+        pairs = pipeline(corpus)
         digests = Digests(corpus)
 
         def run(number, fraction):
             task = TASKS[number]
-            samples = task.match(corpus, groups, pairs, task.window_seconds)
+            samples = task.match(corpus, pairs, task.window_seconds)
             return run_task(task, samples, digests, train_fraction=fraction)[0]
 
         r1, r2, r3 = run("1", split1), run("2", split23), run("3", split23)
@@ -218,7 +216,7 @@ def test_copycat_attribution():
         )
     )
     corpus = result.corpus
-    _, pairs = pipeline(corpus)
+    pairs = pipeline(corpus)
     ranking, _ = run_ranking(Digests(corpus), pairs, max_candidates=50, train_fraction=0.8)
     assert ranking["mrr"] >= 0.95
     assert ranking["recall_at"]["5"] == 1.0
@@ -231,8 +229,8 @@ def test_leakage_removed():
         SynthConfig(n_groups=60, n_benign=0, n_nonevading_malicious=400, seed=88)
     )
     corpus = result.corpus
-    groups, pairs = pipeline(corpus)
-    samples = TASKS["1"].match(corpus, groups, pairs)
+    pairs = pipeline(corpus)
+    samples = TASKS["1"].match(corpus, pairs)
     train, test = temporal_split(samples, corpus, 0.8)
 
     before_train = {s.other_id for s in train if s.label == NEGATIVE}

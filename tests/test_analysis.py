@@ -204,7 +204,7 @@ class TestClassifySuccess:
             SynthConfig(n_groups=25, n_benign=0, n_nonevading_malicious=0, seed=77)
         )
         corpus = result.corpus
-        groups = merge_groups(corpus.sockpuppet_records, corpus)
+        groups = merge_groups(corpus)
         pairs = first_pair_per_group(extract_evasion_pairs(groups, corpus), corpus)
         verdicts = classify_success(pairs, corpus)
         assert len(verdicts) == len(pairs)
@@ -324,7 +324,7 @@ class TestCharacterize:
                 )
             )
             corpus = result.corpus
-            groups = merge_groups(corpus.sockpuppet_records, corpus)
+            groups = merge_groups(corpus)
             pairs = first_pair_per_group(extract_evasion_pairs(groups, corpus), corpus)
             report = characterize(Digests(corpus), pairs)
             return report["overlaps"]["added_unigram_jaccard"]["pairs"]["mean"]
@@ -336,10 +336,10 @@ class TestCharacterize:
             SynthConfig(n_groups=15, n_benign=50, n_nonevading_malicious=80, seed=3)
         )
         corpus = result.corpus
-        groups = merge_groups(corpus.sockpuppet_records, corpus)
+        groups = merge_groups(corpus)
         pairs = first_pair_per_group(extract_evasion_pairs(groups, corpus), corpus)
-        account_samples = TASKS["1"].match(corpus, groups, pairs)
-        pair_samples = TASKS["3"].match(corpus, groups, pairs)
+        account_samples = TASKS["1"].match(corpus, pairs)
+        pair_samples = TASKS["3"].match(corpus, pairs)
         report = characterize(Digests(corpus), pairs, account_samples, pair_samples)
         assert report["counts"]["pairs"] == len(pairs)
         assert report["counts"]["control_pairs"] > 0

@@ -183,7 +183,7 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert f"error: stage 'generate' failed: {config}:2: expected key = value" in err
 
-    @pytest.mark.parametrize("key", ["l2_lamda", "learning_rate"])
+    @pytest.mark.parametrize("key", ["l2_lamda", "learning_rate", "all_rounds"])
     def test_config_key_no_command_reads_names_file_and_line(self, tmp_path, capsys, key):
         config = tmp_path / "run.cfg"
         config.write_text(f"seed = 1\n\n{key} = 5\n")
@@ -310,6 +310,18 @@ class TestStageChaining:
         for name in ("accounts.jsonl", "revisions.jsonl", "records.jsonl"):
             assert (out / name).read_bytes() == (corpus_dir / name).read_bytes()
 
+    @pytest.mark.parametrize("command", ["match", "evaluate", "rank", "analyze"])
+    def test_given_pairs_merge_no_groups(self, corpus_dir, tmp_path, monkeypatch, command):
+        def merging(*args):
+            raise AssertionError(f"{command} --pairs merged groups")
+
+        monkeypatch.setattr(pairing_mod, "merge_groups", merging)
+        task = ["--task", "1"] if command in ("match", "evaluate") else []
+        out = ["--out", str(tmp_path / "s.tsv")] if command == "match" else [
+            "--out-dir", str(tmp_path / "out")]
+        pairs = ["--pairs", str(corpus_dir / "truth_pairs.jsonl")]
+        assert main([command, *self.corpus_flags(corpus_dir), *task, *pairs, *out]) == 0
+
     def test_extract_match_featurize_train(self, corpus_dir, tmp_path):
         flags = self.corpus_flags(corpus_dir)
         pairs_dir = tmp_path / "pairs"
@@ -370,9 +382,9 @@ class TestStageChaining:
         corpus = load_corpus(
             *(corpus_dir / f"{name}.jsonl" for name in ("accounts", "revisions", "records"))
         )
-        groups = merge_groups(corpus.sockpuppet_records, corpus)
+        groups = merge_groups(corpus)
         pairs = first_pair_per_group(extract_evasion_pairs(groups, corpus), corpus)
-        write_samples(TASKS[task].match(corpus, groups, pairs, window), tmp_path / "expected.tsv")
+        write_samples(TASKS[task].match(corpus, pairs, window), tmp_path / "expected.tsv")
         assert samples.read_bytes() == (tmp_path / "expected.tsv").read_bytes()
 
         features = tmp_path / "features.tsv"
@@ -628,18 +640,6 @@ class TestExtractPairs:
         names = ("accounts", "revisions", "records")
         corpus_mod.save_corpus(corpus, *(tmp_path / f"{n}.jsonl" for n in names))
         return [f for n in names for f in (f"--{n}", str(tmp_path / f"{n}.jsonl"))]
-
-    @pytest.mark.parametrize("source", ["flag", "environment"])
-    def test_all_rounds_keeps_every_pair(self, tmp_path, monkeypatch, flags, source):
-        if source == "flag":
-            flags = [*flags, "--all-rounds"]
-        else:
-            monkeypatch.setenv("BANEVASION_ALL_ROUNDS", "1")
-        out = tmp_path / "pairs"
-        assert main(["extract-pairs", *flags, "--out-dir", str(out)]) == 0
-        kept = (out / "evasion_pairs.jsonl").read_bytes()
-        assert kept == (out / "all_pairs.jsonl").read_bytes()
-        assert kept.count(b"\n") == 2
 
     def test_non_ascii_ids_written_unescaped(self, tmp_path):
         corpus = corpus_of(

@@ -197,6 +197,13 @@ CORRUPTIONS = {
                         RecordParseError, "ban_time must be after creation_time"),
     "duplicate_id": ("a", with_changes(NEW_ACCOUNT, account_id="1"),
                      RecordParseError, "duplicate account id '1'"),
+    # a samples file holds ids in tab-separated lines
+    "account_id_tab": ("a", with_changes(NEW_ACCOUNT, account_id="p\tx"),
+                       RecordParseError, r"account id 'p\tx' holds a tab or line break"),
+    "account_id_cr": ("a", with_changes(NEW_ACCOUNT, account_id="p\rx"),
+                      RecordParseError, r"account id 'p\rx' holds a tab or line break"),
+    "account_id_lf": ("a", with_changes(NEW_ACCOUNT, account_id="p\nx"),
+                      RecordParseError, r"account id 'p\nx' holds a tab or line break"),
     "revision_owner_null": ("r", with_changes(GOOD_REVISION, account_id=None),
                             RecordParseError, "field 'account_id' must be a string"),
     "revision_missing_page": ("r", with_changes(GOOD_REVISION, page_id=...),
@@ -290,8 +297,8 @@ class TestCorruption:
 
 # The corruptions that parse but break a corpus rule.
 RULE_CORRUPTIONS = [
-    "ban_at_creation", "duplicate_id", "revision_owner_unknown",
-    "revision_before_creation", "member_unknown", "record_one_member",
+    "ban_at_creation", "duplicate_id", "account_id_tab", "account_id_cr", "account_id_lf",
+    "revision_owner_unknown", "revision_before_creation", "member_unknown", "record_one_member",
 ]
 AS_OBJECT = {
     "a": lambda obj: Account(**obj),
@@ -327,18 +334,22 @@ class TestCorpusRules:
 
 
 # Text that JSON must escape or that a careless reader would split on.
+AWKWARD_CHARS = '"\\\t\n\r \x00\x85\u2028\u2029{}[]:,\ufeff'
 AWKWARD_TEXT = st.text(
-    alphabet=st.one_of(
-        st.sampled_from('"\\\t\n\r \x00\x85\u2028\u2029{}[]:,\ufeff'),
-        st.characters(codec="utf-8"),
-    ),
+    alphabet=st.one_of(st.sampled_from(AWKWARD_CHARS), st.characters(codec="utf-8")),
+    max_size=10,
+)
+# The same without tab, CR or LF, which no account id may hold.
+AWKWARD_ID = st.text(
+    alphabet=st.one_of(st.sampled_from(AWKWARD_CHARS), st.characters(codec="utf-8"))
+    .filter(lambda c: c not in "\t\r\n"),
     max_size=10,
 )
 
 
 @st.composite
 def corpora(draw):
-    ids = draw(st.lists(AWKWARD_TEXT, max_size=6, unique=True))
+    ids = draw(st.lists(AWKWARD_ID, max_size=6, unique=True))
     accounts = []
     for account_id in ids:
         creation = draw(st.integers(-(10**12), 10**12))
@@ -556,7 +567,7 @@ class TestSynthetic:
         result = generate_synthetic(
             SynthConfig(n_groups=5, n_benign=0, n_nonevading_malicious=0, evasion_rate=1.0, seed=3)
         )
-        groups = merge_groups(result.corpus.sockpuppet_records, result.corpus)
+        groups = merge_groups(result.corpus)
         pairs = first_pair_per_group(
             extract_evasion_pairs(groups, result.corpus), result.corpus
         )

@@ -35,7 +35,7 @@ from banevasion.matching import (
     LabeledSample,
 )
 from banevasion.model import TrainConfig, load_model, rfe, train
-from banevasion.pairing import EvasionPair, SockpuppetGroup, classify_success, temporal_successor
+from banevasion.pairing import EvasionPair, classify_success
 from banevasion.textstats import get_provider
 
 from conftest import account, corpus_of, record
@@ -50,14 +50,12 @@ PAIR = EvasionPair("p", "c", 0)
 @pytest.mark.parametrize(
     "call, account_id",
     [
-        (lambda: temporal_successor(
-            CORPUS.account("c"), SockpuppetGroup(0, frozenset({"p", "c"}), "p"), CORPUS), "c"),
         (lambda: pair_vectors(Digests(CORPUS), [("c", "p")]), "c"),
         (lambda: classify_success([PAIR], CORPUS), "c"),
-        *((lambda t=t: t.match(CORPUS, [], [PAIR, EvasionPair("u", "c", 1)]), "u")
+        *((lambda t=t: t.match(CORPUS, [PAIR, EvasionPair("u", "c", 1)]), "u")
           for t in TASKS.values()),
     ],
-    ids=["temporal_successor", "pair_vectors_parent", "classify_success",
+    ids=["pair_vectors_parent", "classify_success",
          "task1_parent", "task2_parent", "task3_parent"],
 )
 def test_never_banned_account_named(call, account_id):
@@ -70,7 +68,7 @@ def test_never_banned_account_named(call, account_id):
 @pytest.mark.parametrize(
     "field, call",
     [
-        ("cap", lambda: TASKS["2"].match(CORPUS, [], [PAIR], cap=0)),
+        ("cap", lambda: TASKS["2"].match(CORPUS, [PAIR], cap=0)),
         ("l2_lambda", lambda: TrainConfig(l2_lambda=float("nan"))),
         ("max_epochs", lambda: TrainConfig(max_epochs=0)),
         ("train_fraction", lambda: check_train_fraction(1.0)),
@@ -114,8 +112,8 @@ DAY_BEFORE = -24 * 3600
     "call",
     [
         # with no pairs at all: the window is checked before any anchor is read
-        *(lambda t=t: t.match(CORPUS, [], [], window_seconds=DAY_BEFORE) for t in TASKS.values()),
-        *(lambda t=t: t.match(CORPUS, [], [PAIR], DAY_BEFORE) for t in TASKS.values()),
+        *(lambda t=t: t.match(CORPUS, [], window_seconds=DAY_BEFORE) for t in TASKS.values()),
+        *(lambda t=t: t.match(CORPUS, [PAIR], DAY_BEFORE) for t in TASKS.values()),
     ],
     ids=["match_task1", "match_task2", "match_task3", "task1", "task2", "task3"],
 )

@@ -328,33 +328,32 @@ def planted():
         )
     )
     corpus = result.corpus
-    groups = merge_groups(corpus.sockpuppet_records, corpus)
-    pairs = first_pair_per_group(extract_evasion_pairs(groups, corpus), corpus)
-    return corpus, groups, pairs
+    pairs = first_pair_per_group(extract_evasion_pairs(merge_groups(corpus), corpus), corpus)
+    return corpus, pairs
 
 
 class TestHarnesses:
     def test_task1_detects_planted_signal(self, planted):
-        corpus, groups, pairs = planted
+        corpus, pairs = planted
         task = TASKS["1"]
-        samples = task.match(corpus, groups, pairs, task.window_seconds)
+        samples = task.match(corpus, pairs, task.window_seconds)
         result, model = run_task(task, samples, Digests(corpus))
         assert result["auc"] > 0.9
         assert result["n_test_pos"] > 0
         assert result["task"] == "task1_prediction"
 
     def test_task2_detects_planted_signal(self, planted):
-        corpus, _, pairs = planted
+        corpus, pairs = planted
         task = TASKS["2"]
-        samples = task.match(corpus, (), pairs, task.window_seconds)
+        samples = task.match(corpus, pairs, task.window_seconds)
         result, model = run_task(task, samples, Digests(corpus))
         assert result["auc"] > 0.9
         assert "child_duration_seconds" not in model.feature_names
 
     def test_task3_with_fragments(self, planted):
-        corpus, groups, pairs = planted
+        corpus, pairs = planted
         task = TASKS["3"]
-        samples = task.match(corpus, groups, pairs, task.window_seconds)
+        samples = task.match(corpus, pairs, task.window_seconds)
         result, model = run_task(task, samples, Digests(corpus))
         assert result["auc"] > 0.9
         assert "child_duration_seconds" in model.feature_names
@@ -363,29 +362,29 @@ class TestHarnesses:
         assert any(v is not None and v > 0.8 for v in values)
 
     def test_ranking_attribution(self, planted):
-        corpus, _, pairs = planted
+        corpus, pairs = planted
         result, _ = run_ranking(Digests(corpus), pairs)
         assert result["mrr"] > 0.9
         assert result["recall_at"]["5"] == 1.0
         assert result["n_test_children"] >= 1
 
     def test_rfe_path_runs(self, planted):
-        corpus, groups, pairs = planted
+        corpus, pairs = planted
         task = TASKS["1"]
-        samples = task.match(corpus, groups, pairs, task.window_seconds)
+        samples = task.match(corpus, pairs, task.window_seconds)
         result, model = run_task(task, samples, Digests(corpus), use_rfe=True)
         assert result["selected_features"] is not None
         assert set(model.feature_names) == set(result["selected_features"])
         assert result["auc"] > 0.8
 
 
-def run_all_consumers(corpus, groups, pairs, digests=None) -> list[str]:
+def run_all_consumers(corpus, pairs, digests=None) -> list[str]:
     """The three task harnesses, the ranking and the characterization, each
     result as sorted JSON."""
     def store():
         return Digests(corpus) if digests is None else digests
 
-    samples = {n: t.match(corpus, groups, pairs, t.window_seconds) for n, t in TASKS.items()}
+    samples = {n: t.match(corpus, pairs, t.window_seconds) for n, t in TASKS.items()}
     results = [
         run_task(TASKS["1"], samples["1"], store())[0],
         run_task(TASKS["2"], samples["2"], store())[0],
@@ -398,8 +397,8 @@ def run_all_consumers(corpus, groups, pairs, digests=None) -> list[str]:
 
 class TestDigestStore:
     def test_one_build_per_key_across_consumers(self, planted, monkeypatch):
-        corpus, groups, pairs = planted
-        separate = run_all_consumers(corpus, groups, pairs)
+        corpus, pairs = planted
+        separate = run_all_consumers(corpus, pairs)
         built = Counter()
         real = features_mod.account_digest
 
@@ -409,14 +408,14 @@ class TestDigestStore:
 
         monkeypatch.setattr(features_mod, "account_digest", counting)
         digests = Digests(corpus)
-        assert run_all_consumers(corpus, groups, pairs, digests) == separate
+        assert run_all_consumers(corpus, pairs, digests) == separate
         assert built and set(built.values()) == {1}
         # the task-2 other sides are truncated to their first k edits
         assert any(
             n < len(corpus.revisions_of(account_id)) for account_id, n in built
         )
         calls = sum(built.values())
-        run_all_consumers(corpus, groups, pairs, digests)
+        run_all_consumers(corpus, pairs, digests)
         assert sum(built.values()) == calls
 
 
@@ -451,11 +450,11 @@ NULL_KNOBS = SynthConfig(
 @pytest.mark.parametrize("knobs", ["planted", "null"])
 def test_ranking_equals_child_by_child_rescoring(planted, knobs):
     if knobs == "planted":
-        corpus, _, pairs = planted
+        corpus, pairs = planted
     else:
         corpus = generate_synthetic(NULL_KNOBS).corpus
         pairs = first_pair_per_group(
-            extract_evasion_pairs(merge_groups(corpus.sockpuppet_records, corpus), corpus), corpus
+            extract_evasion_pairs(merge_groups(corpus), corpus), corpus
         )
     digests = Digests(corpus)
     result, model = run_ranking(digests, pairs)
@@ -469,7 +468,7 @@ def test_ranking_equals_child_by_child_rescoring(planted, knobs):
 
 
 def test_ranking_builds_its_sets_and_rows_once(planted, monkeypatch):
-    corpus, _, pairs = planted
+    corpus, pairs = planted
     calls = Counter()
 
     def counting(name):
@@ -501,14 +500,14 @@ def with_repeated_parent(corpus, pairs, index=0):
 
 class TestRepeatedParent:
     def test_task1_anchors_it_once(self, planted):
-        corpus, groups, pairs = planted
+        corpus, pairs = planted
         task = TASKS["1"]
         assert task.match(
-            corpus, groups, with_repeated_parent(corpus, pairs), task.window_seconds
-        ) == task.match(corpus, groups, pairs, task.window_seconds)
+            corpus, with_repeated_parent(corpus, pairs), task.window_seconds
+        ) == task.match(corpus, pairs, task.window_seconds)
 
     def test_ranking_lists_it_once(self, planted):
-        corpus, _, pairs = planted
+        corpus, pairs = planted
         repeated = with_repeated_parent(corpus, pairs)
         sets = build_candidate_sets(repeated, corpus, DEFAULT_MAX_CANDIDATES)
         assert len(sets) == len(repeated)
@@ -522,7 +521,7 @@ class TestRepeatedParent:
         assert result["mean_candidates"] == sum(sizes) / len(sizes)
 
     def test_ranking_keeps_its_children_on_one_side(self, planted):
-        corpus, _, pairs = planted
+        corpus, pairs = planted
         by_creation = sorted(
             range(len(pairs)),
             key=lambda i: (corpus.account(pairs[i].parent_id).creation_time, pairs[i].parent_id),
@@ -536,7 +535,7 @@ class TestRepeatedParent:
 
 
 def test_ranking_rejects_no_candidates_before_building_sets(planted, monkeypatch):
-    corpus, _, pairs = planted
+    corpus, pairs = planted
 
     def building(*args):
         raise AssertionError("candidate sets built for max_candidates=0")
@@ -553,10 +552,9 @@ def test_single_pair_split_error_names_task(task):
         SynthConfig(n_groups=6, n_benign=60, n_nonevading_malicious=30, seed=5)
     )
     corpus = result.corpus
-    groups = merge_groups(corpus.sockpuppet_records, corpus)
-    pairs = first_pair_per_group(extract_evasion_pairs(groups, corpus), corpus)[:1]
+    pairs = first_pair_per_group(extract_evasion_pairs(merge_groups(corpus), corpus), corpus)[:1]
     t = TASKS[task[-1]]
-    samples = t.match(corpus, groups, pairs, t.window_seconds)
+    samples = t.match(corpus, pairs, t.window_seconds)
     with pytest.raises(EmptyInputError, match=f"^{task}_"):
         run_task(t, samples, Digests(corpus))
 

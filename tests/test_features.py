@@ -293,14 +293,13 @@ class TestDigests:
         corpus = generate_synthetic(
             SynthConfig(n_groups=12, n_benign=60, n_nonevading_malicious=40, seed=21)
         ).corpus
-        groups = merge_groups(corpus.sockpuppet_records, corpus)
-        pairs = first_pair_per_group(extract_evasion_pairs(groups, corpus), corpus)
-        return corpus, groups, pairs
+        pairs = first_pair_per_group(extract_evasion_pairs(merge_groups(corpus), corpus), corpus)
+        return corpus, pairs
 
     def test_task1_rows_equal_account_features(self, synthetic, config):
-        corpus, groups, pairs = synthetic
+        corpus, pairs = synthetic
         task = TASKS["1"]
-        samples = task.match(corpus, groups, pairs, task.window_seconds)
+        samples = task.match(corpus, pairs, task.window_seconds)
         assert len({s.other_id for s in samples}) < len(samples)  # negatives recur
         names, rows = task.vectors(samples, Digests(corpus, config), 3)
         assert rows.shape == (len(samples), len(names))
@@ -310,7 +309,7 @@ class TestDigests:
             assert np.array_equal(row, expected[0])
 
     def test_every_account_row_equals_account_features(self, synthetic, config):
-        corpus, _, _ = synthetic
+        corpus, _ = synthetic
         ids = [a.account_id for a in corpus.accounts]
         names, rows = account_vectors(Digests(corpus, config), ids)
         for account_id, row in zip(ids, rows):

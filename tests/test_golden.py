@@ -185,19 +185,19 @@ def write_stage_outputs(out):
     corpus = load_corpus(*paths)
     assert corpus == synth.corpus
 
-    groups = merge_groups(corpus.sockpuppet_records, corpus)
+    groups = merge_groups(corpus)
     pairs = first_pair_per_group(extract_evasion_pairs(groups, corpus), corpus)
     save_pairs(pairs, out / "pairs.jsonl")
     digests = Digests(corpus)
     for number, task in TASKS.items():
-        samples = task.match(corpus, groups, pairs, task.window_seconds, seed=7)
+        samples = task.match(corpus, pairs, task.window_seconds, seed=7)
         write_samples(samples, out / f"task{number}.tsv")
         names, X = task.vectors(samples, digests, k_edits=3)
         ids = [f"{s.parent_id}|{s.other_id}" for s in samples]
         labels = [s.label for s in samples]
         write_feature_matrix(out / f"features{number}.tsv", ids, labels, names, X)
     task2 = TASKS["2"]
-    capped = task2.match(corpus, groups, pairs, 3 * task2.window_seconds, cap=3, seed=7)
+    capped = task2.match(corpus, pairs, 3 * task2.window_seconds, cap=3, seed=7)
     write_samples(capped, out / "task2_cap3.tsv")
 
     with open(out / "candidates.tsv", "w", encoding="utf-8") as fh:

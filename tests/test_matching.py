@@ -22,7 +22,6 @@ from banevasion.matching import (
 )
 from banevasion.pairing import (
     EvasionPair,
-    SockpuppetGroup,
     extract_evasion_pairs,
     first_pair_per_group,
     merge_groups,
@@ -39,9 +38,8 @@ def match_parents(parents, others, window=WEEK_SECONDS):
     children = [account(f"c{p.account_id}", p.ban_time + 1) for p in parents]
     records = [record(p.account_id, c.account_id) for p, c in zip(parents, children)]
     corpus = corpus_of([*parents, *others, *children], records=records)
-    groups = merge_groups(corpus.sockpuppet_records, corpus)
     pairs = [EvasionPair(p.account_id, c.account_id, 0) for p, c in zip(parents, children)]
-    return TASKS["1"].match(corpus, groups, pairs, window)
+    return TASKS["1"].match(corpus, pairs, window)
 
 
 class TestMatchTask1:
@@ -68,11 +66,11 @@ class TestMatchTask1:
         assert negatives == [("p1", "m"), ("p2", "m")]
 
     def test_parent_in_pool_never_becomes_its_own_negative(self):
-        # without groups the parent is a banned account outside every group
+        # without records the parent is a banned account that no record names
         corpus = corpus_of(
             [account("p", 0, ban=BAN), account("m", 0, ban=BAN + 5), account("c", BAN + 10)]
         )
-        samples = TASKS["1"].match(corpus, (), [EvasionPair("p", "c", 0)])
+        samples = TASKS["1"].match(corpus, [EvasionPair("p", "c", 0)])
         rows = [(s.other_id, s.label) for s in samples]
         assert rows == [("p", POSITIVE), ("m", NEGATIVE)]
 
@@ -104,8 +102,8 @@ class TestMatchTask1:
         corpus = corpus_of(accounts)
         once = [EvasionPair("p", "c1", 0), EvasionPair("q", "c3", 1)]
         repeated = [EvasionPair("p", "c1", 0), EvasionPair("p", "c2", 0), EvasionPair("q", "c3", 1)]
-        samples = TASKS["1"].match(corpus, (), repeated, WEEK_SECONDS)
-        assert samples == TASKS["1"].match(corpus, (), once, WEEK_SECONDS)
+        samples = TASKS["1"].match(corpus, repeated, WEEK_SECONDS)
+        assert samples == TASKS["1"].match(corpus, once, WEEK_SECONDS)
         assert [(s.parent_id, s.other_id, s.label) for s in samples] == [
             ("p", "p", POSITIVE), ("p", "m", NEGATIVE), ("p", "q", NEGATIVE),
             ("q", "q", POSITIVE), ("q", "m", NEGATIVE), ("q", "p", NEGATIVE),
@@ -118,19 +116,19 @@ class TestMatchChecks:
     @pytest.mark.parametrize("task", ["1", "2", "3"])
     def test_unknown_parent_named(self, task):
         with pytest.raises(ReferentialIntegrityError) as err:
-            TASKS[task].match(self.CORPUS, (), [EvasionPair("x", "c", 0)])
+            TASKS[task].match(self.CORPUS, [EvasionPair("x", "c", 0)])
         assert err.value.offending_id == "x"
 
     @pytest.mark.parametrize("task", ["1", "2", "3"])
     def test_unknown_child_named(self, task):
         with pytest.raises(ReferentialIntegrityError) as err:
-            TASKS[task].match(self.CORPUS, (), [EvasionPair("p", "zz", 0)])
+            TASKS[task].match(self.CORPUS, [EvasionPair("p", "zz", 0)])
         assert err.value.offending_id == "zz"
 
     @pytest.mark.parametrize("task", ["1", "2", "3"])
     def test_unknown_child_named_before_never_banned_parent(self, task):
         with pytest.raises(ReferentialIntegrityError) as err:
-            TASKS[task].match(self.CORPUS, (), [EvasionPair("u", "x", 0)])
+            TASKS[task].match(self.CORPUS, [EvasionPair("u", "x", 0)])
         assert err.value.offending_id == "x"
 
 
@@ -156,10 +154,6 @@ def pair_fixture(n_benign=0, benign_offset=0, n_malicious=0, malicious_creation=
     return corpus, pair
 
 
-def groups_of(corpus):
-    return merge_groups(corpus.sockpuppet_records, corpus)
-
-
 class TestMatchTask2:
     def test_benign_at_parent_ban_excluded(self):
         parent = account("p", 0, ban=BAN)
@@ -171,30 +165,29 @@ class TestMatchTask2:
             revision("b2", "pg", BAN + 2, added="y"),
         ]
         corpus = corpus_of([parent, child, at_ban, after], revisions, [record("p", "c")])
-        samples = TASKS["2"].match(corpus, groups_of(corpus), [EvasionPair("p", "c", 0)])
+        samples = TASKS["2"].match(corpus, [EvasionPair("p", "c", 0)])
         negatives = [s.other_id for s in samples if s.label == NEGATIVE]
         assert negatives == ["b2"]
 
     def test_cap_and_determinism(self):
         corpus, pair = pair_fixture(n_benign=150)
-        groups = groups_of(corpus)
-        first = TASKS["2"].match(corpus, groups, [pair], cap=100, seed=11)
-        second = TASKS["2"].match(corpus, groups, [pair], cap=100, seed=11)
+        first = TASKS["2"].match(corpus, [pair], cap=100, seed=11)
+        second = TASKS["2"].match(corpus, [pair], cap=100, seed=11)
         negatives = [s for s in first if s.label == NEGATIVE]
         assert len(negatives) == 100
         assert first == second
-        other_seed = TASKS["2"].match(corpus, groups, [pair], cap=100, seed=12)
+        other_seed = TASKS["2"].match(corpus, [pair], cap=100, seed=12)
         assert other_seed != first
 
     def test_invalid_cap(self):
         corpus, pair = pair_fixture()
         with pytest.raises(InvalidConfigError, match="'cap': must be >= 1") as err:
-            TASKS["2"].match(corpus, (), [pair], cap=0)
+            TASKS["2"].match(corpus, [pair], cap=0)
         assert err.value.field == "cap"
 
     def test_window_inclusive(self):
         corpus, pair = pair_fixture(n_benign=1, benign_offset=DAY_SECONDS)
-        samples = TASKS["2"].match(corpus, groups_of(corpus), [pair])
+        samples = TASKS["2"].match(corpus, [pair])
         assert sum(1 for s in samples if s.label == NEGATIVE) == 1
 
     def test_never_banned_child_is_not_its_own_negative(self):
@@ -202,10 +195,10 @@ class TestMatchTask2:
         accounts = [account("p", 0, ban=BAN), account("c", BAN + 10)]
         revisions = [revision("c", "pg", BAN + 20, added="x")]
         corpus = corpus_of(accounts, revisions, [record("p", "c")])
-        groups = merge_groups(corpus.sockpuppet_records, corpus)
+        groups = merge_groups(corpus)
         pairs = first_pair_per_group(extract_evasion_pairs(groups, corpus), corpus)
         assert [(p.parent_id, p.child_id) for p in pairs] == [("p", "c")]
-        samples = TASKS["2"].match(corpus, groups, pairs, DAY_SECONDS)
+        samples = TASKS["2"].match(corpus, pairs, DAY_SECONDS)
         assert [(s.parent_id, s.other_id, s.label) for s in samples] == [
             ("p", "c", POSITIVE)
         ]
@@ -214,7 +207,7 @@ class TestMatchTask2:
 class TestMatchTask3:
     def test_created_before_parent_ban_excluded(self):
         corpus, pair = pair_fixture(n_malicious=1, malicious_creation=BAN - 100)
-        samples = TASKS["3"].match(corpus, groups_of(corpus), [pair])
+        samples = TASKS["3"].match(corpus, [pair])
         assert sum(1 for s in samples if s.label == NEGATIVE) == 0
 
     def test_boundary_exactly_seven_days_included(self):
@@ -222,20 +215,21 @@ class TestMatchTask3:
             n_malicious=1,
             malicious_creation=BAN + 5 * DAY_SECONDS + WEEK_SECONDS,
         )
-        samples = TASKS["3"].match(corpus, groups_of(corpus), [pair])
+        samples = TASKS["3"].match(corpus, [pair])
         assert sum(1 for s in samples if s.label == NEGATIVE) == 1
 
     def test_positive_never_labeled_negative(self):
         corpus, pair = pair_fixture(n_malicious=5)
-        samples = TASKS["3"].match(corpus, groups_of(corpus), [pair])
+        samples = TASKS["3"].match(corpus, [pair])
         for s in samples:
             if s.label == NEGATIVE:
                 assert (s.parent_id, s.other_id) != ("p", "c")
 
     def test_child_in_pool_never_becomes_negative(self):
         corpus, pair = pair_fixture(n_malicious=2)
-        # without groups the banned child is itself in the pool
-        samples = TASKS["3"].match(corpus, (), [pair])
+        # without records the banned child is itself in the pool
+        corpus = corpus_of(corpus.accounts, corpus.revisions)
+        samples = TASKS["3"].match(corpus, [pair])
         negatives = {s.other_id for s in samples if s.label == NEGATIVE}
         assert negatives == {"m000", "m001"}
 
@@ -243,7 +237,7 @@ class TestMatchTask3:
         corpus, pair = pair_fixture(n_malicious=10)
         child = corpus.account("c")
         parent = corpus.account("p")
-        for s in TASKS["3"].match(corpus, groups_of(corpus), [pair]):
+        for s in TASKS["3"].match(corpus, [pair]):
             if s.label == NEGATIVE:
                 m = corpus.account(s.other_id)
                 assert m.creation_time > parent.ban_time
@@ -251,14 +245,15 @@ class TestMatchTask3:
 
 
 # The scan loops the matchers were first written as, kept as the reference,
-# each with its pool built by brute force from the corpus and the groups.
+# each with its pool built by brute force from the corpus and its records.
 # Task 2 also skips the child, as task 3 always did.
 
 
-def malicious_pool(corpus, groups):
+def malicious_pool(corpus):
     return sorted(
         (a for a in corpus.accounts
-         if a.ban_time is not None and not any(a.account_id in g.member_ids for g in groups)),
+         if a.ban_time is not None
+         and not any(a.account_id in r.member_ids for r in corpus.sockpuppet_records)),
         key=lambda a: a.account_id,
     )
 
@@ -271,12 +266,12 @@ def benign_pool(corpus):
     )
 
 
-def reference_task1(corpus, groups, pairs, window_seconds):
+def reference_task1(corpus, pairs, window_seconds):
     samples = []
     for parent_id in sorted({p.parent_id for p in pairs}):
         parent = corpus.account(parent_id)
         samples.append((parent_id, parent_id, POSITIVE))
-        for m in malicious_pool(corpus, groups):
+        for m in malicious_pool(corpus):
             if m.account_id == parent_id:
                 continue
             if abs(m.ban_time - parent.ban_time) <= window_seconds:
@@ -305,13 +300,13 @@ def reference_task2(corpus, pairs, window_seconds, cap, seed):
     return samples
 
 
-def reference_task3(corpus, groups, pairs, window_seconds):
+def reference_task3(corpus, pairs, window_seconds):
     samples = []
     for pair in sorted(pairs, key=lambda p: (p.parent_id, p.child_id)):
         parent = corpus.account(pair.parent_id)
         child = corpus.account(pair.child_id)
         samples.append((pair.parent_id, pair.child_id, POSITIVE))
-        for m in malicious_pool(corpus, groups):
+        for m in malicious_pool(corpus):
             if m.account_id == pair.child_id:
                 continue
             if (
@@ -325,10 +320,10 @@ def reference_task3(corpus, groups, pairs, window_seconds):
 def random_matching_case(
     rng: random.Random, base=0, max_time=20, max_life=8, windows=(0, 1, 2, 3, 5, 8, 13)
 ):
-    """A corpus, pairs, groups and a window, with creation times in
-    base..base+max_time and bans 1..max_life later, so ties, window edges
-    and ``creation == parent ban`` are frequent. Groups are drawn over all
-    accounts, so pair members may sit in the pools."""
+    """A corpus, pairs and a window, with creation times in base..base+max_time
+    and bans 1..max_life later, so ties, window edges and ``creation == parent
+    ban`` are frequent. The corpus holds 0-2 records drawn over all accounts,
+    so pair members may sit in the pools."""
     accounts, revisions = [], []
     for i in range(rng.randint(3, 20)):
         creation = base + rng.randint(0, max_time)
@@ -336,7 +331,6 @@ def random_matching_case(
         accounts.append(account(f"a{i:02d}", creation, ban=ban))
         if ban is None and rng.random() < 0.8:
             revisions.append(revision(f"a{i:02d}", "pg", creation + 1, added="x"))
-    corpus = corpus_of(accounts, revisions)
     banned = [a for a in accounts if a.ban_time is not None]
     pairs = []
     if banned:
@@ -346,12 +340,13 @@ def random_matching_case(
             others = later if later and rng.random() < 0.7 else accounts
             child = rng.choice([a for a in others if a is not parent])
             pairs.append(EvasionPair(parent.account_id, child.account_id, 0))
-    groups = [
-        SockpuppetGroup(g, frozenset(a.account_id for a in accounts if rng.random() < 0.3), "")
-        for g in range(rng.randint(0, 2))
+    ids = [a.account_id for a in accounts]
+    records = [
+        record(*rng.sample(ids, rng.randint(2, len(ids) // 2 + 1)))
+        for _ in range(rng.randint(0, 2))
     ]
     window = rng.choice(windows)
-    return corpus, pairs, groups, window
+    return corpus_of(accounts, revisions, records), pairs, window
 
 
 def as_tuples(samples):
@@ -367,27 +362,27 @@ class TestBruteForceOracle:
             yield random_matching_case(random.Random(f"matching-oracle:{i}"))
 
     def test_task1_equals_reference(self):
-        for corpus, pairs, groups, window in self.cases():
-            got = as_tuples(TASKS["1"].match(corpus, groups, pairs, window))
-            assert got == reference_task1(corpus, groups, pairs, window)
+        for corpus, pairs, window in self.cases():
+            got = as_tuples(TASKS["1"].match(corpus, pairs, window))
+            assert got == reference_task1(corpus, pairs, window)
 
     def test_task2_equals_reference(self):
         capped = 0
-        for corpus, pairs, groups, window in self.cases():
+        for corpus, pairs, window in self.cases():
             no_cap = len(corpus.accounts) + 1
             uncapped = reference_task2(corpus, pairs, window, no_cap, 0)
             for cap in (1, 3, no_cap):
                 for seed in (0, 1, 2):
-                    got = as_tuples(TASKS["2"].match(corpus, groups, pairs, window, cap, seed))
+                    got = as_tuples(TASKS["2"].match(corpus, pairs, window, cap, seed))
                     assert got == reference_task2(corpus, pairs, window, cap, seed)
                     capped += got != uncapped
         # the cap must bind often enough for the sampling path to be compared
         assert capped > self.MIN_CAPPED, capped
 
     def test_task3_equals_reference(self):
-        for corpus, pairs, groups, window in self.cases():
-            got = as_tuples(TASKS["3"].match(corpus, groups, pairs, window))
-            assert got == reference_task3(corpus, groups, pairs, window)
+        for corpus, pairs, window in self.cases():
+            got = as_tuples(TASKS["3"].match(corpus, pairs, window))
+            assert got == reference_task3(corpus, pairs, window)
 
 
 class TestBruteForceOracleFloatWindows(TestBruteForceOracle):
@@ -573,8 +568,7 @@ class TestPools:
             account("b", 0),
         ]
         corpus = corpus_of(accounts, [], [record("p", "c")])
-        groups = merge_groups(corpus.sockpuppet_records, corpus)
-        samples = TASKS["1"].match(corpus, groups, [EvasionPair("p", "c", 0)], self.WIDE)
+        samples = TASKS["1"].match(corpus, [EvasionPair("p", "c", 0)], self.WIDE)
         assert [s.other_id for s in samples if s.label == NEGATIVE] == ["m"]
 
     def test_benign_pool_requires_revisions(self):
@@ -584,7 +578,7 @@ class TestPools:
         ]
         revisions = [revision("b1", "pg", 6, added="x")]
         corpus = corpus_of(accounts, revisions, [record("p", "c")])
-        samples = TASKS["2"].match(corpus, (), [EvasionPair("p", "c", 0)], self.WIDE)
+        samples = TASKS["2"].match(corpus, [EvasionPair("p", "c", 0)], self.WIDE)
         assert [s.other_id for s in samples if s.label == NEGATIVE] == ["b1"]
 
 
@@ -592,12 +586,12 @@ def task1_samples():
     corpus = corpus_of(
         [account("p", 0, ban=BAN), account("m", 0, ban=BAN + 10), account("c", BAN + 20)]
     )
-    return TASKS["1"].match(corpus, (), [EvasionPair("p", "c", 0)])
+    return TASKS["1"].match(corpus, [EvasionPair("p", "c", 0)])
 
 
 def task3_samples():
     corpus, pair = pair_fixture(n_malicious=3)
-    return TASKS["3"].match(corpus, groups_of(corpus), [pair])
+    return TASKS["3"].match(corpus, [pair])
 
 
 class TestLabeledSample:

@@ -3,17 +3,12 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 
-import pytest
-
-from banevasion.errors import AccountNotInGroupError, MissingBanTimeError
 from banevasion.pairing import (
     EvasionPair,
     UnionFind,
     extract_evasion_pairs,
     first_pair_per_group,
     merge_groups,
-    temporal_predecessor,
-    temporal_successor,
 )
 
 from conftest import account, corpus_of, random_group_accounts, record
@@ -110,7 +105,7 @@ class TestMergeGroups:
             [account("A", 0), account("B", 1), account("C", 2)],
             records=[record("A", "B"), record("B", "C")],
         )
-        groups = merge_groups(corpus.sockpuppet_records, corpus)
+        groups = merge_groups(corpus)
         assert len(groups) == 1
         assert groups[0].member_ids == frozenset({"A", "B", "C"})
         assert groups[0].master_id == "A"
@@ -120,21 +115,21 @@ class TestMergeGroups:
             [account("A", 3), account("B", 1), account("C", 2), account("D", 0)],
             records=[record("A", "B"), record("C", "D")],
         )
-        groups = merge_groups(corpus.sockpuppet_records, corpus)
+        groups = merge_groups(corpus)
         assert len(groups) == 2
         assert [g.member_ids for g in groups] == [frozenset({"A", "B"}), frozenset({"C", "D"})]
         assert [g.master_id for g in groups] == ["B", "D"]
 
     def test_empty(self):
         corpus = corpus_of([])
-        assert merge_groups((), corpus) == []
+        assert merge_groups(corpus) == []
 
     def test_group_ids_follow_min_member(self):
         corpus = corpus_of(
             [account("z", 0), account("y", 1), account("a", 2), account("b", 3)],
             records=[record("z", "y"), record("a", "b")],
         )
-        groups = merge_groups(corpus.sockpuppet_records, corpus)
+        groups = merge_groups(corpus)
         assert groups[0].member_ids == frozenset({"a", "b"})
         assert [g.group_id for g in groups] == [0, 1]
 
@@ -157,68 +152,38 @@ class TestMergeGroups:
 
 
 class TestTemporalNeighbors:
-    def setup_method(self):
-        self.members = [
-            account("A", 0, ban=10),
-            account("B", 1, ban=12),
-            account("C", 15),
-        ]
-        self.corpus = group_corpus(self.members)
-        self.group = merge_groups(self.corpus.sockpuppet_records, self.corpus)[0]
+    """Each rule of the module docstring, seen through extraction."""
+
+    def pairs_of(self, members):
+        corpus = group_corpus(members)
+        pairs = extract_evasion_pairs(merge_groups(corpus), corpus)
+        got = [(p.parent_id, p.child_id) for p in pairs]
+        assert set(got) == brute_force_pairs(members)
+        return got
 
     def test_predecessor_latest_ban_before_creation(self):
-        c = self.corpus.account("C")
-        assert temporal_predecessor(c, self.group, self.corpus) == "B"
+        members = [account("A", 0, ban=10), account("B", 1, ban=12), account("C", 15)]
+        assert self.pairs_of(members) == [("B", "C")]
 
     def test_predecessor_absent_when_no_prior_ban(self):
-        corpus = corpus_of(
-            [account("A", 6, ban=10), account("C", 5)], records=[record("A", "C")]
-        )
-        group = merge_groups(corpus.sockpuppet_records, corpus)[0]
-        assert temporal_predecessor(corpus.account("C"), group, corpus) is None
+        # C was created before every ban, so it is no account's child
+        members = [account("A", 6, ban=10), account("C", 5), account("D", 20)]
+        assert self.pairs_of(members) == [("A", "D")]
 
     def test_predecessor_tie_breaks_to_smaller_id(self):
-        corpus = corpus_of(
-            [account("B", 0, ban=12), account("A", 1, ban=12), account("C", 15)],
-            records=[record("A", "B", "C")],
-        )
-        group = merge_groups(corpus.sockpuppet_records, corpus)[0]
-        assert temporal_predecessor(corpus.account("C"), group, corpus) == "A"
+        members = [account("B", 0, ban=12), account("A", 1, ban=12), account("C", 15)]
+        assert self.pairs_of(members) == [("A", "C")]
 
     def test_successor_earliest_creation_after_ban(self):
-        corpus = corpus_of(
-            [account("A", 0, ban=10), account("C", 15), account("D", 20)],
-            records=[record("A", "C", "D")],
-        )
-        group = merge_groups(corpus.sockpuppet_records, corpus)[0]
-        assert temporal_successor(corpus.account("A"), group, corpus) == "C"
+        members = [account("A", 0, ban=10), account("C", 15), account("D", 20)]
+        assert self.pairs_of(members) == [("A", "C")]
 
     def test_successor_absent(self):
-        corpus = corpus_of(
-            [account("A", 0, ban=10), account("B", 5)], records=[record("A", "B")]
-        )
-        group = merge_groups(corpus.sockpuppet_records, corpus)[0]
-        assert temporal_successor(corpus.account("A"), group, corpus) is None
+        assert self.pairs_of([account("A", 0, ban=10), account("B", 5)]) == []
 
     def test_successor_tie_breaks_to_smaller_id(self):
-        corpus = corpus_of(
-            [account("A", 0, ban=10), account("D", 15), account("C", 15)],
-            records=[record("A", "C", "D")],
-        )
-        group = merge_groups(corpus.sockpuppet_records, corpus)[0]
-        assert temporal_successor(corpus.account("A"), group, corpus) == "C"
-
-    def test_not_in_group(self):
-        outsider = account("Z", 0)
-        with pytest.raises(AccountNotInGroupError):
-            temporal_predecessor(outsider, self.group, self.corpus)
-        with pytest.raises(AccountNotInGroupError):
-            temporal_successor(outsider, self.group, self.corpus)
-
-    def test_successor_requires_ban(self):
-        c = self.corpus.account("C")
-        with pytest.raises(MissingBanTimeError, match="account 'C' has no ban time"):
-            temporal_successor(c, self.group, self.corpus)
+        members = [account("A", 0, ban=10), account("D", 15), account("C", 15)]
+        assert self.pairs_of(members) == [("A", "C")]
 
 
 # --- extraction --------------------------------------------------------------
@@ -227,7 +192,7 @@ class TestTemporalNeighbors:
 class TestExtractPairs:
     def extract(self, members):
         corpus = group_corpus(members)
-        groups = merge_groups(corpus.sockpuppet_records, corpus)
+        groups = merge_groups(corpus)
         pairs = extract_evasion_pairs(groups, corpus)
         return corpus, groups, pairs
 
@@ -282,7 +247,7 @@ class TestExtractPairs:
             rng.shuffle(shuffled_members)
             rng.shuffle(shuffled_records)
             corpus = corpus_of(shuffled_members, records=shuffled_records)
-            groups = merge_groups(corpus.sockpuppet_records, corpus)
+            groups = merge_groups(corpus)
             pairs = extract_evasion_pairs(groups, corpus)
             outputs.append([(p.parent_id, p.child_id, p.group_id) for p in pairs])
         assert all(out == outputs[0] for out in outputs)
@@ -299,7 +264,7 @@ class TestFirstPair:
             ],
             records=[record("A", "B", "C", "D")],
         )
-        groups = merge_groups(corpus.sockpuppet_records, corpus)
+        groups = merge_groups(corpus)
         pairs = extract_evasion_pairs(groups, corpus)
         first = first_pair_per_group(pairs, corpus)
         assert len(first) == 1
@@ -312,7 +277,7 @@ class TestFirstPair:
         corpus = corpus_of(
             [account("A", 0, ban=10), account("B", 15)], records=[record("A", "B")]
         )
-        groups = merge_groups(corpus.sockpuppet_records, corpus)
+        groups = merge_groups(corpus)
         pairs = extract_evasion_pairs(groups, corpus)
         assert first_pair_per_group(pairs, corpus) == pairs
 
