@@ -3,6 +3,9 @@
 Subcommands: generate | ingest | extract-pairs | match | featurize |
 train | evaluate | rank | analyze | reproduce.
 
+The option table is the one place where an option is declared: ``OPTIONS``
+gives each option's type and help text, and ``COMMANDS`` lists each command's
+options; the parser, each command's casts and the config keys come from them.
 ``resolve`` fills each option the running command declares once, before
 the command runs: explicit flag > environment variable (``BANEVASION_<NAME>``)
 > config file (flat ``key = value`` lines via --config; a key no command
@@ -123,143 +126,6 @@ def _given(opts: argparse.Namespace, **params: str) -> dict:
     }
 
 
-def _add_corpus_inputs(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--accounts", help="accounts file (JSON lines)")
-    p.add_argument("--revisions", help="revisions file (JSON lines)")
-    p.add_argument("--records", help="sockpuppet records file (JSON lines)")
-
-
-def _add_seed_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, help="seed of the generator and of task-2 cap sampling")
-
-
-def _add_synth_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--groups", type=int)
-    p.add_argument("--benign", type=int)
-    p.add_argument("--malicious", type=int)
-    p.add_argument("--evasion-rate", type=float)
-    p.add_argument("--username-mutation-rate", type=float)
-    p.add_argument("--page-overlap", type=float)
-    p.add_argument("--vocab-reuse", type=float)
-    p.add_argument("--idle-gap-days", type=float)
-    p.add_argument("--activity-contrast", type=float)
-    p.add_argument("--malicious-text-rate", type=float)
-
-
-def _add_lexicon_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lexicon", help="category lexicon file (default: built-in)")
-    p.add_argument("--sentiment-lexicon", help="sentiment lexicon file (default: built-in)")
-    p.add_argument("--embedding-provider", help="'trigram' or 'file:/path' (default: trigram)")
-
-
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--l2", type=float, help="L2 penalty weight")
-    p.add_argument("--max-epochs", type=int)
-
-
-def _add_rfe_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rfe", action="store_true", default=None,
-                   help="select features by recursive elimination before the final fit")
-
-
-def _add_command(sub, name: str, summary: str, func, *adders) -> argparse.ArgumentParser:
-    p = sub.add_parser(name, help=summary)
-    p.add_argument("--config", help="flat key = value config file")
-    for add in adders:
-        add(p)
-    p.set_defaults(func=func)
-    return p
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="banevasion",
-        description="Pair, detect, and attribute ban-evasion accounts.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = _add_command(sub, "generate", "write a seeded synthetic corpus", cmd_generate,
-                     _add_seed_flag, _add_synth_flags)
-    p.add_argument("--out-dir", required=True)
-
-    p = _add_command(sub, "ingest", "validate corpus files and report counts", cmd_ingest,
-                     _add_corpus_inputs)
-    p.add_argument("--out-dir", help="optionally write canonicalized copies here")
-
-    p = _add_command(sub, "extract-pairs", "merge groups and extract evasion pairs",
-                     cmd_extract_pairs, _add_corpus_inputs)
-    p.add_argument("--out-dir", required=True)
-
-    p = _add_command(sub, "match", "build matched negative samples for one task", cmd_match,
-                     _add_seed_flag, _add_corpus_inputs)
-    p.add_argument("--task", required=True, choices=["1", "2", "3"])
-    p.add_argument("--pairs", help="extracted pairs file")
-    p.add_argument("--out", required=True)
-    p.add_argument("--window-days", type=float)
-    p.add_argument("--cap", type=int)
-
-    p = _add_command(sub, "featurize", "turn samples into a feature matrix", cmd_featurize,
-                     _add_corpus_inputs, _add_lexicon_flags)
-    p.add_argument("--task", required=True, choices=["1", "2", "3"])
-    p.add_argument("--samples", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--k-edits", type=int)
-
-    p = _add_command(sub, "train", "fit the classifier on a feature matrix", cmd_train,
-                     _add_model_flags, _add_rfe_flag)
-    p.add_argument("--features", required=True)
-    p.add_argument("--out", required=True)
-
-    p = _add_command(sub, "evaluate", "run one task harness end to end", cmd_evaluate,
-                     _add_seed_flag, _add_corpus_inputs, _add_lexicon_flags, _add_model_flags,
-                     _add_rfe_flag)
-    p.add_argument("--task", required=True, choices=["1", "2", "3"])
-    p.add_argument("--pairs")
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--train-fraction", type=float)
-    p.add_argument("--window-days", type=float)
-    p.add_argument("--cap", type=int)
-    p.add_argument("--k-edits", type=int)
-
-    p = _add_command(sub, "rank", "parent attribution ranking harness", cmd_rank,
-                     _add_corpus_inputs, _add_lexicon_flags, _add_model_flags)
-    p.add_argument("--pairs")
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--train-fraction", type=float)
-    p.add_argument("--max-candidates", type=int)
-
-    p = _add_command(sub, "analyze", "descriptive characterization report", cmd_analyze,
-                     _add_corpus_inputs, _add_lexicon_flags)
-    p.add_argument("--pairs")
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--window-days", type=float)
-    p.add_argument("--outlier-days", type=float)
-
-    p = _add_command(sub, "reproduce", "full pipeline on a synthetic corpus", cmd_reproduce,
-                     _add_seed_flag, _add_synth_flags, _add_lexicon_flags, _add_model_flags,
-                     _add_rfe_flag)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--train-fraction", type=float)
-    p.add_argument("--max-candidates", type=int)
-    p.add_argument("--k-edits", type=int)
-    p.add_argument("--cap", type=int)
-    p.add_argument("--window-days", type=float)
-    p.add_argument("--outlier-days", type=float)
-
-    # Each command resolves the options it declares, cast as its flags are. A
-    # --config file may set any option some command reads, even one the
-    # running command ignores, so one file can serve every stage.
-    for command in sub.choices.values():
-        command.set_defaults(options={
-            action.dest: _as_bool if action.nargs == 0 else action.type or str
-            for action in command._actions if action.dest not in ("help", "config")
-        })
-    parser.set_defaults(config_keys=frozenset().union(
-        *(command.get_default("options") for command in sub.choices.values())
-    ))
-    return parser
-
-
 # ---------------------------------------------------------------------------
 # stage helpers
 
@@ -338,11 +204,11 @@ def _load_corpus(opts):
 def _match_options(opts) -> dict:
     """``Task.match``'s window, cap and seed, where ``opts`` sets them, checked."""
     given = {**_counts(opts, "cap"), **_given(opts, seed="seed")}
-    days = opts.window_days
-    if days is not None:
-        if not 0 <= days < math.inf:
-            raise InvalidConfigError("window_days", "must be finite and >= 0")
-        given["window_seconds"] = int(days * corpus_mod.DAY_SECONDS)
+    if opts.window_days is not None:
+        seconds = opts.window_days * corpus_mod.DAY_SECONDS
+        if not 0 <= seconds < math.inf:
+            raise InvalidConfigError("window_days", "must be >= 0 and finite in seconds")
+        given["window_seconds"] = int(seconds)
     return given
 
 
@@ -636,6 +502,112 @@ def cmd_reproduce(opts) -> int:
         f"mrr={report['ranking']['mrr']:.4f} -> {out_dir}"
     )
     return 0
+
+
+# ---------------------------------------------------------------------------
+# the option table
+
+# Every option, declared once as ``name: (type, help)``: the flag is ``--name``
+# with ``-`` for ``_``, the environment variable ``BANEVASION_NAME`` and the
+# config key ``name``. A ``bool`` option is a switch, read by ``_as_bool`` from
+# the environment or a config file; ``TASKS`` takes its keys.
+OPTIONS = {
+    "config": (str, "flat key = value config file"),
+    "seed": (int, "seed of the generator and of task-2 cap sampling"),
+    "groups": (int, "sockpuppet groups to generate"),
+    "benign": (int, "benign accounts to generate"),
+    "malicious": (int, "banned accounts that do not evade"),
+    "evasion_rate": (float, "share of groups whose child is created after the parent's ban"),
+    "username_mutation_rate": (float, "chance that a child's username changes each character"),
+    "page_overlap": (float, "how much a child edits its parent's pages"),
+    "vocab_reuse": (float, "how much a child reuses its parent's words"),
+    "idle_gap_days": (float, "mean days between a parent's ban and its child's creation"),
+    "activity_contrast": (float, "how far evaders' activity departs from the baseline"),
+    "malicious_text_rate": (float, "rate of flagged words in malicious accounts' text"),
+    "accounts": (str, "accounts file (JSON lines)"),
+    "revisions": (str, "revisions file (JSON lines)"),
+    "records": (str, "sockpuppet records file (JSON lines)"),
+    "lexicon": (str, "category lexicon file (default: built-in)"),
+    "sentiment_lexicon": (str, "sentiment lexicon file (default: built-in)"),
+    "embedding_provider": (str, "'trigram' or 'file:/path' (default: trigram)"),
+    "l2": (float, "L2 penalty weight"),
+    "max_epochs": (int, "cap on the Newton steps of a fit"),
+    "rfe": (bool, "select features by recursive elimination before the final fit"),
+    "task": (matching_mod.TASKS, "1 prediction, 2 early detection or 3 ban-time detection"),
+    "pairs": (str, "evasion pairs file (default: the first extracted pair per group)"),
+    "out": (str, "output file"),
+    "out_dir": (str, "output directory"),
+    "samples": (str, "matched samples file"),
+    "features": (str, "feature matrix file"),
+    "train_fraction": (float, "share of parents, earliest first, that the model trains on"),
+    "window_days": (float, "days from the anchor time within which controls match"),
+    "cap": (int, "most task-2 negatives per pair"),
+    "k_edits": (int, "first revisions of the other account that task 2 reads"),
+    "max_candidates": (int, "candidate parents ranked per child"),
+    "outlier_days": (float, "analysis gaps longer than this many days are left out"),
+}
+
+_CORPUS = ("accounts", "revisions", "records")
+_SYNTH = ("groups", "benign", "malicious", "evasion_rate", "username_mutation_rate",
+          "page_overlap", "vocab_reuse", "idle_gap_days", "activity_contrast",
+          "malicious_text_rate")
+_TEXT = ("lexicon", "sentiment_lexicon", "embedding_provider")
+_MODEL = ("l2", "max_epochs")
+
+# Each command as ``name: (summary, function, options)``, its options in the
+# order ``resolve`` casts them; a trailing ``!`` marks a required one.
+COMMANDS = {
+    "generate": ("write a seeded synthetic corpus", cmd_generate, ("seed", *_SYNTH, "out_dir!")),
+    "ingest": ("validate corpus files and report counts", cmd_ingest, (*_CORPUS, "out_dir")),
+    "extract-pairs": ("merge groups and extract evasion pairs", cmd_extract_pairs,
+                      (*_CORPUS, "out_dir!")),
+    "match": ("build matched negative samples for one task", cmd_match,
+              ("seed", *_CORPUS, "task!", "pairs", "out!", "window_days", "cap")),
+    "featurize": ("turn samples into a feature matrix", cmd_featurize,
+                  (*_CORPUS, *_TEXT, "task!", "samples!", "out!", "k_edits")),
+    "train": ("fit the classifier on a feature matrix", cmd_train,
+              (*_MODEL, "rfe", "features!", "out!")),
+    "evaluate": ("run one task harness end to end", cmd_evaluate,
+                 ("seed", *_CORPUS, *_TEXT, *_MODEL, "rfe", "task!", "pairs", "out_dir!",
+                  "train_fraction", "window_days", "cap", "k_edits")),
+    "rank": ("parent attribution ranking harness", cmd_rank,
+             (*_CORPUS, *_TEXT, *_MODEL, "pairs", "out_dir!", "train_fraction",
+              "max_candidates")),
+    "analyze": ("descriptive characterization report", cmd_analyze,
+                (*_CORPUS, *_TEXT, "pairs", "out_dir!", "window_days", "outlier_days")),
+    "reproduce": ("full pipeline on a synthetic corpus", cmd_reproduce,
+                  ("seed", *_SYNTH, *_TEXT, *_MODEL, "rfe", "out_dir!", "train_fraction",
+                   "max_candidates", "k_edits", "cap", "window_days", "outlier_days")),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of ``COMMANDS``. A --config file may set any option, even one
+    the running command ignores, so one file can serve every stage."""
+    parser = argparse.ArgumentParser(
+        prog="banevasion",
+        description="Pair, detect, and attribute ban-evasion accounts.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (summary, func, names) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        casts = {}
+        for entry in ("config", *names):
+            name = entry.rstrip("!")
+            kind, text = OPTIONS[name]
+            flag = "--" + name.replace("_", "-")
+            if kind is bool:
+                casts[name] = _as_bool
+                p.add_argument(flag, action="store_true", default=None, help=text)
+            else:
+                choices = list(kind) if isinstance(kind, dict) else None
+                casts[name] = str if choices else kind
+                p.add_argument(flag, type=casts[name], choices=choices,
+                               required=entry.endswith("!"), help=text)
+        del casts["config"]
+        p.set_defaults(func=func, options=casts)
+    parser.set_defaults(config_keys=frozenset(OPTIONS) - {"config"})
+    return parser
 
 
 def main(argv=None) -> int:

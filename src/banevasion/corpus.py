@@ -462,8 +462,9 @@ class SynthConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise InvalidConfigError(name, "must be in [0, 1]")
-        if not 0 < self.idle_gap_days < math.inf:
-            raise InvalidConfigError("idle_gap_days", "must be finite and > 0")
+        # the generator draws a gap of up to 1.5 times the mean, in seconds
+        if not 0 < 1.5 * self.idle_gap_days * DAY_SECONDS < math.inf:
+            raise InvalidConfigError("idle_gap_days", "must be > 0 and finite in seconds")
 
 
 @dataclass(frozen=True)

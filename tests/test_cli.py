@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -16,7 +17,7 @@ from banevasion import corpus as corpus_mod
 from banevasion import features as features_mod
 from banevasion import matching as matching_mod
 from banevasion import pairing as pairing_mod
-from banevasion.cli import main
+from banevasion.cli import build_parser, main
 from banevasion.corpus import DAY_SECONDS, WEEK_SECONDS, SynthConfig, load_corpus
 from banevasion.evaluation import temporal_order
 from banevasion.matching import TASKS, write_samples
@@ -289,6 +290,79 @@ class TestUsageErrors:
             main(["generate", "--out-dir", str(tmp_path), *GEN_FLAGS])
 
 
+# Each command's options in the order ``resolve`` casts them: flag, ":" cast,
+# "!" where required and "{...}" the choices. A change to any of them is a
+# change to the CLI surface.
+SURFACE = {
+    "generate": "--seed:int --groups:int --benign:int --malicious:int --evasion-rate:float "
+                "--username-mutation-rate:float --page-overlap:float --vocab-reuse:float "
+                "--idle-gap-days:float --activity-contrast:float --malicious-text-rate:float "
+                "--out-dir:str!",
+    "ingest": "--accounts:str --revisions:str --records:str --out-dir:str",
+    "extract-pairs": "--accounts:str --revisions:str --records:str --out-dir:str!",
+    "match": "--seed:int --accounts:str --revisions:str --records:str --task:str!{1,2,3} "
+             "--pairs:str --out:str! --window-days:float --cap:int",
+    "featurize": "--accounts:str --revisions:str --records:str --lexicon:str "
+                 "--sentiment-lexicon:str --embedding-provider:str --task:str!{1,2,3} "
+                 "--samples:str! --out:str! --k-edits:int",
+    "train": "--l2:float --max-epochs:int --rfe:_as_bool --features:str! --out:str!",
+    "evaluate": "--seed:int --accounts:str --revisions:str --records:str --lexicon:str "
+                "--sentiment-lexicon:str --embedding-provider:str --l2:float --max-epochs:int "
+                "--rfe:_as_bool --task:str!{1,2,3} --pairs:str --out-dir:str! "
+                "--train-fraction:float --window-days:float --cap:int --k-edits:int",
+    "rank": "--accounts:str --revisions:str --records:str --lexicon:str --sentiment-lexicon:str "
+            "--embedding-provider:str --l2:float --max-epochs:int --pairs:str --out-dir:str! "
+            "--train-fraction:float --max-candidates:int",
+    "analyze": "--accounts:str --revisions:str --records:str --lexicon:str "
+               "--sentiment-lexicon:str --embedding-provider:str --pairs:str --out-dir:str! "
+               "--window-days:float --outlier-days:float",
+    "reproduce": "--seed:int --groups:int --benign:int --malicious:int --evasion-rate:float "
+                 "--username-mutation-rate:float --page-overlap:float --vocab-reuse:float "
+                 "--idle-gap-days:float --activity-contrast:float --malicious-text-rate:float "
+                 "--lexicon:str --sentiment-lexicon:str --embedding-provider:str --l2:float "
+                 "--max-epochs:int --rfe:_as_bool --out-dir:str! --train-fraction:float "
+                 "--max-candidates:int --k-edits:int --cap:int --window-days:float "
+                 "--outlier-days:float",
+}
+
+
+class TestSurface:
+    @staticmethod
+    def commands():
+        parser = build_parser()
+        # argparse keeps the subcommand parsers on its private action list only
+        sub = next(a for a in parser._actions if a.dest == "command")
+        return parser, sub.choices
+
+    def test_each_command_declares_its_options(self):
+        _, commands = self.commands()
+        assert list(commands) == list(SURFACE)
+        for name, command in commands.items():
+            casts = command.get_default("options")
+            actions = [a for a in command._actions if a.dest not in ("help", "config")]
+            assert list(casts) == [a.dest for a in actions], name
+            got = " ".join(
+                f"{a.option_strings[0]}:{casts[a.dest].__name__}{'!' if a.required else ''}"
+                + ("{%s}" % ",".join(a.choices) if a.choices else "")
+                for a in actions
+            )
+            assert got == SURFACE[name], name
+
+    def test_config_keys_are_every_option(self):
+        parser, _ = self.commands()
+        keys = {flag.split(":")[0][2:].replace("-", "_")
+                for options in SURFACE.values() for flag in options.split()}
+        assert len(keys) == 32
+        assert parser.get_default("config_keys") == keys
+
+    @pytest.mark.parametrize("command", list(SURFACE))
+    def test_help_exits_zero(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert "--config" in capsys.readouterr().out
+
+
 class TestStageChaining:
     @pytest.fixture()
     def corpus_dir(self, tmp_path):
@@ -366,6 +440,35 @@ class TestStageChaining:
         assert all(name in in_header for name in model.feature_names)  # in header order
         assert 0 < len(model.feature_names) < len(header)
         assert model_bytes(model) == model_path.read_bytes()
+
+    def test_rfe_switch_from_environment_or_config_file(
+        self, corpus_dir, tmp_path, monkeypatch
+    ):
+        flags = self.corpus_flags(corpus_dir)
+        samples, features = tmp_path / "s.tsv", tmp_path / "f.tsv"
+        assert main(["match", *flags, "--task", "3", "--out", str(samples)]) == 0
+        assert main([
+            "featurize", *flags, "--task", "3", "--samples", str(samples), "--out", str(features),
+        ]) == 0
+
+        def train(name, *args):
+            out = tmp_path / f"{name}.json"
+            assert main(["train", "--features", str(features), "--out", str(out), *args]) == 0
+            return out.read_bytes()
+
+        def configured(name, line):
+            config = tmp_path / f"{name}.cfg"
+            config.write_text(f"{line}\n")
+            return train(name, "--config", str(config))
+
+        flag, unset = train("flag", "--rfe"), train("unset")
+        assert flag != unset
+        assert configured("yes", "rfe = yes") == flag
+        assert configured("no", "rfe = no") == unset
+        monkeypatch.setenv("BANEVASION_RFE", "yes")
+        assert train("env-yes") == flag
+        monkeypatch.setenv("BANEVASION_RFE", "no")
+        assert train("env-no") == unset
 
     @pytest.mark.parametrize(
         "task, window, child_ban_columns",
@@ -556,12 +659,13 @@ class TestStageChaining:
         [
             ("match", ["--task", "1", "--window-days", "nan"], "window_days"),
             ("match", ["--task", "1", "--window-days", "-1"], "window_days"),
+            ("match", ["--task", "1", "--window-days", "1e305"], "window_days"),
             ("analyze", ["--outlier-days", "nan"], "outlier_days"),
             ("analyze", ["--outlier-days", "-5"], "outlier_days"),
             ("rank", ["--max-candidates", "0"], "max_candidates"),
         ],
-        ids=["window_days-nan", "window_days-negative", "outlier_days-nan",
-             "outlier_days-negative", "max_candidates-0"],
+        ids=["window_days-nan", "window_days-negative", "window_days-overflow",
+             "outlier_days-nan", "outlier_days-negative", "max_candidates-0"],
     )
     def test_out_of_range_option_named(self, corpus_dir, tmp_path, capsys, command, flags, field):
         out = tmp_path / "out"
@@ -704,16 +808,20 @@ class TestReproduce:
         [
             (["--outlier-days", "-5"], "invalid config field 'outlier_days'"),
             (["--window-days", "-1"], "invalid config field 'window_days'"),
+            (["--window-days", "1e305"], "invalid config field 'window_days'"),
+            (["--idle-gap-days", "1e305"], "invalid config field 'idle_gap_days'"),
             (["--max-candidates", "0"], "invalid config field 'max_candidates'"),
             (["--cap", "0"], "invalid config field 'cap'"),
             (["--k-edits", "0"], "invalid config field 'k_edits'"),
             (["--train-fraction", "1"], "invalid config field 'train_fraction'"),
+            (["--train-fraction", "0"], "invalid config field 'train_fraction'"),
             (["--l2", "nan"], "invalid config field 'l2_lambda'"),
             (["--embedding-provider", "bogus"], "invalid config field 'embedding_provider'"),
             (["--lexicon", "{missing}"], "{missing}"),
         ],
-        ids=["outlier_days", "window_days", "max_candidates", "cap", "k_edits",
-             "train_fraction", "l2", "embedding_provider", "lexicon"],
+        ids=["outlier_days", "window_days", "window_days-overflow", "idle_gap_days-overflow",
+             "max_candidates", "cap", "k_edits", "train_fraction", "train_fraction-0", "l2",
+             "embedding_provider", "lexicon"],
     )
     def test_bad_option_rejected_before_any_output(self, tmp_path, capsys, flags, named):
         missing = str(tmp_path / "missing.txt")
@@ -767,3 +875,29 @@ class TestReproduce:
             assert (run / "models" / model).read_bytes() == (stages / model).read_bytes()
             assert report[name] == json.loads((stages / f"{name}_report.json").read_text())
         assert tree_digest(run / "reports") == tree_digest(stages / "reports")
+
+
+def test_shuffled_corpus_lines_give_identical_outputs(tmp_path):
+    """Every stage that reads a corpus writes the same bytes when the lines of
+    its three files come in another order."""
+    original, shuffled = tmp_path / "original", tmp_path / "shuffled"
+    assert main(["generate", "--seed", "7", "--groups", "12", "--out-dir", str(original)]) == 0
+    shuffled.mkdir()
+    names = ("accounts", "revisions", "records")
+    rng = random.Random(3)
+    for name in names:
+        lines = (original / f"{name}.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        rng.shuffle(lines)
+        (shuffled / f"{name}.jsonl").write_text("".join(lines), encoding="utf-8")
+        assert (shuffled / f"{name}.jsonl").read_bytes() != (original / f"{name}.jsonl").read_bytes()
+    for corpus in (original, shuffled):
+        flags = [f for n in names for f in (f"--{n}", str(corpus / f"{n}.jsonl"))]
+        out = tmp_path / "out" / corpus.name
+        assert main(["extract-pairs", *flags, "--out-dir", str(out / "pairs")]) == 0
+        for task in "123":
+            assert main(["evaluate", *flags, "--task", task, "--out-dir", str(out / "eval")]) == 0
+        assert main(["rank", *flags, "--out-dir", str(out / "eval")]) == 0
+        assert main(["analyze", *flags, "--out-dir", str(out / "analysis")]) == 0
+    trees = [tree_digest(tmp_path / "out" / name) for name in ("original", "shuffled")]
+    assert len(trees[0]) == 21
+    assert trees[0] == trees[1]

@@ -605,6 +605,7 @@ class TestSynthetic:
             ("idle_gap_days", 0.0),
             ("idle_gap_days", float("inf")),
             ("idle_gap_days", float("nan")),
+            ("idle_gap_days", 1e305),
             ("malicious_text_rate", 2.0),
         ],
     )

@@ -81,6 +81,7 @@ def test_never_banned_account_named(call, account_id):
         ("b", lambda: regularized_incomplete_beta(1.0, -1.0, 0.5)),
         ("x", lambda: regularized_incomplete_beta(1.0, 1.0, 1.5)),
         ("df", lambda: student_t_two_sided_p(1.0, 0.0)),
+        pytest.param("train_fraction", lambda: check_train_fraction(0.0), id="train_fraction-0"),
     ],
 )
 def test_out_of_range_option_is_invalid_config(field, call):
