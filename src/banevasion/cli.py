@@ -300,8 +300,8 @@ def cmd_match(opts) -> int:
     match_options = _match_options(opts)
     corpus = _load_corpus(opts)
     samples = task.match(corpus, _pairs_from_file_or_corpus(opts, corpus), **match_options)
-    matching_mod.write_samples(samples, opts.out)
-    print(f"wrote {len(samples)} samples -> {opts.out}")
+    count = matching_mod.write_samples(samples, opts.out)
+    print(f"wrote {count} samples -> {opts.out}")
     return 0
 
 
@@ -360,7 +360,7 @@ def cmd_evaluate(opts) -> int:
     task_options = _harness_options(opts, "k_edits", use_rfe="rfe")
     features = _feature_config(opts)
     corpus = _load_corpus(opts)
-    samples = task.match(corpus, _pairs_from_file_or_corpus(opts, corpus), **match_options)
+    samples = list(task.match(corpus, _pairs_from_file_or_corpus(opts, corpus), **match_options))
     report, fitted = run_task(task, samples, Digests(corpus, features), **task_options)
     out_dir = Path(opts.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -398,7 +398,7 @@ def cmd_analyze(opts) -> int:
     analysis_options = _analysis_options(opts)
     corpus = _load_corpus(opts)
     pairs = _pairs_from_file_or_corpus(opts, corpus)
-    task1, task3 = (matching_mod.TASKS[n].match(corpus, pairs, **match_options)
+    task1, task3 = (list(matching_mod.TASKS[n].match(corpus, pairs, **match_options))
                     for n in "13")
     report = characterize(Digests(corpus, features), pairs, task1, task3, **analysis_options)
     out_dir = Path(opts.out_dir)
@@ -477,7 +477,7 @@ def cmd_reproduce(opts) -> int:
     for task in matching_mod.TASKS.values():
         name = f"task{task.number}"
         with _stage(f"evaluate-{name}"):
-            samples[task.number] = task.match(corpus, pairs, **match_options)
+            samples[task.number] = list(task.match(corpus, pairs, **match_options))
             report[name], fitted = run_task(task, samples[task.number], digests, **task_options)
             save_model(fitted, models_dir / f"{name}_model.json")
 

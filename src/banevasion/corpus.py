@@ -19,10 +19,14 @@ record members, known members), once each, in input order, naming the record's
 ``file:line`` when it was read. Timestamps are integer epoch seconds UTC
 throughout. Loaded corpora are immutable and iterate in a canonical order
 (accounts by id, revisions by (account_id, timestamp, page_id), records by
-sorted member tuple), so a save/load round trip is byte identical. Accounts,
-revisions and evasion pairs are named tuples; ``load_corpus`` interns account
-and page ids, so a revision shares its owner's id string and its page's. An
-``EvasionPair`` without a group id holds ``None``, as its line has no key.
+sorted member tuple), so a save/load round trip is byte identical. ``Corpus``
+builds the revision order per owner: one pass groups the revisions by
+account, each owner's list is sorted by (timestamp, page_id), and the owners
+follow in id order; the sorts are stable, so revisions equal in all three
+keep their input order. Accounts, revisions and evasion pairs are named
+tuples; ``load_corpus`` interns account and page ids, so a revision shares its
+owner's id string and its page's. An ``EvasionPair`` without a group id holds
+``None``, as its line has no key.
 
 Output contract of the synthetic generator: its corpus bytes depend only on
 the seed, the ``SynthConfig`` knobs and CPython's Mersenne Twister draws,
@@ -39,9 +43,10 @@ import math
 import random
 import sys
 from array import array
+from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import InitVar, dataclass, field
-from itertools import groupby
+from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -131,6 +136,7 @@ class Corpus:
                 )
             by_id[acct.account_id] = acct
 
+        owned: defaultdict[str, list[Revision]] = defaultdict(list)
         for i, rev in enumerate(self.revisions):
             owner = by_id.get(rev.account_id)
             if owner is None:
@@ -140,6 +146,7 @@ class Corpus:
                     *at(1, i),
                     f"revision on {rev.page_id!r} predates creation of {rev.account_id!r}",
                 )
+            owned[rev.account_id].append(rev)
 
         for i, rec in enumerate(self.sockpuppet_records):
             if len(rec.member_ids) < 2:
@@ -149,20 +156,17 @@ class Corpus:
                     raise ReferentialIntegrityError(member, "record member", *at(2, i))
 
         by_id = dict(sorted(by_id.items()))
-        revisions = tuple(
-            sorted(self.revisions, key=lambda r: (r.account_id, r.timestamp, r.page_id))
-        )
+        # stable sorts, so full-key ties keep their input order
+        by_time = attrgetter("timestamp", "page_id")
+        by_owner = {k: tuple(sorted(owned[k], key=by_time)) for k in sorted(owned)}
         records = tuple(
             sorted(self.sockpuppet_records, key=lambda r: tuple(sorted(r.member_ids)))
         )
-        by_owner = groupby(revisions, attrgetter("account_id"))
         object.__setattr__(self, "accounts", tuple(by_id.values()))
-        object.__setattr__(self, "revisions", revisions)
+        object.__setattr__(self, "revisions", tuple(chain.from_iterable(by_owner.values())))
         object.__setattr__(self, "sockpuppet_records", records)
         object.__setattr__(self, "accounts_by_id", by_id)
-        object.__setattr__(
-            self, "revisions_by_account", {k: tuple(v) for k, v in by_owner}
-        )
+        object.__setattr__(self, "revisions_by_account", by_owner)
 
     def account(self, account_id: str) -> Account:
         try:
@@ -205,6 +209,10 @@ _scan = json.scanner.make_scanner(_DECODER)
 _encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":")).encode
 _quote = json.encoder.encode_basestring
 
+# the whitespace JSON allows around a value; ``str.strip()`` would also take
+# a form feed or a no-break space, which ``json`` rejects
+_JSON_SPACE = " \t\r\n"
+
 _MISSING = object()
 _WRONG_KIND = {
     str: "field {!r} must be a string",
@@ -214,11 +222,12 @@ _WRONG_KIND = {
 
 
 def _read_jsonl(path: str | Path) -> Iterator[tuple[str, int, dict]]:
-    """Yield ``(path, line number, object)`` for each non-blank line."""
+    """Yield ``(path, line number, object)`` for each line that holds more
+    than JSON whitespace."""
     p = str(path)
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+            line = line.strip(_JSON_SPACE)
             if not line:
                 continue
             try:
@@ -339,12 +348,28 @@ def save_corpus(
 ) -> None:
     """Write a corpus back out in canonical order (round-trip stable).
 
-    Each revision line is formatted directly, with sorted keys and strings
-    escaped by ``_quote``, which is the line ``_encode`` gives. A revision with
-    a field that is not exactly a ``str`` (an ``int`` timestamp), which a
-    corpus built in memory can hold, goes through ``_encode`` itself.
+    Each account and revision line is formatted directly, with sorted keys and
+    strings escaped by ``_quote``, which is the line ``_encode`` gives. A
+    record with a field not exactly of its type (an id, name or text that is
+    not a ``str``, a time that is not an ``int``, a ban time neither ``None``
+    nor an ``int``), which a corpus built in memory can hold, goes through
+    ``_encode`` itself.
     """
-    _write_jsonl(accounts_path, (a._asdict() for a in corpus.accounts))
+    with open(accounts_path, "w", encoding="utf-8") as fh:
+        for a in corpus.accounts:
+            account_id, username, creation, ban = a
+            if (
+                type(account_id) is type(username) is str
+                and type(creation) is int
+                and (ban is None or type(ban) is int)
+            ):
+                fh.write(
+                    f'{{"account_id":{_quote(account_id)},'
+                    f'"ban_time":{"null" if ban is None else ban},'
+                    f'"creation_time":{creation},"username":{_quote(username)}}}\n'
+                )
+            else:
+                fh.write(_encode(a._asdict()) + "\n")
     with open(revisions_path, "w", encoding="utf-8") as fh:
         for r in corpus.revisions:
             account_id, page_id, timestamp, added, deleted, comment = r

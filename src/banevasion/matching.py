@@ -26,7 +26,10 @@ the lower bound. Windows are inclusive at both ends.
   most ``cap`` negatives per pair; task 3's pool is task 1's.
 
 The pool is sorted once by its time and bisected per anchor, so the work
-grows with the samples emitted, not with anchors x pool.
+grows with the samples emitted, not with anchors x pool. Every check (window,
+cap, unknown account, missing ban time) runs when ``Task.match`` is called;
+the samples are then yielded, anchor by anchor, so the memory a caller that
+streams them pays grows with one anchor's negatives, not with the samples.
 
 Samples serialize one per line as ``task<TAB>parent_id<TAB>other_id<TAB>label``
 with the label spelled exactly ``positive`` or ``negative``.
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 from itertools import islice
 from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus import Account, Corpus, DAY_SECONDS, EvasionPair, WEEK_SECONDS
 from .errors import (
@@ -116,10 +119,14 @@ class Task:
         window_seconds: int | None = None,
         cap: int = DEFAULT_TASK2_CAP,
         seed: int = 0,
-    ) -> list[LabeledSample]:
+    ) -> Iterator[LabeledSample]:
         """Positives from ``pairs`` and matched negatives from this task's
         pool, by the rule of the module docstring; ``window_seconds`` defaults
-        to this task's window."""
+        to this task's window.
+
+        Every check runs at the call; the samples are then yielded, each
+        anchor's positive before its negatives.
+        """
         if window_seconds is None:
             window_seconds = self.window_seconds
         _check_window(window_seconds)
@@ -146,25 +153,29 @@ class Task:
             # a parent named by several pairs anchors one positive
             parent_ids = dict.fromkeys(parent_id for parent_id, _ in anchors)
             anchors = [(parent_id, parent_id) for parent_id in parent_ids]
-        samples = []
+        windows = []
         for parent_id, positive_id in anchors:
             ban = corpus.account(parent_id).ban_time
             creation = corpus.account(positive_id).creation_time
             if ban is None:
                 raise MissingBanTimeError(parent_id)
             centre, after = (ban, None) if self.name == TASK1 else (creation, ban)
-            samples.append(LabeledSample(parent_id, positive_id, POSITIVE, self.name))
-            matched = [
-                a for a in index.within(centre, window_seconds, after)
-                if a.account_id != positive_id
-            ]
-            if self.name == TASK2 and len(matched) > cap:
-                rng = random.Random(f"task2:{seed}:{positive_id}")
-                matched = sorted(rng.sample(matched, cap), key=attrgetter("account_id"))
-            samples += [
-                LabeledSample(parent_id, a.account_id, NEGATIVE, self.name) for a in matched
-            ]
-        return samples
+            windows.append((parent_id, positive_id, centre, after))
+
+        def samples() -> Iterator[LabeledSample]:
+            for parent_id, positive_id, centre, after in windows:
+                yield LabeledSample(parent_id, positive_id, POSITIVE, self.name)
+                matched = [
+                    a for a in index.within(centre, window_seconds, after)
+                    if a.account_id != positive_id
+                ]
+                if self.name == TASK2 and len(matched) > cap:
+                    rng = random.Random(f"task2:{seed}:{positive_id}")
+                    matched = sorted(rng.sample(matched, cap), key=attrgetter("account_id"))
+                for a in matched:
+                    yield LabeledSample(parent_id, a.account_id, NEGATIVE, self.name)
+
+        return samples()
 
     def vectors(self, samples: Sequence[LabeledSample], digests: Digests,
                 k_edits: int = DEFAULT_K_EDITS):
@@ -268,10 +279,14 @@ _LABEL_NAMES = {POSITIVE: "positive", NEGATIVE: "negative"}
 _LABELS = {name: label for label, name in _LABEL_NAMES.items()}
 
 
-def write_samples(samples: Sequence[LabeledSample], path: str | Path) -> None:
+def write_samples(samples: Iterable[LabeledSample], path: str | Path) -> int:
+    """Write ``samples`` one line each as they come; return the line count."""
+    count = 0
     with open(path, "w", encoding="utf-8") as fh:
         for s in samples:
             fh.write(f"{s.task}\t{s.parent_id}\t{s.other_id}\t{_LABEL_NAMES[s.label]}\n")
+            count += 1
+    return count
 
 
 def read_samples(path: str | Path) -> list[LabeledSample]:

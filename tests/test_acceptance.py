@@ -166,7 +166,7 @@ def seed_averaged_aucs(config_for_seed, n_seeds=5, split1=0.8, split23=0.9):
 
         def run(number, fraction):
             task = TASKS[number]
-            samples = task.match(corpus, pairs, task.window_seconds)
+            samples = list(task.match(corpus, pairs, task.window_seconds))
             return run_task(task, samples, digests, train_fraction=fraction)[0]
 
         r1, r2, r3 = run("1", split1), run("2", split23), run("3", split23)
@@ -230,7 +230,7 @@ def test_leakage_removed():
     )
     corpus = result.corpus
     pairs = pipeline(corpus)
-    samples = TASKS["1"].match(corpus, pairs)
+    samples = list(TASKS["1"].match(corpus, pairs))
     train, test = temporal_split(samples, corpus, 0.8)
 
     before_train = {s.other_id for s in train if s.label == NEGATIVE}

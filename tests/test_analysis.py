@@ -338,8 +338,8 @@ class TestCharacterize:
         corpus = result.corpus
         groups = merge_groups(corpus)
         pairs = first_pair_per_group(extract_evasion_pairs(groups, corpus), corpus)
-        account_samples = TASKS["1"].match(corpus, pairs)
-        pair_samples = TASKS["3"].match(corpus, pairs)
+        account_samples = list(TASKS["1"].match(corpus, pairs))
+        pair_samples = list(TASKS["3"].match(corpus, pairs))
         report = characterize(Digests(corpus), pairs, account_samples, pair_samples)
         assert report["counts"]["pairs"] == len(pairs)
         assert report["counts"]["control_pairs"] > 0

@@ -3,6 +3,8 @@ from __future__ import annotations
 import gc
 import json
 import random
+from itertools import groupby
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
@@ -175,6 +177,10 @@ CORRUPTIONS = {
                               RecordParseError, "bad JSON: Extra data"),
     "account_scalar": ("a", "3", RecordParseError, "expected a JSON object"),
     "account_bad_escape": ("a", r'{"account_id":"\q"}', RecordParseError, r"bad JSON: Invalid \escape"),
+    # JSON whitespace is space, tab, CR and LF only
+    "account_trailing_form_feed": ("a", json.dumps(NEW_ACCOUNT) + "\x0c",
+                                   RecordParseError, "bad JSON: Extra data"),
+    "account_no_break_space_line": ("a", "\xa0", RecordParseError, "bad JSON: Expecting value"),
     "account_missing_username": ("a", with_changes(NEW_ACCOUNT, username=...),
                                  RecordParseError, "missing field 'username'"),
     "account_id_null": ("a", with_changes(NEW_ACCOUNT, account_id=None),
@@ -247,12 +253,25 @@ class TestCorruption:
         # a blank line before the bad one: line numbers count every line
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("\n" + bad_line + "\n")
-        line = len(path.read_text(encoding="utf-8").splitlines())
+        # lines end at LF only: ``splitlines`` would also split at a form feed
+        line = path.read_text(encoding="utf-8").count("\n")
         with pytest.raises(error) as err:
             load_corpus(a, r, s)
         assert (err.value.path, err.value.line_number) == (str(path), line)
         assert str(err.value).startswith(f"{path}:{line}: ")
         assert fragment in str(err.value)
+
+    @pytest.mark.parametrize(
+        "bad", ['{"child_id":"c2","parent_id":"p"}\x0c', "\xa0"],
+        ids=["trailing_form_feed", "no_break_space_line"],
+    )
+    def test_pairs_reject_non_json_space(self, tmp_path, bad):
+        path = tmp_path / "pairs.jsonl"
+        path.write_text('{"child_id":"c","parent_id":"p"}\n' + bad + "\n", encoding="utf-8")
+        with pytest.raises(RecordParseError) as err:
+            load_pairs(path)
+        assert (err.value.path, err.value.line_number) == (str(path), 2)
+        assert err.value.reason.startswith("bad JSON: ")
 
     @pytest.mark.parametrize("key", ["parent_id", "child_id"])
     def test_pairs_reject_non_string_ids(self, tmp_path, key):
@@ -373,6 +392,37 @@ def corpora(draw):
                 st.sampled_from(ids), min_size=2, max_size=4, unique=True
             )))))
     return Corpus(tuple(accounts), tuple(revisions), tuple(records))
+
+
+@st.composite
+def tied_revisions(draw):
+    """Shuffled revisions of few owners, pages and times, so that keys tie: one
+    owner and time on two pages, exact (account_id, timestamp, page_id)
+    duplicates, and the in-memory times ``True`` (equal to 1) and ``5.0``.
+    Each revision's text is its own, so any reordering shows."""
+    keys = draw(st.lists(st.tuples(
+        st.sampled_from(["b", "a", "c"]),
+        st.sampled_from([1, True, 5, 5.0, 7]),
+        st.sampled_from(["q", "p"]),
+    ), max_size=14))
+    keys += draw(st.lists(st.sampled_from(keys), max_size=6)) if keys else []
+    revisions = [revision(owner, page, t, added=str(i)) for i, (owner, t, page) in enumerate(keys)]
+    return draw(st.permutations(revisions))
+
+
+class TestCanonicalOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(revisions=tied_revisions())
+    def test_per_owner_order_is_the_global_sort(self, revisions):
+        corpus = corpus_of([account(k, 0) for k in "dcba"], revisions)
+        # the oracle: one stable sort of every revision by its full key
+        expected = sorted(revisions, key=lambda r: (r.account_id, r.timestamp, r.page_id))
+        assert len(corpus.revisions) == len(expected)
+        assert all(got is want for got, want in zip(corpus.revisions, expected))
+        assert corpus.revisions_by_account == {
+            k: tuple(v) for k, v in groupby(expected, attrgetter("account_id"))
+        }
+        assert list(corpus.revisions_by_account) == sorted({r.account_id for r in revisions})
 
 
 @pytest.fixture(scope="module")

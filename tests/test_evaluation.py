@@ -336,7 +336,7 @@ class TestHarnesses:
     def test_task1_detects_planted_signal(self, planted):
         corpus, pairs = planted
         task = TASKS["1"]
-        samples = task.match(corpus, pairs, task.window_seconds)
+        samples = list(task.match(corpus, pairs, task.window_seconds))
         result, model = run_task(task, samples, Digests(corpus))
         assert result["auc"] > 0.9
         assert result["n_test_pos"] > 0
@@ -345,7 +345,7 @@ class TestHarnesses:
     def test_task2_detects_planted_signal(self, planted):
         corpus, pairs = planted
         task = TASKS["2"]
-        samples = task.match(corpus, pairs, task.window_seconds)
+        samples = list(task.match(corpus, pairs, task.window_seconds))
         result, model = run_task(task, samples, Digests(corpus))
         assert result["auc"] > 0.9
         assert "child_duration_seconds" not in model.feature_names
@@ -353,7 +353,7 @@ class TestHarnesses:
     def test_task3_with_fragments(self, planted):
         corpus, pairs = planted
         task = TASKS["3"]
-        samples = task.match(corpus, pairs, task.window_seconds)
+        samples = list(task.match(corpus, pairs, task.window_seconds))
         result, model = run_task(task, samples, Digests(corpus))
         assert result["auc"] > 0.9
         assert "child_duration_seconds" in model.feature_names
@@ -371,7 +371,7 @@ class TestHarnesses:
     def test_rfe_path_runs(self, planted):
         corpus, pairs = planted
         task = TASKS["1"]
-        samples = task.match(corpus, pairs, task.window_seconds)
+        samples = list(task.match(corpus, pairs, task.window_seconds))
         result, model = run_task(task, samples, Digests(corpus), use_rfe=True)
         assert result["selected_features"] is not None
         assert set(model.feature_names) == set(result["selected_features"])
@@ -384,7 +384,7 @@ def run_all_consumers(corpus, pairs, digests=None) -> list[str]:
     def store():
         return Digests(corpus) if digests is None else digests
 
-    samples = {n: t.match(corpus, pairs, t.window_seconds) for n, t in TASKS.items()}
+    samples = {n: list(t.match(corpus, pairs, t.window_seconds)) for n, t in TASKS.items()}
     results = [
         run_task(TASKS["1"], samples["1"], store())[0],
         run_task(TASKS["2"], samples["2"], store())[0],
@@ -502,9 +502,9 @@ class TestRepeatedParent:
     def test_task1_anchors_it_once(self, planted):
         corpus, pairs = planted
         task = TASKS["1"]
-        assert task.match(
+        assert list(task.match(
             corpus, with_repeated_parent(corpus, pairs), task.window_seconds
-        ) == task.match(corpus, pairs, task.window_seconds)
+        )) == list(task.match(corpus, pairs, task.window_seconds))
 
     def test_ranking_lists_it_once(self, planted):
         corpus, pairs = planted
@@ -554,7 +554,7 @@ def test_single_pair_split_error_names_task(task):
     corpus = result.corpus
     pairs = first_pair_per_group(extract_evasion_pairs(merge_groups(corpus), corpus), corpus)[:1]
     t = TASKS[task[-1]]
-    samples = t.match(corpus, pairs, t.window_seconds)
+    samples = list(t.match(corpus, pairs, t.window_seconds))
     with pytest.raises(EmptyInputError, match=f"^{task}_"):
         run_task(t, samples, Digests(corpus))
 

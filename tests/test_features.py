@@ -299,7 +299,7 @@ class TestDigests:
     def test_task1_rows_equal_account_features(self, synthetic, config):
         corpus, pairs = synthetic
         task = TASKS["1"]
-        samples = task.match(corpus, pairs, task.window_seconds)
+        samples = list(task.match(corpus, pairs, task.window_seconds))
         assert len({s.other_id for s in samples}) < len(samples)  # negatives recur
         names, rows = task.vectors(samples, Digests(corpus, config), 3)
         assert rows.shape == (len(samples), len(names))

@@ -190,7 +190,7 @@ def write_stage_outputs(out):
     save_pairs(pairs, out / "pairs.jsonl")
     digests = Digests(corpus)
     for number, task in TASKS.items():
-        samples = task.match(corpus, pairs, task.window_seconds, seed=7)
+        samples = list(task.match(corpus, pairs, task.window_seconds, seed=7))
         write_samples(samples, out / f"task{number}.tsv")
         names, X = task.vectors(samples, digests, k_edits=3)
         ids = [f"{s.parent_id}|{s.other_id}" for s in samples]

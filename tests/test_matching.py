@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
-from banevasion.corpus import DAY_SECONDS, WEEK_SECONDS
+from banevasion.corpus import DAY_SECONDS, WEEK_SECONDS, SynthConfig, generate_synthetic
 from banevasion.errors import (
     InvalidConfigError,
     RecordParseError,
@@ -102,8 +103,8 @@ class TestMatchTask1:
         corpus = corpus_of(accounts)
         once = [EvasionPair("p", "c1", 0), EvasionPair("q", "c3", 1)]
         repeated = [EvasionPair("p", "c1", 0), EvasionPair("p", "c2", 0), EvasionPair("q", "c3", 1)]
-        samples = TASKS["1"].match(corpus, repeated, WEEK_SECONDS)
-        assert samples == TASKS["1"].match(corpus, once, WEEK_SECONDS)
+        samples = list(TASKS["1"].match(corpus, repeated, WEEK_SECONDS))
+        assert samples == list(TASKS["1"].match(corpus, once, WEEK_SECONDS))
         assert [(s.parent_id, s.other_id, s.label) for s in samples] == [
             ("p", "p", POSITIVE), ("p", "m", NEGATIVE), ("p", "q", NEGATIVE),
             ("q", "q", POSITIVE), ("q", "m", NEGATIVE), ("q", "p", NEGATIVE),
@@ -171,12 +172,12 @@ class TestMatchTask2:
 
     def test_cap_and_determinism(self):
         corpus, pair = pair_fixture(n_benign=150)
-        first = TASKS["2"].match(corpus, [pair], cap=100, seed=11)
-        second = TASKS["2"].match(corpus, [pair], cap=100, seed=11)
+        first = list(TASKS["2"].match(corpus, [pair], cap=100, seed=11))
+        second = list(TASKS["2"].match(corpus, [pair], cap=100, seed=11))
         negatives = [s for s in first if s.label == NEGATIVE]
         assert len(negatives) == 100
         assert first == second
-        other_seed = TASKS["2"].match(corpus, [pair], cap=100, seed=12)
+        other_seed = list(TASKS["2"].match(corpus, [pair], cap=100, seed=12))
         assert other_seed != first
 
     def test_invalid_cap(self):
@@ -586,12 +587,12 @@ def task1_samples():
     corpus = corpus_of(
         [account("p", 0, ban=BAN), account("m", 0, ban=BAN + 10), account("c", BAN + 20)]
     )
-    return TASKS["1"].match(corpus, [EvasionPair("p", "c", 0)])
+    return list(TASKS["1"].match(corpus, [EvasionPair("p", "c", 0)]))
 
 
 def task3_samples():
     corpus, pair = pair_fixture(n_malicious=3)
-    return TASKS["3"].match(corpus, [pair])
+    return list(TASKS["3"].match(corpus, [pair]))
 
 
 class TestLabeledSample:
@@ -640,3 +641,29 @@ class TestSampleSerialization:
             read_samples(path)
         assert (exc.value.path, exc.value.line_number) == (str(path), 1)
         assert repr(label) in str(exc.value)
+
+
+def test_streamed_matching_keeps_memory_flat(tmp_path):
+    """Writing the samples as they are matched holds one anchor's negatives,
+    not the whole sample list, and writes the list's bytes."""
+    corpus = generate_synthetic(
+        SynthConfig(n_groups=240, n_benign=2400, n_nonevading_malicious=1200, seed=7)
+    ).corpus
+    pairs = first_pair_per_group(extract_evasion_pairs(merge_groups(corpus), corpus), corpus)
+    listed, streamed = tmp_path / "listed.tsv", tmp_path / "streamed.tsv"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        samples = list(TASKS["1"].match(corpus, pairs))
+        held = tracemalloc.get_traced_memory()[0] - before
+        write_samples(samples, listed)
+        del samples
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        written = write_samples(TASKS["1"].match(corpus, pairs), streamed)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < held / 4
+    assert streamed.read_bytes() == listed.read_bytes()
+    assert written == len(listed.read_bytes().splitlines())
