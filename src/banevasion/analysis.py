@@ -246,12 +246,12 @@ def characterize(
     control accounts, the ``other_id`` of each negative, for the activity
     contrasts; ``pair_samples`` supply matched control pairs (negatives) for
     the overlap contrasts. Degenerate contrasts yield None statistics rather
-    than raising. Pair vectors omit the child-ban fields. The corpus and
-    every account's digest come from ``digests``.
+    than raising. Pair vectors omit the child-ban fields. The corpus, the
+    lexicon and every account's digest come from ``digests``.
     """
     check_outlier_days(outlier_days)
     corpus = digests.corpus
-    lexicon = digests.config.lexicon
+    lexicon = digests.lexicon
 
     # a parent named by several pairs is one account
     parent_ids = dict.fromkeys(p.parent_id for p in pairs)

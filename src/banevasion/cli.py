@@ -47,7 +47,6 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
-    from .features import FeatureConfig
     from .model import TrainConfig
 
 log = logging.getLogger("banevasion")
@@ -154,10 +153,9 @@ def _synth_config(opts) -> SynthConfig:
     ))
 
 
-def _feature_config(opts) -> FeatureConfig:
-    """The lexicons and embedding provider that ``opts`` names, loaded."""
+def _text_resources(opts) -> dict:
+    """The lexicons and embedding provider that ``opts`` names, as ``Digests`` keywords."""
     from . import textstats as textstats_mod
-    from .features import FeatureConfig
 
     loaders = {
         "lexicon": textstats_mod.load_lexicon,
@@ -166,7 +164,7 @@ def _feature_config(opts) -> FeatureConfig:
     }
     given = _given(opts, lexicon="lexicon", sentiment_lexicon="sentiment_lexicon",
                    provider="embedding_provider")
-    return FeatureConfig(**{k: loaders[k](v) for k, v in given.items()})
+    return {k: loaders[k](v) for k, v in given.items()}
 
 
 def _train_config(opts) -> TrainConfig:
@@ -306,11 +304,11 @@ def cmd_match(opts) -> int:
 
 
 def cmd_featurize(opts) -> int:
-    from .evaluation import _sample_matrix
+    from .evaluation import sample_matrix
     from .features import Digests, write_feature_matrix
 
     task = matching_mod.TASKS[opts.task]
-    features = _feature_config(opts)
+    resources = _text_resources(opts)
     vector_options = _counts(opts, "k_edits")
     corpus = _load_corpus(opts)
     path = opts.samples
@@ -325,8 +323,8 @@ def cmd_featurize(opts) -> int:
             if account_id not in corpus.accounts_by_id:
                 raise ReferentialIntegrityError(account_id, role, path, lineno)
     # the rows in ``temporal_order``, as ``evaluate`` fits them: ``train --rfe`` holds out the last
-    ordered, names, X, labels = _sample_matrix(
-        task, samples, Digests(corpus, features), **vector_options
+    ordered, names, X, labels = sample_matrix(
+        task, samples, Digests(corpus, **resources), **vector_options
     )
     ids = [f"{s.parent_id}|{s.other_id}" for s in ordered]
     write_feature_matrix(opts.out, ids, labels, names, X)
@@ -358,10 +356,10 @@ def cmd_evaluate(opts) -> int:
     task = matching_mod.TASKS[opts.task]
     match_options = _match_options(opts)
     task_options = _harness_options(opts, "k_edits", use_rfe="rfe")
-    features = _feature_config(opts)
+    resources = _text_resources(opts)
     corpus = _load_corpus(opts)
     samples = list(task.match(corpus, _pairs_from_file_or_corpus(opts, corpus), **match_options))
-    report, fitted = run_task(task, samples, Digests(corpus, features), **task_options)
+    report, fitted = run_task(task, samples, Digests(corpus, **resources), **task_options)
     out_dir = Path(opts.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     name = f"task{task.number}"
@@ -377,10 +375,10 @@ def cmd_rank(opts) -> int:
     from .model import save_model
 
     ranking_options = _harness_options(opts, "max_candidates")
-    features = _feature_config(opts)
+    resources = _text_resources(opts)
     corpus = _load_corpus(opts)
     pairs = _pairs_from_file_or_corpus(opts, corpus)
-    report, fitted = run_ranking(Digests(corpus, features), pairs, **ranking_options)
+    report, fitted = run_ranking(Digests(corpus, **resources), pairs, **ranking_options)
     out_dir = Path(opts.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_model(fitted, out_dir / "ranking_model.json")
@@ -394,13 +392,13 @@ def cmd_analyze(opts) -> int:
     from .features import Digests
 
     match_options = _match_options(opts)
-    features = _feature_config(opts)
+    resources = _text_resources(opts)
     analysis_options = _analysis_options(opts)
     corpus = _load_corpus(opts)
     pairs = _pairs_from_file_or_corpus(opts, corpus)
     task1, task3 = (list(matching_mod.TASKS[n].match(corpus, pairs, **match_options))
                     for n in "13")
-    report = characterize(Digests(corpus, features), pairs, task1, task3, **analysis_options)
+    report = characterize(Digests(corpus, **resources), pairs, task1, task3, **analysis_options)
     out_dir = Path(opts.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_analysis(report, out_dir)
@@ -438,7 +436,7 @@ def cmd_reproduce(opts) -> int:
     out_dir = Path(opts.out_dir)
     # every library input is built and every option checked before anything is written
     synth = _synth_config(opts)
-    features = _feature_config(opts)
+    resources = _text_resources(opts)
     match_options = _match_options(opts)
     task_options = _harness_options(opts, "k_edits", use_rfe="rfe")
     ranking_options = _harness_options(opts, "max_candidates")
@@ -469,7 +467,7 @@ def cmd_reproduce(opts) -> int:
         },
     }
 
-    digests = Digests(corpus, features)
+    digests = Digests(corpus, **resources)
     models_dir = out_dir / "models"
     models_dir.mkdir(parents=True, exist_ok=True)
     # each task is matched once; analyze reuses the task-1 and task-3 samples

@@ -37,7 +37,7 @@ import numpy as np
 from ._metrics import fragmented_auc, mrr, recall_at_k, roc_auc
 from .corpus import Corpus, EvasionPair
 from .errors import EmptyInputError, InvalidConfigError, LeakageError
-from .features import Digests, pair_vectors
+from .features import Digests, pair_vectors, task_vectors
 from .matching import (
     DEFAULT_K_EDITS,
     DEFAULT_MAX_CANDIDATES,
@@ -57,6 +57,7 @@ __all__ = [
     "temporal_split",
     "temporal_order",
     "dedupe_negatives",
+    "sample_matrix",
     "roc_auc",
     "mrr",
     "recall_at_k",
@@ -118,9 +119,11 @@ def _assert_no_leakage(train: Sequence, test: Sequence) -> None:
         raise LeakageError(f"negative leakage across split: {sorted(overlap)[:5]}")
 
 
-def _sample_matrix(task: Task, samples, digests: Digests, k_edits: int = DEFAULT_K_EDITS):
+def sample_matrix(task: Task, samples, digests: Digests, k_edits: int = DEFAULT_K_EDITS):
+    """``(ordered samples, names, X, labels)``: ``task``'s rows of ``samples``
+    in ``temporal_order``, the order ``run_task`` fits them in."""
     ordered = temporal_order(samples, digests.corpus)
-    names, X = task.vectors(ordered, digests, k_edits)
+    names, X = task_vectors(task, ordered, digests, k_edits)
     y = np.array([s.label for s in ordered], dtype=int)
     return ordered, names, X, y
 
@@ -150,8 +153,8 @@ def run_task(
     train_s = dedupe_negatives(train_s, test_s)
     _assert_no_leakage(train_s, test_s)
 
-    train_ordered, names, X_train, y_train = _sample_matrix(task, train_s, digests, k_edits)
-    test_ordered, _, X_test, y_test = _sample_matrix(task, test_s, digests, k_edits)
+    train_ordered, names, X_train, y_train = sample_matrix(task, train_s, digests, k_edits)
+    test_ordered, _, X_test, y_test = sample_matrix(task, test_s, digests, k_edits)
 
     if use_rfe:
         model, _ = rfe(X_train, y_train, train_config, feature_names=names)

@@ -21,12 +21,14 @@ fields use -1 as the sentinel for absent bans, paired with the is_banned
 indicator. When ``k_limit`` is given, only the other account's first k
 revisions contribute to the pair row; the parent side is never truncated.
 
-Rows are computed here only, from a run's ``Digests`` store, which builds
-each account's ``AccountDigest`` (one per account and number of revisions
-used) on first use and keeps it, so the three tasks, the ranking and the
-analysis share them. ``account_vectors`` and ``pair_vectors`` return
-``(names, X)``: the column names once, and a float matrix with one row per
-input, which has its columns even when there are no rows.
+Rows are computed here only, from a run's ``Digests`` store, which holds
+the run's text resources and builds each account's ``AccountDigest`` (one
+per account and number of revisions used) whole on first use and keeps it,
+so the three tasks, the ranking and the analysis share them.
+``account_vectors``, ``pair_vectors`` and ``task_vectors`` (each task's
+variant) return ``(names, X)``: the column names once, and a float matrix
+with one row per input, in input order, which has its columns even when
+there are no rows.
 """
 
 from __future__ import annotations
@@ -34,16 +36,15 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .corpus import Account, Corpus, Revision
 from .errors import MismatchError, MissingBanTimeError, RecordParseError
-from .matching import check_counts
+from .matching import DEFAULT_K_EDITS, TASK1, TASK2, LabeledSample, Task, check_counts
 from .textstats import (
     EmbeddingProvider,
     HashedTrigramProvider,
@@ -54,21 +55,11 @@ from .textstats import (
     embed,
     jaccard,
     liwc_profile,
+    parse_float,
     profile_abs_diff,
     sentiment,
     tokenize,
 )
-
-
-@dataclass(frozen=True)
-class FeatureConfig:
-    """The text resources every digest of a run is built with."""
-
-    lexicon: Lexicon = dataclass_field(default_factory=builtin_lexicon)
-    sentiment_lexicon: SentimentLexicon = dataclass_field(
-        default_factory=builtin_sentiment_lexicon
-    )
-    provider: EmbeddingProvider = dataclass_field(default_factory=HashedTrigramProvider)
 
 
 def _calendar(ts: int) -> tuple[int, int, int]:
@@ -81,14 +72,13 @@ def _token_set(tokens: Iterable[str]) -> frozenset[str]:
     return frozenset(map(sys.intern, set(tokens)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AccountDigest:
     """Everything a feature vector reads from one account: the calendar
     (weekday, month, day) of its creation and of its ban (``None`` when never
-    banned), and what its revisions give.
-
-    The mean embedding and its norm are computed on first read; account
-    vectors never read them."""
+    banned), and what its revisions give, the mean embedding of their added
+    texts and its norm included. Digests compare by identity: an array has
+    no single truth value."""
 
     account: Account
     created_calendar: tuple[int, int, int]
@@ -101,32 +91,19 @@ class AccountDigest:
     added_tokens: frozenset[str]
     profile: dict[str, float]
     sentiment: float
-    texts: tuple[str, ...]
-    provider: EmbeddingProvider
-
-    # One cached attribute, not two: on CPython 3.11 a second one gives each
-    # digest a dict of its own, about 0.6 KB more per digest.
-    @cached_property
-    def _embedded(self) -> tuple[np.ndarray, float]:
-        """The mean embedding and its norm."""
-        if self.texts:
-            vector = embed(self.texts, self.provider)
-        else:
-            vector = np.zeros(self.provider.dimension)
-        return vector, math.sqrt(float(vector @ vector))
-
-    @property
-    def embedding(self) -> np.ndarray:
-        return self._embedded[0]
+    embedding: np.ndarray
+    embedding_norm: float
 
 
 def account_digest(
-    account: Account, revisions: Sequence[Revision], config: FeatureConfig
+    account: Account, revisions: Sequence[Revision], store: Digests
 ) -> AccountDigest:
-    """Tokenize and profile time-sorted ``revisions`` once; embedding waits
-    for a read."""
+    """Tokenize, profile and embed time-sorted ``revisions`` once, with the
+    text resources of ``store``; a zero embedding when no text was added."""
     n = len(revisions)
     tokens = [t for r in revisions for t in tokenize(r.added_text)]
+    texts = [r.added_text for r in revisions if r.added_text]
+    embedding = embed(texts, store.provider) if texts else np.zeros(store.provider.dimension)
     return AccountDigest(
         account=account,
         created_calendar=_calendar(account.creation_time),
@@ -142,21 +119,26 @@ def account_digest(
         pages=frozenset(r.page_id for r in revisions),
         comment_tokens=_token_set(t for r in revisions for t in tokenize(r.comment)),
         added_tokens=_token_set(tokens),
-        profile=liwc_profile(tokens, config.lexicon),
-        sentiment=sentiment(tokens, config.sentiment_lexicon),
-        texts=tuple(r.added_text for r in revisions if r.added_text),
-        provider=config.provider,
+        profile=liwc_profile(tokens, store.lexicon),
+        sentiment=sentiment(tokens, store.sentiment_lexicon),
+        embedding=embedding,
+        embedding_norm=math.sqrt(float(embedding @ embedding)),
     )
 
 
 class Digests:
-    """One run's ``AccountDigest``s over one corpus and one config's lexicon,
-    sentiment lexicon and embedding provider, keyed by (account id, number of
-    revisions used) and each built on first use."""
+    """One run's ``AccountDigest``s over one corpus, keyed by (account id,
+    number of revisions used) and each built on first use with the run's
+    lexicon, sentiment lexicon and embedding provider (by default the
+    built-in lexicons and the trigram provider)."""
 
-    def __init__(self, corpus: Corpus, config: FeatureConfig | None = None):
+    def __init__(self, corpus: Corpus, lexicon: Lexicon | None = None,
+                 sentiment_lexicon: SentimentLexicon | None = None,
+                 provider: EmbeddingProvider | None = None):
         self.corpus = corpus
-        self.config = config or FeatureConfig()
+        self.lexicon = lexicon or builtin_lexicon()
+        self.sentiment_lexicon = sentiment_lexicon or builtin_sentiment_lexicon()
+        self.provider = provider or HashedTrigramProvider()
         self._built: dict[tuple[str, int], AccountDigest] = {}
 
     def of(self, account_id: str, k_limit: int | None = None) -> AccountDigest:
@@ -167,7 +149,7 @@ class Digests:
         digest = self._built.get(key)
         if digest is None:
             digest = self._built[key] = account_digest(
-                self.corpus.account(account_id), revisions[:n], self.config
+                self.corpus.account(account_id), revisions[:n], self
             )
         return digest
 
@@ -207,7 +189,7 @@ def account_vectors(
     """The account row of each account id, from its own metadata and edits."""
     names = (
         *_ACCOUNT_HEAD,
-        *(f"liwc_{category}" for category in digests.config.lexicon.categories),
+        *(f"liwc_{category}" for category in digests.lexicon.categories),
         "sentiment_mean",
     )
     return _matrix(names, [_account_row(digests.of(account_id)) for account_id in account_ids])
@@ -231,11 +213,11 @@ _PAIR_TAIL = (
 
 
 def _cosine(parent: AccountDigest, other: AccountDigest) -> float:
-    """``textstats.cosine`` of the two embeddings, over their cached norms."""
-    (u, nu), (v, nv) = parent._embedded, other._embedded
+    """``textstats.cosine`` of the two embeddings, over their stored norms."""
+    nu, nv = parent.embedding_norm, other.embedding_norm
     if nu == 0.0 or nv == 0.0:
         return 0.0
-    return float(u @ v) / (nu * nv)
+    return float(parent.embedding @ other.embedding) / (nu * nv)
 
 
 def _combine(parent: AccountDigest, other: AccountDigest, child_ban: bool) -> list[float]:
@@ -278,6 +260,19 @@ def pair_vectors(
     )
 
 
+def task_vectors(task: Task, samples: Sequence[LabeledSample], digests: Digests,
+                 k_edits: int = DEFAULT_K_EDITS) -> tuple[tuple[str, ...], np.ndarray]:
+    """One row per sample, in the order given: task 1 describes the other
+    account alone; task 2 the pair, over the other account's first
+    ``k_edits`` edits and without child-ban fields; task 3 the full pair."""
+    if task.name == TASK1:
+        return account_vectors(digests, [s.other_id for s in samples])
+    keys = [(s.parent_id, s.other_id) for s in samples]
+    if task.name == TASK2:
+        return pair_vectors(digests, keys, k_limit=k_edits, child_ban=False)
+    return pair_vectors(digests, keys)
+
+
 # ---------------------------------------------------------------------------
 # feature matrix serialization: sample_id<TAB>label<TAB>feature columns
 
@@ -303,7 +298,8 @@ def read_feature_matrix(path):
     """Returns (sample_ids, labels array, names, value matrix); raises
     ``RecordParseError`` for a header not starting ``sample_id<TAB>label`` or
     naming a feature twice, a row whose field count differs from the header's,
-    a label other than ``0``/``1``, or a value that is not a finite float."""
+    a label other than ``0``/``1``, or a value that is not a finite float
+    spelled as ``textstats.parse_float`` accepts."""
     path = str(path)
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
@@ -325,7 +321,7 @@ def read_feature_matrix(path):
             if parts[1] not in ("0", "1"):
                 raise RecordParseError(path, lineno, f"label must be 0 or 1, got {parts[1]!r}")
             try:
-                row = [float(x) for x in parts[2:]]
+                row = [parse_float(x) for x in parts[2:]]
             except ValueError as exc:
                 raise RecordParseError(path, lineno, str(exc)) from exc
             for name, text, value in zip(names, parts[2:], row):

@@ -7,10 +7,10 @@ matched control paired with ``parent_id``. In a task-1 (prediction) sample
 classified: the parent itself for the positive, a matched non-evading
 malicious account for each negative.
 
-``TASKS`` holds everything else that differs between the tasks: the pool
-the negatives come from, the feature variant, whether a row describes an
-account or a pair, the default window and train fraction, and whether the
-test AUC is also split by evasion success.
+``TASKS`` holds what else differs between the tasks here: the pool the
+negatives come from, the default window and train fraction, and whether the
+test AUC is also split by evasion success. ``features.task_vectors`` holds
+which feature row describes a sample: the account alone, or the pair.
 
 ``Task.match`` applies one rule to every task. Each anchor is a parent, the
 other account of its positive sample, a window centre and an optional lower
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from itertools import islice
 from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus import Account, Corpus, DAY_SECONDS, EvasionPair, WEEK_SECONDS
 from .errors import (
@@ -52,8 +52,7 @@ from .errors import (
     RecordParseError,
     TrueParentMissingError,
 )
-if TYPE_CHECKING:
-    from .features import Digests
+
 
 POSITIVE = 1
 NEGATIVE = 0
@@ -176,20 +175,6 @@ class Task:
                     yield LabeledSample(parent_id, a.account_id, NEGATIVE, self.name)
 
         return samples()
-
-    def vectors(self, samples: Sequence[LabeledSample], digests: Digests,
-                k_edits: int = DEFAULT_K_EDITS):
-        """``(names, X)``, one row per sample: task 1 describes the other account
-        alone; task 2 the pair, over the other account's first ``k_edits`` edits
-        and without child-ban fields; task 3 the full pair."""
-        from .features import account_vectors, pair_vectors  # numpy loads only here
-
-        if self.name == TASK1:
-            return account_vectors(digests, [s.other_id for s in samples])
-        keys = [(s.parent_id, s.other_id) for s in samples]
-        if self.name == TASK2:
-            return pair_vectors(digests, keys, k_limit=k_edits, child_ban=False)
-        return pair_vectors(digests, keys)
 
 
 TASKS = {

@@ -8,7 +8,8 @@ token matches any token with that prefix. Sentiment lexicon files are
 ``token<TAB>valence`` lines, each token once and as ``tokenize`` returns
 it, with valences in [-1, 1]. External embedding files are
 ``sha256(text)<TAB>comma-separated floats`` lines, each hash on one line
-only and every float finite.
+only and every float finite. Every float in these files is spelled as
+``parse_float`` accepts: ASCII, no ``_``, no surrounding whitespace.
 """
 
 from __future__ import annotations
@@ -205,6 +206,14 @@ class HashedTrigramProvider:
         return self._counts(texts) / len(texts)
 
 
+def parse_float(text: str) -> float:
+    """``float`` of ASCII text without ``_`` or surrounding whitespace, the
+    spellings this program writes; ``ValueError`` for any other text."""
+    if not text.isascii() or "_" in text or text != text.strip():
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
+
+
 def text_hash(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -225,7 +234,7 @@ class ExternalVectorProvider:
                 if len(parts) != 2:
                     raise RecordParseError(str(path), lineno, "expected hash<TAB>floats")
                 try:
-                    vec = np.array([float(x) for x in parts[1].split(",")])
+                    vec = np.array([parse_float(x) for x in parts[1].split(",")])
                 except ValueError:
                     raise RecordParseError(str(path), lineno, "bad float") from None
                 if not np.isfinite(vec).all():
@@ -394,7 +403,7 @@ def _parse_sentiment(lines: list[str], path: str) -> SentimentLexicon:
         if len(parts) != 2:
             raise RecordParseError(path, lineno, "expected token<TAB>valence")
         try:
-            valence = float(parts[1])
+            valence = parse_float(parts[1])
         except ValueError:
             raise RecordParseError(path, lineno, "bad valence") from None
         token = parts[0]

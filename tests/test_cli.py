@@ -23,6 +23,7 @@ from banevasion.evaluation import temporal_order
 from banevasion.matching import TASKS, write_samples
 from banevasion.model import load_model, model_bytes
 from banevasion.pairing import extract_evasion_pairs, first_pair_per_group, merge_groups
+from banevasion.textstats import text_hash
 
 from conftest import account, corpus_of, record
 
@@ -395,6 +396,24 @@ class TestStageChaining:
             "--out-dir", str(tmp_path / "out")]
         pairs = ["--pairs", str(corpus_dir / "truth_pairs.jsonl")]
         assert main([command, *self.corpus_flags(corpus_dir), *task, *pairs, *out]) == 0
+
+    def test_evaluate_task1_needs_a_vector_for_every_text(self, corpus_dir, tmp_path, capsys):
+        """Every digest embeds its account's texts, so account rows need them too."""
+        truth = corpus_dir / "truth_pairs.jsonl"
+        parent = json.loads(truth.read_text().splitlines()[0])["parent_id"]
+        lines = (corpus_dir / "revisions.jsonl").read_text().splitlines()
+        revisions = [json.loads(line) for line in lines]
+        missing = next(
+            r["added_text"] for r in revisions if r["account_id"] == parent and r["added_text"]
+        )
+        texts = sorted({r["added_text"] for r in revisions} - {missing})
+        vectors = tmp_path / "vectors.tsv"
+        vectors.write_text("".join(f"{text_hash(text)}\t1.0,0.5\n" for text in texts))
+        assert main(["evaluate", *self.corpus_flags(corpus_dir), "--task", "1",
+                     "--pairs", str(truth), "--embedding-provider", f"file:{vectors}",
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"{vectors}: no precomputed vector for text hash {text_hash(missing)}" in err
 
     def test_extract_match_featurize_train(self, corpus_dir, tmp_path):
         flags = self.corpus_flags(corpus_dir)
@@ -877,27 +896,81 @@ class TestReproduce:
         assert tree_digest(run / "reports") == tree_digest(stages / "reports")
 
 
-def test_shuffled_corpus_lines_give_identical_outputs(tmp_path):
+def shuffled_lines(name, lines, rng):
+    rng.shuffle(lines)
+    return lines
+
+
+def renamed_ids(name, lines, rng):
+    """Every account id prefixed with ``x``, a map that keeps their order."""
+    rows = [json.loads(line) for line in lines]
+    for row in rows:
+        if "account_id" in row:
+            row["account_id"] = "x" + row["account_id"]
+        if "member_ids" in row:
+            row["member_ids"] = ["x" + m for m in row["member_ids"]]
+    return [json.dumps(row) + "\n" for row in rows]
+
+
+def silent_accounts(name, lines, rng):
+    """50 never-banned accounts without revisions, each id right after an
+    existing one."""
+    if name != "accounts":
+        return lines
+    rows = [json.loads(line) for line in lines]
+    silent = [
+        {**row, "account_id": row["account_id"] + "~", "username": row["username"] + "~",
+         "ban_time": None}
+        for row in rows[:: len(rows) // 50][:50]
+    ]
+    return [json.dumps(row) + "\n" for row in sorted(rows + silent, key=lambda r: r["account_id"])]
+
+
+PAIR_FILES = {f"pairs/{name}.jsonl" for name in ("all_pairs", "evasion_pairs", "groups")}
+
+
+@pytest.mark.parametrize("transform", [shuffled_lines, renamed_ids, silent_accounts],
+                         ids=lambda transform: transform.__name__)
+def test_shuffled_corpus_lines_give_identical_outputs(tmp_path, transform):
     """Every stage that reads a corpus writes the same bytes when the lines of
-    its three files come in another order."""
-    original, shuffled = tmp_path / "original", tmp_path / "shuffled"
+    its three files come in another order, when every account id gains a
+    prefix (the pair files then differ by that prefix alone), or when
+    accounts that never edit and are never banned join."""
+    original, changed = tmp_path / "original", tmp_path / "changed"
     assert main(["generate", "--seed", "7", "--groups", "12", "--out-dir", str(original)]) == 0
-    shuffled.mkdir()
+    # task 2's cap sampler seeds on the positive's id: a rename keeps its
+    # samples only while no anchor has more candidates than the cap
+    corpus = load_corpus(*(original / f"{n}.jsonl" for n in ("accounts", "revisions", "records")))
+    pairs = first_pair_per_group(extract_evasion_pairs(merge_groups(corpus), corpus), corpus)
+    candidates = Counter()
+    anchor = None
+    for s in TASKS["2"].match(corpus, pairs, cap=10**9):
+        if s.label:
+            anchor = (s.parent_id, s.other_id)
+        else:
+            candidates[anchor] += 1
+    assert max(candidates.values()) <= matching_mod.DEFAULT_TASK2_CAP
+    changed.mkdir()
     names = ("accounts", "revisions", "records")
     rng = random.Random(3)
     for name in names:
         lines = (original / f"{name}.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
-        rng.shuffle(lines)
-        (shuffled / f"{name}.jsonl").write_text("".join(lines), encoding="utf-8")
-        assert (shuffled / f"{name}.jsonl").read_bytes() != (original / f"{name}.jsonl").read_bytes()
-    for corpus in (original, shuffled):
-        flags = [f for n in names for f in (f"--{n}", str(corpus / f"{n}.jsonl"))]
-        out = tmp_path / "out" / corpus.name
+        path = changed / f"{name}.jsonl"
+        path.write_text("".join(transform(name, lines, rng)), encoding="utf-8")
+        if transform is not silent_accounts or name == "accounts":
+            assert path.read_bytes() != (original / f"{name}.jsonl").read_bytes()
+    for corpus_dir in (original, changed):
+        flags = [f for n in names for f in (f"--{n}", str(corpus_dir / f"{n}.jsonl"))]
+        out = tmp_path / "out" / corpus_dir.name
         assert main(["extract-pairs", *flags, "--out-dir", str(out / "pairs")]) == 0
         for task in "123":
             assert main(["evaluate", *flags, "--task", task, "--out-dir", str(out / "eval")]) == 0
         assert main(["rank", *flags, "--out-dir", str(out / "eval")]) == 0
         assert main(["analyze", *flags, "--out-dir", str(out / "analysis")]) == 0
-    trees = [tree_digest(tmp_path / "out" / name) for name in ("original", "shuffled")]
-    assert len(trees[0]) == 21
+    if transform is renamed_ids:
+        for name in PAIR_FILES:
+            path = tmp_path / "out" / "changed" / name
+            path.write_text(path.read_text(encoding="utf-8").replace('"x', '"'), encoding="utf-8")
+    trees = [tree_digest(tmp_path / "out" / name) for name in ("original", "changed")]
+    assert len(trees[0]) == 21 and PAIR_FILES <= set(trees[0])
     assert trees[0] == trees[1]

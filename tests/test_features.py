@@ -9,22 +9,17 @@ from banevasion.corpus import SynthConfig, generate_synthetic
 from banevasion.errors import MissingBanTimeError, RecordParseError
 from banevasion.features import (
     Digests,
-    FeatureConfig,
     account_vectors,
     pair_vectors,
     read_feature_matrix,
+    task_vectors,
     write_feature_matrix,
 )
-from banevasion.matching import TASKS
+from banevasion.matching import DEFAULT_K_EDITS, TASKS
 from banevasion.pairing import extract_evasion_pairs, first_pair_per_group, merge_groups
-from banevasion.textstats import cosine
+from banevasion.textstats import HashedTrigramProvider, cosine
 
 from conftest import account, corpus_of, revision
-
-
-@pytest.fixture(scope="module")
-def config():
-    return FeatureConfig()
 
 
 def account_row(acct, revs=()):
@@ -284,6 +279,22 @@ class TestPairVectors:
         assert not np.array_equal(full[0], rows[1])
 
 
+class CountingProvider:
+    """The trigram provider, counting its ``mean_vector`` calls."""
+
+    def __init__(self):
+        self.inner = HashedTrigramProvider()
+        self.dimension = self.inner.dimension
+        self.calls = 0
+
+    def embed_text(self, text):
+        return self.inner.embed_text(text)
+
+    def mean_vector(self, texts):
+        self.calls += 1
+        return self.inner.mean_vector(texts)
+
+
 class TestDigests:
     """The store builds each digest once; what it returns must equal the
     rows of a fresh store per account."""
@@ -296,26 +307,42 @@ class TestDigests:
         pairs = first_pair_per_group(extract_evasion_pairs(merge_groups(corpus), corpus), corpus)
         return corpus, pairs
 
-    def test_task1_rows_equal_account_features(self, synthetic, config):
+    def test_task1_rows_equal_account_features(self, synthetic):
         corpus, pairs = synthetic
         task = TASKS["1"]
         samples = list(task.match(corpus, pairs, task.window_seconds))
         assert len({s.other_id for s in samples}) < len(samples)  # negatives recur
-        names, rows = task.vectors(samples, Digests(corpus, config), 3)
+        names, rows = task_vectors(task, samples, Digests(corpus), 3)
         assert rows.shape == (len(samples), len(names))
         for sample, row in zip(samples, rows):
-            expected_names, expected = account_vectors(Digests(corpus, config), [sample.other_id])
+            expected_names, expected = account_vectors(Digests(corpus), [sample.other_id])
             assert names == expected_names
             assert np.array_equal(row, expected[0])
 
-    def test_every_account_row_equals_account_features(self, synthetic, config):
+    def test_every_account_row_equals_account_features(self, synthetic):
         corpus, _ = synthetic
         ids = [a.account_id for a in corpus.accounts]
-        names, rows = account_vectors(Digests(corpus, config), ids)
+        names, rows = account_vectors(Digests(corpus), ids)
         for account_id, row in zip(ids, rows):
-            expected_names, expected = account_vectors(Digests(corpus, config), [account_id])
+            expected_names, expected = account_vectors(Digests(corpus), [account_id])
             assert names == expected_names
             assert np.array_equal(row, expected[0])
+
+    def test_each_digest_embeds_once_as_it_is_built(self):
+        corpus = generate_synthetic(SynthConfig(n_groups=12, seed=7)).corpus
+        pairs = first_pair_per_group(extract_evasion_pairs(merge_groups(corpus), corpus), corpus)
+        provider = CountingProvider()
+        digests = Digests(corpus, provider=provider)
+        has_text = {}
+        for a in corpus.accounts:
+            for k_limit in (None, DEFAULT_K_EDITS):
+                n = digests.of(a.account_id, k_limit).revision_count
+                revisions = corpus.revisions_of(a.account_id)[:n]
+                has_text[a.account_id, n] = any(r.added_text for r in revisions)
+        assert 0 < provider.calls == sum(has_text.values())
+        for task in TASKS.values():
+            task_vectors(task, list(task.match(corpus, pairs)), digests)
+        assert provider.calls == sum(has_text.values())
 
     def test_key_is_revisions_used(self):
         corpus = TestPairVectors().corpus()  # x has 6 revisions, y has 2
@@ -324,6 +351,12 @@ class TestDigests:
         assert digests.of("x", 3) is not digests.of("x")
         assert digests.of("x", 3) is digests.of("x", 3)
         assert (digests.of("x", 3).revision_count, digests.of("x").revision_count) == (3, 6)
+
+    def test_digests_compare_by_identity(self):
+        corpus = TestPairVectors().corpus()
+        digests = Digests(corpus)
+        assert digests.of("x") == digests.of("x")
+        assert digests.of("x") != Digests(corpus).of("x")  # equal embeddings, no error
 
     def test_config_variant_with_same_text_resources_accepted(self):
         corpus = TestPairVectors().corpus()
@@ -388,10 +421,14 @@ class TestMatrixSerialization:
             ("sample_id\tlabel\tf1\ns1\t1.0\t0.5\n", 2, "label must be 0 or 1"),
             ("sample_id\tlabel\tf1\ns1\t1\t0.5\ns2\t0\tabc\n", 3, "abc"),
             ("sample_id\tlabel\tf1\tf1\ns1\t1\t0.5\t0.5\n", 1, "duplicate feature names ['f1']"),
+            ("sample_id\tlabel\tf1\ns1\t1\t0.5\ns2\t0\t1_000\n", 3, "'1_000'"),
+            ("sample_id\tlabel\tf1\ns1\t1\t0.5\ns2\t0\t\u0661\n", 3, "'\u0661'"),
+            ("sample_id\tlabel\tf1\ns1\t1\t0.5\ns2\t0\t 2.5\n", 3, "' 2.5'"),
         ],
         ids=[
             "bad_header", "empty_file", "short_row", "long_row", "blank_line",
             "label_2", "label_float", "non_float_value", "duplicate_names",
+            "underscore_value", "non_ascii_digit", "padded_value",
         ],
     )
     def test_corrupt_matrix_names_line(self, tmp_path, text, line, fragment):

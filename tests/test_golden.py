@@ -53,7 +53,7 @@ import pytest
 
 from banevasion.cli import main
 from banevasion.corpus import SynthConfig, generate_synthetic, load_corpus, save_corpus, save_pairs
-from banevasion.features import Digests, write_feature_matrix
+from banevasion.features import Digests, task_vectors, write_feature_matrix
 from banevasion.matching import TASKS, build_candidate_sets, write_samples
 from banevasion.model import model_bytes, rfe, train
 from banevasion.pairing import extract_evasion_pairs, first_pair_per_group, merge_groups
@@ -192,7 +192,7 @@ def write_stage_outputs(out):
     for number, task in TASKS.items():
         samples = list(task.match(corpus, pairs, task.window_seconds, seed=7))
         write_samples(samples, out / f"task{number}.tsv")
-        names, X = task.vectors(samples, digests, k_edits=3)
+        names, X = task_vectors(task, samples, digests, k_edits=3)
         ids = [f"{s.parent_id}|{s.other_id}" for s in samples]
         labels = [s.label for s in samples]
         write_feature_matrix(out / f"features{number}.tsv", ids, labels, names, X)

@@ -433,10 +433,22 @@ LEXICON_RULE_BREAKS = {
                       "valence for 'bad' outside [-1, 1]"),
     "valence_nan": (load_sentiment_lexicon, SENTIMENT_HEAD + "bad\tnan\n", 3,
                     "valence for 'bad' outside [-1, 1]"),
+    "valence_underscore": (load_sentiment_lexicon, SENTIMENT_HEAD + "bad\t0_1\n", 3,
+                           "bad valence"),
+    "valence_non_ascii_digit": (load_sentiment_lexicon, SENTIMENT_HEAD + "bad\t-\u0661\n", 3,
+                                "bad valence"),
+    "valence_padded": (load_sentiment_lexicon, SENTIMENT_HEAD + "bad\t -0.5\n", 3,
+                       "bad valence"),
     "vector_nan": (ExternalVectorProvider, VECTORS_HEAD + f"{text_hash('b')}\tnan,1.0\n", 3,
                    "non-finite component"),
     "vector_inf": (ExternalVectorProvider, VECTORS_HEAD + f"{text_hash('b')}\t2.0,inf\n", 3,
                    "non-finite component"),
+    "vector_underscore": (ExternalVectorProvider, VECTORS_HEAD + f"{text_hash('b')}\t1_0,1.0\n",
+                          3, "bad float"),
+    "vector_non_ascii_digit": (ExternalVectorProvider,
+                               VECTORS_HEAD + f"{text_hash('b')}\t1.0,\u0661\n", 3, "bad float"),
+    "vector_padded": (ExternalVectorProvider, VECTORS_HEAD + f"{text_hash('b')}\t1.0, 2.0\n", 3,
+                      "bad float"),
     "vector_repeated_hash": (ExternalVectorProvider, VECTORS_HEAD + f"{text_hash('a')}\t2.0,3.0\n",
                              3, "repeated text hash"),
 }
