@@ -6,8 +6,8 @@ parents vs. control accounts), username distance (1, pairs vs. matched
 pairs), overlaps (6), psycholinguistic change (one per lexicon category,
 child vs. parent) and success (2 plus one per category, successful vs.
 unsuccessful pairs, by ``pairing.classify_success``). Every family but
-activity is built by ``_contrast``. The inter-account gap is the pair
-vectors' ``inter_account_seconds`` column.
+activity is built by ``_contrast``. Every statistic but the username
+distance reads named columns of the ``features`` account and pair rows.
 
 Student-t p-values come from the regularized incomplete beta function,
 evaluated with a Lentz continued fraction in double precision. Two-sided
@@ -30,7 +30,7 @@ from .errors import (
     MissingBanTimeError,
     ZeroVarianceError,
 )
-from .features import Digests, pair_vectors
+from .features import Digests, account_vectors, pair_vectors
 from .matching import NEGATIVE
 from .pairing import classify_success
 from .textstats import normalized_levenshtein
@@ -201,18 +201,20 @@ def _mean_ci(values: Sequence[float]):
     return {"mean": mean, "ci_low": mean - half, "ci_high": mean + half, "n": len(values)}
 
 
+def _columns(names: tuple[str, ...], X) -> dict[str, list[float]]:
+    """Each column of a ``features`` matrix as a list, by name."""
+    return dict(zip(names, X.T.tolist()))
+
+
 def _activity_stats(digests: Digests, account_ids: Iterable[str]) -> dict[str, list[float]]:
     """Durations of the banned accounts, and mean gaps of those with >= 2 edits."""
-    rows = [digests.of(account_id) for account_id in account_ids]
+    columns = _columns(*account_vectors(digests, account_ids))
+    edits, banned = columns["total_contributions"], columns["is_banned"]
     return {
-        "duration_seconds": [
-            float(d.account.duration_seconds)
-            for d in rows
-            if d.account.ban_time is not None
-        ],
-        "revisions": [float(d.revision_count) for d in rows],
-        "unique_pages": [float(len(d.pages)) for d in rows],
-        "mean_gap_seconds": [d.mean_gap_seconds for d in rows if d.revision_count >= 2],
+        "duration_seconds": [v for v, b in zip(columns["duration_seconds"], banned) if b],
+        "revisions": edits,
+        "unique_pages": columns["unique_pages"],
+        "mean_gap_seconds": [v for v, n in zip(columns["mean_gap_seconds"], edits) if n >= 2],
     }
 
 
@@ -246,8 +248,8 @@ def characterize(
     control accounts, the ``other_id`` of each negative, for the activity
     contrasts; ``pair_samples`` supply matched control pairs (negatives) for
     the overlap contrasts. Degenerate contrasts yield None statistics rather
-    than raising. Pair vectors omit the child-ban fields. The corpus, the
-    lexicon and every account's digest come from ``digests``.
+    than raising. The corpus, the lexicon and every account and pair row
+    come from ``digests``.
     """
     check_outlier_days(outlier_days)
     corpus = digests.corpus
@@ -292,8 +294,7 @@ def characterize(
     )
 
     # Overlap and similarity contrasts.
-    names, X = pair_vectors(digests, pair_keys + control_keys, child_ban=False)
-    columns = dict(zip(names, X.T.tolist()))
+    columns = _columns(*pair_vectors(digests, pair_keys + control_keys))
     page_jaccard = columns["page_jaccard"][: len(pairs)]
     report["overlaps"] = {
         key: _contrast(
@@ -303,15 +304,12 @@ def characterize(
     }
 
     # Per-category psycholinguistic change from parent to child.
-    parent_profiles = [digests.of(p.parent_id).profile for p in pairs]
-    child_profiles = [digests.of(p.child_id).profile for p in pairs]
+    parent_rows = _columns(*account_vectors(digests, [p.parent_id for p in pairs]))
+    child_rows = _columns(*account_vectors(digests, [p.child_id for p in pairs]))
+    profiles = {c: (child_rows[f"liwc_{c}"], parent_rows[f"liwc_{c}"]) for c in lexicon.categories}
     report["psycholinguistic_change"] = {
-        category: _contrast(
-            [prof[category] for prof in child_profiles],
-            [prof[category] for prof in parent_profiles],
-            "child_mean", "parent_mean", _mean,
-        )
-        for category in lexicon.categories
+        category: _contrast(child, parent, "child_mean", "parent_mean", _mean)
+        for category, (child, parent) in profiles.items()
     }
 
     # Success vs. unsuccessful contrasts.
@@ -331,12 +329,8 @@ def characterize(
             "username_distance": contrast(pair_distance),
             "page_jaccard": contrast(page_jaccard),
         }
-        for category in lexicon.categories:
-            deltas = [
-                child[category] - parent[category]
-                for child, parent in zip(child_profiles, parent_profiles)
-            ]
-            contrasts[f"delta_{category}"] = contrast(deltas)
+        for category, (child, parent) in profiles.items():
+            contrasts[f"delta_{category}"] = contrast([c - p for c, p in zip(child, parent)])
         report["success"] = {
             "successful": n_successful,
             "unsuccessful": len(pairs) - n_successful,

@@ -487,9 +487,10 @@ class SynthConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise InvalidConfigError(name, "must be in [0, 1]")
-        # the generator draws a gap of up to 1.5 times the mean, in seconds
-        if not 0 < 1.5 * self.idle_gap_days * DAY_SECONDS < math.inf:
-            raise InvalidConfigError("idle_gap_days", "must be > 0 and finite in seconds")
+        # the generator draws a gap of 0.5 to 1.5 times the mean, in whole seconds
+        shortest, longest = (f * self.idle_gap_days * DAY_SECONDS for f in (0.5, 1.5))
+        if not (shortest >= 1 and longest < math.inf):
+            raise InvalidConfigError("idle_gap_days", "must give gaps >= 1 s, finite in seconds")
 
 
 @dataclass(frozen=True)

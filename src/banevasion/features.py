@@ -6,29 +6,29 @@ Account rows (fixed name order):
   unique_pages, total_contributions, mean_gap_seconds, mean_contribution_size,
   liwc_<category>... (lexicon order), sentiment_mean
 
-Pair rows (fixed name order):
+Pair rows (fixed name order, one shape):
   parent_created_{dow,month,day}, parent_banned_{dow,month,day},
   parent_duration_seconds,
   child_created_{dow,month,day},
-  [child_banned_{dow,month,day}, child_is_banned, child_duration_seconds]
+  child_banned_{dow,month,day}, child_is_banned, child_duration_seconds,
   inter_account_seconds,
   page_jaccard, comment_unigram_jaccard, added_unigram_jaccard,
   embedding_cosine, profile_abs_diff, sentiment_abs_diff
 
-The bracketed child-ban block is emitted only when ``child_ban`` is set: at
-early-detection time the other account's ban does not exist yet. Calendar
-fields use -1 as the sentinel for absent bans, paired with the is_banned
-indicator. When ``k_limit`` is given, only the other account's first k
-revisions contribute to the pair row; the parent side is never truncated.
+Calendar fields use -1 as the sentinel for absent bans, paired with the
+is_banned indicator. When ``k_limit`` is given, only the other account's
+first k revisions contribute to the pair row; the parent side is never
+truncated. Task 2 cuts the five child-ban columns by name: at
+early-detection time the other account's ban does not exist yet.
 
 Rows are computed here only, from a run's ``Digests`` store, which holds
 the run's text resources and builds each account's ``AccountDigest`` (one
 per account and number of revisions used) whole on first use and keeps it,
-so the three tasks, the ranking and the analysis share them.
-``account_vectors``, ``pair_vectors`` and ``task_vectors`` (each task's
-variant) return ``(names, X)``: the column names once, and a float matrix
-with one row per input, in input order, which has its columns even when
-there are no rows.
+so the three tasks, the ranking and the analysis share them. Consumers read
+named columns, never a digest: ``account_vectors``, ``pair_vectors`` and
+``task_vectors`` (each task's variant) return ``(names, X)``, the column
+names once and a C-ordered float matrix with one row per input, in input
+order, which has its columns even when there are no rows.
 """
 
 from __future__ import annotations
@@ -220,18 +220,14 @@ def _cosine(parent: AccountDigest, other: AccountDigest) -> float:
     return float(parent.embedding @ other.embedding) / (nu * nv)
 
 
-def _combine(parent: AccountDigest, other: AccountDigest, child_ban: bool) -> list[float]:
+def _combine(parent: AccountDigest, other: AccountDigest) -> list[float]:
     p, o = parent.account, other.account
     if p.ban_time is None:
         raise MissingBanTimeError(p.account_id)
-    values = [
+    return [
         *parent.created_calendar, *parent.ban_calendar,
         float(p.ban_time - p.creation_time),
-        *other.created_calendar,
-    ]
-    if child_ban:
-        values += _ban_fields(other)
-    return values + [
+        *other.created_calendar, *_ban_fields(other),
         float(o.creation_time - p.ban_time),
         jaccard(parent.pages, other.pages),
         jaccard(parent.comment_tokens, other.comment_tokens),
@@ -246,7 +242,6 @@ def pair_vectors(
     digests: Digests,
     id_pairs: Iterable[tuple[str, str]],
     k_limit: int | None = None,
-    child_ban: bool = True,
 ) -> tuple[tuple[str, ...], np.ndarray]:
     """The similarity row of each (banned parent, candidate successor) id pair,
     over the other account's first ``k_limit`` (default all) revisions;
@@ -254,9 +249,9 @@ def pair_vectors(
     comes from, when it is below 1."""
     if k_limit is not None:
         check_counts(k_edits=k_limit)
-    names = _PAIR_HEAD + (_PAIR_CHILD_BAN if child_ban else ()) + _PAIR_TAIL
     return _matrix(
-        names, [_combine(digests.of(p), digests.of(o, k_limit), child_ban) for p, o in id_pairs]
+        _PAIR_HEAD + _PAIR_CHILD_BAN + _PAIR_TAIL,
+        [_combine(digests.of(p), digests.of(o, k_limit)) for p, o in id_pairs],
     )
 
 
@@ -264,12 +259,15 @@ def task_vectors(task: Task, samples: Sequence[LabeledSample], digests: Digests,
                  k_edits: int = DEFAULT_K_EDITS) -> tuple[tuple[str, ...], np.ndarray]:
     """One row per sample, in the order given: task 1 describes the other
     account alone; task 2 the pair, over the other account's first
-    ``k_edits`` edits and without child-ban fields; task 3 the full pair."""
+    ``k_edits`` edits and without child-ban columns; task 3 the full pair."""
     if task.name == TASK1:
         return account_vectors(digests, [s.other_id for s in samples])
     keys = [(s.parent_id, s.other_id) for s in samples]
     if task.name == TASK2:
-        return pair_vectors(digests, keys, k_limit=k_edits, child_ban=False)
+        names, X = pair_vectors(digests, keys, k_limit=k_edits)
+        keep = [i for i, name in enumerate(names) if name not in _PAIR_CHILD_BAN]
+        # the cut is Fortran-ordered, whose column sums move the model's last digits
+        return tuple(names[i] for i in keep), np.ascontiguousarray(X[:, keep])
     return pair_vectors(digests, keys)
 
 

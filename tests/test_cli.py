@@ -829,6 +829,7 @@ class TestReproduce:
             (["--window-days", "-1"], "invalid config field 'window_days'"),
             (["--window-days", "1e305"], "invalid config field 'window_days'"),
             (["--idle-gap-days", "1e305"], "invalid config field 'idle_gap_days'"),
+            (["--idle-gap-days", "1e-9"], "invalid config field 'idle_gap_days'"),
             (["--max-candidates", "0"], "invalid config field 'max_candidates'"),
             (["--cap", "0"], "invalid config field 'cap'"),
             (["--k-edits", "0"], "invalid config field 'k_edits'"),
@@ -839,7 +840,7 @@ class TestReproduce:
             (["--lexicon", "{missing}"], "{missing}"),
         ],
         ids=["outlier_days", "window_days", "window_days-overflow", "idle_gap_days-overflow",
-             "max_candidates", "cap", "k_edits", "train_fraction", "train_fraction-0", "l2",
+             "idle_gap_days-zero-seconds", "max_candidates", "cap", "k_edits", "train_fraction", "train_fraction-0", "l2",
              "embedding_provider", "lexicon"],
     )
     def test_bad_option_rejected_before_any_output(self, tmp_path, capsys, flags, named):
@@ -862,6 +863,23 @@ class TestReproduce:
         args = ["--seed", "7", "--groups", "12", "--benign", "120", "--malicious", "60"]
         assert main(["reproduce", "--out-dir", str(tmp_path), *args]) == 0
         assert built and set(built.values()) == {1}
+
+    def test_reproduce_does_not_depend_on_the_hash_seed(self, tmp_path):
+        # set and frozenset iteration follows the hash seed, which every
+        # in-process test shares
+        src = str(Path(banevasion.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        script = "import sys; from banevasion.cli import main; sys.exit(main(sys.argv[1:]))"
+        for hash_seed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-c", script, "reproduce", "--seed", "7", "--groups", "12",
+                 "--out-dir", str(tmp_path / hash_seed)],
+                env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed},
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+        assert len(tree_digest(tmp_path / "0")) > 10
+        assert tree_digest(tmp_path / "0") == tree_digest(tmp_path / "1")
 
     def test_reproduce_matches_each_task_once(self, tmp_path, monkeypatch):
         matched = Counter()
@@ -926,16 +944,28 @@ def silent_accounts(name, lines, rng):
     return [json.dumps(row) + "\n" for row in sorted(rows + silent, key=lambda r: r["account_id"])]
 
 
+def repeated_record(name, lines, rng):
+    """The first sockpuppet record appended again, its members reversed."""
+    if name != "records":
+        return lines
+    row = json.loads(lines[0])
+    return [*lines, json.dumps({"member_ids": row["member_ids"][::-1]}) + "\n"]
+
+
 PAIR_FILES = {f"pairs/{name}.jsonl" for name in ("all_pairs", "evasion_pairs", "groups")}
+# the corpus files each transform changes; the others change all three
+CHANGED_FILES = {silent_accounts: {"accounts"}, repeated_record: {"records"}}
 
 
-@pytest.mark.parametrize("transform", [shuffled_lines, renamed_ids, silent_accounts],
+@pytest.mark.parametrize("transform",
+                         [shuffled_lines, renamed_ids, silent_accounts, repeated_record],
                          ids=lambda transform: transform.__name__)
 def test_shuffled_corpus_lines_give_identical_outputs(tmp_path, transform):
     """Every stage that reads a corpus writes the same bytes when the lines of
     its three files come in another order, when every account id gains a
-    prefix (the pair files then differ by that prefix alone), or when
-    accounts that never edit and are never banned join."""
+    prefix (the pair files then differ by that prefix alone), when
+    accounts that never edit and are never banned join, or when a record
+    comes twice."""
     original, changed = tmp_path / "original", tmp_path / "changed"
     assert main(["generate", "--seed", "7", "--groups", "12", "--out-dir", str(original)]) == 0
     # task 2's cap sampler seeds on the positive's id: a rename keeps its
@@ -957,8 +987,10 @@ def test_shuffled_corpus_lines_give_identical_outputs(tmp_path, transform):
         lines = (original / f"{name}.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
         path = changed / f"{name}.jsonl"
         path.write_text("".join(transform(name, lines, rng)), encoding="utf-8")
-        if transform is not silent_accounts or name == "accounts":
-            assert path.read_bytes() != (original / f"{name}.jsonl").read_bytes()
+        changed_files = CHANGED_FILES.get(transform, names)
+        assert (path.read_bytes() != (original / f"{name}.jsonl").read_bytes()) == (
+            name in changed_files
+        )
     for corpus_dir in (original, changed):
         flags = [f for n in names for f in (f"--{n}", str(corpus_dir / f"{n}.jsonl"))]
         out = tmp_path / "out" / corpus_dir.name

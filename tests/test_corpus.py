@@ -656,6 +656,7 @@ class TestSynthetic:
             ("idle_gap_days", float("inf")),
             ("idle_gap_days", float("nan")),
             ("idle_gap_days", 1e305),
+            ("idle_gap_days", 1e-9),
             ("malicious_text_rate", 2.0),
         ],
     )

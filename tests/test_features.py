@@ -22,6 +22,12 @@ from banevasion.textstats import HashedTrigramProvider, cosine
 from conftest import account, corpus_of, revision
 
 
+CHILD_BAN_COLUMNS = {
+    "child_banned_dow", "child_banned_month", "child_banned_day",
+    "child_is_banned", "child_duration_seconds",
+}
+
+
 def account_row(acct, revs=()):
     """The account row of ``acct`` over ``revs``, keyed by column name."""
     names, X = account_vectors(Digests(corpus_of([acct], revs)), [acct.account_id])
@@ -100,7 +106,7 @@ class TestAccountFeatures:
 
 
 class TestPairFeatures:
-    def pair(self, k_limit=None, child_ban=True, **overrides):
+    def pair(self, k_limit=None, **overrides):
         """The row of the pair (p, c), keyed by column name."""
         parent = overrides.get("parent", account("p", 0, ban=1000))
         parent_revs = overrides.get(
@@ -118,7 +124,7 @@ class TestPairFeatures:
                 for r in parent_revs
             ]
         digests = Digests(corpus_of([parent, other], [*parent_revs, *other_revs]))
-        names, X = pair_vectors(digests, [("p", "c")], k_limit, child_ban)
+        names, X = pair_vectors(digests, [("p", "c")], k_limit)
         return dict(zip(names, X[0].tolist()))
 
     def test_self_pair_identity(self):
@@ -164,12 +170,11 @@ class TestPairFeatures:
         assert list(a) == list(b)
         assert list(a.values()) == list(b.values())
 
-    def test_child_ban_features_toggle(self):
-        with_ban = self.pair(child_ban=True)
-        without = self.pair(child_ban=False)
-        assert "child_duration_seconds" in with_ban
-        assert "child_duration_seconds" not in without
-        assert "child_banned_dow" not in without
+    def test_task2_row_cuts_child_ban_columns(self):
+        full = self.pair()
+        names, _ = task_vectors(TASKS["2"], [], Digests(corpus_of([account("p", 0)])))
+        assert full["child_duration_seconds"] == 2000.0
+        assert set(full) - set(names) == CHILD_BAN_COLUMNS
 
     def test_unbanned_other_gets_sentinels(self):
         vec = self.pair(other=account("c", 2000), other_revs=[])
@@ -224,7 +229,9 @@ class TestPairFeatures:
 
     def test_empty_input_keeps_its_columns(self):
         digests = Digests(corpus_of([account("p", 0, ban=1000)]))
-        names, X = pair_vectors(digests, [], child_ban=False)
+        names, X = pair_vectors(digests, [])
+        assert X.shape == (0, len(names)) and "child_is_banned" in names
+        names, X = task_vectors(TASKS["2"], [], digests)
         assert X.shape == (0, len(names)) and "child_is_banned" not in names
         names, X = account_vectors(digests, [])
         assert X.shape == (0, len(names)) and names[-1] == "sentiment_mean"
@@ -259,23 +266,20 @@ class TestPairVectors:
         ]
         return corpus_of(accounts, revisions)
 
-    @pytest.mark.parametrize("child_ban", [True, False])
-    def test_rows_equal_pair_features(self, child_ban):
+    def test_rows_equal_pair_features(self):
         corpus = self.corpus()
         # x is an untruncated parent, then a truncated other side; y and w
         # have at most k revisions, so their other side is untruncated.
         keys = [("x", "y"), ("z", "x"), ("x", "w"), ("y", "x"), ("x", "y"), ("z", "y")]
-        names, rows = pair_vectors(Digests(corpus), keys, 3, child_ban)
+        names, rows = pair_vectors(Digests(corpus), keys, 3)
         assert rows.shape == (len(keys), len(names))
         for (parent_id, other_id), row in zip(keys, rows):
             oracle = Digests(truncated_corpus(corpus, other_id, 3))
-            expected_names, expected = pair_vectors(
-                oracle, [(parent_id, other_id)], None, child_ban
-            )
+            expected_names, expected = pair_vectors(oracle, [(parent_id, other_id)])
             assert names == expected_names
             assert np.array_equal(row, expected[0])
         # the truncated x must differ from the full x
-        _, full = pair_vectors(Digests(corpus), [("z", "x")], None, child_ban)
+        _, full = pair_vectors(Digests(corpus), [("z", "x")])
         assert not np.array_equal(full[0], rows[1])
 
 
@@ -319,6 +323,27 @@ class TestDigests:
             assert names == expected_names
             assert np.array_equal(row, expected[0])
 
+    def test_task_matrices_are_c_ordered_and_task2_cuts_the_pair_row(self, synthetic):
+        # numpy sums a Fortran-ordered column in another order than a C-ordered
+        # one, so the layout of a matrix reaches the fitted model's bytes
+        corpus, pairs = synthetic
+        digests = Digests(corpus)
+        names_of, samples = {}, {}
+        for number, task in TASKS.items():
+            samples[number] = list(task.match(corpus, pairs))
+            names_of[number], X = task_vectors(task, samples[number], digests)
+            assert X.flags["C_CONTIGUOUS"]
+            assert X.shape == (len(samples[number]), len(names_of[number]))
+        names, X = task_vectors(TASKS["2"], samples["2"], digests)
+        full_names, full = pair_vectors(
+            Digests(corpus), [(s.parent_id, s.other_id) for s in samples["2"]], DEFAULT_K_EDITS
+        )
+        assert full_names == names_of["3"]
+        assert names == tuple(n for n in full_names if n not in CHILD_BAN_COLUMNS)
+        assert len(names) == len(full_names) - 5
+        for j, name in enumerate(names):
+            assert X[:, j].tolist() == full[:, full_names.index(name)].tolist()
+
     def test_every_account_row_equals_account_features(self, synthetic):
         corpus, _ = synthetic
         ids = [a.account_id for a in corpus.accounts]
@@ -360,9 +385,9 @@ class TestDigests:
 
     def test_config_variant_with_same_text_resources_accepted(self):
         corpus = TestPairVectors().corpus()
-        names, (row,) = pair_vectors(Digests(corpus), [("x", "y")], k_limit=2, child_ban=False)
+        names, (row,) = pair_vectors(Digests(corpus), [("x", "y")], k_limit=2)
         expected_names, expected = pair_vectors(
-            Digests(truncated_corpus(corpus, "y", 2)), [("x", "y")], child_ban=False
+            Digests(truncated_corpus(corpus, "y", 2)), [("x", "y")]
         )
         assert names == expected_names
         assert np.array_equal(row, expected[0])
