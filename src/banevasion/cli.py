@@ -18,7 +18,10 @@ byte-identical given identical inputs, seeds and BLAS thread count (OpenBLAS
 orders the model layer's sums by thread count at some shapes); nothing embeds
 wall-clock time. The feature, text, model, evaluation and analysis layers are
 imported inside the commands that use them, so generate, ingest,
-extract-pairs and match load no numpy.
+extract-pairs and match load no numpy. Commands that read no revision field
+(``ingest`` without ``--out-dir``, ``extract-pairs`` and ``match``) load the
+corpus with ``keep_revisions=False``: every revision line is still parsed and
+checked, but only the per-account counts are kept.
 """
 
 from __future__ import annotations
@@ -193,10 +196,10 @@ def _harness_options(opts, *counts: str, **params: str) -> dict:
     return given
 
 
-def _load_corpus(opts):
+def _load_corpus(opts, keep_revisions: bool = True):
     if not (opts.accounts and opts.revisions and opts.records):
         raise BanEvasionError("--accounts, --revisions, and --records are required")
-    return corpus_mod.load_corpus(opts.accounts, opts.revisions, opts.records)
+    return corpus_mod.load_corpus(opts.accounts, opts.revisions, opts.records, keep_revisions)
 
 
 def _match_options(opts) -> dict:
@@ -269,18 +272,18 @@ def cmd_generate(opts) -> int:
 
 
 def cmd_ingest(opts) -> int:
-    corpus = _load_corpus(opts)
+    corpus = _load_corpus(opts, keep_revisions=bool(opts.out_dir))
     if opts.out_dir:
         _save_corpus(corpus, Path(opts.out_dir))
     print(
-        f"accounts={len(corpus.accounts)} revisions={len(corpus.revisions)} "
+        f"accounts={len(corpus.accounts)} revisions={sum(corpus.revision_counts.values())} "
         f"records={len(corpus.sockpuppet_records)}"
     )
     return 0
 
 
 def cmd_extract_pairs(opts) -> int:
-    corpus = _load_corpus(opts)
+    corpus = _load_corpus(opts, keep_revisions=False)
     groups, all_pairs, first_pairs = _extract(corpus)
     out_dir = Path(opts.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -296,7 +299,7 @@ def cmd_extract_pairs(opts) -> int:
 def cmd_match(opts) -> int:
     task = matching_mod.TASKS[opts.task]
     match_options = _match_options(opts)
-    corpus = _load_corpus(opts)
+    corpus = _load_corpus(opts, keep_revisions=False)
     samples = task.match(corpus, _pairs_from_file_or_corpus(opts, corpus), **match_options)
     count = matching_mod.write_samples(samples, opts.out)
     print(f"wrote {count} samples -> {opts.out}")

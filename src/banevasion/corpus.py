@@ -26,13 +26,17 @@ follow in id order; the sorts are stable, so revisions equal in all three
 keep their input order. Accounts, revisions and evasion pairs are named
 tuples; ``load_corpus`` interns account and page ids, so a revision shares its
 owner's id string and its page's. An ``EvasionPair`` without a group id holds
-``None``, as its line has no key.
+``None``, as its line has no key. ``load_corpus(..., keep_revisions=False)``
+parses and checks every revision line alike but keeps only each account's
+count of them, for the commands that read no revision field (``ingest``
+without ``--out-dir``, ``extract-pairs``, ``match``).
 
 Output contract of the synthetic generator: its corpus bytes depend only on
 the seed, the ``SynthConfig`` knobs and CPython's Mersenne Twister draws,
 where each index is ``getrandbits(n.bit_length())`` redrawn until below n (the
-rejection draw behind ``Random.choice``, ``randint`` and ``randrange``, which
-the revision loops inline). ``tests/test_golden.py`` pins those bytes.
+rejection draw behind ``Random.choice``, ``randint``, ``randrange`` and
+``sample``, which the revision, word and username draws and
+``_Generator._sample`` inline). ``tests/test_golden.py`` pins those bytes.
 """
 
 from __future__ import annotations
@@ -51,7 +55,12 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import InvalidConfigError, RecordParseError, ReferentialIntegrityError
+from .errors import (
+    InvalidConfigError,
+    RecordParseError,
+    ReferentialIntegrityError,
+    RevisionsNotLoadedError,
+)
 
 DAY_SECONDS = 86_400
 WEEK_SECONDS = 604_800
@@ -99,20 +108,34 @@ class SockpuppetRecord:
 
 @dataclass(frozen=True)
 class Corpus:
-    """Immutable, validated collection of accounts, revisions, and records."""
+    """Immutable, validated collection of accounts, revisions, and records.
+
+    ``revision_counts`` maps each account with revisions to their number, in
+    id order. With ``keep_revisions=False`` the revisions are checked and then
+    dropped, and only those counts are kept: ``revisions`` and
+    ``revisions_by_account`` are None, and ``revisions_of`` raises
+    ``RevisionsNotLoadedError``, so such a corpus never passes for one without
+    revisions. The rules read a revision's first three fields only, so such a
+    corpus may be given each revision as its ``(account_id, page_id,
+    timestamp)`` tuple.
+    """
 
     accounts: tuple[Account, ...]
-    revisions: tuple[Revision, ...]
+    revisions: tuple[Revision, ...] | None
     sockpuppet_records: tuple[SockpuppetRecord, ...]
     accounts_by_id: dict[str, Account] = field(init=False, repr=False, compare=False)
-    revisions_by_account: dict[str, tuple[Revision, ...]] = field(
+    revisions_by_account: dict[str, tuple[Revision, ...]] | None = field(
         init=False, repr=False, compare=False
     )
+    # compared (two corpora without revisions differ by their counts), but
+    # not hashed, as a dict cannot be
+    revision_counts: dict[str, int] = field(init=False, repr=False, hash=False)
     # Where the accounts, revisions and records were read: one (path, line
     # numbers) pair each, so an error names its file and line.
     _origin: InitVar[tuple[tuple[str, Sequence[int]], ...] | None] = None
+    keep_revisions: InitVar[bool] = True
 
-    def __post_init__(self, _origin):
+    def __post_init__(self, _origin, keep_revisions):
         def at(part: int, index: int) -> tuple[str | None, int | None]:
             if _origin is None:
                 return None, None
@@ -136,17 +159,17 @@ class Corpus:
                 )
             by_id[acct.account_id] = acct
 
+        # rev[0], rev[1], rev[2]: a revision's account_id, page_id and timestamp
         owned: defaultdict[str, list[Revision]] = defaultdict(list)
         for i, rev in enumerate(self.revisions):
-            owner = by_id.get(rev.account_id)
+            owner = by_id.get(rev[0])
             if owner is None:
-                raise ReferentialIntegrityError(rev.account_id, "revision owner", *at(1, i))
-            if rev.timestamp < owner.creation_time:
+                raise ReferentialIntegrityError(rev[0], "revision owner", *at(1, i))
+            if rev[2] < owner.creation_time:
                 raise RecordParseError(
-                    *at(1, i),
-                    f"revision on {rev.page_id!r} predates creation of {rev.account_id!r}",
+                    *at(1, i), f"revision on {rev[1]!r} predates creation of {rev[0]!r}"
                 )
-            owned[rev.account_id].append(rev)
+            owned[rev[0]].append(rev)
 
         for i, rec in enumerate(self.sockpuppet_records):
             if len(rec.member_ids) < 2:
@@ -156,17 +179,25 @@ class Corpus:
                     raise ReferentialIntegrityError(member, "record member", *at(2, i))
 
         by_id = dict(sorted(by_id.items()))
-        # stable sorts, so full-key ties keep their input order
-        by_time = attrgetter("timestamp", "page_id")
-        by_owner = {k: tuple(sorted(owned[k], key=by_time)) for k in sorted(owned)}
+        if keep_revisions:
+            # stable sorts, so full-key ties keep their input order; each
+            # owner's list is dropped once its tuple is built
+            by_time = attrgetter("timestamp", "page_id")
+            by_owner = {k: tuple(sorted(owned.pop(k), key=by_time)) for k in sorted(owned)}
+            revisions = tuple(chain.from_iterable(by_owner.values()))
+            counts = {k: len(v) for k, v in by_owner.items()}
+        else:
+            by_owner = revisions = None
+            counts = {k: len(owned[k]) for k in sorted(owned)}
         records = tuple(
             sorted(self.sockpuppet_records, key=lambda r: tuple(sorted(r.member_ids)))
         )
         object.__setattr__(self, "accounts", tuple(by_id.values()))
-        object.__setattr__(self, "revisions", tuple(chain.from_iterable(by_owner.values())))
+        object.__setattr__(self, "revisions", revisions)
         object.__setattr__(self, "sockpuppet_records", records)
         object.__setattr__(self, "accounts_by_id", by_id)
         object.__setattr__(self, "revisions_by_account", by_owner)
+        object.__setattr__(self, "revision_counts", counts)
 
     def account(self, account_id: str) -> Account:
         try:
@@ -175,6 +206,8 @@ class Corpus:
             raise ReferentialIntegrityError(account_id) from None
 
     def revisions_of(self, account_id: str) -> tuple[Revision, ...]:
+        if self.revisions_by_account is None:
+            raise RevisionsNotLoadedError()
         return self.revisions_by_account.get(account_id, ())
 
 
@@ -267,6 +300,7 @@ def load_corpus(
     accounts_path: str | Path,
     revisions_path: str | Path,
     records_path: str | Path,
+    keep_revisions: bool = True,
 ) -> Corpus:
     """Load a corpus from the three line-delimited files.
 
@@ -276,6 +310,9 @@ def load_corpus(
     ``Corpus`` then checks the corpus rules, given the line of each record.
     A record's fields are read and type-checked at once; only a record that
     fails goes through ``_field``, in field order, to name its first bad field.
+    With ``keep_revisions=False`` every revision line is parsed and checked
+    alike, but only its ``(account_id, page_id, timestamp)`` reaches
+    ``Corpus``, which keeps the per-account counts alone.
     """
     intern = sys.intern
     accounts, account_lines = [], array("I")
@@ -320,6 +357,7 @@ def load_corpus(
             )
         revisions.append(
             Revision(intern(account_id), intern(page_id), timestamp, added, deleted, comment)
+            if keep_revisions else (intern(account_id), page_id, timestamp)
         )
         revision_lines.append(lineno)
 
@@ -337,7 +375,7 @@ def load_corpus(
         (str(revisions_path), revision_lines),
         (str(records_path), record_lines),
     )
-    return Corpus(tuple(accounts), tuple(revisions), tuple(records), origin)
+    return Corpus(tuple(accounts), tuple(revisions), tuple(records), origin, keep_revisions)
 
 
 def save_corpus(
@@ -353,8 +391,11 @@ def save_corpus(
     record with a field not exactly of its type (an id, name or text that is
     not a ``str``, a time that is not an ``int``, a ban time neither ``None``
     nor an ``int``), which a corpus built in memory can hold, goes through
-    ``_encode`` itself.
+    ``_encode`` itself. A corpus without its revisions raises
+    ``RevisionsNotLoadedError`` before any file is opened.
     """
+    if corpus.revisions is None:
+        raise RevisionsNotLoadedError()
     with open(accounts_path, "w", encoding="utf-8") as fh:
         for a in corpus.accounts:
             account_id, username, creation, ban = a
@@ -455,9 +496,14 @@ class SynthConfig:
     imitates its banned predecessor. ``activity_contrast`` blends evader
     activity profiles from the common malicious baseline (0) to a distinct
     long-lived, many-page profile (1); ``malicious_text_rate`` mixes
-    flagged vocabulary into the text of malicious accounts. Setting every
-    behavioral knob to 0 makes positives statistically indistinguishable
-    from their matched controls.
+    flagged vocabulary into the text of malicious accounts.
+
+    Not every knob plants nothing at 0. ``username_mutation_rate=0`` copies
+    the parent's username exactly. The page and vocabulary shares are rounded
+    per account (``round(n * rate)`` of a child's n pages or words), so a
+    small nonzero rate can share nothing. With every behavioral knob at 0,
+    positives are indistinguishable from their matched controls only in the
+    features the models read, which include no username.
     """
 
     n_groups: int = 60
@@ -520,13 +566,29 @@ def _draw_table(words: Sequence[str]) -> tuple[Sequence[str], int, int]:
 
 _FUNCTION_DRAW = _draw_table(_FUNCTION_WORDS)
 _MALICIOUS_DRAW = _draw_table(_MALICIOUS_WORDS)
+_SYLLABLE_DRAW = _draw_table(_SYLLABLES)
 
 
 def _make_words(rng: random.Random, count: int, lo: int = 2, hi: int = 4) -> list[str]:
+    """``count`` distinct words of ``randint(lo, hi)`` syllables, each a
+    ``choice``; the draws are inlined as in ``_Generator._text``."""
+    getrandbits = rng.getrandbits
+    syllables, n, k = _SYLLABLE_DRAW
+    span = hi - lo + 1
+    k_span = span.bit_length()
     words: list[str] = []
     seen: set[str] = set()
     while len(words) < count:
-        w = "".join(rng.choice(_SYLLABLES) for _ in range(rng.randint(lo, hi)))
+        r = getrandbits(k_span)
+        while r >= span:
+            r = getrandbits(k_span)
+        parts = []
+        for _ in range(lo + r):
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            parts.append(syllables[r])
+        w = "".join(parts)
         if w not in seen:
             seen.add(w)
             words.append(w)
@@ -590,7 +652,12 @@ class _Generator:
         return f"a{self.next_id:06d}"
 
     def _username(self) -> str:
-        return _make_words(self.rng, 1)[0] + f"{self.rng.randint(0, 99):02d}"
+        word = _make_words(self.rng, 1)[0]
+        getrandbits = self.rng.getrandbits
+        r = getrandbits(7)  # randint(0, 99)
+        while r >= 100:
+            r = getrandbits(7)
+        return f"{word}{r:02d}"
 
     def _mutate_username(self, base: str) -> str:
         rate = self.config.username_mutation_rate
@@ -611,9 +678,9 @@ class _Generator:
                 ),
             ),
             "n_revisions": self.rng.randint(profile.revisions_lo, profile.revisions_hi),
-            "home_pages": self.rng.sample(self.page_universe, n_pages),
-            "vocab": self.rng.sample(self.topical_vocab, 25),
-            "comment_words": self.rng.sample(self.comment_vocab, 6),
+            "home_pages": self._sample(self.page_universe, n_pages),
+            "vocab": self._sample(self.topical_vocab, 25),
+            "comment_words": self._sample(self.comment_vocab, 6),
         }
 
     def _inherit(self, parent_persona: dict, child_persona: dict) -> None:
@@ -628,13 +695,13 @@ class _Generator:
         child_persona["home_pages"] = shared + pages[n_shared:]
 
         n_vocab = round(len(child_persona["vocab"]) * cfg.vocab_reuse)
-        reused = self.rng.sample(
+        reused = self._sample(
             parent_persona["vocab"], min(n_vocab, len(parent_persona["vocab"]))
         )
         child_persona["vocab"] = reused + child_persona["vocab"][len(reused):]
 
         n_comment = round(len(child_persona["comment_words"]) * cfg.vocab_reuse)
-        reused_c = self.rng.sample(
+        reused_c = self._sample(
             parent_persona["comment_words"],
             min(n_comment, len(parent_persona["comment_words"])),
         )
@@ -648,6 +715,38 @@ class _Generator:
     # until ``r < n``. So ``seq[r]`` is ``choice(seq)``, ``a + r`` with
     # n = b - a + 1 is ``randint(a, b)`` and ``r`` is ``randrange(n)``, draw for
     # draw; ``test_corpus`` checks them against those calls.
+
+    def _sample(self, population: Sequence, k: int) -> list:
+        """``Random.sample(population, k)`` draw for draw, for
+        ``0 <= k <= len(population)``: CPython draws from a shrinking copy of
+        the population when that is smaller than a k-entry set, and otherwise
+        redraws an index already selected."""
+        getrandbits = self.rng.getrandbits
+        n = len(population)
+        result = [None] * k
+        setsize = 21  # CPython's: a small set's size minus an empty list's
+        if k > 5:
+            setsize += 4 ** math.ceil(math.log(k * 3, 4))
+        if n <= setsize:
+            pool = list(population)
+            for i in range(k):
+                m = n - i
+                b = m.bit_length()
+                j = getrandbits(b)
+                while j >= m:
+                    j = getrandbits(b)
+                result[i] = pool[j]
+                pool[j] = pool[m - 1]
+        else:
+            selected = set()
+            b = n.bit_length()
+            for i in range(k):
+                j = getrandbits(b)
+                while j >= n or j in selected:
+                    j = getrandbits(b)
+                selected.add(j)
+                result[i] = population[j]
+        return result
 
     def _text(self, vocab: tuple, malicious: bool, lo: int = 6, hi: int = 14) -> str:
         """``lo..hi`` tokens of function, malicious and ``vocab`` words;

@@ -49,6 +49,14 @@ class ReferentialIntegrityError(BanEvasionError):
         super().__init__(_located(msg, path, line_number))
 
 
+class RevisionsNotLoadedError(BanEvasionError):
+    """A read of the revisions of a corpus built with ``keep_revisions=False``,
+    which holds only their per-account counts."""
+
+    def __init__(self):
+        super().__init__("the corpus was loaded without its revisions (keep_revisions=False)")
+
+
 class InvalidConfigError(BanEvasionError, ValueError):
     """An option outside its range, named by ``field``; a bad value, so a
     ``ValueError`` too."""

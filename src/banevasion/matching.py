@@ -22,8 +22,10 @@ the lower bound. Windows are inclusive at both ends.
   pool is the banned accounts that no sockpuppet record names, timed by ban.
 - Tasks 2 and 3 anchor each (parent, child) pair at the child's creation,
   above the parent's ban; their pools are timed by creation. Task 2's pool
-  is the never-banned accounts with at least one revision, and it keeps at
-  most ``cap`` negatives per pair; task 3's pool is task 1's.
+  is the never-banned accounts with at least one revision (read from
+  ``Corpus.revision_counts``, which a corpus loaded without its revisions
+  holds too), and it keeps at most ``cap`` negatives per pair; task 3's pool
+  is task 1's.
 
 The pool is sorted once by its time and bisected per anchor, so the work
 grows with the samples emitted, not with anchors x pool. Every check (window,
@@ -40,7 +42,8 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import islice
+from functools import partial
+from itertools import islice, repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -85,6 +88,10 @@ class LabeledSample(NamedTuple):
     other_id: str
     label: int
     task: str
+
+
+# ``LabeledSample`` from one tuple of its fields, with no Python-level call
+_labeled = partial(tuple.__new__, LabeledSample)
 
 
 @dataclass(frozen=True)
@@ -132,10 +139,8 @@ class Task:
         # corpus accounts are in id order, so each pool and its matches are too
         if self.name == TASK2:
             check_counts(cap=cap)
-            pool = [
-                a for a in corpus.accounts
-                if a.ban_time is None and corpus.revisions_of(a.account_id)
-            ]
+            counts = corpus.revision_counts
+            pool = [a for a in corpus.accounts if a.ban_time is None and a.account_id in counts]
         else:
             named = {m for record in corpus.sockpuppet_records for m in record.member_ids}
             pool = [
@@ -164,15 +169,15 @@ class Task:
         def samples() -> Iterator[LabeledSample]:
             for parent_id, positive_id, centre, after in windows:
                 yield LabeledSample(parent_id, positive_id, POSITIVE, self.name)
-                matched = [
-                    a for a in index.within(centre, window_seconds, after)
-                    if a.account_id != positive_id
-                ]
+                matched = index.within(centre, window_seconds, after)
+                if positive_id in matched:
+                    matched.remove(positive_id)
                 if self.name == TASK2 and len(matched) > cap:
                     rng = random.Random(f"task2:{seed}:{positive_id}")
-                    matched = sorted(rng.sample(matched, cap), key=attrgetter("account_id"))
-                for a in matched:
-                    yield LabeledSample(parent_id, a.account_id, NEGATIVE, self.name)
+                    matched = sorted(rng.sample(matched, cap))
+                yield from map(_labeled, zip(
+                    repeat(parent_id), matched, repeat(NEGATIVE), repeat(self.name)
+                ))
 
         return samples()
 
@@ -188,27 +193,29 @@ TASKS = {
 
 
 class _TimeIndex:
-    """``pool`` sorted once by one integer time, so a time range is found by
-    bisection instead of a scan of the whole pool."""
+    """The account ids of ``pool`` sorted once by one integer time, so a time
+    range is found by bisection instead of a scan of the whole pool."""
 
     def __init__(self, pool: Sequence[Account], time: Callable[[Account], int]):
-        self.pool = pool
-        self.order = sorted(range(len(pool)), key=lambda i: time(pool[i]))
-        self.times = [time(pool[i]) for i in self.order]
+        by_time = sorted(pool, key=time)
+        self.ids = [a.account_id for a in by_time]
+        self.times = [time(a) for a in by_time]
 
-    def within(self, centre, window, after=None) -> list[Account]:
-        """The accounts, in pool order, whose time is within ``window`` of
-        ``centre`` and, given ``after``, above it."""
-        start = bisect_left(self.times, centre - window)
+    def within(self, centre, window, after=None) -> list[str]:
+        """A new list of the ids, in id order, of the accounts whose time is
+        within ``window`` of ``centre`` and, given ``after``, above it."""
+        times = self.times
+        start = bisect_left(times, centre - window)
         if after is not None:
-            start = max(start, bisect_right(self.times, after))
-        stop = bisect_right(self.times, centre + window)
-        # bounds computed in floats may be rounded outwards: the exact test decides
-        hits = sorted(
-            i for i, t in zip(self.order[start:stop], self.times[start:stop])
-            if abs(t - centre) <= window
-        )
-        return [self.pool[i] for i in hits]
+            start = max(start, bisect_right(times, after))
+        stop = bisect_right(times, centre + window)
+        # bounds computed in floats may be rounded outwards: the exact test
+        # decides, and the times that pass it are a run of the sorted times
+        while start < stop and not abs(times[start] - centre) <= window:
+            start += 1
+        while start < stop and not abs(times[stop - 1] - centre) <= window:
+            stop -= 1
+        return sorted(self.ids[start:stop])
 
 
 def build_candidate_sets(

@@ -48,16 +48,31 @@ def normalized_levenshtein(a: str, b: str) -> float:
         return 1.0
     if len(a) < len(b):
         a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b, start=1):
-            cost = 0 if ca == cb else 1
-            current.append(
-                min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost)
-            )
-        previous = current
-    return previous[-1] / len(a)
+    # The integer distance by Myers's bit-parallel algorithm (Myers 1999,
+    # J. ACM 46:395, in Hyyro's form for whole strings): bit i of ``pv``/``mv``
+    # says a column of the edit-distance table steps up/down by one at row
+    # i + 1 of ``b``, and ``score`` is the column's last cell; row 0 grows by
+    # one per character of ``a``, hence the 1 shifted into ``ph``.
+    peq: dict[str, int] = {}
+    for i, c in enumerate(b):
+        peq[c] = peq.get(c, 0) | 1 << i
+    mask = (1 << len(b)) - 1
+    last = 1 << (len(b) - 1)
+    pv, mv, score = mask, 0, len(b)
+    for c in a:
+        eq = peq.get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        ph = ph << 1 | 1
+        pv = (mh << 1 | ~(xv | ph)) & mask
+        mv = ph & xv
+    return score / len(a)
 
 
 def jaccard(a: set, b: set) -> float:

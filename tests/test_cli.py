@@ -953,6 +953,7 @@ def repeated_record(name, lines, rng):
 
 
 PAIR_FILES = {f"pairs/{name}.jsonl" for name in ("all_pairs", "evasion_pairs", "groups")}
+SAMPLE_FILES = {f"samples/task{task}.tsv" for task in "123"}
 # the corpus files each transform changes; the others change all three
 CHANGED_FILES = {silent_accounts: {"accounts"}, repeated_record: {"records"}}
 
@@ -963,9 +964,10 @@ CHANGED_FILES = {silent_accounts: {"accounts"}, repeated_record: {"records"}}
 def test_shuffled_corpus_lines_give_identical_outputs(tmp_path, transform):
     """Every stage that reads a corpus writes the same bytes when the lines of
     its three files come in another order, when every account id gains a
-    prefix (the pair files then differ by that prefix alone), when
-    accounts that never edit and are never banned join, or when a record
-    comes twice."""
+    prefix (the pair and sample files then differ by that prefix alone), when
+    accounts that never edit and are never banned join (``match`` loads no
+    revisions, so its task-2 pool counts them), or when a record comes
+    twice."""
     original, changed = tmp_path / "original", tmp_path / "changed"
     assert main(["generate", "--seed", "7", "--groups", "12", "--out-dir", str(original)]) == 0
     # task 2's cap sampler seeds on the positive's id: a rename keeps its
@@ -995,14 +997,22 @@ def test_shuffled_corpus_lines_give_identical_outputs(tmp_path, transform):
         flags = [f for n in names for f in (f"--{n}", str(corpus_dir / f"{n}.jsonl"))]
         out = tmp_path / "out" / corpus_dir.name
         assert main(["extract-pairs", *flags, "--out-dir", str(out / "pairs")]) == 0
+        (out / "samples").mkdir()
         for task in "123":
+            assert main(["match", *flags, "--task", task,
+                         "--out", str(out / "samples" / f"task{task}.tsv")]) == 0
             assert main(["evaluate", *flags, "--task", task, "--out-dir", str(out / "eval")]) == 0
         assert main(["rank", *flags, "--out-dir", str(out / "eval")]) == 0
         assert main(["analyze", *flags, "--out-dir", str(out / "analysis")]) == 0
+    if transform is silent_accounts:
+        task2 = (tmp_path / "out" / "changed" / "samples" / "task2.tsv").read_text(encoding="utf-8")
+        assert "negative" in task2 and "~" not in task2
     if transform is renamed_ids:
-        for name in PAIR_FILES:
+        for name, prefixed in [*((n, '"x') for n in PAIR_FILES), *((n, "\tx") for n in SAMPLE_FILES)]:
             path = tmp_path / "out" / "changed" / name
-            path.write_text(path.read_text(encoding="utf-8").replace('"x', '"'), encoding="utf-8")
+            text = path.read_text(encoding="utf-8")
+            assert prefixed in text
+            path.write_text(text.replace(prefixed, prefixed[:-1]), encoding="utf-8")
     trees = [tree_digest(tmp_path / "out" / name) for name in ("original", "changed")]
-    assert len(trees[0]) == 21 and PAIR_FILES <= set(trees[0])
+    assert len(trees[0]) == 24 and PAIR_FILES | SAMPLE_FILES <= set(trees[0])
     assert trees[0] == trees[1]

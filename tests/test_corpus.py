@@ -24,7 +24,13 @@ from banevasion.corpus import (
     save_corpus,
     save_pairs,
 )
-from banevasion.errors import InvalidConfigError, RecordParseError, ReferentialIntegrityError
+from banevasion.errors import (
+    InvalidConfigError,
+    RecordParseError,
+    ReferentialIntegrityError,
+    RevisionsNotLoadedError,
+)
+from banevasion.features import Digests
 from banevasion.pairing import extract_evasion_pairs, first_pair_per_group, merge_groups
 
 from conftest import account, corpus_of, record, revision
@@ -255,11 +261,14 @@ class TestCorruption:
             fh.write("\n" + bad_line + "\n")
         # lines end at LF only: ``splitlines`` would also split at a form feed
         line = path.read_text(encoding="utf-8").count("\n")
-        with pytest.raises(error) as err:
-            load_corpus(a, r, s)
-        assert (err.value.path, err.value.line_number) == (str(path), line)
-        assert str(err.value).startswith(f"{path}:{line}: ")
-        assert fragment in str(err.value)
+        # a load that keeps only revision counts parses and checks every line alike
+        for keep_revisions in (True, False):
+            with pytest.raises(error) as err:
+                load_corpus(a, r, s, keep_revisions=keep_revisions)
+            assert type(err.value) is error
+            assert (err.value.path, err.value.line_number) == (str(path), line)
+            assert str(err.value).startswith(f"{path}:{line}: ")
+            assert fragment in str(err.value)
 
     @pytest.mark.parametrize(
         "bad", ['{"child_id":"c2","parent_id":"p"}\x0c', "\xa0"],
@@ -336,11 +345,12 @@ class TestCorpusRules:
             "s": [AS_OBJECT["s"](GOOD_RECORD)],
         }
         parts[which].append(AS_OBJECT[which](bad))
-        with pytest.raises(error) as err:
-            Corpus(*(tuple(parts[k]) for k in "ars"))
-        assert (err.value.path, err.value.line_number) == (None, None)
-        assert fragment in str(err.value)
-        assert "<corpus>" not in str(err.value)
+        for keep_revisions in (True, False):
+            with pytest.raises(error) as err:
+                Corpus(*(tuple(parts[k]) for k in "ars"), keep_revisions=keep_revisions)
+            assert (err.value.path, err.value.line_number) == (None, None)
+            assert fragment in str(err.value)
+            assert "<corpus>" not in str(err.value)
 
     def test_two_unknown_members_report_the_smaller_id(self):
         # frozenset order follows the hash seed; the smaller id must win anyway
@@ -499,6 +509,38 @@ class TestRoundTrip:
             assert path.read_bytes() == "".join(line + "\n" for line in lines).encode("utf-8")
 
 
+class TestWithoutRevisions:
+    @settings(max_examples=100, deadline=None)
+    @given(corpus=corpora())
+    def test_counts_equal_the_full_corpus(self, round_trip_dir, corpus):
+        paths = [round_trip_dir / n for n in ("a.jsonl", "r.jsonl", "s.jsonl")]
+        save_corpus(corpus, *paths)
+        full, light = (load_corpus(*paths, keep_revisions=keep) for keep in (True, False))
+        lengths = {k: len(v) for k, v in full.revisions_by_account.items()}
+        assert light.revision_counts == full.revision_counts == lengths
+        assert list(light.revision_counts) == sorted(lengths)
+        assert (light.accounts, light.sockpuppet_records) == (full.accounts, full.sockpuppet_records)
+        assert light.revisions is light.revisions_by_account is None
+        assert light != full
+
+    def test_reading_revisions_raises(self, tmp_path, tiny_corpus):
+        paths = [tmp_path / n for n in ("a.jsonl", "r.jsonl", "s.jsonl")]
+        save_corpus(tiny_corpus, *paths)
+        light = load_corpus(*paths, keep_revisions=False)
+        assert light.revision_counts == {"b1": 1, "c1": 1, "m1": 1, "p1": 2}
+        with pytest.raises(RevisionsNotLoadedError):
+            light.revisions_of("p1")
+        with pytest.raises(RevisionsNotLoadedError):
+            light.revisions_of("nobody")
+        with pytest.raises(RevisionsNotLoadedError):
+            Digests(light).of("b1")
+        out = [tmp_path / "out" / n for n in ("a.jsonl", "r.jsonl", "s.jsonl")]
+        (tmp_path / "out").mkdir()
+        with pytest.raises(RevisionsNotLoadedError):
+            save_corpus(light, *out)
+        assert not any(path.exists() for path in out)
+
+
 class TestRecordTypes:
     def test_fields_and_defaults_pinned(self):
         assert Account._fields == ("account_id", "username", "creation_time", "ban_time")
@@ -569,6 +611,16 @@ def stdlib_revisions(rng, config, account, persona, malicious, active_until):
     return revisions
 
 
+def stdlib_words(rng, count, lo=2, hi=4):
+    """``_make_words`` written with ``random.Random.choice`` and ``randint``."""
+    words = []
+    while len(words) < count:
+        w = "".join(rng.choice(corpus_module._SYLLABLES) for _ in range(rng.randint(lo, hi)))
+        if w not in words:
+            words.append(w)
+    return words
+
+
 class TestSynthetic:
     def test_inline_draws_match_stdlib(self):
         # every bound from 1 to 1100, so every power of two and its rejection
@@ -590,6 +642,23 @@ class TestSynthetic:
                 else reference.choice(corpus_module._FUNCTION_WORDS)
                 for _ in range(reference.randint(lo, lo + n - 1))
             )
+            assert gen.rng.getstate() == reference.getstate()
+
+    def test_inline_sample_and_words_match_stdlib(self):
+        # population sizes around CPython's set-size threshold for each k, so
+        # both of its branches run, and k from 0 to the whole population
+        gen = corpus_module._Generator(SynthConfig(n_groups=0, n_benign=0, n_nonevading_malicious=0))
+        for n in range(1, 120):
+            population = [f"w{i}" for i in range(n)]
+            gen.rng, reference = random.Random(n), random.Random(n)
+            for k in sorted({0, 1, min(n, 5), min(n, 6), n // 2, n}):
+                assert gen._sample(population, k) == reference.sample(population, k)
+            lo = 1 + n % 3
+            hi = lo + n % 4
+            assert corpus_module._make_words(gen.rng, 3, lo, hi) == stdlib_words(reference, 3, lo, hi)
+            for _ in range(5):
+                username = stdlib_words(reference, 1)[0] + f"{reference.randint(0, 99):02d}"
+                assert gen._username() == username
             assert gen.rng.getstate() == reference.getstate()
 
     def test_determinism_byte_identical(self, tmp_path):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from banevasion.errors import BanEvasionError, EmptyInputError, MismatchError, RecordParseError
@@ -56,6 +56,15 @@ def categories_oracle(lexicon: Lexicon, token: str) -> set[str]:
         for entry in entries
         if token == entry or (entry.endswith("*") and token.startswith(entry[:-1]))
     }
+
+
+# Characters a careless distance could conflate: case pairs, a combining mark
+# and its precomposed letter, a NUL, a lone surrogate, an astral character.
+AWKWARD_TEXT = st.text(
+    alphabet=st.one_of(st.sampled_from("aAbß\x00e\u0301\u00e9\u0130\u0131\ud800\U0001f600"),
+                       st.characters()),
+    max_size=70,
+)
 
 
 def edit_distance_oracle(a: str, b: str) -> int:
@@ -110,6 +119,44 @@ class TestNormalizedLevenshtein:
             edit_distance_oracle(a, b) / max(len(a), len(b)) if (a or b) else 0.0
         )
         assert normalized_levenshtein(a, b) == pytest.approx(expected)
+
+    @settings(deadline=None)
+    @given(AWKWARD_TEXT, AWKWARD_TEXT)
+    def test_matches_oracle_on_awkward_unicode(self, a, b):
+        # past 64 characters, so the bit vectors outgrow a machine word
+        expected = edit_distance_oracle(a, b) / max(len(a), len(b)) if (a or b) else 0.0
+        assert normalized_levenshtein(a, b) == expected
+
+    def test_every_pair_over_three_letters(self):
+        """Every pair of strings of up to 6 letters over a 3-letter alphabet, up
+        to a renaming of the letters, which neither the oracle nor the bit
+        vectors can tell apart: the letters first occur in a + b in the order
+        a, b, c. The oracle's table for a is grown one row per letter of b."""
+        checked = 0
+
+        def extend(a, b, used, row):
+            nonlocal checked
+            checked += 1
+            expected = row[-1] / max(len(a), len(b)) if (a or b) else 0.0
+            assert normalized_levenshtein(a, b) == expected, (a, b)
+            if len(b) < 6:
+                for n, c in enumerate("abc"[: used + 1], start=1):
+                    new = [row[0] + 1]
+                    for i, ca in enumerate(a, start=1):
+                        new.append(min(row[i] + 1, new[i - 1] + 1, row[i - 1] + (ca != c)))
+                    extend(a, b + c, max(used, n), new)
+
+        def grow(a, used):
+            extend(a, "", used, list(range(len(a) + 1)))
+            if len(a) < 6:
+                for n, c in enumerate("abc"[: used + 1], start=1):
+                    grow(a + c, max(used, n))
+
+        grow("", 0)
+        assert edit_distance_oracle("abcab", "bca") == 2
+        # a string of length n > 0 has (3 ** (n - 1) + 1) / 2 such forms
+        forms = [1] + [(3 ** (n - 1) + 1) // 2 for n in range(1, 13)]
+        assert checked == sum(forms[p + q] for p in range(7) for q in range(7))
 
     @given(st.text(max_size=16), st.text(max_size=16))
     def test_symmetric_and_bounded(self, a, b):
