@@ -14,6 +14,7 @@ from .corpus import (
     generate_synthetic,
     load_corpus,
     save_corpus,
+    write_synthetic,
 )
 from .pairing import (
     SockpuppetGroup,
@@ -35,6 +36,7 @@ __all__ = [
     "generate_synthetic",
     "load_corpus",
     "save_corpus",
+    "write_synthetic",
     "SockpuppetGroup",
     "extract_evasion_pairs",
     "first_pair_per_group",

@@ -21,7 +21,8 @@ imported inside the commands that use them, so generate, ingest,
 extract-pairs and match load no numpy. Commands that read no revision field
 (``ingest`` without ``--out-dir``, ``extract-pairs`` and ``match``) load the
 corpus with ``keep_revisions=False``: every revision line is still parsed and
-checked, but only the per-account counts are kept.
+checked, but only the per-account counts are kept. ``generate`` writes each
+account's lines as it is drawn and builds no ``Corpus``.
 """
 
 from __future__ import annotations
@@ -151,9 +152,12 @@ _SYNTH_OPTIONS = {"n_groups": "groups", "n_benign": "benign", "n_nonevading_mali
 
 
 def _synth_config(opts) -> SynthConfig:
-    return SynthConfig(**_given(
+    """The generator's config of ``opts``, checked."""
+    config = SynthConfig(**_given(
         opts, **{f.name: _SYNTH_OPTIONS.get(f.name, f.name) for f in fields(SynthConfig)}
     ))
+    config.validate()
+    return config
 
 
 def _text_resources(opts) -> dict:
@@ -241,40 +245,29 @@ def _pairs_from_file_or_corpus(opts, corpus):
 # subcommands
 
 
-def _save_corpus(corpus, out_dir: Path) -> None:
+def _corpus_paths(out_dir: Path) -> list[Path]:
+    """The accounts, revisions and records files of a corpus directory, created."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    corpus_mod.save_corpus(
-        corpus,
-        out_dir / "accounts.jsonl",
-        out_dir / "revisions.jsonl",
-        out_dir / "records.jsonl",
-    )
-
-
-def _generate(synth: SynthConfig, out_dir: Path):
-    """Generate the synthetic corpus; write it and its planted pairs to out_dir."""
-    result = corpus_mod.generate_synthetic(synth)
-    _save_corpus(result.corpus, out_dir)
-    corpus_mod.save_pairs(result.true_pairs, out_dir / "truth_pairs.jsonl")
-    return result
+    return [out_dir / f"{name}.jsonl" for name in ("accounts", "revisions", "records")]
 
 
 def cmd_generate(opts) -> int:
+    synth = _synth_config(opts)
     out_dir = Path(opts.out_dir)
-    result = _generate(_synth_config(opts), out_dir)
-    print(
-        f"generated {len(result.corpus.accounts)} accounts, "
-        f"{len(result.corpus.revisions)} revisions, "
-        f"{len(result.corpus.sockpuppet_records)} records, "
-        f"{len(result.true_pairs)} true pairs -> {out_dir}"
+    # each account is written as it is drawn: the corpus is never held whole
+    counts = corpus_mod.write_synthetic(
+        synth, *_corpus_paths(out_dir), out_dir / "truth_pairs.jsonl"
     )
+    print("generated {} accounts, {} revisions, {} records, {} true pairs -> {}".format(
+        *counts, out_dir
+    ))
     return 0
 
 
 def cmd_ingest(opts) -> int:
     corpus = _load_corpus(opts, keep_revisions=bool(opts.out_dir))
     if opts.out_dir:
-        _save_corpus(corpus, Path(opts.out_dir))
+        corpus_mod.save_corpus(corpus, *_corpus_paths(Path(opts.out_dir)))
     print(
         f"accounts={len(corpus.accounts)} revisions={sum(corpus.revision_counts.values())} "
         f"records={len(corpus.sockpuppet_records)}"
@@ -446,7 +439,10 @@ def cmd_reproduce(opts) -> int:
     analysis_options = _analysis_options(opts)
 
     with _stage("generate"):
-        corpus = _generate(synth, out_dir / "corpus").corpus
+        result = corpus_mod.generate_synthetic(synth)
+        corpus = result.corpus
+        corpus_mod.save_corpus(corpus, *_corpus_paths(out_dir / "corpus"))
+        corpus_mod.save_pairs(result.true_pairs, out_dir / "corpus" / "truth_pairs.jsonl")
 
     with _stage("extract-pairs"):
         groups, all_pairs, pairs = _extract(corpus)
@@ -460,7 +456,7 @@ def cmd_reproduce(opts) -> int:
         "synth_config": {k: v for k, v in asdict(synth).items() if k != "seed"},
         "corpus": {
             "accounts": len(corpus.accounts),
-            "revisions": len(corpus.revisions),
+            "revisions": sum(corpus.revision_counts.values()),
             "records": len(corpus.sockpuppet_records),
         },
         "pairing": {

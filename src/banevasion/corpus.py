@@ -37,6 +37,14 @@ where each index is ``getrandbits(n.bit_length())`` redrawn until below n (the
 rejection draw behind ``Random.choice``, ``randint``, ``randrange`` and
 ``sample``, which the revision, word and username draws and
 ``_Generator._sample`` inline). ``tests/test_golden.py`` pins those bytes.
+The generator yields one ``(account, revisions)`` block per account, in id
+order, each block's revisions in the order ``Corpus`` gives their owner, and
+collects the records and true pairs as it goes. Ids are ``a%06d``, so that
+order holds up to 999 999 accounts, which ``SynthConfig.validate`` enforces.
+One line writer takes such blocks: ``save_corpus`` feeds it a corpus's
+accounts with their revisions, and ``write_synthetic`` the generator's blocks
+as they are drawn, so the ``generate`` command never holds the corpus.
+``generate_synthetic`` builds its ``Corpus`` from the same blocks.
 """
 
 from __future__ import annotations
@@ -70,6 +78,8 @@ _SYNTH_BASE_TIME = 1_600_000_000
 _SYNTH_HORIZON_DAYS = 365
 
 _ID_BREAKS = frozenset("\t\r\n")
+# ids are ``a%06d``, so their order is their numeric order up to this many
+_MAX_SYNTH_ACCOUNTS = 999_999
 
 
 class Account(NamedTuple):
@@ -104,6 +114,10 @@ class EvasionPair(NamedTuple):
 @dataclass(frozen=True)
 class SockpuppetRecord:
     member_ids: frozenset[str]
+
+
+# the order of one owner's revisions
+_BY_TIME = attrgetter("timestamp", "page_id")
 
 
 @dataclass(frozen=True)
@@ -182,8 +196,7 @@ class Corpus:
         if keep_revisions:
             # stable sorts, so full-key ties keep their input order; each
             # owner's list is dropped once its tuple is built
-            by_time = attrgetter("timestamp", "page_id")
-            by_owner = {k: tuple(sorted(owned.pop(k), key=by_time)) for k in sorted(owned)}
+            by_owner = {k: tuple(sorted(owned.pop(k), key=_BY_TIME)) for k in sorted(owned)}
             revisions = tuple(chain.from_iterable(by_owner.values()))
             counts = {k: len(v) for k, v in by_owner.items()}
         else:
@@ -378,57 +391,85 @@ def load_corpus(
     return Corpus(tuple(accounts), tuple(revisions), tuple(records), origin, keep_revisions)
 
 
-def save_corpus(
-    corpus: Corpus,
+def _write_corpus(
+    blocks: Iterable[tuple[Account, Sequence[Revision]]],
+    records: Iterable[SockpuppetRecord],
     accounts_path: str | Path,
     revisions_path: str | Path,
     records_path: str | Path,
-) -> None:
-    """Write a corpus back out in canonical order (round-trip stable).
+) -> tuple[int, int]:
+    """Write each ``(account, revisions)`` block as it comes, then the
+    records in canonical order; return the account and revision counts.
 
-    Each account and revision line is formatted directly, with sorted keys and
-    strings escaped by ``_quote``, which is the line ``_encode`` gives. A
-    record with a field not exactly of its type (an id, name or text that is
-    not a ``str``, a time that is not an ``int``, a ban time neither ``None``
-    nor an ``int``), which a corpus built in memory can hold, goes through
-    ``_encode`` itself. A corpus without its revisions raises
-    ``RevisionsNotLoadedError`` before any file is opened.
+    Blocks in account id order, each with its revisions in ``Corpus``'s
+    order, give the canonical files. ``records`` is read only after the last
+    block, so a generator may fill it while its blocks are drawn. Each account
+    and revision line is formatted directly, with sorted keys and strings
+    escaped by ``_quote``, which is the line ``_encode`` gives. A record with
+    a field not exactly of its type (an id, name or text that is not a
+    ``str``, a time that is not an ``int``, a ban time neither ``None`` nor an
+    ``int``), which a corpus built in memory can hold, goes through
+    ``_encode`` itself.
     """
-    if corpus.revisions is None:
-        raise RevisionsNotLoadedError()
-    with open(accounts_path, "w", encoding="utf-8") as fh:
-        for a in corpus.accounts:
+    n_accounts = n_revisions = 0
+    with open(accounts_path, "w", encoding="utf-8") as accounts_fh, \
+            open(revisions_path, "w", encoding="utf-8") as revisions_fh:
+        write_account, write_revision = accounts_fh.write, revisions_fh.write
+        for a, revisions in blocks:
             account_id, username, creation, ban = a
             if (
                 type(account_id) is type(username) is str
                 and type(creation) is int
                 and (ban is None or type(ban) is int)
             ):
-                fh.write(
+                write_account(
                     f'{{"account_id":{_quote(account_id)},'
                     f'"ban_time":{"null" if ban is None else ban},'
                     f'"creation_time":{creation},"username":{_quote(username)}}}\n'
                 )
             else:
-                fh.write(_encode(a._asdict()) + "\n")
-    with open(revisions_path, "w", encoding="utf-8") as fh:
-        for r in corpus.revisions:
-            account_id, page_id, timestamp, added, deleted, comment = r
-            if (
-                type(account_id) is type(page_id) is type(added) is type(deleted)
-                is type(comment) is str
-                and type(timestamp) is int
-            ):
-                fh.write(
-                    f'{{"account_id":{_quote(account_id)},"added_text":{_quote(added)},'
-                    f'"comment":{_quote(comment)},"deleted_text":{_quote(deleted)},'
-                    f'"page_id":{_quote(page_id)},"timestamp":{timestamp}}}\n'
-                )
-            else:
-                fh.write(_encode(r._asdict()) + "\n")
+                write_account(_encode(a._asdict()) + "\n")
+            n_accounts += 1
+            for r in revisions:
+                account_id, page_id, timestamp, added, deleted, comment = r
+                if (
+                    type(account_id) is type(page_id) is type(added) is type(deleted)
+                    is type(comment) is str
+                    and type(timestamp) is int
+                ):
+                    write_revision(
+                        f'{{"account_id":{_quote(account_id)},"added_text":{_quote(added)},'
+                        f'"comment":{_quote(comment)},"deleted_text":{_quote(deleted)},'
+                        f'"page_id":{_quote(page_id)},"timestamp":{timestamp}}}\n'
+                    )
+                else:
+                    write_revision(_encode(r._asdict()) + "\n")
+            n_revisions += len(revisions)
     _write_jsonl(
         records_path,
-        ({"member_ids": sorted(rec.member_ids)} for rec in corpus.sockpuppet_records),
+        ({"member_ids": m} for m in sorted(sorted(rec.member_ids) for rec in records)),
+    )
+    return n_accounts, n_revisions
+
+
+def save_corpus(
+    corpus: Corpus,
+    accounts_path: str | Path,
+    revisions_path: str | Path,
+    records_path: str | Path,
+) -> None:
+    """Write a corpus back out in canonical order (round-trip stable), each
+    account with its revisions, through ``_write_corpus``. A corpus without
+    its revisions raises ``RevisionsNotLoadedError`` before any file is
+    opened.
+    """
+    by_owner = corpus.revisions_by_account
+    if by_owner is None:
+        raise RevisionsNotLoadedError()
+    _write_corpus(
+        ((a, by_owner.get(a.account_id, ())) for a in corpus.accounts),
+        corpus.sockpuppet_records,
+        accounts_path, revisions_path, records_path,
     )
 
 
@@ -522,6 +563,15 @@ class SynthConfig:
         for name in ("n_groups", "n_benign", "n_nonevading_malicious"):
             if getattr(self, name) < 0:
                 raise InvalidConfigError(name, "must be >= 0")
+        # a group makes at most 3 accounts; the count that would take the ids
+        # past a999999 is named, in the order the generator makes them
+        total = 0
+        for name, per in (("n_groups", 3), ("n_nonevading_malicious", 1), ("n_benign", 1)):
+            total += per * getattr(self, name)
+            if total > _MAX_SYNTH_ACCOUNTS:
+                raise InvalidConfigError(
+                    name, f"must keep 3 * groups + malicious + benign <= {_MAX_SYNTH_ACCOUNTS}"
+                )
         for name in (
             "evasion_rate",
             "username_mutation_rate",
@@ -642,8 +692,6 @@ class _Generator:
         self.topical_vocab = _make_words(self.rng, 600)
         self.comment_vocab = _make_words(self.rng, 80, lo=1, hi=3)
         self.next_id = 0
-        self.accounts: list[Account] = []
-        self.revisions: list[Revision] = []
         self.records: list[SockpuppetRecord] = []
         self.true_pairs: list[EvasionPair] = []
 
@@ -774,7 +822,8 @@ class _Generator:
 
     def _emit_revisions(
         self, account: Account, persona: dict, malicious: bool, active_until: int
-    ) -> None:
+    ) -> list[Revision]:
+        """The account's revisions, in draw order: by timestamp, ties as drawn."""
         getrandbits, random = self.rng.getrandbits, self.rng.random
         start = account.creation_time
         span = max(1, active_until - start)
@@ -789,7 +838,8 @@ class _Generator:
         vocab = _draw_table(persona["vocab"])
         pages, n_pages, k_pages = _draw_table(persona["home_pages"])
         words, n_words, k_words = _draw_table(persona["comment_words"])
-        text, append = self._text, self.revisions.append
+        text = self._text
+        revisions = []
         for t in times:
             deleted = text(vocab, malicious, 2, 5) if random() < 0.3 else ""
             r = getrandbits(k_pages)
@@ -806,17 +856,30 @@ class _Generator:
                 while r >= n_words:
                     r = getrandbits(k_words)
                 comment.append(words[r])
-            append(Revision(account.account_id, page, start + t, added, deleted, " ".join(comment)))
+            revisions.append(
+                Revision(account.account_id, page, start + t, added, deleted, " ".join(comment))
+            )
+        return revisions
+
+    def _block(
+        self, account: Account, persona: dict, malicious: bool, active_until: int
+    ) -> tuple[Account, list[Revision]]:
+        """The account with its revisions in ``Corpus``'s order: a stable
+        (timestamp, page_id) sort, which moves timestamp ties only."""
+        revisions = self._emit_revisions(account, persona, malicious, active_until)
+        revisions.sort(key=_BY_TIME)
+        return account, revisions
 
     def _banned_account(
         self, username: str, creation: int, persona: dict, malicious: bool = True
-    ) -> Account:
+    ) -> tuple[Account, list[Revision]]:
         acct = Account(self._new_id(), username, creation, creation + persona["duration"])
-        self.accounts.append(acct)
-        self._emit_revisions(acct, persona, malicious, acct.ban_time)
-        return acct
+        return self._block(acct, persona, malicious, acct.ban_time)
 
-    def build(self) -> SyntheticCorpus:
+    def blocks(self) -> Iterator[tuple[Account, list[Revision]]]:
+        """Draw the corpus, yielding each account as it is made (so in id
+        order) with its revisions; the records and true pairs are collected in
+        ``records`` and ``true_pairs``, complete once the last block is drawn."""
         cfg = self.config
         rng = self.rng
         c = cfg.activity_contrast
@@ -828,17 +891,19 @@ class _Generator:
         for _ in range(cfg.n_groups):
             creation = _SYNTH_BASE_TIME + rng.randrange(horizon)
             parent_persona = self._persona(parent_profile)
-            parent = self._banned_account(self._username(), creation, parent_persona)
+            parent, revisions = self._banned_account(self._username(), creation, parent_persona)
+            yield parent, revisions
 
             if rng.random() < cfg.evasion_rate:
                 gap = int(rng.uniform(0.5, 1.5) * cfg.idle_gap_days * DAY_SECONDS)
                 child_persona = self._persona(child_profile)
                 self._inherit(parent_persona, child_persona)
-                child = self._banned_account(
+                child, revisions = self._banned_account(
                     self._mutate_username(parent.username),
                     parent.ban_time + gap,
                     child_persona,
                 )
+                yield child, revisions
                 max_child_creation = max(max_child_creation, child.creation_time)
                 self.true_pairs.append(EvasionPair(parent.account_id, child.account_id))
 
@@ -853,9 +918,8 @@ class _Generator:
                     sock = Account(
                         self._new_id(), self._username(), sock_creation, max(sock_ban, sock_creation + 1)
                     )
-                    self.accounts.append(sock)
                     sock_persona = self._persona(_BASELINE)
-                    self._emit_revisions(sock, sock_persona, True, sock.ban_time)
+                    yield self._block(sock, sock_persona, True, sock.ban_time)
                     self.records.append(
                         SockpuppetRecord(frozenset({parent.account_id, sock.account_id}))
                     )
@@ -872,9 +936,10 @@ class _Generator:
                 lifespan = parent.ban_time - parent.creation_time
                 second_creation = parent.creation_time + int(rng.uniform(0.1, 0.9) * lifespan)
                 second_persona = self._persona(_BASELINE)
-                second = self._banned_account(
+                second, revisions = self._banned_account(
                     self._username(), second_creation, second_persona
                 )
+                yield second, revisions
                 self.records.append(
                     SockpuppetRecord(frozenset({parent.account_id, second.account_id}))
                 )
@@ -883,20 +948,43 @@ class _Generator:
         pool_span_hi = max_child_creation + WEEK_SECONDS
         for _ in range(cfg.n_nonevading_malicious):
             creation = rng.randrange(pool_span_lo, pool_span_hi)
-            self._banned_account(self._username(), creation, self._persona(_BASELINE))
+            yield self._banned_account(self._username(), creation, self._persona(_BASELINE))
 
         for _ in range(cfg.n_benign):
             creation = rng.randrange(pool_span_lo, pool_span_hi)
             persona = self._persona(_BASELINE)
             acct = Account(self._new_id(), self._username(), creation, None)
-            self.accounts.append(acct)
-            self._emit_revisions(acct, persona, False, creation + persona["duration"])
-
-        corpus = Corpus(tuple(self.accounts), tuple(self.revisions), tuple(self.records))
-        return SyntheticCorpus(corpus, tuple(self.true_pairs))
+            yield self._block(acct, persona, False, creation + persona["duration"])
 
 
 @_gc_paused()
 def generate_synthetic(config: SynthConfig) -> SyntheticCorpus:
     """Generate a deterministic synthetic corpus with ground-truth pairs."""
-    return _Generator(config).build()
+    gen = _Generator(config)
+    accounts, revisions = [], []
+    for account, block in gen.blocks():
+        accounts.append(account)
+        revisions += block
+    corpus = Corpus(tuple(accounts), tuple(revisions), tuple(gen.records))
+    return SyntheticCorpus(corpus, tuple(gen.true_pairs))
+
+
+@_gc_paused()
+def write_synthetic(
+    config: SynthConfig,
+    accounts_path: str | Path,
+    revisions_path: str | Path,
+    records_path: str | Path,
+    pairs_path: str | Path,
+) -> tuple[int, int, int, int]:
+    """Write the corpus ``generate_synthetic`` gives, byte for byte as
+    ``save_corpus`` and ``save_pairs`` would, and its true pairs, each
+    account's lines as it is drawn, so no ``Corpus`` is built; return the
+    numbers of accounts, revisions, records and true pairs written. The
+    config is checked before any file is opened."""
+    gen = _Generator(config)
+    n_accounts, n_revisions = _write_corpus(
+        gen.blocks(), gen.records, accounts_path, revisions_path, records_path
+    )
+    save_pairs(gen.true_pairs, pairs_path)
+    return n_accounts, n_revisions, len(gen.records), len(gen.true_pairs)

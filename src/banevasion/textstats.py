@@ -387,22 +387,6 @@ def _parse_lexicon(lines: list[str], path: str) -> Lexicon:
     return Lexicon({k: tuple(v) for k, v in entries.items()})
 
 
-def save_lexicon(lexicon: Lexicon, path: str | Path) -> None:
-    names = list(lexicon.categories)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("%\n")
-        for i, name in enumerate(names, start=1):
-            fh.write(f"{i}\t{name}\n")
-        fh.write("%\n")
-        by_token: dict[str, list[int]] = {}
-        for i, name in enumerate(names, start=1):
-            for entry in lexicon.categories[name]:
-                by_token.setdefault(entry, []).append(i)
-        for token in sorted(by_token):
-            ids = " ".join(str(i) for i in by_token[token])
-            fh.write(f"{token}\t{ids}\n")
-
-
 def load_sentiment_lexicon(path: str | Path) -> SentimentLexicon:
     return _parse_sentiment(Path(path).read_text(encoding="utf-8").splitlines(), str(path))
 

@@ -75,6 +75,20 @@ class TestGenerate:
         corpus_mod.save_pairs(result.true_pairs, library / "truth_pairs.jsonl")
         assert tree_digest(tmp_path / "cli") == tree_digest(library)
 
+    def test_generate_builds_no_corpus(self, tmp_path, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a Corpus was built")
+
+        monkeypatch.setattr(corpus_mod.Corpus, "__post_init__", refused)
+        assert main(["generate", "--out-dir", str(tmp_path), "--seed", "7", *GEN_FLAGS]) == 0
+        assert (tmp_path / "revisions.jsonl").stat().st_size > 0
+
+    def test_too_many_accounts_rejected_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["generate", "--benign", "1000000", "--out-dir", str(out)]) == 1
+        assert "invalid config field 'n_benign'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRepeatedParent:
     def test_match_task1_counts_a_parent_named_twice_once(self, tmp_path):
@@ -283,10 +297,10 @@ class TestUsageErrors:
         assert f"error: stage 'train' failed: {features}:3: f1 is not finite" in err
 
     def test_interrupt_in_stage_propagates(self, tmp_path, monkeypatch):
-        def interrupted(config):
+        def interrupted(*args):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(corpus_mod, "generate_synthetic", interrupted)
+        monkeypatch.setattr(corpus_mod, "write_synthetic", interrupted)
         with pytest.raises(KeyboardInterrupt):
             main(["generate", "--out-dir", str(tmp_path), *GEN_FLAGS])
 
@@ -830,6 +844,7 @@ class TestReproduce:
             (["--window-days", "1e305"], "invalid config field 'window_days'"),
             (["--idle-gap-days", "1e305"], "invalid config field 'idle_gap_days'"),
             (["--idle-gap-days", "1e-9"], "invalid config field 'idle_gap_days'"),
+            (["--benign", "1000000"], "invalid config field 'n_benign'"),
             (["--max-candidates", "0"], "invalid config field 'max_candidates'"),
             (["--cap", "0"], "invalid config field 'cap'"),
             (["--k-edits", "0"], "invalid config field 'k_edits'"),
@@ -840,7 +855,8 @@ class TestReproduce:
             (["--lexicon", "{missing}"], "{missing}"),
         ],
         ids=["outlier_days", "window_days", "window_days-overflow", "idle_gap_days-overflow",
-             "idle_gap_days-zero-seconds", "max_candidates", "cap", "k_edits", "train_fraction", "train_fraction-0", "l2",
+             "idle_gap_days-zero-seconds", "n_benign-past-a999999",
+             "max_candidates", "cap", "k_edits", "train_fraction", "train_fraction-0", "l2",
              "embedding_provider", "lexicon"],
     )
     def test_bad_option_rejected_before_any_output(self, tmp_path, capsys, flags, named):

@@ -23,6 +23,7 @@ from banevasion.corpus import (
     load_pairs,
     save_corpus,
     save_pairs,
+    write_synthetic,
 )
 from banevasion.errors import (
     InvalidConfigError,
@@ -631,10 +632,9 @@ class TestSynthetic:
             words = [f"w{i}" for i in range(n)]
             persona = {"n_revisions": 3, "vocab": words, "home_pages": words, "comment_words": words}
             gen.rng, reference = random.Random(n), random.Random(n)
-            gen.revisions = []
-            gen._emit_revisions(acct, persona, n % 2 == 0, 1000 + n)
+            drawn = gen._emit_revisions(acct, persona, n % 2 == 0, 1000 + n)
             expected = stdlib_revisions(reference, gen.config, acct, persona, n % 2 == 0, 1000 + n)
-            assert gen.revisions == expected
+            assert drawn == expected
             vocab = corpus_module._draw_table(words)
             lo = n % 7
             assert gen._text(vocab, False, lo, lo + n - 1) == " ".join(
@@ -727,9 +727,45 @@ class TestSynthetic:
             ("idle_gap_days", 1e305),
             ("idle_gap_days", 1e-9),
             ("malicious_text_rate", 2.0),
+            # ids are a%06d: the default 60 groups may make 180 accounts
+            ("n_groups", 333_334),
+            ("n_nonevading_malicious", 999_820),
+            ("n_benign", 1_000_000),
         ],
     )
     def test_invalid_config(self, field, value):
         with pytest.raises(InvalidConfigError) as err:
             SynthConfig(**{field: value}).validate()
         assert err.value.field == field
+
+    @pytest.mark.parametrize("groups, benign, malicious", [(333_333, 0, 0), (0, 999_999, 0),
+                                                           (8551, 85_510, 42_755)])
+    def test_account_bound_admits_999_999(self, groups, benign, malicious):
+        SynthConfig(n_groups=groups, n_benign=benign, n_nonevading_malicious=malicious).validate()
+
+    def test_timestamp_ties_in_a_block_take_corpus_order(self, tmp_path, monkeypatch):
+        """Revisions of one account drawn at one timestamp are streamed in
+        ``Corpus``'s (timestamp, page_id) order, not in the order drawn."""
+        # an hour's life with 60 revisions on 4 pages, so timestamps tie
+        profile = corpus_module._ActivityProfile(0.0, 0.0, 60, 60, 4, 4)
+        monkeypatch.setattr(corpus_module, "_BASELINE", profile)
+        out_of_order = []
+        emit = corpus_module._Generator._emit_revisions
+        by_time = attrgetter("timestamp", "page_id")
+
+        def drawn(self, *args):
+            revisions = emit(self, *args)
+            out_of_order.append(revisions != sorted(revisions, key=by_time))
+            return revisions
+
+        monkeypatch.setattr(corpus_module._Generator, "_emit_revisions", drawn)
+        cfg = SynthConfig(n_groups=0, n_benign=30, n_nonevading_malicious=0, seed=1)
+        streamed = [tmp_path / f"streamed_{n}.jsonl" for n in "arsp"]
+        assert write_synthetic(cfg, *streamed)[:2] == (30, 30 * 60)
+        assert any(out_of_order)
+        synth = generate_synthetic(cfg)
+        held = [tmp_path / f"held_{n}.jsonl" for n in "arsp"]
+        save_corpus(synth.corpus, *held[:3])
+        save_pairs(synth.true_pairs, held[3])
+        for a, b in zip(streamed, held):
+            assert a.read_bytes() == b.read_bytes()

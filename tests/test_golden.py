@@ -15,7 +15,9 @@ The generator is also pinned away from its default knobs: at the low-signal
 knobs of the benchmark's ``lowsignal-2x-rfe`` workload, and with an
 ``evasion_rate`` below 1, so the concurrent-group branch draws too. Those pins
 were recorded from the generator that drew through ``random.Random.choice``,
-``randint`` and ``randrange``, before its draws were inlined.
+``randint`` and ``randrange``, before its draws were inlined. The ``generate``
+command, which writes each account as it is drawn and builds no corpus, must
+write those bytes too, and the stage pin's three corpus files.
 
 The characterization is pinned too: ``analyze`` over a seeded corpus writes
 ``analysis.json`` and one CSV per plot-ready table, and their SHA-256 must
@@ -47,6 +49,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -176,11 +179,13 @@ MODEL_SHA256 = {
 }
 
 
+STAGE_CONFIG = SynthConfig(n_groups=200, n_benign=2000, n_nonevading_malicious=1000, seed=7)
+CORPUS_FILES = ("accounts.jsonl", "revisions.jsonl", "records.jsonl")
+
+
 def write_stage_outputs(out):
-    synth = generate_synthetic(
-        SynthConfig(n_groups=200, n_benign=2000, n_nonevading_malicious=1000, seed=7)
-    )
-    paths = [out / name for name in ("accounts.jsonl", "revisions.jsonl", "records.jsonl")]
+    synth = generate_synthetic(STAGE_CONFIG)
+    paths = [out / name for name in CORPUS_FILES]
     save_corpus(synth.corpus, *paths)
     corpus = load_corpus(*paths)
     assert corpus == synth.corpus
@@ -221,6 +226,31 @@ def test_generator_matches_recorded_bytes(tmp_path, name):
     save_corpus(synth.corpus, *(tmp_path / f for f in files))
     save_pairs(synth.true_pairs, tmp_path / "pairs.jsonl")
     assert sha256s(tmp_path) == GENERATOR_SHA256[name]
+
+
+def generate_flags(config: SynthConfig) -> list[str]:
+    names = {"n_groups": "groups", "n_benign": "benign", "n_nonevading_malicious": "malicious"}
+    return [
+        flag for key, value in asdict(config).items()
+        for flag in (f"--{names.get(key, key).replace('_', '-')}", repr(value))
+    ]
+
+
+@pytest.mark.parametrize("name", [*sorted(GENERATOR_CONFIGS), "stage"])
+def test_generate_command_matches_recorded_bytes(tmp_path, name):
+    """The ``generate`` command, which writes each account as it is drawn,
+    writes the bytes pinned for the corpus built in memory and saved."""
+    config = GENERATOR_CONFIGS.get(name, STAGE_CONFIG)
+    assert main(["generate", *generate_flags(config), "--out-dir", str(tmp_path)]) == 0
+    truth = tmp_path / "truth_pairs.jsonl"
+    if name == "stage":
+        # the stage pin's pairs file holds the extracted first pairs
+        truth.unlink()
+        expected = {f: GOLDEN_SHA256[f] for f in CORPUS_FILES}
+    else:
+        truth.rename(tmp_path / "pairs.jsonl")
+        expected = GENERATOR_SHA256[name]
+    assert sha256s(tmp_path) == expected
 
 
 @pytest.mark.parametrize("name", sorted(CHARACTERIZATION_SHA256))
