@@ -8,6 +8,7 @@ child vs. parent) and success (2 plus one per category, successful vs.
 unsuccessful pairs, by ``pairing.classify_success``). Every family but
 activity is built by ``_contrast``. Every statistic but the username
 distance reads named columns of the ``features`` account and pair rows.
+``write_analysis`` writes a report's files, choosing what its text shows.
 
 Student-t p-values come from the regularized incomplete beta function,
 evaluated with a Lentz continued fraction in double precision. Two-sided
@@ -17,8 +18,10 @@ x = df / (df + t^2).
 
 from __future__ import annotations
 
+import json
 import math
 import statistics
+from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from .corpus import DAY_SECONDS
@@ -30,6 +33,7 @@ from .errors import (
     MissingBanTimeError,
     ZeroVarianceError,
 )
+from .evaluation import render_report_text
 from .features import Digests, account_vectors, pair_vectors
 from .matching import NEGATIVE
 from .pairing import classify_success
@@ -380,10 +384,30 @@ def characterize(
     return report
 
 
+def write_analysis(report: dict, out_dir) -> None:
+    """Write ``analysis.json``, the summary ``analysis.txt`` and the
+    ``tables/`` CSV files of the report into ``out_dir``, made if missing."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with open(out_dir / "analysis.json", "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    with open(out_dir / "analysis.txt", "w", encoding="utf-8") as fh:
+        fh.write(render_report_text({
+            "counts": report["counts"],
+            "activity_parent_medians": report["activity"]["parent_medians"],
+            "activity_control_medians": report["activity"]["control_medians"],
+            "username_distance_pairs": report["username_distance"]["pairs"],
+            "username_distance_controls": report["username_distance"]["controls"],
+            "success": {
+                k: v for k, v in (report["success"] or {}).items() if k != "contrasts"
+            },
+        }))
+    write_tables(report, out_dir / "tables")
+
+
 def write_tables(report: dict, out_dir) -> list[str]:
     """Write each plot-ready table as a CSV file; returns the paths."""
-    from pathlib import Path
-
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []

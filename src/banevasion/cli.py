@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import logging
 import math
 import os
@@ -318,7 +317,8 @@ def cmd_featurize(opts) -> int:
         for account_id, role in ((s.parent_id, "sample parent"), (s.other_id, "sample other")):
             if account_id not in corpus.accounts_by_id:
                 raise ReferentialIntegrityError(account_id, role, path, lineno)
-    # the rows in ``temporal_order``, as ``evaluate`` fits them: ``train --rfe`` holds out the last
+    # the rows in ``temporal_order``, as ``evaluate`` fits them: ``train --rfe``
+    # holds out the trailing rows, the latest anchors, to choose its features
     ordered, names, X, labels = sample_matrix(
         task, samples, Digests(corpus, **resources), **vector_options
     )
@@ -384,7 +384,7 @@ def cmd_rank(opts) -> int:
 
 
 def cmd_analyze(opts) -> int:
-    from .analysis import characterize
+    from .analysis import characterize, write_analysis
     from .features import Digests
 
     match_options = _match_options(opts)
@@ -396,35 +396,13 @@ def cmd_analyze(opts) -> int:
                     for n in "13")
     report = characterize(Digests(corpus, **resources), pairs, task1, task3, **analysis_options)
     out_dir = Path(opts.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_analysis(report, out_dir)
+    write_analysis(report, out_dir)
     print(f"analysis -> {out_dir}")
     return 0
 
 
-def _write_analysis(report: dict, out_dir: Path) -> None:
-    from .analysis import write_tables
-    from .evaluation import render_report_text
-
-    with open(out_dir / "analysis.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(out_dir / "analysis.txt", "w", encoding="utf-8") as fh:
-        fh.write(render_report_text({
-            "counts": report["counts"],
-            "activity_parent_medians": report["activity"]["parent_medians"],
-            "activity_control_medians": report["activity"]["control_medians"],
-            "username_distance_pairs": report["username_distance"]["pairs"],
-            "username_distance_controls": report["username_distance"]["controls"],
-            "success": {
-                k: v for k, v in (report["success"] or {}).items() if k != "contrasts"
-            },
-        }))
-    write_tables(report, out_dir / "tables")
-
-
 def cmd_reproduce(opts) -> int:
-    from .analysis import characterize
+    from .analysis import characterize, write_analysis
     from .evaluation import run_ranking, run_task, write_report
     from .features import Digests
     from .model import save_model
@@ -485,9 +463,7 @@ def cmd_reproduce(opts) -> int:
     with _stage("analyze"):
         analysis_report = characterize(digests, pairs, samples["1"], samples["3"],
                                        **analysis_options)
-        reports_dir = out_dir / "reports"
-        reports_dir.mkdir(parents=True, exist_ok=True)
-        _write_analysis(analysis_report, reports_dir)
+        write_analysis(analysis_report, out_dir / "reports")
 
     with _stage("report"):
         write_report(report, out_dir / "report.json", out_dir / "report.txt")

@@ -20,16 +20,17 @@ record members, known members), once each, in input order, naming the record's
 throughout. Loaded corpora are immutable and iterate in a canonical order
 (accounts by id, revisions by (account_id, timestamp, page_id), records by
 sorted member tuple), so a save/load round trip is byte identical. ``Corpus``
-builds the revision order per owner: one pass groups the revisions by
-account, each owner's list is sorted by (timestamp, page_id), and the owners
-follow in id order; the sorts are stable, so revisions equal in all three
-keep their input order. Accounts, revisions and evasion pairs are named
-tuples; ``load_corpus`` interns account and page ids, so a revision shares its
-owner's id string and its page's. An ``EvasionPair`` without a group id holds
-``None``, as its line has no key. ``load_corpus(..., keep_revisions=False)``
-parses and checks every revision line alike but keeps only each account's
-count of them, for the commands that read no revision field (``ingest``
-without ``--out-dir``, ``extract-pairs``, ``match``).
+keeps each revision once, under its owner, and builds the revision order per
+owner: one pass groups the revisions by account, each owner's list is sorted
+by (timestamp, page_id), and the owners follow in id order; the sorts are
+stable, so revisions equal in all three keep their input order. Accounts,
+revisions and evasion pairs are named tuples; ``load_corpus`` interns account
+and page ids, so a revision shares its owner's id string and its page's. An
+``EvasionPair`` without a group id holds ``None``, as its line has no key.
+``load_corpus(..., keep_revisions=False)`` parses and checks every revision
+line alike but keeps only each account's count of them, for the commands
+that read no revision field (``ingest`` without ``--out-dir``,
+``extract-pairs``, ``match``).
 
 Output contract of the synthetic generator: its corpus bytes depend only on
 the seed, the ``SynthConfig`` knobs and CPython's Mersenne Twister draws,
@@ -58,7 +59,6 @@ from array import array
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import InitVar, dataclass, field
-from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -124,32 +124,33 @@ _BY_TIME = attrgetter("timestamp", "page_id")
 class Corpus:
     """Immutable, validated collection of accounts, revisions, and records.
 
-    ``revision_counts`` maps each account with revisions to their number, in
-    id order. With ``keep_revisions=False`` the revisions are checked and then
-    dropped, and only those counts are kept: ``revisions`` and
-    ``revisions_by_account`` are None, and ``revisions_of`` raises
+    ``revisions`` is an input only: each revision, or in a light load
+    (``keep_revisions=False``) just each revision's ``(account_id, page_id,
+    timestamp)``, which the rules read. Each revision is kept once, in
+    ``revisions_by_account``, which maps each account with revisions, in id
+    order, to its revisions in canonical order; ``revision_counts`` maps the
+    same accounts to their numbers. A light load keeps the counts alone:
+    ``revisions_by_account`` is None, and ``revisions_of`` raises
     ``RevisionsNotLoadedError``, so such a corpus never passes for one without
-    revisions. The rules read a revision's first three fields only, so such a
-    corpus may be given each revision as its ``(account_id, page_id,
-    timestamp)`` tuple.
+    revisions.
     """
 
     accounts: tuple[Account, ...]
-    revisions: tuple[Revision, ...] | None
+    revisions: InitVar[Sequence[Revision] | Sequence[tuple[str, str, int]]]
     sockpuppet_records: tuple[SockpuppetRecord, ...]
     accounts_by_id: dict[str, Account] = field(init=False, repr=False, compare=False)
+    # compared (two full corpora differ by any revision, two corpora without
+    # revisions by their counts), but not hashed, as a dict cannot be
     revisions_by_account: dict[str, tuple[Revision, ...]] | None = field(
-        init=False, repr=False, compare=False
+        init=False, repr=False, hash=False
     )
-    # compared (two corpora without revisions differ by their counts), but
-    # not hashed, as a dict cannot be
     revision_counts: dict[str, int] = field(init=False, repr=False, hash=False)
     # Where the accounts, revisions and records were read: one (path, line
     # numbers) pair each, so an error names its file and line.
     _origin: InitVar[tuple[tuple[str, Sequence[int]], ...] | None] = None
     keep_revisions: InitVar[bool] = True
 
-    def __post_init__(self, _origin, keep_revisions):
+    def __post_init__(self, revisions, _origin, keep_revisions):
         def at(part: int, index: int) -> tuple[str | None, int | None]:
             if _origin is None:
                 return None, None
@@ -175,7 +176,7 @@ class Corpus:
 
         # rev[0], rev[1], rev[2]: a revision's account_id, page_id and timestamp
         owned: defaultdict[str, list[Revision]] = defaultdict(list)
-        for i, rev in enumerate(self.revisions):
+        for i, rev in enumerate(revisions):
             owner = by_id.get(rev[0])
             if owner is None:
                 raise ReferentialIntegrityError(rev[0], "revision owner", *at(1, i))
@@ -193,20 +194,17 @@ class Corpus:
                     raise ReferentialIntegrityError(member, "record member", *at(2, i))
 
         by_id = dict(sorted(by_id.items()))
-        if keep_revisions:
-            # stable sorts, so full-key ties keep their input order; each
-            # owner's list is dropped once its tuple is built
-            by_owner = {k: tuple(sorted(owned.pop(k), key=_BY_TIME)) for k in sorted(owned)}
-            revisions = tuple(chain.from_iterable(by_owner.values()))
-            counts = {k: len(v) for k, v in by_owner.items()}
-        else:
-            by_owner = revisions = None
-            counts = {k: len(owned[k]) for k in sorted(owned)}
+        counts = {k: len(owned[k]) for k in sorted(owned)}
+        # stable sorts, so full-key ties keep their input order; each owner's
+        # list is dropped once its tuple is built
+        by_owner = (
+            {k: tuple(sorted(owned.pop(k), key=_BY_TIME)) for k in counts}
+            if keep_revisions else None
+        )
         records = tuple(
             sorted(self.sockpuppet_records, key=lambda r: tuple(sorted(r.member_ids)))
         )
         object.__setattr__(self, "accounts", tuple(by_id.values()))
-        object.__setattr__(self, "revisions", revisions)
         object.__setattr__(self, "sockpuppet_records", records)
         object.__setattr__(self, "accounts_by_id", by_id)
         object.__setattr__(self, "revisions_by_account", by_owner)
@@ -388,7 +386,7 @@ def load_corpus(
         (str(revisions_path), revision_lines),
         (str(records_path), record_lines),
     )
-    return Corpus(tuple(accounts), tuple(revisions), tuple(records), origin, keep_revisions)
+    return Corpus(tuple(accounts), revisions, tuple(records), origin, keep_revisions)
 
 
 def _write_corpus(
@@ -871,10 +869,10 @@ class _Generator:
         return account, revisions
 
     def _banned_account(
-        self, username: str, creation: int, persona: dict, malicious: bool = True
+        self, username: str, creation: int, persona: dict
     ) -> tuple[Account, list[Revision]]:
         acct = Account(self._new_id(), username, creation, creation + persona["duration"])
-        return self._block(acct, persona, malicious, acct.ban_time)
+        return self._block(acct, persona, True, acct.ban_time)
 
     def blocks(self) -> Iterator[tuple[Account, list[Revision]]]:
         """Draw the corpus, yielding each account as it is made (so in id
@@ -965,7 +963,7 @@ def generate_synthetic(config: SynthConfig) -> SyntheticCorpus:
     for account, block in gen.blocks():
         accounts.append(account)
         revisions += block
-    corpus = Corpus(tuple(accounts), tuple(revisions), tuple(gen.records))
+    corpus = Corpus(tuple(accounts), revisions, tuple(gen.records))
     return SyntheticCorpus(corpus, tuple(gen.true_pairs))
 
 

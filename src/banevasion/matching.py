@@ -7,9 +7,9 @@ matched control paired with ``parent_id``. In a task-1 (prediction) sample
 classified: the parent itself for the positive, a matched non-evading
 malicious account for each negative.
 
-``TASKS`` holds what else differs between the tasks here: the pool the
-negatives come from, the default window and train fraction, and whether the
-test AUC is also split by evasion success. ``features.task_vectors`` holds
+``TASKS`` holds each task's default window and train fraction, and whether
+its test AUC is also split by evasion success; ``Task.match`` picks the pool
+the negatives come from by the task's name. ``features.task_vectors`` holds
 which feature row describes a sample: the account alone, or the pair.
 
 ``Task.match`` applies one rule to every task. Each anchor is a parent, the

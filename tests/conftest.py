@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from itertools import chain
 
 import pytest
 
@@ -13,6 +14,12 @@ def account(account_id, creation, ban=None, username=None):
 
 def corpus_of(accounts, revisions=(), records=()):
     return Corpus(tuple(accounts), tuple(revisions), tuple(records))
+
+
+def all_revisions(corpus):
+    """Every revision of a corpus, owner after owner in id order: one stable
+    sort of them all by (account_id, timestamp, page_id)."""
+    return tuple(chain.from_iterable(corpus.revisions_by_account.values()))
 
 
 def revision(account_id, page_id, timestamp, added="", deleted="", comment=""):

@@ -394,10 +394,24 @@ class TestStageChaining:
         ]
 
     def test_ingest_round_trip_is_canonical(self, corpus_dir, tmp_path):
-        out = tmp_path / "canon"
-        assert main(["ingest", *self.corpus_flags(corpus_dir), "--out-dir", str(out)]) == 0
-        for name in ("accounts.jsonl", "revisions.jsonl", "records.jsonl"):
-            assert (out / name).read_bytes() == (corpus_dir / name).read_bytes()
+        """The generated files, and the same files with every line order
+        reversed, are written back as the generated files."""
+        names = ("accounts.jsonl", "revisions.jsonl", "records.jsonl")
+        lines = {name: (corpus_dir / name).read_bytes().splitlines(keepends=True) for name in names}
+        # stable sorts keep exact ties in input order, so a reversed input
+        # gives the canonical files only when no two revisions tie
+        keys = [(r["account_id"], r["timestamp"], r["page_id"])
+                for r in map(json.loads, lines["revisions.jsonl"])]
+        assert len(set(keys)) == len(keys)
+        reversed_dir = tmp_path / "reversed"
+        reversed_dir.mkdir()
+        for name in names:
+            (reversed_dir / name).write_bytes(b"".join(reversed(lines[name])))
+        for source in (corpus_dir, reversed_dir):
+            out = tmp_path / f"canon-{source.name}"
+            assert main(["ingest", *self.corpus_flags(source), "--out-dir", str(out)]) == 0
+            for name in names:
+                assert (out / name).read_bytes() == (corpus_dir / name).read_bytes()
 
     @pytest.mark.parametrize("command", ["match", "evaluate", "rank", "analyze"])
     def test_given_pairs_merge_no_groups(self, corpus_dir, tmp_path, monkeypatch, command):

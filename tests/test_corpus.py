@@ -34,7 +34,7 @@ from banevasion.errors import (
 from banevasion.features import Digests
 from banevasion.pairing import extract_evasion_pairs, first_pair_per_group, merge_groups
 
-from conftest import account, corpus_of, record, revision
+from conftest import account, all_revisions, corpus_of, record, revision
 
 
 def write_lines(path, objs):
@@ -54,7 +54,7 @@ def corpus_paths(tmp_path, accounts=(), revisions=(), records=()):
 class TestLoadCorpus:
     def test_three_empty_files(self, tmp_path):
         corpus = load_corpus(*corpus_paths(tmp_path))
-        assert (len(corpus.accounts), len(corpus.revisions), len(corpus.sockpuppet_records)) == (0, 0, 0)
+        assert (len(corpus.accounts), len(all_revisions(corpus)), len(corpus.sockpuppet_records)) == (0, 0, 0)
 
     def test_counts(self, tmp_path):
         paths = corpus_paths(
@@ -69,7 +69,7 @@ class TestLoadCorpus:
             ],
         )
         corpus = load_corpus(*paths)
-        assert (len(corpus.accounts), len(corpus.revisions), len(corpus.sockpuppet_records)) == (2, 1, 0)
+        assert (len(corpus.accounts), len(all_revisions(corpus)), len(corpus.sockpuppet_records)) == (2, 1, 0)
 
     def test_unknown_revision_account(self, tmp_path):
         paths = corpus_paths(
@@ -428,12 +428,54 @@ class TestCanonicalOrder:
         corpus = corpus_of([account(k, 0) for k in "dcba"], revisions)
         # the oracle: one stable sort of every revision by its full key
         expected = sorted(revisions, key=lambda r: (r.account_id, r.timestamp, r.page_id))
-        assert len(corpus.revisions) == len(expected)
-        assert all(got is want for got, want in zip(corpus.revisions, expected))
+        flat = all_revisions(corpus)
+        assert len(flat) == len(expected)
+        assert all(got is want for got, want in zip(flat, expected))
         assert corpus.revisions_by_account == {
             k: tuple(v) for k, v in groupby(expected, attrgetter("account_id"))
         }
         assert list(corpus.revisions_by_account) == sorted({r.account_id for r in revisions})
+
+
+EQUALITY_ACCOUNTS = [account("a", 0), account("b", 5, 50)]
+EQUALITY_REVISIONS = [
+    revision("a", "p1", 2, added="x"),
+    revision("b", "p1", 9, added="y"),
+    revision("a", "p2", 4, added="z"),
+]
+
+
+def _one_text_edited(tmp_path):
+    edited = [*EQUALITY_REVISIONS[:2], EQUALITY_REVISIONS[2]._replace(added_text="Z")]
+    return corpus_of(EQUALITY_ACCOUNTS, EQUALITY_REVISIONS), corpus_of(EQUALITY_ACCOUNTS, edited)
+
+
+def _input_reversed(tmp_path):
+    return (
+        corpus_of(EQUALITY_ACCOUNTS, EQUALITY_REVISIONS),
+        corpus_of(EQUALITY_ACCOUNTS, EQUALITY_REVISIONS[::-1]),
+    )
+
+
+def _full_and_light_load(tmp_path):
+    paths = [tmp_path / n for n in ("a.jsonl", "r.jsonl", "s.jsonl")]
+    save_corpus(corpus_of(EQUALITY_ACCOUNTS, EQUALITY_REVISIONS), *paths)
+    return load_corpus(*paths), load_corpus(*paths, keep_revisions=False)
+
+
+@pytest.mark.parametrize(
+    "make, equal",
+    [(_one_text_edited, False), (_input_reversed, True), (_full_and_light_load, False)],
+    ids=["one_added_text_differs", "reversed_input_order", "full_and_light_load"],
+)
+def test_equality_compares_the_revision_store(tmp_path, make, equal):
+    """Equal accounts, records and counts in every case: only the revisions
+    kept per owner can tell the corpora apart."""
+    one, two = make(tmp_path)
+    assert (one.accounts, one.sockpuppet_records) == (two.accounts, two.sockpuppet_records)
+    assert one.revision_counts == two.revision_counts
+    assert (one == two) is equal
+    assert hash(one) == hash(two)
 
 
 @pytest.fixture(scope="module")
@@ -503,7 +545,7 @@ class TestRoundTrip:
         encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":")).encode
         expected = (
             [encode(a._asdict()) for a in corpus.accounts],
-            [encode(r._asdict()) for r in corpus.revisions],
+            [encode(r._asdict()) for r in all_revisions(corpus)],
             [encode({"member_ids": sorted(rec.member_ids)}) for rec in corpus.sockpuppet_records],
         )
         for path, lines in zip(paths, expected):
@@ -521,7 +563,7 @@ class TestWithoutRevisions:
         assert light.revision_counts == full.revision_counts == lengths
         assert list(light.revision_counts) == sorted(lengths)
         assert (light.accounts, light.sockpuppet_records) == (full.accounts, full.sockpuppet_records)
-        assert light.revisions is light.revisions_by_account is None
+        assert light.revisions_by_account is None and not hasattr(light, "revisions")
         assert light != full
 
     def test_reading_revisions_raises(self, tmp_path, tiny_corpus):
@@ -578,10 +620,10 @@ class TestRecordTypes:
         save_corpus(synth.corpus, *paths)
         corpus = load_corpus(*paths)
         page_ids = {}
-        for rev in corpus.revisions:
+        for rev in all_revisions(corpus):
             assert rev.account_id is corpus.account(rev.account_id).account_id
             assert page_ids.setdefault(rev.page_id, rev.page_id) is rev.page_id
-        assert len(page_ids) < len(corpus.revisions)  # some page is revised twice
+        assert len(page_ids) < len(all_revisions(corpus))  # some page is revised twice
 
 
 def stdlib_revisions(rng, config, account, persona, malicious, active_until):

@@ -19,7 +19,7 @@ from banevasion.matching import DEFAULT_K_EDITS, TASKS
 from banevasion.pairing import extract_evasion_pairs, first_pair_per_group, merge_groups
 from banevasion.textstats import HashedTrigramProvider, cosine
 
-from conftest import account, corpus_of, revision
+from conftest import account, all_revisions, corpus_of, revision
 
 
 CHILD_BAN_COLUMNS = {
@@ -202,7 +202,7 @@ class TestPairFeatures:
             SynthConfig(n_groups=4, n_benign=4, n_nonevading_malicious=4, seed=9)
         ).corpus
         silent = account("silent", 1_600_000_000)  # no revisions: a zero embedding
-        corpus = corpus_of([*corpus.accounts, silent], corpus.revisions)
+        corpus = corpus_of([*corpus.accounts, silent], all_revisions(corpus))
         digests = Digests(corpus)
         banned = [a.account_id for a in corpus.accounts if a.ban_time is not None]
         keys = [(p, o) for p in banned[:4] for o in [*banned[4:10], "silent"]]
@@ -240,7 +240,7 @@ class TestPairFeatures:
 def truncated_corpus(corpus, account_id, k):
     """``corpus`` with only ``account_id``'s first ``k`` revisions."""
     kept = corpus.revisions_of(account_id)[:k]
-    revisions = [r for r in corpus.revisions if r.account_id != account_id]
+    revisions = [r for r in all_revisions(corpus) if r.account_id != account_id]
     return corpus_of(corpus.accounts, [*revisions, *kept], corpus.sockpuppet_records)
 
 

@@ -28,7 +28,7 @@ from banevasion.pairing import (
     merge_groups,
 )
 
-from conftest import account, corpus_of, record, revision
+from conftest import account, all_revisions, corpus_of, record, revision
 
 BAN = 1_000_000
 
@@ -229,7 +229,7 @@ class TestMatchTask3:
     def test_child_in_pool_never_becomes_negative(self):
         corpus, pair = pair_fixture(n_malicious=2)
         # without records the banned child is itself in the pool
-        corpus = corpus_of(corpus.accounts, corpus.revisions)
+        corpus = corpus_of(corpus.accounts, all_revisions(corpus))
         samples = TASKS["3"].match(corpus, [pair])
         negatives = {s.other_id for s in samples if s.label == NEGATIVE}
         assert negatives == {"m000", "m001"}
@@ -262,7 +262,7 @@ def malicious_pool(corpus):
 def benign_pool(corpus):
     return sorted(
         (a for a in corpus.accounts
-         if a.ban_time is None and any(r.account_id == a.account_id for r in corpus.revisions)),
+         if a.ban_time is None and any(r.account_id == a.account_id for r in all_revisions(corpus))),
         key=lambda a: a.account_id,
     )
 
