@@ -11,11 +11,11 @@ File formats (UTF-8, one JSON object per line):
   with no two lines naming one child
 
 Ids and texts are JSON strings and times JSON integers; the reader coerces
-nothing. ``load_corpus`` only parses, so a malformed line fails at its
-``file:line``; ``Corpus`` alone checks the seven corpus rules (unique ids, no
-tab or line break in an id, ban after creation, known revision owner, no
-revision before creation, at least 2 distinct
-record members, known members), once each, in input order, naming the record's
+nothing. ``load_corpus`` only parses, a line as ``Corpus`` asks for it, so a
+malformed line fails at its ``file:line``; ``Corpus`` alone checks the seven
+corpus rules (unique ids, no tab or line break in an id, ban after creation,
+known revision owner, no revision before creation, at least 2 distinct record
+members, known members), once each, on each record as it arrives, naming its
 ``file:line`` when it was read. Timestamps are integer epoch seconds UTC
 throughout. Loaded corpora are immutable and iterate in a canonical order
 (accounts by id, revisions by (account_id, timestamp, page_id), records by
@@ -28,7 +28,7 @@ revisions and evasion pairs are named tuples; ``load_corpus`` interns account
 and page ids, so a revision shares its owner's id string and its page's. An
 ``EvasionPair`` without a group id holds ``None``, as its line has no key.
 ``load_corpus(..., keep_revisions=False)`` parses and checks every revision
-line alike but keeps only each account's count of them, for the commands
+line alike but keeps only each owner's count of them, for the commands
 that read no revision field (``ingest`` without ``--out-dir``,
 ``extract-pairs``, ``match``).
 
@@ -124,7 +124,9 @@ _BY_TIME = attrgetter("timestamp", "page_id")
 class Corpus:
     """Immutable, validated collection of accounts, revisions, and records.
 
-    ``revisions`` is an input only: each revision, or in a light load
+    ``accounts``, ``revisions`` and ``sockpuppet_records`` may be any
+    iterables, each consumed once, in that order, each item checked as it
+    comes. ``revisions`` is an input only: each revision, or in a light load
     (``keep_revisions=False``) just each revision's ``(account_id, page_id,
     timestamp)``, which the rules read. Each revision is kept once, in
     ``revisions_by_account``, which maps each account with revisions, in id
@@ -136,7 +138,7 @@ class Corpus:
     """
 
     accounts: tuple[Account, ...]
-    revisions: InitVar[Sequence[Revision] | Sequence[tuple[str, str, int]]]
+    revisions: InitVar[Iterable[Revision] | Iterable[tuple[str, str, int]]]
     sockpuppet_records: tuple[SockpuppetRecord, ...]
     accounts_by_id: dict[str, Account] = field(init=False, repr=False, compare=False)
     # compared (two full corpora differ by any revision, two corpora without
@@ -157,7 +159,7 @@ class Corpus:
             path, lines = _origin[part]
             return path, lines[index]
 
-        # Each rule is checked here only, in input order.
+        # Each rule is checked here only, on each item as it arrives.
         by_id: dict[str, Account] = {}
         for i, acct in enumerate(self.accounts):
             if acct.account_id in by_id:
@@ -174,7 +176,9 @@ class Corpus:
                 )
             by_id[acct.account_id] = acct
 
-        # rev[0], rev[1], rev[2]: a revision's account_id, page_id and timestamp
+        # rev[0], rev[1], rev[2]: a revision's account_id, page_id and
+        # timestamp; a light load counts each owner's revisions and keeps none
+        counts: defaultdict[str, int] = defaultdict(int)
         owned: defaultdict[str, list[Revision]] = defaultdict(list)
         for i, rev in enumerate(revisions):
             owner = by_id.get(rev[0])
@@ -184,26 +188,28 @@ class Corpus:
                 raise RecordParseError(
                     *at(1, i), f"revision on {rev[1]!r} predates creation of {rev[0]!r}"
                 )
-            owned[rev[0]].append(rev)
+            counts[rev[0]] += 1
+            if keep_revisions:
+                owned[rev[0]].append(rev)
 
+        records = []
         for i, rec in enumerate(self.sockpuppet_records):
             if len(rec.member_ids) < 2:
                 raise RecordParseError(*at(2, i), "sockpuppet record needs at least 2 members")
             for member in sorted(rec.member_ids):
                 if member not in by_id:
                     raise ReferentialIntegrityError(member, "record member", *at(2, i))
+            records.append(rec)
 
         by_id = dict(sorted(by_id.items()))
-        counts = {k: len(owned[k]) for k in sorted(owned)}
+        counts = dict(sorted(counts.items()))
         # stable sorts, so full-key ties keep their input order; each owner's
         # list is dropped once its tuple is built
         by_owner = (
             {k: tuple(sorted(owned.pop(k), key=_BY_TIME)) for k in counts}
             if keep_revisions else None
         )
-        records = tuple(
-            sorted(self.sockpuppet_records, key=lambda r: tuple(sorted(r.member_ids)))
-        )
+        records = tuple(sorted(records, key=lambda r: tuple(sorted(r.member_ids))))
         object.__setattr__(self, "accounts", tuple(by_id.values()))
         object.__setattr__(self, "sockpuppet_records", records)
         object.__setattr__(self, "accounts_by_id", by_id)
@@ -315,78 +321,77 @@ def load_corpus(
 ) -> Corpus:
     """Load a corpus from the three line-delimited files.
 
-    Each line is parsed into its record as it is read, so a parse error names
-    the file and line it comes from: bad JSON, a missing field, an id, name,
-    text or member id that is not a string, a time that is not an integer.
-    ``Corpus`` then checks the corpus rules, given the line of each record.
+    ``Corpus`` consumes one lazy reader per file, which parses a line into
+    its record when asked for it, so the first faulty line in reading order
+    (accounts, revisions, records) is the one reported at its file and line:
+    bad JSON, a missing or mistyped field or member id, or a broken rule.
     A record's fields are read and type-checked at once; only a record that
     fails goes through ``_field``, in field order, to name its first bad field.
-    With ``keep_revisions=False`` every revision line is parsed and checked
-    alike, but only its ``(account_id, page_id, timestamp)`` reaches
-    ``Corpus``, which keeps the per-account counts alone.
+    With ``keep_revisions=False`` only each revision's ``(account_id,
+    page_id, timestamp)`` reaches ``Corpus``, which keeps one count per owner.
     """
     intern = sys.intern
-    accounts, account_lines = [], array("I")
-    for p, lineno, obj in _read_jsonl(accounts_path):
-        get = obj.get
-        account_id, username, creation, ban = (
-            get("account_id"), get("username"), get("creation_time"), get("ban_time")
-        )
-        if not (
-            type(account_id) is type(username) is str
-            and type(creation) is int
-            and (ban is None or type(ban) is int)
-        ):
-            account_id, username, creation, ban = (
-                _field(obj, "account_id", str, p, lineno),
-                _field(obj, "username", str, p, lineno),
-                _field(obj, "creation_time", int, p, lineno),
-                _field(obj, "ban_time", int, p, lineno, None),
-            )
-        accounts.append(Account(intern(account_id), username, creation, ban))
-        account_lines.append(lineno)
-
-    revisions, revision_lines = [], array("I")
-    for p, lineno, obj in _read_jsonl(revisions_path):
-        get = obj.get
-        account_id, page_id, timestamp, added, deleted, comment = (
-            get("account_id"), get("page_id"), get("timestamp"),
-            get("added_text", ""), get("deleted_text", ""), get("comment", ""),
-        )
-        if not (
-            type(account_id) is type(page_id) is type(added) is type(deleted)
-            is type(comment) is str
-            and type(timestamp) is int
-        ):
-            account_id, page_id, timestamp, added, deleted, comment = (
-                _field(obj, "account_id", str, p, lineno),
-                _field(obj, "page_id", str, p, lineno),
-                _field(obj, "timestamp", int, p, lineno),
-                _field(obj, "added_text", str, p, lineno, ""),
-                _field(obj, "deleted_text", str, p, lineno, ""),
-                _field(obj, "comment", str, p, lineno, ""),
-            )
-        revisions.append(
-            Revision(intern(account_id), intern(page_id), timestamp, added, deleted, comment)
-            if keep_revisions else (intern(account_id), page_id, timestamp)
-        )
-        revision_lines.append(lineno)
-
-    records, record_lines = [], array("I")
-    for p, lineno, obj in _read_jsonl(records_path):
-        member_ids = _field(obj, "member_ids", list, p, lineno)
-        for member in member_ids:
-            if type(member) is not str:
-                raise RecordParseError(p, lineno, f"member id {member!r} must be a string")
-        records.append(SockpuppetRecord(frozenset(member_ids)))
-        record_lines.append(lineno)
-
-    origin = (
-        (str(accounts_path), account_lines),
-        (str(revisions_path), revision_lines),
-        (str(records_path), record_lines),
+    origin = tuple(
+        (str(path), array("I")) for path in (accounts_path, revisions_path, records_path)
     )
-    return Corpus(tuple(accounts), revisions, tuple(records), origin, keep_revisions)
+    account_lines, revision_lines, record_lines = (lines for _, lines in origin)
+
+    # a line's number is stored before its record is yielded: ``Corpus``
+    # looks it up if that record breaks a rule
+    def accounts() -> Iterator[Account]:
+        for p, lineno, obj in _read_jsonl(accounts_path):
+            get = obj.get
+            account_id, username, creation, ban = (
+                get("account_id"), get("username"), get("creation_time"), get("ban_time")
+            )
+            if not (
+                type(account_id) is type(username) is str
+                and type(creation) is int
+                and (ban is None or type(ban) is int)
+            ):
+                account_id, username, creation, ban = (
+                    _field(obj, "account_id", str, p, lineno),
+                    _field(obj, "username", str, p, lineno),
+                    _field(obj, "creation_time", int, p, lineno),
+                    _field(obj, "ban_time", int, p, lineno, None),
+                )
+            account_lines.append(lineno)
+            yield Account(intern(account_id), username, creation, ban)
+
+    def revisions() -> Iterator[Revision | tuple[str, str, int]]:
+        for p, lineno, obj in _read_jsonl(revisions_path):
+            get = obj.get
+            account_id, page_id, timestamp, added, deleted, comment = (
+                get("account_id"), get("page_id"), get("timestamp"),
+                get("added_text", ""), get("deleted_text", ""), get("comment", ""),
+            )
+            if not (
+                type(account_id) is type(page_id) is type(added) is type(deleted)
+                is type(comment) is str
+                and type(timestamp) is int
+            ):
+                account_id, page_id, timestamp, added, deleted, comment = (
+                    _field(obj, "account_id", str, p, lineno),
+                    _field(obj, "page_id", str, p, lineno),
+                    _field(obj, "timestamp", int, p, lineno),
+                    _field(obj, "added_text", str, p, lineno, ""),
+                    _field(obj, "deleted_text", str, p, lineno, ""),
+                    _field(obj, "comment", str, p, lineno, ""),
+                )
+            revision_lines.append(lineno)
+            yield (Revision(intern(account_id), intern(page_id), timestamp, added, deleted, comment)
+                   if keep_revisions else (intern(account_id), page_id, timestamp))
+
+    def records() -> Iterator[SockpuppetRecord]:
+        for p, lineno, obj in _read_jsonl(records_path):
+            member_ids = _field(obj, "member_ids", list, p, lineno)
+            for member in member_ids:
+                if type(member) is not str:
+                    raise RecordParseError(p, lineno, f"member id {member!r} must be a string")
+            record_lines.append(lineno)
+            yield SockpuppetRecord(frozenset(member_ids))
+
+    return Corpus(accounts(), revisions(), records(), origin, keep_revisions)
 
 
 def _write_corpus(

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import json
 import random
+import tracemalloc
 from itertools import groupby
 from operator import attrgetter
 
@@ -250,6 +251,28 @@ CORRUPTIONS = {
 }
 
 
+# Files with two faults each (a str is a raw line), and the error and
+# (file, line) reported: the first fault in reading order (accounts,
+# revisions, records), whether it is a parse error or a broken rule.
+TWO_FAULTS = {
+    "unknown_owner_before_bad_json": (
+        {"a": GOOD_ACCOUNTS, "s": [GOOD_RECORD],
+         "r": [with_changes(GOOD_REVISION, account_id="X"), GOOD_REVISION, "{nope"]},
+        ReferentialIntegrityError, "r", 1,
+    ),
+    "early_revision_before_bad_members": (
+        {"a": GOOD_ACCOUNTS, "s": [{"member_ids": "12"}, GOOD_RECORD],
+         "r": [GOOD_REVISION, with_changes(GOOD_REVISION, timestamp=4)]},
+        RecordParseError, "r", 2,
+    ),
+    "ban_at_creation_before_bad_json": (
+        {"a": [GOOD_ACCOUNTS[0], with_changes(GOOD_ACCOUNTS[1], ban_time=5)], "s": [GOOD_RECORD],
+         "r": ["{nope", GOOD_REVISION]},
+        RecordParseError, "a", 2,
+    ),
+}
+
+
 class TestCorruption:
     @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
     def test_rejected_at_file_and_line(self, tmp_path, name):
@@ -270,6 +293,23 @@ class TestCorruption:
             assert (err.value.path, err.value.line_number) == (str(path), line)
             assert str(err.value).startswith(f"{path}:{line}: ")
             assert fragment in str(err.value)
+
+    @pytest.mark.parametrize("keep_revisions", [True, False])
+    @pytest.mark.parametrize("name", sorted(TWO_FAULTS))
+    def test_first_faulty_line_in_reading_order_wins(self, tmp_path, name, keep_revisions):
+        # each file is read as it is checked, so a rule broken on an earlier
+        # line is reported before a parse error on a later one
+        parts, error, which, line = TWO_FAULTS[name]
+        paths = dict(zip("ars", corpus_paths(tmp_path)))
+        for key, lines in parts.items():
+            paths[key].write_text(
+                "".join((x if isinstance(x, str) else json.dumps(x)) + "\n" for x in lines),
+                encoding="utf-8",
+            )
+        with pytest.raises(error) as err:
+            load_corpus(*paths.values(), keep_revisions=keep_revisions)
+        assert type(err.value) is error
+        assert (err.value.path, err.value.line_number) == (str(paths[which]), line)
 
     @pytest.mark.parametrize(
         "bad", ['{"child_id":"c2","parent_id":"p"}\x0c', "\xa0"],
@@ -565,6 +605,38 @@ class TestWithoutRevisions:
         assert (light.accounts, light.sockpuppet_records) == (full.accounts, full.sockpuppet_records)
         assert light.revisions_by_account is None and not hasattr(light, "revisions")
         assert light != full
+
+    def test_light_load_memory_does_not_grow_with_revisions(self, tmp_path):
+        # the same corpus with each revision line repeated 8 times (a repeated
+        # revision is valid): a light load keeps a count per owner and no
+        # revision, so its peak grows by the line-number array alone
+        names = ("accounts.jsonl", "revisions.jsonl", "records.jsonl")
+        once, repeated = tmp_path / "once", tmp_path / "repeated"
+        once.mkdir()
+        repeated.mkdir()
+        write_synthetic(SynthConfig(n_groups=12, seed=7), *(once / n for n in names),
+                        once / "pairs.jsonl")
+        for n in names:
+            text = (once / n).read_text(encoding="utf-8")
+            (repeated / n).write_text(text * 8 if n == "revisions.jsonl" else text, encoding="utf-8")
+        n_lines = (once / "revisions.jsonl").read_text(encoding="utf-8").count("\n")
+        assert n_lines == 4203
+
+        def peak(directory):
+            tracemalloc.start()
+            try:
+                corpus = load_corpus(*(directory / n for n in names), keep_revisions=False)
+                return corpus, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # held, so its interned account ids stay: freeing and re-interning
+        # them can resize the interpreter's interned-string table mid-load
+        held = load_corpus(*(once / n for n in names), keep_revisions=False)
+        (_, small), (light, large) = peak(once), peak(repeated)
+        assert light.revision_counts == {k: 8 * v for k, v in held.revision_counts.items()}
+        growth = (large - small) / (7 * n_lines)
+        assert growth < 16, f"{growth:.1f} bytes per added revision line"
 
     def test_reading_revisions_raises(self, tmp_path, tiny_corpus):
         paths = [tmp_path / n for n in ("a.jsonl", "r.jsonl", "s.jsonl")]
