@@ -10,26 +10,30 @@ File formats (UTF-8, one JSON object per line):
 * pairs file:     {"parent_id", "child_id", "group_id"?}
   with no two lines naming one child
 
-Ids and texts are JSON strings and times JSON integers; the reader coerces
-nothing. ``load_corpus`` only parses, a line as ``Corpus`` asks for it, so a
-malformed line fails at its ``file:line``; ``Corpus`` alone checks the seven
-corpus rules (unique ids, no tab or line break in an id, ban after creation,
-known revision owner, no revision before creation, at least 2 distinct record
-members, known members), once each, on each record as it arrives, naming its
-``file:line`` when it was read. Timestamps are integer epoch seconds UTC
-throughout. Loaded corpora are immutable and iterate in a canonical order
-(accounts by id, revisions by (account_id, timestamp, page_id), records by
-sorted member tuple), so a save/load round trip is byte identical. ``Corpus``
-keeps each revision once, under its owner, and builds the revision order per
-owner: one pass groups the revisions by account, each owner's list is sorted
-by (timestamp, page_id), and the owners follow in id order; the sorts are
-stable, so revisions equal in all three keep their input order. Accounts,
-revisions and evasion pairs are named tuples; ``load_corpus`` interns account
-and page ids, so a revision shares its owner's id string and its page's. An
-``EvasionPair`` without a group id holds ``None``, as its line has no key.
-``load_corpus(..., keep_revisions=False)`` parses and checks every revision
-line alike but keeps only each owner's count of them, for the commands
-that read no revision field (``ingest`` without ``--out-dir``,
+Ids and texts are JSON strings and times JSON integers; nothing is coerced.
+``load_corpus`` only parses, a line as ``Corpus`` asks for it, so bad JSON
+fails at its ``file:line``. ``Corpus`` alone checks each record: first its
+field types (exactly ``str`` or ``int``, so a bool is no time; a ban time may
+be ``None``), then the seven corpus rules (unique ids, no tab or line break
+in an id, ban after creation, known revision owner, no revision before
+creation, at least 2 distinct record members, known members), once each, on
+each record as it arrives, naming its ``file:line`` when it was read. A corpus
+built in memory gets the same checks and messages, without a location, so
+whatever ``Corpus`` accepts, ``save_corpus`` writes and ``load_corpus`` reads
+back. Timestamps are integer epoch seconds UTC throughout. Corpora are
+immutable and iterate in a canonical order (accounts by id, revisions by
+(account_id, timestamp, page_id), records by sorted member tuple), so a
+save/load round trip is byte identical. ``Corpus`` keeps each revision once,
+under its owner, and builds the revision order per owner: one pass groups the
+revisions by account, each owner's list is sorted by (timestamp, page_id),
+and the owners follow in id order; the sorts are stable, so revisions equal
+in all three keep their input order. Accounts, revisions and evasion pairs
+are named tuples; ``Corpus`` builds each account and revision it keeps and
+interns account and page ids, so a revision shares its owner's id string and
+its page's. An ``EvasionPair`` without a group id holds ``None``, as its line
+has no key. ``load_corpus(..., keep_revisions=False)`` parses and checks
+every revision line alike but keeps only each owner's count of them, for the
+commands that read no revision field (``ingest`` without ``--out-dir``,
 ``extract-pairs``, ``match``).
 
 Output contract of the synthetic generator: its corpus bytes depend only on
@@ -55,7 +59,6 @@ import json
 import math
 import random
 import sys
-from array import array
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import InitVar, dataclass, field
@@ -126,19 +129,20 @@ class Corpus:
 
     ``accounts``, ``revisions`` and ``sockpuppet_records`` may be any
     iterables, each consumed once, in that order, each item checked as it
-    comes. ``revisions`` is an input only: each revision, or in a light load
-    (``keep_revisions=False``) just each revision's ``(account_id, page_id,
-    timestamp)``, which the rules read. Each revision is kept once, in
+    comes: an account's or revision's fields, in field order (``_MISSING``
+    stands for an absent one), and a record's ``member_ids``, any iterable of
+    ids. Each account, revision and record kept is built here from the checked
+    values. ``revisions`` is an input only: each revision is kept once, in
     ``revisions_by_account``, which maps each account with revisions, in id
     order, to its revisions in canonical order; ``revision_counts`` maps the
-    same accounts to their numbers. A light load keeps the counts alone:
-    ``revisions_by_account`` is None, and ``revisions_of`` raises
-    ``RevisionsNotLoadedError``, so such a corpus never passes for one without
-    revisions.
+    same accounts to their numbers. A light load (``keep_revisions=False``)
+    keeps the counts alone: ``revisions_by_account`` is None, and
+    ``revisions_of`` raises ``RevisionsNotLoadedError``, so such a corpus
+    never passes for one without revisions.
     """
 
     accounts: tuple[Account, ...]
-    revisions: InitVar[Iterable[Revision] | Iterable[tuple[str, str, int]]]
+    revisions: InitVar[Iterable[Revision]]
     sockpuppet_records: tuple[SockpuppetRecord, ...]
     accounts_by_id: dict[str, Account] = field(init=False, repr=False, compare=False)
     # compared (two full corpora differ by any revision, two corpora without
@@ -147,59 +151,83 @@ class Corpus:
         init=False, repr=False, hash=False
     )
     revision_counts: dict[str, int] = field(init=False, repr=False, hash=False)
-    # Where the accounts, revisions and records were read: one (path, line
-    # numbers) pair each, so an error names its file and line.
-    _origin: InitVar[tuple[tuple[str, Sequence[int]], ...] | None] = None
+    # The [path, line number] of the item being checked, which the reader
+    # sets as it yields each line's item, so an error names its file and line.
+    _where: InitVar[list | None] = None
     keep_revisions: InitVar[bool] = True
 
-    def __post_init__(self, revisions, _origin, keep_revisions):
-        def at(part: int, index: int) -> tuple[str | None, int | None]:
-            if _origin is None:
-                return None, None
-            path, lines = _origin[part]
-            return path, lines[index]
-
-        # Each rule is checked here only, on each item as it arrives.
+    def __post_init__(self, revisions, _where, keep_revisions):
+        where = _where or (None, None)
+        intern = sys.intern
+        # Each type and rule is checked here only, on each item as it
+        # arrives: the types first, and only a miss of the exact-type test
+        # goes through ``_field``, in field order, to name the first bad one.
         by_id: dict[str, Account] = {}
-        for i, acct in enumerate(self.accounts):
-            if acct.account_id in by_id:
-                raise RecordParseError(*at(0, i), f"duplicate account id {acct.account_id!r}")
+        for account_id, username, creation, ban in self.accounts:
+            if not (
+                type(account_id) is type(username) is str
+                and type(creation) is int
+                and (ban is None or type(ban) is int)
+            ):
+                _field(account_id, "account_id", str, where)
+                _field(username, "username", str, where)
+                _field(creation, "creation_time", int, where)
+                _field(ban, "ban_time", int, where, nullable=True)
+            if account_id in by_id:
+                raise RecordParseError(*where, f"duplicate account id {account_id!r}")
             # a samples file holds ids in tab-separated lines
-            if not _ID_BREAKS.isdisjoint(acct.account_id):
+            if not _ID_BREAKS.isdisjoint(account_id):
                 raise RecordParseError(
-                    *at(0, i), f"account id {acct.account_id!r} holds a tab or line break"
+                    *where, f"account id {account_id!r} holds a tab or line break"
                 )
-            if acct.ban_time is not None and acct.ban_time <= acct.creation_time:
+            if ban is not None and ban <= creation:
                 raise RecordParseError(
-                    *at(0, i),
-                    f"account {acct.account_id!r}: ban_time must be after creation_time",
+                    *where, f"account {account_id!r}: ban_time must be after creation_time"
                 )
-            by_id[acct.account_id] = acct
+            account_id = intern(account_id)
+            by_id[account_id] = Account(account_id, username, creation, ban)
 
-        # rev[0], rev[1], rev[2]: a revision's account_id, page_id and
-        # timestamp; a light load counts each owner's revisions and keeps none
+        # a light load counts each owner's revisions and keeps none
         counts: defaultdict[str, int] = defaultdict(int)
         owned: defaultdict[str, list[Revision]] = defaultdict(list)
-        for i, rev in enumerate(revisions):
-            owner = by_id.get(rev[0])
+        for account_id, page_id, timestamp, added, deleted, comment in revisions:
+            if not (
+                type(account_id) is type(page_id) is type(added) is type(deleted)
+                is type(comment) is str
+                and type(timestamp) is int
+            ):
+                _field(account_id, "account_id", str, where)
+                _field(page_id, "page_id", str, where)
+                _field(timestamp, "timestamp", int, where)
+                _field(added, "added_text", str, where)
+                _field(deleted, "deleted_text", str, where)
+                _field(comment, "comment", str, where)
+            owner = by_id.get(account_id)
             if owner is None:
-                raise ReferentialIntegrityError(rev[0], "revision owner", *at(1, i))
-            if rev[2] < owner.creation_time:
+                raise ReferentialIntegrityError(account_id, "revision owner", *where)
+            if timestamp < owner.creation_time:
                 raise RecordParseError(
-                    *at(1, i), f"revision on {rev[1]!r} predates creation of {rev[0]!r}"
+                    *where, f"revision on {page_id!r} predates creation of {account_id!r}"
                 )
-            counts[rev[0]] += 1
+            account_id = owner.account_id
+            counts[account_id] += 1
             if keep_revisions:
-                owned[rev[0]].append(rev)
+                owned[account_id].append(
+                    Revision(account_id, intern(page_id), timestamp, added, deleted, comment)
+                )
 
         records = []
-        for i, rec in enumerate(self.sockpuppet_records):
-            if len(rec.member_ids) < 2:
-                raise RecordParseError(*at(2, i), "sockpuppet record needs at least 2 members")
-            for member in sorted(rec.member_ids):
+        for rec in self.sockpuppet_records:
+            for member in rec.member_ids:
+                if type(member) is not str:
+                    raise RecordParseError(*where, f"member id {member!r} must be a string")
+            members = frozenset(rec.member_ids)
+            if len(members) < 2:
+                raise RecordParseError(*where, "sockpuppet record needs at least 2 members")
+            for member in sorted(members):
                 if member not in by_id:
-                    raise ReferentialIntegrityError(member, "record member", *at(2, i))
-            records.append(rec)
+                    raise ReferentialIntegrityError(member, "record member", *where)
+            records.append(SockpuppetRecord(members))
 
         by_id = dict(sorted(by_id.items()))
         counts = dict(sorted(counts.items()))
@@ -271,10 +299,10 @@ _WRONG_KIND = {
 }
 
 
-def _read_jsonl(path: str | Path) -> Iterator[tuple[str, int, dict]]:
-    """Yield ``(path, line number, object)`` for each line that holds more
-    than JSON whitespace."""
-    p = str(path)
+def _read_jsonl(path: str | Path, where: list) -> Iterator[dict]:
+    """Yield the object on each line that holds more than JSON whitespace,
+    with ``where`` set to that line's ``[path, line number]``."""
+    where[0] = p = str(path)
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip(_JSON_SPACE)
@@ -291,7 +319,8 @@ def _read_jsonl(path: str | Path) -> Iterator[tuple[str, int, dict]]:
                     raise RecordParseError(p, lineno, f"bad JSON: {exc.msg}") from None
             if not isinstance(obj, dict):
                 raise RecordParseError(p, lineno, "expected a JSON object")
-            yield p, lineno, obj
+            where[1] = lineno
+            yield obj
 
 
 def _write_jsonl(path: str | Path, objects: Iterable[dict]) -> None:
@@ -301,15 +330,15 @@ def _write_jsonl(path: str | Path, objects: Iterable[dict]) -> None:
             fh.write(_encode(obj) + "\n")
 
 
-def _field(obj: dict, key: str, kind: type, path: str, lineno: int, default=_MISSING):
-    """``obj[key]``, which must be exactly of ``kind`` (so a bool is no
-    integer); an absent key gives ``default`` and is an error without one."""
-    value = obj.get(key, default)
-    if type(value) is kind or (value is default and default is not _MISSING):
+def _field(value, key: str, kind: type, where: Sequence, nullable: bool = False):
+    """``value``, the field ``key`` of the record at ``where``, which must be
+    exactly of ``kind`` (so a bool is no integer) or, if ``nullable``, None;
+    ``_MISSING`` stands for an absent key."""
+    if type(value) is kind or (nullable and value is None):
         return value
     if value is _MISSING:
-        raise RecordParseError(path, lineno, f"missing field {key!r}")
-    raise RecordParseError(path, lineno, _WRONG_KIND[kind].format(key))
+        raise RecordParseError(*where, f"missing field {key!r}")
+    raise RecordParseError(*where, _WRONG_KIND[kind].format(key))
 
 
 @_gc_paused()
@@ -321,77 +350,33 @@ def load_corpus(
 ) -> Corpus:
     """Load a corpus from the three line-delimited files.
 
-    ``Corpus`` consumes one lazy reader per file, which parses a line into
-    its record when asked for it, so the first faulty line in reading order
-    (accounts, revisions, records) is the one reported at its file and line:
-    bad JSON, a missing or mistyped field or member id, or a broken rule.
-    A record's fields are read and type-checked at once; only a record that
-    fails goes through ``_field``, in field order, to name its first bad field.
-    With ``keep_revisions=False`` only each revision's ``(account_id,
-    page_id, timestamp)`` reaches ``Corpus``, which keeps one count per owner.
+    ``Corpus`` consumes one lazy reader per file, which parses a line when
+    asked for it, so the first faulty line in reading order (accounts,
+    revisions, records) is the one reported at its file and line: bad JSON,
+    a missing or mistyped field or member id, or a broken rule. A reader
+    checks no type but ``member_ids`` being an array (a string would give a
+    record of its characters): it hands ``Corpus`` each account's and
+    revision's field values, a default or ``_MISSING`` for an absent key, and
+    each record's member list, and sets the shared ``where`` to the line's
+    file and number as it does. With ``keep_revisions=False`` ``Corpus``
+    keeps only each owner's count of revisions.
     """
-    intern = sys.intern
-    origin = tuple(
-        (str(path), array("I")) for path in (accounts_path, revisions_path, records_path)
+    where = [None, None]
+    accounts = (
+        (o.get("account_id", _MISSING), o.get("username", _MISSING),
+         o.get("creation_time", _MISSING), o.get("ban_time"))
+        for o in _read_jsonl(accounts_path, where)
     )
-    account_lines, revision_lines, record_lines = (lines for _, lines in origin)
-
-    # a line's number is stored before its record is yielded: ``Corpus``
-    # looks it up if that record breaks a rule
-    def accounts() -> Iterator[Account]:
-        for p, lineno, obj in _read_jsonl(accounts_path):
-            get = obj.get
-            account_id, username, creation, ban = (
-                get("account_id"), get("username"), get("creation_time"), get("ban_time")
-            )
-            if not (
-                type(account_id) is type(username) is str
-                and type(creation) is int
-                and (ban is None or type(ban) is int)
-            ):
-                account_id, username, creation, ban = (
-                    _field(obj, "account_id", str, p, lineno),
-                    _field(obj, "username", str, p, lineno),
-                    _field(obj, "creation_time", int, p, lineno),
-                    _field(obj, "ban_time", int, p, lineno, None),
-                )
-            account_lines.append(lineno)
-            yield Account(intern(account_id), username, creation, ban)
-
-    def revisions() -> Iterator[Revision | tuple[str, str, int]]:
-        for p, lineno, obj in _read_jsonl(revisions_path):
-            get = obj.get
-            account_id, page_id, timestamp, added, deleted, comment = (
-                get("account_id"), get("page_id"), get("timestamp"),
-                get("added_text", ""), get("deleted_text", ""), get("comment", ""),
-            )
-            if not (
-                type(account_id) is type(page_id) is type(added) is type(deleted)
-                is type(comment) is str
-                and type(timestamp) is int
-            ):
-                account_id, page_id, timestamp, added, deleted, comment = (
-                    _field(obj, "account_id", str, p, lineno),
-                    _field(obj, "page_id", str, p, lineno),
-                    _field(obj, "timestamp", int, p, lineno),
-                    _field(obj, "added_text", str, p, lineno, ""),
-                    _field(obj, "deleted_text", str, p, lineno, ""),
-                    _field(obj, "comment", str, p, lineno, ""),
-                )
-            revision_lines.append(lineno)
-            yield (Revision(intern(account_id), intern(page_id), timestamp, added, deleted, comment)
-                   if keep_revisions else (intern(account_id), page_id, timestamp))
-
-    def records() -> Iterator[SockpuppetRecord]:
-        for p, lineno, obj in _read_jsonl(records_path):
-            member_ids = _field(obj, "member_ids", list, p, lineno)
-            for member in member_ids:
-                if type(member) is not str:
-                    raise RecordParseError(p, lineno, f"member id {member!r} must be a string")
-            record_lines.append(lineno)
-            yield SockpuppetRecord(frozenset(member_ids))
-
-    return Corpus(accounts(), revisions(), records(), origin, keep_revisions)
+    revisions = (
+        (o.get("account_id", _MISSING), o.get("page_id", _MISSING), o.get("timestamp", _MISSING),
+         o.get("added_text", ""), o.get("deleted_text", ""), o.get("comment", ""))
+        for o in _read_jsonl(revisions_path, where)
+    )
+    records = (
+        SockpuppetRecord(_field(o.get("member_ids", _MISSING), "member_ids", list, where))
+        for o in _read_jsonl(records_path, where)
+    )
+    return Corpus(accounts, revisions, records, where, keep_revisions)
 
 
 def _write_corpus(
@@ -408,45 +393,26 @@ def _write_corpus(
     order, give the canonical files. ``records`` is read only after the last
     block, so a generator may fill it while its blocks are drawn. Each account
     and revision line is formatted directly, with sorted keys and strings
-    escaped by ``_quote``, which is the line ``_encode`` gives. A record with
-    a field not exactly of its type (an id, name or text that is not a
-    ``str``, a time that is not an ``int``, a ban time neither ``None`` nor an
-    ``int``), which a corpus built in memory can hold, goes through
-    ``_encode`` itself.
+    escaped by ``_quote``: for the exact field types ``Corpus`` checks (and
+    the generator draws), that is the line ``_encode`` gives.
     """
     n_accounts = n_revisions = 0
     with open(accounts_path, "w", encoding="utf-8") as accounts_fh, \
             open(revisions_path, "w", encoding="utf-8") as revisions_fh:
         write_account, write_revision = accounts_fh.write, revisions_fh.write
-        for a, revisions in blocks:
-            account_id, username, creation, ban = a
-            if (
-                type(account_id) is type(username) is str
-                and type(creation) is int
-                and (ban is None or type(ban) is int)
-            ):
-                write_account(
-                    f'{{"account_id":{_quote(account_id)},'
-                    f'"ban_time":{"null" if ban is None else ban},'
-                    f'"creation_time":{creation},"username":{_quote(username)}}}\n'
-                )
-            else:
-                write_account(_encode(a._asdict()) + "\n")
+        for (account_id, username, creation, ban), revisions in blocks:
+            write_account(
+                f'{{"account_id":{_quote(account_id)},'
+                f'"ban_time":{"null" if ban is None else ban},'
+                f'"creation_time":{creation},"username":{_quote(username)}}}\n'
+            )
             n_accounts += 1
-            for r in revisions:
-                account_id, page_id, timestamp, added, deleted, comment = r
-                if (
-                    type(account_id) is type(page_id) is type(added) is type(deleted)
-                    is type(comment) is str
-                    and type(timestamp) is int
-                ):
-                    write_revision(
-                        f'{{"account_id":{_quote(account_id)},"added_text":{_quote(added)},'
-                        f'"comment":{_quote(comment)},"deleted_text":{_quote(deleted)},'
-                        f'"page_id":{_quote(page_id)},"timestamp":{timestamp}}}\n'
-                    )
-                else:
-                    write_revision(_encode(r._asdict()) + "\n")
+            for account_id, page_id, timestamp, added, deleted, comment in revisions:
+                write_revision(
+                    f'{{"account_id":{_quote(account_id)},"added_text":{_quote(added)},'
+                    f'"comment":{_quote(comment)},"deleted_text":{_quote(deleted)},'
+                    f'"page_id":{_quote(page_id)},"timestamp":{timestamp}}}\n'
+                )
             n_revisions += len(revisions)
     _write_jsonl(
         records_path,
@@ -498,15 +464,15 @@ def load_pairs(path: str | Path, corpus: Corpus | None = None) -> list[EvasionPa
     with or without it, so does a line naming a child an earlier line names,
     since a child has one parent.
     """
-    pairs, children = [], set()
-    for p, lineno, obj in _read_jsonl(path):
-        parent_id = _field(obj, "parent_id", str, p, lineno)
-        child_id = _field(obj, "child_id", str, p, lineno)
-        group_id = _field(obj, "group_id", int, p, lineno, None)
+    pairs, children, where = [], set(), [None, None]
+    for obj in _read_jsonl(path, where):
+        parent_id = _field(obj.get("parent_id", _MISSING), "parent_id", str, where)
+        child_id = _field(obj.get("child_id", _MISSING), "child_id", str, where)
+        group_id = _field(obj.get("group_id"), "group_id", int, where, nullable=True)
         if corpus is not None:
-            _check_pair(corpus, parent_id, child_id, p, lineno)
+            _check_pair(corpus, parent_id, child_id, *where)
         if child_id in children:
-            raise RecordParseError(p, lineno, f"child {child_id!r} is named by an earlier line")
+            raise RecordParseError(*where, f"child {child_id!r} is named by an earlier line")
         children.add(child_id)
         pairs.append(EvasionPair(parent_id, child_id, group_id))
     return pairs

@@ -16,7 +16,7 @@ Pair rows (fixed name order, one shape):
   embedding_cosine, profile_abs_diff, sentiment_abs_diff
 
 Calendar fields use -1 as the sentinel for absent bans, paired with the
-is_banned indicator. When ``k_limit`` is given, only the other account's
+is_banned indicator. When ``k_edits`` is given, only the other account's
 first k revisions contribute to the pair row; the parent side is never
 truncated. Task 2 cuts the five child-ban columns by name: at
 early-detection time the other account's ban does not exist yet.
@@ -141,10 +141,10 @@ class Digests:
         self.provider = provider or HashedTrigramProvider()
         self._built: dict[tuple[str, int], AccountDigest] = {}
 
-    def of(self, account_id: str, k_limit: int | None = None) -> AccountDigest:
-        """The digest of ``account_id``'s first ``k_limit`` (default all) revisions."""
+    def of(self, account_id: str, k_edits: int | None = None) -> AccountDigest:
+        """The digest of ``account_id``'s first ``k_edits`` (default all) revisions."""
         revisions = self.corpus.revisions_of(account_id)
-        n = len(revisions) if k_limit is None else min(k_limit, len(revisions))
+        n = len(revisions) if k_edits is None else min(k_edits, len(revisions))
         key = (account_id, n)
         digest = self._built.get(key)
         if digest is None:
@@ -241,17 +241,16 @@ def _combine(parent: AccountDigest, other: AccountDigest) -> list[float]:
 def pair_vectors(
     digests: Digests,
     id_pairs: Iterable[tuple[str, str]],
-    k_limit: int | None = None,
+    k_edits: int | None = None,
 ) -> tuple[tuple[str, ...], np.ndarray]:
     """The similarity row of each (banned parent, candidate successor) id pair,
-    over the other account's first ``k_limit`` (default all) revisions;
-    raises ``InvalidConfigError`` naming ``k_edits``, the option ``k_limit``
-    comes from, when it is below 1."""
-    if k_limit is not None:
-        check_counts(k_edits=k_limit)
+    over the other account's first ``k_edits`` (default all) revisions;
+    raises ``InvalidConfigError`` when ``k_edits`` is below 1."""
+    if k_edits is not None:
+        check_counts(k_edits=k_edits)
     return _matrix(
         _PAIR_HEAD + _PAIR_CHILD_BAN + _PAIR_TAIL,
-        [_combine(digests.of(p), digests.of(o, k_limit)) for p, o in id_pairs],
+        [_combine(digests.of(p), digests.of(o, k_edits)) for p, o in id_pairs],
     )
 
 
@@ -264,7 +263,7 @@ def task_vectors(task: Task, samples: Sequence[LabeledSample], digests: Digests,
         return account_vectors(digests, [s.other_id for s in samples])
     keys = [(s.parent_id, s.other_id) for s in samples]
     if task.name == TASK2:
-        names, X = pair_vectors(digests, keys, k_limit=k_edits)
+        names, X = pair_vectors(digests, keys, k_edits=k_edits)
         keep = [i for i, name in enumerate(names) if name not in _PAIR_CHILD_BAN]
         # the cut is Fortran-ordered, whose column sums move the model's last digits
         return tuple(names[i] for i in keep), np.ascontiguousarray(X[:, keep])

@@ -74,7 +74,7 @@ def test_never_banned_account_named(call, account_id):
         ("train_fraction", lambda: check_train_fraction(1.0)),
         ("embedding_provider", lambda: get_provider("bogus")),
         ("k", lambda: recall_at_k([1], 0)),
-        ("k_edits", lambda: pair_vectors(Digests(CORPUS), [], k_limit=0)),
+        ("k_edits", lambda: pair_vectors(Digests(CORPUS), [], k_edits=0)),
         ("max_candidates", lambda: run_ranking(Digests(CORPUS), [PAIR], max_candidates=0)),
         ("outlier_days", lambda: characterize(Digests(CORPUS), [PAIR], outlier_days=-5.0)),
         ("a", lambda: regularized_incomplete_beta(0.0, 1.0, 0.5)),

@@ -106,7 +106,7 @@ class TestAccountFeatures:
 
 
 class TestPairFeatures:
-    def pair(self, k_limit=None, **overrides):
+    def pair(self, k_edits=None, **overrides):
         """The row of the pair (p, c), keyed by column name."""
         parent = overrides.get("parent", account("p", 0, ban=1000))
         parent_revs = overrides.get(
@@ -124,7 +124,7 @@ class TestPairFeatures:
                 for r in parent_revs
             ]
         digests = Digests(corpus_of([parent, other], [*parent_revs, *other_revs]))
-        names, X = pair_vectors(digests, [("p", "c")], k_limit)
+        names, X = pair_vectors(digests, [("p", "c")], k_edits)
         return dict(zip(names, X[0].tolist()))
 
     def test_self_pair_identity(self):
@@ -160,13 +160,13 @@ class TestPairFeatures:
             revision("c", "page-a", 2000, added="alpha beta"),
             revision("c", "page-zz", 2100, added="totally different"),
         ]
-        vec = self.pair(k_limit=1, parent_revs=parent_revs, other_revs=other_revs)
+        vec = self.pair(k_edits=1, parent_revs=parent_revs, other_revs=other_revs)
         assert vec["page_jaccard"] == 1.0
         assert vec["added_unigram_jaccard"] == 1.0
 
     def test_large_k_limit_equals_unlimited(self):
-        a = self.pair(k_limit=None)
-        b = self.pair(k_limit=10_000)
+        a = self.pair(k_edits=None)
+        b = self.pair(k_edits=10_000)
         assert list(a) == list(b)
         assert list(a.values()) == list(b.values())
 
@@ -360,8 +360,8 @@ class TestDigests:
         digests = Digests(corpus, provider=provider)
         has_text = {}
         for a in corpus.accounts:
-            for k_limit in (None, DEFAULT_K_EDITS):
-                n = digests.of(a.account_id, k_limit).revision_count
+            for k_edits in (None, DEFAULT_K_EDITS):
+                n = digests.of(a.account_id, k_edits).revision_count
                 revisions = corpus.revisions_of(a.account_id)[:n]
                 has_text[a.account_id, n] = any(r.added_text for r in revisions)
         assert 0 < provider.calls == sum(has_text.values())
@@ -385,7 +385,7 @@ class TestDigests:
 
     def test_config_variant_with_same_text_resources_accepted(self):
         corpus = TestPairVectors().corpus()
-        names, (row,) = pair_vectors(Digests(corpus), [("x", "y")], k_limit=2)
+        names, (row,) = pair_vectors(Digests(corpus), [("x", "y")], k_edits=2)
         expected_names, expected = pair_vectors(
             Digests(truncated_corpus(corpus, "y", 2)), [("x", "y")]
         )
