@@ -35,7 +35,7 @@ from .errors import (
 )
 from .evaluation import render_report_text
 from .features import Digests, account_vectors, pair_vectors
-from .matching import NEGATIVE
+from .matching import NEGATIVE, check_options
 from .pairing import classify_success
 from .textstats import normalized_levenshtein
 
@@ -44,12 +44,6 @@ _BETACF_TOL = 1e-12
 _FPMIN = 1e-300
 
 DEFAULT_OUTLIER_DAYS = 1000.0
-
-
-def check_outlier_days(outlier_days: float) -> None:
-    """Raise ``InvalidConfigError`` unless ``outlier_days`` is finite and > 0."""
-    if not 0 < outlier_days < math.inf:
-        raise InvalidConfigError("outlier_days", "must be finite and > 0")
 
 
 def _betacf(a: float, b: float, x: float) -> float:
@@ -255,7 +249,7 @@ def characterize(
     than raising. The corpus, the lexicon and every account and pair row
     come from ``digests``.
     """
-    check_outlier_days(outlier_days)
+    check_options(outlier_days=outlier_days)
     corpus = digests.corpus
     lexicon = digests.lexicon
 
@@ -406,19 +400,15 @@ def write_analysis(report: dict, out_dir) -> None:
     write_tables(report, out_dir / "tables")
 
 
-def write_tables(report: dict, out_dir) -> list[str]:
-    """Write each plot-ready table as a CSV file; returns the paths."""
+def write_tables(report: dict, out_dir) -> None:
+    """Write each plot-ready table as a CSV file."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
     for name, table in sorted(report.get("tables", {}).items()):
-        path = out_dir / f"{name}.csv"
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(out_dir / f"{name}.csv", "w", encoding="utf-8") as fh:
             fh.write(",".join(table["columns"]) + "\n")
             for row in table["rows"]:
                 fh.write(",".join(_csv_cell(cell) for cell in row) + "\n")
-        written.append(str(path))
-    return written
 
 
 def _csv_cell(value) -> str:

@@ -11,18 +11,21 @@ the command runs: explicit flag > environment variable (``BANEVASION_<NAME>``)
 > config file (flat ``key = value`` lines via --config; a key no command
 reads is rejected), cast by the flag's own type. A bad value names its
 variable or ``file:line``. An option nothing sets stays ``None`` and is not
-passed on, so the library's own default holds. Each command builds the
-library inputs of its options, checking each value, before it opens an input
-file; an option its task ignores is checked too. All outputs are
-byte-identical given identical inputs, seeds and BLAS thread count (OpenBLAS
-orders the model layer's sums by thread count at some shapes); nothing embeds
-wall-clock time. The feature, text, model, evaluation and analysis layers are
-imported inside the commands that use them, so generate, ingest,
-extract-pairs and match load no numpy. Commands that read no revision field
-(``ingest`` without ``--out-dir``, ``extract-pairs`` and ``match``) load the
-corpus with ``keep_revisions=False``: every revision line is still parsed and
-checked, but only the per-account counts are kept. ``generate`` writes each
-account's lines as it is drawn and builds no ``Corpus``.
+passed on, so the library's own default holds. ``resolve`` checks each value
+whose option ``matching.OPTION_BOUNDS`` bounds as it reads it, in the
+command's option order; each command then builds its other library inputs
+(generator and model configs, text resources), which check their own values,
+before it opens an input file. An option its task ignores is checked too.
+All outputs are byte-identical given identical inputs, seeds and BLAS thread
+count (OpenBLAS orders the model layer's sums by thread count at some
+shapes); nothing embeds wall-clock time. The feature, text, model, evaluation
+and analysis layers are imported inside the commands that use them, so
+generate, ingest, extract-pairs and match load no numpy. Commands that read
+no revision field (``ingest`` without ``--out-dir``, ``extract-pairs`` and
+``match``) load the corpus with ``keep_revisions=False``: every revision line
+is still parsed and checked, but only the per-account counts are kept.
+``generate`` writes each account's lines as it is drawn and builds no
+``Corpus``.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import logging
-import math
 import os
 import sys
 from dataclasses import asdict, fields
@@ -100,7 +102,9 @@ def _cast(cast, text: str, source: str):
 def resolve(args: argparse.Namespace) -> argparse.Namespace:
     """The options the running command declares, each one the command line
     left unset taken from ``BANEVASION_<NAME>``, else from the --config file,
-    else ``None``. ``--cap``/``--k-edits`` on the command line need task 2."""
+    else ``None``. ``--cap``/``--k-edits`` on the command line need task 2.
+    Each value of an option in ``matching.OPTION_BOUNDS`` is checked as it is
+    read, so no command opens an input before its bounded options pass."""
     task = getattr(args, "task", None)
     for name in ("cap", "k_edits"):
         if task not in (None, "2") and getattr(args, name, None) is not None:
@@ -114,6 +118,8 @@ def resolve(args: argparse.Namespace) -> argparse.Namespace:
         elif value is None and name in file_values:
             lineno, text = file_values[name]
             value = _cast(cast, text, f"{args.config}:{lineno}")
+        if value is not None and name in matching_mod.OPTION_BOUNDS:
+            matching_mod.check_options(**{name: value})
         spec[name] = value
     return argparse.Namespace(**spec)
 
@@ -179,24 +185,11 @@ def _train_config(opts) -> TrainConfig:
     return TrainConfig(**_given(opts, l2_lambda="l2", max_epochs="max_epochs"))
 
 
-def _counts(opts, *names: str) -> dict:
-    """``{name: value}`` of each count option ``names`` lists that ``opts``
-    sets, each checked to be >= 1."""
-    given = _given(opts, **{name: name for name in names})
-    matching_mod.check_counts(**given)
-    return given
-
-
-def _harness_options(opts, *counts: str, **params: str) -> dict:
-    """The ``train_config``, and where set the checked ``train_fraction`` and
-    ``counts`` and the options ``params`` names, of a task or ranking run."""
-    from .evaluation import check_train_fraction
-
-    given = {"train_config": _train_config(opts), **_counts(opts, *counts),
-             **_given(opts, train_fraction="train_fraction", **params)}
-    if "train_fraction" in given:
-        check_train_fraction(given["train_fraction"])
-    return given
+def _harness_options(opts, **params: str) -> dict:
+    """The ``train_config``, and where set ``train_fraction`` and the options
+    ``params`` names, of a task or ranking run."""
+    return {"train_config": _train_config(opts),
+            **_given(opts, train_fraction="train_fraction", **params)}
 
 
 def _load_corpus(opts, keep_revisions: bool = True):
@@ -206,23 +199,10 @@ def _load_corpus(opts, keep_revisions: bool = True):
 
 
 def _match_options(opts) -> dict:
-    """``Task.match``'s window, cap and seed, where ``opts`` sets them, checked."""
-    given = {**_counts(opts, "cap"), **_given(opts, seed="seed")}
+    """``Task.match``'s window, cap and seed, where ``opts`` sets them."""
+    given = _given(opts, cap="cap", seed="seed")
     if opts.window_days is not None:
-        seconds = opts.window_days * corpus_mod.DAY_SECONDS
-        if not 0 <= seconds < math.inf:
-            raise InvalidConfigError("window_days", "must be >= 0 and finite in seconds")
-        given["window_seconds"] = int(seconds)
-    return given
-
-
-def _analysis_options(opts) -> dict:
-    """``characterize``'s ``outlier_days``, where ``opts`` sets it, checked."""
-    from .analysis import check_outlier_days
-
-    given = _given(opts, outlier_days="outlier_days")
-    if given:
-        check_outlier_days(**given)
+        given["window_seconds"] = int(opts.window_days * corpus_mod.DAY_SECONDS)
     return given
 
 
@@ -304,7 +284,6 @@ def cmd_featurize(opts) -> int:
 
     task = matching_mod.TASKS[opts.task]
     resources = _text_resources(opts)
-    vector_options = _counts(opts, "k_edits")
     corpus = _load_corpus(opts)
     path = opts.samples
     samples = matching_mod.read_samples(path)
@@ -320,7 +299,7 @@ def cmd_featurize(opts) -> int:
     # the rows in ``temporal_order``, as ``evaluate`` fits them: ``train --rfe``
     # holds out the trailing rows, the latest anchors, to choose its features
     ordered, names, X, labels = sample_matrix(
-        task, samples, Digests(corpus, **resources), **vector_options
+        task, samples, Digests(corpus, **resources), **_given(opts, k_edits="k_edits")
     )
     ids = [f"{s.parent_id}|{s.other_id}" for s in ordered]
     write_feature_matrix(opts.out, ids, labels, names, X)
@@ -351,7 +330,7 @@ def cmd_evaluate(opts) -> int:
 
     task = matching_mod.TASKS[opts.task]
     match_options = _match_options(opts)
-    task_options = _harness_options(opts, "k_edits", use_rfe="rfe")
+    task_options = _harness_options(opts, k_edits="k_edits", use_rfe="rfe")
     resources = _text_resources(opts)
     corpus = _load_corpus(opts)
     samples = list(task.match(corpus, _pairs_from_file_or_corpus(opts, corpus), **match_options))
@@ -370,7 +349,7 @@ def cmd_rank(opts) -> int:
     from .features import Digests
     from .model import save_model
 
-    ranking_options = _harness_options(opts, "max_candidates")
+    ranking_options = _harness_options(opts, max_candidates="max_candidates")
     resources = _text_resources(opts)
     corpus = _load_corpus(opts)
     pairs = _pairs_from_file_or_corpus(opts, corpus)
@@ -389,12 +368,12 @@ def cmd_analyze(opts) -> int:
 
     match_options = _match_options(opts)
     resources = _text_resources(opts)
-    analysis_options = _analysis_options(opts)
     corpus = _load_corpus(opts)
     pairs = _pairs_from_file_or_corpus(opts, corpus)
     task1, task3 = (list(matching_mod.TASKS[n].match(corpus, pairs, **match_options))
                     for n in "13")
-    report = characterize(Digests(corpus, **resources), pairs, task1, task3, **analysis_options)
+    report = characterize(Digests(corpus, **resources), pairs, task1, task3,
+                          **_given(opts, outlier_days="outlier_days"))
     out_dir = Path(opts.out_dir)
     write_analysis(report, out_dir)
     print(f"analysis -> {out_dir}")
@@ -412,9 +391,9 @@ def cmd_reproduce(opts) -> int:
     synth = _synth_config(opts)
     resources = _text_resources(opts)
     match_options = _match_options(opts)
-    task_options = _harness_options(opts, "k_edits", use_rfe="rfe")
-    ranking_options = _harness_options(opts, "max_candidates")
-    analysis_options = _analysis_options(opts)
+    task_options = _harness_options(opts, k_edits="k_edits", use_rfe="rfe")
+    ranking_options = _harness_options(opts, max_candidates="max_candidates")
+    analysis_options = _given(opts, outlier_days="outlier_days")
 
     with _stage("generate"):
         result = corpus_mod.generate_synthetic(synth)

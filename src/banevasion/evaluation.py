@@ -36,7 +36,7 @@ import numpy as np
 
 from ._metrics import fragmented_auc, mrr, recall_at_k, roc_auc
 from .corpus import Corpus, EvasionPair
-from .errors import EmptyInputError, InvalidConfigError, LeakageError
+from .errors import EmptyInputError, LeakageError
 from .features import Digests, pair_vectors, task_vectors
 from .matching import (
     DEFAULT_K_EDITS,
@@ -47,13 +47,12 @@ from .matching import (
     TASKS,
     Task,
     build_candidate_sets,
-    check_counts,
+    check_options,
 )
 from .model import LogisticModel, TrainConfig, rfe, train
 from .pairing import classify_success
 
 __all__ = [
-    "check_train_fraction",
     "temporal_split",
     "temporal_order",
     "dedupe_negatives",
@@ -68,17 +67,12 @@ __all__ = [
     "render_report_text",
 ]
 
-def check_train_fraction(train_fraction: float) -> None:
-    """Raise ``InvalidConfigError`` unless ``train_fraction`` is in (0, 1)."""
-    if not 0.0 < train_fraction < 1.0:
-        raise InvalidConfigError("train_fraction", "must be in (0, 1)")
-
 
 def _split_by_parent(items: Sequence, parent_ids, corpus: Corpus, train_fraction: float):
     """Order the distinct ``parent_ids`` by (creation time, id), train on the
     earliest ``train_fraction`` of them, and send each item to its
     ``parent_id``'s side. Returns (ordered parent ids, train, test)."""
-    check_train_fraction(train_fraction)
+    check_options(train_fraction=train_fraction)
     ordered = sorted(set(parent_ids), key=lambda a: (corpus.account(a).creation_time, a))
     train_parents = set(ordered[: int(len(ordered) * train_fraction)])
     train = [x for x in items if x.parent_id in train_parents]
@@ -207,7 +201,7 @@ def run_ranking(
     keyed by the string of each K in ``RECALL_KS``, the child count of each
     side and the mean candidate-set size."""
     corpus = digests.corpus
-    check_counts(max_candidates=max_candidates)
+    check_options(max_candidates=max_candidates)
     if not pairs:
         raise EmptyInputError("run_ranking needs pairs")
 

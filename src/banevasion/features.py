@@ -44,7 +44,7 @@ import numpy as np
 
 from .corpus import Account, Corpus, Revision
 from .errors import MismatchError, MissingBanTimeError, RecordParseError
-from .matching import DEFAULT_K_EDITS, TASK1, TASK2, LabeledSample, Task, check_counts
+from .matching import DEFAULT_K_EDITS, TASK1, TASK2, LabeledSample, Task, check_options
 from .textstats import (
     EmbeddingProvider,
     HashedTrigramProvider,
@@ -247,7 +247,7 @@ def pair_vectors(
     over the other account's first ``k_edits`` (default all) revisions;
     raises ``InvalidConfigError`` when ``k_edits`` is below 1."""
     if k_edits is not None:
-        check_counts(k_edits=k_edits)
+        check_options(k_edits=k_edits)
     return _matrix(
         _PAIR_HEAD + _PAIR_CHILD_BAN + _PAIR_TAIL,
         [_combine(digests.of(p), digests.of(o, k_edits)) for p, o in id_pairs],

@@ -39,6 +39,7 @@ with the label spelled exactly ``positive`` or ``negative``.
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -69,18 +70,29 @@ DEFAULT_K_EDITS = 3
 DEFAULT_MAX_CANDIDATES = 50
 
 
-def check_counts(**counts: int) -> None:
-    """Raise ``InvalidConfigError`` naming the first of ``counts`` below 1:
-    the task-2 ``cap``, ``k_edits`` or the ranking's ``max_candidates``."""
-    for name, value in counts.items():
-        if value < 1:
-            raise InvalidConfigError(name, "must be >= 1")
+# Every bounded option as ``name: (in-range test, reason)``, for the library and
+# the CLI alike. A value fails unless its test holds, so NaN fails every float
+# bound.
+_AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
+OPTION_BOUNDS = {
+    "cap": _AT_LEAST_ONE,
+    "k_edits": _AT_LEAST_ONE,
+    "max_candidates": _AT_LEAST_ONE,
+    "window_seconds": (lambda v: v >= 0, "must be >= 0"),
+    "window_days": (lambda v: 0 <= v * DAY_SECONDS < math.inf,
+                    "must be >= 0 and finite in seconds"),
+    "train_fraction": (lambda v: 0 < v < 1, "must be in (0, 1)"),
+    "outlier_days": (lambda v: 0 < v < math.inf, "must be finite and > 0"),
+}
 
 
-def _check_window(window_seconds: int) -> None:
-    """Raise ``InvalidConfigError`` unless the matching window is at least 0."""
-    if not window_seconds >= 0:
-        raise InvalidConfigError("window_seconds", "must be >= 0")
+def check_options(**values) -> None:
+    """Raise ``InvalidConfigError`` naming the first of ``values`` outside
+    its ``OPTION_BOUNDS`` range."""
+    for name, value in values.items():
+        in_range, reason = OPTION_BOUNDS[name]
+        if not in_range(value):
+            raise InvalidConfigError(name, reason)
 
 
 class LabeledSample(NamedTuple):
@@ -135,10 +147,10 @@ class Task:
         """
         if window_seconds is None:
             window_seconds = self.window_seconds
-        _check_window(window_seconds)
+        check_options(window_seconds=window_seconds)
         # corpus accounts are in id order, so each pool and its matches are too
         if self.name == TASK2:
-            check_counts(cap=cap)
+            check_options(cap=cap)
             counts = corpus.revision_counts
             pool = [a for a in corpus.accounts if a.ban_time is None and a.account_id in counts]
         else:
@@ -230,7 +242,7 @@ def build_candidate_sets(
     creation and ordered by (ban recency, id) for determinism. A child named
     by two pairs raises ``RecordParseError``, as it does in a pairs file.
     """
-    check_counts(max_candidates=max_candidates)
+    check_options(max_candidates=max_candidates)
     true_parent_of: dict[str, str] = {}
     for pair in pairs:
         if pair.child_id in true_parent_of:

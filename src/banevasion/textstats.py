@@ -205,7 +205,7 @@ class HashedTrigramProvider:
     def __post_init__(self):
         object.__setattr__(self, "_buckets", _TrigramBuckets(self.dimension))
 
-    def _counts(self, texts: Sequence[str]) -> np.ndarray:
+    def _bucket_counts(self, texts: Sequence[str]) -> np.ndarray:
         """Integer trigram count per bucket, over all of ``texts``."""
         buckets: list[int] = []
         for lowered in map(str.lower, texts):
@@ -213,12 +213,12 @@ class HashedTrigramProvider:
         return np.bincount(np.array(buckets, dtype=np.intp), minlength=self.dimension)
 
     def embed_text(self, text: str) -> np.ndarray:
-        return self._counts((text,)).astype(float)
+        return self._bucket_counts((text,)).astype(float)
 
     def mean_vector(self, texts: Sequence[str]) -> np.ndarray:
         # integer counts sum exactly, so one count over all texts divided by
         # their number is the mean of the per-text vectors to the bit
-        return self._counts(texts) / len(texts)
+        return self._bucket_counts(texts) / len(texts)
 
 
 def parse_float(text: str) -> float:

@@ -17,10 +17,10 @@ from banevasion import corpus as corpus_mod
 from banevasion import features as features_mod
 from banevasion import matching as matching_mod
 from banevasion import pairing as pairing_mod
-from banevasion.cli import build_parser, main
+from banevasion.cli import COMMANDS, build_parser, main
 from banevasion.corpus import DAY_SECONDS, WEEK_SECONDS, SynthConfig, load_corpus
 from banevasion.evaluation import temporal_order
-from banevasion.matching import TASKS, write_samples
+from banevasion.matching import OPTION_BOUNDS, TASKS, write_samples
 from banevasion.model import load_model, model_bytes
 from banevasion.pairing import extract_evasion_pairs, first_pair_per_group, merge_groups
 from banevasion.textstats import text_hash
@@ -37,6 +37,17 @@ def tree_digest(root: Path) -> dict[str, str]:
 
 
 GEN_FLAGS = ["--groups", "8", "--benign", "40", "--malicious", "20"]
+
+# one out-of-range value per bounded CLI option, for each (command, option)
+# pair that ``COMMANDS`` and ``OPTION_BOUNDS`` give
+BAD_VALUES = {"cap": "0", "k_edits": "0", "max_candidates": "0", "train_fraction": "1",
+              "outlier_days": "nan", "window_days": "nan"}
+BOUNDED_OPTIONS = [
+    (command, name)
+    for command, (_, _, entries) in COMMANDS.items()
+    for name in (entry.rstrip("!") for entry in entries)
+    if name in OPTION_BOUNDS
+]
 
 
 class TestGenerate:
@@ -171,6 +182,29 @@ class TestUsageErrors:
         assert f"invalid config field '{name}" in err
         assert "No such file" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, name", BOUNDED_OPTIONS, ids=[f"{c}-{n}" for c, n in BOUNDED_OPTIONS]
+    )
+    def test_every_bounded_option_rejected_before_any_input_is_read(
+        self, tmp_path, capsys, command, name
+    ):
+        out = tmp_path / "out"
+        paths = {"out": out, "out_dir": out, "samples": tmp_path / "missing" / "samples.tsv"}
+        argv = [command, "--" + name.replace("_", "-"), BAD_VALUES[name]]
+        for entry in COMMANDS[command][2]:
+            option = entry.rstrip("!")
+            if option == "accounts":
+                argv += self.missing_corpus(tmp_path)
+            elif option == "task":
+                argv += ["--task", "2" if name in ("cap", "k_edits") else "1"]
+            elif option in paths:
+                argv += ["--" + option.replace("_", "-"), str(paths[option])]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"invalid config field '{name}'" in err
+        assert "No such file" not in err
+        assert not out.exists()
 
     def test_count_from_environment_checked_where_its_task_ignores_it(
         self, tmp_path, capsys, monkeypatch
@@ -879,6 +913,15 @@ class TestReproduce:
         flags = [f.format(missing=missing) for f in flags]
         assert main(["reproduce", "--groups", "12", *flags, "--out-dir", str(out)]) == 1
         assert named.format(missing=missing) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bounded_option_checked_before_the_generator_config(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["reproduce", "--groups", "12", "--benign", "1000000", "--cap", "0"]
+        assert main([*argv, "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "invalid config field 'cap': must be >= 1" in err
+        assert "n_benign" not in err
         assert not out.exists()
 
     def test_reproduce_builds_each_digest_once(self, tmp_path, monkeypatch):

@@ -21,7 +21,6 @@ from banevasion.errors import (
 )
 from banevasion.evaluation import (
     _assert_no_leakage,
-    check_train_fraction,
     fragmented_auc,
     recall_at_k,
     roc_auc,
@@ -33,6 +32,7 @@ from banevasion.matching import (
     TASK1,
     TASKS,
     LabeledSample,
+    check_options,
 )
 from banevasion.model import TrainConfig, load_model, rfe, train
 from banevasion.pairing import EvasionPair, classify_success
@@ -71,7 +71,7 @@ def test_never_banned_account_named(call, account_id):
         ("cap", lambda: TASKS["2"].match(CORPUS, [PAIR], cap=0)),
         ("l2_lambda", lambda: TrainConfig(l2_lambda=float("nan"))),
         ("max_epochs", lambda: TrainConfig(max_epochs=0)),
-        ("train_fraction", lambda: check_train_fraction(1.0)),
+        ("train_fraction", lambda: run_ranking(Digests(CORPUS), [PAIR], train_fraction=1.0)),
         ("embedding_provider", lambda: get_provider("bogus")),
         ("k", lambda: recall_at_k([1], 0)),
         ("k_edits", lambda: pair_vectors(Digests(CORPUS), [], k_edits=0)),
@@ -81,7 +81,9 @@ def test_never_banned_account_named(call, account_id):
         ("b", lambda: regularized_incomplete_beta(1.0, -1.0, 0.5)),
         ("x", lambda: regularized_incomplete_beta(1.0, 1.0, 1.5)),
         ("df", lambda: student_t_two_sided_p(1.0, 0.0)),
-        pytest.param("train_fraction", lambda: check_train_fraction(0.0), id="train_fraction-0"),
+        pytest.param("train_fraction",
+                     lambda: run_ranking(Digests(CORPUS), [PAIR], train_fraction=0.0),
+                     id="train_fraction-0"),
     ],
 )
 def test_out_of_range_option_is_invalid_config(field, call):
@@ -90,6 +92,15 @@ def test_out_of_range_option_is_invalid_config(field, call):
     assert err.value.field == field
     assert isinstance(err.value, ValueError)
     assert str(err.value).startswith(f"invalid config field {field!r}: ")
+
+
+@pytest.mark.parametrize("name", ["train_fraction", "outlier_days", "window_days",
+                                  "window_seconds"])
+def test_nan_fails_every_float_bound(name):
+    # a bound written as a reject test, such as ``v < 0``, would let NaN through
+    with pytest.raises(InvalidConfigError) as err:
+        check_options(**{name: float("nan")})
+    assert err.value.field == name
 
 
 @pytest.mark.parametrize(
