@@ -58,7 +58,9 @@ def fragmented_auc(
 ) -> dict:
     """AUC of successful positives vs. all negatives, and likewise for
     unsuccessful positives. ``success_flags`` aligns with the positives in
-    label order.
+    label order; a positive whose flag is None (undecided, as
+    ``pairing.classify_success`` gives for a child still active) is in
+    neither fragment.
 
     Returns ``{"successful", "unsuccessful", "errors"}``: a fragment with no
     members (or no negatives) scores None, and ``errors`` names it with the

@@ -5,9 +5,11 @@ The report's Welch tests come in five contrast families: activity (4 tests,
 parents vs. control accounts), username distance (1, pairs vs. matched
 pairs), overlaps (6), psycholinguistic change (one per lexicon category,
 child vs. parent) and success (2 plus one per category, successful vs.
-unsuccessful pairs, by ``pairing.classify_success``). Every family but
-activity is built by ``_contrast``. Every statistic but the username
-distance reads named columns of the ``features`` account and pair rows.
+unsuccessful pairs, by ``pairing.classify_success``; a pair whose child is
+still active is in neither, and ``success`` is None when none is decided).
+Every family but activity is built by ``_contrast``. Every statistic but the
+username distance reads named columns of the ``features`` account and pair
+rows.
 ``write_analysis`` writes a report's files, choosing what its text shows.
 
 Student-t p-values come from the regularized incomplete beta function,
@@ -30,7 +32,6 @@ from .errors import (
     InsufficientSamplesError,
     InvalidConfigError,
     MismatchError,
-    MissingBanTimeError,
     ZeroVarianceError,
 )
 from .evaluation import render_report_text
@@ -310,17 +311,15 @@ def characterize(
         for category, (child, parent) in profiles.items()
     }
 
-    # Success vs. unsuccessful contrasts.
-    try:
-        successful = classify_success(pairs, corpus)
-    except MissingBanTimeError:
-        successful = None
-    if successful is not None and pairs:
-        n_successful = sum(successful)
+    # Success vs. unsuccessful contrasts, over the decided pairs.
+    successful = classify_success(pairs, corpus)
+    n_decided = sum(ok is not None for ok in successful)
+    if n_decided:
+        n_successful = successful.count(True)
 
         def contrast(values: list[float]) -> dict:
-            succ = [v for v, ok in zip(values, successful) if ok]
-            unsucc = [v for v, ok in zip(values, successful) if not ok]
+            succ = [v for v, ok in zip(values, successful) if ok is True]
+            unsucc = [v for v, ok in zip(values, successful) if ok is False]
             return _contrast(succ, unsucc, "successful_mean", "unsuccessful_mean", _mean)
 
         contrasts = {
@@ -331,8 +330,8 @@ def characterize(
             contrasts[f"delta_{category}"] = contrast([c - p for c, p in zip(child, parent)])
         report["success"] = {
             "successful": n_successful,
-            "unsuccessful": len(pairs) - n_successful,
-            "successful_share": n_successful / len(pairs),
+            "unsuccessful": n_decided - n_successful,
+            "successful_share": n_successful / n_decided,
             "contrasts": contrasts,
         }
     else:

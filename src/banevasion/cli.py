@@ -291,11 +291,14 @@ def cmd_featurize(opts) -> int:
         if s.task != task.name:
             reason = f"task {s.task!r} does not match --task {task.number} ({task.name})"
             raise RecordParseError(path, lineno, reason)
-    # a file of another task is named as such before any of its ids
+    # a file of another task is named as such before any of its ids; a pair
+    # task's row needs its parent's ban, as an evasion pair does
     for lineno, s in enumerate(samples, start=1):
         for account_id, role in ((s.parent_id, "sample parent"), (s.other_id, "sample other")):
             if account_id not in corpus.accounts_by_id:
                 raise ReferentialIntegrityError(account_id, role, path, lineno)
+        if task.name != matching_mod.TASK1 and corpus.account(s.parent_id).ban_time is None:
+            raise RecordParseError(path, lineno, f"parent {s.parent_id!r} was never banned")
     # the rows in ``temporal_order``, as ``evaluate`` fits them: ``train --rfe``
     # holds out the trailing rows, the latest anchors, to choose its features
     ordered, names, X, labels = sample_matrix(

@@ -8,7 +8,7 @@ File formats (UTF-8, one JSON object per line):
   "deleted_text", "comment"}
 * records file:   {"member_ids": [...]}  (undisclosed multi-account records)
 * pairs file:     {"parent_id", "child_id", "group_id"?}
-  with no two lines naming one child
+  under the pair rules of ``check_pairs``, which pairs in memory meet too
 
 Ids and texts are JSON strings and times JSON integers; nothing is coerced.
 ``load_corpus`` only parses, a line as ``Corpus`` asks for it, so bad JSON
@@ -455,40 +455,49 @@ def save_groups(groups, path: str | Path) -> None:
     ))
 
 
-def load_pairs(path: str | Path, corpus: Corpus | None = None) -> list[EvasionPair]:
-    """Read a pairs file, one ``EvasionPair`` per line.
+def check_pairs(pairs: Iterable, corpus: Corpus | None = None, _where=None) -> list[EvasionPair]:
+    """Each ``(parent_id, child_id, group_id)`` of ``pairs``, checked as it
+    comes, as an ``EvasionPair``.
 
-    Given the corpus, a line naming an unknown account, a parent never
-    banned, or a child not created strictly after the parent's ban (as
-    every extracted child is) fails at its ``file:line``;
-    with or without it, so does a line naming a child an earlier line names,
-    since a child has one parent.
+    Ids must be strings and a group id an integer or None. Given the corpus,
+    a pair naming an unknown account, a parent never banned, or a child not
+    created strictly after the parent's ban (as every extracted child is)
+    is rejected; with or without it, so is a pair naming a child an earlier
+    pair names, since a child has one parent. A reader passes the ``where``
+    it sets to each line's ``[path, line number]``, so an error names its
+    ``file:line``; pairs built in memory get the same class and reason.
     """
-    pairs, children, where = [], set(), [None, None]
-    for obj in _read_jsonl(path, where):
-        parent_id = _field(obj.get("parent_id", _MISSING), "parent_id", str, where)
-        child_id = _field(obj.get("child_id", _MISSING), "child_id", str, where)
-        group_id = _field(obj.get("group_id"), "group_id", int, where, nullable=True)
+    where = _where or (None, None)
+    checked, children = [], set()
+    for parent_id, child_id, group_id in pairs:
+        _field(parent_id, "parent_id", str, where)
+        _field(child_id, "child_id", str, where)
+        _field(group_id, "group_id", int, where, nullable=True)
         if corpus is not None:
-            _check_pair(corpus, parent_id, child_id, *where)
+            for account_id, role in ((parent_id, "pair parent"), (child_id, "pair child")):
+                if account_id not in corpus.accounts_by_id:
+                    raise ReferentialIntegrityError(account_id, role, *where)
+            ban_time = corpus.accounts_by_id[parent_id].ban_time
+            if ban_time is None:
+                raise RecordParseError(*where, f"parent {parent_id!r} was never banned")
+            if not corpus.accounts_by_id[child_id].creation_time > ban_time:
+                raise RecordParseError(
+                    *where, f"child {child_id!r} was not created after the ban of {parent_id!r}"
+                )
         if child_id in children:
-            raise RecordParseError(*where, f"child {child_id!r} is named by an earlier line")
+            raise RecordParseError(*where, f"child {child_id!r} is named by an earlier pair")
         children.add(child_id)
-        pairs.append(EvasionPair(parent_id, child_id, group_id))
-    return pairs
+        checked.append(EvasionPair(parent_id, child_id, group_id))
+    return checked
 
 
-def _check_pair(corpus: Corpus, parent_id: str, child_id: str, path: str, lineno: int) -> None:
-    for account_id, role in ((parent_id, "pair parent"), (child_id, "pair child")):
-        if account_id not in corpus.accounts_by_id:
-            raise ReferentialIntegrityError(account_id, role, path, lineno)
-    ban_time = corpus.accounts_by_id[parent_id].ban_time
-    if ban_time is None:
-        raise RecordParseError(path, lineno, f"parent {parent_id!r} was never banned")
-    if not corpus.accounts_by_id[child_id].creation_time > ban_time:
-        raise RecordParseError(
-            path, lineno, f"child {child_id!r} was not created after the ban of {parent_id!r}"
-        )
+def load_pairs(path: str | Path, corpus: Corpus | None = None) -> list[EvasionPair]:
+    """Read a pairs file, one ``EvasionPair`` per line, through ``check_pairs``."""
+    where = [None, None]
+    return check_pairs((
+        (o.get("parent_id", _MISSING), o.get("child_id", _MISSING), o.get("group_id"))
+        for o in _read_jsonl(path, where)
+    ), corpus, where)
 
 
 # ---------------------------------------------------------------------------

@@ -91,12 +91,6 @@ class MissingBanTimeError(BanEvasionError):
         super().__init__(f"account {account_id!r} has no ban time")
 
 
-class TrueParentMissingError(BanEvasionError):
-    def __init__(self, child_id: str):
-        self.child_id = child_id
-        super().__init__(f"no eligible true parent for child {child_id!r}")
-
-
 class MissingVectorError(BanEvasionError, KeyError):
     """A text with no precomputed vector; a lookup miss, so a ``KeyError`` too."""
 

@@ -49,13 +49,8 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .corpus import Account, Corpus, DAY_SECONDS, EvasionPair, WEEK_SECONDS
-from .errors import (
-    InvalidConfigError,
-    MissingBanTimeError,
-    RecordParseError,
-    TrueParentMissingError,
-)
+from .corpus import Account, Corpus, DAY_SECONDS, EvasionPair, WEEK_SECONDS, check_pairs
+from .errors import InvalidConfigError, MissingBanTimeError, RecordParseError
 
 
 POSITIVE = 1
@@ -238,19 +233,15 @@ def build_candidate_sets(
     """One set per child of ``pairs``, by child id: its true parent plus up to
     ``max_candidates`` most-recently-banned other parents of ``pairs``.
 
+    ``pairs`` pass ``corpus.check_pairs`` first, so a pair that breaks a pair
+    rule raises what it raises in a pairs file, without a location.
     Candidates are restricted to parents banned strictly before the child's
-    creation and ordered by (ban recency, id) for determinism. A child named
-    by two pairs raises ``RecordParseError``, as it does in a pairs file.
+    creation and ordered by (ban recency, id) for determinism.
     """
     check_options(max_candidates=max_candidates)
-    true_parent_of: dict[str, str] = {}
-    for pair in pairs:
-        if pair.child_id in true_parent_of:
-            raise RecordParseError(None, None, f"child {pair.child_id!r} is named by two pairs")
-        true_parent_of[pair.child_id] = pair.parent_id
-    parents = (corpus.account(parent_id) for parent_id in set(true_parent_of.values()))
+    true_parent_of = {child_id: parent_id for parent_id, child_id, _ in check_pairs(pairs, corpus)}
     recent = sorted(
-        (a for a in parents if a.ban_time is not None),
+        (corpus.account(parent_id) for parent_id in set(true_parent_of.values())),
         key=lambda a: (-a.ban_time, a.account_id),
     )
     negated_bans = [-a.ban_time for a in recent]
@@ -258,9 +249,8 @@ def build_candidate_sets(
     for child_id in sorted(true_parent_of):
         child = corpus.account(child_id)
         true_parent = corpus.account(true_parent_of[child_id])
-        if true_parent.ban_time is None or true_parent.ban_time >= child.creation_time:
-            raise TrueParentMissingError(child_id)
-        # ``recent`` from here on was banned strictly before the child's creation
+        # ``recent`` from here on was banned strictly before the child's
+        # creation, the true parent included
         first = bisect_right(negated_bans, -child.creation_time)
         distractors = (
             a for a in islice(recent, first, None) if a.account_id != true_parent.account_id

@@ -7,7 +7,8 @@ is the member created earliest after the account's ban. A (parent, child)
 pair is emitted only when both directions agree, which makes the mapping
 one-to-one. Timestamp ties break toward the lexicographically smaller
 account id so results are independent of input order. A pair's evasion
-succeeded when the child outlived the parent (``classify_success``).
+succeeded when the child outlived the parent, and is undecided while the
+child is still active (``classify_success``).
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable
 
-from .corpus import Corpus, EvasionPair
-from .errors import MissingBanTimeError
+from .corpus import Corpus, EvasionPair, check_pairs
 
 
 class UnionFind:
@@ -137,17 +137,17 @@ def first_pair_per_group(
     return [first[g] for g in sorted(first)]
 
 
-def classify_success(pairs: Iterable[EvasionPair], corpus: Corpus) -> list[bool]:
-    """Per pair, whether the child outlived the parent (a tie is False).
+def classify_success(pairs: Iterable[EvasionPair], corpus: Corpus) -> list[bool | None]:
+    """Per pair, whether the child outlived the parent (a tie is False), or
+    None while the child was never banned.
 
-    Both accounts must be banned.
+    ``pairs`` pass ``corpus.check_pairs`` first, so each parent was banned.
     """
     verdicts = []
-    for pair in pairs:
-        parent = corpus.account(pair.parent_id)
-        child = corpus.account(pair.child_id)
-        for member in (parent, child):
-            if member.ban_time is None:
-                raise MissingBanTimeError(member.account_id)
-        verdicts.append(child.duration_seconds > parent.duration_seconds)
+    for parent_id, child_id, _ in check_pairs(pairs, corpus):
+        child_duration = corpus.account(child_id).duration_seconds
+        verdicts.append(
+            None if child_duration is None
+            else child_duration > corpus.account(parent_id).duration_seconds
+        )
     return verdicts

@@ -629,6 +629,56 @@ class TestStageChaining:
         ) in capsys.readouterr().err
         assert not features.exists()
 
+    @pytest.mark.parametrize("task", ["1", "2", "3"])
+    def test_featurize_rejects_never_banned_parent_at_line(
+        self, corpus_dir, tmp_path, capsys, task
+    ):
+        flags = [*self.corpus_flags(corpus_dir), "--task", task]
+        samples = tmp_path / "samples.tsv"
+        assert main(["match", *flags, "--out", str(samples)]) == 0
+        lines = samples.read_text().splitlines()
+        name, _, other_id, _ = lines[0].split("\t")
+        corpus = load_corpus(*flags[1:6:2], keep_revisions=False)
+        never_banned = next(a.account_id for a in corpus.accounts if a.ban_time is None)
+        line = f"{name}\t{never_banned}\t{other_id}\tnegative"
+        samples.write_text("\n".join([*lines, line]) + "\n")
+        features = tmp_path / "features.tsv"
+        code = main(["featurize", *flags, "--samples", str(samples), "--out", str(features)])
+        if task == "1":
+            # a task-1 row describes the other account alone
+            assert code == 0
+            return
+        assert code == 1
+        assert (
+            f"error: stage 'featurize' failed: {samples}:{len(lines) + 1}: "
+            f"parent {never_banned!r} was never banned"
+        ) in capsys.readouterr().err
+        assert not features.exists()
+
+    def test_active_child_has_no_success_verdict(self, tmp_path):
+        corpus_dir = tmp_path / "corpus"
+        assert main(["generate", "--groups", "12", "--seed", "7",
+                     "--out-dir", str(corpus_dir)]) == 0
+        flags = self.corpus_flags(corpus_dir)
+        pairs = [json.loads(line) for line in
+                 (corpus_dir / "truth_pairs.jsonl").read_text().splitlines()]
+        # the last pair's child replaced by a never-banned account created after
+        # its parent's ban and named by no pair
+        corpus = load_corpus(*flags[1::2], keep_revisions=False)
+        named = {p[key] for p in pairs for key in ("parent_id", "child_id")}
+        ban = corpus.account(pairs[-1]["parent_id"]).ban_time
+        pairs[-1]["child_id"] = next(
+            a.account_id for a in corpus.accounts
+            if a.ban_time is None and a.creation_time > ban and a.account_id not in named
+        )
+        path = tmp_path / "active.jsonl"
+        path.write_text("".join(json.dumps(p) + "\n" for p in pairs))
+        out = tmp_path / "out"
+        for command in (["evaluate", "--task", "3"], ["rank"], ["analyze"]):
+            assert main([*command, *flags, "--pairs", str(path), "--out-dir", str(out)]) == 0
+        success = json.loads((out / "analysis.json").read_text())["success"]
+        assert success["successful"] + success["unsuccessful"] == len(pairs) - 1
+
     @pytest.mark.parametrize(
         "command, task, flag",
         [
@@ -716,7 +766,7 @@ class TestStageChaining:
         assert main(["rank", *flags, "--pairs", str(pairs), "--out-dir", str(out)]) == 1
         assert (
             f"error: stage 'rank' failed: {pairs}:{len(lines) + 1}: "
-            f"child {child_id!r} is named by an earlier line"
+            f"child {child_id!r} is named by an earlier pair"
         ) in capsys.readouterr().err
         assert not out.exists()
 

@@ -19,6 +19,7 @@ from banevasion.corpus import (
     Revision,
     SockpuppetRecord,
     SynthConfig,
+    check_pairs,
     generate_synthetic,
     load_corpus,
     load_pairs,
@@ -33,7 +34,13 @@ from banevasion.errors import (
     RevisionsNotLoadedError,
 )
 from banevasion.features import Digests
-from banevasion.pairing import extract_evasion_pairs, first_pair_per_group, merge_groups
+from banevasion.matching import build_candidate_sets
+from banevasion.pairing import (
+    classify_success,
+    extract_evasion_pairs,
+    first_pair_per_group,
+    merge_groups,
+)
 
 from conftest import account, all_revisions, corpus_of, record, revision
 
@@ -273,6 +280,21 @@ TWO_FAULTS = {
 }
 
 
+# c is created exactly at p's ban, late one second after it
+PAIR_CORPUS = corpus_of([account("p", 0, 100), account("c", 100), account("late", 101, 200)])
+# each pair, after a good (p, late) pair, and what it breaks
+PAIR_FAULTS = [
+    (("zz", "c"), ReferentialIntegrityError, "unknown account id 'zz' (pair parent)"),
+    (("p", "zz"), ReferentialIntegrityError, "unknown account id 'zz' (pair child)"),
+    (("c", "late"), RecordParseError, "parent 'c' was never banned"),
+    (("p", "c"), RecordParseError, "child 'c' was not created after the ban of 'p'"),
+    (("late", "p"), RecordParseError, "child 'p' was not created after the ban of 'late'"),
+    (("p", "late"), RecordParseError, "child 'late' is named by an earlier pair"),
+]
+PAIR_FAULT_IDS = ["unknown_parent", "unknown_child", "never_banned", "created_at_ban", "reversed",
+                  "repeated_child"]
+
+
 class TestCorruption:
     @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
     def test_rejected_at_file_and_line(self, tmp_path, name):
@@ -331,22 +353,9 @@ class TestCorruption:
             load_pairs(path)
         assert (err.value.line_number, err.value.reason) == (2, f"field {key!r} must be a string")
 
-    @pytest.mark.parametrize(
-        "pair, error, reason",
-        [
-            (("zz", "c"), ReferentialIntegrityError, "unknown account id 'zz' (pair parent)"),
-            (("p", "zz"), ReferentialIntegrityError, "unknown account id 'zz' (pair child)"),
-            (("c", "late"), RecordParseError, "parent 'c' was never banned"),
-            (("p", "c"), RecordParseError, "child 'c' was not created after the ban of 'p'"),
-            (("late", "p"), RecordParseError, "child 'p' was not created after the ban of 'late'"),
-            (("p", "late"), RecordParseError, "child 'late' is named by an earlier line"),
-        ],
-        ids=["unknown_parent", "unknown_child", "never_banned", "created_at_ban", "reversed",
-             "repeated_child"],
-    )
+    @pytest.mark.parametrize("pair, error, reason", PAIR_FAULTS, ids=PAIR_FAULT_IDS)
     def test_pairs_checked_against_corpus(self, tmp_path, pair, error, reason):
-        # c is created exactly at p's ban, late one second after it
-        corpus = corpus_of([account("p", 0, 100), account("c", 100), account("late", 101, 200)])
+        corpus = PAIR_CORPUS
         path = tmp_path / "pairs.jsonl"
         good = json.dumps({"parent_id": "p", "child_id": "late", "group_id": 4})
         path.write_text(good + "\n\n" + json.dumps(dict(zip(("parent_id", "child_id"), pair))) + "\n")
@@ -361,7 +370,27 @@ class TestCorruption:
         write_lines(path, [{"parent_id": "p", "child_id": "c"}, {"parent_id": "q", "child_id": "c"}])
         with pytest.raises(RecordParseError) as err:
             load_pairs(path)
-        assert str(err.value) == f"{path}:2: child 'c' is named by an earlier line"
+        assert str(err.value) == f"{path}:2: child 'c' is named by an earlier pair"
+
+    @pytest.mark.parametrize(
+        "consume",
+        [
+            lambda pairs: check_pairs(pairs, PAIR_CORPUS),
+            lambda pairs: build_candidate_sets(pairs, PAIR_CORPUS),
+            lambda pairs: classify_success(pairs, PAIR_CORPUS),
+        ],
+        ids=["check_pairs", "build_candidate_sets", "classify_success"],
+    )
+    @pytest.mark.parametrize("pair, error, reason", PAIR_FAULTS, ids=PAIR_FAULT_IDS)
+    def test_pairs_in_memory_checked_as_in_a_file(self, consume, pair, error, reason):
+        # the pairs file rows of test_pairs_checked_against_corpus, built in memory
+        good = EvasionPair("p", "late", 4)
+        with pytest.raises(error) as err:
+            consume([good, EvasionPair(*pair, None)])
+        assert type(err.value) is error
+        assert (err.value.path, err.value.line_number) == (None, None)
+        assert str(err.value) == reason
+        consume([good])
 
 
 # The corruptions that parse but break a corpus rule.

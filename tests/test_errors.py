@@ -18,6 +18,7 @@ from banevasion.errors import (
     LeakageError,
     MismatchError,
     MissingBanTimeError,
+    RecordParseError,
 )
 from banevasion.evaluation import (
     _assert_no_leakage,
@@ -48,21 +49,27 @@ PAIR = EvasionPair("p", "c", 0)
 
 
 @pytest.mark.parametrize(
-    "call, account_id",
+    "call, error, account_id",
     [
-        (lambda: pair_vectors(Digests(CORPUS), [("c", "p")]), "c"),
-        (lambda: classify_success([PAIR], CORPUS), "c"),
-        *((lambda t=t: t.match(CORPUS, [PAIR, EvasionPair("u", "c", 1)]), "u")
+        (lambda: pair_vectors(Digests(CORPUS), [("c", "p")]), MissingBanTimeError, "c"),
+        # the success verdict takes the pair rules: a never-banned parent is
+        # named as in a pairs file (a never-banned child is only undecided)
+        (lambda: classify_success([EvasionPair("u", "c", 1)], CORPUS), RecordParseError, "u"),
+        *((lambda t=t: t.match(CORPUS, [PAIR, EvasionPair("u", "c", 1)]), MissingBanTimeError, "u")
           for t in TASKS.values()),
     ],
     ids=["pair_vectors_parent", "classify_success",
          "task1_parent", "task2_parent", "task3_parent"],
 )
-def test_never_banned_account_named(call, account_id):
-    with pytest.raises(MissingBanTimeError) as err:
+def test_never_banned_account_named(call, error, account_id):
+    with pytest.raises(error) as err:
         call()
-    assert err.value.account_id == account_id
-    assert str(err.value) == f"account {account_id!r} has no ban time"
+    assert type(err.value) is error
+    if error is MissingBanTimeError:
+        assert err.value.account_id == account_id
+        assert str(err.value) == f"account {account_id!r} has no ban time"
+    else:
+        assert str(err.value) == f"parent {account_id!r} was never banned"
 
 
 @pytest.mark.parametrize(

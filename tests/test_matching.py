@@ -10,7 +10,6 @@ from banevasion.errors import (
     InvalidConfigError,
     RecordParseError,
     ReferentialIntegrityError,
-    TrueParentMissingError,
 )
 from banevasion.matching import (
     TASKS,
@@ -408,6 +407,10 @@ class TestBruteForceOracleFloatWindows(TestBruteForceOracle):
 # The loop ``build_candidate_sets`` was first written as, kept as the reference.
 
 
+class NoEligibleParent(Exception):
+    """The reference's verdict on a child whose true parent is not eligible."""
+
+
 def reference_candidate_sets(children, banned_parents, truth, max_candidates):
     true_parent_of = {p.child_id: p.parent_id for p in truth}
     by_id = {a.account_id: a for a in banned_parents}
@@ -415,10 +418,10 @@ def reference_candidate_sets(children, banned_parents, truth, max_candidates):
     for child in sorted(children, key=lambda a: a.account_id):
         true_parent_id = true_parent_of.get(child.account_id)
         if true_parent_id is None or true_parent_id not in by_id:
-            raise TrueParentMissingError(child.account_id)
+            raise NoEligibleParent(child.account_id)
         true_parent = by_id[true_parent_id]
         if true_parent.ban_time is None or true_parent.ban_time >= child.creation_time:
-            raise TrueParentMissingError(child.account_id)
+            raise NoEligibleParent(child.account_id)
         distractors = [
             a
             for a in banned_parents
@@ -457,6 +460,23 @@ def random_candidate_case(rng: random.Random):
     return corpus_of(parents + children), pairs
 
 
+def first_pair_fault(pairs, corpus):
+    """The reason the pairs reader gives for the first faulty pair, in input
+    order, or None: a parent never banned, a child not created after its
+    parent's ban, or a child an earlier pair names."""
+    children = set()
+    for parent_id, child_id, _ in pairs:
+        ban = corpus.account(parent_id).ban_time
+        if ban is None:
+            return f"parent {parent_id!r} was never banned"
+        if corpus.account(child_id).creation_time <= ban:
+            return f"child {child_id!r} was not created after the ban of {parent_id!r}"
+        if child_id in children:
+            return f"child {child_id!r} is named by an earlier pair"
+        children.add(child_id)
+    return None
+
+
 class TestCandidateSetsOracle:
     CASES = 1500
 
@@ -465,10 +485,15 @@ class TestCandidateSetsOracle:
         raised = {"late": 0, "never banned": 0}
         for i in range(self.CASES):
             corpus, pairs = random_candidate_case(random.Random(f"candidates:{i}"))
+            fault = first_pair_fault(pairs, corpus)
             child_ids = [p.child_id for p in pairs]
             if len(set(child_ids)) < len(child_ids):
-                with pytest.raises(RecordParseError, match="named by two pairs"):
+                # the first faulty pair in input order is the one reported
+                with pytest.raises(RecordParseError) as got:
                     build_candidate_sets(pairs, corpus, 1)
+                assert (got.value.path, got.value.line_number, got.value.reason) == (
+                    None, None, fault
+                )
                 repeated += 1
                 continue
             children = [corpus.account(child_id) for child_id in child_ids]
@@ -476,13 +501,13 @@ class TestCandidateSetsOracle:
             for max_candidates in (1, 3, len(parents) + 1):
                 try:
                     want = reference_candidate_sets(children, parents, pairs, max_candidates)
-                except TrueParentMissingError as exc:
-                    with pytest.raises(TrueParentMissingError) as got:
+                except NoEligibleParent:
+                    with pytest.raises(RecordParseError) as got:
                         build_candidate_sets(pairs, corpus, max_candidates)
-                    assert got.value.child_id == exc.child_id
-                    parent_id = next(p.parent_id for p in pairs if p.child_id == exc.child_id)
-                    late = corpus.account(parent_id).ban_time is not None
-                    raised["late" if late else "never banned"] += 1
+                    assert (got.value.path, got.value.line_number, got.value.reason) == (
+                        None, None, fault
+                    )
+                    raised["never banned" if fault.endswith("never banned") else "late"] += 1
                     continue
                 got = build_candidate_sets(pairs, corpus, max_candidates)
                 assert [
@@ -552,9 +577,10 @@ class TestCandidateSets:
     def test_missing_true_parent(self):
         child = account("c", 10_000)
         parents = self.make_parents(3, 10_000) + [account("late", 0, ban=10_000)]
-        with pytest.raises(TrueParentMissingError) as err:
+        with pytest.raises(RecordParseError) as err:
             build_candidate_sets(self.pairs_for(parents, "late"), self.corpus_for(child, parents))
-        assert err.value.child_id == "c"
+        assert (err.value.path, err.value.line_number) == (None, None)
+        assert err.value.reason == "child 'c' was not created after the ban of 'late'"
 
 
 class TestPools:
