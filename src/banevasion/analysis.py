@@ -248,11 +248,13 @@ def characterize(
     contrasts; ``pair_samples`` supply matched control pairs (negatives) for
     the overlap contrasts. Degenerate contrasts yield None statistics rather
     than raising. The corpus, the lexicon and every account and pair row
-    come from ``digests``.
+    come from ``digests``. ``pairs`` pass ``corpus.check_pairs`` first,
+    through ``pairing.classify_success``, before any row is built.
     """
     check_options(outlier_days=outlier_days)
     corpus = digests.corpus
     lexicon = digests.lexicon
+    successful = classify_success(pairs, corpus)
 
     # a parent named by several pairs is one account
     parent_ids = dict.fromkeys(p.parent_id for p in pairs)
@@ -312,7 +314,6 @@ def characterize(
     }
 
     # Success vs. unsuccessful contrasts, over the decided pairs.
-    successful = classify_success(pairs, corpus)
     n_decided = sum(ok is not None for ok in successful)
     if n_decided:
         n_successful = successful.count(True)

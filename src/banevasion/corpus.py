@@ -465,7 +465,9 @@ def check_pairs(pairs: Iterable, corpus: Corpus | None = None, _where=None) -> l
     is rejected; with or without it, so is a pair naming a child an earlier
     pair names, since a child has one parent. A reader passes the ``where``
     it sets to each line's ``[path, line number]``, so an error names its
-    ``file:line``; pairs built in memory get the same class and reason.
+    ``file:line``; pairs built in memory get the same class and reason, as
+    every consumer of pairs (``Task.match``, the candidate sets and ranking,
+    the success verdict and the analysis) calls it on entry.
     """
     where = _where or (None, None)
     checked, children = [], set()

@@ -16,8 +16,9 @@ class BanEvasionError(Exception):
 
 
 class RecordParseError(BanEvasionError):
-    """A malformed or duplicated record, lexicon entry or vectors line;
-    ``path``/``line_number`` locate it when it was read."""
+    """A malformed or duplicated record, lexicon entry or vectors line, or a
+    corpus or pair rule broken; ``path``/``line_number`` locate it when it
+    was read."""
 
     def __init__(self, path: str | None, line_number: int | None, reason: str):
         self.path = path
@@ -80,15 +81,7 @@ class InvalidInputError(BanEvasionError, ValueError):
     bad value, so a ``ValueError`` too."""
 
 
-# accounts and pairs ---------------------------------------------------
-
-
-class MissingBanTimeError(BanEvasionError):
-    """An account that must have been banned never was."""
-
-    def __init__(self, account_id: str):
-        self.account_id = account_id
-        super().__init__(f"account {account_id!r} has no ban time")
+# text vectors ---------------------------------------------------------
 
 
 class MissingVectorError(BanEvasionError, KeyError):

@@ -195,16 +195,19 @@ def run_ranking(
 ) -> tuple[dict, LogisticModel]:
     """Parent attribution: rank candidate parents for each test child by
     descending score, ties by candidate id, split by the creation time of
-    the pairs' parents.
+    the pairs' parents. ``pairs`` pass ``corpus.check_pairs`` first, as in
+    ``build_candidate_sets``.
 
     Returns ``(report, model)``: the report holds the MRR, ``recall_at``
     keyed by the string of each K in ``RECALL_KS``, the child count of each
     side and the mean candidate-set size."""
     corpus = digests.corpus
-    check_options(max_candidates=max_candidates)
+    check_options(max_candidates=max_candidates, train_fraction=train_fraction)
     if not pairs:
         raise EmptyInputError("run_ranking needs pairs")
 
+    # the sets are built first, so the pairs pass check_pairs before the split
+    sets = build_candidate_sets(pairs, corpus, max_candidates)
     _, train_pairs, test_pairs = _split_by_parent(
         pairs, (p.parent_id for p in pairs), corpus, train_fraction
     )
@@ -212,7 +215,6 @@ def run_ranking(
         raise EmptyInputError("ranking split left an empty side")
 
     # one matrix, every train row before every test row
-    sets = build_candidate_sets(pairs, corpus, max_candidates)
     train_children = {p.child_id for p in train_pairs}
     train_sets = [cs for cs in sets if cs.child_id in train_children]
     test_sets = [cs for cs in sets if cs.child_id not in train_children]

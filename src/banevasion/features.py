@@ -43,7 +43,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import Account, Corpus, Revision
-from .errors import MismatchError, MissingBanTimeError, RecordParseError
+from .errors import MismatchError, RecordParseError
 from .matching import DEFAULT_K_EDITS, TASK1, TASK2, LabeledSample, Task, check_options
 from .textstats import (
     EmbeddingProvider,
@@ -223,7 +223,7 @@ def _cosine(parent: AccountDigest, other: AccountDigest) -> float:
 def _combine(parent: AccountDigest, other: AccountDigest) -> list[float]:
     p, o = parent.account, other.account
     if p.ban_time is None:
-        raise MissingBanTimeError(p.account_id)
+        raise RecordParseError(None, None, f"parent {p.account_id!r} was never banned")
     return [
         *parent.created_calendar, *parent.ban_calendar,
         float(p.ban_time - p.creation_time),

@@ -29,9 +29,9 @@ the lower bound. Windows are inclusive at both ends.
 
 The pool is sorted once by its time and bisected per anchor, so the work
 grows with the samples emitted, not with anchors x pool. Every check (window,
-cap, unknown account, missing ban time) runs when ``Task.match`` is called;
-the samples are then yielded, anchor by anchor, so the memory a caller that
-streams them pays grows with one anchor's negatives, not with the samples.
+cap, and the pair rules of ``corpus.check_pairs``) runs when ``Task.match`` is
+called; the samples are then yielded, anchor by anchor, so the memory a caller
+that streams them pays grows with one anchor's negatives, not with the samples.
 
 Samples serialize one per line as ``task<TAB>parent_id<TAB>other_id<TAB>label``
 with the label spelled exactly ``positive`` or ``negative``.
@@ -50,7 +50,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus import Account, Corpus, DAY_SECONDS, EvasionPair, WEEK_SECONDS, check_pairs
-from .errors import InvalidConfigError, MissingBanTimeError, RecordParseError
+from .errors import InvalidConfigError, RecordParseError
 
 
 POSITIVE = 1
@@ -137,6 +137,8 @@ class Task:
         pool, by the rule of the module docstring; ``window_seconds`` defaults
         to this task's window.
 
+        ``pairs`` pass ``corpus.check_pairs`` first, so a pair that breaks a
+        pair rule raises what it raises in a pairs file, without a location.
         Every check runs at the call; the samples are then yielded, each
         anchor's positive before its negatives.
         """
@@ -155,12 +157,8 @@ class Task:
                 if a.ban_time is not None and a.account_id not in named
             ]
         index = _TimeIndex(pool, attrgetter("ban_time" if self.name == TASK1 else "creation_time"))
-        anchors = sorted((p.parent_id, p.child_id) for p in pairs)
+        anchors = sorted((p.parent_id, p.child_id) for p in check_pairs(pairs, corpus))
         if self.name == TASK1:
-            # an unknown parent or child fails here, before any missing ban below
-            for parent_id, child_id in anchors:
-                corpus.account(parent_id)
-                corpus.account(child_id)
             # a parent named by several pairs anchors one positive
             parent_ids = dict.fromkeys(parent_id for parent_id, _ in anchors)
             anchors = [(parent_id, parent_id) for parent_id in parent_ids]
@@ -168,8 +166,6 @@ class Task:
         for parent_id, positive_id in anchors:
             ban = corpus.account(parent_id).ban_time
             creation = corpus.account(positive_id).creation_time
-            if ban is None:
-                raise MissingBanTimeError(parent_id)
             centre, after = (ban, None) if self.name == TASK1 else (creation, ban)
             windows.append((parent_id, positive_id, centre, after))
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banevasion import corpus as corpus_module
+from banevasion.analysis import characterize
 from banevasion.corpus import (
     Account,
     Corpus,
@@ -33,8 +34,9 @@ from banevasion.errors import (
     ReferentialIntegrityError,
     RevisionsNotLoadedError,
 )
+from banevasion.evaluation import run_ranking
 from banevasion.features import Digests
-from banevasion.matching import build_candidate_sets
+from banevasion.matching import TASKS, build_candidate_sets
 from banevasion.pairing import (
     classify_success,
     extract_evasion_pairs,
@@ -373,24 +375,33 @@ class TestCorruption:
         assert str(err.value) == f"{path}:2: child 'c' is named by an earlier pair"
 
     @pytest.mark.parametrize(
-        "consume",
+        "consume, runs_on_one_pair",
         [
-            lambda pairs: check_pairs(pairs, PAIR_CORPUS),
-            lambda pairs: build_candidate_sets(pairs, PAIR_CORPUS),
-            lambda pairs: classify_success(pairs, PAIR_CORPUS),
+            (lambda pairs: check_pairs(pairs, PAIR_CORPUS), True),
+            (lambda pairs: build_candidate_sets(pairs, PAIR_CORPUS), True),
+            (lambda pairs: classify_success(pairs, PAIR_CORPUS), True),
+            *((lambda pairs, t=t: TASKS[t].match(PAIR_CORPUS, pairs), True) for t in "123"),
+            # the ranking splits the pairs by parent, so one pair leaves a side empty
+            (lambda pairs: run_ranking(Digests(PAIR_CORPUS), pairs), False),
+            (lambda pairs: characterize(Digests(PAIR_CORPUS), pairs), True),
         ],
-        ids=["check_pairs", "build_candidate_sets", "classify_success"],
+        ids=["check_pairs", "build_candidate_sets", "classify_success",
+             "task1_match", "task2_match", "task3_match", "run_ranking", "characterize"],
     )
     @pytest.mark.parametrize("pair, error, reason", PAIR_FAULTS, ids=PAIR_FAULT_IDS)
-    def test_pairs_in_memory_checked_as_in_a_file(self, consume, pair, error, reason):
-        # the pairs file rows of test_pairs_checked_against_corpus, built in memory
+    def test_pairs_in_memory_checked_as_in_a_file(
+        self, consume, runs_on_one_pair, pair, error, reason
+    ):
+        # the pairs file rows of test_pairs_checked_against_corpus, built in
+        # memory; a task's match raises at the call, before any sample is drawn
         good = EvasionPair("p", "late", 4)
         with pytest.raises(error) as err:
             consume([good, EvasionPair(*pair, None)])
         assert type(err.value) is error
         assert (err.value.path, err.value.line_number) == (None, None)
         assert str(err.value) == reason
-        consume([good])
+        if runs_on_one_pair:
+            consume([good])
 
 
 # The corruptions that parse but break a corpus rule.

@@ -17,7 +17,6 @@ from banevasion.errors import (
     InvalidInputError,
     LeakageError,
     MismatchError,
-    MissingBanTimeError,
     RecordParseError,
 )
 from banevasion.evaluation import (
@@ -49,27 +48,25 @@ PAIR = EvasionPair("p", "c", 0)
 
 
 @pytest.mark.parametrize(
-    "call, error, account_id",
+    "call, account_id",
     [
-        (lambda: pair_vectors(Digests(CORPUS), [("c", "p")]), MissingBanTimeError, "c"),
-        # the success verdict takes the pair rules: a never-banned parent is
-        # named as in a pairs file (a never-banned child is only undecided)
-        (lambda: classify_success([EvasionPair("u", "c", 1)], CORPUS), RecordParseError, "u"),
-        *((lambda t=t: t.match(CORPUS, [PAIR, EvasionPair("u", "c", 1)]), MissingBanTimeError, "u")
+        (lambda: pair_vectors(Digests(CORPUS), [("c", "p")]), "c"),
+        # the success verdict and the tasks take the pair rules: a never-banned
+        # parent is named as in a pairs file (a never-banned child is only
+        # undecided)
+        (lambda: classify_success([EvasionPair("u", "c", 1)], CORPUS), "u"),
+        *((lambda t=t: t.match(CORPUS, [PAIR, EvasionPair("u", "c", 1)]), "u")
           for t in TASKS.values()),
     ],
     ids=["pair_vectors_parent", "classify_success",
          "task1_parent", "task2_parent", "task3_parent"],
 )
-def test_never_banned_account_named(call, error, account_id):
-    with pytest.raises(error) as err:
+def test_never_banned_account_named(call, account_id):
+    with pytest.raises(RecordParseError) as err:
         call()
-    assert type(err.value) is error
-    if error is MissingBanTimeError:
-        assert err.value.account_id == account_id
-        assert str(err.value) == f"account {account_id!r} has no ban time"
-    else:
-        assert str(err.value) == f"parent {account_id!r} was never banned"
+    assert type(err.value) is RecordParseError
+    assert (err.value.path, err.value.line_number) == (None, None)
+    assert str(err.value) == f"parent {account_id!r} was never banned"
 
 
 @pytest.mark.parametrize(

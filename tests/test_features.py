@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from banevasion.corpus import SynthConfig, generate_synthetic
-from banevasion.errors import MissingBanTimeError, RecordParseError
+from banevasion.errors import RecordParseError
 from banevasion.features import (
     Digests,
     account_vectors,
@@ -151,8 +151,10 @@ class TestPairFeatures:
 
     def test_parent_must_be_banned(self):
         digests = Digests(corpus_of([account("p", 0), account("c", 10)]))
-        with pytest.raises(MissingBanTimeError, match="account 'p' has no ban time"):
+        with pytest.raises(RecordParseError) as err:
             pair_vectors(digests, [("p", "c")])
+        assert (err.value.path, err.value.line_number) == (None, None)
+        assert str(err.value) == "parent 'p' was never banned"
 
     def test_k_limit_uses_first_edits_only(self):
         parent_revs = [revision("p", "page-a", 10, added="alpha beta")]

@@ -317,13 +317,38 @@ def reference_task3(corpus, pairs, window_seconds):
     return samples
 
 
+def first_pair_fault(pairs, corpus):
+    """The reason the pairs reader gives for the first faulty pair, in input
+    order, or None: a parent never banned, a child not created after its
+    parent's ban, or a child an earlier pair names."""
+    children = set()
+    for parent_id, child_id, _ in pairs:
+        ban = corpus.account(parent_id).ban_time
+        if ban is None:
+            return f"parent {parent_id!r} was never banned"
+        if corpus.account(child_id).creation_time <= ban:
+            return f"child {child_id!r} was not created after the ban of {parent_id!r}"
+        if child_id in children:
+            return f"child {child_id!r} is named by an earlier pair"
+        children.add(child_id)
+    return None
+
+
 def random_matching_case(
-    rng: random.Random, base=0, max_time=20, max_life=8, windows=(0, 1, 2, 3, 5, 8, 13)
+    rng: random.Random, base=0, max_time=20, max_life=8, windows=(0, 1, 2, 3, 5, 8, 13),
+    fault=None,
 ):
     """A corpus, pairs and a window, with creation times in base..base+max_time
     and bans 1..max_life later, so ties, window edges and ``creation == parent
     ban`` are frequent. The corpus holds 0-2 records drawn over all accounts,
-    so pair members may sit in the pools."""
+    so pair members may sit in the pools.
+
+    Each child is drawn from the accounts created strictly after its parent's
+    ban that no earlier pair names, so the pairs pass ``check_pairs``. A
+    ``fault`` then inserts one pair that breaks a rule, where the case allows
+    it: ``"late"`` a child created at or before its parent's ban, after any
+    pair; ``"repeated"`` an earlier pair's child under a parent banned before
+    its creation, after that pair."""
     accounts, revisions = [], []
     for i in range(rng.randint(3, 20)):
         creation = base + rng.randint(0, max_time)
@@ -333,13 +358,28 @@ def random_matching_case(
             revisions.append(revision(f"a{i:02d}", "pg", creation + 1, added="x"))
     banned = [a for a in accounts if a.ban_time is not None]
     pairs = []
-    if banned:
-        for _ in range(rng.randint(1, 3)):
-            parent = rng.choice(banned)
-            later = [a for a in accounts if a.creation_time > parent.ban_time]
-            others = later if later and rng.random() < 0.7 else accounts
-            child = rng.choice([a for a in others if a is not parent])
-            pairs.append(EvasionPair(parent.account_id, child.account_id, 0))
+    for _ in range(rng.randint(1, 3)):
+        named = {p.child_id for p in pairs}
+        later = {
+            p: [a for a in accounts if a.creation_time > p.ban_time and a.account_id not in named]
+            for p in banned
+        }
+        parents = [p for p in banned if later[p]]
+        if not parents:
+            break
+        parent = rng.choice(parents)
+        pairs.append(EvasionPair(parent.account_id, rng.choice(later[parent]).account_id, 0))
+    if fault == "late" and banned:
+        parent = rng.choice(banned)
+        child = rng.choice([a for a in accounts if a.creation_time <= parent.ban_time])
+        pairs.insert(rng.randint(0, len(pairs)), EvasionPair(parent.account_id, child.account_id, 0))
+    elif fault == "repeated" and pairs:
+        at = rng.randrange(len(pairs))
+        creation = next(a.creation_time for a in accounts if a.account_id == pairs[at].child_id)
+        parent = rng.choice([a for a in banned if a.ban_time < creation])
+        pairs.insert(
+            rng.randint(at + 1, len(pairs)), EvasionPair(parent.account_id, pairs[at].child_id, 0)
+        )
     ids = [a.account_id for a in accounts]
     records = [
         record(*rng.sample(ids, rng.randint(2, len(ids) // 2 + 1)))
@@ -354,21 +394,50 @@ def as_tuples(samples):
 
 
 class TestBruteForceOracle:
-    CASES = 1200
+    CASES = 1800
     MIN_CAPPED = CASES // 2
+    # the cases whose pairs are valid and not empty, compared with the reference
+    MIN_COMPARED = 1200
+    # one case in FAULT_EVERY is given each fault kind
+    FAULT_EVERY = 10
 
     def cases(self):
         for i in range(self.CASES):
-            yield random_matching_case(random.Random(f"matching-oracle:{i}"))
+            yield random_matching_case(
+                random.Random(f"matching-oracle:{i}"), fault=self.fault_of(i)
+            )
+
+    def fault_of(self, i):
+        return {0: "late", self.FAULT_EVERY // 2: "repeated"}.get(i % self.FAULT_EVERY)
+
+    def valid_cases(self, task):
+        """The cases whose pairs pass ``check_pairs``. On every other case
+        ``task``'s match must raise, at the call, the reason of its first
+        faulty pair with no location. Once all cases are read, asserts that
+        each path was taken often."""
+        counts = dict.fromkeys(("compared", "late", "repeated"), 0)
+        for corpus, pairs, window in self.cases():
+            fault = first_pair_fault(pairs, corpus)
+            if fault is None:
+                counts["compared"] += bool(pairs)
+                yield corpus, pairs, window
+                continue
+            with pytest.raises(RecordParseError) as err:
+                TASKS[task].match(corpus, pairs, window)
+            assert (err.value.path, err.value.line_number, err.value.reason) == (None, None, fault)
+            counts["repeated" if fault.endswith("an earlier pair") else "late"] += 1
+        assert counts["compared"] >= self.MIN_COMPARED, counts
+        # most cases given a fault have room for it
+        assert min(counts["late"], counts["repeated"]) > self.CASES // (2 * self.FAULT_EVERY), counts
 
     def test_task1_equals_reference(self):
-        for corpus, pairs, window in self.cases():
+        for corpus, pairs, window in self.valid_cases("1"):
             got = as_tuples(TASKS["1"].match(corpus, pairs, window))
             assert got == reference_task1(corpus, pairs, window)
 
     def test_task2_equals_reference(self):
         capped = 0
-        for corpus, pairs, window in self.cases():
+        for corpus, pairs, window in self.valid_cases("2"):
             no_cap = len(corpus.accounts) + 1
             uncapped = reference_task2(corpus, pairs, window, no_cap, 0)
             for cap in (1, 3, no_cap):
@@ -380,7 +449,7 @@ class TestBruteForceOracle:
         assert capped > self.MIN_CAPPED, capped
 
     def test_task3_equals_reference(self):
-        for corpus, pairs, window in self.cases():
+        for corpus, pairs, window in self.valid_cases("3"):
             got = as_tuples(TASKS["3"].match(corpus, pairs, window))
             assert got == reference_task3(corpus, pairs, window)
 
@@ -390,8 +459,9 @@ class TestBruteForceOracleFloatWindows(TestBruteForceOracle):
     times, over pools where most creation and ban times tie. Exact ties leave
     fewer matches for the task-2 cap to bind on, hence more cases."""
 
-    CASES = 2000
+    CASES = 3000
     MIN_CAPPED = CASES // 4
+    MIN_COMPARED = 2000
 
     def cases(self):
         for i in range(self.CASES):
@@ -401,6 +471,7 @@ class TestBruteForceOracleFloatWindows(TestBruteForceOracle):
                 max_time=5,
                 max_life=1,
                 windows=(0.5, 2.5, 1e-9, 1 - 1e-10),
+                fault=self.fault_of(i),
             )
 
 
@@ -458,23 +529,6 @@ def random_candidate_case(rng: random.Random):
     ]
     rng.shuffle(pairs)
     return corpus_of(parents + children), pairs
-
-
-def first_pair_fault(pairs, corpus):
-    """The reason the pairs reader gives for the first faulty pair, in input
-    order, or None: a parent never banned, a child not created after its
-    parent's ban, or a child an earlier pair names."""
-    children = set()
-    for parent_id, child_id, _ in pairs:
-        ban = corpus.account(parent_id).ban_time
-        if ban is None:
-            return f"parent {parent_id!r} was never banned"
-        if corpus.account(child_id).creation_time <= ban:
-            return f"child {child_id!r} was not created after the ban of {parent_id!r}"
-        if child_id in children:
-            return f"child {child_id!r} is named by an earlier pair"
-        children.add(child_id)
-    return None
 
 
 class TestCandidateSetsOracle:

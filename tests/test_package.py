@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import re
 import subprocess
 import sys
 import textwrap
@@ -67,3 +68,24 @@ def test_failing_hypothesis_test_leaves_the_session_running(tmp_path):
     assert "INTERNALERROR" not in proc.stdout + proc.stderr
     assert "Falsifying example: test_fails(" in proc.stdout
     assert "1 failed, 1 passed" in proc.stdout
+
+
+def test_readme_errors_name_every_error_class():
+    """README's "Errors" list names exactly the ``BanEvasionError``
+    subclasses that ``banevasion.errors`` defines, one bullet each."""
+    from banevasion import errors
+
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n### Errors\n", 1)[1].split("\n#", 1)[0]
+    listed = [
+        name
+        for line in section.splitlines() if line.startswith("- `")
+        # the names before the colon, leaving out a "(a `ValueError` too)"
+        for name in re.findall(r"`(\w+)`", line.split(":", 1)[0].split(" (", 1)[0])
+    ]
+    defined = {
+        name for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, errors.BanEvasionError)
+        and value is not errors.BanEvasionError
+    }
+    assert sorted(listed) == sorted(defined)
